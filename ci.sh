@@ -20,13 +20,6 @@ cargo test -q --offline
 
 echo "== cargo doc --no-deps (RUSTDOCFLAGS=-D warnings: docs can never rot)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
-# The Registry -> DirStore rename ships a deprecated alias so external
-# callers migrate on their own schedule; the docs must keep carrying it
-# (and flagging it deprecated) until it is removed for real.
-test -f target/doc/petal_registry/type.Registry.html \
-  || { echo "doc gate: the deprecated Registry alias fell out of the docs"; exit 1; }
-grep -qi 'deprecated' target/doc/petal_registry/type.Registry.html \
-  || { echo "doc gate: the Registry alias is no longer marked deprecated"; exit 1; }
 
 echo "== petal-verify --all --deny (static plan/choice-space verification, smoke budget)"
 PETAL_SMOKE=1 cargo run --release --offline -p petal_analysis --bin petal-verify -- --all --deny
@@ -39,6 +32,19 @@ cargo run --release --offline -p petal_bench --bin bench_baseline -- --check-vir
 
 echo "== bench_hotpath --check (scheduler speedup regression floor, smoke reps)"
 PETAL_SMOKE=1 cargo run --release --offline -p petal_bench --bin bench_hotpath -- --check
+
+echo "== benchmark smoke (benchmark/ builds against this tree; every pipe/socket/registry answer checked)"
+# benchmark/ is its own package and pins the serving crates' public API.
+# `run` exits 0 even on wrong answers — the verdict is in its result
+# lines — so assert exactly one passing line per workload. (To a file
+# first: a pipeline into grep would SIGPIPE the binary under pipefail.)
+BENCH_OUT="$(mktemp /tmp/petal-bench-ci.XXXXXX)"
+cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- run --smoke >"$BENCH_OUT"
+[[ "$(grep -c '^{"correct": ' "$BENCH_OUT")" == 4 ]] \
+  || { echo "benchmark smoke: expected four result lines (one per workload)"; cat "$BENCH_OUT"; exit 1; }
+[[ "$(grep -cE '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' "$BENCH_OUT")" == 4 ]] \
+  || { echo "benchmark smoke: a workload answered wrong or failed operations"; grep '^{"correct": ' "$BENCH_OUT" | cut -c1-80; exit 1; }
+rm -f "$BENCH_OUT"
 
 echo "== farmd loopback smoke (dispatcher + 2 workers on a unix socket, one injected kill)"
 # fig2 (smoke sweep) and fig7 (Black-Scholes) run against a live

@@ -23,6 +23,7 @@
 
 use petal_apps::convolution::{ConvMapping, SeparableConvolution};
 use petal_apps::{all_benchmarks, Benchmark};
+use petal_bench::{num_field, str_field};
 use petal_gpu::profile::MachineProfile;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -100,24 +101,16 @@ struct Committed {
 /// Parse the committed baseline (flat format written by [`render`]; no
 /// JSON dependency available offline).
 fn parse_baseline(text: &str) -> Vec<Committed> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(kstart) = line.find("\"key\": \"") else { continue };
-        let rest = &line[kstart + 8..];
-        let Some(kend) = rest.find('"') else { continue };
-        let key = rest[..kend].to_owned();
-        let Some(vstart) = line.find("\"virtual_secs\": ") else { continue };
-        let vrest = &line[vstart + 16..];
-        let vend = vrest.find([',', '}']).unwrap_or(vrest.len());
-        let Ok(v) = vrest[..vend].trim().parse::<f64>() else { continue };
-        let bits = line.find("\"virtual_bits\": \"").and_then(|bstart| {
-            let brest = &line[bstart + 17..];
-            let bend = brest.find('"')?;
-            petal_apps::spec_f64_parse(&brest[..bend]).ok()
-        });
-        out.push(Committed { key, virtual_secs: v, virtual_bits: bits });
-    }
-    out
+    text.lines()
+        .filter_map(|line| {
+            Some(Committed {
+                key: str_field(line, "key")?.to_owned(),
+                virtual_secs: num_field(line, "virtual_secs")?,
+                virtual_bits: str_field(line, "virtual_bits")
+                    .and_then(|bits| petal_apps::spec_f64_parse(bits).ok()),
+            })
+        })
+        .collect()
 }
 
 fn baseline_path() -> std::path::PathBuf {

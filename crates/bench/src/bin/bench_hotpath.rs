@@ -30,6 +30,7 @@
 //!   scheduler to quadratic scanning fails loudly.
 
 use petal_apps::Benchmark;
+use petal_bench::{num_field, str_field};
 use petal_core::executor::Executor;
 use petal_core::{Config, Selector, Tunable};
 use petal_gpu::profile::MachineProfile;
@@ -237,31 +238,18 @@ struct Committed {
     incremental_per_sec: f64,
 }
 
-/// Pull `"name": <number>` out of one rendered line.
-fn field(line: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"{name}\": ");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse::<f64>().ok()
-}
-
 /// Parse the committed table (flat format written by [`render`]; no JSON
 /// dependency offline).
 fn parse_committed(text: &str) -> Vec<Committed> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(kstart) = line.find("\"key\": \"") else { continue };
-        let rest = &line[kstart + 8..];
-        let Some(kend) = rest.find('"') else { continue };
-        let key = rest[..kend].to_owned();
-        let (Some(speedup), Some(incremental_per_sec)) =
-            (field(line, "speedup"), field(line, "incremental_per_sec"))
-        else {
-            continue;
-        };
-        out.push(Committed { key, speedup, incremental_per_sec });
-    }
-    out
+    text.lines()
+        .filter_map(|line| {
+            Some(Committed {
+                key: str_field(line, "key")?.to_owned(),
+                speedup: num_field(line, "speedup")?,
+                incremental_per_sec: num_field(line, "incremental_per_sec")?,
+            })
+        })
+        .collect()
 }
 
 fn table_path() -> std::path::PathBuf {

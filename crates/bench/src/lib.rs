@@ -480,9 +480,39 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
     out.trim_end().to_owned()
 }
 
+/// Pull `"name": <number>` out of one line of a committed `BENCH_*.json`
+/// table (the flat one-row-per-line format the `bench_*` binaries render;
+/// no JSON dependency is available offline).
+#[must_use]
+pub fn num_field(line: &str, name: &str) -> Option<f64> {
+    let tag = format!("\"{name}\": ");
+    let rest = &line[line.find(&tag)? + tag.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+/// Pull `"name": "<text>"` out of one line of the same format.
+#[must_use]
+pub fn str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
+    let tag = format!("\"{name}\": \"");
+    let rest = &line[line.find(&tag)? + tag.len()..];
+    Some(&rest[..rest.find('"')?])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flat_json_fields_are_read_by_name() {
+        let line = r#"    {"key": "sort/Desktop", "virtual_secs": 1.5e-3, "virtual_bits": "0x3f589374bc6a7efa"},"#;
+        assert_eq!(str_field(line, "key"), Some("sort/Desktop"));
+        assert_eq!(num_field(line, "virtual_secs"), Some(1.5e-3));
+        assert_eq!(str_field(line, "virtual_bits"), Some("0x3f589374bc6a7efa"));
+        assert_eq!(num_field(line, "speedup"), None);
+        assert_eq!(str_field(line, "virtual_secs"), None, "a number is not a string");
+        assert_eq!(num_field(r#"{"last": 2}"#, "last"), Some(2.0));
+    }
 
     #[test]
     fn harness_benchmark_set_is_complete() {

@@ -53,24 +53,24 @@
 //! elastic fleet of registered workers, health-checks them by heartbeat,
 //! and re-queues a lost worker's jobs to survivors — none of which the
 //! farm can observe, because raw outcomes still come back keyed by
-//! submission index and all pricing happens in the parent's merge. Every
-//! backend hangs off the [`dispatch::Dispatch`] seam, so in-process,
-//! sharded and remote runs produce byte-for-byte identical results.
+//! submission index and all pricing happens in the parent's merge.
+//! Children and dispatcher alike are links of the one [`shard::Pool`],
+//! framed by the one [`session`] layer, so in-process, sharded and
+//! remote runs produce byte-for-byte identical results.
 
 #![warn(missing_docs)]
 
-pub mod dispatch;
 pub mod net;
 pub mod remote;
+pub mod session;
 pub mod shard;
 pub mod wire;
 
-use dispatch::Dispatch;
 use petal_apps::{Benchmark, Instance};
 use petal_core::executor::Executor;
 use petal_core::Config;
 use petal_gpu::profile::MachineProfile;
-use shard::ShardPool;
+use shard::Pool;
 use std::collections::HashSet;
 use std::path::PathBuf;
 
@@ -229,9 +229,9 @@ pub struct EvalFarm {
     shards: usize,
     shard_bin: Option<PathBuf>,
     endpoint: Option<String>,
-    /// Lazily built dispatch backend (shard or remote mode), kept alive
-    /// across batches of one tuning run.
-    pool: Option<Box<dyn Dispatch>>,
+    /// Lazily built out-of-process pool (shard or remote mode), kept
+    /// alive across batches of one tuning run.
+    pool: Option<Pool>,
     model_process_restarts: bool,
     ir_cache_enabled: bool,
     /// Kernels compiled by the modeled long-lived tuning process
@@ -421,19 +421,16 @@ impl EvalFarm {
             .collect()
     }
 
-    /// Build the dispatch backend for the current settings and
-    /// `(benchmark, machine)` session: a [`remote::RemotePool`] when an
-    /// endpoint is configured, a [`ShardPool`] otherwise.
-    fn build_pool(
-        &self,
-        spec: &str,
-        machine: &MachineProfile,
-    ) -> Result<Box<dyn Dispatch>, shard::ShardError> {
-        if let Some(endpoint) = &self.endpoint {
-            Ok(Box::new(remote::RemotePool::connect(endpoint, spec, machine)?))
-        } else {
-            let bin = shard::resolve_shard_bin(self.shard_bin.as_deref())?;
-            Ok(Box::new(ShardPool::spawn(&bin, self.shards, spec, machine)?))
+    /// Build the pool for the current settings and `(benchmark, machine)`
+    /// session: one farmd link when an endpoint is configured, spawned
+    /// `petal-shard` children otherwise.
+    fn build_pool(&self, spec: &str, machine: &MachineProfile) -> Result<Pool, shard::ShardError> {
+        match &self.endpoint {
+            Some(endpoint) => Pool::connect(endpoint, spec, machine),
+            None => {
+                let bin = shard::resolve_shard_bin(self.shard_bin.as_deref())?;
+                Pool::spawn(&bin, self.shards, spec, machine)
+            }
         }
     }
 
@@ -441,9 +438,9 @@ impl EvalFarm {
     /// farmd session), (re)building it when the `(benchmark, machine)`
     /// session changed.
     ///
-    /// Backends recover from partial worker loss internally; an `Err`
+    /// The pool recovers from partial link loss internally; an `Err`
     /// here means the whole backend is gone (every shard dead, or the
-    /// dispatcher connection lost). Because jobs are pure and all pricing
+    /// dispatcher session unrecoverable). Because jobs are pure and all pricing
     /// happens in the caller's submission-order merge, the recovery is
     /// simply: build a fresh backend and re-run the *whole* batch once —
     /// bit-identical to a run that never failed. A second total loss is

@@ -1,0 +1,323 @@
+//! The session layer: how a [`crate::wire`] session runs over a byte
+//! stream. Every peer that frames records, opens a socket connection or
+//! serves jobs does it through this module, so each decision lives once:
+//!
+//! * [`Framed`] is the one framed codec — a reader and a writer plus the
+//!   reused [`WireEncoder`] and line buffers, so a steady-state exchange
+//!   (one `JOB` out, one `RESULT` back) allocates nothing for framing.
+//!   The pipe worker, the socket worker, the farm's pool links, the
+//!   served-registry client and the dispatcher's per-connection writers
+//!   all hold one; a write-only holder passes [`std::io::empty`] as its
+//!   reader.
+//! * [`read_frame`] / [`decode_frame`] are the two steps under
+//!   [`Framed::recv`], public for the dispatcher's timeout-aware reader:
+//!   no line grows past [`MAX_LINE_BYTES`], whoever reads it.
+//! * [`dial`] is the one connection opener: connect, `HELLO` exchange,
+//!   [`negotiate`], and a `GOODBYE` turned into a diagnostic.
+//! * [`serve_jobs`] is the one worker job loop, shared by
+//!   `petal-shard`'s stdio and socket modes.
+//!
+//! [`SessionError`] is the one error type; each caller maps its three
+//! cases into its own vocabulary (reconnect, re-queue, report).
+
+use crate::net::{Endpoint, FarmStream};
+use crate::wire::{
+    negotiate, Message, Record, WireEncoder, WireError, MIN_WIRE_VERSION, WIRE_VERSION,
+};
+use petal_apps::{benchmark_from_spec, Benchmark};
+use petal_gpu::profile::MachineProfile;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::time::Duration;
+
+/// Longest record any reader accepts, newline excluded. Far above the
+/// largest legitimate record (an `ls` `REG_MISS` listing every unusable
+/// file of a large store), and the bound on what a peer that never sends
+/// a newline can make a reader allocate.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Why a session could not be opened or did not run to its end.
+#[derive(Debug)]
+pub enum SessionError {
+    /// Nothing answered at the endpoint.
+    Unreachable(io::Error),
+    /// The transport broke (EOF, read or write failure, a torn or
+    /// over-long record): the peer may be restarting and can be retried.
+    Lost(io::Error),
+    /// The peer answered and the answer ends the session: a `GOODBYE`,
+    /// version skew, or a record the protocol does not allow here.
+    Refused(String),
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SessionError::Unreachable(e) => write!(f, "cannot connect: {e}"),
+            SessionError::Lost(e) => write!(f, "connection lost: {e}"),
+            SessionError::Refused(why) => f.write_str(why),
+        }
+    }
+}
+
+impl std::error::Error for SessionError {}
+
+/// Append bytes up to and including the next `\n` to `frame`, reading no
+/// further than one byte past [`MAX_LINE_BYTES`]. Returns the bytes read
+/// (0 at EOF). A frame left longer than the limit with no newline is
+/// over-long; [`decode_frame`] refuses it by name. Bytes already in
+/// `frame` count, so a reader interrupted by a timeout can call again.
+///
+/// # Errors
+/// The reader's own I/O errors.
+pub fn read_frame(reader: &mut impl BufRead, frame: &mut Vec<u8>) -> io::Result<usize> {
+    let room = (MAX_LINE_BYTES + 1).saturating_sub(frame.len());
+    reader.take(room as u64).read_until(b'\n', frame)
+}
+
+/// Strip the line terminator and check the length and encoding.
+fn frame_text(frame: &[u8]) -> Result<&str, WireError> {
+    let line = frame.strip_suffix(b"\n").unwrap_or(frame);
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    if line.len() > MAX_LINE_BYTES {
+        return Err(WireError::new(format!("record exceeds the {MAX_LINE_BYTES}-byte line limit")));
+    }
+    std::str::from_utf8(line).map_err(|_| WireError::new("record is not UTF-8"))
+}
+
+/// Decode one frame as read by [`read_frame`] (its `\n` or `\r\n`
+/// terminator is optional).
+///
+/// # Errors
+/// An over-long or non-UTF-8 frame, and everything
+/// [`Message::decode`] rejects.
+pub fn decode_frame(frame: &[u8]) -> Result<Message, WireError> {
+    Message::decode(frame_text(frame)?)
+}
+
+fn torn(e: WireError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+/// A wire session over a byte stream: one record per line each way.
+pub struct Framed<R, W> {
+    reader: R,
+    writer: W,
+    enc: WireEncoder,
+    line_out: String,
+    frame_in: Vec<u8>,
+}
+
+impl<R: BufRead, W: Write> Framed<R, W> {
+    /// Frame `reader` and `writer`.
+    pub fn new(reader: R, writer: W) -> Self {
+        Framed {
+            reader,
+            writer,
+            enc: WireEncoder::default(),
+            line_out: String::new(),
+            frame_in: Vec::new(),
+        }
+    }
+
+    /// Write `msg` as one line and flush. The line reaches the writer in
+    /// a single `write_all`, so a writer that serializes those calls
+    /// keeps records whole when several `Framed`s share a stream.
+    ///
+    /// # Errors
+    /// The writer's I/O errors.
+    pub fn send(&mut self, msg: &Message) -> io::Result<()> {
+        self.enc.encode_into(msg, &mut self.line_out);
+        self.line_out.push('\n');
+        self.writer.write_all(self.line_out.as_bytes())?;
+        self.writer.flush()
+    }
+
+    /// The next line without its terminator; `None` at a clean EOF.
+    fn recv_line(&mut self) -> io::Result<Option<&str>> {
+        self.frame_in.clear();
+        if read_frame(&mut self.reader, &mut self.frame_in)? == 0 {
+            return Ok(None);
+        }
+        frame_text(&self.frame_in).map(Some).map_err(torn)
+    }
+
+    /// Read the next message, skipping `HEARTBEAT`s (liveness chatter is
+    /// legal on any stream and means nothing to a reader here); `None`
+    /// at a clean EOF.
+    ///
+    /// # Errors
+    /// The reader's I/O errors; an undecodable or over-long record is an
+    /// `InvalidData` error carrying the [`WireError`].
+    pub fn recv(&mut self) -> io::Result<Option<Message>> {
+        loop {
+            let Some(line) = self.recv_line()? else { return Ok(None) };
+            match Message::decode(line).map_err(torn)? {
+                Message::Heartbeat { .. } => {}
+                msg => return Ok(Some(msg)),
+            }
+        }
+    }
+
+    /// [`Self::recv`] for a reader that is owed an answer: EOF is an
+    /// `UnexpectedEof` error.
+    ///
+    /// # Errors
+    /// As [`Self::recv`], plus the EOF.
+    pub fn expect(&mut self) -> io::Result<Message> {
+        self.recv()?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed the connection")
+        })
+    }
+
+    /// The underlying writer.
+    pub fn writer(&self) -> &W {
+        &self.writer
+    }
+
+    /// Give the streams back (a buffered reader keeps what it buffered).
+    pub fn into_parts(self) -> (R, W) {
+        (self.reader, self.writer)
+    }
+}
+
+/// A [`Framed`] socket connection as [`dial`] opens it.
+pub type SocketWire = Framed<BufReader<FarmStream>, FarmStream>;
+
+/// Open a connection to a dispatcher: connect (retrying for `patience`),
+/// exchange `HELLO`s and settle the wire version. Returns the framed
+/// connection and a third handle to the same socket whose
+/// [`FarmStream::shutdown`] unblocks every other holder.
+///
+/// # Errors
+/// [`SessionError::Unreachable`] when nothing accepts within `patience`,
+/// `Lost` when the handshake's transport fails, `Refused` on version
+/// skew, a `GOODBYE` or any other answer to `HELLO`.
+pub fn dial(
+    endpoint: &Endpoint,
+    patience: Duration,
+) -> Result<(SocketWire, FarmStream), SessionError> {
+    use SessionError::{Lost, Refused};
+    let stream =
+        FarmStream::connect_retry(endpoint, patience).map_err(SessionError::Unreachable)?;
+    let handle = stream.try_clone().map_err(Lost)?;
+    let writer = stream.try_clone().map_err(Lost)?;
+    let mut wire = Framed::new(BufReader::new(stream), writer);
+    wire.send(&Message::hello()).map_err(Lost)?;
+    match wire.expect().map_err(Lost)? {
+        Message::Hello { min_version, max_version } => {
+            negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (min_version, max_version))
+                .map_err(|e| Refused(e.to_string()))?;
+        }
+        Message::Goodbye { reason } => {
+            return Err(Refused(format!("the dispatcher rejected the connection: {reason}")));
+        }
+        other => {
+            return Err(Refused(format!("the dispatcher answered HELLO with {}", other.tag())));
+        }
+    }
+    Ok((wire, handle))
+}
+
+/// How a job loop ended when nothing went wrong.
+#[derive(Debug)]
+pub enum Ended {
+    /// The peer sent `DONE` or `GOODBYE`; carries the reason.
+    Dismissed(String),
+    /// The stream reached EOF.
+    Eof,
+}
+
+/// The worker job loop: `INIT` (re)targets the `(benchmark, machine)`
+/// session and is answered `READY`, `JOB` is evaluated with
+/// [`crate::evaluate_job`] and answered `RESULT`, `DONE`/`GOODBYE` end
+/// the loop, and EOF is reported for the caller to judge. `before_job`
+/// sees each `JOB`'s index before it is evaluated.
+///
+/// # Errors
+/// `Lost` for I/O failures and torn records; `Refused` for version skew,
+/// an unknown benchmark spec, a `JOB` or `DONE` before any `INIT`, and
+/// records a worker is never sent.
+pub fn serve_jobs<R: BufRead, W: Write>(
+    wire: &mut Framed<R, W>,
+    mut before_job: impl FnMut(u64),
+) -> Result<Ended, SessionError> {
+    use SessionError::{Lost, Refused};
+    let mut session: Option<(Box<dyn Benchmark>, MachineProfile)> = None;
+    loop {
+        let Some(line) = wire.recv_line().map_err(Lost)? else { return Ok(Ended::Eof) };
+        // The version is checked before the INIT is decoded in full: a
+        // future version may change INIT's layout, and skew must read as
+        // skew, not as a framing error. Field 0 is frozen for that.
+        if line.starts_with("INIT ") {
+            let record = Record::parse(line).map_err(|e| Lost(torn(e)))?;
+            match record.fields.first().map(|v| v.parse::<u64>()) {
+                Some(Ok(WIRE_VERSION)) => {}
+                Some(Ok(version)) => {
+                    return Err(Refused(format!(
+                        "peer speaks wire version {version}, this worker speaks {WIRE_VERSION}"
+                    )));
+                }
+                _ => return Err(Refused("INIT carries no parseable wire version".to_owned())),
+            }
+        }
+        match (Message::decode(line).map_err(|e| Lost(torn(e)))?, &session) {
+            (Message::Init { bench_spec, machine, .. }, _) => {
+                let bench = benchmark_from_spec(&bench_spec)
+                    .map_err(|e| Refused(format!("bad benchmark spec `{bench_spec}`: {e}")))?;
+                session = Some((bench, *machine));
+                wire.send(&Message::Ready { version: WIRE_VERSION }).map_err(Lost)?;
+            }
+            (Message::Goodbye { reason }, _) => return Ok(Ended::Dismissed(reason)),
+            (Message::Heartbeat { .. }, _) => {}
+            (Message::Job { index, job }, Some((bench, machine))) => {
+                before_job(index);
+                let outcome = crate::evaluate_job(&**bench, machine, &job);
+                wire.send(&Message::Result { index, outcome }).map_err(Lost)?;
+            }
+            (Message::Done, Some(_)) => return Ok(Ended::Dismissed("done".to_owned())),
+            (other, None) => return Err(Refused(format!("expected INIT, got {}", other.tag()))),
+            (other, Some(_)) => {
+                return Err(Refused(format!("expected JOB or DONE, got {}", other.tag())));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frames_strip_terminators_skip_heartbeats_and_end_cleanly() {
+        let input = format!(
+            "{}\r\n{}\n{}",
+            Message::Heartbeat { seq: 1 }.encode(),
+            Message::Ready { version: WIRE_VERSION }.encode(),
+            Message::Done.encode(), // no trailing newline: still a record
+        );
+        let mut wire = Framed::new(input.as_bytes(), Vec::new());
+        assert_eq!(wire.recv().expect("reads"), Some(Message::Ready { version: WIRE_VERSION }));
+        assert_eq!(wire.recv().expect("reads"), Some(Message::Done));
+        assert_eq!(wire.recv().expect("reads"), None);
+        assert_eq!(wire.expect().expect_err("eof").kind(), io::ErrorKind::UnexpectedEof);
+        wire.send(&Message::Done).expect("writes");
+        assert_eq!(wire.into_parts().1, b"DONE\n");
+    }
+
+    #[test]
+    fn no_reader_buffers_a_line_past_the_limit() {
+        // A legitimate record of exactly the limit passes…
+        let pad = "x".repeat(MAX_LINE_BYTES - "GOODBYE 4194290:".len());
+        let longest = Message::Goodbye { reason: pad }.encode();
+        assert_eq!(longest.len(), MAX_LINE_BYTES);
+        let mut wire = Framed::new(longest.as_bytes(), Vec::new());
+        assert!(matches!(wire.recv(), Ok(Some(Message::Goodbye { .. }))));
+        // …and a peer that never sends a newline is cut off one byte past
+        // it, with the limit named, instead of being buffered forever.
+        let endless = vec![b'x'; 3 * MAX_LINE_BYTES];
+        let mut wire = Framed::new(&endless[..], Vec::new());
+        let e = wire.recv().expect_err("over-long");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("line limit"), "{e}");
+        assert_eq!(wire.frame_in.len(), MAX_LINE_BYTES + 1);
+    }
+}

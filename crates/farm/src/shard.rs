@@ -1,36 +1,50 @@
-//! The shard front-end: a pool of `petal-shard` worker *processes*.
+//! The farm's out-of-process pool: one [`Pool`] type whose **links** are
+//! framed byte streams ([`crate::session::Framed`]) — *N* spawned
+//! `petal-shard` children over their stdio pipes
+//! ([`crate::FarmSettings::shards`]), or *one* `petal-farmd` dispatcher
+//! over a socket ([`crate::FarmSettings::endpoint`], opened and recovered
+//! by [`crate::remote`]).
 //!
-//! The (crate-private) `ShardPool` spawns N workers with
-//! [`std::process::Command`], speaks
-//! the [`crate::wire`] protocol over their stdin/stdout pipes, assigns
-//! jobs round-robin by submission index (`job i → worker i mod effective`)
-//! and hands raw outcomes back to [`crate::EvalFarm`]'s submission-order
-//! merge — the same merge the in-process paths use, so compile re-pricing
-//! (and therefore the tuning result) is bit-identical at any shard count.
+//! One batch loop serves both. It places each job on a live link with
+//! window room (`job i → link i mod effective` when healthy, the next
+//! live link otherwise), files each `RESULT` by its index after checking
+//! that the index is outstanding **on the link that answered**, and
+//! hands raw outcomes back to [`crate::EvalFarm`]'s submission-order
+//! merge — the same merge the in-process paths use, so compile
+//! re-pricing (and therefore the tuning result) is bit-identical at any
+//! shard count and through any dispatcher. Job indices on the wire are
+//! absolute over the pool's life (never reset per batch), so
+//! `(session, index)` names a job uniquely — what lets a dispatcher
+//! deduplicate re-submissions.
 //!
-//! Workers are stateless with respect to pricing: they report each trial's
-//! charged compile events verbatim and never see the warm-kernel or
-//! IR-cache sets. A pool is keyed by `(benchmark spec, machine)` and is
-//! respawned when either changes; within one tuning run it persists across
-//! generation batches.
+//! What differs per link kind follows from the kind, never from a
+//! setting:
 //!
-//! **Worker loss is survivable.** Because every job is a pure function of
-//! its [`crate::EvalJob`], a worker that dies mid-batch (crash, kill, bad
-//! deploy) just has its outstanding jobs re-queued to the surviving
-//! workers; the outcome vector — and therefore the tuning result — is
-//! unchanged. Only when *every* worker is gone does
-//! [`evaluate`](crate::dispatch::Dispatch::evaluate) return a structured
-//! [`ShardError`] naming the
-//! last failed worker and the jobs still outstanding, so the caller can
-//! respawn a pool and retry.
+//! * a **worker** link is a pipe with a bounded buffer and a peer that
+//!   blocks on its own writes, so at most `PIPE_WINDOW` (8) jobs are
+//!   outstanding on it — a batch of any size can never deadlock on full
+//!   OS pipe buffers — and a lost worker stays lost;
+//! * a **farmd** link has no window (the dispatcher queues in memory;
+//!   flow control toward workers is its job) and a lost transport is
+//!   recovered with `RESUME` and the session token, after which only the
+//!   unanswered jobs are re-submitted.
+//!
+//! **Link loss is survivable.** Every job is a pure function of its
+//! [`crate::EvalJob`], so a lost link's unanswered jobs are re-queued, in
+//! submission order, to whatever links remain; the outcome vector — and
+//! therefore the tuning result — is unchanged. Only when *every* link is
+//! gone does [`Pool::evaluate`] return a structured [`ShardError`] naming
+//! the last lost link and the jobs still unanswered, so the caller can
+//! build a fresh pool and retry.
 
-use crate::wire::{Message, WireEncoder, WireError, WIRE_VERSION};
+use crate::session::Framed;
+use crate::wire::{Message, WireError, WIRE_VERSION};
 use crate::{EvalJob, JobOutcome};
 use petal_gpu::profile::MachineProfile;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{Child, Command, Stdio};
 
 /// A dispatch failure: worker spawn/IO problems or protocol violations.
 ///
@@ -86,10 +100,6 @@ impl From<WireError> for ShardError {
     }
 }
 
-fn io_err(context: &str, e: &std::io::Error) -> ShardError {
-    ShardError::new(format!("{context}: {e}"))
-}
-
 /// Locate the `petal-shard` worker binary.
 ///
 /// Resolution order:
@@ -129,82 +139,105 @@ pub fn resolve_shard_bin(explicit: Option<&Path>) -> Result<PathBuf, ShardError>
     ))
 }
 
-/// One spawned worker process with buffered pipes. The encoder and both
-/// line buffers persist across jobs, so steady-state dispatch (one `JOB`
-/// out, one `RESULT` line read back per trial) allocates nothing on the
-/// parent side.
-#[derive(Debug)]
-struct Worker {
-    child: Child,
-    stdin: ChildStdin,
-    stdout: BufReader<ChildStdout>,
-    enc: WireEncoder,
-    line_out: String,
-    line_in: String,
+/// Cap on unanswered jobs at one worker link. Keeps worst-case bytes in
+/// flight per pipe (jobs out, results back) comfortably under the
+/// smallest common pipe buffer (64 KiB on Linux) even with
+/// multi-kilobyte config texts.
+const PIPE_WINDOW: usize = 8;
+
+/// A link's framed stream. Boxed so one pool type serves children's
+/// pipes, dispatcher sockets and the in-memory streams tests script.
+pub(crate) type Wire = Framed<Box<dyn BufRead + Send>, Box<dyn Write + Send>>;
+
+/// What answers on a link — the one thing window and recovery follow.
+pub(crate) enum Peer {
+    /// A `petal-shard` worker behind a plain byte stream.
+    Worker,
+    /// A `petal-farmd` dispatcher, with what a `RESUME` needs.
+    Farmd {
+        /// Where to reconnect.
+        endpoint: crate::net::Endpoint,
+        /// The session's resume credentials.
+        token: u64,
+        /// The secret presented with `token`.
+        nonce: u64,
+    },
 }
 
-impl Worker {
-    fn send(&mut self, msg: &Message) -> Result<(), ShardError> {
-        self.enc.encode_into(msg, &mut self.line_out);
-        self.line_out.push('\n');
-        self.stdin
-            .write_all(self.line_out.as_bytes())
-            .map_err(|e| io_err("writing to shard worker", &e))
-    }
-
-    fn recv(&mut self) -> Result<Message, ShardError> {
-        self.line_in.clear();
-        let n = self
-            .stdout
-            .read_line(&mut self.line_in)
-            .map_err(|e| io_err("reading from shard worker", &e))?;
-        if n == 0 {
-            return Err(ShardError::new(
-                "shard worker closed its pipe early (it may have \
-                 crashed; check its stderr above)",
-            ));
-        }
-        Ok(Message::decode(self.line_in.trim_end_matches('\n'))?)
-    }
+/// One live framed stream to a peer that evaluates jobs.
+pub(crate) struct Link {
+    pub(crate) wire: Wire,
+    pub(crate) peer: Peer,
+    /// Batch-relative indices submitted here and not yet answered, in
+    /// submission order.
+    pub(crate) outstanding: VecDeque<usize>,
+    /// Re-attached with `RESUME` during the current batch: the
+    /// dispatcher may then replay a result this side already filed.
+    pub(crate) resumed: bool,
 }
 
-impl Drop for Worker {
-    fn drop(&mut self) {
-        // Best-effort clean shutdown: DONE, close stdin, reap. A worker
-        // that already died is reaped all the same; errors are ignored
-        // because drop runs on both success and failure paths.
-        let _ = self.send(&Message::Done);
-        let _ = self.stdin.flush();
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+impl Link {
+    pub(crate) fn new(wire: Wire, peer: Peer) -> Link {
+        Link { wire, peer, outstanding: VecDeque::new(), resumed: false }
+    }
+
+    fn has_room(&self) -> bool {
+        matches!(self.peer, Peer::Farmd { .. }) || self.outstanding.len() < PIPE_WINDOW
     }
 }
 
-/// A pool of initialized `petal-shard` worker processes for one
-/// `(benchmark, machine)` session. Workers that die stay dead (their
-/// slot is `None`) until the pool itself is respawned.
-#[derive(Debug)]
-pub(crate) struct ShardPool {
-    workers: Vec<Option<Worker>>,
+/// A pool of links initialized for one `(benchmark, machine)` session.
+/// Lost links stay lost (their slot is `None`) until the pool itself is
+/// rebuilt.
+pub struct Pool {
+    pub(crate) links: Vec<Option<Link>>,
     /// Session key: the benchmark spec and machine this pool was
-    /// initialized with; a mismatch forces a respawn.
+    /// initialized with; a mismatch makes the farm build a fresh pool.
     key: (String, MachineProfile),
+    /// Absolute wire index of the next batch's first job.
+    base: u64,
+    /// Spawned workers, reaped when the pool drops.
+    children: Vec<Child>,
 }
 
-impl ShardPool {
-    /// Spawn and handshake `count` workers for `(bench_spec, machine)`.
+impl std::fmt::Debug for Pool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pool")
+            .field("bench", &self.key.0)
+            .field("machine", &self.key.1.codename)
+            .field("links", &self.links.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Pool {
+    /// A pool for `(bench_spec, machine)` with no links yet.
+    pub(crate) fn empty(bench_spec: &str, machine: &MachineProfile) -> Pool {
+        Pool {
+            links: Vec::new(),
+            key: (bench_spec.to_owned(), machine.clone()),
+            base: 0,
+            children: Vec::new(),
+        }
+    }
+
+    /// The `INIT` that opens this pool's session on a link.
+    pub(crate) fn init(&self) -> Message {
+        Message::Init {
+            version: WIRE_VERSION,
+            bench_spec: self.key.0.clone(),
+            machine: Box::new(self.key.1.clone()),
+        }
+    }
+
+    /// Spawn `count` workers and link each over its stdio pipes.
     pub(crate) fn spawn(
         bin: &Path,
         count: usize,
         bench_spec: &str,
         machine: &MachineProfile,
-    ) -> Result<ShardPool, ShardError> {
-        let init = Message::Init {
-            version: WIRE_VERSION,
-            bench_spec: bench_spec.to_owned(),
-            machine: Box::new(machine.clone()),
-        };
-        let mut workers = Vec::with_capacity(count);
+    ) -> Result<Pool, ShardError> {
+        let mut pool = Pool::empty(bench_spec, machine);
         for i in 0..count.max(1) {
             let mut child = Command::new(bin)
                 .stdin(Stdio::piped())
@@ -212,194 +245,338 @@ impl ShardPool {
                 .stderr(Stdio::inherit())
                 .spawn()
                 .map_err(|e| {
-                    io_err(&format!("spawning shard worker {i} ({})", bin.display()), &e)
+                    ShardError::new(format!("spawning shard worker {i} ({}): {e}", bin.display()))
                 })?;
-            let at = |msg: String| ShardError::at_worker(i, msg);
-            let Some(stdin) = child.stdin.take() else {
-                return Err(at("spawned without a piped stdin".to_owned()));
+            let pipes = (child.stdout.take(), child.stdin.take());
+            pool.children.push(child); // reaped by drop even if the handshake fails
+            let (Some(stdout), Some(stdin)) = pipes else {
+                return Err(ShardError::at_worker(i, "spawned without piped stdio"));
             };
-            let Some(stdout) = child.stdout.take() else {
-                return Err(at("spawned without a piped stdout".to_owned()));
-            };
-            let mut worker = Worker {
-                child,
-                stdin,
-                stdout: BufReader::new(stdout),
-                enc: WireEncoder::default(),
-                line_out: String::new(),
-                line_in: String::new(),
-            };
-            worker.send(&init).map_err(|e| at(e.message))?;
-            worker.stdin.flush().map_err(|e| at(format!("flushing INIT: {e}")))?;
-            match worker.recv().map_err(|e| at(e.message))? {
-                Message::Ready { version } if version == WIRE_VERSION => {}
-                Message::Ready { version } => {
-                    return Err(at(format!(
-                        "shard worker speaks wire version {version}, parent speaks {WIRE_VERSION}"
-                    )));
-                }
-                other => return Err(at(format!("answered INIT with {other:?}"))),
-            }
-            workers.push(Some(worker));
+            pool.attach(BufReader::new(stdout), stdin)?;
         }
-        Ok(ShardPool { workers, key: (bench_spec.to_owned(), machine.clone()) })
+        Ok(pool)
     }
 
-    /// Workers still alive.
-    fn survivors(&self) -> usize {
-        self.workers.iter().filter(|w| w.is_some()).count()
-    }
-
-    /// Retire worker `w` after `cause`, re-queueing its unanswered jobs
-    /// (`outstanding[w]`) onto the front of `todo` in submission order.
-    /// The returned error is only raised if no workers survive.
-    fn retire(
+    /// Run the `INIT`/`READY` handshake with a worker over any byte
+    /// stream and add it as the pool's next link.
+    pub(crate) fn attach(
         &mut self,
-        w: usize,
-        cause: ShardError,
-        outstanding: &mut [VecDeque<usize>],
-        todo: &mut VecDeque<usize>,
-    ) -> ShardError {
-        self.workers[w] = None; // drop reaps the child
-        while let Some(i) = outstanding[w].pop_back() {
-            todo.push_front(i);
-        }
-        eprintln!(
-            "petal-farm: shard worker {w} lost ({}); re-queueing its jobs to survivors",
-            cause.message
-        );
-        ShardError { worker: Some(w), ..cause }
-    }
-
-    /// Read the next RESULT from worker `w`, which must answer `expected`
-    /// (workers reply strictly in arrival order). Every failure names the
-    /// worker, so a dead process in a large pool is identifiable.
-    fn read_result(&mut self, w: usize, expected: usize) -> Result<JobOutcome, ShardError> {
-        let at = |msg: String| ShardError::at_worker(w, msg);
-        let worker = self.workers[w].as_mut().expect("reading from a live worker");
-        match worker.recv().map_err(|e| at(e.message))? {
-            Message::Result { index, outcome } if index == expected as u64 => Ok(outcome),
-            Message::Result { index, .. } => {
-                Err(at(format!("answered job {index} when {expected} was expected")))
+        reader: impl BufRead + Send + 'static,
+        writer: impl Write + Send + 'static,
+    ) -> Result<(), ShardError> {
+        let at = |msg: String| ShardError::at_worker(self.links.len(), msg);
+        let mut wire: Wire = Framed::new(Box::new(reader), Box::new(writer));
+        wire.send(&self.init()).map_err(|e| at(format!("writing INIT: {e}")))?;
+        match wire.expect().map_err(|e| at(format!("reading READY: {e}")))? {
+            Message::Ready { version: WIRE_VERSION } => {}
+            Message::Ready { version } => {
+                return Err(at(format!(
+                    "shard worker speaks wire version {version}, parent speaks {WIRE_VERSION}"
+                )));
             }
-            other => Err(at(format!("answered JOB with {other:?}"))),
+            other => return Err(at(format!("answered INIT with {}", other.tag()))),
         }
+        self.links.push(Some(Link::new(wire, Peer::Worker)));
+        Ok(())
     }
-}
 
-impl crate::dispatch::Dispatch for ShardPool {
-    fn matches(&self, bench_spec: &str, machine: &MachineProfile) -> bool {
+    /// Whether this pool was initialized for `(bench_spec, machine)`.
+    pub(crate) fn matches(&self, bench_spec: &str, machine: &MachineProfile) -> bool {
         self.key.0 == bench_spec && &self.key.1 == machine
     }
 
-    /// Evaluate a batch: `jobs[i]` goes to worker `i mod effective`, and
-    /// outcomes come back in submission order.
+    /// Take link `w` out of service after `cause`, re-queueing its
+    /// unanswered jobs onto the front of `todo` in submission order.
+    /// A farmd link whose *transport* failed is re-attached with
+    /// `RESUME` and stays in service (`None`); any other loss is final
+    /// and returned, to be raised if no link survives the batch.
+    fn lose(
+        &mut self,
+        w: usize,
+        mut cause: String,
+        transport: bool,
+        todo: &mut VecDeque<usize>,
+    ) -> Option<ShardError> {
+        let mut link = self.links[w].take().expect("losing a live link");
+        while let Some(i) = link.outstanding.pop_back() {
+            todo.push_front(i);
+        }
+        if !transport {
+            // The stream still works, so part cleanly: a worker exits and
+            // a dispatcher retires the session instead of detaching it.
+            let _ = link.wire.send(&Message::Done);
+        } else if let Peer::Farmd { endpoint, token, nonce } = link.peer {
+            drop(link.wire); // the dead connection closes before its successor opens
+            match crate::remote::resume(&endpoint, token, nonce) {
+                Ok(fresh) => {
+                    eprintln!("petal-farm: link {w} lost ({cause}); session {token} resumed");
+                    self.links[w] = Some(fresh);
+                    return None;
+                }
+                Err(e) => cause = format!("{cause}; {}", e.message),
+            }
+        }
+        eprintln!("petal-farm: link {w} lost ({cause}); re-queueing its jobs to survivors");
+        Some(ShardError::at_worker(w, cause))
+    }
+
+    /// Evaluate a batch, returning raw outcomes in submission order
+    /// (`result[i]` answers `jobs[i]`). `effective` is the worker count
+    /// the farm's round-robin accounting assumes.
     ///
-    /// Writes and reads are interleaved with a bounded number of
-    /// outstanding jobs per worker (`MAX_OUTSTANDING`), so a batch of
-    /// any size can never deadlock on full OS pipe buffers: the parent
-    /// only blocks writing when a worker's queue is short, and only
-    /// blocks reading results that worker is guaranteed to produce.
+    /// Submission and collection interleave: jobs go to live links with
+    /// room, then one result is read from the link with the deepest
+    /// queue (which keeps every pipeline moving), and so on until every
+    /// job is answered. See the [module docs](self) for loss handling.
     ///
-    /// A worker that dies mid-batch has its unanswered jobs re-queued to
-    /// the survivors (jobs are pure, so the outcomes are identical);
-    /// only the loss of *every* worker aborts the batch, with the
-    /// unanswered submission indices in [`ShardError::outstanding`].
-    fn evaluate(
+    /// # Errors
+    /// Only when the batch cannot be completed at all — every link is
+    /// gone. The error names the last lost link and the unanswered
+    /// submission indices so the caller can rebuild and retry.
+    pub fn evaluate(
         &mut self,
         jobs: &[EvalJob],
         effective: usize,
     ) -> Result<Vec<JobOutcome>, ShardError> {
-        /// Cap on un-read jobs queued at one worker. Keeps worst-case
-        /// bytes in flight per pipe (jobs out, results back) comfortably
-        /// under the smallest common pipe buffer (64 KiB on Linux) even
-        /// with multi-kilobyte config texts.
-        const MAX_OUTSTANDING: usize = 8;
-
-        let effective = effective.clamp(1, self.workers.len().max(1));
+        let n = self.links.len();
+        let effective = effective.clamp(1, n.max(1));
+        let base = self.base;
+        self.base += jobs.len() as u64;
         let mut outcomes: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
+        let mut unanswered = jobs.len();
         // Jobs not yet submitted, in submission order (re-queued jobs
         // return to the front so they are retried first).
         let mut todo: VecDeque<usize> = (0..jobs.len()).collect();
-        // Per-worker FIFO of submitted-but-unread job indices.
-        let mut outstanding: Vec<VecDeque<usize>> = vec![VecDeque::new(); self.workers.len()];
-        // The error that killed the last worker, for the all-dead report.
+        // The loss that took the last link, for the all-gone report.
         let mut last_loss: Option<ShardError> = None;
-
-        let all_dead = |pool: &ShardPool,
-                        todo: &VecDeque<usize>,
-                        outcomes: &[Option<JobOutcome>],
-                        last: &Option<ShardError>| {
-            let mut unanswered: Vec<usize> = todo.iter().copied().collect();
-            unanswered
-                .extend(outcomes.iter().enumerate().filter(|(_, o)| o.is_none()).map(|(i, _)| i));
-            unanswered.sort_unstable();
-            unanswered.dedup();
-            debug_assert_eq!(pool.survivors(), 0);
-            ShardError {
-                message: format!(
-                    "every shard worker is gone (last loss: {})",
-                    last.as_ref().map_or("unknown", |e| e.message.as_str())
-                ),
-                worker: last.as_ref().and_then(|e| e.worker),
-                outstanding: unanswered,
-            }
-        };
+        for link in self.links.iter_mut().flatten() {
+            link.resumed = false;
+        }
 
         loop {
-            // Submission phase: place pending jobs on live workers with
-            // queue room. The healthy-path placement is the historical
-            // `i mod effective` round-robin; a dead target falls through
-            // to the next live worker (deterministically, by scanning
-            // forward from the target).
-            'submit: while let Some(&i) = todo.front() {
-                let target = i % effective;
-                let Some(w) = (0..self.workers.len())
-                    .map(|k| (target + k) % self.workers.len())
-                    .find(|&w| self.workers[w].is_some() && outstanding[w].len() < MAX_OUTSTANDING)
+            // Submit: the healthy-path placement is `i mod effective`; a
+            // lost or full target falls through to the next live link
+            // with room (deterministically, scanning forward).
+            while let Some(&i) = todo.front() {
+                let Some(w) = (0..n)
+                    .map(|k| (i % effective + k) % n)
+                    .find(|&w| self.links[w].as_ref().is_some_and(Link::has_room))
                 else {
-                    break 'submit; // every live worker is full (or none live)
+                    break; // every live link is full (or none is live)
                 };
                 todo.pop_front();
-                let msg = Message::Job { index: i as u64, job: jobs[i].clone() };
-                match self.workers[w].as_mut().expect("live worker").send(&msg) {
-                    Ok(()) => outstanding[w].push_back(i),
-                    Err(e) => {
-                        // The job we failed to write is outstanding too.
-                        todo.push_front(i);
-                        last_loss = Some(self.retire(w, e, &mut outstanding, &mut todo));
-                    }
+                let link = self.links[w].as_mut().expect("found live");
+                // Outstanding before the write: a job that failed to
+                // send is re-queued with the rest.
+                link.outstanding.push_back(i);
+                let msg = Message::Job { index: base + i as u64, job: jobs[i].clone() };
+                if let Err(e) = link.wire.send(&msg) {
+                    let lost = self.lose(w, format!("writing a JOB: {e}"), true, &mut todo);
+                    last_loss = lost.or(last_loss);
                 }
             }
-
-            // Completion check: everything answered?
-            if outcomes.iter().all(Option::is_some) {
-                return Ok(outcomes.into_iter().map(|o| o.expect("checked above")).collect());
+            if unanswered == 0 {
+                return Ok(outcomes.into_iter().map(|o| o.expect("all answered")).collect());
             }
 
-            // Drain phase: read one result from the live worker with the
-            // deepest queue (keeps every pipeline moving). If no live
-            // worker holds outstanding jobs, either every worker died or
-            // the submit phase is stuck with zero survivors.
-            let Some(w) = (0..self.workers.len())
-                .filter(|&w| self.workers[w].is_some() && !outstanding[w].is_empty())
-                .max_by_key(|&w| outstanding[w].len())
+            // Collect one result from the live link with the deepest
+            // queue. No such link means no link is left at all.
+            let Some(w) = (0..n)
+                .filter(|&w| self.links[w].as_ref().is_some_and(|l| !l.outstanding.is_empty()))
+                .max_by_key(|&w| self.links[w].as_ref().map_or(0, |l| l.outstanding.len()))
             else {
-                return Err(all_dead(self, &todo, &outcomes, &last_loss));
+                let last = last_loss.unwrap_or_else(|| ShardError::new("the pool has no links"));
+                return Err(ShardError {
+                    message: format!("every link is gone (last loss: {})", last.message),
+                    worker: last.worker,
+                    outstanding: (0..jobs.len()).filter(|&i| outcomes[i].is_none()).collect(),
+                });
             };
-            let expected = outstanding[w].front().copied().expect("non-empty queue");
-            match self.read_result(w, expected) {
-                Ok(outcome) => {
-                    outstanding[w].pop_front();
-                    outcomes[expected] = Some(outcome);
-                }
-                Err(e) => {
-                    last_loss = Some(self.retire(w, e, &mut outstanding, &mut todo));
-                    if self.survivors() == 0 {
-                        return Err(all_dead(self, &todo, &outcomes, &last_loss));
+            let link = self.links[w].as_mut().expect("found live");
+            let lost = match link.wire.expect() {
+                Ok(Message::Result { index, outcome }) => {
+                    let rel = index.checked_sub(base).and_then(|r| usize::try_from(r).ok());
+                    let held = rel.and_then(|r| link.outstanding.iter().position(|&i| i == r));
+                    if let Some(i) = held.and_then(|at| link.outstanding.remove(at)) {
+                        outcomes[i] = Some(outcome);
+                        unanswered -= 1;
+                        continue;
                     }
+                    // A result that raced a resume may be replayed once
+                    // the job is re-submitted; identical by the
+                    // determinism contract, so it is dropped.
+                    let filed = rel.and_then(|r| outcomes.get(r)).and_then(Option::as_ref);
+                    if link.resumed && filed == Some(&outcome) {
+                        continue;
+                    }
+                    self.lose(
+                        w,
+                        format!("answered job {index}, which it does not hold"),
+                        false,
+                        &mut todo,
+                    )
+                }
+                Ok(Message::Goodbye { reason }) => {
+                    self.lose(w, format!("peer ended the session: {reason}"), false, &mut todo)
+                }
+                Ok(other) => {
+                    self.lose(w, format!("sent {} mid-batch", other.tag()), false, &mut todo)
+                }
+                Err(e) => self.lose(w, format!("reading a RESULT: {e}"), true, &mut todo),
+            };
+            last_loss = lost.or(last_loss);
+        }
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        // Best-effort clean close: DONE lets a worker exit and a
+        // dispatcher retire the session rather than hold it for a
+        // resume; then close the streams and reap the children. Errors
+        // are ignored because drop runs on success and failure paths.
+        for link in self.links.iter_mut().flatten() {
+            let _ = link.wire.send(&Message::Done);
+        }
+        self.links.clear();
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{evaluate_job, job_seed};
+    use petal_apps::blackscholes::BlackScholes;
+    use petal_apps::Benchmark;
+    use std::net::Shutdown;
+    use std::os::unix::net::UnixStream;
+    use std::thread::JoinHandle;
+
+    /// How a scripted peer misbehaves.
+    #[derive(Clone, Copy)]
+    enum Script {
+        /// Answer every job.
+        Honest,
+        /// Answer this many jobs, then go silent for good: close the
+        /// sending half (the parent reads EOF) but keep draining, so the
+        /// parent's writes succeed and the loss point is deterministic.
+        EofAfter(usize),
+        /// Answer under an index nobody asked about.
+        Lie,
+    }
+
+    /// Attach one link to `pool`, served over a socket pair by a thread
+    /// that evaluates jobs like a worker — until its script says not to.
+    /// The thread ends when the pool lets go of the link.
+    fn attach_peer(
+        pool: &mut Pool,
+        bench: &BlackScholes,
+        machine: &MachineProfile,
+        script: Script,
+    ) -> JoinHandle<()> {
+        let (ours, theirs) = UnixStream::pair().expect("socket pair");
+        let (bench, machine) = (bench.clone(), machine.clone());
+        let peer = std::thread::spawn(move || {
+            let reader = BufReader::new(theirs.try_clone().expect("clone"));
+            let mut wire = Framed::new(reader, theirs.try_clone().expect("clone"));
+            let mut answered = 0;
+            while let Ok(Some(msg)) = wire.recv() {
+                let reply = match msg {
+                    Message::Init { .. } => Message::Ready { version: WIRE_VERSION },
+                    Message::Job { index, job } => {
+                        if matches!(script, Script::EofAfter(n) if answered == n) {
+                            let _ = theirs.shutdown(Shutdown::Write);
+                            continue;
+                        }
+                        answered += 1;
+                        let index =
+                            if matches!(script, Script::Lie) { index + 1000 } else { index };
+                        Message::Result { index, outcome: evaluate_job(&bench, &machine, &job) }
+                    }
+                    _ => return,
+                };
+                if wire.send(&reply).is_err() {
+                    return;
                 }
             }
+        });
+        let reader = BufReader::new(ours.try_clone().expect("clone"));
+        pool.attach(reader, ours).expect("handshake");
+        peer
+    }
+
+    fn fixture(n: usize) -> (BlackScholes, MachineProfile, Vec<EvalJob>) {
+        let bench = BlackScholes::new(1_000);
+        let machine = MachineProfile::laptop();
+        let config = bench.program(&machine).default_config(&machine);
+        let jobs = (0..n as u64)
+            .map(|i| EvalJob {
+                config: config.clone(),
+                size: bench.input_size(),
+                engine_seed: job_seed(3, 0, i),
+            })
+            .collect();
+        (bench, machine, jobs)
+    }
+
+    /// A pool with one scripted peer per script, and the peers' threads.
+    fn pool_of(
+        bench: &BlackScholes,
+        machine: &MachineProfile,
+        scripts: &[Script],
+    ) -> (Pool, Vec<JoinHandle<()>>) {
+        let mut pool = Pool::empty(&bench.spec(), machine);
+        let peers = scripts.iter().map(|&s| attach_peer(&mut pool, bench, machine, s)).collect();
+        (pool, peers)
+    }
+
+    /// Close the pool and check that no peer thread panicked.
+    fn finish(pool: Pool, peers: Vec<JoinHandle<()>>) {
+        drop(pool);
+        for peer in peers {
+            peer.join().expect("scripted peer");
         }
+    }
+
+    #[test]
+    fn a_link_lost_mid_batch_has_its_jobs_requeued_to_the_survivor() {
+        let (bench, machine, jobs) = fixture(12);
+        let direct: Vec<_> = jobs.iter().map(|j| evaluate_job(&bench, &machine, j)).collect();
+        let (mut pool, peers) = pool_of(&bench, &machine, &[Script::EofAfter(3), Script::Honest]);
+        assert_eq!(pool.evaluate(&jobs, 2).expect("the survivor finishes the batch"), direct);
+        assert!(pool.links[0].is_none() && pool.links[1].is_some());
+        // The next batch runs on the survivor alone, at absolute indices.
+        assert_eq!(pool.evaluate(&jobs, 2).expect("second batch"), direct);
+        finish(pool, peers);
+    }
+
+    #[test]
+    fn losing_every_link_reports_exactly_the_unanswered_jobs() {
+        let (bench, machine, jobs) = fixture(10);
+        let (mut pool, peers) =
+            pool_of(&bench, &machine, &[Script::EofAfter(3), Script::EofAfter(2)]);
+        let e = pool.evaluate(&jobs, 2).expect_err("nobody is left");
+        // Link 0 answered its first three jobs (0, 2, 4), link 1 its
+        // first two (1, 3); link 1 went first, its jobs were re-queued to
+        // link 0, and link 0's loss was the last.
+        assert_eq!(e.outstanding, vec![5, 6, 7, 8, 9], "{e}");
+        assert_eq!(e.worker, Some(0), "{e}");
+        assert!(e.message.contains("every link is gone"), "{e}");
+        finish(pool, peers);
+    }
+
+    #[test]
+    fn a_result_for_a_job_the_link_does_not_hold_retires_the_link() {
+        let (bench, machine, jobs) = fixture(6);
+        let direct: Vec<_> = jobs.iter().map(|j| evaluate_job(&bench, &machine, j)).collect();
+        let (mut pool, peers) = pool_of(&bench, &machine, &[Script::Lie, Script::Honest]);
+        // Nothing the liar said is filed: every outcome is the honest one.
+        assert_eq!(pool.evaluate(&jobs, 2).expect("the honest link finishes"), direct);
+        assert!(pool.links[0].is_none(), "the lying link is out of service");
+        finish(pool, peers);
     }
 }

@@ -1,19 +1,16 @@
-//! The shard wire format: line-delimited records with length-prefixed
-//! fields.
+//! The wire format: line-delimited records with length-prefixed fields.
 //!
-//! This is the contract between the farm's shard dispatcher (parent side)
-//! and a `petal-shard` worker process — and the contract any future
-//! cross-machine transport (sockets, a work queue) must implement. The
-//! workspace is offline and carries no serde, so the format is hand-rolled
-//! and deliberately tiny:
+//! This is the one protocol every peer speaks — the farm and its
+//! `petal-shard` workers over stdio pipes, and tuners, workers and
+//! registry clients with a `petal-farmd` dispatcher over sockets. How a
+//! session *runs* over a byte stream (framing, dialing, the worker job
+//! loop) is [`crate::session`]; this module is the records themselves.
+//! The workspace is offline and carries no serde, so the format is
+//! hand-rolled and deliberately tiny:
 //!
 //! * **One record per line.** A record is a `TAG` followed by zero or more
 //!   fields, terminated by `\n`. Tags are upper-case ASCII plus `_`
-//!   (`INIT`, `READY`, `JOB`, `RESULT`, `DONE`; since wire version 2,
-//!   for the socket-served farm, `HELLO`, `REGISTER`, `HEARTBEAT`,
-//!   `GOODBYE`; since version 3, for the served config registry,
-//!   `REG_GET`, `REG_PUT`, `REG_HIT`, `REG_MISS`; since version 4, for
-//!   crash-safe client sessions, `SESSION` and `RESUME`).
+//!   ([`Message::tag`] lists them).
 //! * **Length-prefixed fields.** Each field is ` <len>:<bytes>` where
 //!   `len` is the decimal byte length of `<bytes>` *after* escaping. The
 //!   prefix makes spaces inside fields unambiguous without quoting.
@@ -25,81 +22,65 @@
 //!   [`petal_apps::spec_f64`] codec) — determinism across the process
 //!   boundary is the whole point, so decimal round-trips are not
 //!   trusted.
-//! * **Versioned handshake.** `INIT` and `READY` carry a wire version;
-//!   a worker refuses a version it does not speak and the parent refuses
-//!   a worker that answers with a different one. Over sockets, `HELLO`
-//!   goes first and carries the sender's *supported range*
-//!   ([`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`]); both sides settle on
-//!   the highest version both speak ([`negotiate`]) or reject the peer
-//!   with a clean diagnostic — never a parse error, because a `HELLO`'s
-//!   first two fields are frozen across all future versions and any
+//! * **Versioned handshake.** There is one wire version,
+//!   [`WIRE_VERSION`]. `INIT` and `READY` carry it: a worker refuses an
+//!   `INIT` at another version and a parent refuses a `READY` at another.
+//!   Over sockets `HELLO` goes first and carries the sender's supported
+//!   *range* ([`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`]); both sides
+//!   settle on the highest version both speak ([`negotiate`]) or reject
+//!   the peer with a clean diagnostic — never a parse error, because a
+//!   `HELLO`'s first two fields are frozen across all versions and any
 //!   trailing fields are ignored.
 //!
-//! Pipe message flow (versions 1+): parent sends `INIT` (version,
-//! benchmark spec, machine profile), worker answers `READY` (version).
-//! Then any number of `JOB` records (index, size, engine seed, config
-//! text), each answered by one `RESULT` (index, raw outcome incl. the
-//! trial's compile events — pricing happens in the parent's
-//! submission-order merge, never in a worker). `DONE` (or EOF) ends the
-//! session.
+//! **Pipe sessions.** The parent sends `INIT` (version, benchmark spec,
+//! machine profile), the worker answers `READY` (version). Then any
+//! number of `JOB` records (index, size, engine seed, config text), each
+//! answered by one `RESULT` (index, raw outcome incl. the trial's
+//! compile events — pricing happens in the parent's submission-order
+//! merge, never in a worker). `DONE` (or EOF) ends the session.
 //!
-//! Socket message flow (version 2, see `docs/farmd.md`): every
-//! connection opens with a `HELLO` exchange. A **worker** then sends
-//! `REGISTER` (name, slots, pid) and `HEARTBEAT`s on a period, and
-//! serves interleaved `INIT`/`JOB` records from the dispatcher;
-//! `GOODBYE` (either direction) ends the connection gracefully. A
-//! **client** (the tuner) follows its `HELLO` with the same
-//! `INIT`/`JOB`/`RESULT`/`DONE` flow as a pipe session, except `RESULT`s
-//! may arrive in any order (the dispatcher merges many workers).
+//! **Socket sessions** (see `docs/farmd.md`). Every connection opens
+//! with a `HELLO` exchange. A **worker** then sends `REGISTER` (name,
+//! slots, pid) and `HEARTBEAT`s on a period, and serves interleaved
+//! `INIT`/`JOB` records from the dispatcher; `GOODBYE` (either
+//! direction) ends the connection gracefully. A **client** (the tuner)
+//! follows its `HELLO` with the same `INIT`/`JOB`/`RESULT`/`DONE` flow
+//! as a pipe session, except that `RESULT`s may arrive in any order (the
+//! dispatcher merges many workers) and that `READY` is followed by one
+//! `SESSION` record carrying a (token, nonce) pair. If the connection
+//! later breaks — including across a dispatcher restart that recovered
+//! its state from a `--journal` — the client reconnects, exchanges
+//! `HELLO`s, and sends `RESUME` (token, nonce) instead of `INIT`; the
+//! dispatcher re-attaches the session (answering `READY` then `SESSION`
+//! again) or refuses with a `GOODBYE` naming the unknown token. After a
+//! resume the client re-submits exactly its unanswered `JOB` indices;
+//! the dispatcher deduplicates queued/in-flight indices and re-serves
+//! already-completed ones from its result log, so replays are idempotent
+//! and the merged trajectory is bit-identical.
 //!
-//! Registry message flow (version 3, see `docs/registry.md`): after the
-//! `HELLO` exchange a **registry client** sends `REG_GET` (a lookup,
-//! listing or gc query) or `REG_PUT` (publish one tuned entry) records;
-//! the dispatcher answers each `REG_GET` with one `REG_HIT` (or a
-//! `REG_HIT` stream for listings) terminated/answered by `REG_MISS`, and
-//! each `REG_PUT` with a `REG_HIT` carrying the entry that now wins the
-//! key — so a publisher that lost a keep-best race receives the better
-//! config in the acknowledgement. `DONE` (or EOF) ends the session.
-//! Keep-best merge and persistence happen dispatcher-side, so
-//! concurrent `REG_PUT`s from many clients are serialized and
-//! deterministic.
-//!
-//! Session resume flow (version 4, see `docs/farmd.md`): when a v4
-//! client's `INIT` is accepted the dispatcher follows its `READY` with
-//! one `SESSION` record carrying a (token, nonce) pair. If the
-//! connection later breaks — including across a dispatcher restart that
-//! recovered its state from a `--journal` — the client reconnects,
-//! exchanges `HELLO`s, and sends `RESUME` (token, nonce) instead of
-//! `INIT`; the dispatcher re-attaches the session (answering `READY`
-//! then `SESSION` again) or refuses with a `GOODBYE` naming the unknown
-//! token. After a resume the client re-submits exactly its unanswered
-//! `JOB` indices; the dispatcher deduplicates queued/in-flight indices
-//! and re-serves already-completed ones from its result log, so replays
-//! are idempotent and the merged trajectory is bit-identical.
+//! **Registry sessions** (see `docs/registry.md`). After the `HELLO`
+//! exchange a registry client sends `REG_GET` (a lookup, listing or gc
+//! query) or `REG_PUT` (publish one tuned entry) records; the dispatcher
+//! answers each `REG_GET` with one `REG_HIT` (or a `REG_HIT` stream for
+//! listings) terminated/answered by `REG_MISS`, and each `REG_PUT` with
+//! a `REG_HIT` carrying the entry that now wins the key — so a publisher
+//! that lost a keep-best race receives the better config in the
+//! acknowledgement. `DONE` (or EOF) ends the session. Keep-best merge
+//! and persistence happen dispatcher-side, so concurrent `REG_PUT`s from
+//! many clients are serialized and deterministic.
 
 use crate::{EvalJob, JobOutcome};
 use petal_core::Config;
 use petal_gpu::profile::{CpuProfile, GpuProfile, MachineProfile};
 use std::fmt;
 
-/// Protocol version spoken by this build (bumped on any wire change).
-/// Version 2 added the socket-served farm records (`HELLO`, `REGISTER`,
-/// `HEARTBEAT`, `GOODBYE`) and out-of-order `RESULT` delivery to
-/// clients. Version 3 added the served-registry records (`REG_GET`,
-/// `REG_PUT`, `REG_HIT`, `REG_MISS`). Version 4 added the crash-safe
-/// session records (`SESSION`, `RESUME`).
+/// The protocol version this build speaks (bumped on any wire change).
 pub const WIRE_VERSION: u64 = 4;
 
-/// Oldest protocol version this build still speaks. Each version is a
-/// pure superset of the one before (older records are unchanged), so a
-/// v4 worker serves a v1 parent and a v4 dispatcher serves v2 peers —
-/// they simply never see a registry or session record.
-pub const MIN_WIRE_VERSION: u64 = 1;
-
-/// First wire version with the crash-safe session records (`SESSION`,
-/// `RESUME`). Both sides key resume behavior off the *negotiated*
-/// version reaching this, so a v≤3 peer sees exactly the old protocol.
-pub const RESUME_WIRE_VERSION: u64 = 4;
+/// Oldest protocol version this build speaks: the same one. `HELLO`
+/// still carries a range so that a future build can overlap with this
+/// one and version skew stays a diagnostic ([`negotiate`]).
+pub const MIN_WIRE_VERSION: u64 = WIRE_VERSION;
 
 /// Settle a common wire version from two advertised `min..=max` ranges:
 /// the highest version both sides speak.
@@ -120,13 +101,6 @@ pub fn negotiate(ours: (u64, u64), theirs: (u64, u64)) -> Result<u64, WireError>
     }
 }
 
-/// Whether `version` is one this build speaks (for single-version
-/// handshakes like `INIT`).
-#[must_use]
-pub fn version_supported(version: u64) -> bool {
-    (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version)
-}
-
 /// A wire-format violation (framing, field count/type, version skew).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
@@ -135,7 +109,7 @@ pub struct WireError {
 }
 
 impl WireError {
-    fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         WireError { message: message.into() }
     }
 }
@@ -199,7 +173,7 @@ fn unescape(s: &str) -> Result<String, WireError> {
 /// One parsed line: a tag plus decoded field payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
-    /// Record kind (`INIT`, `READY`, `JOB`, `RESULT`, `DONE`).
+    /// Record kind ([`Message::tag`]).
     pub tag: String,
     /// Decoded (unescaped) field payloads, in order.
     pub fields: Vec<String>,
@@ -336,26 +310,23 @@ impl WireEncoder {
     /// `out` first and reusing its capacity.
     pub fn encode_into(&mut self, msg: &Message, out: &mut String) {
         out.clear();
+        out.push_str(msg.tag());
         match msg {
             Message::Init { version, bench_spec, machine } => {
-                out.push_str("INIT");
                 self.field_display(out, version);
                 push_field_raw(out, bench_spec);
                 self.encode_machine_into(machine, out);
             }
             Message::Ready { version } => {
-                out.push_str("READY");
                 self.field_display(out, version);
             }
             Message::Job { index, job } => {
-                out.push_str("JOB");
                 self.field_display(out, index);
                 self.field_display(out, job.size);
                 self.field_display(out, job.engine_seed);
                 self.field_display(out, &job.config);
             }
             Message::Result { index, outcome } => {
-                out.push_str("RESULT");
                 self.field_display(out, index);
                 self.field_display(out, u64::from(outcome.ran));
                 self.field_display(out, u64::from(outcome.fitness.is_some()));
@@ -368,28 +339,23 @@ impl WireEncoder {
                     self.field_f64(out, jit);
                 }
             }
-            Message::Done => out.push_str("DONE"),
+            Message::Done => {}
             Message::Hello { min_version, max_version } => {
-                out.push_str("HELLO");
                 self.field_display(out, min_version);
                 self.field_display(out, max_version);
             }
             Message::Register { name, slots, pid } => {
-                out.push_str("REGISTER");
                 push_field_raw(out, name);
                 self.field_display(out, slots);
                 self.field_display(out, pid);
             }
             Message::Heartbeat { seq } => {
-                out.push_str("HEARTBEAT");
                 self.field_display(out, seq);
             }
             Message::Goodbye { reason } => {
-                out.push_str("GOODBYE");
                 push_field_raw(out, reason);
             }
             Message::RegGet { op, bench_spec, size, machine } => {
-                out.push_str("REG_GET");
                 push_field_raw(out, op);
                 push_field_raw(out, bench_spec);
                 self.field_display(out, size);
@@ -402,12 +368,10 @@ impl WireEncoder {
                 }
             }
             Message::RegPut { force, entry } => {
-                out.push_str("REG_PUT");
                 self.field_display(out, u64::from(*force));
                 self.encode_reg_entry_into(entry, out);
             }
             Message::RegHit { verdict, distance, scaled_from, entry } => {
-                out.push_str("REG_HIT");
                 push_field_raw(out, verdict);
                 self.field_f64(out, *distance);
                 match scaled_from {
@@ -420,16 +384,13 @@ impl WireEncoder {
                 self.encode_reg_entry_into(entry, out);
             }
             Message::RegMiss { reason } => {
-                out.push_str("REG_MISS");
                 push_field_raw(out, reason);
             }
             Message::Session { token, nonce } => {
-                out.push_str("SESSION");
                 self.field_display(out, token);
                 self.field_display(out, nonce);
             }
             Message::Resume { token, nonce } => {
-                out.push_str("RESUME");
                 self.field_display(out, token);
                 self.field_display(out, nonce);
             }
@@ -504,7 +465,7 @@ impl WireEncoder {
     }
 }
 
-/// Everything that travels over a shard pipe.
+/// Everything that travels over a pipe or socket session.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Parent → worker: handshake carrying the session's benchmark and
@@ -543,7 +504,7 @@ pub enum Message {
     Done,
     /// Either direction, first record on a socket connection: version
     /// negotiation. Fields 0 and 1 (min and max supported version) are
-    /// frozen across all future wire versions, and decoding ignores any
+    /// frozen across all wire versions, and decoding ignores any
     /// trailing fields, so skew is always reported as skew.
     Hello {
         /// Oldest wire version the sender speaks.
@@ -577,7 +538,7 @@ pub enum Message {
         /// Human-readable reason for the disconnect.
         reason: String,
     },
-    /// Registry client → dispatcher (v3): one registry query. `get` and
+    /// Registry client → dispatcher: one registry query. `get` and
     /// `exact` queries carry the spec/size/machine key; `ls` and `gc`
     /// ignore those fields (send empty/zero/absent).
     RegGet {
@@ -592,7 +553,7 @@ pub enum Message {
         /// The querying machine (presence-flagged; absent for `ls`/`gc`).
         machine: Option<Box<MachineProfile>>,
     },
-    /// Registry client → dispatcher (v3): publish one tuned entry. The
+    /// Registry client → dispatcher: publish one tuned entry. The
     /// dispatcher merges keep-best under its own lock and answers with a
     /// [`Message::RegHit`] carrying whichever entry now wins the key.
     RegPut {
@@ -601,7 +562,7 @@ pub enum Message {
         /// The entry being published.
         entry: Box<RegEntry>,
     },
-    /// Dispatcher → registry client (v3): one stored entry. Answers a
+    /// Dispatcher → registry client: one stored entry. Answers a
     /// `get`/`exact` query (verdict = match tier), acknowledges a
     /// `REG_PUT` (verdict = keep-best outcome), and streams `ls` rows
     /// (verdict = `ls`).
@@ -619,7 +580,7 @@ pub enum Message {
         /// The entry itself.
         entry: Box<RegEntry>,
     },
-    /// Dispatcher → registry client (v3): no entry. Answers a missed
+    /// Dispatcher → registry client: no entry. Answers a missed
     /// `get`/`exact`, terminates an `ls` stream, reports a `gc` sweep,
     /// and carries per-query failures. The first line of `reason` is the
     /// headline; any further lines are per-item diagnostics (`ls`
@@ -629,10 +590,9 @@ pub enum Message {
         /// Human-readable outcome, newline-separated as described above.
         reason: String,
     },
-    /// Dispatcher → client (v4): the session's resume credentials, sent
+    /// Dispatcher → client: the session's resume credentials, sent
     /// immediately after the `READY` that accepted an `INIT` (and again
-    /// after each successful `RESUME`). A client that never resumes can
-    /// ignore it.
+    /// after each successful `RESUME`).
     Session {
         /// The dispatcher-assigned session id.
         token: u64,
@@ -641,7 +601,7 @@ pub enum Message {
         /// session.
         nonce: u64,
     },
-    /// Client → dispatcher (v4), instead of `INIT` after `HELLO`:
+    /// Client → dispatcher, instead of `INIT` after `HELLO`:
     /// re-attach a live or journal-recovered session. Answered with
     /// `READY` + `SESSION` on success, `GOODBYE` on an unknown or
     /// mismatched (token, nonce).
@@ -675,6 +635,29 @@ pub struct RegEntry {
 }
 
 impl Message {
+    /// The record's wire tag — the one tag table: the encoder writes it
+    /// and diagnostics name records by it.
+    #[must_use]
+    pub fn tag(&self) -> &'static str {
+        match self {
+            Message::Init { .. } => "INIT",
+            Message::Ready { .. } => "READY",
+            Message::Job { .. } => "JOB",
+            Message::Result { .. } => "RESULT",
+            Message::Done => "DONE",
+            Message::Hello { .. } => "HELLO",
+            Message::Register { .. } => "REGISTER",
+            Message::Heartbeat { .. } => "HEARTBEAT",
+            Message::Goodbye { .. } => "GOODBYE",
+            Message::RegGet { .. } => "REG_GET",
+            Message::RegPut { .. } => "REG_PUT",
+            Message::RegHit { .. } => "REG_HIT",
+            Message::RegMiss { .. } => "REG_MISS",
+            Message::Session { .. } => "SESSION",
+            Message::Resume { .. } => "RESUME",
+        }
+    }
+
     /// Encode as one line (no trailing newline). One-shot convenience
     /// around [`WireEncoder::encode_into`]; per-job senders should hold a
     /// `WireEncoder` and an output line instead.
@@ -966,9 +949,9 @@ mod tests {
 
     #[test]
     fn underscored_tags_frame_but_arbitrary_punctuation_does_not() {
-        // v3 introduced `_` into the tag alphabet; the framing layer must
-        // accept it (REG_GET and friends) while still rejecting anything
-        // else outside upper-case ASCII.
+        // `_` is part of the tag alphabet; the framing layer must accept
+        // it (REG_GET and friends) while still rejecting anything else
+        // outside upper-case ASCII.
         let r = Record::new("REG_MISS", vec!["why".to_owned()]);
         assert_eq!(Record::parse(&r.encode()).expect("parses"), r);
         for bad in ["reg_get 1:x", "REG-GET 1:x", "REG GET 1:x", "_ 1:x 1:y", "R3G 1:x"] {
@@ -1018,29 +1001,23 @@ mod tests {
 
     #[test]
     fn negotiation_picks_the_highest_common_version_or_rejects_cleanly() {
+        let ours = (MIN_WIRE_VERSION, WIRE_VERSION);
         // Same build on both ends.
-        assert_eq!(
-            negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (MIN_WIRE_VERSION, WIRE_VERSION)),
-            Ok(WIRE_VERSION)
-        );
-        // A v1-only peer still gets served (v2 is a superset).
-        assert_eq!(negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (1, 1)), Ok(1));
-        // A future peer that still speaks our versions settles on ours.
-        assert_eq!(
-            negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (1, WIRE_VERSION + 5)),
-            Ok(WIRE_VERSION)
-        );
+        assert_eq!(negotiate(ours, ours), Ok(WIRE_VERSION));
+        // A future peer that still speaks our version settles on ours.
+        assert_eq!(negotiate(ours, (WIRE_VERSION, WIRE_VERSION + 5)), Ok(WIRE_VERSION));
+        // An older peer shares nothing with the one version spoken here.
+        assert!(negotiate(ours, (1, WIRE_VERSION - 1)).is_err());
         // A future peer that dropped everything we speak is rejected with
         // a diagnostic naming both ranges.
-        let e = negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (WIRE_VERSION + 1, WIRE_VERSION + 3))
-            .expect_err("no overlap");
+        let e = negotiate(ours, (WIRE_VERSION + 1, WIRE_VERSION + 3)).expect_err("no overlap");
         assert!(e.message.contains("no common wire version"), "{e}");
         assert!(e.message.contains(&format!("{}..={}", WIRE_VERSION + 1, WIRE_VERSION + 3)), "{e}");
     }
 
     #[test]
     fn hello_tolerates_future_trailing_fields() {
-        // A v3 HELLO might append capability fields; decoding must still
+        // A future HELLO might append capability fields; decoding must still
         // yield the version range (fields 0 and 1 are frozen), because
         // rejecting it as a parse error would mask the skew diagnostic.
         let future = "HELLO 1:1 1:9 12:gpu-direct=1 4:zstd";

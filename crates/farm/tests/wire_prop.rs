@@ -9,7 +9,7 @@
 use petal_core::config::{Selector, Tunable};
 use petal_core::Config;
 use petal_farm::net::Endpoint;
-use petal_farm::wire::{negotiate, version_supported, Message, Record, RegEntry, WIRE_VERSION};
+use petal_farm::wire::{negotiate, Message, Record, RegEntry, MIN_WIRE_VERSION, WIRE_VERSION};
 use petal_farm::{EvalJob, JobOutcome};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -164,7 +164,7 @@ proptest! {
         prop_assert_eq!(decoded.gpu.is_some(), machine.gpu.is_some());
     }
 
-    // ---- the v2 farm-control messages (HELLO/REGISTER/HEARTBEAT/GOODBYE) ----
+    // ---- the farm-control messages (HELLO/REGISTER/HEARTBEAT/GOODBYE) ----
 
     #[test]
     fn hello_messages_round_trip_any_version_range(
@@ -197,7 +197,7 @@ proptest! {
         prop_assert_eq!(Message::decode(&msg.encode()).expect("decodes"), msg);
     }
 
-    // ---- the v3 registry records (REG_GET/REG_PUT/REG_HIT/REG_MISS) ----
+    // ---- the registry records (REG_GET/REG_PUT/REG_HIT/REG_MISS) ----
 
     #[test]
     fn reg_get_messages_round_trip_hostile_ops(
@@ -327,17 +327,19 @@ proptest! {
         min in 0u64..10,
         span in 0u64..10,
     ) {
+        // The supported range is collapsed to the one wire version, so a
+        // peer overlaps exactly when its range contains that version —
+        // and the only thing ever agreed on is that version.
+        prop_assert_eq!(MIN_WIRE_VERSION, WIRE_VERSION);
         let theirs = (min, min + span);
-        let ours = (petal_farm::wire::MIN_WIRE_VERSION, WIRE_VERSION);
-        let agreed = negotiate(ours, theirs);
-        let overlap = (theirs.0..=theirs.1).any(version_supported);
-        prop_assert_eq!(agreed.is_ok(), overlap);
+        let agreed = negotiate((MIN_WIRE_VERSION, WIRE_VERSION), theirs);
+        prop_assert_eq!(agreed.is_ok(), (theirs.0..=theirs.1).contains(&WIRE_VERSION));
         if let Ok(v) = agreed {
-            prop_assert!(version_supported(v));
+            prop_assert_eq!(v, WIRE_VERSION);
         }
     }
 
-    // ---- session-resume records (wire v4) ----
+    // ---- session-resume records ----
 
     #[test]
     fn session_and_resume_records_round_trip(token in any::<u64>(), nonce in any::<u64>()) {

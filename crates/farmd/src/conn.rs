@@ -5,17 +5,16 @@
 //! Every connection gets one reader thread (this module) built over a
 //! socket **read timeout**: reads wake every [`READ_TIMEOUT`] to check
 //! the dispatcher's stop flag, so shutdown never waits on a silent peer.
-//! Writers live behind per-connection mutexes ([`LineWriter`]) shared
+//! Writers live behind per-connection mutexes ([`ConnWriter`]) shared
 //! with the scheduler (worker `INIT`/`JOB` sends) and with other readers
 //! (a worker's `RESULT` forwarded to a client), and every send happens
 //! **outside** the dispatcher's global lock.
 
 use crate::Shared;
 use petal_farm::net::FarmStream;
-use petal_farm::wire::{
-    negotiate, Message, WireEncoder, WireError, MIN_WIRE_VERSION, RESUME_WIRE_VERSION, WIRE_VERSION,
-};
-use std::io::{BufRead, BufReader, Write};
+use petal_farm::session::{decode_frame, read_frame, Framed, MAX_LINE_BYTES};
+use petal_farm::wire::{negotiate, Message, WireError, MIN_WIRE_VERSION, WIRE_VERSION};
+use std::io::BufReader;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -36,30 +35,20 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// handshake before being dropped as hostile/dead.
 const HANDSHAKE_PATIENCE: Duration = Duration::from_secs(10);
 
-/// The write half of one connection: a socket clone plus reusable
-/// encode buffers, behind a mutex so whole lines never interleave.
-pub(crate) struct LineWriter {
-    stream: FarmStream,
-    enc: WireEncoder,
-    line: String,
+/// The write half of one connection: a write-only [`Framed`] over a
+/// socket clone, behind a mutex so whole lines never interleave.
+pub(crate) type ConnWriter = Framed<std::io::Empty, FarmStream>;
+
+/// Close the connection, unblocking its reader thread.
+pub(crate) fn close(writer: &Mutex<ConnWriter>) {
+    writer.lock().expect("writer lock").writer().shutdown();
 }
 
-impl LineWriter {
-    pub(crate) fn new(stream: FarmStream) -> Self {
-        LineWriter { stream, enc: WireEncoder::default(), line: String::new() }
-    }
-
-    pub(crate) fn send(&mut self, msg: &Message) -> std::io::Result<()> {
-        self.enc.encode_into(msg, &mut self.line);
-        self.line.push('\n');
-        self.stream.write_all(self.line.as_bytes())?;
-        self.stream.flush()
-    }
-
-    /// Unblock the connection's reader thread.
-    pub(crate) fn shutdown(&self) {
-        self.stream.shutdown();
-    }
+/// Tell the peer why (best effort), then close the connection.
+pub(crate) fn goodbye(writer: &Mutex<ConnWriter>, reason: impl Into<String>) {
+    let mut w = writer.lock().expect("writer lock");
+    let _ = w.send(&Message::Goodbye { reason: reason.into() });
+    w.writer().shutdown();
 }
 
 /// What one patient read produced.
@@ -84,12 +73,12 @@ fn read_msg(
 ) -> Result<Incoming, WireError> {
     buf.clear();
     loop {
-        match reader.read_until(b'\n', buf) {
+        match read_frame(reader, buf) {
             Ok(0) => return Ok(Incoming::Eof),
-            Ok(_) if buf.ends_with(b"\n") => {
-                let line = std::str::from_utf8(&buf[..buf.len() - 1])
-                    .map_err(|_| WireError { message: "record is not UTF-8".to_owned() })?;
-                return Message::decode(line).map(Incoming::Msg);
+            // A whole line — or one already past the line limit, which
+            // the decoder refuses by name.
+            Ok(_) if buf.ends_with(b"\n") || buf.len() > MAX_LINE_BYTES => {
+                return decode_frame(buf).map(Incoming::Msg);
             }
             // A read returning data without a newline means EOF landed
             // mid-line (a truncated frame): treat as a close.
@@ -120,15 +109,9 @@ pub(crate) fn serve_conn(shared: &Arc<Shared>, stream: FarmStream, peer: &str) {
     if write_half.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
         return;
     }
-    let writer = Arc::new(Mutex::new(LineWriter::new(write_half)));
+    let writer = Arc::new(Mutex::new(Framed::new(std::io::empty(), write_half)));
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
-
-    let goodbye = |reason: String| {
-        let mut w = writer.lock().expect("writer lock");
-        let _ = w.send(&Message::Goodbye { reason });
-        w.shutdown();
-    };
 
     // Handshake: HELLO in, HELLO out, negotiate. Anything else is
     // answered with a GOODBYE diagnostic — version skew and protocol
@@ -139,18 +122,17 @@ pub(crate) fn serve_conn(shared: &Arc<Shared>, stream: FarmStream, peer: &str) {
             (min_version, max_version)
         }
         Ok(Incoming::Msg(other)) => {
-            return goodbye(format!("expected HELLO first, got {}", tag_of(&other)));
+            return goodbye(&writer, format!("expected HELLO first, got {}", other.tag()));
         }
         Ok(Incoming::Eof | Incoming::Stopped) => return,
-        Err(e) => return goodbye(format!("bad HELLO: {e}")),
+        Err(e) => return goodbye(&writer, format!("bad HELLO: {e}")),
     };
     if writer.lock().expect("writer lock").send(&Message::hello()).is_err() {
         return;
     }
-    let negotiated = match negotiate((MIN_WIRE_VERSION, WIRE_VERSION), theirs) {
-        Ok(v) => v,
-        Err(e) => return goodbye(e.to_string()),
-    };
+    if let Err(e) = negotiate((MIN_WIRE_VERSION, WIRE_VERSION), theirs) {
+        return goodbye(&writer, e.to_string());
+    }
 
     // Role detection: the first post-HELLO message decides what this
     // connection is.
@@ -158,18 +140,8 @@ pub(crate) fn serve_conn(shared: &Arc<Shared>, stream: FarmStream, peer: &str) {
         Ok(Incoming::Msg(Message::Register { name, slots, pid })) => {
             serve_worker(shared, reader, buf, &writer, &name, slots, pid, peer);
         }
-        Ok(Incoming::Msg(Message::Init { version, bench_spec, machine })) => {
-            serve_client(
-                shared,
-                reader,
-                buf,
-                &writer,
-                version,
-                &bench_spec,
-                *machine,
-                peer,
-                negotiated,
-            );
+        Ok(Incoming::Msg(Message::Init { bench_spec, machine, .. })) => {
+            serve_client(shared, reader, buf, &writer, &bench_spec, *machine, peer);
         }
         Ok(Incoming::Msg(Message::Resume { token, nonce })) => {
             serve_resumed_client(shared, reader, buf, &writer, token, nonce, peer);
@@ -178,38 +150,18 @@ pub(crate) fn serve_conn(shared: &Arc<Shared>, stream: FarmStream, peer: &str) {
             if shared.hosts_registry() {
                 serve_registry(shared, reader, buf, &writer, first, peer);
             } else {
-                goodbye("no registry hosted (start petal-farmd with --registry <dir>)".to_owned());
+                goodbye(&writer, "no registry hosted (start petal-farmd with --registry <dir>)");
             }
         }
-        Ok(Incoming::Msg(other)) => {
-            goodbye(format!(
+        Ok(Incoming::Msg(other)) => goodbye(
+            &writer,
+            format!(
                 "expected REGISTER, INIT, RESUME or a registry request after HELLO, got {}",
-                tag_of(&other)
-            ));
-        }
+                other.tag()
+            ),
+        ),
         Ok(Incoming::Eof | Incoming::Stopped) => {}
-        Err(e) => goodbye(format!("bad record after HELLO: {e}")),
-    }
-}
-
-/// A message's wire tag, for diagnostics.
-fn tag_of(msg: &Message) -> &'static str {
-    match msg {
-        Message::Init { .. } => "INIT",
-        Message::Ready { .. } => "READY",
-        Message::Job { .. } => "JOB",
-        Message::Result { .. } => "RESULT",
-        Message::Done => "DONE",
-        Message::Hello { .. } => "HELLO",
-        Message::Register { .. } => "REGISTER",
-        Message::Heartbeat { .. } => "HEARTBEAT",
-        Message::Goodbye { .. } => "GOODBYE",
-        Message::RegGet { .. } => "REG_GET",
-        Message::RegPut { .. } => "REG_PUT",
-        Message::RegHit { .. } => "REG_HIT",
-        Message::RegMiss { .. } => "REG_MISS",
-        Message::Session { .. } => "SESSION",
-        Message::Resume { .. } => "RESUME",
+        Err(e) => goodbye(&writer, format!("bad record after HELLO: {e}")),
     }
 }
 
@@ -221,7 +173,7 @@ fn serve_registry(
     shared: &Arc<Shared>,
     mut reader: BufReader<FarmStream>,
     mut buf: Vec<u8>,
-    writer: &Arc<Mutex<LineWriter>>,
+    writer: &Arc<Mutex<ConnWriter>>,
     first: Message,
     peer: &str,
 ) {
@@ -233,19 +185,8 @@ fn serve_registry(
             None => match read_msg(&mut reader, &mut buf, shared, None) {
                 Ok(Incoming::Msg(m)) => m,
                 Ok(Incoming::Eof) => return,
-                Ok(Incoming::Stopped) => {
-                    let mut w = writer.lock().expect("writer lock");
-                    let _ =
-                        w.send(&Message::Goodbye { reason: "dispatcher shutting down".to_owned() });
-                    w.shutdown();
-                    return;
-                }
-                Err(e) => {
-                    let mut w = writer.lock().expect("writer lock");
-                    let _ = w.send(&Message::Goodbye { reason: format!("protocol error: {e}") });
-                    w.shutdown();
-                    return;
-                }
+                Ok(Incoming::Stopped) => return goodbye(writer, "dispatcher shutting down"),
+                Err(e) => return goodbye(writer, format!("protocol error: {e}")),
             },
         };
         match msg {
@@ -254,7 +195,7 @@ fn serve_registry(
                 let mut w = writer.lock().expect("writer lock");
                 for reply in &replies {
                     if w.send(reply).is_err() {
-                        w.shutdown();
+                        w.writer().shutdown();
                         return;
                     }
                 }
@@ -262,12 +203,7 @@ fn serve_registry(
             Message::Done => return,
             Message::Heartbeat { .. } => {}
             other => {
-                let mut w = writer.lock().expect("writer lock");
-                let _ = w.send(&Message::Goodbye {
-                    reason: format!("unexpected {} from registry client", tag_of(&other)),
-                });
-                w.shutdown();
-                return;
+                return goodbye(writer, format!("unexpected {} from registry client", other.tag()));
             }
         }
     }
@@ -280,7 +216,7 @@ fn serve_worker(
     shared: &Arc<Shared>,
     mut reader: BufReader<FarmStream>,
     mut buf: Vec<u8>,
-    writer: &Arc<Mutex<LineWriter>>,
+    writer: &Arc<Mutex<ConnWriter>>,
     name: &str,
     slots: u64,
     pid: u64,
@@ -319,7 +255,7 @@ fn serve_worker(
                     other => {
                         shared.lose_worker(
                             id,
-                            &format!("unexpected {} from worker", tag_of(&other)),
+                            &format!("unexpected {} from worker", other.tag()),
                             true,
                         );
                         return;
@@ -345,39 +281,27 @@ fn serve_worker(
 /// Client-side serve loop: open a session, enqueue its `JOB`s, and let
 /// the scheduler and worker readers push `RESULT`s back through the
 /// session's writer.
-#[allow(clippy::too_many_arguments)]
 fn serve_client(
     shared: &Arc<Shared>,
     reader: BufReader<FarmStream>,
     buf: Vec<u8>,
-    writer: &Arc<Mutex<LineWriter>>,
-    version: u64,
+    writer: &Arc<Mutex<ConnWriter>>,
     bench_spec: &str,
     machine: petal_gpu::profile::MachineProfile,
     peer: &str,
-    negotiated: u64,
 ) {
     // Validate the spec *here*, not on a worker: a bad spec must bounce
     // the client, not cascade through the fleet killing workers.
     if let Err(e) = petal_apps::benchmark_from_spec(bench_spec) {
-        let mut w = writer.lock().expect("writer lock");
-        let _ =
-            w.send(&Message::Goodbye { reason: format!("bad benchmark spec `{bench_spec}`: {e}") });
-        w.shutdown();
-        return;
+        return goodbye(writer, format!("bad benchmark spec `{bench_spec}`: {e}"));
     }
-    // A client that negotiated the resume-capable wire version gets a
-    // session token and survives dispatcher bounces; older clients get
-    // the pre-v4 close-on-disconnect behavior.
-    let resumable = negotiated >= RESUME_WIRE_VERSION;
-    let (session, nonce) = shared.open_session(bench_spec, machine, Arc::clone(writer), resumable);
+    let (session, nonce) = shared.open_session(bench_spec, machine, Arc::clone(writer));
     eprintln!("petal-farmd: session {session} `{bench_spec}` opened from {peer}");
-    // READY echoes the client's INIT version, mirroring the pipe worker.
-    // The SESSION credentials follow immediately for resumable clients.
+    // READY, then the credentials a RESUME would present.
     let sent = {
         let mut w = writer.lock().expect("writer lock");
-        w.send(&Message::Ready { version }).is_ok()
-            && (!resumable || w.send(&Message::Session { token: session, nonce }).is_ok())
+        w.send(&Message::Ready { version: WIRE_VERSION }).is_ok()
+            && w.send(&Message::Session { token: session, nonce }).is_ok()
     };
     if !sent {
         // The client never received its token, so nothing can resume
@@ -394,19 +318,14 @@ fn serve_resumed_client(
     shared: &Arc<Shared>,
     reader: BufReader<FarmStream>,
     buf: Vec<u8>,
-    writer: &Arc<Mutex<LineWriter>>,
+    writer: &Arc<Mutex<ConnWriter>>,
     token: u64,
     nonce: u64,
     peer: &str,
 ) {
     let epoch = match shared.resume_session(token, nonce, Arc::clone(writer)) {
         Ok(epoch) => epoch,
-        Err(reason) => {
-            let mut w = writer.lock().expect("writer lock");
-            let _ = w.send(&Message::Goodbye { reason });
-            w.shutdown();
-            return;
-        }
+        Err(reason) => return goodbye(writer, reason),
     };
     let spec = shared.session_spec(token).unwrap_or_default();
     eprintln!("petal-farmd: session {token} `{spec}` resumed from {peer}");
@@ -432,7 +351,7 @@ fn client_loop(
     shared: &Arc<Shared>,
     mut reader: BufReader<FarmStream>,
     mut buf: Vec<u8>,
-    writer: &Arc<Mutex<LineWriter>>,
+    writer: &Arc<Mutex<ConnWriter>>,
     session: u64,
     epoch: u64,
 ) {
@@ -447,11 +366,8 @@ fn client_loop(
             }
             Ok(Incoming::Msg(Message::Heartbeat { .. })) => {}
             Ok(Incoming::Msg(other)) => {
-                let reason = format!("unexpected {} from client", tag_of(&other));
-                let mut w = writer.lock().expect("writer lock");
-                let _ = w.send(&Message::Goodbye { reason: reason.clone() });
-                w.shutdown();
-                drop(w);
+                let reason = format!("unexpected {} from client", other.tag());
+                goodbye(writer, reason.as_str());
                 shared.close_session(session, &reason);
                 return;
             }

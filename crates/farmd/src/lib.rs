@@ -8,7 +8,7 @@
 //! a lost worker's outstanding jobs to survivors so churn never fails a
 //! batch. With `--registry <dir>` it additionally hosts the tuned-config
 //! registry: **registry clients** (a `petal_registry::RemoteStore`)
-//! speak wire v3's `REG_GET`/`REG_PUT` against a dispatcher-side
+//! speak the wire's `REG_GET`/`REG_PUT` against a dispatcher-side
 //! `DirStore`, whose keep-best merge runs under one store lock so
 //! concurrent publishes from the whole fleet converge deterministically.
 //! See `docs/farmd.md` for the protocol lifecycle and the determinism
@@ -48,7 +48,7 @@
 //! appends every session/job lifecycle event to a durable, wire-codec
 //! journal (see `journal`); a restarted dispatcher replays it to the
 //! exact pre-crash queue/session state, workers reconnect and drain the
-//! recovered backlog, and v4 clients re-attach their sessions with
+//! recovered backlog, and clients re-attach their sessions with
 //! `RESUME` — the tuning loop finishes with results bit-identical to an
 //! unbounced run. See `docs/farmd.md` § "Crash recovery & journal
 //! format".
@@ -60,7 +60,7 @@ mod journal;
 pub mod proxy;
 pub mod registry;
 
-use conn::LineWriter;
+use conn::ConnWriter;
 use journal::Journal;
 use petal_farm::net::{Endpoint, FarmListener};
 use petal_farm::wire::{Message, WIRE_VERSION};
@@ -99,7 +99,7 @@ pub struct FarmdOptions {
     /// directory and replay it on the next start, so a killed
     /// dispatcher resumes mid-batch instead of vaporizing its sessions.
     pub journal: Option<PathBuf>,
-    /// How long a detached v4 session (client disconnected, `RESUME`
+    /// How long a detached session (client disconnected, `RESUME`
     /// still possible) is kept before being closed for good. Bounds the
     /// memory a crashed client can pin.
     pub session_linger: Duration,
@@ -148,32 +148,37 @@ struct Pending {
 struct Session {
     bench_spec: String,
     machine: MachineProfile,
-    /// Resume secret handed to v4 clients in their SESSION record.
+    /// Resume secret handed to the client in its SESSION record.
     nonce: u64,
     /// `None` while detached: the client is gone but the session (and
     /// its queued/in-flight work) survives awaiting a RESUME.
-    writer: Option<Arc<Mutex<LineWriter>>>,
+    writer: Option<Arc<Mutex<ConnWriter>>>,
     /// Bumped on every attach. A reader thread that noticed its
     /// connection die only detaches/closes if the epoch still matches —
     /// otherwise a newer connection already owns the session.
     epoch: u64,
-    /// Whether the client negotiated wire v4: detach-on-disconnect,
-    /// duplicate-index suppression and done-result re-serving all key
-    /// off this, so a v≤3 client sees exactly the old behavior.
-    resumable: bool,
-    /// Outcomes already forwarded (resumable sessions only), re-served
-    /// when a resumed client re-submits an index the crash already
-    /// answered.
+    /// Outcomes already forwarded, re-served when a resumed client
+    /// re-submits an index the crash already answered.
     done: BTreeMap<u64, JobOutcome>,
     /// When the session detached, for the linger reaper.
     detached_since: Option<Instant>,
+}
+
+impl Session {
+    /// Forget the (dead) connection but keep the session and its queued
+    /// and in-flight work; the linger reaper bounds how long.
+    fn detach(&mut self, id: u64, reason: &str) {
+        self.writer = None;
+        self.detached_since = Some(Instant::now());
+        eprintln!("petal-farmd: session {id} detached ({reason}); awaiting resume");
+    }
 }
 
 /// All mutable dispatcher state, behind the one global lock.
 struct Inner {
     registry: Registry,
     /// Write handles of registered workers, by registry id.
-    worker_writers: BTreeMap<u64, Arc<Mutex<LineWriter>>>,
+    worker_writers: BTreeMap<u64, Arc<Mutex<ConnWriter>>>,
     sessions: BTreeMap<u64, Session>,
     next_session: u64,
     /// Unassigned jobs, FIFO; re-queued jobs go back to the *front* so
@@ -211,7 +216,7 @@ pub(crate) struct Shared {
 /// global lock.
 struct SendPlan {
     worker: u64,
-    writer: Arc<Mutex<LineWriter>>,
+    writer: Arc<Mutex<ConnWriter>>,
     msgs: Vec<Message>,
 }
 
@@ -227,7 +232,7 @@ impl Shared {
         name: &str,
         slots: u64,
         pid: u64,
-        writer: Arc<Mutex<LineWriter>>,
+        writer: Arc<Mutex<ConnWriter>>,
     ) -> u64 {
         let mut inner = self.inner.lock().expect("farmd lock");
         let id = inner.registry.register(name, slots, pid, Instant::now());
@@ -292,21 +297,19 @@ impl Shared {
             inner.requeue(&keys);
             inner.worker_writers.remove(&id)
         };
-        if let Some(writer) = writer {
-            let mut w = writer.lock().expect("writer lock");
-            if send_goodbye {
-                let _ = w.send(&Message::Goodbye { reason: reason.to_owned() });
-            }
-            w.shutdown();
+        match writer {
+            Some(writer) if send_goodbye => conn::goodbye(&writer, reason),
+            Some(writer) => conn::close(&writer),
+            None => {}
         }
         self.notify();
     }
 
     /// Forward a fresh RESULT to its session's client (outside the global
     /// lock — only the session writer's own mutex is held while writing).
-    /// For resumable sessions the outcome is recorded (and journaled)
-    /// **before** the send, so a crash between the two re-serves it on
-    /// resume instead of losing it; a detached session just records.
+    /// The outcome is recorded (and journaled) **before** the send, so a
+    /// crash between the two re-serves it on resume instead of losing
+    /// it; a detached session just records.
     pub(crate) fn forward_result(self: &Arc<Self>, session: u64, index: u64, outcome: JobOutcome) {
         let writer = {
             let mut inner = self.inner.lock().expect("farmd lock");
@@ -314,9 +317,7 @@ impl Shared {
                 return; // session disappeared mid-flight; drop the answer
             };
             let writer = s.writer.clone();
-            if s.resumable {
-                s.done.insert(index, outcome.clone());
-            }
+            s.done.insert(index, outcome.clone());
             if let Some(j) = inner.journal.as_mut() {
                 j.result(session, index, &outcome);
             }
@@ -341,8 +342,7 @@ impl Shared {
         self: &Arc<Self>,
         bench_spec: &str,
         machine: MachineProfile,
-        writer: Arc<Mutex<LineWriter>>,
-        resumable: bool,
+        writer: Arc<Mutex<ConnWriter>>,
     ) -> (u64, u64) {
         let mut inner = self.inner.lock().expect("farmd lock");
         let id = inner.next_session;
@@ -359,7 +359,6 @@ impl Shared {
                 nonce,
                 writer: Some(writer),
                 epoch: 1,
-                resumable,
                 done: BTreeMap::new(),
                 detached_since: None,
             },
@@ -374,14 +373,14 @@ impl Shared {
         self: &Arc<Self>,
         token: u64,
         nonce: u64,
-        writer: Arc<Mutex<LineWriter>>,
+        writer: Arc<Mutex<ConnWriter>>,
     ) -> Result<u64, String> {
         let (old, epoch) = {
             let mut inner = self.inner.lock().expect("farmd lock");
             let Some(s) = inner.sessions.get_mut(&token) else {
                 return Err(format!("unknown session {token}; nothing to resume"));
             };
-            if !s.resumable || s.nonce != nonce {
+            if s.nonce != nonce {
                 return Err(format!("session {token} does not match the presented credentials"));
             }
             s.epoch += 1;
@@ -392,7 +391,7 @@ impl Shared {
         // stalled socket the dispatcher still thinks is fine) is closed;
         // its reader thread's exit is ignored by the epoch guard.
         if let Some(old) = old {
-            old.lock().expect("writer lock").shutdown();
+            conn::close(&old);
         }
         self.notify();
         Ok(epoch)
@@ -410,19 +409,15 @@ impl Shared {
             let Some(s) = inner.sessions.get(&session) else {
                 return;
             };
-            if s.resumable {
-                // Idempotent re-submission: an index the crash already
-                // answered is re-served from the result log; one that is
-                // still queued or in flight is simply not duplicated.
-                if let Some(outcome) = s.done.get(&index) {
-                    Some((s.writer.clone(), outcome.clone()))
-                } else if inner.inflight_jobs.contains_key(&(session, index))
-                    || inner.queue.iter().any(|p| p.session == session && p.index == index)
-                {
-                    return;
-                } else {
-                    None
-                }
+            // Idempotent re-submission: an index the crash already
+            // answered is re-served from the result log; one that is
+            // still queued or in flight is simply not duplicated.
+            if let Some(outcome) = s.done.get(&index) {
+                Some((s.writer.clone(), outcome.clone()))
+            } else if inner.inflight_jobs.contains_key(&(session, index))
+                || inner.queue.iter().any(|p| p.session == session && p.index == index)
+            {
+                return;
             } else {
                 None
             }
@@ -453,55 +448,25 @@ impl Shared {
     }
 
     /// A send through `writer` failed: detach the session if that
-    /// writer is still its current one (resumable), close it otherwise.
-    /// The `Arc::ptr_eq` guard keeps a failure on a superseded writer
-    /// from tearing down a freshly resumed connection.
-    fn client_writer_failed(self: &Arc<Self>, session: u64, writer: &Arc<Mutex<LineWriter>>) {
-        let close = {
-            let mut inner = self.inner.lock().expect("farmd lock");
-            let Some(s) = inner.sessions.get_mut(&session) else { return };
-            match &s.writer {
-                Some(w) if Arc::ptr_eq(w, writer) => {}
-                _ => return,
-            }
-            if s.resumable {
-                s.writer = None;
-                s.detached_since = Some(Instant::now());
-                eprintln!(
-                    "petal-farmd: session {session} detached (client write failed); \
-                     awaiting resume"
-                );
-                false
-            } else {
-                true
-            }
-        };
-        if close {
-            self.close_session(session, "client write failed");
+    /// writer is still its current one. The `Arc::ptr_eq` guard keeps a
+    /// failure on a superseded writer from tearing down a freshly
+    /// resumed connection.
+    fn client_writer_failed(self: &Arc<Self>, session: u64, writer: &Arc<Mutex<ConnWriter>>) {
+        let mut inner = self.inner.lock().expect("farmd lock");
+        let Some(s) = inner.sessions.get_mut(&session) else { return };
+        if s.writer.as_ref().is_some_and(|w| Arc::ptr_eq(w, writer)) {
+            s.detach(session, "client write failed");
         }
     }
 
-    /// A reader thread's connection ended (EOF, error). Resumable
-    /// sessions detach and await a RESUME; others close as before. The
-    /// epoch guard makes a stale reader's exit a no-op after a resume.
+    /// A reader thread's connection ended (EOF, error): the session
+    /// detaches and awaits a RESUME. The epoch guard makes a stale
+    /// reader's exit a no-op after a resume.
     pub(crate) fn client_gone(self: &Arc<Self>, session: u64, epoch: u64, reason: &str) {
-        let close = {
-            let mut inner = self.inner.lock().expect("farmd lock");
-            let Some(s) = inner.sessions.get_mut(&session) else { return };
-            if s.epoch != epoch {
-                return; // a newer connection owns this session now
-            }
-            if s.resumable {
-                s.writer = None;
-                s.detached_since = Some(Instant::now());
-                eprintln!("petal-farmd: session {session} detached ({reason}); awaiting resume");
-                false
-            } else {
-                true
-            }
-        };
-        if close {
-            self.close_session(session, reason);
+        let mut inner = self.inner.lock().expect("farmd lock");
+        let Some(s) = inner.sessions.get_mut(&session) else { return };
+        if s.epoch == epoch {
+            s.detach(session, reason);
         }
     }
 
@@ -672,12 +637,8 @@ impl Inner {
         now: Instant,
         starvation: Duration,
         linger: Duration,
-    ) -> (
-        Vec<SendPlan>,
-        Vec<(u64, Arc<Mutex<LineWriter>>)>,
-        Vec<(u64, Arc<Mutex<LineWriter>>)>,
-        Vec<u64>,
-    ) {
+    ) -> (Vec<SendPlan>, Vec<Arc<Mutex<ConnWriter>>>, Vec<(u64, Arc<Mutex<ConnWriter>>)>, Vec<u64>)
+    {
         // Expiry: drain workers past the heartbeat deadline and reclaim
         // their jobs. Their connections are closed outside the lock; the
         // reader thread's EOF then removes them from the registry.
@@ -689,7 +650,7 @@ impl Inner {
             );
             self.requeue(&keys);
             if let Some(writer) = self.worker_writers.get(&id) {
-                closes.push((id, Arc::clone(writer)));
+                closes.push(Arc::clone(writer));
             }
         }
 
@@ -813,7 +774,6 @@ impl Farmd {
                         nonce: rs.nonce,
                         writer: None,
                         epoch: 0,
-                        resumable: true,
                         done: rs.done.clone(),
                         detached_since: Some(Instant::now()),
                     },
@@ -933,11 +893,11 @@ impl Farmd {
             )
         };
         for writer in workers.iter().chain(&clients) {
-            let mut w = writer.lock().expect("writer lock");
             if graceful {
-                let _ = w.send(&Message::Goodbye { reason: "dispatcher shutting down".to_owned() });
+                conn::goodbye(writer, "dispatcher shutting down");
+            } else {
+                conn::close(writer);
             }
-            w.shutdown();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -1000,23 +960,13 @@ fn scheduler_loop(shared: &Arc<Shared>) {
         for session in lingered {
             shared.close_session(session, "resume window expired");
         }
-        for (id, writer) in closes {
-            let mut w = writer.lock().expect("writer lock");
-            let _ = w.send(&Message::Goodbye { reason: "heartbeat deadline missed".to_owned() });
-            w.shutdown();
-            drop(w);
+        for writer in closes {
             // The reader thread will observe the close and finish the
             // teardown (registry removal) via lose_worker.
-            let _ = id;
+            conn::goodbye(&writer, "heartbeat deadline missed");
         }
         for (session, writer) in starved {
-            {
-                let mut w = writer.lock().expect("writer lock");
-                let _ = w.send(&Message::Goodbye {
-                    reason: "no workers available for queued jobs".to_owned(),
-                });
-                w.shutdown();
-            }
+            conn::goodbye(&writer, "no workers available for queued jobs");
             shared.close_session(session, "starved: no workers available");
         }
         for plan in plans {

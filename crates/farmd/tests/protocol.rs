@@ -1,10 +1,11 @@
 //! Dispatcher protocol tests over raw sockets: handshake hardening
 //! (version skew and confusion answered with GOODBYE diagnostics, never
-//! parse errors or silent closes), client session bring-up, and elastic
-//! workers joining after jobs are already queued.
+//! parse errors or silent closes), the line-length cap, client session
+//! bring-up, and elastic workers joining after jobs are already queued.
 
 use petal_apps::Benchmark;
 use petal_farm::net::{Endpoint, FarmStream};
+use petal_farm::session::MAX_LINE_BYTES;
 use petal_farm::wire::{Message, WIRE_VERSION};
 use petal_farm::{job_seed, EvalJob};
 use petal_farmd::{Farmd, FarmdOptions};
@@ -117,6 +118,43 @@ fn handshake_confusion_is_answered_with_goodbye() {
     }
 }
 
+/// A peer that streams bytes and never a newline — before or after
+/// `HELLO` — is cut off at `MAX_LINE_BYTES` with a GOODBYE naming the
+/// limit, instead of growing a reader thread's buffer until the
+/// dispatcher is out of memory; and the dispatcher keeps serving others.
+#[test]
+fn a_line_past_the_limit_is_refused_and_the_dispatcher_keeps_serving() {
+    let farmd = dispatcher();
+    let ep = farmd.endpoints()[0].clone();
+    let flood = vec![b'x'; MAX_LINE_BYTES + 1];
+
+    for after_hello in [false, true] {
+        let mut hostile = Peer::connect(&ep);
+        if after_hello {
+            hostile.send(&Message::hello());
+            let _their_hello = hostile.recv();
+        }
+        hostile.writer.write_all(&flood).expect("the dispatcher reads up to the limit");
+        match hostile.recv() {
+            Message::Goodbye { reason } => assert!(reason.contains("line limit"), "{reason}"),
+            other => panic!("expected GOODBYE, got {other:?}"),
+        }
+        hostile.expect_eof();
+    }
+
+    // A second, well-behaved client still gets a session.
+    let mut client = Peer::connect(&ep);
+    client.send(&Message::hello());
+    let _their_hello = client.recv();
+    client.send(&Message::Init {
+        version: WIRE_VERSION,
+        bench_spec: "sort n=64".to_owned(),
+        machine: Box::new(MachineProfile::laptop()),
+    });
+    assert_eq!(client.recv(), Message::Ready { version: WIRE_VERSION });
+    assert!(matches!(client.recv(), Message::Session { .. }));
+}
+
 #[test]
 fn bad_benchmark_specs_bounce_the_client_not_the_fleet() {
     let farmd = dispatcher();
@@ -168,8 +206,8 @@ fn workers_joining_after_jobs_queue_drain_the_backlog() {
         machine: Box::new(machine.clone()),
     });
     assert_eq!(client.recv(), Message::Ready { version: WIRE_VERSION });
-    // Negotiating the current wire version makes the session resumable:
-    // READY is followed by its SESSION credentials.
+    // Every session is resumable: READY is followed by its SESSION
+    // credentials.
     match client.recv() {
         Message::Session { token, .. } => assert_eq!(token, 1, "first session"),
         other => panic!("expected SESSION after READY, got {other:?}"),

@@ -22,7 +22,7 @@
 //! * [`DirStore`] — the original directory-backed store (one entry per
 //!   `<key-hash>.reg` file, atomic write-then-rename);
 //! * [`RemoteStore`] — the same store served over a `petal-farmd`
-//!   dispatcher socket (wire version 3's `REG_GET`/`REG_PUT`/`REG_HIT`/
+//!   dispatcher socket (the wire's `REG_GET`/`REG_PUT`/`REG_HIT`/
 //!   `REG_MISS` records). Keep-best merge and persistence stay on the
 //!   dispatcher, so concurrent publishes from many clients are
 //!   serialized and deterministic.
@@ -395,14 +395,6 @@ pub struct Scan {
 pub struct DirStore {
     dir: PathBuf,
 }
-
-/// The old name of [`DirStore`], from when the directory form was the
-/// only store.
-#[deprecated(
-    since = "0.1.0",
-    note = "renamed to `DirStore`; write store-agnostic code against `ConfigStore`"
-)]
-pub type Registry = DirStore;
 
 /// What a [`ConfigStore::put`] did with the offered entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,9 +1,8 @@
 //! The served-store client: a [`ConfigStore`] that talks to a
 //! `petal-farmd` dispatcher hosting a registry.
 //!
-//! A [`RemoteStore`] speaks wire version 3's registry records over the
-//! same socket (and the same `HELLO` negotiation) as an evaluation
-//! client: `REG_GET` for `lookup`/`ls`/`gc`, `REG_PUT` for `put`, with
+//! A [`RemoteStore`] speaks the wire's registry records over the same
+//! socket (and the same [`dial`] handshake) as an evaluation client: `REG_GET` for `lookup`/`ls`/`gc`, `REG_PUT` for `put`, with
 //! every answer a `REG_HIT` (an entry) or `REG_MISS` (a miss, a
 //! terminator, or — when the reason starts with `error:` — a server-side
 //! failure). The nearest-key ranking, cross-size rescaling, keep-best
@@ -24,10 +23,10 @@
 use crate::{
     key_hash, ConfigStore, Listing, Match, MatchTier, PutOutcome, RegistryError, StoredEntry,
 };
-use petal_farm::net::{Endpoint, FarmStream};
-use petal_farm::wire::{negotiate, Message, RegEntry, WireEncoder, MIN_WIRE_VERSION, WIRE_VERSION};
+use petal_farm::net::Endpoint;
+use petal_farm::session::{dial, SocketWire};
+use petal_farm::wire::{Message, RegEntry};
 use petal_gpu::profile::MachineProfile;
-use std::io::{BufRead, BufReader, Write};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -35,9 +34,6 @@ use std::time::Duration;
 /// accepting — same patience as the evaluation client, covering
 /// client-before-dispatcher bring-up races.
 const CONNECT_PATIENCE: Duration = Duration::from_secs(10);
-
-/// The registry records shipped in wire version 3.
-const REGISTRY_WIRE_VERSION: u64 = 3;
 
 /// A tuned-config store served by a `petal-farmd` dispatcher — the
 /// remote [`ConfigStore`] implementation.
@@ -48,22 +44,13 @@ const REGISTRY_WIRE_VERSION: u64 = 3;
 /// cross-client serialization is the dispatcher's job).
 pub struct RemoteStore {
     endpoint: Endpoint,
-    conn: Mutex<Option<Conn>>,
+    conn: Mutex<Option<SocketWire>>,
 }
 
 impl std::fmt::Debug for RemoteStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteStore").field("endpoint", &self.endpoint).finish_non_exhaustive()
     }
-}
-
-/// One live negotiated session with the dispatcher.
-struct Conn {
-    reader: BufReader<FarmStream>,
-    writer: FarmStream,
-    enc: WireEncoder,
-    line_out: String,
-    line_in: String,
 }
 
 impl RemoteStore {
@@ -73,8 +60,7 @@ impl RemoteStore {
     ///
     /// # Errors
     /// [`RegistryError::Remote`] when the endpoint is not a socket, the
-    /// dispatcher cannot be reached, or version negotiation does not
-    /// reach the registry records (wire v3).
+    /// dispatcher cannot be reached, or version negotiation fails.
     pub fn connect(endpoint: &Endpoint) -> Result<RemoteStore, RegistryError> {
         let store = RemoteStore { endpoint: endpoint.clone(), conn: Mutex::new(None) };
         let conn = store.open_conn()?;
@@ -92,71 +78,15 @@ impl RemoteStore {
         RegistryError::Remote { endpoint: self.endpoint.to_string(), message: message.into() }
     }
 
-    /// Dial and run the `HELLO` handshake, requiring a negotiated
-    /// version new enough to carry the registry records.
-    fn open_conn(&self) -> Result<Conn, RegistryError> {
-        let stream = FarmStream::connect_retry(&self.endpoint, CONNECT_PATIENCE)
-            .map_err(|e| self.remote_err(format!("connecting: {e}")))?;
-        let writer =
-            stream.try_clone().map_err(|e| self.remote_err(format!("cloning connection: {e}")))?;
-        let mut conn = Conn {
-            reader: BufReader::new(stream),
-            writer,
-            enc: WireEncoder::default(),
-            line_out: String::new(),
-            line_in: String::new(),
-        };
-        self.send(&mut conn, &Message::hello())?;
-        match self.recv(&mut conn)? {
-            Message::Hello { min_version, max_version } => {
-                let v = negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (min_version, max_version))
-                    .map_err(|e| self.remote_err(e.to_string()))?;
-                if v < REGISTRY_WIRE_VERSION {
-                    return Err(self.remote_err(format!(
-                        "dispatcher speaks wire v{v}, the registry service needs \
-                         v{REGISTRY_WIRE_VERSION}"
-                    )));
-                }
-            }
-            Message::Goodbye { reason } => {
-                return Err(
-                    self.remote_err(format!("dispatcher rejected the connection: {reason}"))
-                );
-            }
-            other => {
-                return Err(self.remote_err(format!("dispatcher answered HELLO with {other:?}")));
-            }
-        }
+    /// Dial the dispatcher: one live negotiated connection.
+    fn open_conn(&self) -> Result<SocketWire, RegistryError> {
+        let (conn, _) =
+            dial(&self.endpoint, CONNECT_PATIENCE).map_err(|e| self.remote_err(e.to_string()))?;
         Ok(conn)
     }
 
-    fn send(&self, conn: &mut Conn, msg: &Message) -> Result<(), RegistryError> {
-        conn.enc.encode_into(msg, &mut conn.line_out);
-        conn.line_out.push('\n');
-        conn.writer
-            .write_all(conn.line_out.as_bytes())
-            .and_then(|()| conn.writer.flush())
-            .map_err(|e| self.remote_err(format!("writing request: {e}")))
-    }
-
-    fn recv(&self, conn: &mut Conn) -> Result<Message, RegistryError> {
-        loop {
-            conn.line_in.clear();
-            let n = conn
-                .reader
-                .read_line(&mut conn.line_in)
-                .map_err(|e| self.remote_err(format!("reading reply: {e}")))?;
-            if n == 0 {
-                return Err(self.remote_err("dispatcher closed the connection"));
-            }
-            match Message::decode(conn.line_in.trim_end_matches('\n'))
-                .map_err(|e| self.remote_err(e.to_string()))?
-            {
-                // Liveness chatter is legal on any socket; clients skip it.
-                Message::Heartbeat { .. } => {}
-                msg => return Ok(msg),
-            }
-        }
+    fn recv(&self, conn: &mut SocketWire) -> Result<Message, RegistryError> {
+        conn.expect().map_err(|e| self.remote_err(format!("reading reply: {e}")))
     }
 
     /// Run one request/response exchange, connecting if needed. Any
@@ -165,14 +95,17 @@ impl RemoteStore {
     fn exchange<T>(
         &self,
         request: &Message,
-        handle: impl FnOnce(&mut Conn) -> Result<T, RegistryError>,
+        handle: impl FnOnce(&mut SocketWire) -> Result<T, RegistryError>,
     ) -> Result<T, RegistryError> {
         let mut slot = self.conn.lock().expect("registry connection lock");
         let mut conn = match slot.take() {
             Some(c) => c,
             None => self.open_conn()?,
         };
-        let result = self.send(&mut conn, request).and_then(|()| handle(&mut conn));
+        let result = conn
+            .send(request)
+            .map_err(|e| self.remote_err(format!("writing request: {e}")))
+            .and_then(|()| handle(&mut conn));
         if result.is_ok() {
             *slot = Some(conn);
         }
@@ -196,10 +129,7 @@ impl Drop for RemoteStore {
         // session instead of logging a dropped client.
         if let Ok(mut slot) = self.conn.lock() {
             if let Some(mut conn) = slot.take() {
-                let _ = self.send(&mut conn, &Message::Done);
-                if let Ok(s) = conn.reader.get_ref().try_clone() {
-                    s.shutdown();
-                }
+                let _ = conn.send(&Message::Done);
             }
         }
     }

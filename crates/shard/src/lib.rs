@@ -19,11 +19,7 @@ pub mod remote;
 
 pub use remote::{serve_remote, RemoteOptions};
 
-use petal_apps::{benchmark_from_spec, Benchmark};
-use petal_farm::wire::{
-    version_supported, Message, Record, WireEncoder, MIN_WIRE_VERSION, WIRE_VERSION,
-};
-use petal_gpu::profile::MachineProfile;
+use petal_farm::session::{serve_jobs, Framed};
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -47,44 +43,9 @@ pub(crate) fn err(message: impl Into<String>) -> ServeError {
     ServeError { message: message.into() }
 }
 
-/// Reusable per-session I/O buffers: one `RESULT` is encoded and one
-/// `JOB` line read back per trial, so keeping the encoder and both line
-/// buffers across the serve loop makes the steady state allocation-free.
-#[derive(Default)]
-struct SessionBufs {
-    enc: WireEncoder,
-    line_out: String,
-    line_in: String,
-}
-
-impl SessionBufs {
-    fn send(&mut self, output: &mut impl Write, msg: &Message) -> Result<(), ServeError> {
-        self.enc.encode_into(msg, &mut self.line_out);
-        self.line_out.push('\n');
-        output
-            .write_all(self.line_out.as_bytes())
-            .and_then(|()| output.flush())
-            .map_err(|e| err(format!("writing to parent: {e}")))
-    }
-
-    /// Read one line into the reused buffer; `Ok(false)` on clean EOF.
-    fn recv_line(&mut self, input: &mut impl BufRead) -> Result<bool, ServeError> {
-        self.line_in.clear();
-        let n = input
-            .read_line(&mut self.line_in)
-            .map_err(|e| err(format!("reading from parent: {e}")))?;
-        if n == 0 {
-            return Ok(false);
-        }
-        while self.line_in.ends_with('\n') || self.line_in.ends_with('\r') {
-            self.line_in.pop();
-        }
-        Ok(true)
-    }
-}
-
 /// Serve one shard session over a message stream: `INIT` → `READY`, then
-/// `JOB` → `RESULT` until `DONE` or EOF.
+/// `JOB` → `RESULT` until `DONE` or EOF — the shared job loop
+/// ([`petal_farm::session::serve_jobs`]) with nothing around it.
 ///
 /// This is the whole worker; `main` merely binds it to stdin/stdout. It
 /// is generic over the streams so tests can drive a session through
@@ -93,62 +54,23 @@ impl SessionBufs {
 /// # Errors
 /// On any protocol violation (bad handshake, malformed record, unknown
 /// benchmark spec) or I/O failure. The parent treats a dead worker as a
-/// fatal dispatch error, so erring out loudly is correct.
-pub fn serve(mut input: impl BufRead, mut output: impl Write) -> Result<(), ServeError> {
-    let mut bufs = SessionBufs::default();
-    if !bufs.recv_line(&mut input)? {
-        return Err(err("EOF before INIT"));
-    }
-    let first = bufs.line_in.clone();
-    // Check the advertised version *before* decoding the full INIT: a
-    // future wire version may change the INIT layout itself, and the
-    // version-skew diagnostic must fire in exactly that case (a layout
-    // decode error would otherwise mask it).
-    let record = Record::parse(&first).map_err(|e| err(e.to_string()))?;
-    if record.tag == "INIT" {
-        match record.fields.first().map(|v| v.parse::<u64>()) {
-            Some(Ok(version)) if !version_supported(version) => {
-                return Err(err(format!(
-                    "parent speaks wire version {version}, worker speaks \
-                     {MIN_WIRE_VERSION}..={WIRE_VERSION}"
-                )));
-            }
-            Some(Ok(_)) => {}
-            _ => return Err(err("INIT carries no parseable wire version")),
-        }
-    }
-    let (version, bench, machine): (u64, Box<dyn Benchmark>, MachineProfile) =
-        match Message::decode(&first).map_err(|e| err(e.to_string()))? {
-            Message::Init { version, bench_spec, machine } => {
-                let bench = benchmark_from_spec(&bench_spec)
-                    .map_err(|e| err(format!("bad benchmark spec `{bench_spec}`: {e}")))?;
-                (version, bench, *machine)
-            }
-            other => return Err(err(format!("expected INIT, got {other:?}"))),
-        };
-    // Echo the parent's version: an older parent checks for its own
-    // version in READY, and every version this build accepts is one it
-    // can serve (newer versions are pure supersets on the pipe records).
-    bufs.send(&mut output, &Message::Ready { version })?;
-
-    while bufs.recv_line(&mut input)? {
-        match Message::decode(&bufs.line_in).map_err(|e| err(e.to_string()))? {
-            Message::Job { index, job } => {
-                let outcome = petal_farm::evaluate_job(&*bench, &machine, &job);
-                bufs.send(&mut output, &Message::Result { index, outcome })?;
-            }
-            Message::Done => return Ok(()),
-            other => return Err(err(format!("expected JOB or DONE, got {other:?}"))),
-        }
-    }
-    Ok(()) // EOF without DONE: parent died or closed early; exit quietly.
+/// lost link, so erring out loudly is correct.
+pub fn serve(input: impl BufRead, output: impl Write) -> Result<(), ServeError> {
+    // `DONE`, or EOF without it (the parent died or closed early): exit
+    // quietly either way.
+    serve_jobs(&mut Framed::new(input, output), |_| {})
+        .map(|_ended| ())
+        .map_err(|e| err(e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use petal_apps::blackscholes::BlackScholes;
+    use petal_apps::Benchmark;
+    use petal_farm::wire::{Message, WIRE_VERSION};
     use petal_farm::{job_seed, EvalJob};
+    use petal_gpu::profile::MachineProfile;
 
     /// Drive a whole session through in-memory buffers and check the
     /// worker's answers equal direct `evaluate_job` calls.
@@ -208,14 +130,18 @@ mod tests {
         let e = serve("DONE\n".as_bytes(), &mut out).expect_err("DONE before INIT");
         assert!(e.message.contains("expected INIT"), "{e}");
 
-        let wrong_version = Message::Init {
-            version: WIRE_VERSION + 1,
-            bench_spec: "sort n=64".to_owned(),
-            machine: Box::new(MachineProfile::desktop()),
-        };
-        let e = serve(format!("{}\n", wrong_version.encode()).as_bytes(), &mut Vec::new())
-            .expect_err("version skew");
-        assert!(e.message.contains("wire version"), "{e}");
+        // One wire version: a newer parent and an older one are both
+        // refused, and the refusal says so.
+        for version in [WIRE_VERSION + 1, WIRE_VERSION - 1] {
+            let skewed = Message::Init {
+                version,
+                bench_spec: "sort n=64".to_owned(),
+                machine: Box::new(MachineProfile::desktop()),
+            };
+            let e = serve(format!("{}\n", skewed.encode()).as_bytes(), &mut Vec::new())
+                .expect_err("version skew");
+            assert!(e.message.contains(&format!("wire version {version}")), "{e}");
+        }
 
         // A future INIT layout this worker cannot decode must still
         // produce the version-skew diagnostic, not a framing error:
@@ -233,23 +159,5 @@ mod tests {
         let e = serve(format!("{}\n", bad_spec.encode()).as_bytes(), &mut Vec::new())
             .expect_err("unknown spec");
         assert!(e.message.contains("bad benchmark spec"), "{e}");
-    }
-
-    /// A v1 parent still gets served — v2 is a pure superset on the pipe
-    /// records — and READY echoes the *parent's* version so the old
-    /// parent's equality check passes.
-    #[test]
-    fn older_wire_versions_are_served_and_echoed() {
-        let init = Message::Init {
-            version: MIN_WIRE_VERSION,
-            bench_spec: "sort n=64".to_owned(),
-            machine: Box::new(MachineProfile::laptop()),
-        };
-        let session = format!("{}\n{}\n", init.encode(), Message::Done.encode());
-        let mut out = Vec::new();
-        serve(session.as_bytes(), &mut out).expect("v1 session succeeds");
-        let first = String::from_utf8(out).expect("utf8");
-        let reply = Message::decode(first.lines().next().expect("one reply")).expect("decodes");
-        assert_eq!(reply, Message::Ready { version: MIN_WIRE_VERSION });
     }
 }

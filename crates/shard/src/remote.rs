@@ -1,12 +1,13 @@
 //! The remote-worker mode of `petal-shard`: connect out to a
 //! `petal-farmd` dispatcher and serve jobs over a socket.
 //!
-//! The job-serving core is identical to the pipe mode — the same
-//! [`petal_farm::evaluate_job`] on the same `(benchmark, machine)`
-//! sessions — wrapped in the socket lifecycle from `docs/farmd.md`:
+//! The job-serving core is the pipe mode's — the one
+//! [`petal_farm::session::serve_jobs`] loop — wrapped in the socket
+//! lifecycle from `docs/farmd.md`:
 //!
-//! 1. connect (with retry patience, so workers may start before the
-//!    dispatcher), exchange `HELLO`s and negotiate a wire version;
+//! 1. [`dial`]: connect (with retry patience, so workers may start
+//!    before the dispatcher), exchange `HELLO`s and negotiate a wire
+//!    version;
 //! 2. `REGISTER` with a name and a slot count (the pipelining depth the
 //!    dispatcher may keep in flight here);
 //! 3. serve interleaved `INIT`/`JOB` records — `INIT` may arrive *mid
@@ -26,11 +27,10 @@
 //! lost with the old connection is simply re-queued by the dispatcher.
 
 use crate::{err, ServeError};
-use petal_apps::{benchmark_from_spec, Benchmark};
 use petal_farm::net::{Endpoint, FarmStream};
-use petal_farm::wire::{negotiate, Message, WireEncoder, MIN_WIRE_VERSION, WIRE_VERSION};
-use petal_gpu::profile::MachineProfile;
-use std::io::{BufRead, BufReader, Write};
+use petal_farm::session::{dial, serve_jobs, Ended, Framed, SessionError};
+use petal_farm::wire::Message;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -70,31 +70,21 @@ impl RemoteOptions {
     }
 }
 
-/// The socket's write half, shared by the serve loop (RESULTs, READYs)
-/// and the heartbeat thread. One mutex serializes whole lines, so frames
-/// never interleave.
-struct RemoteWriter {
-    stream: FarmStream,
-    enc: WireEncoder,
-    line: String,
-}
+/// The socket's write half, shared by the job loop (`READY`s, `RESULT`s)
+/// and the heartbeat thread, each through its own [`Framed`]. A `Framed`
+/// hands over one whole record per `write`, and this writes all of it
+/// under one lock hold, so records never interleave.
+#[derive(Clone)]
+struct SharedWriter(Arc<Mutex<FarmStream>>);
 
-impl RemoteWriter {
-    fn send(&mut self, msg: &Message) -> std::io::Result<()> {
-        self.enc.encode_into(msg, &mut self.line);
-        self.line.push('\n');
-        self.stream.write_all(self.line.as_bytes())?;
-        self.stream.flush()
+impl Write for SharedWriter {
+    fn write(&mut self, record: &[u8]) -> io::Result<usize> {
+        self.0.lock().expect("writer lock").write_all(record).map(|()| record.len())
     }
-}
 
-/// How one connection to the dispatcher ended.
-enum Served {
-    /// The dispatcher dismissed this worker (`GOODBYE`/`DONE`, or it
-    /// stayed gone through a whole reconnect window): final, exit clean.
-    Dismissed(String),
-    /// EOF or a socket error: the dispatcher may be bouncing — reconnect.
-    Lost(String),
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(()) // sockets are unbuffered
+    }
 }
 
 /// Connect to a dispatcher and serve jobs until it says goodbye.
@@ -108,175 +98,96 @@ enum Served {
 /// # Errors
 /// First-connect failures, negotiation failures and protocol violations.
 pub fn serve_remote(opts: &RemoteOptions) -> Result<(), ServeError> {
+    let endpoint = Endpoint::parse(&opts.endpoint).map_err(err)?;
     let mut served: u64 = 0;
     let mut reconnecting = false;
     loop {
-        match serve_once(opts, &mut served, reconnecting)? {
-            Served::Dismissed(reason) => {
-                eprintln!("petal-shard[{}]: leaving the farm: {reason}", opts.name);
-                return Ok(());
+        let reason = match serve_once(opts, &endpoint, &mut served) {
+            Ok(reason) => reason,
+            // The farm went away while this worker was reconnecting.
+            Err(SessionError::Unreachable(e)) if reconnecting => {
+                format!("dispatcher did not come back: {e}")
             }
-            Served::Lost(reason) => {
+            Err(SessionError::Lost(e)) => {
                 eprintln!(
-                    "petal-shard[{}]: dispatcher connection lost ({reason}); reconnecting",
+                    "petal-shard[{}]: dispatcher connection lost ({e}); reconnecting",
                     opts.name
                 );
                 reconnecting = true;
                 // Brief pause so a crash-looping dispatcher is not hammered.
                 std::thread::sleep(Duration::from_millis(100));
+                continue;
             }
-        }
+            Err(e) => return Err(err(format!("farmd at {endpoint}: {e}"))),
+        };
+        eprintln!("petal-shard[{}]: leaving the farm: {reason}", opts.name);
+        return Ok(());
     }
 }
 
-/// One connection's worth of serving. `served` persists across calls so
+/// One connection's worth of serving; `Ok` carries the dispatcher's
+/// reason for dismissing this worker. `served` persists across calls so
 /// `fail_after` fault injection counts jobs per *process*, not per
-/// connection. When `reconnecting`, a connect failure is a quiet
-/// dismissal (the farm is gone) rather than an error.
+/// connection.
 fn serve_once(
     opts: &RemoteOptions,
+    endpoint: &Endpoint,
     served: &mut u64,
-    reconnecting: bool,
-) -> Result<Served, ServeError> {
-    let endpoint = Endpoint::parse(&opts.endpoint).map_err(err)?;
-    let stream = match FarmStream::connect_retry(&endpoint, opts.patience) {
-        Ok(s) => s,
-        Err(e) if reconnecting => {
-            return Ok(Served::Dismissed(format!("dispatcher did not come back: {e}")));
-        }
-        Err(e) => return Err(err(format!("connecting to farmd at {endpoint}: {e}"))),
-    };
-    let write_half =
-        stream.try_clone().map_err(|e| err(format!("cloning farmd connection: {e}")))?;
-    let mut reader = BufReader::new(stream);
-    let writer = Arc::new(Mutex::new(RemoteWriter {
-        stream: write_half,
-        enc: WireEncoder::default(),
-        line: String::new(),
-    }));
-    // Socket I/O failures return `Served::Lost` (reconnectable) rather
-    // than a hard error; protocol violations stay hard errors.
-    let send =
-        |msg: &Message| -> std::io::Result<()> { writer.lock().expect("writer lock").send(msg) };
-    let mut line = String::new();
-    let recv_line =
-        |reader: &mut BufReader<FarmStream>, line: &mut String| -> std::io::Result<bool> {
-            line.clear();
-            let n = reader.read_line(line)?;
-            while line.ends_with('\n') || line.ends_with('\r') {
-                line.pop();
-            }
-            Ok(n > 0)
-        };
-
-    // HELLO exchange + version negotiation.
-    if let Err(e) = send(&Message::hello()) {
-        return Ok(Served::Lost(format!("writing HELLO: {e}")));
-    }
-    match recv_line(&mut reader, &mut line) {
-        Ok(true) => {}
-        Ok(false) => return Ok(Served::Lost("connection closed before HELLO".to_owned())),
-        Err(e) => return Ok(Served::Lost(format!("reading HELLO: {e}"))),
-    }
-    match Message::decode(&line).map_err(|e| err(e.to_string()))? {
-        Message::Hello { min_version, max_version } => {
-            negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (min_version, max_version))
-                .map_err(|e| err(e.to_string()))?;
-        }
-        Message::Goodbye { reason } => {
-            return Err(err(format!("farmd rejected the connection: {reason}")));
-        }
-        other => return Err(err(format!("farmd answered HELLO with {other:?}"))),
-    }
+) -> Result<String, SessionError> {
+    let (wire, stream) = dial(endpoint, opts.patience)?;
+    let (reader, writer) = wire.into_parts();
+    let writer = SharedWriter(Arc::new(Mutex::new(writer)));
+    let mut wire = Framed::new(reader, writer.clone());
 
     // Join the pool.
-    if let Err(e) = send(&Message::Register {
+    wire.send(&Message::Register {
         name: opts.name.clone(),
         slots: opts.slots.max(1),
         pid: u64::from(std::process::id()),
-    }) {
-        return Ok(Served::Lost(format!("writing REGISTER: {e}")));
-    }
+    })
+    .map_err(SessionError::Lost)?;
 
     // Liveness thread: heartbeats flow even while a long trial evaluates,
-    // because the serve loop and this thread share the writer mutex, not
+    // because the job loop and this thread share the writer mutex, not
     // a single thread. The flag stops it on clean exit; a send failure
     // (dispatcher gone) stops it on its own.
     let stop = Arc::new(AtomicBool::new(false));
-    let hb_writer = Arc::clone(&writer);
     let hb_stop = Arc::clone(&stop);
     let hb_period = opts.heartbeat;
+    let mut beat = Framed::new(io::empty(), writer);
     std::thread::spawn(move || {
         let mut seq: u64 = 0;
         loop {
             std::thread::sleep(hb_period);
-            if hb_stop.load(Ordering::Relaxed) {
-                return;
-            }
-            if hb_writer.lock().expect("writer lock").send(&Message::Heartbeat { seq }).is_err() {
+            if hb_stop.load(Ordering::Relaxed) || beat.send(&Message::Heartbeat { seq }).is_err() {
                 return;
             }
             seq += 1;
         }
     });
-    // Whatever path the serve loop exits on, stop the heartbeats and
+    // Whatever path the job loop exits on, stop the heartbeats and
     // close the socket so the dispatcher sees a prompt EOF.
-    struct Cleanup(Arc<AtomicBool>, Arc<Mutex<RemoteWriter>>);
+    struct Cleanup(Arc<AtomicBool>, FarmStream);
     impl Drop for Cleanup {
         fn drop(&mut self) {
             self.0.store(true, Ordering::Relaxed);
-            self.1.lock().expect("writer lock").stream.shutdown();
+            self.1.shutdown();
         }
     }
-    let _cleanup = Cleanup(Arc::clone(&stop), Arc::clone(&writer));
+    let _cleanup = Cleanup(stop, stream);
 
-    // Serve: INIT re-targets the session, JOB evaluates, GOODBYE/DONE
-    // dismisses, EOF/IO errors report a lost (reconnectable) dispatcher.
-    let mut session: Option<(Box<dyn Benchmark>, MachineProfile)> = None;
-    loop {
-        match recv_line(&mut reader, &mut line) {
-            Ok(true) => {}
-            Ok(false) => return Ok(Served::Lost("connection closed".to_owned())),
-            Err(e) => return Ok(Served::Lost(format!("read error: {e}"))),
+    let ended = serve_jobs(&mut wire, |index| {
+        if opts.fail_after.is_some_and(|n| *served >= n) {
+            // Injected fault: die the way a crashed worker dies —
+            // mid-protocol, without a RESULT or a GOODBYE.
+            eprintln!("petal-shard[{}]: injected failure before job {index}", opts.name);
+            std::process::exit(3);
         }
-        // A torn record is what a SIGKILLed dispatcher leaves mid-write:
-        // treat it as a lost connection, not a protocol crime.
-        let msg = match Message::decode(&line) {
-            Ok(m) => m,
-            Err(e) => return Ok(Served::Lost(format!("torn record: {e}"))),
-        };
-        match msg {
-            Message::Init { version, bench_spec, machine } => {
-                let bench = benchmark_from_spec(&bench_spec)
-                    .map_err(|e| err(format!("bad benchmark spec `{bench_spec}`: {e}")))?;
-                session = Some((bench, *machine));
-                if let Err(e) = send(&Message::Ready { version }) {
-                    return Ok(Served::Lost(format!("writing READY: {e}")));
-                }
-            }
-            Message::Job { index, job } => {
-                if opts.fail_after.is_some_and(|n| *served >= n) {
-                    // Injected fault: die the way a crashed worker dies —
-                    // mid-protocol, without a RESULT or a GOODBYE.
-                    eprintln!("petal-shard[{}]: injected failure before job {index}", opts.name);
-                    std::process::exit(3);
-                }
-                let Some((bench, machine)) = session.as_ref() else {
-                    return Err(err(format!("JOB {index} before any INIT")));
-                };
-                let outcome = petal_farm::evaluate_job(&**bench, machine, &job);
-                if let Err(e) = send(&Message::Result { index, outcome }) {
-                    return Ok(Served::Lost(format!("writing RESULT: {e}")));
-                }
-                *served += 1;
-            }
-            Message::Goodbye { reason } => {
-                return Ok(Served::Dismissed(format!("farmd says goodbye: {reason}")));
-            }
-            Message::Done => return Ok(Served::Dismissed("farmd says done".to_owned())),
-            // Stray liveness chatter is legal on any socket.
-            Message::Heartbeat { .. } => {}
-            other => return Err(err(format!("unexpected {other:?} from farmd"))),
-        }
+        *served += 1;
+    })?;
+    match ended {
+        Ended::Dismissed(reason) => Ok(format!("farmd says: {reason}")),
+        // The dispatcher may be bouncing: reconnect.
+        Ended::Eof => Err(SessionError::Lost(io::ErrorKind::UnexpectedEof.into())),
     }
 }

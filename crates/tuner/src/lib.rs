@@ -65,7 +65,7 @@ use rand::{Rng, SeedableRng};
 
 /// A donor configuration seeding generation 0 of the search — usually
 /// the registry's nearest stored config for this (benchmark, size) on a
-/// similar machine (`petal_registry::Registry::lookup`), so re-tuning
+/// similar machine (`petal_registry::ConfigStore::lookup`), so re-tuning
 /// after a migration only has to *repair* the migration penalty instead
 /// of rediscovering the whole mapping.
 ///
