@@ -46,6 +46,12 @@ cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.t
   || { echo "benchmark smoke: a workload answered wrong or failed operations"; grep '^{"correct": ' "$BENCH_OUT" | cut -c1-80; exit 1; }
 rm -f "$BENCH_OUT"
 
+echo "== benchmark package tests (a wrapped benchmark tunes bit-identically; resized children stay wrapped)"
+# The two properties of the farm's per-size benchmark table that can only
+# break from outside the workspace: benchmark/'s `Traced` wrapper is the
+# out-of-tree `Benchmark` implementation the table must go through.
+cargo test --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml
+
 echo "== farmd loopback smoke (dispatcher + 2 workers on a unix socket, one injected kill)"
 # fig2 (smoke sweep) and fig7 (Black-Scholes) run against a live
 # petal-farmd pool via PETAL_FARMD; worker ci-a kills itself mid-run

@@ -15,7 +15,7 @@ use petal_core::program::ChoiceSite;
 use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
 use petal_core::{Config, Program, World};
 use petal_gpu::profile::MachineProfile;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Risk-free rate used by the workload.
 pub const RATE: f64 = 0.02;
@@ -58,13 +58,49 @@ pub fn call_price(s: f64, k: f64, t: f64, r: f64, v: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct BlackScholes {
     n: usize,
+    prepared: OnceLock<Prepared>,
+}
+
+/// What every instance of one `n` shares: the seeded inputs, shaped
+/// `rows × cols`, and the host reference prices.
+#[derive(Debug, Clone)]
+struct Prepared {
+    spot: Arc<Matrix>,
+    strike: Arc<Matrix>,
+    expiry: Arc<Matrix>,
+    expected: Arc<Vec<f64>>,
 }
 
 impl BlackScholes {
     /// New instance with `n` options (the paper tests 500 000).
     #[must_use]
     pub fn new(n: usize) -> Self {
-        BlackScholes { n: n.max(1) }
+        BlackScholes { n: n.max(1), prepared: OnceLock::new() }
+    }
+
+    /// The logical option array as `rows × cols`, so fractional CPU/GPU
+    /// splits can divide it by rows.
+    fn shape(&self) -> (usize, usize) {
+        let rows = 64.min(self.n);
+        (rows, self.n.div_ceil(rows))
+    }
+
+    fn prepared(&self) -> &Prepared {
+        self.prepared.get_or_init(|| {
+            let (rows, cols) = self.shape();
+            let n = rows * cols;
+            let s = random_vec(n, 5.0, 30.0, 11);
+            let k = random_vec(n, 1.0, 100.0, 12);
+            let t = random_vec(n, 0.25, 10.0, 13);
+            let expected = (0..n).map(|i| call_price(s[i], k[i], t[i], RATE, VOLATILITY)).collect();
+            let shaped = |v| Arc::new(Matrix::from_vec(rows, cols, v));
+            Prepared {
+                spot: shaped(s),
+                strike: shaped(k),
+                expiry: shaped(t),
+                expected: Arc::new(expected),
+            }
+        })
     }
 
     /// The data-parallel pricing rule: three `Point` inputs, one output.
@@ -128,15 +164,13 @@ impl crate::Benchmark for BlackScholes {
     }
 
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
-        // Shape the logical option array as rows x cols so fractional
-        // CPU/GPU splits can divide it by rows.
-        let rows = 64.min(self.n);
-        let cols = self.n.div_ceil(rows);
+        let (rows, cols) = self.shape();
         let n = rows * cols;
+        let prepared = self.prepared();
         let mut world = World::new();
-        let spot = world.alloc(Matrix::from_vec(rows, cols, random_vec(n, 5.0, 30.0, 11)));
-        let strike = world.alloc(Matrix::from_vec(rows, cols, random_vec(n, 1.0, 100.0, 12)));
-        let expiry = world.alloc(Matrix::from_vec(rows, cols, random_vec(n, 0.25, 10.0, 13)));
+        let spot = world.alloc_shared(Arc::clone(&prepared.spot));
+        let strike = world.alloc_shared(Arc::clone(&prepared.strike));
+        let expiry = world.alloc_shared(Arc::clone(&prepared.expiry));
         let out = world.alloc(Matrix::zeros(rows, cols));
 
         let rule = Self::rule();
@@ -155,15 +189,10 @@ impl crate::Benchmark for BlackScholes {
         );
         p.mark_output(out);
 
-        let expected: Vec<f64> = {
-            let s = random_vec(n, 5.0, 30.0, 11);
-            let k = random_vec(n, 1.0, 100.0, 12);
-            let t = random_vec(n, 0.25, 10.0, 13);
-            (0..n).map(|i| call_price(s[i], k[i], t[i], RATE, VOLATILITY)).collect()
-        };
+        let expected = Arc::clone(&prepared.expected);
         let check = Box::new(move |w: &World| -> Result<(), String> {
             let got = w.get(out).as_slice();
-            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+            for (i, (g, e)) in got.iter().zip(expected.iter()).enumerate() {
                 if (g - e).abs() > 1e-9 * (1.0 + e.abs()) {
                     return Err(format!("option {i}: got {g}, want {e}"));
                 }

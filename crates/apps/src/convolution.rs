@@ -15,7 +15,7 @@ use petal_core::program::ChoiceSite;
 use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
 use petal_core::{Config, Program, Selector, Tunable, World};
 use petal_gpu::profile::MachineProfile;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The four hand-pinned OpenCL mappings of Fig. 2, plus the autotuned row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +59,16 @@ impl ConvMapping {
 pub struct SeparableConvolution {
     n: usize,
     k: usize,
+    prepared: OnceLock<Prepared>,
+}
+
+/// What every instance of one `(n, k)` shares: the image, the 1D kernel
+/// and the host 2D convolution of the two.
+#[derive(Debug, Clone)]
+struct Prepared {
+    input: Arc<Matrix>,
+    kernel: Arc<Matrix>,
+    expected: Arc<Matrix>,
 }
 
 impl SeparableConvolution {
@@ -71,7 +81,16 @@ impl SeparableConvolution {
     pub fn new(n: usize, k: usize) -> Self {
         assert!(k % 2 == 1 && k >= 3, "kernel width must be odd and ≥ 3");
         assert!(n > 3 * k, "input too small for kernel");
-        SeparableConvolution { n, k }
+        SeparableConvolution { n, k, prepared: OnceLock::new() }
+    }
+
+    fn prepared(&self) -> &Prepared {
+        self.prepared.get_or_init(|| {
+            let input = random_matrix(self.n, self.n, -1.0, 1.0, 21);
+            let kernel = triangle_kernel(self.k);
+            let expected = Arc::new(Self::reference(&input, &kernel));
+            Prepared { input: Arc::new(input), kernel: Arc::new(kernel), expected }
+        })
     }
 
     /// Kernel width.
@@ -238,9 +257,10 @@ impl crate::Benchmark for SeparableConvolution {
     #[allow(clippy::too_many_lines)]
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let (n, k) = (self.n, self.k);
+        let prepared = self.prepared();
         let mut world = World::new();
-        let input = world.alloc(random_matrix(n, n, -1.0, 1.0, 21));
-        let kernel = world.alloc(triangle_kernel(k));
+        let input = world.alloc_shared(Arc::clone(&prepared.input));
+        let kernel = world.alloc_shared(Arc::clone(&prepared.kernel));
         let out_n = n - k + 1;
         let out = world.alloc(Matrix::zeros(out_n, out_n));
 
@@ -296,7 +316,7 @@ impl crate::Benchmark for SeparableConvolution {
         }
         p.mark_output(out);
 
-        let expected = Self::reference(&random_matrix(n, n, -1.0, 1.0, 21), &triangle_kernel(k));
+        let expected = Arc::clone(&prepared.expected);
         let check = Box::new(move |w: &World| -> Result<(), String> {
             let got = w.get(out);
             if got.approx_eq(&expected, 1e-9) {

@@ -56,10 +56,27 @@ impl std::fmt::Debug for Instance {
 /// A tunable benchmark: everything the autotuner and the figure harnesses
 /// need.
 ///
-/// `Send + Sync` is part of the contract: benchmarks are plain problem
-/// descriptions (sizes, seeds, accuracy targets) that the evaluation farm
-/// shares by reference across its worker threads, each of which calls
+/// `Send + Sync` is part of the contract: the evaluation farm shares a
+/// benchmark by reference across its worker threads, each of which calls
 /// [`Benchmark::instantiate`] to build an independent trial.
+///
+/// A benchmark is a problem description (sizes, seeds, accuracy targets)
+/// plus whatever it chooses to memoise of the *prepared* half of an
+/// instance: anything that is a pure function of [`Benchmark::spec`] —
+/// the seeded inputs, the host reference answer `check` compares
+/// against — and of nothing else (not the machine, not the
+/// configuration, not which thread asked first). The seven benchmarks
+/// here build that once, on the first `instantiate`, in a private
+/// `OnceLock`, and hand every trial `Arc`s of it
+/// ([`World::alloc_shared`] copies an input only if a plan writes it). A
+/// memo hit and a fresh build must be indistinguishable to the caller;
+/// `crates/farm/tests/prepared.rs` holds every benchmark to that.
+///
+/// The memo lives and dies with the object. The evaluation farm never
+/// instantiates the object it is handed: it evaluates on children built
+/// through [`Benchmark::resized`] (one per input size, the full size
+/// included) that it owns for the length of a tuning session, so a
+/// long-lived benchmark object retains nothing between tunes.
 pub trait Benchmark: Send + Sync {
     /// Display name (matches the paper's benchmark tables).
     fn name(&self) -> &str;
@@ -99,6 +116,12 @@ pub trait Benchmark: Send + Sync {
     /// A smaller (or larger) copy of this benchmark for the autotuner's
     /// exponentially growing input-size schedule (§5.2). `None` when the
     /// size is too small to be a valid instance.
+    ///
+    /// `resized(self.input_size())`, when it is `Some`, must reproduce
+    /// `self`: same [`Benchmark::spec`], bit-identical evaluation. The
+    /// farm evaluates full-size trials on that child; only a benchmark
+    /// that refuses its own size (this default does) is instantiated
+    /// directly.
     fn resized(&self, size: u64) -> Option<Box<dyn Benchmark>> {
         let _ = size;
         None
@@ -263,6 +286,20 @@ mod tests {
             assert_eq!(rebuilt.name(), b.name());
             assert_eq!(rebuilt.input_size(), b.input_size());
             assert_eq!(rebuilt.spec(), spec, "spec must be canonical");
+        }
+    }
+
+    #[test]
+    fn resizing_to_the_own_size_reproduces_the_benchmark() {
+        // The farm's per-size table builds the full-size child this way;
+        // Poisson2D and SeparableConvolution get there through a square
+        // root.
+        for b in all_benchmarks() {
+            let same = b
+                .resized(b.input_size())
+                .unwrap_or_else(|| panic!("{} refuses its own size", b.name()));
+            assert_eq!(same.spec(), b.spec());
+            assert_eq!(same.input_size(), b.input_size());
         }
     }
 

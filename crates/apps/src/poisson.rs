@@ -20,7 +20,7 @@ use petal_core::program::ChoiceSite;
 use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
 use petal_core::{Config, MatrixId, Program, World};
 use petal_gpu::profile::MachineProfile;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Over-relaxation factor.
 pub const OMEGA: f64 = 1.6;
@@ -31,6 +31,16 @@ pub const OMEGA: f64 = 1.6;
 pub struct Poisson2D {
     n: usize,
     iters: usize,
+    prepared: OnceLock<Prepared>,
+}
+
+/// What every instance of one `(n, iters)` shares: the initial grid
+/// (zero boundary), the right-hand side and the host SOR answer.
+#[derive(Debug, Clone)]
+struct Prepared {
+    u0: Arc<Matrix>,
+    f: Arc<Matrix>,
+    expected: Arc<Matrix>,
 }
 
 impl Poisson2D {
@@ -41,7 +51,23 @@ impl Poisson2D {
     #[must_use]
     pub fn new(n: usize, iters: usize) -> Self {
         assert!(n >= 4 && iters >= 1, "grid too small or no iterations");
-        Poisson2D { n, iters }
+        Poisson2D { n, iters, prepared: OnceLock::new() }
+    }
+
+    fn prepared(&self) -> &Prepared {
+        self.prepared.get_or_init(|| {
+            let n2 = self.n + 2; // interior plus zero boundary
+            let mut u0 = random_matrix(n2, n2, -1.0, 1.0, 31);
+            for i in 0..n2 {
+                u0[(0, i)] = 0.0;
+                u0[(n2 - 1, i)] = 0.0;
+                u0[(i, 0)] = 0.0;
+                u0[(i, n2 - 1)] = 0.0;
+            }
+            let f = random_matrix(n2, n2, -1.0, 1.0, 32);
+            let expected = Arc::new(Self::reference(&u0, &f, self.iters));
+            Prepared { u0: Arc::new(u0), f: Arc::new(f), expected }
+        })
     }
 
     /// Extraction rule for the split phase: keep cells of `color`
@@ -192,20 +218,10 @@ impl crate::Benchmark for Poisson2D {
         let n2 = self.n + 2; // interior plus zero boundary
         let h2 = 1.0 / ((n2 - 1) as f64 * (n2 - 1) as f64);
         let size = (self.n * self.n) as u64;
+        let prepared = self.prepared();
         let mut world = World::new();
-        let u0_m = {
-            let mut m = random_matrix(n2, n2, -1.0, 1.0, 31);
-            for i in 0..n2 {
-                m[(0, i)] = 0.0;
-                m[(n2 - 1, i)] = 0.0;
-                m[(i, 0)] = 0.0;
-                m[(i, n2 - 1)] = 0.0;
-            }
-            m
-        };
-        let f_m = random_matrix(n2, n2, -1.0, 1.0, 32);
-        let u0 = world.alloc(u0_m.clone());
-        let f = world.alloc(f_m.clone());
+        let u0 = world.alloc_shared(Arc::clone(&prepared.u0));
+        let f = world.alloc_shared(Arc::clone(&prepared.f));
         // Ping-pong color buffers.
         let mut red = [world.alloc(Matrix::zeros(n2, n2)), world.alloc(Matrix::zeros(n2, n2))];
         let mut black = [world.alloc(Matrix::zeros(n2, n2)), world.alloc(Matrix::zeros(n2, n2))];
@@ -267,7 +283,7 @@ impl crate::Benchmark for Poisson2D {
             step(&mut p, &combine_rule, vec![red[0], black[0]], out, vec![], iter_place, &last);
         p.mark_output(out);
 
-        let expected = Self::reference(&u0_m, &f_m, self.iters);
+        let expected = Arc::clone(&prepared.expected);
         let check = Box::new(move |w: &World| -> Result<(), String> {
             let got = w.get(out);
             if got.approx_eq(&expected, 1e-9) {

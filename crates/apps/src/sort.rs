@@ -26,7 +26,7 @@ use petal_core::{Config, MatrixId, Program, World};
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
 use petal_rt::{Charge, CpuCtx};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Everything a recursive sort task needs.
 #[derive(Clone)]
@@ -42,6 +42,16 @@ struct SortParams {
 #[derive(Debug, Clone)]
 pub struct Sort {
     n: usize,
+    prepared: OnceLock<Prepared>,
+}
+
+/// What every instance of one `n` shares: the unsorted input (a plan
+/// sorts it in place, so each world copies it on its first write) and
+/// the sorted answer.
+#[derive(Debug, Clone)]
+struct Prepared {
+    values: Arc<Matrix>,
+    expected: Arc<Vec<f64>>,
 }
 
 impl Sort {
@@ -52,7 +62,19 @@ impl Sort {
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "empty input");
-        Sort { n }
+        Sort { n, prepared: OnceLock::new() }
+    }
+
+    fn prepared(&self) -> &Prepared {
+        self.prepared.get_or_init(|| {
+            let values = random_vec(self.n, -1e6, 1e6, 71);
+            let mut expected = values.clone();
+            expected.sort_by(f64::total_cmp);
+            Prepared {
+                values: Arc::new(Matrix::from_vec(1, self.n, values)),
+                expected: Arc::new(expected),
+            }
+        })
     }
 
     /// One bitonic compare-exchange pass (`scalars = [j, k]`).
@@ -130,9 +152,9 @@ impl crate::Benchmark for Sort {
 
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let n = self.n;
-        let values = random_vec(n, -1e6, 1e6, 71);
+        let prepared = self.prepared();
         let mut world = World::new();
-        let data = world.alloc(Matrix::from_vec(1, n, values.clone()));
+        let data = world.alloc_shared(Arc::clone(&prepared.values));
         let mut p = PlanBuilder::new();
 
         let top_choice = cfg.select("sort", n as u64);
@@ -153,14 +175,13 @@ impl crate::Benchmark for Sort {
         }
         p.mark_output(data);
 
-        let mut expected = values;
-        expected.sort_by(f64::total_cmp);
+        let expected = Arc::clone(&prepared.expected);
         let check = Box::new(move |w: &World| -> Result<(), String> {
             let got = w.get(data).as_slice();
             if got.len() != expected.len() {
                 return Err("length changed".into());
             }
-            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+            for (i, (g, e)) in got.iter().zip(expected.iter()).enumerate() {
                 if g != e {
                     return Err(format!("index {i}: got {g}, want {e}"));
                 }

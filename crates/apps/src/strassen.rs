@@ -27,7 +27,7 @@ use petal_core::{Config, MatrixId, Program, World};
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
 use petal_rt::Charge;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Recursion never descends below this size (leaves take over).
 pub const MIN_RECURSE: usize = 32;
@@ -392,6 +392,16 @@ fn build_strassen_7(
 #[derive(Debug, Clone)]
 pub struct Strassen {
     n: usize,
+    prepared: OnceLock<Prepared>,
+}
+
+/// What every instance of one `n` shares: both factors and their
+/// reference product.
+#[derive(Debug, Clone)]
+struct Prepared {
+    a: Arc<Matrix>,
+    b: Arc<Matrix>,
+    expected: Arc<Matrix>,
 }
 
 impl Strassen {
@@ -402,7 +412,16 @@ impl Strassen {
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "empty matrices");
-        Strassen { n }
+        Strassen { n, prepared: OnceLock::new() }
+    }
+
+    fn prepared(&self) -> &Prepared {
+        self.prepared.get_or_init(|| {
+            let a = random_matrix(self.n, self.n, -1.0, 1.0, 51);
+            let b = random_matrix(self.n, self.n, -1.0, 1.0, 52);
+            let expected = Arc::new(lapack_gemm(&a, &b));
+            Prepared { a: Arc::new(a), b: Arc::new(b), expected }
+        })
     }
 }
 
@@ -441,16 +460,15 @@ impl crate::Benchmark for Strassen {
 
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let n = self.n;
+        let prepared = self.prepared();
         let mut world = World::new();
-        let a_m = random_matrix(n, n, -1.0, 1.0, 51);
-        let b_m = random_matrix(n, n, -1.0, 1.0, 52);
-        let a = world.alloc(a_m.clone());
-        let b = world.alloc(b_m.clone());
+        let a = world.alloc_shared(Arc::clone(&prepared.a));
+        let b = world.alloc_shared(Arc::clone(&prepared.b));
         let c = world.alloc(Matrix::zeros(n, n));
         let mut p = PlanBuilder::new();
         build_matmul(&mut p, &mut world, cfg, machine, "matmul", a, b, c, n, &[]);
         p.mark_output(c);
-        let expected = lapack_gemm(&a_m, &b_m);
+        let expected = Arc::clone(&prepared.expected);
         let check = Box::new(move |w: &World| -> Result<(), String> {
             let got = w.get(c);
             let tol = 1e-6 * expected.frobenius_norm().max(1.0);

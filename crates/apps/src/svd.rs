@@ -26,7 +26,7 @@ use petal_core::{Config, Program, World};
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
 use petal_rt::Charge;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The `AᵀA` rule: `B[y][x] = Σ_r A[r][y]·A[r][x]` (two column reads of
 /// the same input).
@@ -57,6 +57,9 @@ pub fn rule_ata() -> Arc<StencilRule> {
 pub struct Svd {
     n: usize,
     target: f64,
+    /// The input matrix, which is also what `check` measures the
+    /// reconstruction against; shared by every instance.
+    input: OnceLock<Arc<Matrix>>,
 }
 
 impl Svd {
@@ -71,7 +74,7 @@ impl Svd {
             max_relative_error > 0.0 && max_relative_error <= 1.0,
             "target must be a relative Frobenius error in (0, 1]"
         );
-        Svd { n, target: max_relative_error }
+        Svd { n, target: max_relative_error, input: OnceLock::new() }
     }
 
     /// The accuracy target.
@@ -145,9 +148,9 @@ impl crate::Benchmark for Svd {
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let n = self.n;
         let k = (cfg.tunable_or("svd_rank", (n / 4).max(1) as i64).clamp(1, n as i64)) as usize;
-        let a_m = self.input_matrix();
+        let a_m = Arc::clone(self.input.get_or_init(|| Arc::new(self.input_matrix())));
         let mut world = World::new();
-        let a = world.alloc(a_m.clone());
+        let a = world.alloc_shared(Arc::clone(&a_m));
         let ata = world.alloc(Matrix::zeros(n, n));
         let vk = world.alloc(Matrix::zeros(n, k));
         let sigma = world.alloc(Matrix::zeros(1, k));

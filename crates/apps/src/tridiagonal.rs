@@ -26,7 +26,7 @@ use petal_core::{Config, Program, World};
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
 use petal_rt::Charge;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Stop the GPU reduction and solve directly below this size.
 const DIRECT_CUTOFF: usize = 64;
@@ -56,6 +56,12 @@ fn unpack(m: &Matrix) -> TridiagonalSystem {
 #[derive(Debug, Clone)]
 pub struct Tridiagonal {
     n: usize,
+    /// The system every instance solves. The check is its residual, so
+    /// there is no reference answer to keep beside it.
+    sys: OnceLock<Arc<TridiagonalSystem>>,
+    /// The system packed for the GPU chain, built when a plan first
+    /// takes that choice.
+    bands: OnceLock<Arc<Matrix>>,
 }
 
 impl Tridiagonal {
@@ -66,7 +72,7 @@ impl Tridiagonal {
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n >= 2, "system too small");
-        Tridiagonal { n }
+        Tridiagonal { n, sys: OnceLock::new(), bands: OnceLock::new() }
     }
 
     /// One cyclic-reduction level as a data-parallel rule:
@@ -152,8 +158,8 @@ impl Tridiagonal {
         })
     }
 
-    fn system(&self) -> TridiagonalSystem {
-        diagonally_dominant_system(self.n, 41)
+    fn system(&self) -> &Arc<TridiagonalSystem> {
+        self.sys.get_or_init(|| Arc::new(diagonally_dominant_system(self.n, 41)))
     }
 }
 
@@ -225,7 +231,8 @@ impl crate::Benchmark for Tridiagonal {
                         other => other,
                     }
                 };
-                let mut bands_id = world.alloc(pack(&sys));
+                let bands = self.bands.get_or_init(|| Arc::new(pack(sys)));
+                let mut bands_id = world.alloc_shared(Arc::clone(bands));
                 let mut sizes = vec![n];
                 let mut deps = Vec::new();
                 let mut levels = Vec::new();
@@ -311,7 +318,7 @@ impl crate::Benchmark for Tridiagonal {
             alg => {
                 // CPU algorithms as one native step (both are sequential
                 // over the bands; CR does ~2x the arithmetic).
-                let sys2 = sys.clone();
+                let sys2 = Arc::clone(sys);
                 p.native(
                     petal_core::plan::NativeStep {
                         label: if alg == 1 { "cr_cpu".into() } else { "thomas".into() },
@@ -337,7 +344,7 @@ impl crate::Benchmark for Tridiagonal {
         }
         p.mark_output(x_out);
 
-        let check_sys = sys;
+        let check_sys = Arc::clone(sys);
         let check = Box::new(move |w: &World| -> Result<(), String> {
             let x = w.get(x_out).as_slice();
             let r = check_sys.residual(x);

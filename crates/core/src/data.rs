@@ -7,6 +7,7 @@
 //! is deferred until a consumer actually needs them (*may copy-out*, §3.2).
 
 use petal_blas::Matrix;
+use std::sync::Arc;
 
 /// Handle to a matrix inside a [`World`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,10 +33,39 @@ pub struct LazyEntry {
     pub pull_secs: f64,
 }
 
+/// One matrix slot. A `Shared` slot borrows read-only data that outlives
+/// the world (a benchmark's memoised inputs); it becomes `Owned` on its
+/// first host write, so the donor is never written through.
+#[derive(Debug)]
+enum Slot {
+    Owned(Matrix),
+    Shared(Arc<Matrix>),
+}
+
+impl Slot {
+    fn get(&self) -> &Matrix {
+        match self {
+            Slot::Owned(m) => m,
+            Slot::Shared(m) => m,
+        }
+    }
+
+    /// The slot's matrix for writing; a shared one is copied first.
+    fn make_mut(&mut self) -> &mut Matrix {
+        if let Slot::Shared(m) = self {
+            *self = Slot::Owned(Matrix::clone(m));
+        }
+        match self {
+            Slot::Owned(m) => m,
+            Slot::Shared(_) => unreachable!("made owned above"),
+        }
+    }
+}
+
 /// All host-side matrices of one program execution.
 #[derive(Debug, Default)]
 pub struct World {
-    mats: Vec<Matrix>,
+    mats: Vec<Slot>,
     versions: Vec<u64>,
     lazy: Vec<Option<LazyEntry>>,
     /// Lazy pulls performed (for reports and the movement-analysis tests).
@@ -51,7 +81,20 @@ impl World {
 
     /// Install a matrix and get its handle.
     pub fn alloc(&mut self, m: Matrix) -> MatrixId {
-        self.mats.push(m);
+        self.push(Slot::Owned(m))
+    }
+
+    /// Install a read-only matrix shared with other worlds. Reads cost
+    /// what they cost on an owned matrix; the first host write
+    /// ([`World::get_mut`], [`World::take_matrix`]) copies it into this
+    /// world, so no execution can change what the others see. Versions
+    /// and residency keys behave exactly as for [`World::alloc`].
+    pub fn alloc_shared(&mut self, m: Arc<Matrix>) -> MatrixId {
+        self.push(Slot::Shared(m))
+    }
+
+    fn push(&mut self, slot: Slot) -> MatrixId {
+        self.mats.push(slot);
         self.versions.push(0);
         self.lazy.push(None);
         MatrixId(self.mats.len() - 1)
@@ -81,21 +124,21 @@ impl World {
             self.lazy[id.0].is_none(),
             "matrix {id:?} read while its lazy copy-out is pending; call ensure_host first"
         );
-        &self.mats[id.0]
+        self.mats[id.0].get()
     }
 
     /// Mutate a matrix; bumps its version so stale GPU copies are detected.
     pub fn get_mut(&mut self, id: MatrixId) -> &mut Matrix {
         self.versions[id.0] += 1;
         self.lazy[id.0] = None; // host write supersedes any pending copy-out
-        &mut self.mats[id.0]
+        self.mats[id.0].make_mut()
     }
 
     /// Overwrite a matrix wholesale.
     pub fn set(&mut self, id: MatrixId, m: Matrix) {
         self.versions[id.0] += 1;
         self.lazy[id.0] = None;
-        self.mats[id.0] = m;
+        self.mats[id.0] = Slot::Owned(m);
     }
 
     /// Current version of a matrix (bumped on every host write).
@@ -120,14 +163,19 @@ impl World {
     /// pending (dimensions never change under deferral).
     #[must_use]
     pub fn get_dims(&self, id: MatrixId) -> (usize, usize) {
-        (self.mats[id.0].cols(), self.mats[id.0].rows())
+        let m = self.mats[id.0].get();
+        (m.cols(), m.rows())
     }
 
     /// Move a matrix out for exclusive mutation (tasks run one at a time,
-    /// so this never races). Pair with [`World::restore_matrix`].
+    /// so this never races). Pair with [`World::restore_matrix`]. An owned
+    /// matrix moves out without allocating; a shared one is copied.
     #[must_use]
     pub fn take_matrix(&mut self, id: MatrixId) -> Matrix {
-        std::mem::replace(&mut self.mats[id.0], Matrix::zeros(0, 0))
+        match std::mem::replace(&mut self.mats[id.0], Slot::Owned(Matrix::zeros(0, 0))) {
+            Slot::Owned(m) => m,
+            Slot::Shared(m) => Matrix::clone(&m),
+        }
     }
 
     /// Put a matrix taken with [`World::take_matrix`] back, bumping its
@@ -135,7 +183,7 @@ impl World {
     pub fn restore_matrix(&mut self, id: MatrixId, m: Matrix) {
         self.versions[id.0] += 1;
         self.lazy[id.0] = None;
-        self.mats[id.0] = m;
+        self.mats[id.0] = Slot::Owned(m);
     }
 
     /// Register a deferred copy-out for `id` (the *may copy-out* policy).
@@ -161,8 +209,8 @@ impl World {
             None => 0.0,
             Some(e) => {
                 let wait = (e.ready_at - now).max(0.0);
-                self.mats[id.0] =
-                    Matrix::from_vec(self.mats[id.0].rows(), self.mats[id.0].cols(), e.data);
+                let (cols, rows) = self.get_dims(id);
+                self.mats[id.0] = Slot::Owned(Matrix::from_vec(rows, cols, e.data));
                 self.versions[id.0] += 1;
                 self.lazy_pulls += 1;
                 wait + e.pull_secs
@@ -194,6 +242,48 @@ mod tests {
         assert_ne!(k1, w.residency_key(id, 0, 2), "range matters");
         w.get_mut(id)[(0, 0)] = 1.0;
         assert_ne!(k1, w.residency_key(id, 0, 4), "version matters");
+    }
+
+    #[test]
+    fn a_write_to_a_shared_slot_copies_once_and_leaves_the_donor_untouched() {
+        let donor = Arc::new(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
+        let mut w = World::new();
+        let id = w.alloc_shared(Arc::clone(&donor));
+        let fresh = w.residency_key(id, 0, 1);
+        assert!(std::ptr::eq(w.get(id), &*donor), "reads go to the donor's bytes");
+        assert_eq!((w.get_dims(id), w.version(id)), ((2, 1), 0));
+        assert_eq!(Arc::strong_count(&donor), 2);
+
+        w.get_mut(id)[(0, 0)] = 9.0;
+        assert_eq!(w.version(id), 1, "one write, one bump");
+        assert_ne!(w.residency_key(id, 0, 1), fresh);
+        assert_eq!(w.get(id).as_slice(), [9.0, 2.0]);
+        assert_eq!(donor.as_slice(), [1.0, 2.0]);
+        assert_eq!(Arc::strong_count(&donor), 1, "the slot let go of the donor");
+
+        // Every other write path detaches the same way.
+        let mut w = World::new();
+        let (a, b) = (w.alloc_shared(Arc::clone(&donor)), w.alloc_shared(Arc::clone(&donor)));
+        let mut taken = w.take_matrix(a);
+        taken[(0, 1)] = 7.0;
+        w.restore_matrix(a, taken);
+        w.defer_copy_out(b, LazyEntry { data: vec![5.0, 6.0], ready_at: 0.0, pull_secs: 0.0 });
+        let _ = w.ensure_host(b, 0.0);
+        assert_eq!((w.version(a), w.version(b)), (1, 1));
+        assert_eq!((w.get(a).as_slice(), w.get(b).as_slice()), (&[1.0, 7.0][..], &[5.0, 6.0][..]));
+        assert_eq!(donor.as_slice(), [1.0, 2.0]);
+    }
+
+    #[test]
+    fn take_and_restore_of_an_owned_slot_move_the_buffer() {
+        let mut w = World::new();
+        let id = w.alloc(Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]));
+        let buffer = w.get(id).as_slice().as_ptr();
+        let m = w.take_matrix(id);
+        assert_eq!(m.as_slice().as_ptr(), buffer, "moved out, not cloned");
+        w.restore_matrix(id, m);
+        assert_eq!(w.get(id).as_slice().as_ptr(), buffer, "moved back, not cloned");
+        assert_eq!(w.version(id), 1);
     }
 
     #[test]

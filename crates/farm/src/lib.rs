@@ -29,6 +29,12 @@
 //!   modeled, or a persistent *IR-cache* set when each trial restarts the
 //!   process (§5.4). The pricing is a pure fold over the merged order, so
 //!   it is identical at 1 and N threads.
+//! * Trials run on benchmarks the farm owns — one child per input size,
+//!   built through `Benchmark::resized` and kept for the session — so the
+//!   config-independent half of a trial (seeded inputs, the reference
+//!   answer) is prepared once per size and not once per trial. What a
+//!   child memoises is a pure function of its spec: a trial cannot tell a
+//!   memo hit from a fresh build, whichever thread filled it.
 //!
 //! At `threads = 1` the farm runs jobs inline on the calling thread through
 //! exactly the same code path, so the sequential result is the parallel
@@ -71,7 +77,7 @@ use petal_core::executor::Executor;
 use petal_core::Config;
 use petal_gpu::profile::MachineProfile;
 use shard::Pool;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
 
 /// Knobs controlling the evaluation farm.
@@ -241,6 +247,8 @@ pub struct EvalFarm {
     /// later compiles of a cached source skip the frontend (§5.4).
     ir: HashSet<u64>,
     per_thread_trials: Vec<usize>,
+    /// The benchmarks in-process trials run on, one per input size.
+    sized: SizeTable,
 }
 
 impl EvalFarm {
@@ -270,6 +278,7 @@ impl EvalFarm {
             warm: HashSet::new(),
             ir: HashSet::new(),
             per_thread_trials: vec![0; workers],
+            sized: SizeTable::default(),
         }
     }
 
@@ -316,7 +325,10 @@ impl EvalFarm {
     }
 
     /// Forget all cached compile state and per-thread accounting (start of
-    /// a fresh tuning run).
+    /// a fresh tuning run). The per-size benchmark table is kept: what
+    /// its children memoise is a pure function of their spec, so a second
+    /// run over them is indistinguishable from one over fresh children.
+    /// It goes when a batch names another spec, and with the farm.
     pub fn reset(&mut self) {
         self.warm.clear();
         self.ir.clear();
@@ -369,31 +381,41 @@ impl EvalFarm {
         let effective = self.workers().min(jobs.len()).max(1);
         let raw: Vec<JobOutcome> = if self.endpoint.is_some() || self.shards > 0 {
             self.evaluate_dispatched(bench, machine, jobs, effective)
-        } else if effective == 1 {
-            jobs.iter().map(|j| evaluate_job(bench, machine, j)).collect()
         } else {
-            let mut slots: Vec<Option<JobOutcome>> = Vec::new();
-            slots.resize_with(jobs.len(), || None);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..effective)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            jobs.iter()
-                                .enumerate()
-                                .skip(t)
-                                .step_by(effective)
-                                .map(|(i, j)| (i, evaluate_job(bench, machine, j)))
-                                .collect::<Vec<_>>()
+            // Every child is built before a worker starts, so the workers
+            // share the table by reference; what a child memoises on its
+            // first `instantiate` it guards itself.
+            self.sized.retarget(&bench.spec());
+            for job in jobs {
+                self.sized.ensure(bench, job.size);
+            }
+            let sized = &self.sized;
+            if effective == 1 {
+                jobs.iter().map(|j| sized.run(bench, machine, j)).collect()
+            } else {
+                let mut slots: Vec<Option<JobOutcome>> = Vec::new();
+                slots.resize_with(jobs.len(), || None);
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..effective)
+                        .map(|t| {
+                            scope.spawn(move || {
+                                jobs.iter()
+                                    .enumerate()
+                                    .skip(t)
+                                    .step_by(effective)
+                                    .map(|(i, j)| (i, sized.run(bench, machine, j)))
+                                    .collect::<Vec<_>>()
+                            })
                         })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, out) in h.join().expect("farm worker panicked") {
-                        slots[i] = Some(out);
+                        .collect();
+                    for h in handles {
+                        for (i, out) in h.join().expect("farm worker panicked") {
+                            slots[i] = Some(out);
+                        }
                     }
-                }
-            });
-            slots.into_iter().map(|s| s.expect("every job evaluated")).collect()
+                });
+                slots.into_iter().map(|s| s.expect("every job evaluated")).collect()
+            }
         };
 
         // Submission-order merge: deterministic accounting and compile
@@ -496,41 +518,104 @@ impl EvalFarm {
     }
 }
 
-/// Run one trial: resize, instantiate, execute, check. Everything here is
-/// private to the job, so this function is freely parallel — it is the
-/// unit of work a farm thread runs in-process and a `petal-shard` worker
-/// runs across a pipe.
+/// The benchmarks one evaluation session runs its trials on: for each
+/// input size asked for so far, the child `Benchmark::resized` built for
+/// it (`None` when the size is too small to run). A child keeps what its
+/// `instantiate` memoises — seeded inputs, the reference answer — so only
+/// the first trial at a size pays for them, and the object the session was
+/// handed is left as it came. An [`EvalFarm`] owns one for its in-process
+/// trials, a worker's `session::serve_jobs` loop owns one, and
+/// [`evaluate_job`] builds one per call.
+#[derive(Default)]
+pub(crate) struct SizeTable {
+    spec: String,
+    by_size: BTreeMap<u64, Option<Box<dyn Benchmark>>>,
+}
+
+impl std::fmt::Debug for SizeTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SizeTable")
+            .field("spec", &self.spec)
+            .field("sizes", &self.by_size.keys())
+            .finish()
+    }
+}
+
+impl SizeTable {
+    /// Keep the children when `spec` is the one they were built from,
+    /// drop them otherwise. Children are machine-independent, so a
+    /// session that only changes machine keeps them.
+    pub(crate) fn retarget(&mut self, spec: &str) {
+        if self.spec != spec {
+            self.by_size.clear();
+            spec.clone_into(&mut self.spec);
+        }
+    }
+
+    /// Build the child for `size` through `bench`'s own `resized` (a
+    /// delegating wrapper's children stay wrapped) unless it is here.
+    pub(crate) fn ensure(&mut self, bench: &dyn Benchmark, size: u64) {
+        self.by_size.entry(size).or_insert_with(|| bench.resized(size));
+    }
+
+    /// [`Self::ensure`] the job's size, then [`Self::run`] it.
+    pub(crate) fn evaluate(
+        &mut self,
+        bench: &dyn Benchmark,
+        machine: &MachineProfile,
+        job: &EvalJob,
+    ) -> JobOutcome {
+        self.ensure(bench, job.size);
+        self.run(bench, machine, job)
+    }
+
+    /// Run one trial: instantiate, execute, check. Everything but the
+    /// child's memo is private to the job, so this is freely parallel.
+    ///
+    /// # Panics
+    /// When the job's size was not [`Self::ensure`]d.
+    pub(crate) fn run(
+        &self,
+        bench: &dyn Benchmark,
+        machine: &MachineProfile,
+        job: &EvalJob,
+    ) -> JobOutcome {
+        let b = match self.by_size.get(&job.size).expect("the size was ensured") {
+            Some(child) => &**child,
+            // A benchmark that cannot be resized at all still runs at its
+            // own size, on the object itself.
+            None if job.size == bench.input_size() => bench,
+            None => return JobOutcome::invalid(),
+        };
+        let Instance { mut world, plan, check } = b.instantiate(machine, &job.config);
+        let mut ex = Executor::new(machine);
+        ex.set_seed(job.engine_seed);
+        let Ok(report) = ex.run(plan, &mut world) else {
+            return JobOutcome::invalid();
+        };
+        let fitness = check(&world).ok().map(|()| report.virtual_time_secs());
+        JobOutcome {
+            fitness,
+            ran: true,
+            makespan: report.virtual_time_secs(),
+            compiles: report
+                .compile_events
+                .iter()
+                .map(|e| (e.source_hash, e.frontend_secs, e.jit_secs))
+                .collect(),
+        }
+    }
+}
+
+/// Run one trial: resize, instantiate, execute, check — the unit of work
+/// a farm thread runs in-process and a `petal-shard` worker runs across a
+/// pipe, here in its one-shot form. Those two keep each size's resized
+/// benchmark (and what it memoises) for their session; this builds the
+/// one it needs and drops it with the call, so `bench` keeps nothing and
+/// every call prepares its inputs anew.
 #[must_use]
 pub fn evaluate_job(bench: &dyn Benchmark, machine: &MachineProfile, job: &EvalJob) -> JobOutcome {
-    let sized: Box<dyn Benchmark>;
-    let b: &dyn Benchmark = if job.size == bench.input_size() {
-        bench
-    } else {
-        match bench.resized(job.size) {
-            Some(s) => {
-                sized = s;
-                &*sized
-            }
-            None => return JobOutcome::invalid(),
-        }
-    };
-    let Instance { mut world, plan, check } = b.instantiate(machine, &job.config);
-    let mut ex = Executor::new(machine);
-    ex.set_seed(job.engine_seed);
-    let Ok(report) = ex.run(plan, &mut world) else {
-        return JobOutcome::invalid();
-    };
-    let fitness = check(&world).ok().map(|()| report.virtual_time_secs());
-    JobOutcome {
-        fitness,
-        ran: true,
-        makespan: report.virtual_time_secs(),
-        compiles: report
-            .compile_events
-            .iter()
-            .map(|e| (e.source_hash, e.frontend_secs, e.jit_secs))
-            .collect(),
-    }
+    SizeTable::default().evaluate(bench, machine, job)
 }
 
 #[cfg(test)]

@@ -227,10 +227,13 @@ pub enum Ended {
 }
 
 /// The worker job loop: `INIT` (re)targets the `(benchmark, machine)`
-/// session and is answered `READY`, `JOB` is evaluated with
-/// [`crate::evaluate_job`] and answered `RESULT`, `DONE`/`GOODBYE` end
-/// the loop, and EOF is reported for the caller to judge. `before_job`
-/// sees each `JOB`'s index before it is evaluated.
+/// session and is answered `READY`, `JOB` is evaluated as
+/// [`crate::evaluate_job`] would and answered `RESULT`, `DONE`/`GOODBYE`
+/// end the loop, and EOF is reported for the caller to judge.
+/// `before_job` sees each `JOB`'s index before it is evaluated. The
+/// loop owns the per-size benchmark table its jobs run on: an `INIT`
+/// that names the benchmark already being served keeps it, any other
+/// drops it, and it dies with the loop.
 ///
 /// # Errors
 /// `Lost` for I/O failures and torn records; `Refused` for version skew,
@@ -242,6 +245,7 @@ pub fn serve_jobs<R: BufRead, W: Write>(
 ) -> Result<Ended, SessionError> {
     use SessionError::{Lost, Refused};
     let mut session: Option<(Box<dyn Benchmark>, MachineProfile)> = None;
+    let mut sized = crate::SizeTable::default();
     loop {
         let Some(line) = wire.recv_line().map_err(Lost)? else { return Ok(Ended::Eof) };
         // The version is checked before the INIT is decoded in full: a
@@ -263,6 +267,7 @@ pub fn serve_jobs<R: BufRead, W: Write>(
             (Message::Init { bench_spec, machine, .. }, _) => {
                 let bench = benchmark_from_spec(&bench_spec)
                     .map_err(|e| Refused(format!("bad benchmark spec `{bench_spec}`: {e}")))?;
+                sized.retarget(&bench.spec());
                 session = Some((bench, *machine));
                 wire.send(&Message::Ready { version: WIRE_VERSION }).map_err(Lost)?;
             }
@@ -270,7 +275,7 @@ pub fn serve_jobs<R: BufRead, W: Write>(
             (Message::Heartbeat { .. }, _) => {}
             (Message::Job { index, job }, Some((bench, machine))) => {
                 before_job(index);
-                let outcome = crate::evaluate_job(&**bench, machine, &job);
+                let outcome = sized.evaluate(&**bench, machine, &job);
                 wire.send(&Message::Result { index, outcome }).map_err(Lost)?;
             }
             (Message::Done, Some(_)) => return Ok(Ended::Dismissed("done".to_owned())),

@@ -1,0 +1,263 @@
+//! Prepared state is invisible: a trial that finds its benchmark's inputs
+//! and reference answer memoised (by a farm's or a worker's per-size
+//! table) answers exactly as a trial on a freshly built benchmark does.
+//! The fourth mechanism of the farm's determinism contract
+//! (ARCHITECTURE.md) rests on these tests.
+
+use petal_apps::blackscholes::BlackScholes;
+use petal_apps::convolution::SeparableConvolution;
+use petal_apps::poisson::Poisson2D;
+use petal_apps::sort::Sort;
+use petal_apps::strassen::Strassen;
+use petal_apps::svd::Svd;
+use petal_apps::tridiagonal::Tridiagonal;
+use petal_apps::{benchmark_from_spec, Benchmark, Instance};
+use petal_core::{Config, Program};
+use petal_farm::session::{serve_jobs, Framed};
+use petal_farm::wire::{Message, WIRE_VERSION};
+use petal_farm::{evaluate_job, job_seed, EvalFarm, EvalJob, EvalResult, FarmSettings, JobOutcome};
+use petal_gpu::profile::MachineProfile;
+use petal_tuner::{mutate::mutate, Autotuner, TunerSettings};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// The seven benchmarks, small enough for a debug-build sweep and large
+/// enough that at least two rungs of the size ladder run.
+fn benchmarks() -> Vec<Box<dyn Benchmark>> {
+    vec![
+        Box::new(BlackScholes::new(4_096)),
+        Box::new(Poisson2D::new(32, 3)),
+        Box::new(SeparableConvolution::new(64, 5)),
+        Box::new(Sort::new(2_048)),
+        Box::new(Strassen::new(64)),
+        Box::new(Svd::new(64, 0.15)),
+        Box::new(Tridiagonal::new(1_024)),
+    ]
+}
+
+/// The tuner's standard ladder (`TunerSettings::standard().size_schedule`).
+fn ladder(bench: &dyn Benchmark) -> [u64; 3] {
+    let full = bench.input_size();
+    [(full / 64).max(1), (full / 8).max(1), full]
+}
+
+/// The default configuration and eight seeded mutants of it, each a
+/// mutation further from the default than the last.
+fn configs(bench: &dyn Benchmark, machine: &MachineProfile) -> Vec<Config> {
+    let program = bench.program(machine);
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let mut all = vec![program.default_config(machine)];
+    for _ in 0..8 {
+        let parent = all.last().expect("starts with the default");
+        all.push(mutate(parent, &program, machine, bench.input_size(), &mut rng));
+    }
+    all
+}
+
+/// Every (config, ladder size) pair as a job with its own engine seed.
+fn jobs(bench: &dyn Benchmark, machine: &MachineProfile) -> Vec<EvalJob> {
+    let mut all = Vec::new();
+    for config in configs(bench, machine) {
+        for size in ladder(bench) {
+            let engine_seed = job_seed(11, size, all.len() as u64);
+            all.push(EvalJob { config: config.clone(), size, engine_seed });
+        }
+    }
+    all
+}
+
+/// `evaluate_job` on an object nothing has touched before.
+fn fresh(bench: &dyn Benchmark, machine: &MachineProfile, job: &EvalJob) -> JobOutcome {
+    let untouched = benchmark_from_spec(&bench.spec()).expect("specs round-trip");
+    evaluate_job(&*untouched, machine, job)
+}
+
+fn assert_same_outcome(got: &JobOutcome, want: &JobOutcome, what: &str) {
+    assert_eq!(got.ran, want.ran, "{what}: ran");
+    assert_eq!(got.fitness.map(f64::to_bits), want.fitness.map(f64::to_bits), "{what}: fitness");
+    assert_eq!(got.makespan.to_bits(), want.makespan.to_bits(), "{what}: makespan");
+    let bits = |o: &JobOutcome| -> Vec<(u64, u64, u64)> {
+        o.compiles.iter().map(|&(h, f, j)| (h, f.to_bits(), j.to_bits())).collect()
+    };
+    assert_eq!(bits(got), bits(want), "{what}: compiles");
+}
+
+/// One worker session serves all seven benchmarks on all five machines:
+/// every job three times over (a miss, then two hits of the per-size
+/// table), re-`INIT`ed per machine (same spec: table kept) and per
+/// benchmark (new spec: table dropped). Each answer must equal a fresh
+/// one-shot evaluation field for field.
+#[test]
+fn a_session_answers_every_repeat_like_a_fresh_benchmark() {
+    let mut script = String::new();
+    let mut send = |msg: &Message| {
+        script.push_str(&msg.encode());
+        script.push('\n');
+    };
+    let mut expected: Vec<(String, JobOutcome)> = Vec::new();
+    let (mut asked, mut ran) = (0, 0);
+    for bench in benchmarks() {
+        for machine in MachineProfile::extended() {
+            send(&Message::Init {
+                version: WIRE_VERSION,
+                bench_spec: bench.spec(),
+                machine: Box::new(machine.clone()),
+            });
+            for job in jobs(&*bench, &machine) {
+                let want = fresh(&*bench, &machine, &job);
+                asked += 1;
+                ran += usize::from(want.ran);
+                for repeat in 1..=3 {
+                    let what = format!(
+                        "{} on {} at size {}, evaluation {repeat}",
+                        bench.name(),
+                        machine.codename,
+                        job.size
+                    );
+                    send(&Message::Job { index: expected.len() as u64, job: job.clone() });
+                    expected.push((what, want.clone()));
+                }
+            }
+        }
+    }
+    send(&Message::Done);
+    assert!(ran * 2 > asked, "most of the sweep's jobs must actually run");
+
+    let mut wire = Framed::new(script.as_bytes(), Vec::new());
+    serve_jobs(&mut wire, |_| {}).expect("the session runs to DONE");
+    let answers = String::from_utf8(wire.into_parts().1).expect("utf8");
+    let mut results = answers.lines().filter_map(|line| match Message::decode(line) {
+        Ok(Message::Result { index, outcome }) => Some((index, outcome)),
+        Ok(_) => None,
+        Err(e) => panic!("`{line}` does not decode: {e}"),
+    });
+    for (i, (what, want)) in expected.iter().enumerate() {
+        let (index, got) = results.next().unwrap_or_else(|| panic!("{what}: no RESULT"));
+        assert_eq!(index, i as u64, "{what}: answered out of order");
+        assert_same_outcome(&got, want, what);
+    }
+    assert!(results.next().is_none(), "one RESULT per JOB");
+}
+
+fn unpriced(results: &[EvalResult]) -> Vec<(bool, Option<u64>, u64, u64)> {
+    results
+        .iter()
+        .map(|r| {
+            (r.ran, r.fitness.map(f64::to_bits), r.compile_secs.to_bits(), r.trial_secs.to_bits())
+        })
+        .collect()
+}
+
+/// Eight workers racing a cold table's `OnceLock`s answer as one worker
+/// does, and as fresh one-shot evaluations do; a second batch after
+/// `reset()` — which keeps the table — answers the same again.
+#[test]
+fn a_cold_farm_at_eight_threads_equals_one_thread_and_fresh_objects() {
+    for bench in benchmarks() {
+        for machine in MachineProfile::extended() {
+            let jobs = jobs(&*bench, &machine);
+            let run = |threads: usize| {
+                let settings = FarmSettings { threads, ..FarmSettings::sequential() };
+                let mut farm = EvalFarm::new(&settings, true);
+                let cold = farm.evaluate(&*bench, &machine, &jobs);
+                farm.reset();
+                let warm = farm.evaluate(&*bench, &machine, &jobs);
+                assert_eq!(
+                    unpriced(&cold),
+                    unpriced(&warm),
+                    "{} on {}: reset changed the answers",
+                    bench.name(),
+                    machine.codename
+                );
+                cold
+            };
+            let (one, eight) = (run(1), run(8));
+            assert_eq!(
+                unpriced(&one),
+                unpriced(&eight),
+                "{} on {}: threads changed the answers",
+                bench.name(),
+                machine.codename
+            );
+            for (job, got) in jobs.iter().zip(&one) {
+                let want = fresh(&*bench, &machine, job);
+                assert_eq!(
+                    (got.ran, got.fitness.map(f64::to_bits)),
+                    (want.ran, want.fitness.map(f64::to_bits)),
+                    "{} on {} at size {}",
+                    bench.name(),
+                    machine.codename,
+                    job.size
+                );
+            }
+        }
+    }
+}
+
+/// Calls into a [`Counting`] benchmark and all of its resized children.
+#[derive(Debug, Default)]
+struct Calls {
+    instantiate: AtomicUsize,
+    resized: AtomicUsize,
+}
+
+/// A delegating wrapper, as an out-of-tree harness would write one (the
+/// benchmark package's `Traced` is one): forwards everything, counts
+/// `instantiate` and `resized`, and wraps the children it hands out.
+struct Counting {
+    inner: Box<dyn Benchmark>,
+    calls: Arc<Calls>,
+}
+
+impl Benchmark for Counting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn spec(&self) -> String {
+        self.inner.spec()
+    }
+    fn input_size(&self) -> u64 {
+        self.inner.input_size()
+    }
+    fn program(&self, machine: &MachineProfile) -> Program {
+        self.inner.program(machine)
+    }
+    fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
+        self.calls.instantiate.fetch_add(1, Ordering::Relaxed);
+        self.inner.instantiate(machine, cfg)
+    }
+    fn resized(&self, size: u64) -> Option<Box<dyn Benchmark>> {
+        self.calls.resized.fetch_add(1, Ordering::Relaxed);
+        let inner = self.inner.resized(size)?;
+        Some(Box::new(Counting { inner, calls: Arc::clone(&self.calls) }))
+    }
+    fn dynamic_config_keys(&self) -> Vec<String> {
+        self.inner.dynamic_config_keys()
+    }
+}
+
+/// The farm reaches a wrapped benchmark only through the wrapper: one
+/// `instantiate` per trial that ran, one `resized` per ladder size for
+/// the whole tune (and none more for a second tune on the same tuner —
+/// `reset()` keeps the table), and the same answer as the bare
+/// benchmark's tune, bit for bit.
+#[test]
+fn a_wrapped_benchmark_sees_one_instantiate_per_trial_and_tunes_identically() {
+    let machine = MachineProfile::laptop();
+    let settings = TunerSettings { trials_per_round: 12, ..TunerSettings::standard() };
+    let plain = Autotuner::new(&BlackScholes::new(4_096), &machine, settings.clone()).run();
+
+    let calls = Arc::new(Calls::default());
+    let wrapped = Counting { inner: Box::new(BlackScholes::new(4_096)), calls: Arc::clone(&calls) };
+    let mut tuner = Autotuner::new(&wrapped, &machine, settings);
+    for tune in 1..=2 {
+        let tuned = tuner.run();
+        assert_eq!(tuned.config, plain.config);
+        assert_eq!(tuned.time_secs.to_bits(), plain.time_secs.to_bits());
+        assert_eq!(tuned.stats, plain.stats);
+        assert_eq!(calls.instantiate.load(Ordering::Relaxed), tune * plain.stats.trials);
+        assert_eq!(calls.resized.load(Ordering::Relaxed), 3, "one child per ladder size");
+    }
+}

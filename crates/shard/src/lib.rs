@@ -2,14 +2,16 @@
 //!
 //! The worker half of the farm's process-sharding front-end
 //! ([`petal_farm::shard`]): a tiny loop that reads
-//! [`petal_farm::wire`] messages from stdin, evaluates jobs with
-//! [`petal_farm::evaluate_job`] — the *same* function the in-process farm
-//! runs on its threads — and writes raw outcomes to stdout.
+//! [`petal_farm::wire`] messages from stdin, evaluates jobs as
+//! [`petal_farm::evaluate_job`] does — the *same* trial the in-process
+//! farm runs on its threads — and writes raw outcomes to stdout.
 //!
 //! The worker is deliberately stateless with respect to the tuning run:
 //! it never sees the warm-kernel or IR-cache pricing sets (those fold over
-//! the parent's submission-order merge), so any job assignment produces
-//! bit-identical tuning results. One worker serves one
+//! the parent's submission-order merge), and what it does keep between
+//! jobs — each input size's benchmark with its memoised inputs and
+//! reference answer — is a pure function of the benchmark's spec, so any
+//! job assignment produces bit-identical tuning results. One worker serves one
 //! `(benchmark, machine)` session, established by the `INIT` handshake;
 //! the parent respawns workers when the session changes.
 
