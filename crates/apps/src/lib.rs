@@ -72,6 +72,15 @@ impl std::fmt::Debug for Instance {
 /// memo hit and a fresh build must be indistinguishable to the caller;
 /// `crates/farm/tests/prepared.rs` holds every benchmark to that.
 ///
+/// An *intermediate* result — what a plan step computes at run time —
+/// may join the prepared state only keyed by the bit pattern of the
+/// input it was computed from: the step compares the input it was handed
+/// with the stored key by `f64::to_bits`, reuses the stored result on a
+/// match and recomputes otherwise, never replacing the entry, so that
+/// hit ≡ miss whatever the configuration did upstream
+/// ([`svd`]'s eigendecomposition of `AᵀA` is the one such entry). What
+/// the step charges and what the plan looks like must not depend on it.
+///
 /// The memo lives and dies with the object. The evaluation farm never
 /// instantiates the object it is handed: it evaluates on children built
 /// through [`Benchmark::resized`] (one per input size, the full size
@@ -243,9 +252,9 @@ pub fn benchmark_from_spec(spec: &str) -> Result<Box<dyn Benchmark>, String> {
         }
         "svd" => {
             let (n, target) = (spec_usize(params, "n")?, spec_f64_bits(params, "target")?);
-            (n >= 4 && target > 0.0 && target <= 1.0)
+            (n >= svd::MIN_N && target > 0.0 && target <= 1.0)
                 .then(|| Box::new(svd::Svd::new(n, target)) as Box<dyn Benchmark>)
-                .ok_or_else(|| "svd: need n >= 4 and target in (0, 1]".to_owned())
+                .ok_or_else(|| format!("svd: need n >= {} and target in (0, 1]", svd::MIN_N))
         }
         "tridiagonal" => {
             let n = spec_usize(params, "n")?;
@@ -315,6 +324,7 @@ mod tests {
             "poisson2d n=128",
             "svd n=64 target=0.15",
             "svd n=64 target=0x0000000000000000",
+            "svd n=7 target=0x3fc3333333333333",
         ] {
             assert!(benchmark_from_spec(bad).is_err(), "`{bad}` should be rejected");
         }

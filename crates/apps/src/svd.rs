@@ -17,7 +17,7 @@
 use crate::strassen::build_matmul;
 use crate::workload::random_matrix;
 use crate::Instance;
-use petal_blas::eigen::jacobi_eigh;
+use petal_blas::eigen::{jacobi_eigh, EigenDecomposition};
 use petal_blas::Matrix;
 use petal_core::plan::{placement_from_config, NativeStep, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
@@ -26,7 +26,13 @@ use petal_core::{Config, Program, World};
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
 use petal_rt::Charge;
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
+
+/// The smallest `n` that is an instance: what [`Svd::new`] asserts,
+/// `resized` refuses below and [`crate::benchmark_from_spec`] rejects, so a
+/// resized child is always a size the factory would rebuild.
+pub const MIN_N: usize = 8;
 
 /// The `AᵀA` rule: `B[y][x] = Σ_r A[r][y]·A[r][x]` (two column reads of
 /// the same input).
@@ -51,30 +57,65 @@ pub fn rule_ata() -> Arc<StencilRule> {
     })
 }
 
+/// The config-independent half of an instance, shared by every trial.
+#[derive(Debug)]
+struct Prepared {
+    /// The input matrix, which is also what `check` measures the
+    /// reconstruction against.
+    input: Arc<Matrix>,
+    /// `‖input‖_F`, the denominator of `check`'s relative error.
+    norm: f64,
+    /// The first `AᵀA` a `jacobi_eigh` step was handed and its
+    /// eigendecomposition. No tunable reaches that product's bits
+    /// (`svd_rank` truncates afterwards, `ata` only places the stencil),
+    /// so every later trial is expected to present the same matrix.
+    eig: OnceLock<(Matrix, EigenDecomposition)>,
+}
+
+/// Phase 2's kernel call, with the benchmark's tolerance and sweep cap.
+fn solve(b: &Matrix) -> EigenDecomposition {
+    jacobi_eigh(b, 1e-11 * b.frobenius_norm().max(1.0), 48)
+}
+
+impl Prepared {
+    /// The Jacobi eigendecomposition of `ata`: the stored one when `ata`
+    /// is the stored key bit for bit, otherwise computed for this call
+    /// (the entry is never replaced). Either way it is `solve(ata)`, so a
+    /// hit and a miss are indistinguishable.
+    fn eigh(&self, ata: &Matrix) -> Cow<'_, EigenDecomposition> {
+        let (key, eig) = self.eig.get_or_init(|| (ata.clone(), solve(ata)));
+        let same_bits = (key.rows(), key.cols()) == (ata.rows(), ata.cols())
+            && key.as_slice().iter().zip(ata.as_slice()).all(|(k, x)| k.to_bits() == x.to_bits());
+        if same_bits {
+            Cow::Borrowed(eig)
+        } else {
+            Cow::Owned(solve(ata))
+        }
+    }
+}
+
 /// The SVD benchmark over an `n × n` input with accuracy target
 /// `max_relative_error`.
 #[derive(Debug, Clone)]
 pub struct Svd {
     n: usize,
     target: f64,
-    /// The input matrix, which is also what `check` measures the
-    /// reconstruction against; shared by every instance.
-    input: OnceLock<Arc<Matrix>>,
+    prepared: OnceLock<Arc<Prepared>>,
 }
 
 impl Svd {
     /// New instance (the paper uses n = 256).
     ///
     /// # Panics
-    /// Panics when `n < 4` or the target is not in `(0, 1]`.
+    /// Panics when `n <` [`MIN_N`] or the target is not in `(0, 1]`.
     #[must_use]
     pub fn new(n: usize, max_relative_error: f64) -> Self {
-        assert!(n >= 4, "matrix too small");
+        assert!(n >= MIN_N, "matrix too small");
         assert!(
             max_relative_error > 0.0 && max_relative_error <= 1.0,
             "target must be a relative Frobenius error in (0, 1]"
         );
-        Svd { n, target: max_relative_error, input: OnceLock::new() }
+        Svd { n, target: max_relative_error, prepared: OnceLock::new() }
     }
 
     /// The accuracy target.
@@ -94,6 +135,14 @@ impl Svd {
             (-d * d).exp() + noise[(r, c)]
         })
     }
+
+    fn prepared(&self) -> Arc<Prepared> {
+        Arc::clone(self.prepared.get_or_init(|| {
+            let input = self.input_matrix();
+            let norm = input.frobenius_norm();
+            Arc::new(Prepared { input: Arc::new(input), norm, eig: OnceLock::new() })
+        }))
+    }
 }
 
 impl crate::Benchmark for Svd {
@@ -110,7 +159,7 @@ impl crate::Benchmark for Svd {
     }
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
-        (size >= 8)
+        (size >= MIN_N as u64)
             .then(|| Box::new(Svd::new(size as usize, self.target)) as Box<dyn crate::Benchmark>)
     }
 
@@ -148,9 +197,9 @@ impl crate::Benchmark for Svd {
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let n = self.n;
         let k = (cfg.tunable_or("svd_rank", (n / 4).max(1) as i64).clamp(1, n as i64)) as usize;
-        let a_m = Arc::clone(self.input.get_or_init(|| Arc::new(self.input_matrix())));
+        let prepared = self.prepared();
         let mut world = World::new();
-        let a = world.alloc_shared(Arc::clone(&a_m));
+        let a = world.alloc_shared(Arc::clone(&prepared.input));
         let ata = world.alloc(Matrix::zeros(n, n));
         let vk = world.alloc(Matrix::zeros(n, k));
         let sigma = world.alloc(Matrix::zeros(1, k));
@@ -180,7 +229,9 @@ impl crate::Benchmark for Svd {
             &[],
         );
 
-        // Phase 2: symmetric eigendecomposition of B (sequential Jacobi).
+        // Phase 2: symmetric eigendecomposition of B (sequential Jacobi),
+        // computed once per distinct B (see `Prepared::eigh`).
+        let memo = Arc::clone(&prepared);
         let s_eig = p.native(
             NativeStep {
                 label: "jacobi_eigh".into(),
@@ -188,8 +239,7 @@ impl crate::Benchmark for Svd {
                 writes: vec![vk, sigma, vkt],
                 run: Box::new(move |w: &mut World, ctx| {
                     let extra = w.ensure_host(ata, ctx.now());
-                    let b = w.get(ata);
-                    let eig = jacobi_eigh(b, 1e-11 * b.frobenius_norm().max(1.0), 48);
+                    let eig = memo.eigh(w.get(ata));
                     let vk_m = Matrix::from_fn(n, k, |r, c| eig.vectors[(r, c)]);
                     let sig: Vec<f64> =
                         eig.values.iter().take(k).map(|l| l.max(0.0).sqrt()).collect();
@@ -291,9 +341,8 @@ impl crate::Benchmark for Svd {
 
         let target = self.target;
         let check = Box::new(move |w: &World| -> Result<(), String> {
-            let got = w.get(approx);
-            let denom = a_m.frobenius_norm().max(1e-300);
-            let err = a_m.sub(got).frobenius_norm() / denom;
+            let err =
+                prepared.input.sub(w.get(approx)).frobenius_norm() / prepared.norm.max(1e-300);
             if err <= target {
                 Ok(())
             } else {
@@ -308,7 +357,46 @@ impl crate::Benchmark for Svd {
 mod tests {
     use super::*;
     use crate::Benchmark;
-    use petal_core::{Selector, Tunable};
+    use petal_blas::gemm::lapack_gemm;
+    use petal_core::{Executor, Selector, Tunable};
+
+    #[test]
+    fn a_key_one_ulp_off_recomputes_and_leaves_the_entry_intact() {
+        let bits = |e: &EigenDecomposition| -> Vec<u64> {
+            e.values.iter().chain(e.vectors.as_slice()).map(|x| x.to_bits()).collect()
+        };
+        let prepared = Svd::new(16, 0.15).prepared();
+        let first = lapack_gemm(&prepared.input.transposed(), &prepared.input);
+        let mut nudged = first.clone();
+        nudged[(3, 5)] = f64::from_bits(first[(3, 5)].to_bits() + 1);
+
+        assert!(matches!(prepared.eigh(&first), Cow::Borrowed(_)), "the miss fills the cell");
+        let other = prepared.eigh(&nudged);
+        assert!(matches!(other, Cow::Owned(_)), "one ulp off is another matrix");
+        assert_eq!(bits(&other), bits(&solve(&nudged)));
+        assert_ne!(bits(&other), bits(&solve(&first)));
+        let (key, stored) = prepared.eig.get().expect("filled by the first call");
+        assert_eq!(key, &first);
+        assert_eq!(bits(stored), bits(&solve(&first)));
+        assert!(matches!(prepared.eigh(&first), Cow::Borrowed(_)), "and still hits");
+    }
+
+    #[test]
+    fn every_ata_placement_presents_the_memoised_key() {
+        let b = Svd::new(48, 0.3);
+        let m = MachineProfile::desktop();
+        // gpu_ratio 0 = CPU, 8 = OpenCL (copied out on demand), 4 = split.
+        for ratio in [0, 8, 4] {
+            let mut cfg = b.program(&m).default_config(&m);
+            cfg.set_selector("ata", Selector::constant(1, 2));
+            cfg.set_tunable("ata.gpu_ratio", Tunable::new(ratio, 0, 8));
+            let Instance { mut world, plan, .. } = b.instantiate(&m, &cfg);
+            let ata = plan.steps()[0].writes()[0];
+            Executor::new(&m).run(plan, &mut world).expect("runs");
+            let hit = matches!(b.prepared().eigh(world.get(ata)), Cow::Borrowed(_));
+            assert!(hit, "gpu_ratio {ratio}: AᵀA differs from the first trial's");
+        }
+    }
 
     #[test]
     fn default_rank_meets_target_everywhere() {

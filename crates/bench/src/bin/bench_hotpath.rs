@@ -62,7 +62,8 @@ impl Entry {
 /// the autotuner actually explores, and the ones that spawn deep task
 /// trees (a *default* config runs nearly serial and measures matrix
 /// math, not the scheduler). The convolution rides along under its
-/// default mapping as an end-to-end, GPU-chain-bound control row.
+/// default mapping (one CPU-placed 2-D stencil step) as a
+/// kernel-body-bound control row: see docs/benchmarks.md.
 fn engine_rows() -> Vec<(MachineProfile, Box<dyn Benchmark>, Config)> {
     let mut rows: Vec<(MachineProfile, Box<dyn Benchmark>, Config)> = Vec::new();
     // 4, 32 and 64 cores: per-event cost of the old scan scheduler grows
@@ -88,7 +89,7 @@ fn engine_rows() -> Vec<(MachineProfile, Box<dyn Benchmark>, Config)> {
         cfg.set_selector("matmul", Selector::new(vec![9], vec![0, 4], 7));
         rows.push((machine.clone(), Box::new(strassen), cfg));
 
-        // GPU-chain-bound control row (ManyCore has no OpenCL device).
+        // Kernel-body-bound control row, on the OpenCL machines only.
         if machine.has_opencl() {
             let conv = petal_apps::convolution::SeparableConvolution::new(128, 7);
             let cfg = conv.program(&machine).default_config(&machine);

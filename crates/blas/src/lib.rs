@@ -12,8 +12,8 @@
 //!   the LAPACK call in the choice space.
 //! * [`tridiag`] — the Thomas algorithm and sequential cyclic reduction for
 //!   tridiagonal systems.
-//! * [`eigen`] — cyclic Jacobi symmetric eigendecomposition and the
-//!   truncated SVD built on it (the variable-accuracy SVD benchmark's math).
+//! * [`eigen`] — cyclic Jacobi symmetric eigendecomposition (the
+//!   variable-accuracy SVD benchmark's math).
 //!
 //! Everything here is *pure math on host data* — scheduling, devices and
 //! costs live in the other crates.

@@ -1,6 +1,7 @@
-//! Prepared state is invisible: a trial that finds its benchmark's inputs
-//! and reference answer memoised (by a farm's or a worker's per-size
-//! table) answers exactly as a trial on a freshly built benchmark does.
+//! Prepared state is invisible: a trial that finds its benchmark's inputs,
+//! reference answer or a config-independent intermediate result (SVD's
+//! eigendecomposition) memoised by a farm's or a worker's per-size table
+//! answers exactly as a trial on a freshly built benchmark does.
 //! The fourth mechanism of the farm's determinism contract
 //! (ARCHITECTURE.md) rests on these tests.
 
@@ -12,7 +13,8 @@ use petal_apps::strassen::Strassen;
 use petal_apps::svd::Svd;
 use petal_apps::tridiagonal::Tridiagonal;
 use petal_apps::{benchmark_from_spec, Benchmark, Instance};
-use petal_core::{Config, Program};
+use petal_core::plan::StepKind;
+use petal_core::{Config, Executor, Placement, Program, Selector, Tunable};
 use petal_farm::session::{serve_jobs, Framed};
 use petal_farm::wire::{Message, WIRE_VERSION};
 use petal_farm::{evaluate_job, job_seed, EvalFarm, EvalJob, EvalResult, FarmSettings, JobOutcome};
@@ -193,6 +195,66 @@ fn a_cold_farm_at_eight_threads_equals_one_thread_and_fresh_objects() {
                 );
             }
         }
+    }
+}
+
+/// One SVD trial run to completion: the `ata` placement the plan chose,
+/// and the bits of what the Jacobi step wrote (`vk`, `sigma`, `vkt`) and
+/// of the plan's output (`approx`), as the trial left them in its `World`.
+fn svd_trial(
+    bench: &dyn Benchmark,
+    machine: &MachineProfile,
+    cfg: &Config,
+) -> (Placement, Vec<Vec<u64>>) {
+    let Instance { mut world, plan, .. } = bench.instantiate(machine, cfg);
+    let placement = match &plan.steps()[0].kind {
+        StepKind::Stencil(ata) => ata.placement,
+        StepKind::Native(_) => panic!("SVD's first step is the `ata` stencil"),
+    };
+    let jacobi = plan.steps().iter().find(|s| s.describe() == "jacobi_eigh").expect("phase 2");
+    let kept: Vec<_> = jacobi.writes().iter().chain(plan.outputs()).copied().collect();
+    assert_eq!(kept.len(), 4, "vk, sigma, vkt and approx");
+    Executor::new(machine).run(plan, &mut world).expect("the trial runs");
+    let bits = |id| world.get(id).as_slice().iter().map(|x: &f64| x.to_bits()).collect();
+    (placement, kept.into_iter().map(bits).collect())
+}
+
+/// SVD's memoised eigendecomposition is invisible in the `World`: whatever
+/// `ata` placement fills the cell (the miss), every later trial of the
+/// session child (hits, whether its `AᵀA` was summed on the CPU, copied
+/// out of the device, or both) leaves the same bits as a trial on a fresh
+/// object, at every kept rank.
+#[test]
+fn svd_trials_leave_the_same_matrices_on_a_miss_a_hit_and_a_fresh_object() {
+    let machine = MachineProfile::desktop();
+    let full = Svd::new(64, 0.15);
+    let config = |ratio: i64, rank: i64| {
+        let mut cfg = full.program(&machine).default_config(&machine);
+        cfg.set_selector("ata", Selector::constant(1, 2));
+        cfg.set_tunable("ata.gpu_ratio", Tunable::new(ratio, 0, 8));
+        cfg.set_tunable("svd_rank", Tunable::new(rank, 1, 64));
+        cfg
+    };
+    // gpu_ratio 0 = CPU, 8 = OpenCL, 4 = a concurrent half-and-half split.
+    let ratios = [0, 8, 4];
+    for first in 0..ratios.len() {
+        let child = full.resized(full.input_size()).expect("the farm's full-size child");
+        let mut placements = Vec::new();
+        for rank in [1, 5, 16, 64] {
+            for turn in 0..ratios.len() {
+                let cfg = config(ratios[(first + turn) % ratios.len()], rank);
+                let untouched = benchmark_from_spec(&full.spec()).expect("specs round-trip");
+                let (placement, want) = svd_trial(&*untouched, &machine, &cfg);
+                for trial in 1..=3 {
+                    let (_, got) = svd_trial(&*child, &machine, &cfg);
+                    assert_eq!(got, want, "rank {rank}, {placement:?}, session trial {trial}");
+                }
+                placements.push(placement);
+            }
+        }
+        assert!(placements.iter().any(|p| matches!(p, Placement::Cpu { .. })));
+        assert!(placements.iter().any(|p| matches!(p, Placement::OpenCl { .. })));
+        assert!(placements.iter().any(|p| matches!(p, Placement::Split { .. })));
     }
 }
 
