@@ -18,6 +18,27 @@ cargo build --release --offline
 echo "== cargo test -q (offline)"
 cargo test -q --offline
 
+echo "== span oracle, release (the build that ships: SAXPY spans only vectorise here, and debug_assert-free)"
+# Every rule with a span body against its own `elem`, bit for bit, over
+# Full and Tile views; the random-rule property; and whole trials with
+# and without spans. `cargo test -q` above ran the same tests in debug.
+cargo test -q --release --offline -p petal_core -p petal_apps -p petal_farm span
+cargo test -q --release --offline -p petal_core --test codegen_prop
+
+echo "== every Row/Column (matmul-shaped) StencilRule in crates/apps defines a span body"
+# Such a rule is K multiply-adds per cell: left to the per-cell fallback it
+# costs 4.6 ns per multiply-add against 0.3 ns, and nothing else would say so.
+awk '
+  /StencilRule \{$/ { at = FILENAME ":" FNR; shaped = 0; spanned = 0 }
+  /AccessPattern::(Row|Column)/ { shaped = 1 }
+  /span: Some\(/ { spanned = 1 }
+  /native_only_body:/ {
+    if (shaped && !spanned) { print at ": Row/Column rule without `span: Some(`"; bad = 1 }
+    shaped = 0
+  }
+  END { exit bad }
+' crates/apps/src/*.rs
+
 echo "== cargo doc --no-deps (RUSTDOCFLAGS=-D warnings: docs can never rot)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 
@@ -89,7 +110,18 @@ trap 'kill -9 "$FIG2_PID" 2>/dev/null || true; kill "$BOUNCE_PID" "$BOUNCE_A_PID
 PETAL_SMOKE=1 PETAL_FARMD="unix:$BOUNCE_SOCK" \
   ./target/release/fig2_convolution >"$BOUNCE_DIR/fig2.out" &
 FIG2_PID=$!
-sleep 1
+# The kill is triggered by the dispatcher's own log, not by a timer: since
+# PR 17 fig2's smoke sweep is three ~0.1 s sessions (it was seconds when
+# this was a `sleep 1`), so SIGKILL lands as soon as the first is open.
+wait_for_log() { # <file> <pattern>, polled for up to 10 s
+  for _ in $(seq 1000); do
+    if grep -q "$2" "$1"; then return 0; fi
+    sleep 0.01
+  done
+  return 1
+}
+wait_for_log "$BOUNCE_DIR/farmd-1.log" 'session 1 .* opened' \
+  || { echo "bounce smoke: fig2 never opened a session"; cat "$BOUNCE_DIR"/farmd-*.log; exit 1; }
 kill -9 "$BOUNCE_PID" 2>/dev/null || true
 wait "$BOUNCE_PID" 2>/dev/null || true
 ./target/release/petal-farmd --listen "unix:$BOUNCE_SOCK" --journal "$BOUNCE_DIR/journal" \
@@ -97,6 +129,13 @@ wait "$BOUNCE_PID" 2>/dev/null || true
 BOUNCE_PID=$!
 wait "$FIG2_PID" \
   || { echo "bounce smoke: fig2 failed across the dispatcher bounce"; cat "$BOUNCE_DIR"/farmd-*.log; exit 1; }
+# The restarted dispatcher must be past its exec before it is signalled: a
+# SIGTERM that lands between bash's fork and the exec is lost, and the
+# `wait` below would then never return.
+wait_for_log "$BOUNCE_DIR/farmd-2.log" 'listening on' \
+  || { echo "bounce smoke: the restarted dispatcher never listened"; cat "$BOUNCE_DIR"/farmd-*.log; exit 1; }
+grep -q ' resumed from ' "$BOUNCE_DIR/farmd-2.log" \
+  || echo "   note: the kill fell between two sessions this run; no RESUME was exercised"
 kill "$BOUNCE_PID" "$BOUNCE_A_PID" "$BOUNCE_B_PID" 2>/dev/null || true
 wait "$BOUNCE_PID" 2>/dev/null || true
 rm -rf "$BOUNCE_DIR"

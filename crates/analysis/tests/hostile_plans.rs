@@ -28,6 +28,7 @@ fn double_rule() -> Arc<StencilRule> {
         flops_per_output: 1.0,
         body_c: "result = 2.0 * IN0(x, y);".into(),
         elem: Arc::new(|env, x, y| 2.0 * env.inputs[0].at(x, y)),
+        span: None,
         native_only_body: false,
     })
 }

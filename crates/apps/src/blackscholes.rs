@@ -127,6 +127,7 @@ impl BlackScholes {
                 let t = env.inputs[2].at(x, y);
                 call_price(s, k, t, env.scalars[0], env.scalars[1])
             }),
+            span: None,
             native_only_body: false,
         })
     }

@@ -12,7 +12,7 @@ use crate::Instance;
 use petal_blas::Matrix;
 use petal_core::plan::{placement_from_config, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
-use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{saxpy, sum_identity, AccessPattern, StencilInput, StencilRule};
 use petal_core::{Config, Program, Selector, Tunable, World};
 use petal_gpu::profile::MachineProfile;
 use std::sync::{Arc, OnceLock};
@@ -126,6 +126,21 @@ impl SeparableConvolution {
                 }
                 acc
             }),
+            // Tap-outer: every cell still takes its k² taps in `elem`'s
+            // (j, i) order from `elem`'s 0.0, each as `(in · cᵢ) · cⱼ`.
+            span: Some(Arc::new(|env, x0, y, out| {
+                let k = env.scalars[0] as usize;
+                let coef = env.inputs[1].row_span(0, 0, k);
+                out.fill(0.0);
+                for (j, &cj) in coef.iter().enumerate() {
+                    for (i, &ci) in coef.iter().enumerate() {
+                        let taps = env.inputs[0].row_span(y + j, x0 + i, out.len());
+                        for (o, &v) in out.iter_mut().zip(taps) {
+                            *o += v * ci * cj;
+                        }
+                    }
+                }
+            })),
             native_only_body: false,
         })
     }
@@ -148,6 +163,14 @@ impl SeparableConvolution {
                 let k = env.scalars[0] as usize;
                 (0..k).map(|i| env.inputs[0].at(x + i, y) * env.inputs[1].at(i, 0)).sum()
             }),
+            // Tap-outer shifted SAXPY, taps in `elem`'s order.
+            span: Some(Arc::new(|env, x0, y, out| {
+                let k = env.scalars[0] as usize;
+                out.fill(sum_identity());
+                for (i, &c) in env.inputs[1].row_span(0, 0, k).iter().enumerate() {
+                    saxpy(out, c, env.inputs[0].row_span(y, x0 + i, out.len()));
+                }
+            })),
             native_only_body: false,
         })
     }
@@ -170,6 +193,14 @@ impl SeparableConvolution {
                 let k = env.scalars[0] as usize;
                 (0..k).map(|i| env.inputs[0].at(x, y + i) * env.inputs[1].at(i, 0)).sum()
             }),
+            // Tap-outer SAXPY down the rows, taps in `elem`'s order.
+            span: Some(Arc::new(|env, x0, y, out| {
+                let k = env.scalars[0] as usize;
+                out.fill(sum_identity());
+                for (i, &c) in env.inputs[1].row_span(0, 0, k).iter().enumerate() {
+                    saxpy(out, c, env.inputs[0].row_span(y + i, x0, out.len()));
+                }
+            })),
             native_only_body: false,
         })
     }
@@ -332,7 +363,23 @@ impl crate::Benchmark for SeparableConvolution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::span_oracle;
     use crate::Benchmark;
+
+    #[test]
+    fn convolution_spans_match_elem_bit_for_bit() {
+        // A 41 × 38 image under a width-5 kernel: every output extent is
+        // ragged against the 16-wide tile, and the coefficients are put
+        // through the same fills as the image.
+        let (k, w, h) = (5, 41, 38);
+        let (out_w, out_h) = (w - k + 1, h - k + 1);
+        let sweep = |rule: Arc<StencilRule>, image: (usize, usize), out: (usize, usize)| {
+            span_oracle::sweep(&rule, &[image, (k, 1)], &[k as f64], out);
+        };
+        sweep(SeparableConvolution::rule_2d(k), (w, h), (out_w, out_h));
+        sweep(SeparableConvolution::rule_rows(k), (w, h), (out_w, h));
+        sweep(SeparableConvolution::rule_cols(k), (out_w, h), (out_w, out_h));
+    }
 
     #[test]
     fn all_four_mappings_compute_identical_results() {

@@ -88,6 +88,7 @@ impl Poisson2D {
                     0.0
                 }
             }),
+            span: None,
             native_only_body: false,
         })
     }
@@ -130,6 +131,7 @@ impl Poisson2D {
                     + env.inputs[0].at(x, y + 1);
                 (1.0 - omega) * env.inputs[1].at(x, y) + omega * 0.25 * (nb - h2 * env.inputs[2].at(x, y))
             }),
+            span: None,
             native_only_body: false,
         })
     }
@@ -145,6 +147,7 @@ impl Poisson2D {
             flops_per_output: 1.0,
             body_c: "result = IN0(x, y) + IN1(x, y);".into(),
             elem: Arc::new(|env, x, y| env.inputs[0].at(x, y) + env.inputs[1].at(x, y)),
+            span: None,
             native_only_body: false,
         })
     }

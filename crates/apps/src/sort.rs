@@ -105,6 +105,19 @@ impl Sort {
                     a.max(b)
                 }
             }),
+            // The same cell, reading the row as one slice: whatever `j`
+            // is, both reads are plain slice reads.
+            span: Some(Arc::new(|env, x0, _y, out| {
+                let j = env.scalars[0] as usize;
+                let k = env.scalars[1] as usize;
+                let row = env.inputs[0].row_span(0, 0, env.inputs[0].width());
+                for (x, o) in (x0..).zip(out) {
+                    let partner = x ^ j;
+                    let (a, b) = (row[x], row[partner]);
+                    let keep_small = (x < partner) == ((x & k) == 0);
+                    *o = if keep_small { a.min(b) } else { a.max(b) };
+                }
+            })),
             native_only_body: false,
         })
     }
@@ -564,8 +577,26 @@ fn build_gpu_bitonic(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::span_oracle;
     use crate::Benchmark;
     use petal_core::{Selector, Tunable};
+
+    #[test]
+    fn bitonic_span_matches_elem_bit_for_bit() {
+        // Every pass of the n = 64 network. (No fill mixes +0.0 with -0.0:
+        // `f64::min` may return either of that pair, so those bits are not
+        // `elem`'s to define.)
+        let n = 64;
+        let mut k = 2;
+        while k <= n {
+            let mut j = k / 2;
+            while j >= 1 {
+                span_oracle::sweep(&Sort::rule_bitonic(), &[(n, 1)], &[j as f64, k as f64], (n, 1));
+                j /= 2;
+            }
+            k *= 2;
+        }
+    }
 
     #[test]
     fn primitive_sorts_agree_with_std() {

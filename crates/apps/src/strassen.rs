@@ -22,7 +22,7 @@ use petal_blas::gemm::{
 use petal_blas::Matrix;
 use petal_core::plan::{NativeStep, Placement, PlanBuilder, StencilStep, StepId};
 use petal_core::program::ChoiceSite;
-use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{saxpy, sum_identity, AccessPattern, StencilInput, StencilRule};
 use petal_core::{Config, MatrixId, Program, World};
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
@@ -50,6 +50,15 @@ pub fn rule_matmul() -> Arc<StencilRule> {
             let kk = env.scalars[0] as usize;
             (0..kk).map(|k| env.inputs[0].at(k, y) * env.inputs[1].at(x, k)).sum()
         }),
+        // k-outer SAXPY over the row: every cell still takes its terms
+        // k = 0, 1, … in order from `sum()`'s starting value.
+        span: Some(Arc::new(|env, x0, y, out| {
+            let kk = env.scalars[0] as usize;
+            out.fill(sum_identity());
+            for (k, &a) in env.inputs[0].row_span(y, 0, kk).iter().enumerate() {
+                saxpy(out, a, env.inputs[1].row_span(k, x0, out.len()));
+            }
+        })),
         native_only_body: false,
     })
 }
@@ -485,6 +494,7 @@ impl crate::Benchmark for Strassen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::span_oracle;
     use crate::Benchmark;
     use petal_core::{Selector, Tunable};
 
@@ -492,6 +502,13 @@ mod tests {
         let mut cfg = b.program(m).default_config(m);
         cfg.set_selector("matmul", sel);
         cfg
+    }
+
+    #[test]
+    fn matmul_span_matches_elem_bit_for_bit() {
+        // A 23 × 29 by 29 × 37 product: no extent a multiple of the tile.
+        let (m, kk, n) = (23, 29, 37);
+        span_oracle::sweep(&rule_matmul(), &[(kk, m), (n, kk)], &[kk as f64], (n, m));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use petal_blas::eigen::{jacobi_eigh, EigenDecomposition};
 use petal_blas::Matrix;
 use petal_core::plan::{placement_from_config, NativeStep, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
-use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{saxpy, sum_identity, AccessPattern, StencilInput, StencilRule};
 use petal_core::{Config, Program, World};
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
@@ -53,6 +53,15 @@ pub fn rule_ata() -> Arc<StencilRule> {
             let m = env.scalars[0] as usize;
             (0..m).map(|r| env.inputs[0].at(y, r) * env.inputs[1].at(x, r)).sum()
         }),
+        // r-outer SAXPY over the row: every cell still takes its terms
+        // r = 0, 1, … in order from `sum()`'s starting value.
+        span: Some(Arc::new(|env, x0, y, out| {
+            let m = env.scalars[0] as usize;
+            out.fill(sum_identity());
+            for r in 0..m {
+                saxpy(out, env.inputs[0].at(y, r), env.inputs[1].row_span(r, x0, out.len()));
+            }
+        })),
         native_only_body: false,
     })
 }
@@ -356,9 +365,17 @@ impl crate::Benchmark for Svd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::span_oracle;
     use crate::Benchmark;
     use petal_blas::gemm::lapack_gemm;
     use petal_core::{Executor, Selector, Tunable};
+
+    #[test]
+    fn ata_span_matches_elem_bit_for_bit() {
+        // A is 29 × 37 (both reads are of the one input), AᵀA 37 × 37.
+        let (m, n) = (29, 37);
+        span_oracle::sweep(&rule_ata(), &[(n, m)], &[m as f64], (n, n));
+    }
 
     #[test]
     fn a_key_one_ulp_off_recomputes_and_leaves_the_entry_intact() {

@@ -125,6 +125,7 @@ impl Tridiagonal {
                     }
                 }
             }),
+            span: None,
             native_only_body: false,
         })
     }
@@ -154,6 +155,7 @@ impl Tridiagonal {
                     if x + 1 < m { bands.at(x, 2) * even.at(x.div_ceil(2), 0) } else { 0.0 };
                 (bands.at(x, 3) - left - right) / bands.at(x, 1)
             }),
+            span: None,
             native_only_body: false,
         })
     }

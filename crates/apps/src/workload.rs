@@ -39,6 +39,79 @@ pub fn triangle_kernel(k: usize) -> Matrix {
     Matrix::from_vec(1, k, weights)
 }
 
+/// The sweep every rule with a span body is put through by its app's
+/// tests: `petal_core`'s bit-equality oracle over each combination of the
+/// operand fills below, over the whole output and over a band inside it,
+/// under a 16 × 3 and a 7 × 1 work-group tile.
+#[cfg(test)]
+pub(crate) mod span_oracle {
+    use super::{random_matrix, Matrix};
+    use petal_core::codegen::{Geometry, RawInput};
+    use petal_core::stencil::{assert_span_matches_elem, StencilRule};
+
+    /// Operand fills a span body could get wrong while ordinary data hides
+    /// it: `zeros` is Strassen's padding; the two `-0.0` fills make every
+    /// product of a cell `-0.0`, so the cell's bits are `sum()`'s starting
+    /// value's; `inf` turns sums into NaNs; `tiny` makes products subnormal
+    /// or underflow them to signed zeros.
+    const FILLS: [&str; 6] = ["random", "zeros", "-0.0", "-0.0 | +", "inf", "tiny"];
+
+    fn filled(fill: &str, rows: usize, cols: usize) -> Matrix {
+        let noise = random_matrix(rows, cols, -1.0, 1.0, 97);
+        Matrix::from_fn(rows, cols, |r, c| {
+            let v = noise[(r, c)];
+            match fill {
+                "random" => v,
+                "zeros" => 0.0,
+                "-0.0" => -0.0,
+                "-0.0 | +" if c % 2 == 0 => -0.0,
+                "-0.0 | +" => v.abs() + 0.5,
+                "inf" if (3 * r + c) % 11 == 0 => f64::INFINITY.copysign(v),
+                "inf" => v,
+                "tiny" if c % 3 == 0 => v * 1e-310,
+                "tiny" => v * 1e-160,
+                other => unreachable!("no fill named {other}"),
+            }
+        })
+    }
+
+    /// Check `rule` over a `w × h` output with inputs of `in_dims`
+    /// (`(cols, rows)`, as [`Geometry`] has them), each filled every way in
+    /// [`FILLS`].
+    pub(crate) fn sweep(
+        rule: &StencilRule,
+        in_dims: &[(usize, usize)],
+        scalars: &[f64],
+        (w, h): (usize, usize),
+    ) {
+        for combo in 0..FILLS.len().pow(in_dims.len() as u32) {
+            let (mut rest, mut names, mut operands) = (combo, Vec::new(), Vec::new());
+            for &(cols, rows) in in_dims {
+                names.push(FILLS[rest % FILLS.len()]);
+                operands.push(filled(FILLS[rest % FILLS.len()], rows, cols));
+                rest /= FILLS.len();
+            }
+            let raw: Vec<RawInput<'_>> =
+                operands.iter().map(|m| (m.as_slice(), m.cols(), m.rows())).collect();
+            for (row0, row1) in [(0, h), (h / 5, h - h / 3)] {
+                for local_size in [48, 7] {
+                    // Shown only if the oracle panics: which case it was.
+                    println!("fills {names:?}, rows {row0}..{row1}, local size {local_size}");
+                    let geom = Geometry {
+                        out_w: w,
+                        out_h: h,
+                        row0,
+                        row1,
+                        in_dims: in_dims.to_vec(),
+                        local_size,
+                    };
+                    assert_span_matches_elem(rule, &raw, scalars, &geom);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

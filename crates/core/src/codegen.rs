@@ -318,11 +318,37 @@ fn emit_cooperative_loads(b: &mut SourceBuilder, rule: &StencilRule) {
 /// Raw borrowed input: `(row-major data, cols, rows)`.
 pub type RawInput<'a> = (&'a [f64], usize, usize);
 
+/// Compute the `out.len()` cells of output row `y` starting at column `x0`:
+/// one call of the rule's span body when it defines one, `elem` cell by cell
+/// otherwise. Debug builds hold the span to its contract at both ends of
+/// every span, so every test that runs a rule cross-checks its two forms.
+fn eval_span(rule: &StencilRule, env: &StencilEnv<'_>, x0: usize, y: usize, out: &mut [f64]) {
+    let Some(span) = &rule.span else {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = (rule.elem)(env, x0 + i, y);
+        }
+        return;
+    };
+    span(env, x0, y, out);
+    if cfg!(debug_assertions) && !out.is_empty() {
+        for i in [0, out.len() - 1] {
+            let want = (rule.elem)(env, x0 + i, y);
+            assert!(
+                out[i].to_bits() == want.to_bits(),
+                "rule '{}': span gives {:e} at ({}, {y}), elem gives {want:e}",
+                rule.name,
+                out[i],
+                x0 + i
+            );
+        }
+    }
+}
+
 /// Execute the plain (global-memory) variant on host slices: compute output
-/// rows `[row0, row1)`.
+/// rows `[row0, row1)` into `out`, which holds exactly those rows.
 ///
 /// # Panics
-/// Panics if the output slice does not cover the full matrix or a body read
+/// Panics if the output slice is not the launch's row range or a body read
 /// escapes its input.
 pub fn run_global(
     rule: &StencilRule,
@@ -331,7 +357,7 @@ pub fn run_global(
     out: &mut [f64],
     geom: &Geometry,
 ) {
-    assert_eq!(out.len(), geom.out_w * geom.out_h, "output slice covers the whole matrix");
+    assert_eq!(out.len(), geom.items(), "output slice is the launch's row range");
     let views: Vec<View<'_>> = rule
         .inputs
         .iter()
@@ -342,15 +368,15 @@ pub fn run_global(
         .collect();
     let env = StencilEnv { inputs: &views, scalars };
     for y in geom.row0..geom.row1 {
-        for x in 0..geom.out_w {
-            out[y * geom.out_w + x] = (rule.elem)(&env, x, y);
-        }
+        let at = (y - geom.row0) * geom.out_w;
+        eval_span(rule, &env, 0, y, &mut out[at..at + geom.out_w]);
     }
 }
 
 /// Execute the local-memory variant on host slices: iterate work-groups,
 /// stage each bounded input's tile (plus halo) and every broadcast input,
-/// then compute from the staged views only.
+/// then compute from the staged views only, into `out`, which holds exactly
+/// rows `[row0, row1)`.
 ///
 /// # Panics
 /// Panics if a body read escapes the staged tile — the executable
@@ -362,7 +388,7 @@ pub fn run_tiled(
     out: &mut [f64],
     geom: &Geometry,
 ) {
-    assert_eq!(out.len(), geom.out_w * geom.out_h, "output slice covers the whole matrix");
+    assert_eq!(out.len(), geom.items(), "output slice is the launch's row range");
     let (tw, th) = geom.tile();
     let mut ty = geom.row0;
     while ty < geom.row1 {
@@ -401,11 +427,9 @@ pub fn run_tiled(
                 .collect();
             // Compute phase, reading only staged data.
             let env = StencilEnv { inputs: &views, scalars };
-            for dy in 0..tile_h_out {
-                for dx in 0..tile_w_out {
-                    let (x, y) = (tx + dx, ty + dy);
-                    out[y * geom.out_w + x] = (rule.elem)(&env, x, y);
-                }
+            for y in ty..ty + tile_h_out {
+                let at = (y - geom.row0) * geom.out_w + tx;
+                eval_span(rule, &env, tx, y, &mut out[at..at + tile_w_out]);
             }
             tx += tw;
         }
@@ -458,40 +482,35 @@ pub fn decode_scalars(scalars: &[f64]) -> (Geometry, Vec<f64>) {
 
 /// Wrap a rule as a device [`KernelBody`]. Buffer convention: one buffer
 /// per input in declaration order, then the output buffer **sized to the
-/// launch's `[row0, row1)` row range**.
+/// launch's `[row0, row1)` row range**, which the kernel writes in place
+/// while reading its inputs in place (so the output buffer cannot also be
+/// an input: it reads as empty for the duration of the launch).
 #[must_use]
 pub fn make_kernel_body(rule: Arc<StencilRule>, local_memory: bool) -> Arc<dyn KernelBody> {
     Arc::new(move |bufs: &mut BufferTable, launch: &KernelLaunch| -> Result<(), GpuError> {
         let (geom, user) = decode_scalars(&launch.scalars);
-        let n = rule.inputs.len();
-        // Copy inputs out of the table (kernels read all inputs, write out).
-        let mut staged: Vec<(Vec<f64>, usize, usize)> = Vec::with_capacity(n);
-        for (k, &(w, h)) in geom.in_dims.iter().enumerate() {
-            let data = bufs.get(launch.buffers[k])?.data().to_vec();
-            if data.len() != w * h {
-                return Err(GpuError::SizeMismatch { expected: w * h, actual: data.len() });
-            }
-            staged.push((data, w, h));
-        }
-        let inputs: Vec<RawInput<'_>> =
-            staged.iter().map(|(d, w, h)| (d.as_slice(), *w, *h)).collect();
-        // Compute into a full-size scratch output, then copy the launch's
-        // row range into the (range-sized) output buffer.
-        let mut full = vec![0.0; geom.out_w * geom.out_h];
-        if local_memory {
-            run_tiled(&rule, &inputs, &user, &mut full, &geom);
-        } else {
-            run_global(&rule, &inputs, &user, &mut full, &geom);
-        }
         // The output buffer follows the *matrix* arguments (a rule may
         // declare several reads of the same matrix).
-        let out_buf = bufs.get_mut(launch.buffers[geom.in_dims.len()])?;
-        let want = geom.out_w * (geom.row1 - geom.row0);
-        if out_buf.len() != want {
-            return Err(GpuError::SizeMismatch { expected: want, actual: out_buf.len() });
-        }
-        out_buf.data_mut().copy_from_slice(&full[geom.row0 * geom.out_w..geom.row1 * geom.out_w]);
-        Ok(())
+        let out_id = launch.buffers[geom.in_dims.len()];
+        bufs.with_output(out_id, |bufs, out| {
+            let mut inputs: Vec<RawInput<'_>> = Vec::with_capacity(geom.in_dims.len());
+            for (k, &(w, h)) in geom.in_dims.iter().enumerate() {
+                let data = bufs.get(launch.buffers[k])?.data();
+                if data.len() != w * h {
+                    return Err(GpuError::SizeMismatch { expected: w * h, actual: data.len() });
+                }
+                inputs.push((data, w, h));
+            }
+            if out.len() != geom.items() {
+                return Err(GpuError::SizeMismatch { expected: geom.items(), actual: out.len() });
+            }
+            if local_memory {
+                run_tiled(&rule, &inputs, &user, out, &geom);
+            } else {
+                run_global(&rule, &inputs, &user, out, &geom);
+            }
+            Ok(())
+        })?
     })
 }
 
@@ -511,7 +530,26 @@ mod tests {
                 let k = env.scalars[0] as usize;
                 (0..k).map(|i| env.inputs[0].at(x + i, y)).sum()
             }),
+            span: None,
             native_only_body: false,
+        }
+    }
+
+    /// [`blur_rule`] with a span body that reads `reach` columns per tap
+    /// row: `out.len()` is what the declared box allows.
+    fn blur_rule_with_span(k: usize, reach: fn(usize) -> usize) -> StencilRule {
+        StencilRule {
+            span: Some(Arc::new(move |env, x0, y, out| {
+                let k = env.scalars[0] as usize;
+                out.fill(crate::stencil::sum_identity());
+                for i in 0..k {
+                    let taps = env.inputs[0].row_span(y, x0 + i, reach(out.len()));
+                    for (o, &v) in out.iter_mut().zip(taps) {
+                        *o += v;
+                    }
+                }
+            })),
+            ..blur_rule(k)
         }
     }
 
@@ -540,15 +578,64 @@ mod tests {
         let rule = blur_rule(3);
         let in_w = 8;
         let in_h = 4;
-        let input = vec![1.0; in_w * in_h];
+        let input: Vec<f64> = (0..in_w * in_h).map(|i| (i / in_w) as f64).collect();
         let mut g = geom(in_w - 2, in_h, in_w, in_h, 16);
         g.row0 = 1;
         g.row1 = 3;
-        let mut out = vec![0.0; g.out_w * g.out_h];
-        run_global(&rule, &[(&input, in_w, in_h)], &[3.0], &mut out, &g);
-        assert_eq!(out[0], 0.0, "row 0 untouched");
-        assert_eq!(out[g.out_w], 3.0, "row 1 computed");
-        assert_eq!(out[3 * g.out_w], 0.0, "row 3 untouched");
+        // The launch's rows, as the band of a whole matrix they are.
+        let mut out = vec![-1.0; g.out_w * g.out_h];
+        for run in [run_global, run_tiled] {
+            let band = &mut out[g.row0 * g.out_w..g.row1 * g.out_w];
+            run(&rule, &[(&input, in_w, in_h)], &[3.0], band, &g);
+            assert_eq!(out[0], -1.0, "row 0 untouched");
+            assert_eq!(out[g.out_w], 3.0, "row 1 computed from input row 1");
+            assert_eq!(out[3 * g.out_w - 1], 6.0, "row 2 computed from input row 2");
+            assert_eq!(out[3 * g.out_w], -1.0, "row 3 untouched");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the launch's row range")]
+    fn a_whole_matrix_is_not_a_row_range() {
+        let mut g = geom(6, 4, 8, 4, 16);
+        g.row0 = 1;
+        run_global(&blur_rule(3), &[(&[0.0; 32], 8, 4)], &[3.0], &mut [0.0; 24], &g);
+    }
+
+    #[test]
+    fn span_form_matches_elem_over_full_and_tile_views() {
+        let rule = blur_rule_with_span(3, |len| len);
+        let (in_w, in_h) = (45, 9);
+        let input: Vec<f64> = (0..in_w * in_h).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
+        // 43 columns: two whole 16-wide tiles and a ragged third; rows 2..7
+        // of 9: a band that starts and ends inside the matrix.
+        let mut g = geom(in_w - 2, in_h, in_w, in_h, 48);
+        (g.row0, g.row1) = (2, 7);
+        crate::stencil::assert_span_matches_elem(&rule, &[(&input, in_w, in_h)], &[3.0], &g);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside staged tile")]
+    fn span_reading_one_column_past_its_staged_tile_panics_like_at() {
+        let rule = blur_rule_with_span(3, |len| len + 1);
+        let (in_w, in_h) = (40, 4);
+        let input = vec![1.0; in_w * in_h];
+        let g = geom(in_w - 2, in_h, in_w, in_h, 16);
+        run_tiled(&rule, &[(&input, in_w, in_h)], &[3.0], &mut vec![0.0; g.items()], &g);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "span gives")]
+    fn debug_builds_hold_a_span_to_elem_at_both_ends() {
+        let mut rule = blur_rule_with_span(3, |len| len);
+        let good = rule.span.take().expect("defined above");
+        rule.span = Some(Arc::new(move |env, x0, y, out| {
+            good(env, x0, y, out);
+            *out.last_mut().expect("non-empty span") += 1.0;
+        }));
+        let g = geom(6, 2, 8, 2, 16);
+        run_global(&rule, &[(&[1.0; 16], 8, 2)], &[3.0], &mut [0.0; 12], &g);
     }
 
     #[test]
@@ -620,6 +707,47 @@ mod tests {
         let out = bufs.get(out_id).unwrap().data().to_vec();
         assert_eq!(out[0], 3.0); // 0+1+2
         assert_eq!(out[g.out_w], 21.0); // 6+7+8
+    }
+
+    #[test]
+    fn kernel_body_writes_its_row_range_in_place() {
+        let rule = Arc::new(blur_rule_with_span(3, |len| len));
+        let (in_w, in_h) = (20, 5);
+        let input: Vec<f64> = (0..in_w * in_h).map(|i| i as f64).collect();
+        let mut g = geom(in_w - 2, in_h, in_w, in_h, 16);
+        (g.row0, g.row1) = (1, 4);
+        let mut want = vec![0.0; g.items()];
+        run_global(&blur_rule(3), &[(&input, in_w, in_h)], &[3.0], &mut want, &g);
+        for local_memory in [false, true] {
+            let mut bufs = BufferTable::new();
+            let in_id = bufs.alloc(in_w * in_h);
+            bufs.write(in_id, &input).unwrap();
+            let out_id = bufs.alloc(g.items());
+            let mut launch = KernelLaunch {
+                kernel: petal_gpu::compile::KernelHandle::from_raw(0),
+                buffers: vec![in_id, out_id],
+                scalars: encode_scalars(&g, &[3.0]),
+                work: kernel_work(&rule, &g, local_memory),
+            };
+            let body = make_kernel_body(Arc::clone(&rule), local_memory);
+            body.execute(&mut bufs, &launch).unwrap();
+            assert_eq!(bufs.get(out_id).unwrap().data(), want);
+            assert_eq!(bufs.get(in_id).unwrap().data(), input, "inputs are read in place");
+            // Errors are what they were, and leave the output buffer whole.
+            let whole = bufs.alloc(g.out_w * g.out_h);
+            launch.buffers[1] = whole;
+            assert_eq!(
+                body.execute(&mut bufs, &launch).unwrap_err(),
+                GpuError::SizeMismatch { expected: g.items(), actual: g.out_w * g.out_h }
+            );
+            assert_eq!(bufs.get(whole).unwrap().len(), g.out_w * g.out_h);
+            launch.buffers = vec![out_id, out_id];
+            assert_eq!(
+                body.execute(&mut bufs, &launch).unwrap_err(),
+                GpuError::SizeMismatch { expected: in_w * in_h, actual: 0 },
+                "a launch cannot read the buffer it writes"
+            );
+        }
     }
 
     #[test]

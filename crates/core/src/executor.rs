@@ -292,7 +292,8 @@ impl Executor {
                                 (m.as_slice(), m.cols(), m.rows())
                             })
                             .collect();
-                        codegen::run_global(&rule, &raw, &scalars, out.as_mut_slice(), &geom);
+                        let rows = &mut out.as_mut_slice()[r0 * out_w..r1 * out_w];
+                        codegen::run_global(&rule, &raw, &scalars, rows, &geom);
                     }
                     let work = codegen::cpu_work(&rule, &geom, r1 - r0);
                     world.restore_matrix(output, out);
@@ -542,6 +543,7 @@ mod tests {
             flops_per_output: 1.0,
             body_c: "result = 2.0 * IN0(x, y);".into(),
             elem: Arc::new(|env, x, y| 2.0 * env.inputs[0].at(x, y)),
+            span: None,
             native_only_body: false,
         })
     }
@@ -715,6 +717,7 @@ mod tests {
                 }
                 s
             }),
+            span: None,
             native_only_body: false,
         });
         let run_variant = |local_memory: bool| {

@@ -208,9 +208,11 @@ impl Plan {
         &self.outputs
     }
 
-    /// Decompose into steps for execution.
+    /// Decompose into steps (in schedule order) and outputs: what the
+    /// executor lowers, and what a harness feeds back through a
+    /// [`PlanBuilder`] to run a variant of a benchmark's plan.
     #[must_use]
-    pub(crate) fn into_steps(self) -> (Vec<Step>, Vec<MatrixId>) {
+    pub fn into_steps(self) -> (Vec<Step>, Vec<MatrixId>) {
         (self.steps, self.outputs)
     }
 }
@@ -490,6 +492,7 @@ mod tests {
             flops_per_output: 1.0,
             body_c: "result = IN0(x, y);".into(),
             elem: Arc::new(|env, x, y| env.inputs[0].at(x, y)),
+            span: None,
             native_only_body: false,
         })
     }

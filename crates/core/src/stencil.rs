@@ -15,6 +15,7 @@
 //!    variant with a cooperative load phase is generated as an additional
 //!    choice.
 
+use crate::codegen::{run_global, run_tiled, Geometry, RawInput};
 use std::fmt;
 use std::sync::Arc;
 
@@ -195,6 +196,38 @@ impl View<'_> {
         }
     }
 
+    /// Read the `len` elements of row `y` starting at *global* column `x0`
+    /// as one slice — the read span bodies are built on.
+    ///
+    /// # Panics
+    /// Panics when any element of the span lies outside the view, exactly
+    /// as [`View::at`] would on that element: for tiles the cooperative-load
+    /// bounds stay an executable assertion, now over whole spans.
+    #[must_use]
+    pub fn row_span(&self, y: usize, x0: usize, len: usize) -> &[f64] {
+        match self {
+            View::Full { data, cols, rows } => {
+                assert!(
+                    x0 + len <= *cols && y < *rows,
+                    "read ({x0}..{},{y}) outside {cols}x{rows} input",
+                    x0 + len
+                );
+                &data[y * cols + x0..][..len]
+            }
+            View::Tile { data, x0: tx0, y0, cols, rows } => {
+                assert!(
+                    x0 >= *tx0 && y >= *y0 && x0 - tx0 + len <= *cols && y - y0 < *rows,
+                    "read ({x0}..{},{y}) outside staged tile [{tx0}..{},{y0}..{}) — \
+                     rule body violates its declared bounding box",
+                    x0 + len,
+                    tx0 + cols,
+                    y0 + rows
+                );
+                &data[(y - y0) * cols + (x0 - tx0)..][..len]
+            }
+        }
+    }
+
     /// Width of the underlying *global* input (for Row/Column loops).
     #[must_use]
     pub fn width(&self) -> usize {
@@ -224,7 +257,39 @@ pub struct StencilEnv<'a> {
 /// Rule body: computes the value of output cell `(x, y)`.
 pub type ElemFn = Arc<dyn Fn(&StencilEnv<'_>, usize, usize) -> f64 + Send + Sync>;
 
+/// Span body `(env, x0, y, out)`: computes the `out.len()` cells of output
+/// row `y` starting at column `x0` in one call (see [`StencilRule::span`]).
+pub type SpanFn = Arc<dyn Fn(&StencilEnv<'_>, usize, usize, &mut [f64]) + Send + Sync>;
+
+/// What `Iterator::sum::<f64>()` starts from — the value a span body must
+/// give every cell before the first term when `elem` is written with `sum()`
+/// (`-0.0` since Rust 1.83, `0.0` before: asked of `Sum`, not assumed).
+#[must_use]
+pub fn sum_identity() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// `out[i] += a * xs[i]`: the step span bodies are built from. Each lane is
+/// one cell's own accumulator taking its next term, so a body that issues
+/// these steps in `elem`'s term order computes `elem`'s bits however wide
+/// the loop is vectorised (no FMA, no reassociation: rustc keeps strict
+/// IEEE semantics).
+pub fn saxpy(out: &mut [f64], a: f64, xs: &[f64]) {
+    for (o, &x) in out.iter_mut().zip(xs) {
+        *o += a * x;
+    }
+}
+
 /// A data-parallel rule (the paper's elementwise `Rule`).
+///
+/// The body appears three times: [`body_c`](Self::body_c) is the OpenCL C
+/// text (hashed, priced, never executed); [`elem`](Self::elem) is the
+/// functional definition of one output cell; [`span`](Self::span), when
+/// present, computes a row of cells per call and must reproduce `elem` bit
+/// for bit. Costs (`codegen::kernel_work`, `codegen::cpu_work`) come from
+/// the declared [`inputs`](Self::inputs) and
+/// [`flops_per_output`](Self::flops_per_output) alone, so which form the
+/// host runs never reaches virtual time.
 #[derive(Clone)]
 pub struct StencilRule {
     /// Rule name (becomes the kernel entry point).
@@ -236,8 +301,22 @@ pub struct StencilRule {
     /// The C body emitted into generated OpenCL source. Written against the
     /// `INk(x, y)` macros and assigning `result` (see `codegen`).
     pub body_c: String,
-    /// Functional implementation, semantically identical to `body_c`.
+    /// Functional implementation, semantically identical to `body_c`: the
+    /// **definition** of the rule's value at one cell, and the oracle every
+    /// other form is checked against.
     pub elem: ElemFn,
+    /// Optional row-at-a-time form of `elem`, which the functional
+    /// simulation prefers when a rule defines it (one call per output row,
+    /// or per tile row under the scratchpad variant, instead of one `dyn`
+    /// call and two asserted reads per multiply-add). Contract: after
+    /// `span(env, x0, y, out)`, `out[i]` equals `elem(env, x0 + i, y)` **bit
+    /// for bit** for every `i` — same terms, same order, same starting
+    /// value per cell; only independent cells may be interleaved. It reads
+    /// inputs through [`View::row_span`] (or [`View::at`]) only, so a read
+    /// outside a staged tile still panics. Debug builds spot-check both ends
+    /// of every span against `elem`; [`assert_span_matches_elem`] checks
+    /// every cell. `None` runs `elem` cell by cell.
+    pub span: Option<SpanFn>,
     /// True when the body contains constructs OpenCL cannot express
     /// (phase-2 rejection even if the pattern is data parallel).
     pub native_only_body: bool,
@@ -249,6 +328,7 @@ impl fmt::Debug for StencilRule {
             .field("name", &self.name)
             .field("inputs", &self.inputs)
             .field("flops_per_output", &self.flops_per_output)
+            .field("has_span", &self.span.is_some())
             .field("native_only_body", &self.native_only_body)
             .finish_non_exhaustive()
     }
@@ -288,6 +368,45 @@ impl StencilRule {
     }
 }
 
+/// The span oracle: run `rule` over `geom` with its span body and again
+/// with the span removed (so `elem` computes every cell), over `Full`
+/// views ([`run_global`]) and over the staged `Tile` views of the
+/// scratchpad variant ([`run_tiled`]), and compare every cell by `to_bits`.
+///
+/// # Panics
+/// Panics when the rule defines no span, or names the first cell whose
+/// bits differ (an unwritten cell differs: outputs start as a NaN no
+/// arithmetic produces).
+pub fn assert_span_matches_elem(
+    rule: &StencilRule,
+    inputs: &[RawInput<'_>],
+    scalars: &[f64],
+    geom: &Geometry,
+) {
+    assert!(rule.span.is_some(), "rule '{}' defines no span body", rule.name);
+    let oracle = StencilRule { span: None, ..rule.clone() };
+    let unwritten = f64::from_bits(0x7ff8_dead_beef_0000);
+    type Run = fn(&StencilRule, &[RawInput<'_>], &[f64], &mut [f64], &Geometry);
+    for (views, run) in [("Full", run_global as Run), ("Tile", run_tiled as Run)] {
+        let mut want = vec![unwritten; geom.items()];
+        let mut got = want.clone();
+        run(&oracle, inputs, scalars, &mut want, geom);
+        run(rule, inputs, scalars, &mut got, geom);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits(),
+                "rule '{}', {views} views, cell ({}, {}): span gives {g:e} ({:#018x}), \
+                 elem gives {w:e} ({:#018x})",
+                rule.name,
+                i % geom.out_w,
+                geom.row0 + i / geom.out_w,
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,6 +422,7 @@ mod tests {
             flops_per_output: 1.0,
             body_c: "result = 0.0;".into(),
             elem: Arc::new(|_, _, _| 0.0),
+            span: None,
             native_only_body: native,
         }
     }
@@ -373,6 +493,31 @@ mod tests {
         assert_eq!(v.at(3, 3), 0.0);
         let r = std::panic::catch_unwind(|| v.at(0, 0));
         assert!(r.is_err(), "out-of-tile read must panic");
+    }
+
+    #[test]
+    fn row_span_reads_what_at_reads_and_panics_where_at_panics() {
+        let data: Vec<f64> = (0..12).map(f64::from).collect();
+        let full = View::Full { data: &data, cols: 4, rows: 3 };
+        // The same matrix's columns 1..4 of rows 1..3, staged.
+        let tile = View::Tile {
+            data: vec![5.0, 6.0, 7.0, 9.0, 10.0, 11.0],
+            x0: 1,
+            y0: 1,
+            cols: 3,
+            rows: 2,
+        };
+        for v in [&full, &tile] {
+            assert_eq!(v.row_span(2, 1, 3), [v.at(1, 2), v.at(2, 2), v.at(3, 2)]);
+            assert!(v.row_span(1, 4, 0).is_empty(), "an empty span at the edge reads nothing");
+        }
+        for (y, x0, len) in [(1, 0, 2), (0, 1, 1), (1, 2, 3), (3, 1, 1)] {
+            let at =
+                std::panic::catch_unwind(|| (x0..x0 + len).map(|x| tile.at(x, y)).sum::<f64>());
+            let span = std::panic::catch_unwind(|| tile.row_span(y, x0, len).len());
+            assert!(at.is_err() && span.is_err(), "({x0}..{},{y}) is outside the tile", x0 + len);
+        }
+        assert!(std::panic::catch_unwind(|| full.row_span(0, 2, 3).len()).is_err());
     }
 
     #[test]

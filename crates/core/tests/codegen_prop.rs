@@ -1,17 +1,24 @@
 //! Property tests over the code generator: the scratchpad (tiled) execution
-//! path must be bit-identical to the global path for arbitrary stencil
-//! shapes, geometries and work-group sizes, and launch-geometry encoding
-//! must round-trip.
+//! path must be bit-identical to the global path, and a rule's span body to
+//! its per-cell `elem`, for arbitrary stencil shapes, geometries and
+//! work-group sizes; and launch-geometry encoding must round-trip.
 
 use petal_core::codegen::{
     decode_scalars, encode_scalars, generate_source, kernel_work, run_global, run_tiled, Geometry,
+    RawInput,
 };
 use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A box-sum stencil of shape `bw × bh` over one input.
+/// A box-sum stencil of shape `bw × bh` over one input, computed per cell.
 fn box_rule(bw: usize, bh: usize) -> StencilRule {
+    StencilRule { span: None, ..box_rule_with_span(bw, bh) }
+}
+
+/// [`box_rule`] with the row-at-a-time form beside `elem`: tap-outer, each
+/// cell taking its taps in `elem`'s `(j, i)` order from `elem`'s `0.0`.
+fn box_rule_with_span(bw: usize, bh: usize) -> StencilRule {
     StencilRule {
         name: "box_sum".into(),
         inputs: vec![StencilInput { index: 0, access: AccessPattern::Stencil { w: bw, h: bh } }],
@@ -28,9 +35,22 @@ fn box_rule(bw: usize, bh: usize) -> StencilRule {
             }
             acc
         }),
+        span: Some(Arc::new(move |env, x0, y, out| {
+            out.fill(0.0);
+            for j in 0..bh {
+                for i in 0..bw {
+                    let taps = env.inputs[0].row_span(y + j, x0 + i, out.len());
+                    for (o, &v) in out.iter_mut().zip(taps) {
+                        *o += v;
+                    }
+                }
+            }
+        })),
         native_only_body: false,
     }
 }
+
+type Run = fn(&StencilRule, &[RawInput<'_>], &[f64], &mut [f64], &Geometry);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -44,10 +64,13 @@ proptest! {
         local_size in 1usize..200,
         row_frac in 0.0f64..1.0,
     ) {
-        let rule = box_rule(bw, bh);
         let in_w = out_w + bw - 1;
         let in_h = out_h + bh - 1;
-        let input: Vec<f64> = (0..in_w * in_h).map(|i| (i % 97) as f64 - 48.0).collect();
+        // Signed zeros and a sign change in every row: an order or a
+        // starting value that differed would show in the bits.
+        let input: Vec<f64> = (0..in_w * in_h)
+            .map(|i| if i % 7 == 0 { -0.0 } else { ((i * 31) % 97) as f64 / 8.0 - 6.0 })
+            .collect();
         let row0 = ((out_h as f64) * row_frac) as usize;
         let geom = Geometry {
             out_w,
@@ -57,11 +80,18 @@ proptest! {
             in_dims: vec![(in_w, in_h)],
             local_size,
         };
-        let mut a = vec![0.0; out_w * out_h];
-        let mut b = vec![0.0; out_w * out_h];
-        run_global(&rule, &[(&input, in_w, in_h)], &[], &mut a, &geom);
-        run_tiled(&rule, &[(&input, in_w, in_h)], &[], &mut b, &geom);
-        prop_assert_eq!(a, b, "staging must be bit-transparent");
+        // Per cell over whole-matrix views is the definition; staging and
+        // the span form must each, and together, reproduce its bits.
+        let bits = |rule: &StencilRule, run: Run| -> Vec<u64> {
+            let mut out = vec![f64::NAN; geom.items()];
+            run(rule, &[(&input, in_w, in_h)], &[], &mut out, &geom);
+            out.iter().map(|v| v.to_bits()).collect()
+        };
+        let (cells, spans) = (box_rule(bw, bh), box_rule_with_span(bw, bh));
+        let want = bits(&cells, run_global);
+        prop_assert_eq!(&bits(&cells, run_tiled), &want, "staging must be bit-transparent");
+        prop_assert_eq!(&bits(&spans, run_global), &want, "span over Full views");
+        prop_assert_eq!(&bits(&spans, run_tiled), &want, "span over Tile views");
     }
 
     #[test]

@@ -13,7 +13,8 @@ use petal_apps::strassen::Strassen;
 use petal_apps::svd::Svd;
 use petal_apps::tridiagonal::Tridiagonal;
 use petal_apps::{benchmark_from_spec, Benchmark, Instance};
-use petal_core::plan::StepKind;
+use petal_core::plan::{PlanBuilder, Step, StepKind};
+use petal_core::stencil::StencilRule;
 use petal_core::{Config, Executor, Placement, Program, Selector, Tunable};
 use petal_farm::session::{serve_jobs, Framed};
 use petal_farm::wire::{Message, WIRE_VERSION};
@@ -198,25 +199,32 @@ fn a_cold_farm_at_eight_threads_equals_one_thread_and_fresh_objects() {
     }
 }
 
-/// One SVD trial run to completion: the `ata` placement the plan chose,
-/// and the bits of what the Jacobi step wrote (`vk`, `sigma`, `vkt`) and
-/// of the plan's output (`approx`), as the trial left them in its `World`.
-fn svd_trial(
+/// One trial run to completion: the placements of its stencil steps and
+/// the bits of every matrix a step of its plan touches, as the trial left
+/// them in its `World`.
+fn trial_matrices(
     bench: &dyn Benchmark,
     machine: &MachineProfile,
     cfg: &Config,
-) -> (Placement, Vec<Vec<u64>>) {
+) -> (Vec<Placement>, Vec<Vec<u64>>) {
     let Instance { mut world, plan, .. } = bench.instantiate(machine, cfg);
-    let placement = match &plan.steps()[0].kind {
-        StepKind::Stencil(ata) => ata.placement,
-        StepKind::Native(_) => panic!("SVD's first step is the `ata` stencil"),
-    };
-    let jacobi = plan.steps().iter().find(|s| s.describe() == "jacobi_eigh").expect("phase 2");
-    let kept: Vec<_> = jacobi.writes().iter().chain(plan.outputs()).copied().collect();
-    assert_eq!(kept.len(), 4, "vk, sigma, vkt and approx");
+    let mut placements = Vec::new();
+    let mut touched = plan.outputs().to_vec();
+    for step in plan.steps() {
+        if let StepKind::Stencil(s) = &step.kind {
+            placements.push(s.placement);
+        }
+        touched.extend(step.reads().iter().chain(step.writes()));
+    }
+    touched.sort_unstable();
+    touched.dedup();
     Executor::new(machine).run(plan, &mut world).expect("the trial runs");
-    let bits = |id| world.get(id).as_slice().iter().map(|x: &f64| x.to_bits()).collect();
-    (placement, kept.into_iter().map(bits).collect())
+    let bits = |id| {
+        // An intermediate nobody read is still on the device: pull it.
+        let _ = world.ensure_host(id, f64::MAX);
+        world.get(id).as_slice().iter().map(|x| x.to_bits()).collect()
+    };
+    (placements, touched.into_iter().map(bits).collect())
 }
 
 /// SVD's memoised eigendecomposition is invisible in the `World`: whatever
@@ -244,9 +252,10 @@ fn svd_trials_leave_the_same_matrices_on_a_miss_a_hit_and_a_fresh_object() {
             for turn in 0..ratios.len() {
                 let cfg = config(ratios[(first + turn) % ratios.len()], rank);
                 let untouched = benchmark_from_spec(&full.spec()).expect("specs round-trip");
-                let (placement, want) = svd_trial(&*untouched, &machine, &cfg);
+                let (placed, want) = trial_matrices(&*untouched, &machine, &cfg);
+                let placement = placed[0]; // `ata` is the plan's first step
                 for trial in 1..=3 {
-                    let (_, got) = svd_trial(&*child, &machine, &cfg);
+                    let (_, got) = trial_matrices(&*child, &machine, &cfg);
                     assert_eq!(got, want, "rank {rank}, {placement:?}, session trial {trial}");
                 }
                 placements.push(placement);
@@ -255,6 +264,93 @@ fn svd_trials_leave_the_same_matrices_on_a_miss_a_hit_and_a_fresh_object() {
         assert!(placements.iter().any(|p| matches!(p, Placement::Cpu { .. })));
         assert!(placements.iter().any(|p| matches!(p, Placement::OpenCl { .. })));
         assert!(placements.iter().any(|p| matches!(p, Placement::Split { .. })));
+    }
+}
+
+/// A benchmark whose plans run every data-parallel rule cell by cell: each
+/// stencil step's rule is replaced by a clone with its `span` taken away,
+/// which is all it takes to fall back to `elem`.
+struct Spanless(Box<dyn Benchmark>);
+
+impl Benchmark for Spanless {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn spec(&self) -> String {
+        self.0.spec()
+    }
+    fn input_size(&self) -> u64 {
+        self.0.input_size()
+    }
+    fn program(&self, machine: &MachineProfile) -> Program {
+        self.0.program(machine)
+    }
+    fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
+        let Instance { world, plan, check } = self.0.instantiate(machine, cfg);
+        let (steps, outputs) = plan.into_steps();
+        let mut rebuilt = PlanBuilder::new();
+        for Step { kind, deps } in steps {
+            match kind {
+                StepKind::Stencil(mut s) => {
+                    assert!(s.rule.span.is_some(), "'{}' has a span to take away", s.rule.name);
+                    s.rule = Arc::new(StencilRule { span: None, ..(*s.rule).clone() });
+                    rebuilt.stencil(s, &deps);
+                }
+                StepKind::Native(n) => {
+                    rebuilt.native(n, &deps);
+                }
+            }
+        }
+        for m in outputs {
+            rebuilt.mark_output(m);
+        }
+        Instance { world, plan: rebuilt.build(), check }
+    }
+    fn resized(&self, size: u64) -> Option<Box<dyn Benchmark>> {
+        Some(Box::new(Spanless(self.0.resized(size)?)))
+    }
+    fn dynamic_config_keys(&self) -> Vec<String> {
+        self.0.dynamic_config_keys()
+    }
+}
+
+/// The span bodies are invisible: with `matmul_dp` (Strassen n = 128) and
+/// `ata` (SVD n = 64) summed on the CPU in chunks, on the device, and split
+/// 3/8 between them, under four mutants of the default configuration, a
+/// trial leaves the same bits in every matrix and reports the same outcome
+/// as the same trial with the rule's span taken away.
+#[test]
+fn span_bodies_leave_the_same_matrices_and_outcomes_as_elem() {
+    let machine = MachineProfile::desktop();
+    let cases: [(Box<dyn Benchmark>, &str, usize); 2] =
+        [(Box::new(Strassen::new(128)), "matmul", 7), (Box::new(Svd::new(64, 0.15)), "ata", 2)];
+    for (bench, site, algs) in cases {
+        let spanless = Spanless(benchmark_from_spec(&bench.spec()).expect("specs round-trip"));
+        let mut seen = Vec::new();
+        for (mutant, base) in configs(&*bench, &machine).into_iter().skip(1).step_by(2).enumerate()
+        {
+            // gpu_ratio 0 = CPU chunks, 8 = OpenCL, 3 = a 3/8 split.
+            for ratio in [0, 8, 3] {
+                let mut cfg = base.clone();
+                cfg.set_selector(site, Selector::constant(algs - 1, algs));
+                cfg.set_tunable(&format!("{site}.gpu_ratio"), Tunable::new(ratio, 0, 8));
+                let what = format!("{}, mutant {mutant}, gpu_ratio {ratio}", bench.name());
+
+                let (placements, got) = trial_matrices(&*bench, &machine, &cfg);
+                let (_, want) = trial_matrices(&spanless, &machine, &cfg);
+                assert_eq!(got, want, "{what}: matrices");
+                seen.extend(placements);
+
+                let size = bench.input_size();
+                let job = EvalJob { config: cfg, size, engine_seed: job_seed(17, size, 0) };
+                let got = evaluate_job(&*bench, &machine, &job);
+                assert!(got.ran, "{what}: the trial must run");
+                assert_same_outcome(&got, &evaluate_job(&spanless, &machine, &job), &what);
+            }
+        }
+        assert!(seen.iter().any(|p| matches!(p, Placement::Cpu { .. })));
+        assert!(seen.iter().any(|p| matches!(p, Placement::OpenCl { .. })));
+        assert!(seen.iter().any(|p| matches!(p, Placement::Split { gpu_eighths: 3, .. })));
     }
 }
 

@@ -119,6 +119,24 @@ impl BufferTable {
         self.buffers.get_mut(id.0).and_then(Option::as_mut).ok_or(GpuError::UnknownBuffer(id))
     }
 
+    /// Run `f` with exclusive access to `out`'s storage beside shared access
+    /// to every other buffer — how a kernel reads its inputs in place while
+    /// writing its output in place. Inside `f` the table shows `out` as
+    /// empty; its storage is back when this returns.
+    ///
+    /// # Errors
+    /// Returns [`GpuError::UnknownBuffer`] if `out` is not live.
+    pub fn with_output<R>(
+        &mut self,
+        out: BufferId,
+        f: impl FnOnce(&BufferTable, &mut [f64]) -> R,
+    ) -> Result<R, GpuError> {
+        let mut data = std::mem::take(&mut self.get_mut(out)?.data);
+        let result = f(self, &mut data);
+        self.get_mut(out)?.data = data;
+        Ok(result)
+    }
+
     /// Copy host data into a buffer (the data part of a copy-in).
     ///
     /// # Errors
@@ -200,6 +218,24 @@ mod tests {
         let mut out = [0.0; 4];
         t.read(id, &mut out).unwrap();
         assert_eq!(out, [1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn with_output_lends_one_buffer_mutably_beside_the_rest() {
+        let mut t = BufferTable::new();
+        let (a, out) = (t.alloc(2), t.alloc(2));
+        t.write(a, &[1.0, 2.0]).unwrap();
+        let seen = t
+            .with_output(out, |t, o| {
+                o.copy_from_slice(t.get(a).unwrap().data());
+                t.get(out).unwrap().len()
+            })
+            .unwrap();
+        assert_eq!(seen, 0, "the lent buffer reads as empty meanwhile");
+        assert_eq!(t.get(out).unwrap().data(), [1.0, 2.0]);
+        assert_eq!(t.bytes_allocated(), 32);
+        t.free(out).unwrap();
+        assert_eq!(t.with_output(out, |_, _| ()).unwrap_err(), GpuError::UnknownBuffer(out));
     }
 
     #[test]

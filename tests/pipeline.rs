@@ -52,6 +52,7 @@ fn wavefront_rules_are_rejected_like_the_paper_says() {
         flops_per_output: 1.0,
         body_c: String::new(),
         elem: Arc::new(|_, _, _| 0.0),
+        span: None,
         native_only_body: false,
     };
     assert!(rule.opencl_verdict().is_err());
