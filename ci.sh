@@ -25,16 +25,16 @@ echo "== span oracle, release (the build that ships: SAXPY spans only vectorise 
 cargo test -q --release --offline -p petal_core -p petal_apps -p petal_farm span
 cargo test -q --release --offline -p petal_core --test codegen_prop
 
-echo "== every Row/Column (matmul-shaped) StencilRule in crates/apps defines a span body"
-# Such a rule is K multiply-adds per cell: left to the per-cell fallback it
-# costs 4.6 ns per multiply-add against 0.3 ns, and nothing else would say so.
+echo "== every StencilRule literal in crates/apps defines a span body or says why not"
+# A rule left to the per-cell fallback pays a `dyn` call and asserted reads
+# per cell (4.6 ns per multiply-add against 0.3 ns on a matmul-shaped rule)
+# and nothing else would say so: `span: Some(`, or `span: None, // <reason>`.
 awk '
-  /StencilRule \{$/ { at = FILENAME ":" FNR; shaped = 0; spanned = 0 }
-  /AccessPattern::(Row|Column)/ { shaped = 1 }
-  /span: Some\(/ { spanned = 1 }
+  /StencilRule \{$/ { at = FILENAME ":" FNR; open = 1; answered = 0 }
+  /span: Some\(/ || /span: None, \/\/ ./ { answered = 1 }
   /native_only_body:/ {
-    if (shaped && !spanned) { print at ": Row/Column rule without `span: Some(`"; bad = 1 }
-    shaped = 0
+    if (open && !answered) { print at ": rule without `span: Some(` or `span: None, // <reason>`"; bad = 1 }
+    open = 0
   }
   END { exit bad }
 ' crates/apps/src/*.rs

@@ -30,6 +30,7 @@ fn double_rule() -> Arc<StencilRule> {
         elem: Arc::new(|env, x, y| 2.0 * env.inputs[0].at(x, y)),
         span: None,
         native_only_body: false,
+        text: Default::default(),
     })
 }
 

@@ -22,6 +22,11 @@ pub const RATE: f64 = 0.02;
 /// Volatility used by the workload.
 pub const VOLATILITY: f64 = 0.30;
 
+/// The smallest `n` that is an instance: what [`BlackScholes::new`] asserts,
+/// `resized` refuses below and [`crate::benchmark_from_spec`] rejects, so a
+/// resized child is always a size the factory would rebuild.
+pub const MIN_N: usize = 64;
+
 /// Arithmetic cost per option: exp/log/sqrt-heavy closed form.
 const FLOPS_PER_OPTION: f64 = 220.0;
 
@@ -62,20 +67,25 @@ pub struct BlackScholes {
 }
 
 /// What every instance of one `n` shares: the seeded inputs, shaped
-/// `rows × cols`, and the host reference prices.
+/// `rows × cols`, the host reference prices and the pricing rule.
 #[derive(Debug, Clone)]
 struct Prepared {
     spot: Arc<Matrix>,
     strike: Arc<Matrix>,
     expiry: Arc<Matrix>,
     expected: Arc<Vec<f64>>,
+    rule: Arc<StencilRule>,
 }
 
 impl BlackScholes {
     /// New instance with `n` options (the paper tests 500 000).
+    ///
+    /// # Panics
+    /// Panics when `n <` [`MIN_N`].
     #[must_use]
     pub fn new(n: usize) -> Self {
-        BlackScholes { n: n.max(1), prepared: OnceLock::new() }
+        assert!(n >= MIN_N, "too few options");
+        BlackScholes { n, prepared: OnceLock::new() }
     }
 
     /// The logical option array as `rows × cols`, so fractional CPU/GPU
@@ -99,6 +109,7 @@ impl BlackScholes {
                 strike: shaped(k),
                 expiry: shaped(t),
                 expected: Arc::new(expected),
+                rule: Self::rule(),
             }
         })
     }
@@ -127,8 +138,9 @@ impl BlackScholes {
                 let t = env.inputs[2].at(x, y);
                 call_price(s, k, t, env.scalars[0], env.scalars[1])
             }),
-            span: None,
+            span: None, // 37.7 ns of libm in a 38.7 ns cell: no dispatch share to remove
             native_only_body: false,
+            text: Default::default(),
         })
     }
 }
@@ -147,7 +159,7 @@ impl crate::Benchmark for BlackScholes {
     }
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
-        (size >= 64)
+        (size >= MIN_N as u64)
             .then(|| Box::new(BlackScholes::new(size as usize)) as Box<dyn crate::Benchmark>)
     }
 
@@ -174,7 +186,7 @@ impl crate::Benchmark for BlackScholes {
         let expiry = world.alloc_shared(Arc::clone(&prepared.expiry));
         let out = world.alloc(Matrix::zeros(rows, cols));
 
-        let rule = Self::rule();
+        let rule = Arc::clone(&prepared.rule);
         let placement = placement_from_config(cfg, "blackscholes", n as u64, machine, &rule, rows);
         let mut p = PlanBuilder::new();
         p.stencil(

@@ -62,13 +62,16 @@ pub struct SeparableConvolution {
     prepared: OnceLock<Prepared>,
 }
 
-/// What every instance of one `(n, k)` shares: the image, the 1D kernel
-/// and the host 2D convolution of the two.
+/// What every instance of one `(n, k)` shares: the image, the 1D kernel,
+/// the host 2D convolution of the two and the three width-`k` rules.
 #[derive(Debug, Clone)]
 struct Prepared {
     input: Arc<Matrix>,
     kernel: Arc<Matrix>,
     expected: Arc<Matrix>,
+    rule_2d: Arc<StencilRule>,
+    rule_rows: Arc<StencilRule>,
+    rule_cols: Arc<StencilRule>,
 }
 
 impl SeparableConvolution {
@@ -89,7 +92,14 @@ impl SeparableConvolution {
             let input = random_matrix(self.n, self.n, -1.0, 1.0, 21);
             let kernel = triangle_kernel(self.k);
             let expected = Arc::new(Self::reference(&input, &kernel));
-            Prepared { input: Arc::new(input), kernel: Arc::new(kernel), expected }
+            Prepared {
+                input: Arc::new(input),
+                kernel: Arc::new(kernel),
+                expected,
+                rule_2d: Self::rule_2d(self.k),
+                rule_rows: Self::rule_rows(self.k),
+                rule_cols: Self::rule_cols(self.k),
+            }
         })
     }
 
@@ -142,6 +152,7 @@ impl SeparableConvolution {
                 }
             })),
             native_only_body: false,
+            text: Default::default(),
         })
     }
 
@@ -172,6 +183,7 @@ impl SeparableConvolution {
                 }
             })),
             native_only_body: false,
+            text: Default::default(),
         })
     }
 
@@ -202,6 +214,7 @@ impl SeparableConvolution {
                 }
             })),
             native_only_body: false,
+            text: Default::default(),
         })
     }
 
@@ -301,7 +314,7 @@ impl crate::Benchmark for SeparableConvolution {
         if separable {
             // Choice 2: ConvolveRows into `buffer`, then ConvolveColumns.
             let buffer = world.alloc(Matrix::zeros(n, out_n));
-            let rows_rule = Self::rule_rows(k);
+            let rows_rule = Arc::clone(&prepared.rule_rows);
             let rows_place =
                 placement_from_config(cfg, "convolve_rows", size, machine, &rows_rule, n);
             let s1 = p.stencil(
@@ -315,7 +328,7 @@ impl crate::Benchmark for SeparableConvolution {
                 },
                 &[],
             );
-            let cols_rule = Self::rule_cols(k);
+            let cols_rule = Arc::clone(&prepared.rule_cols);
             let cols_place =
                 placement_from_config(cfg, "convolve_columns", size, machine, &cols_rule, out_n);
             p.stencil(
@@ -331,7 +344,7 @@ impl crate::Benchmark for SeparableConvolution {
             );
         } else {
             // Choice 1: one Convolve2D pass.
-            let rule = Self::rule_2d(k);
+            let rule = Arc::clone(&prepared.rule_2d);
             let place = placement_from_config(cfg, "convolve2d", size, machine, &rule, out_n);
             p.stencil(
                 StencilStep {

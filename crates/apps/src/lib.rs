@@ -64,17 +64,24 @@ impl std::fmt::Debug for Instance {
 /// plus whatever it chooses to memoise of the *prepared* half of an
 /// instance: anything that is a pure function of [`Benchmark::spec`] —
 /// the seeded inputs, the host reference answer `check` compares
-/// against — and of nothing else (not the machine, not the
-/// configuration, not which thread asked first). The seven benchmarks
-/// here build that once, on the first `instantiate`, in a private
-/// `OnceLock`, and hand every trial `Arc`s of it
+/// against, the data-parallel rules its plans are made of (each of which
+/// generates its kernel text once) — and of nothing else (not the
+/// machine, not the configuration, not which thread asked first). The
+/// seven benchmarks here build that once, on the first `instantiate`, in
+/// a private `OnceLock`, and hand every trial `Arc`s of it
 /// ([`World::alloc_shared`] copies an input only if a plan writes it). A
 /// memo hit and a fresh build must be indistinguishable to the caller;
 /// `crates/farm/tests/prepared.rs` holds every benchmark to that.
 ///
-/// An *intermediate* result — what a plan step computes at run time —
-/// may join the prepared state only keyed by the bit pattern of the
-/// input it was computed from: the step compares the input it was handed
+/// What a plan step computes *from prepared state alone* is prepared
+/// state too: [`tridiagonal`]'s two CPU solves read the prepared system
+/// itself, not a `World` slot a configuration could have reached, so the
+/// first trial to run one stores the solution and every trial copies it
+/// out.
+///
+/// An *intermediate* result — what a plan step computes at run time from
+/// a matrix in its `World` — may join the prepared state only keyed by
+/// the bit pattern of the input it was computed from: the step compares the input it was handed
 /// with the stored key by `f64::to_bits`, reuses the stored result on a
 /// match and recomputes otherwise, never replacing the entry, so that
 /// hit ≡ miss whatever the configuration did upstream
@@ -221,14 +228,15 @@ pub fn benchmark_from_spec(spec: &str) -> Result<Box<dyn Benchmark>, String> {
     match kind {
         "blackscholes" => {
             let n = spec_usize(params, "n")?;
-            (n >= 1).then(|| Box::new(blackscholes::BlackScholes::new(n)) as Box<dyn Benchmark>)
+            (n >= blackscholes::MIN_N)
+                .then(|| Box::new(blackscholes::BlackScholes::new(n)) as Box<dyn Benchmark>)
+                .ok_or_else(|| format!("blackscholes: n must be >= {}", blackscholes::MIN_N))
         }
-        .ok_or_else(|| "blackscholes: n must be >= 1".to_owned()),
         "poisson2d" => {
             let (n, iters) = (spec_usize(params, "n")?, spec_usize(params, "iters")?);
-            (n >= 4 && iters >= 1)
+            (n >= poisson::MIN_N && iters >= 1)
                 .then(|| Box::new(poisson::Poisson2D::new(n, iters)) as Box<dyn Benchmark>)
-                .ok_or_else(|| "poisson2d: need n >= 4 and iters >= 1".to_owned())
+                .ok_or_else(|| format!("poisson2d: need n >= {} and iters >= 1", poisson::MIN_N))
         }
         "convolution" => {
             let (n, k) = (spec_usize(params, "n")?, spec_usize(params, "k")?);
@@ -240,15 +248,15 @@ pub fn benchmark_from_spec(spec: &str) -> Result<Box<dyn Benchmark>, String> {
         }
         "sort" => {
             let n = spec_usize(params, "n")?;
-            (n > 0)
+            (n >= sort::MIN_N)
                 .then(|| Box::new(sort::Sort::new(n)) as Box<dyn Benchmark>)
-                .ok_or_else(|| "sort: n must be > 0".to_owned())
+                .ok_or_else(|| format!("sort: n must be >= {}", sort::MIN_N))
         }
         "strassen" => {
             let n = spec_usize(params, "n")?;
-            (n > 0)
+            (n >= strassen::MIN_N)
                 .then(|| Box::new(strassen::Strassen::new(n)) as Box<dyn Benchmark>)
-                .ok_or_else(|| "strassen: n must be > 0".to_owned())
+                .ok_or_else(|| format!("strassen: n must be >= {}", strassen::MIN_N))
         }
         "svd" => {
             let (n, target) = (spec_usize(params, "n")?, spec_f64_bits(params, "target")?);
@@ -258,9 +266,9 @@ pub fn benchmark_from_spec(spec: &str) -> Result<Box<dyn Benchmark>, String> {
         }
         "tridiagonal" => {
             let n = spec_usize(params, "n")?;
-            (n >= 2)
+            (n >= tridiagonal::MIN_N)
                 .then(|| Box::new(tridiagonal::Tridiagonal::new(n)) as Box<dyn Benchmark>)
-                .ok_or_else(|| "tridiagonal: n must be >= 2".to_owned())
+                .ok_or_else(|| format!("tridiagonal: n must be >= {}", tridiagonal::MIN_N))
         }
         other => Err(format!("unknown benchmark kind `{other}`")),
     }
@@ -298,15 +306,35 @@ mod tests {
         }
     }
 
+    /// One spec per kind with `n` at `min + below_by` (every other
+    /// parameter at its own smallest): `below_by = 0` is the smallest
+    /// instance of each kind.
+    fn specs_at_min_less(below_by: usize) -> Vec<String> {
+        let one = spec_f64(1.0);
+        vec![
+            format!("blackscholes n={}", blackscholes::MIN_N - below_by),
+            format!("poisson2d n={} iters=1", poisson::MIN_N - below_by),
+            format!("convolution n={} k=3", 10 - below_by), // n > 3k
+            format!("sort n={}", sort::MIN_N - below_by),
+            format!("strassen n={}", strassen::MIN_N - below_by),
+            format!("svd n={} target={one}", svd::MIN_N - below_by),
+            format!("tridiagonal n={}", tridiagonal::MIN_N - below_by),
+        ]
+    }
+
     #[test]
     fn resizing_to_the_own_size_reproduces_the_benchmark() {
         // The farm's per-size table builds the full-size child this way;
         // Poisson2D and SeparableConvolution get there through a square
-        // root.
-        for b in all_benchmarks() {
+        // root. At the harness sizes, and at the smallest size the factory
+        // accepts: an object the factory builds is one `resized` builds.
+        let smallest = specs_at_min_less(0).into_iter().map(|spec| {
+            benchmark_from_spec(&spec).unwrap_or_else(|e| panic!("`{spec}` is an instance: {e}"))
+        });
+        for b in all_benchmarks().into_iter().chain(smallest) {
             let same = b
                 .resized(b.input_size())
-                .unwrap_or_else(|| panic!("{} refuses its own size", b.name()));
+                .unwrap_or_else(|| panic!("`{}` refuses its own size", b.spec()));
             assert_eq!(same.spec(), b.spec());
             assert_eq!(same.input_size(), b.input_size());
         }
@@ -314,6 +342,7 @@ mod tests {
 
     #[test]
     fn bad_specs_error_instead_of_panicking() {
+        let below_the_smallest = specs_at_min_less(1);
         for bad in [
             "",
             "warp10 n=4",
@@ -325,7 +354,11 @@ mod tests {
             "svd n=64 target=0.15",
             "svd n=64 target=0x0000000000000000",
             "svd n=7 target=0x3fc3333333333333",
-        ] {
+            "tridiagonal n=2",
+        ]
+        .into_iter()
+        .chain(below_the_smallest.iter().map(String::as_str))
+        {
             assert!(benchmark_from_spec(bad).is_err(), "`{bad}` should be rejected");
         }
     }
@@ -335,6 +368,113 @@ mod tests {
         let b = svd::Svd::new(32, 0.1 + 0.2 - 0.25); // deliberately non-representable-looking
         let rebuilt = benchmark_from_spec(&b.spec()).expect("parses");
         assert_eq!(rebuilt.spec(), b.spec());
+    }
+
+    /// Small instances under Desktop configurations that between them
+    /// lower every rule of every benchmark to the device, the convolution
+    /// rules as their `_localmem` variant.
+    fn device_trials() -> Vec<(Box<dyn Benchmark>, Config)> {
+        use petal_core::{Selector, Tunable};
+        let m = MachineProfile::desktop();
+        let pinned = |b: Box<dyn Benchmark>, selectors: &[(&str, usize, usize)]| {
+            let mut cfg = b.program(&m).default_config(&m);
+            for &(site, choice, choices) in selectors {
+                cfg.set_selector(site, Selector::constant(choice, choices));
+            }
+            (b, cfg)
+        };
+        // Keeping every rank makes SVD's nested multiply square, which is
+        // when it may take the device choice.
+        let mut svd =
+            pinned(Box::new(svd::Svd::new(16, 0.5)), &[("ata", 1, 2), ("matmul_svd", 6, 7)]);
+        svd.1.set_tunable("svd_rank", Tunable::new(16, 1, 16));
+        let conv = || Box::new(convolution::SeparableConvolution::new(48, 5));
+        vec![
+            pinned(Box::new(blackscholes::BlackScholes::new(4_096)), &[("blackscholes", 1, 2)]),
+            pinned(
+                Box::new(poisson::Poisson2D::new(16, 2)),
+                &[("sor_split", 1, 2), ("sor_iter", 1, 2)],
+            ),
+            pinned(conv(), &[("separable", 0, 2), ("convolve2d", 2, 3)]),
+            pinned(
+                conv(),
+                &[("separable", 1, 2), ("convolve_rows", 2, 3), ("convolve_columns", 2, 3)],
+            ),
+            pinned(Box::new(sort::Sort::new(256)), &[("sort", 7, 8)]),
+            pinned(Box::new(strassen::Strassen::new(64)), &[("matmul", 6, 7)]),
+            svd,
+            pinned(Box::new(tridiagonal::Tridiagonal::new(512)), &[("tridiag", 2, 3)]),
+        ]
+    }
+
+    #[test]
+    fn every_rule_an_app_lowers_holds_the_text_a_fresh_generation_gives() {
+        use petal_core::codegen::{entry_name, generate_source};
+        use petal_core::plan::StepKind;
+        use petal_gpu::compile::source_hash;
+        let m = MachineProfile::desktop();
+        let mut seen = std::collections::BTreeSet::new();
+        for (b, cfg) in device_trials() {
+            let Instance { mut world, plan, .. } = b.instantiate(&m, &cfg);
+            let rules: Vec<_> = plan
+                .steps()
+                .iter()
+                .filter_map(|step| match &step.kind {
+                    StepKind::Stencil(s) => Some(std::sync::Arc::clone(&s.rule)),
+                    StepKind::Native(_) => None,
+                })
+                .collect();
+            Executor::new(&m).run(plan, &mut world).expect("the trial runs");
+            for rule in rules {
+                // A clone starts with empty cells: nothing stored is read.
+                let fresh = (*rule).clone();
+                for local_memory in [false, true] {
+                    if local_memory && !rule.has_local_memory_variant() {
+                        continue;
+                    }
+                    let text = rule.kernel_text(local_memory);
+                    let source = generate_source(&fresh, local_memory);
+                    assert_eq!(text.name(), entry_name(&fresh, local_memory));
+                    assert_eq!(text.source_hash(), source_hash(&source), "{}", text.name());
+                    assert_eq!(text.source(), source);
+                    seen.insert(text.name().to_owned());
+                }
+            }
+        }
+        let all = [
+            "ata",
+            "bitonic_pass",
+            "black_scholes",
+            "convolve2d",
+            "convolve2d_localmem",
+            "convolve_columns",
+            "convolve_columns_localmem",
+            "convolve_rows",
+            "convolve_rows_localmem",
+            "cr_backsub",
+            "cr_reduce",
+            "matmul_dp",
+            "sor_combine",
+            "sor_split",
+            "sor_sweep",
+        ];
+        assert_eq!(seen.iter().map(String::as_str).collect::<Vec<_>>(), all);
+    }
+
+    #[test]
+    fn a_trial_reports_the_same_on_a_cold_text_cell_a_warm_one_and_a_fresh_object() {
+        let m = MachineProfile::desktop();
+        for (b, cfg) in device_trials() {
+            let cold = b.run_with_config(&m, &cfg).expect("runs");
+            assert!(!cold.compile_events.is_empty(), "`{}` compiles a kernel", b.spec());
+            let warm = b.run_with_config(&m, &cfg).expect("runs");
+            let untouched = benchmark_from_spec(&b.spec()).expect("specs round-trip");
+            let fresh = untouched.run_with_config(&m, &cfg).expect("runs");
+            // The whole report, `compile_events` (hashes, frontend and JIT
+            // seconds, in compile order) included.
+            assert_eq!(warm, cold, "`{}`, warm cell", b.spec());
+            assert_eq!(fresh, cold, "`{}`, fresh object", b.spec());
+        }
     }
 
     #[test]

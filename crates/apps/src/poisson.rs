@@ -22,6 +22,11 @@ use petal_core::{Config, MatrixId, Program, World};
 use petal_gpu::profile::MachineProfile;
 use std::sync::{Arc, OnceLock};
 
+/// The smallest `n` that is an instance: what [`Poisson2D::new`] asserts,
+/// `resized` refuses below and [`crate::benchmark_from_spec`] rejects, so a
+/// resized child is always a size the factory would rebuild.
+pub const MIN_N: usize = 8;
+
 /// Over-relaxation factor.
 pub const OMEGA: f64 = 1.6;
 
@@ -35,22 +40,26 @@ pub struct Poisson2D {
 }
 
 /// What every instance of one `(n, iters)` shares: the initial grid
-/// (zero boundary), the right-hand side and the host SOR answer.
+/// (zero boundary), the right-hand side, the host SOR answer and the
+/// three rules.
 #[derive(Debug, Clone)]
 struct Prepared {
     u0: Arc<Matrix>,
     f: Arc<Matrix>,
     expected: Arc<Matrix>,
+    split: Arc<StencilRule>,
+    sweep: Arc<StencilRule>,
+    combine: Arc<StencilRule>,
 }
 
 impl Poisson2D {
     /// New instance (the paper uses n = 2048).
     ///
     /// # Panics
-    /// Panics when `n < 4` or `iters == 0`.
+    /// Panics when `n <` [`MIN_N`] or `iters == 0`.
     #[must_use]
     pub fn new(n: usize, iters: usize) -> Self {
-        assert!(n >= 4 && iters >= 1, "grid too small or no iterations");
+        assert!(n >= MIN_N && iters >= 1, "grid too small or no iterations");
         Poisson2D { n, iters, prepared: OnceLock::new() }
     }
 
@@ -66,7 +75,14 @@ impl Poisson2D {
             }
             let f = random_matrix(n2, n2, -1.0, 1.0, 32);
             let expected = Arc::new(Self::reference(&u0, &f, self.iters));
-            Prepared { u0: Arc::new(u0), f: Arc::new(f), expected }
+            Prepared {
+                u0: Arc::new(u0),
+                f: Arc::new(f),
+                expected,
+                split: Self::rule_split(),
+                sweep: Self::rule_sweep(),
+                combine: Self::rule_combine(),
+            }
         })
     }
 
@@ -88,8 +104,16 @@ impl Poisson2D {
                     0.0
                 }
             }),
-            span: None,
+            // The same cell, the row read as one slice.
+            span: Some(Arc::new(|env, x0, y, out| {
+                let color = env.scalars[0] as usize;
+                let row = env.inputs[0].row_span(y, x0, out.len());
+                for ((x, o), &v) in (x0..).zip(out).zip(row) {
+                    *o = if (x + y) % 2 == color { v } else { 0.0 };
+                }
+            })),
             native_only_body: false,
+            text: Default::default(),
         })
     }
 
@@ -131,8 +155,37 @@ impl Poisson2D {
                     + env.inputs[0].at(x, y + 1);
                 (1.0 - omega) * env.inputs[1].at(x, y) + omega * 0.25 * (nb - h2 * env.inputs[2].at(x, y))
             }),
-            span: None,
+            // The same cell — parity and boundary still decided per cell,
+            // the four neighbours summed in `elem`'s order — over the three
+            // rows of `other` and this row of `mine` and `f` as slices. A
+            // boundary row reads no neighbour row, as in `elem`.
+            span: Some(Arc::new(|env, x0, y, out| {
+                let color = env.scalars[0] as usize;
+                let omega = env.scalars[1];
+                let h2 = env.scalars[2];
+                let n1 = env.inputs[1].width() - 1;
+                let mine = env.inputs[1].row_span(y, x0, out.len());
+                let kept = |x: usize, v: f64| if (x + y) % 2 == color { v } else { 0.0 };
+                if y == 0 || y == n1 {
+                    for ((x, o), &v) in (x0..).zip(out).zip(mine) {
+                        *o = kept(x, v);
+                    }
+                    return;
+                }
+                let other = &env.inputs[0];
+                let [up, mid, down] = [y - 1, y, y + 1].map(|r| other.row_span(r, 0, other.width()));
+                let f = env.inputs[2].row_span(y, x0, out.len());
+                for (((x, o), &v), &fv) in (x0..).zip(out).zip(mine).zip(f) {
+                    *o = if x == 0 || x == n1 || (x + y) % 2 != color {
+                        kept(x, v)
+                    } else {
+                        let nb = mid[x - 1] + mid[x + 1] + up[x] + down[x];
+                        (1.0 - omega) * v + omega * 0.25 * (nb - h2 * fv)
+                    };
+                }
+            })),
             native_only_body: false,
+            text: Default::default(),
         })
     }
 
@@ -147,8 +200,15 @@ impl Poisson2D {
             flops_per_output: 1.0,
             body_c: "result = IN0(x, y) + IN1(x, y);".into(),
             elem: Arc::new(|env, x, y| env.inputs[0].at(x, y) + env.inputs[1].at(x, y)),
-            span: None,
+            span: Some(Arc::new(|env, x0, y, out| {
+                let red = env.inputs[0].row_span(y, x0, out.len());
+                let black = env.inputs[1].row_span(y, x0, out.len());
+                for ((o, &r), &b) in out.iter_mut().zip(red).zip(black) {
+                    *o = r + b;
+                }
+            })),
             native_only_body: false,
+            text: Default::default(),
         })
     }
 
@@ -195,7 +255,7 @@ impl crate::Benchmark for Poisson2D {
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
         let n = (size as f64).sqrt() as usize;
-        (n >= 8).then(|| Box::new(Poisson2D::new(n, self.iters)) as Box<dyn crate::Benchmark>)
+        (n >= MIN_N).then(|| Box::new(Poisson2D::new(n, self.iters)) as Box<dyn crate::Benchmark>)
     }
 
     fn program(&self, _machine: &MachineProfile) -> Program {
@@ -230,11 +290,10 @@ impl crate::Benchmark for Poisson2D {
         let mut black = [world.alloc(Matrix::zeros(n2, n2)), world.alloc(Matrix::zeros(n2, n2))];
         let out = world.alloc(Matrix::zeros(n2, n2));
 
-        let split_rule = Self::rule_split();
-        let sweep_rule = Self::rule_sweep();
-        let combine_rule = Self::rule_combine();
-        let split_place = placement_from_config(cfg, "sor_split", size, machine, &split_rule, n2);
-        let iter_place = placement_from_config(cfg, "sor_iter", size, machine, &sweep_rule, n2);
+        let (split_rule, sweep_rule, combine_rule) =
+            (&prepared.split, &prepared.sweep, &prepared.combine);
+        let split_place = placement_from_config(cfg, "sor_split", size, machine, split_rule, n2);
+        let iter_place = placement_from_config(cfg, "sor_iter", size, machine, sweep_rule, n2);
 
         let mut p = PlanBuilder::new();
         let step = |p: &mut PlanBuilder,
@@ -256,13 +315,13 @@ impl crate::Benchmark for Poisson2D {
                 deps,
             )
         };
-        let s_red = step(&mut p, &split_rule, vec![u0], red[0], vec![0.0], split_place, &[]);
-        let s_black = step(&mut p, &split_rule, vec![u0], black[0], vec![1.0], split_place, &[]);
+        let s_red = step(&mut p, split_rule, vec![u0], red[0], vec![0.0], split_place, &[]);
+        let s_black = step(&mut p, split_rule, vec![u0], black[0], vec![1.0], split_place, &[]);
         let mut last = vec![s_red, s_black];
         for _ in 0..self.iters {
             let r2 = step(
                 &mut p,
-                &sweep_rule,
+                sweep_rule,
                 vec![black[0], red[0], f],
                 red[1],
                 vec![0.0, OMEGA, h2],
@@ -271,7 +330,7 @@ impl crate::Benchmark for Poisson2D {
             );
             let b2 = step(
                 &mut p,
-                &sweep_rule,
+                sweep_rule,
                 vec![red[1], black[0], f],
                 black[1],
                 vec![1.0, OMEGA, h2],
@@ -283,7 +342,7 @@ impl crate::Benchmark for Poisson2D {
             last = vec![b2];
         }
         let _fin =
-            step(&mut p, &combine_rule, vec![red[0], black[0]], out, vec![], iter_place, &last);
+            step(&mut p, combine_rule, vec![red[0], black[0]], out, vec![], iter_place, &last);
         p.mark_output(out);
 
         let expected = Arc::clone(&prepared.expected);
@@ -302,8 +361,24 @@ impl crate::Benchmark for Poisson2D {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::span_oracle;
     use crate::Benchmark;
     use petal_core::Selector;
+
+    #[test]
+    fn sor_spans_match_elem_bit_for_bit() {
+        // A 37 × 37 grid (interior 35): ragged against both tiles, both
+        // colours, the boundary rows inside the whole-output sweep and
+        // outside the banded one.
+        let n2 = 37;
+        let h2 = 1.0 / ((n2 - 1) as f64 * (n2 - 1) as f64);
+        for color in [0.0, 1.0] {
+            span_oracle::sweep(&Poisson2D::rule_split(), &[(n2, n2)], &[color], (n2, n2));
+            let grids = [(n2, n2); 3];
+            span_oracle::sweep(&Poisson2D::rule_sweep(), &grids, &[color, OMEGA, h2], (n2, n2));
+        }
+        span_oracle::sweep(&Poisson2D::rule_combine(), &[(n2, n2); 2], &[], (n2, n2));
+    }
 
     fn phase_config(m: &MachineProfile, split_gpu: bool, iter_gpu: bool) -> Config {
         let b = Poisson2D::new(32, 3);

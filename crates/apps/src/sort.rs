@@ -28,6 +28,11 @@ use petal_gpu::profile::MachineProfile;
 use petal_rt::{Charge, CpuCtx};
 use std::sync::{Arc, OnceLock};
 
+/// The smallest `n` that is an instance: what [`Sort::new`] asserts,
+/// `resized` refuses below and [`crate::benchmark_from_spec`] rejects, so a
+/// resized child is always a size the factory would rebuild.
+pub const MIN_N: usize = 16;
+
 /// Everything a recursive sort task needs.
 #[derive(Clone)]
 struct SortParams {
@@ -46,22 +51,23 @@ pub struct Sort {
 }
 
 /// What every instance of one `n` shares: the unsorted input (a plan
-/// sorts it in place, so each world copies it on its first write) and
-/// the sorted answer.
+/// sorts it in place, so each world copies it on its first write), the
+/// sorted answer and the GPU chain's rule.
 #[derive(Debug, Clone)]
 struct Prepared {
     values: Arc<Matrix>,
     expected: Arc<Vec<f64>>,
+    bitonic: Arc<StencilRule>,
 }
 
 impl Sort {
     /// New instance (the paper uses n = 2²⁰).
     ///
     /// # Panics
-    /// Panics when `n == 0`.
+    /// Panics when `n <` [`MIN_N`].
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n > 0, "empty input");
+        assert!(n >= MIN_N, "input too small");
         Sort { n, prepared: OnceLock::new() }
     }
 
@@ -73,6 +79,7 @@ impl Sort {
             Prepared {
                 values: Arc::new(Matrix::from_vec(1, self.n, values)),
                 expected: Arc::new(expected),
+                bitonic: Self::rule_bitonic(),
             }
         })
     }
@@ -119,6 +126,7 @@ impl Sort {
                 }
             })),
             native_only_body: false,
+            text: Default::default(),
         })
     }
 }
@@ -137,7 +145,8 @@ impl crate::Benchmark for Sort {
     }
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
-        (size >= 16).then(|| Box::new(Sort::new(size as usize)) as Box<dyn crate::Benchmark>)
+        (size >= MIN_N as u64)
+            .then(|| Box::new(Sort::new(size as usize)) as Box<dyn crate::Benchmark>)
     }
 
     fn program(&self, _machine: &MachineProfile) -> Program {
@@ -172,7 +181,7 @@ impl crate::Benchmark for Sort {
 
         let top_choice = cfg.select("sort", n as u64);
         if top_choice == 7 && machine.has_opencl() {
-            build_gpu_bitonic(&mut p, &mut world, machine, cfg, data, n);
+            build_gpu_bitonic(&mut p, &mut world, machine, cfg, &prepared.bitonic, data, n);
         } else {
             let scratch = world.alloc(Matrix::zeros(1, n));
             let params = SortParams { cfg: Arc::new(cfg.clone()), data, scratch, lo: 0, hi: n };
@@ -514,6 +523,7 @@ fn build_gpu_bitonic(
     world: &mut World,
     machine: &MachineProfile,
     cfg: &Config,
+    rule: &Arc<StencilRule>,
     data: MatrixId,
     n: usize,
 ) {
@@ -533,7 +543,6 @@ fn build_gpu_bitonic(
         },
         &[],
     );
-    let rule = Sort::rule_bitonic();
     let max_wg = machine.gpu.as_ref().map_or(1, |g| g.max_work_group) as i64;
     let local_size = cfg.tunable_or("sort.local_size", 256).clamp(1, max_wg) as usize;
     let mut deps = vec![pad_step];
@@ -543,7 +552,7 @@ fn build_gpu_bitonic(
         while j >= 1 {
             let s = p.stencil(
                 StencilStep {
-                    rule: Arc::clone(&rule),
+                    rule: Arc::clone(rule),
                     inputs: vec![bufs[0]],
                     output: bufs[1],
                     out_dims: (n_pad, 1),

@@ -29,6 +29,11 @@ use petal_gpu::profile::MachineProfile;
 use petal_rt::Charge;
 use std::sync::{Arc, OnceLock};
 
+/// The smallest `n` that is an instance: what [`Strassen::new`] asserts,
+/// `resized` refuses below and [`crate::benchmark_from_spec`] rejects, so a
+/// resized child is always a size the factory would rebuild.
+pub const MIN_N: usize = 8;
+
 /// Recursion never descends below this size (leaves take over).
 pub const MIN_RECURSE: usize = 32;
 
@@ -60,15 +65,47 @@ pub fn rule_matmul() -> Arc<StencilRule> {
             }
         })),
         native_only_body: false,
+        text: Default::default(),
     })
 }
 
+/// The [`rule_matmul`] rule at every size a recursion from a root of `n`
+/// can place on the device — `n`, `n/2`, `n/4`, … (a level only recurses
+/// on an even size) — each with that size's flop count, built the first
+/// time a plan asks for it and shared by every plan after.
+#[derive(Debug, Clone)]
+pub struct MatmulRules {
+    n: usize,
+    by_depth: Vec<OnceLock<Arc<StencilRule>>>,
+}
+
+impl MatmulRules {
+    /// The (empty) table for products rooted at `n × n`.
+    ///
+    /// # Panics
+    /// Panics when `n == 0`.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        MatmulRules { n, by_depth: vec![OnceLock::new(); n.ilog2() as usize + 1] }
+    }
+
+    fn at(&self, n: usize) -> &Arc<StencilRule> {
+        let depth = (self.n / n).trailing_zeros() as usize;
+        assert_eq!(self.n >> depth, n, "{n} is not a recursion size of {}", self.n);
+        self.by_depth[depth].get_or_init(|| {
+            Arc::new(StencilRule { flops_per_output: 2.0 * n as f64, ..(*rule_matmul()).clone() })
+        })
+    }
+}
+
 /// Emit a plan computing `c = a · b` (all `n × n`), consulting
-/// `cfg.select(selector, n)` at every recursion level.
+/// `cfg.select(selector, n)` at every recursion level. `rules` is the
+/// caller's table for the root size of this product.
 ///
 /// Returns the terminal steps of the multiplication.
 #[allow(clippy::too_many_arguments)]
 pub fn build_matmul(
+    rules: &MatmulRules,
     p: &mut PlanBuilder,
     world: &mut World,
     cfg: &Config,
@@ -89,12 +126,9 @@ pub fn build_matmul(
         choice = choice.min(3); // leaves only
     }
     match choice {
-        4 => build_recursive_8(p, world, cfg, machine, selector, a, b, c, n, deps),
-        5 => build_strassen_7(p, world, cfg, machine, selector, a, b, c, n, deps),
+        4 => build_recursive_8(rules, p, world, cfg, machine, selector, a, b, c, n, deps),
+        5 => build_strassen_7(rules, p, world, cfg, machine, selector, a, b, c, n, deps),
         6 => {
-            let rule = rule_matmul();
-            let mut rule_owned = (*rule).clone();
-            rule_owned.flops_per_output = 2.0 * n as f64;
             let max_wg = machine.gpu.as_ref().map_or(1, |g| g.max_work_group) as i64;
             let local_size =
                 cfg.tunable_or(&format!("{selector}.local_size"), 128).clamp(1, max_wg) as usize;
@@ -116,7 +150,7 @@ pub fn build_matmul(
             };
             let s = p.stencil(
                 StencilStep {
-                    rule: Arc::new(rule_owned),
+                    rule: Arc::clone(rules.at(n)),
                     inputs: vec![a, b],
                     output: c,
                     out_dims: (n, n),
@@ -223,6 +257,7 @@ fn split_step(
 /// with all eight sub-multiplies as independent (stealable) chains.
 #[allow(clippy::too_many_arguments)]
 fn build_recursive_8(
+    rules: &MatmulRules,
     p: &mut PlanBuilder,
     world: &mut World,
     cfg: &Config,
@@ -246,7 +281,8 @@ fn build_recursive_8(
     let mut terminals = Vec::new();
     for (ai, bi) in pairs {
         let t = world.alloc(Matrix::zeros(h, h));
-        let term = build_matmul(p, world, cfg, machine, selector, aq[ai], bq[bi], t, h, &[sa, sb]);
+        let term =
+            build_matmul(rules, p, world, cfg, machine, selector, aq[ai], bq[bi], t, h, &[sa, sb]);
         products.push(t);
         terminals.extend(term);
     }
@@ -287,6 +323,7 @@ fn build_recursive_8(
 /// Strassen's 7-multiply decomposition.
 #[allow(clippy::too_many_arguments)]
 fn build_strassen_7(
+    rules: &MatmulRules,
     p: &mut PlanBuilder,
     world: &mut World,
     cfg: &Config,
@@ -361,7 +398,8 @@ fn build_strassen_7(
         product_deps.extend(l_step);
         product_deps.extend(r_step);
         let t = world.alloc(Matrix::zeros(h, h));
-        let term = build_matmul(p, world, cfg, machine, selector, l_id, r_id, t, h, &product_deps);
+        let term =
+            build_matmul(rules, p, world, cfg, machine, selector, l_id, r_id, t, h, &product_deps);
         m_ids.push(t);
         terminals.extend(term);
     }
@@ -404,23 +442,24 @@ pub struct Strassen {
     prepared: OnceLock<Prepared>,
 }
 
-/// What every instance of one `n` shares: both factors and their
-/// reference product.
+/// What every instance of one `n` shares: both factors, their reference
+/// product and the device rules.
 #[derive(Debug, Clone)]
 struct Prepared {
     a: Arc<Matrix>,
     b: Arc<Matrix>,
     expected: Arc<Matrix>,
+    rules: MatmulRules,
 }
 
 impl Strassen {
     /// New instance (the paper uses n = 1024).
     ///
     /// # Panics
-    /// Panics when `n == 0`.
+    /// Panics when `n <` [`MIN_N`].
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n > 0, "empty matrices");
+        assert!(n >= MIN_N, "matrices too small");
         Strassen { n, prepared: OnceLock::new() }
     }
 
@@ -429,7 +468,7 @@ impl Strassen {
             let a = random_matrix(self.n, self.n, -1.0, 1.0, 51);
             let b = random_matrix(self.n, self.n, -1.0, 1.0, 52);
             let expected = Arc::new(lapack_gemm(&a, &b));
-            Prepared { a: Arc::new(a), b: Arc::new(b), expected }
+            Prepared { a: Arc::new(a), b: Arc::new(b), expected, rules: MatmulRules::new(self.n) }
         })
     }
 }
@@ -448,7 +487,8 @@ impl crate::Benchmark for Strassen {
     }
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
-        (size >= 8).then(|| Box::new(Strassen::new(size as usize)) as Box<dyn crate::Benchmark>)
+        (size >= MIN_N as u64)
+            .then(|| Box::new(Strassen::new(size as usize)) as Box<dyn crate::Benchmark>)
     }
 
     fn program(&self, _machine: &MachineProfile) -> Program {
@@ -475,7 +515,7 @@ impl crate::Benchmark for Strassen {
         let b = world.alloc_shared(Arc::clone(&prepared.b));
         let c = world.alloc(Matrix::zeros(n, n));
         let mut p = PlanBuilder::new();
-        build_matmul(&mut p, &mut world, cfg, machine, "matmul", a, b, c, n, &[]);
+        build_matmul(&prepared.rules, &mut p, &mut world, cfg, machine, "matmul", a, b, c, n, &[]);
         p.mark_output(c);
         let expected = Arc::clone(&prepared.expected);
         let check = Box::new(move |w: &World| -> Result<(), String> {

@@ -14,7 +14,7 @@
 //!   paper's point that "the best configurations of the same sub-program in
 //!   different applications vary on the same system".
 
-use crate::strassen::build_matmul;
+use crate::strassen::{build_matmul, MatmulRules};
 use crate::workload::random_matrix;
 use crate::Instance;
 use petal_blas::eigen::{jacobi_eigh, EigenDecomposition};
@@ -63,6 +63,7 @@ pub fn rule_ata() -> Arc<StencilRule> {
             }
         })),
         native_only_body: false,
+        text: Default::default(),
     })
 }
 
@@ -74,6 +75,10 @@ struct Prepared {
     input: Arc<Matrix>,
     /// `‖input‖_F`, the denominator of `check`'s relative error.
     norm: f64,
+    /// The `AᵀA` rule at this size's flop count, and the nested
+    /// multiply's.
+    ata: Arc<StencilRule>,
+    matmul: MatmulRules,
     /// The first `AᵀA` a `jacobi_eigh` step was handed and its
     /// eigendecomposition. No tunable reaches that product's bits
     /// (`svd_rank` truncates afterwards, `ata` only places the stencil),
@@ -149,7 +154,14 @@ impl Svd {
         Arc::clone(self.prepared.get_or_init(|| {
             let input = self.input_matrix();
             let norm = input.frobenius_norm();
-            Arc::new(Prepared { input: Arc::new(input), norm, eig: OnceLock::new() })
+            let flops_per_output = 2.0 * self.n as f64;
+            Arc::new(Prepared {
+                input: Arc::new(input),
+                norm,
+                ata: Arc::new(StencilRule { flops_per_output, ..(*rule_ata()).clone() }),
+                matmul: MatmulRules::new(self.n),
+                eig: OnceLock::new(),
+            })
         }))
     }
 }
@@ -220,11 +232,7 @@ impl crate::Benchmark for Svd {
         let mut p = PlanBuilder::new();
 
         // Phase 1: B = AᵀA, placeable on CPU/GPU/split (task parallelism).
-        let rule = {
-            let mut r = (*rule_ata()).clone();
-            r.flops_per_output = 2.0 * n as f64;
-            Arc::new(r)
-        };
+        let rule = Arc::clone(&prepared.ata);
         let place = placement_from_config(cfg, "ata", n as u64, machine, &rule, n);
         let s_ata = p.stencil(
             StencilStep {
@@ -273,6 +281,7 @@ impl crate::Benchmark for Svd {
             let choice = cfg.select("matmul_svd", n as u64);
             if choice == 6 && machine.has_opencl() && n == k {
                 build_matmul(
+                    &prepared.matmul,
                     &mut p,
                     &mut world,
                     cfg,

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use petal_apps::convolution::{ConvMapping, SeparableConvolution};
 use petal_apps::Benchmark;
 use petal_bench::{bench_sample_size, bench_size};
-use petal_gpu::compile::CompileCache;
+use petal_gpu::compile::{CompileCache, KernelText};
 use petal_gpu::profile::MachineProfile;
 use std::hint::black_box;
 
@@ -32,10 +32,11 @@ fn bench_compile_cache(c: &mut Criterion) {
     let gpu = MachineProfile::desktop().gpu.unwrap();
     g.bench_function("ir_cache_hit_path", |bch| {
         bch.iter(|| {
+            let text = KernelText::new("k", "source-text");
             let mut cache = CompileCache::new();
-            let (_, cold) = cache.compile(&gpu, "k", "source-text");
+            let (_, cold) = cache.compile(&gpu, &text);
             cache.reset_process();
-            let (_, warm) = cache.compile(&gpu, "k", "source-text");
+            let (_, warm) = cache.compile(&gpu, &text);
             black_box((cold, warm))
         });
     });

@@ -180,7 +180,16 @@ pub fn cpu_work(rule: &StencilRule, geom: &Geometry, rows: usize) -> CpuWork {
 // Source generation
 // ---------------------------------------------------------------------------
 
-/// Generate the OpenCL C source for `rule`.
+/// The kernel entry point of one variant of `rule`: its name, suffixed
+/// `_localmem` for the scratchpad variant.
+#[must_use]
+pub fn entry_name(rule: &StencilRule, local_memory: bool) -> String {
+    format!("{}{}", rule.name, if local_memory { "_localmem" } else { "" })
+}
+
+/// Generate the OpenCL C source for `rule` — the one text generator; a
+/// lowering reads it through [`StencilRule::kernel_text`], which calls this
+/// once per rule and variant.
 ///
 /// The `local_memory` variant prefixes the body with a cooperative load of
 /// each bounded input's tile (plus halo) into `__local` storage, separated
@@ -211,8 +220,7 @@ pub fn generate_source(rule: &StencilRule, local_memory: bool) -> String {
     let scalar_refs: Vec<(&str, &str)> =
         scalars.iter().map(|(t, n)| (t.as_str(), n.as_str())).collect();
 
-    let suffix = if local_memory { "_localmem" } else { "" };
-    let name = format!("{}{}", rule.name, suffix);
+    let name = entry_name(rule, local_memory);
     let mut b = SourceBuilder::new();
     b.line("// Generated by petal-core; do not edit.");
     b.line("#pragma OPENCL EXTENSION cl_khr_fp64 : enable");
@@ -532,6 +540,7 @@ mod tests {
             }),
             span: None,
             native_only_body: false,
+            text: Default::default(),
         }
     }
 

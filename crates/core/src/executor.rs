@@ -316,11 +316,8 @@ impl Executor {
             s.rule.opencl_verdict().map_err(|r| {
                 Error::Validation(format!("rule '{}' cannot map to OpenCL: {r}", s.rule.name))
             })?;
-            let source = codegen::generate_source(&s.rule, local_memory);
             let body = codegen::make_kernel_body(Arc::clone(&s.rule), local_memory);
-            let suffix = if local_memory { "_localmem" } else { "" };
-            let (handle, secs) =
-                device.register_kernel(&format!("{}{}", s.rule.name, suffix), &source, body);
+            let (handle, secs) = device.register_kernel(s.rule.kernel_text(local_memory), body);
             *compile_secs += secs;
 
             let chain = self.gpu_invocation_chain(
@@ -545,6 +542,7 @@ mod tests {
             elem: Arc::new(|env, x, y| 2.0 * env.inputs[0].at(x, y)),
             span: None,
             native_only_body: false,
+            text: Default::default(),
         })
     }
 
@@ -719,6 +717,7 @@ mod tests {
             }),
             span: None,
             native_only_body: false,
+            text: Default::default(),
         });
         let run_variant = |local_memory: bool| {
             let mut w = World::new();

@@ -494,6 +494,7 @@ mod tests {
             elem: Arc::new(|env, x, y| env.inputs[0].at(x, y)),
             span: None,
             native_only_body: false,
+            text: Default::default(),
         })
     }
 

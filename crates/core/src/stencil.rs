@@ -15,9 +15,10 @@
 //!    variant with a cooperative load phase is generated as an additional
 //!    choice.
 
-use crate::codegen::{run_global, run_tiled, Geometry, RawInput};
+use crate::codegen::{entry_name, generate_source, run_global, run_tiled, Geometry, RawInput};
+use petal_gpu::compile::KernelText;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How a rule's output cell depends on an input matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,6 +281,23 @@ pub fn saxpy(out: &mut [f64], a: f64, xs: &[f64]) {
     }
 }
 
+/// A rule's generated kernel text, one cell per variant (global memory,
+/// `_localmem`), filled the first time that variant is lowered
+/// ([`StencilRule::kernel_text`]).
+///
+/// The text is a function of the rule's other fields, so a copy of a rule
+/// does not take it along: `clone()` yields empty cells, and a struct-update
+/// rebuild (`StencilRule { body_c, ..rule.clone() }`) can never carry text
+/// generated from the fields it replaced.
+#[derive(Debug, Default)]
+pub struct KernelTexts([OnceLock<KernelText>; 2]);
+
+impl Clone for KernelTexts {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 /// A data-parallel rule (the paper's elementwise `Rule`).
 ///
 /// The body appears three times: [`body_c`](Self::body_c) is the OpenCL C
@@ -320,6 +338,11 @@ pub struct StencilRule {
     /// True when the body contains constructs OpenCL cannot express
     /// (phase-2 rejection even if the pattern is data parallel).
     pub native_only_body: bool,
+    /// The generated kernel text, empty (`Default::default()`) until the
+    /// rule is first lowered to a device. A rule is built once and shared
+    /// (`Arc`) by every step and trial that uses it, so the text is
+    /// generated once per rule; change a field only on a `clone()`.
+    pub text: KernelTexts,
 }
 
 impl fmt::Debug for StencilRule {
@@ -335,6 +358,16 @@ impl fmt::Debug for StencilRule {
 }
 
 impl StencilRule {
+    /// The kernel text of one variant — entry-point name, OpenCL C source
+    /// and source hash, exactly what [`generate_source`] and
+    /// `petal_gpu::compile::source_hash` give for this rule — generated on
+    /// the first call and shared from then on.
+    pub fn kernel_text(&self, local_memory: bool) -> &KernelText {
+        self.text.0[usize::from(local_memory)].get_or_init(|| {
+            KernelText::new(&entry_name(self, local_memory), &generate_source(self, local_memory))
+        })
+    }
+
     /// Full mappability verdict (phases 1 and 2 of §3.1).
     ///
     /// # Errors
@@ -424,6 +457,7 @@ mod tests {
             elem: Arc::new(|_, _, _| 0.0),
             span: None,
             native_only_body: native,
+            text: Default::default(),
         }
     }
 
@@ -458,6 +492,26 @@ mod tests {
             rule(&[AccessPattern::Point], true).opencl_verdict(),
             Err(OpenClReject::NativeConstruct)
         );
+    }
+
+    #[test]
+    fn kernel_text_is_generated_once_per_rule_and_never_cloned() {
+        use petal_gpu::compile::source_hash;
+        let lowered = rule(&[AccessPattern::Stencil { w: 3, h: 1 }], false);
+        for local_memory in [false, true] {
+            let text = lowered.kernel_text(local_memory);
+            assert!(std::ptr::eq(text, lowered.kernel_text(local_memory)), "one text per variant");
+            assert_eq!(text.name(), entry_name(&lowered, local_memory));
+            assert_eq!(text.source(), generate_source(&lowered, local_memory));
+            assert_eq!(text.source_hash(), source_hash(text.source()));
+        }
+        assert_ne!(lowered.kernel_text(false), lowered.kernel_text(true));
+        // A rebuild from a clone of a lowered rule gets text from its own
+        // fields, not the text its donor had already generated.
+        let edited = StencilRule { body_c: "result = 1.0;".into(), ..lowered.clone() };
+        let text = edited.kernel_text(false);
+        assert_ne!(text.source_hash(), lowered.kernel_text(false).source_hash());
+        assert_eq!(text.source(), generate_source(&edited, false));
     }
 
     #[test]

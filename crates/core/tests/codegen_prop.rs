@@ -47,6 +47,7 @@ fn box_rule_with_span(bw: usize, bh: usize) -> StencilRule {
             }
         })),
         native_only_body: false,
+        text: Default::default(),
     }
 }
 

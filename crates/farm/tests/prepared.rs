@@ -1,7 +1,8 @@
 //! Prepared state is invisible: a trial that finds its benchmark's inputs,
-//! reference answer or a config-independent intermediate result (SVD's
-//! eigendecomposition) memoised by a farm's or a worker's per-size table
-//! answers exactly as a trial on a freshly built benchmark does.
+//! reference answer, rules (with the kernel text they have generated) or a
+//! config-independent result (SVD's eigendecomposition, Tridiagonal's CPU
+//! solutions) memoised by a farm's or a worker's per-size table answers
+//! exactly as a trial on a freshly built benchmark does.
 //! The fourth mechanism of the farm's determinism contract
 //! (ARCHITECTURE.md) rests on these tests.
 
@@ -87,6 +88,58 @@ fn assert_same_outcome(got: &JobOutcome, want: &JobOutcome, what: &str) {
     assert_eq!(bits(got), bits(want), "{what}: compiles");
 }
 
+/// A worker session's script and, per `JOB` sent, what its `RESULT` must
+/// be.
+#[derive(Default)]
+struct Session {
+    script: String,
+    expected: Vec<(String, JobOutcome)>,
+}
+
+impl Session {
+    fn send(&mut self, msg: &Message) {
+        self.script.push_str(&msg.encode());
+        self.script.push('\n');
+    }
+
+    fn init(&mut self, bench: &dyn Benchmark, machine: &MachineProfile) {
+        self.send(&Message::Init {
+            version: WIRE_VERSION,
+            bench_spec: bench.spec(),
+            machine: Box::new(machine.clone()),
+        });
+    }
+
+    /// `job` three times over — a miss, then two hits of the per-size
+    /// table — each to be answered with `want`.
+    fn job_thrice(&mut self, job: &EvalJob, want: &JobOutcome, what: &str) {
+        for repeat in 1..=3 {
+            self.send(&Message::Job { index: self.expected.len() as u64, job: job.clone() });
+            self.expected.push((format!("{what}, evaluation {repeat}"), want.clone()));
+        }
+    }
+
+    /// Serve the script with one `serve_jobs` loop and hold every answer
+    /// to what was expected of it, in order.
+    fn serve_and_check(mut self) {
+        self.send(&Message::Done);
+        let mut wire = Framed::new(self.script.as_bytes(), Vec::new());
+        serve_jobs(&mut wire, |_| {}).expect("the session runs to DONE");
+        let answers = String::from_utf8(wire.into_parts().1).expect("utf8");
+        let mut results = answers.lines().filter_map(|line| match Message::decode(line) {
+            Ok(Message::Result { index, outcome }) => Some((index, outcome)),
+            Ok(_) => None,
+            Err(e) => panic!("`{line}` does not decode: {e}"),
+        });
+        for (i, (what, want)) in self.expected.iter().enumerate() {
+            let (index, got) = results.next().unwrap_or_else(|| panic!("{what}: no RESULT"));
+            assert_eq!(index, i as u64, "{what}: answered out of order");
+            assert_same_outcome(&got, want, what);
+        }
+        assert!(results.next().is_none(), "one RESULT per JOB");
+    }
+}
+
 /// One worker session serves all seven benchmarks on all five machines:
 /// every job three times over (a miss, then two hits of the per-size
 /// table), re-`INIT`ed per machine (same spec: table kept) and per
@@ -94,54 +147,22 @@ fn assert_same_outcome(got: &JobOutcome, want: &JobOutcome, what: &str) {
 /// one-shot evaluation field for field.
 #[test]
 fn a_session_answers_every_repeat_like_a_fresh_benchmark() {
-    let mut script = String::new();
-    let mut send = |msg: &Message| {
-        script.push_str(&msg.encode());
-        script.push('\n');
-    };
-    let mut expected: Vec<(String, JobOutcome)> = Vec::new();
+    let mut session = Session::default();
     let (mut asked, mut ran) = (0, 0);
     for bench in benchmarks() {
         for machine in MachineProfile::extended() {
-            send(&Message::Init {
-                version: WIRE_VERSION,
-                bench_spec: bench.spec(),
-                machine: Box::new(machine.clone()),
-            });
+            session.init(&*bench, &machine);
             for job in jobs(&*bench, &machine) {
                 let want = fresh(&*bench, &machine, &job);
                 asked += 1;
                 ran += usize::from(want.ran);
-                for repeat in 1..=3 {
-                    let what = format!(
-                        "{} on {} at size {}, evaluation {repeat}",
-                        bench.name(),
-                        machine.codename,
-                        job.size
-                    );
-                    send(&Message::Job { index: expected.len() as u64, job: job.clone() });
-                    expected.push((what, want.clone()));
-                }
+                let what = format!("{} on {} at size {}", bench.name(), machine.codename, job.size);
+                session.job_thrice(&job, &want, &what);
             }
         }
     }
-    send(&Message::Done);
     assert!(ran * 2 > asked, "most of the sweep's jobs must actually run");
-
-    let mut wire = Framed::new(script.as_bytes(), Vec::new());
-    serve_jobs(&mut wire, |_| {}).expect("the session runs to DONE");
-    let answers = String::from_utf8(wire.into_parts().1).expect("utf8");
-    let mut results = answers.lines().filter_map(|line| match Message::decode(line) {
-        Ok(Message::Result { index, outcome }) => Some((index, outcome)),
-        Ok(_) => None,
-        Err(e) => panic!("`{line}` does not decode: {e}"),
-    });
-    for (i, (what, want)) in expected.iter().enumerate() {
-        let (index, got) = results.next().unwrap_or_else(|| panic!("{what}: no RESULT"));
-        assert_eq!(index, i as u64, "{what}: answered out of order");
-        assert_same_outcome(&got, want, what);
-    }
-    assert!(results.next().is_none(), "one RESULT per JOB");
+    session.serve_and_check();
 }
 
 fn unpriced(results: &[EvalResult]) -> Vec<(bool, Option<u64>, u64, u64)> {
@@ -155,7 +176,10 @@ fn unpriced(results: &[EvalResult]) -> Vec<(bool, Option<u64>, u64, u64)> {
 
 /// Eight workers racing a cold table's `OnceLock`s answer as one worker
 /// does, and as fresh one-shot evaluations do; a second batch after
-/// `reset()` — which keeps the table — answers the same again.
+/// `reset()` — which keeps the table — answers the same again. (The
+/// sweep's Tridiagonal configurations take all three choices at every
+/// size, so the race covers its two solution cells, the packed bands and
+/// the rules' kernel-text cells as well as every benchmark's inputs.)
 #[test]
 fn a_cold_farm_at_eight_threads_equals_one_thread_and_fresh_objects() {
     for bench in benchmarks() {
@@ -352,6 +376,54 @@ fn span_bodies_leave_the_same_matrices_and_outcomes_as_elem() {
         assert!(seen.iter().any(|p| matches!(p, Placement::OpenCl { .. })));
         assert!(seen.iter().any(|p| matches!(p, Placement::Split { gpu_eighths: 3, .. })));
     }
+}
+
+/// Tridiagonal's prepared state beyond its inputs is invisible: the two CPU
+/// solutions a trial copies out instead of re-solving, the span bodies of
+/// `cr_reduce`/`cr_backsub`, and the kernel text those rules generate once.
+/// Under Thomas, host cyclic reduction and the device chain (whole, split
+/// 3/8, and with `gpu_ratio` 0, which keeps the kernels on the device), a
+/// session child's 1st, 2nd and 3rd trial leave the bits a fresh object's
+/// trial leaves, which are the bits a trial without span bodies leaves; a
+/// worker session's three answers per job are the fresh object's
+/// `JobOutcome`, which is the spanless one's.
+#[test]
+fn tridiagonal_span_and_memo_trials_equal_a_fresh_object_and_a_spanless_one() {
+    let machine = MachineProfile::desktop();
+    let mut session = Session::default();
+    for n in [256, 1_024, 4_096] {
+        let full = Tridiagonal::new(n);
+        let untouched = || benchmark_from_spec(&full.spec()).expect("specs round-trip");
+        let child = full.resized(full.input_size()).expect("the farm's full-size child");
+        session.init(&full, &machine);
+        let mut seen = Vec::new();
+        for (mutant, base) in configs(&full, &machine).into_iter().skip(1).step_by(2).enumerate() {
+            for (choice, ratio) in [(0, 8), (1, 8), (2, 8), (2, 3), (2, 0)] {
+                let mut cfg = base.clone();
+                cfg.set_selector("tridiag", Selector::constant(choice, 3));
+                cfg.set_tunable("tridiag.gpu_ratio", Tunable::new(ratio, 0, 8));
+                let what = format!("n = {n}, mutant {mutant}, choice {choice}, gpu_ratio {ratio}");
+
+                let (placements, want) = trial_matrices(&*untouched(), &machine, &cfg);
+                for trial in 1..=3 {
+                    let (_, got) = trial_matrices(&*child, &machine, &cfg);
+                    assert_eq!(got, want, "{what}: session trial {trial}");
+                }
+                let size = full.input_size();
+                let job = EvalJob { config: cfg.clone(), size, engine_seed: job_seed(19, size, 0) };
+                let outcome = fresh(&full, &machine, &job);
+                assert!(outcome.fitness.is_some(), "{what}: the trial must run and check");
+                session.job_thrice(&job, &outcome, &what);
+                let spanless = Spanless(untouched());
+                assert_eq!(trial_matrices(&spanless, &machine, &cfg).1, want, "{what}: elem");
+                assert_same_outcome(&evaluate_job(&spanless, &machine, &job), &outcome, &what);
+                seen.extend(placements);
+            }
+        }
+        assert!(seen.iter().any(|p| matches!(p, Placement::OpenCl { .. })));
+        assert!(seen.iter().any(|p| matches!(p, Placement::Split { gpu_eighths: 3, .. })));
+    }
+    session.serve_and_check();
 }
 
 /// Calls into a [`Counting`] benchmark and all of its resized children.

@@ -15,6 +15,7 @@ use crate::profile::GpuProfile;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Handle to a kernel compiled on one device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,15 +36,49 @@ impl KernelHandle {
     }
 }
 
-/// A compiled kernel: its source, identity hash, and compile provenance.
+/// Kernel text ready to compile: the entry-point name, the OpenCL C source
+/// and the source's [`source_hash`], computed once here and shared from then
+/// on — whoever generated the text keeps one of these, and every compile of
+/// it is a hash-map probe and two reference-count bumps however long the
+/// source is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KernelText {
+    name: Arc<str>,
+    source: Arc<str>,
+    source_hash: u64,
+}
+
+impl KernelText {
+    /// Wrap `source` under entry point `name`, hashing it.
+    #[must_use]
+    pub fn new(name: &str, source: &str) -> Self {
+        KernelText { name: name.into(), source: source.into(), source_hash: source_hash(source) }
+    }
+
+    /// Kernel entry-point name.
+    #[must_use]
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Full OpenCL C source (generated by `petal-core`).
+    #[must_use]
+    pub fn source(&self) -> &str {
+        &self.source
+    }
+
+    /// FNV-1a hash of the source; the IR-cache key.
+    #[must_use]
+    pub fn source_hash(&self) -> u64 {
+        self.source_hash
+    }
+}
+
+/// A compiled kernel: its text and compile provenance.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
-    /// Kernel entry-point name.
-    pub name: String,
-    /// Full OpenCL C source (generated by `petal-core`).
-    pub source: String,
-    /// FNV-1a hash of the source; the IR-cache key.
-    pub source_hash: u64,
+    /// Name, source and identity hash, shared with whoever generated them.
+    pub text: KernelText,
     /// Whether this compile hit the persistent IR cache.
     pub ir_cache_hit: bool,
 }
@@ -135,15 +170,19 @@ impl CompileCache {
         c
     }
 
-    /// Compile `source` (or reuse it), returning the handle and the virtual
+    /// Compile `text` (or reuse it), returning the handle and the virtual
     /// seconds the compile cost on `gpu`.
-    pub fn compile(&mut self, gpu: &GpuProfile, name: &str, source: &str) -> (KernelHandle, f64) {
-        let hash = source_hash(source);
-        if let Some(&h) = self.by_hash.get(&hash) {
-            self.stats.warm_hits += 1;
-            return (h, 0.0);
-        }
-        let ir_hit = self.ir_cache_enabled && self.ir_cache.contains_key(&hash);
+    pub fn compile(&mut self, gpu: &GpuProfile, text: &KernelText) -> (KernelHandle, f64) {
+        let hash = text.source_hash();
+        let slot = match self.by_hash.entry(hash) {
+            Entry::Occupied(warm) => {
+                self.stats.warm_hits += 1;
+                return (*warm.get(), 0.0);
+            }
+            Entry::Vacant(slot) => slot,
+        };
+        // The IR cache keeps every source it is shown; a hit is one it had.
+        let ir_hit = self.ir_cache_enabled && self.ir_cache.insert(hash, ()).is_some();
         let secs = cost::compile_secs(gpu, ir_hit);
         if ir_hit {
             self.stats.ir_cache_hits += 1;
@@ -156,22 +195,9 @@ impl CompileCache {
             frontend_secs: gpu.compile_frontend,
             jit_secs: gpu.compile_jit,
         });
-        if self.ir_cache_enabled {
-            self.ir_cache.insert(hash, ());
-        }
         let handle = KernelHandle(self.kernels.len());
-        self.kernels.push(CompiledKernel {
-            name: name.to_owned(),
-            source: source.to_owned(),
-            source_hash: hash,
-            ir_cache_hit: ir_hit,
-        });
-        match self.by_hash.entry(hash) {
-            Entry::Vacant(v) => {
-                v.insert(handle);
-            }
-            Entry::Occupied(_) => unreachable!("hash presence checked above"),
-        }
+        self.kernels.push(CompiledKernel { text: text.clone(), ir_cache_hit: ir_hit });
+        slot.insert(handle);
         (handle, secs)
     }
 
@@ -233,7 +259,7 @@ mod tests {
     fn first_compile_is_full_price() {
         let g = gpu();
         let mut c = CompileCache::new();
-        let (_, secs) = c.compile(&g, "f", "src-a");
+        let (_, secs) = c.compile(&g, &KernelText::new("f", "src-a"));
         assert!((secs - (g.compile_frontend + g.compile_jit)).abs() < 1e-12);
         assert_eq!(c.stats().full_compiles, 1);
     }
@@ -242,8 +268,8 @@ mod tests {
     fn same_process_recompile_is_free() {
         let g = gpu();
         let mut c = CompileCache::new();
-        let (h1, _) = c.compile(&g, "f", "src-a");
-        let (h2, secs) = c.compile(&g, "f", "src-a");
+        let (h1, _) = c.compile(&g, &KernelText::new("f", "src-a"));
+        let (h2, secs) = c.compile(&g, &KernelText::new("f", "src-a"));
         assert_eq!(h1, h2);
         assert_eq!(secs, 0.0);
         assert_eq!(c.stats().warm_hits, 1);
@@ -253,9 +279,9 @@ mod tests {
     fn ir_cache_halves_restart_cost() {
         let g = gpu();
         let mut c = CompileCache::new();
-        let (_, cold) = c.compile(&g, "f", "src-a");
+        let (_, cold) = c.compile(&g, &KernelText::new("f", "src-a"));
         c.reset_process();
-        let (_, warm) = c.compile(&g, "f", "src-a");
+        let (_, warm) = c.compile(&g, &KernelText::new("f", "src-a"));
         assert!((warm - g.compile_jit).abs() < 1e-12);
         assert!(warm < cold);
         assert_eq!(c.stats().ir_cache_hits, 1);
@@ -265,9 +291,9 @@ mod tests {
     fn disabled_ir_cache_pays_full_price_after_restart() {
         let g = gpu();
         let mut c = CompileCache::without_ir_cache();
-        let (_, cold) = c.compile(&g, "f", "src-a");
+        let (_, cold) = c.compile(&g, &KernelText::new("f", "src-a"));
         c.reset_process();
-        let (_, again) = c.compile(&g, "f", "src-a");
+        let (_, again) = c.compile(&g, &KernelText::new("f", "src-a"));
         assert!((again - cold).abs() < 1e-12);
         assert_eq!(c.stats().full_compiles, 2);
     }
@@ -276,10 +302,10 @@ mod tests {
     fn distinct_sources_get_distinct_handles() {
         let g = gpu();
         let mut c = CompileCache::new();
-        let (h1, _) = c.compile(&g, "f", "src-a");
-        let (h2, _) = c.compile(&g, "g", "src-b");
+        let (h1, _) = c.compile(&g, &KernelText::new("f", "src-a"));
+        let (h2, _) = c.compile(&g, &KernelText::new("g", "src-b"));
         assert_ne!(h1, h2);
         assert_eq!(c.kernel_count(), 2);
-        assert_eq!(c.get(h2).unwrap().name, "g");
+        assert_eq!(c.get(h2).unwrap().text.name(), "g");
     }
 }

@@ -7,7 +7,7 @@
 //! that actually transforms buffer contents when the launch executes.
 
 use crate::buffer::{BufferId, BufferTable};
-use crate::compile::{CompileCache, CompileStats, KernelHandle};
+use crate::compile::{CompileCache, CompileStats, KernelHandle, KernelText};
 use crate::cost::{self, KernelWork};
 use crate::profile::GpuProfile;
 use crate::queue::{CommandQueue, Event};
@@ -159,11 +159,10 @@ impl Device {
     /// the same source was already compiled in this process.
     pub fn register_kernel(
         &mut self,
-        name: &str,
-        source: &str,
+        text: &KernelText,
         body: Arc<dyn KernelBody>,
     ) -> (KernelHandle, f64) {
-        let (handle, secs) = self.compiler.compile(&self.profile, name, source);
+        let (handle, secs) = self.compiler.compile(&self.profile, text);
         self.bodies.entry(handle).or_insert(body);
         (handle, secs)
     }
@@ -171,7 +170,7 @@ impl Device {
     /// Source text of a compiled kernel (for tests and diagnostics).
     #[must_use]
     pub fn kernel_source(&self, handle: KernelHandle) -> Option<&str> {
-        self.compiler.get(handle).map(|k| k.source.as_str())
+        self.compiler.get(handle).map(|k| k.text.source())
     }
 
     /// Allocate a device buffer (the data part of a *prepare* task).
@@ -308,7 +307,8 @@ mod tests {
     #[test]
     fn kernel_executes_functionally_and_charges_time() {
         let mut d = device();
-        let (h, compile_secs) = d.register_kernel("dbl", "kernel void dbl(...)", double_body());
+        let (h, compile_secs) =
+            d.register_kernel(&KernelText::new("dbl", "kernel void dbl(...)"), double_body());
         assert!(compile_secs > 0.0);
         let buf = d.alloc_buffer(4);
         let w = d.enqueue_write(0.0, buf, &[1.0, 2.0, 3.0, 4.0]).unwrap();
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn oversized_work_group_is_rejected() {
         let mut d = device();
-        let (h, _) = d.register_kernel("dbl", "src", double_body());
+        let (h, _) = d.register_kernel(&KernelText::new("dbl", "src"), double_body());
         let buf = d.alloc_buffer(1);
         let mut l = launch(h, buf, 1);
         l.work.local_size = 100_000;
@@ -343,8 +343,8 @@ mod tests {
     #[test]
     fn recompiling_same_source_is_free() {
         let mut d = device();
-        let (_, s1) = d.register_kernel("a", "same", double_body());
-        let (_, s2) = d.register_kernel("a", "same", double_body());
+        let (_, s1) = d.register_kernel(&KernelText::new("a", "same"), double_body());
+        let (_, s2) = d.register_kernel(&KernelText::new("a", "same"), double_body());
         assert!(s1 > 0.0);
         assert_eq!(s2, 0.0);
         assert_eq!(d.kernel_count(), 1);
@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn reset_timeline_keeps_kernels() {
         let mut d = device();
-        let (h, _) = d.register_kernel("a", "src", double_body());
+        let (h, _) = d.register_kernel(&KernelText::new("a", "src"), double_body());
         let buf = d.alloc_buffer(2);
         d.enqueue_write(0.0, buf, &[1.0, 1.0]).unwrap();
         d.reset_timeline();

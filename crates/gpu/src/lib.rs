@@ -46,7 +46,7 @@ pub mod queue;
 pub mod source;
 
 pub use buffer::{BufferId, BufferTable, DeviceBuffer};
-pub use compile::{CompileCache, CompiledKernel, KernelHandle};
+pub use compile::{CompileCache, CompiledKernel, KernelHandle, KernelText};
 pub use cost::{CpuWork, KernelWork};
 pub use device::{Device, DeviceStats};
 pub use profile::{CpuProfile, GpuProfile, MachineProfile};

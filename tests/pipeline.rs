@@ -54,6 +54,7 @@ fn wavefront_rules_are_rejected_like_the_paper_says() {
         elem: Arc::new(|_, _, _| 0.0),
         span: None,
         native_only_body: false,
+        text: Default::default(),
     };
     assert!(rule.opencl_verdict().is_err());
     assert!(!rule.has_local_memory_variant());

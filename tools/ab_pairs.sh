@@ -4,18 +4,27 @@
 # workload on one seed, alternating which side runs first, and print each
 # side's median and quartiles per end-to-end metric plus pairs won.
 #
-#   tools/ab_pairs.sh <parent-dir> <change-dir> <workload> <seed> <pairs>
+#   tools/ab_pairs.sh <parent-dir> <change-dir> <workload|all> <seed> <pairs>
 #
+# `all` runs every workload BENCHMARK.json names, one after the other, and
+# prints one table each: the must-not-move half of a claim in one command.
 # Each side runs from its own tree with BENCHMARK.json's command, so build
 # settings (.cargo/config.toml, profiles) are each commit's own. Run it
 # once per seed a claim has to hold on. See docs/benchmarks.md.
 set -euo pipefail
 
-[[ $# == 5 ]] || { sed -n '2,11p' "$0"; exit 2; }
+[[ $# == 5 ]] || { sed -n '2,13p' "$0"; exit 2; }
 PARENT="$(cd "$1" && pwd)"
 CHANGE="$(cd "$2" && pwd)"
 WORKLOAD="$3" SEED="$4" PAIRS="$5"
 [[ "$PAIRS" =~ ^[1-9][0-9]*$ ]] || { echo "ab_pairs: <pairs> must be a positive integer"; exit 2; }
+
+if [[ "$WORKLOAD" == all ]]; then
+  # BENCHMARK.json's workload entries are one per line, name first.
+  sed -n '/"workloads"/,/\]/p' "$CHANGE/BENCHMARK.json" | sed -nE 's/^ *\{"name": "([^"]+)".*/\1/p' \
+    | while read -r each; do "$0" "$PARENT" "$CHANGE" "$each" "$SEED" "$PAIRS" </dev/null; done
+  exit
+fi
 
 RUNS="$(mktemp /tmp/ab-pairs.XXXXXX)"
 trap 'rm -f "$RUNS" "$RUNS.out"' EXIT
