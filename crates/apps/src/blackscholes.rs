@@ -66,15 +66,114 @@ pub struct BlackScholes {
     prepared: OnceLock<Prepared>,
 }
 
-/// What every instance of one `n` shares: the seeded inputs, shaped
-/// `rows × cols`, the host reference prices and the pricing rule.
+/// What every instance of one `n` shares: the priced inputs and the
+/// pricing rule, whose span body is keyed on them.
 #[derive(Debug, Clone)]
 struct Prepared {
-    spot: Arc<Matrix>,
-    strike: Arc<Matrix>,
-    expiry: Arc<Matrix>,
-    expected: Arc<Vec<f64>>,
+    priced: Arc<Priced>,
     rule: Arc<StencilRule>,
+}
+
+/// The seeded inputs and the price of every option.
+#[derive(Debug)]
+struct Priced {
+    /// Spot price, strike and expiry, each shaped `rows × cols`.
+    inputs: [Arc<Matrix>; 3],
+    /// `call_price` of each cell of `inputs` at [`RATE`] and
+    /// [`VOLATILITY`], row-major: what `check` compares against, and what
+    /// the rule's span copies out for cells it finds to be these inputs.
+    prices: Vec<f64>,
+}
+
+/// Whether two spans hold the same bit patterns, element for element. A
+/// span at the same address is the same memory, so it is not read.
+fn same_bits(given: &[f64], key: &[f64]) -> bool {
+    given.len() == key.len()
+        && (std::ptr::eq(given.as_ptr(), key.as_ptr())
+            || given.iter().zip(key).all(|(g, k)| g.to_bits() == k.to_bits()))
+}
+
+impl Priced {
+    fn new(rows: usize, cols: usize) -> Self {
+        let n = rows * cols;
+        let s = random_vec(n, 5.0, 30.0, 11);
+        let k = random_vec(n, 1.0, 100.0, 12);
+        let t = random_vec(n, 0.25, 10.0, 13);
+        let prices = (0..n).map(|i| call_price(s[i], k[i], t[i], RATE, VOLATILITY)).collect();
+        Priced { inputs: [s, k, t].map(|v| Arc::new(Matrix::from_vec(rows, cols, v))), prices }
+    }
+
+    /// The stored prices of the span of row `y` that starts at column `x0`,
+    /// when the spans `given` of the three inputs and both scalars are, bit
+    /// for bit, what those prices were computed from; `None` for any other
+    /// span, which the caller prices itself. `call_price` is a function of
+    /// those five bit patterns, so a hit and a miss are indistinguishable.
+    fn span(&self, given: &[&[f64]; 3], r: f64, v: f64, x0: usize, y: usize) -> Option<&[f64]> {
+        let (rows, cols) = (self.inputs[0].rows(), self.inputs[0].cols());
+        let len = given[0].len();
+        let at = y * cols + x0;
+        let hit = y < rows
+            && x0 + len <= cols
+            && r.to_bits() == RATE.to_bits()
+            && v.to_bits() == VOLATILITY.to_bits()
+            && given
+                .iter()
+                .zip(&self.inputs)
+                .all(|(g, key)| same_bits(g, &key.as_slice()[at..at + len]));
+        hit.then(|| &self.prices[at..at + len])
+    }
+}
+
+impl Prepared {
+    /// Price a `rows × cols` instance and build the rule around the result.
+    /// The rule has no constructor of its own: the only `black_scholes`
+    /// there is carries the keyed span.
+    fn new(rows: usize, cols: usize) -> Self {
+        let priced = Arc::new(Priced::new(rows, cols));
+        let memo = Arc::clone(&priced);
+        // The data-parallel pricing rule: three `Point` inputs, one output.
+        let rule = Arc::new(StencilRule {
+            name: "black_scholes".into(),
+            inputs: vec![
+                StencilInput { index: 0, access: AccessPattern::Point },
+                StencilInput { index: 1, access: AccessPattern::Point },
+                StencilInput { index: 2, access: AccessPattern::Point },
+            ],
+            flops_per_output: FLOPS_PER_OPTION,
+            body_c: "double s = IN0(x, y), k = IN1(x, y), t = IN2(x, y);\n\
+                     double r = user_scalars[0], v = user_scalars[1];\n\
+                     double sq = sqrt(t);\n\
+                     double d1 = (log(s / k) + (r + 0.5 * v * v) * t) / (v * sq);\n\
+                     double d2 = d1 - v * sq;\n\
+                     result = s * petal_cnd(d1) - k * exp(-r * t) * petal_cnd(d2);"
+                .into(),
+            elem: Arc::new(|env, x, y| {
+                let s = env.inputs[0].at(x, y);
+                let k = env.inputs[1].at(x, y);
+                let t = env.inputs[2].at(x, y);
+                call_price(s, k, t, env.scalars[0], env.scalars[1])
+            }),
+            // A cell is 37.7 ns of libm over inputs no tunable reaches, so
+            // the span is keyed, not faster: a span of the prepared inputs
+            // copies its row of prices out, any other is priced cell by
+            // cell as `elem` prices it.
+            span: Some(Arc::new(move |env, x0, y, out| {
+                let given = [0, 1, 2].map(|k| env.inputs[k].row_span(y, x0, out.len()));
+                let (r, v) = (env.scalars[0], env.scalars[1]);
+                if let Some(prices) = memo.span(&given, r, v, x0, y) {
+                    out.copy_from_slice(prices);
+                } else {
+                    let [s, k, t] = given;
+                    for (i, o) in out.iter_mut().enumerate() {
+                        *o = call_price(s[i], k[i], t[i], r, v);
+                    }
+                }
+            })),
+            native_only_body: false,
+            text: Default::default(),
+        });
+        Prepared { priced, rule }
+    }
 }
 
 impl BlackScholes {
@@ -98,49 +197,7 @@ impl BlackScholes {
     fn prepared(&self) -> &Prepared {
         self.prepared.get_or_init(|| {
             let (rows, cols) = self.shape();
-            let n = rows * cols;
-            let s = random_vec(n, 5.0, 30.0, 11);
-            let k = random_vec(n, 1.0, 100.0, 12);
-            let t = random_vec(n, 0.25, 10.0, 13);
-            let expected = (0..n).map(|i| call_price(s[i], k[i], t[i], RATE, VOLATILITY)).collect();
-            let shaped = |v| Arc::new(Matrix::from_vec(rows, cols, v));
-            Prepared {
-                spot: shaped(s),
-                strike: shaped(k),
-                expiry: shaped(t),
-                expected: Arc::new(expected),
-                rule: Self::rule(),
-            }
-        })
-    }
-
-    /// The data-parallel pricing rule: three `Point` inputs, one output.
-    #[must_use]
-    pub fn rule() -> Arc<StencilRule> {
-        Arc::new(StencilRule {
-            name: "black_scholes".into(),
-            inputs: vec![
-                StencilInput { index: 0, access: AccessPattern::Point },
-                StencilInput { index: 1, access: AccessPattern::Point },
-                StencilInput { index: 2, access: AccessPattern::Point },
-            ],
-            flops_per_output: FLOPS_PER_OPTION,
-            body_c: "double s = IN0(x, y), k = IN1(x, y), t = IN2(x, y);\n\
-                     double r = user_scalars[0], v = user_scalars[1];\n\
-                     double sq = sqrt(t);\n\
-                     double d1 = (log(s / k) + (r + 0.5 * v * v) * t) / (v * sq);\n\
-                     double d2 = d1 - v * sq;\n\
-                     result = s * petal_cnd(d1) - k * exp(-r * t) * petal_cnd(d2);"
-                .into(),
-            elem: Arc::new(|env, x, y| {
-                let s = env.inputs[0].at(x, y);
-                let k = env.inputs[1].at(x, y);
-                let t = env.inputs[2].at(x, y);
-                call_price(s, k, t, env.scalars[0], env.scalars[1])
-            }),
-            span: None, // 37.7 ns of libm in a 38.7 ns cell: no dispatch share to remove
-            native_only_body: false,
-            text: Default::default(),
+            Prepared::new(rows, cols)
         })
     }
 }
@@ -181,9 +238,8 @@ impl crate::Benchmark for BlackScholes {
         let n = rows * cols;
         let prepared = self.prepared();
         let mut world = World::new();
-        let spot = world.alloc_shared(Arc::clone(&prepared.spot));
-        let strike = world.alloc_shared(Arc::clone(&prepared.strike));
-        let expiry = world.alloc_shared(Arc::clone(&prepared.expiry));
+        let inputs: Vec<_> =
+            prepared.priced.inputs.iter().map(|m| world.alloc_shared(Arc::clone(m))).collect();
         let out = world.alloc(Matrix::zeros(rows, cols));
 
         let rule = Arc::clone(&prepared.rule);
@@ -192,7 +248,7 @@ impl crate::Benchmark for BlackScholes {
         p.stencil(
             StencilStep {
                 rule,
-                inputs: vec![spot, strike, expiry],
+                inputs,
                 output: out,
                 out_dims: (cols, rows),
                 user_scalars: vec![RATE, VOLATILITY],
@@ -202,10 +258,10 @@ impl crate::Benchmark for BlackScholes {
         );
         p.mark_output(out);
 
-        let expected = Arc::clone(&prepared.expected);
+        let priced = Arc::clone(&prepared.priced);
         let check = Box::new(move |w: &World| -> Result<(), String> {
             let got = w.get(out).as_slice();
-            for (i, (g, e)) in got.iter().zip(expected.iter()).enumerate() {
+            for (i, (g, e)) in got.iter().zip(&priced.prices).enumerate() {
                 if (g - e).abs() > 1e-9 * (1.0 + e.abs()) {
                     return Err(format!("option {i}: got {g}, want {e}"));
                 }
@@ -220,7 +276,116 @@ impl crate::Benchmark for BlackScholes {
 mod tests {
     use super::*;
     use crate::Benchmark;
+    use petal_core::codegen::{Geometry, RawInput};
+    use petal_core::stencil::assert_span_matches_elem;
     use petal_core::{Selector, Tunable};
+    use std::borrow::Borrow;
+
+    /// `petal_core`'s bit-equality oracle over the whole output and a band
+    /// inside it. `Full` views hand the span whole rows; the tiled run
+    /// hands it 16- and 7-wide pieces of them, ragged at the right edge
+    /// (a `Point` input is never staged, so those are `Full` views too).
+    fn oracle(rule: &StencilRule, inputs: &[impl Borrow<Matrix>; 3], scalars: &[f64]) {
+        let (rows, cols) = (inputs[0].borrow().rows(), inputs[0].borrow().cols());
+        let raw: Vec<RawInput<'_>> =
+            inputs.iter().map(|m| (m.borrow().as_slice(), cols, rows)).collect();
+        for (row0, row1) in [(0, rows), (rows / 5, rows - rows / 3)] {
+            for local_size in [48, 7] {
+                let geom = Geometry {
+                    out_w: cols,
+                    out_h: rows,
+                    row0,
+                    row1,
+                    in_dims: vec![(cols, rows); 3],
+                    local_size,
+                };
+                assert_span_matches_elem(rule, &raw, scalars, &geom);
+            }
+        }
+    }
+
+    /// Whether the memo answers for columns `x0..x0 + len` of row `y` of
+    /// `inputs`.
+    fn hits(
+        priced: &Priced,
+        inputs: &[Matrix; 3],
+        scalars: [f64; 2],
+        (x0, y, len): (usize, usize, usize),
+    ) -> bool {
+        let given = [0, 1, 2].map(|k| &inputs[k].row(y)[x0..x0 + len]);
+        priced.span(&given, scalars[0], scalars[1], x0, y).is_some()
+    }
+
+    #[test]
+    fn the_keyed_span_matches_elem_on_a_hit_a_miss_and_a_changed_scalar() {
+        // 64 × 45: two whole 16-wide tiles and a ragged third per row.
+        let b = BlackScholes::new(64 * 45);
+        let Prepared { priced, rule } = b.prepared();
+        let (rows, cols) = b.shape();
+        let scalars = [RATE, VOLATILITY];
+        let copies = [0, 1, 2].map(|k| Matrix::clone(&priced.inputs[k]));
+
+        // The prepared inputs hit wherever a span starts and ends, whether
+        // they are the donors themselves (what a trial hands over: known by
+        // address) or copies of them (compared bit for bit).
+        oracle(rule, &priced.inputs, &scalars);
+        oracle(rule, &copies, &scalars);
+        for span in [(0, 0, cols), (16, 7, 16), (32, rows - 1, cols - 32), (cols - 1, 3, 1)] {
+            assert!(hits(priced, &copies, scalars, span), "{span:?} of the prepared inputs");
+        }
+        // Beyond the prepared shape there is nothing to compare with.
+        let given = [&copies[0].row(0)[..cols]; 3];
+        assert!(priced.span(&given, RATE, VOLATILITY, 0, rows).is_none());
+        assert!(priced.span(&given, RATE, VOLATILITY, 1, 0).is_none());
+
+        // One bit flipped in one input, at the first, a middle and the last
+        // cell of a row: every span that covers the cell misses and is
+        // priced from what it was handed, every other span still hits.
+        let y = rows / 2;
+        for input in 0..3 {
+            for x in [0, cols / 2, cols - 1] {
+                for bit in [0, 40] {
+                    let mut flipped = copies.clone();
+                    let cell = &mut flipped[input][(y, x)];
+                    *cell = f64::from_bits(cell.to_bits() ^ (1 << bit));
+                    let what = format!("input {input}, cell ({x}, {y}), bit {bit}");
+                    assert!(!hits(priced, &flipped, scalars, (0, y, cols)), "{what}: its row");
+                    assert!(!hits(priced, &flipped, scalars, (x, y, 1)), "{what}: the cell alone");
+                    assert!(hits(priced, &flipped, scalars, (0, y - 1, cols)), "{what}: row above");
+                    assert!(hits(priced, &flipped, scalars, (0, y + 1, cols)), "{what}: row below");
+                    if x > 0 {
+                        assert!(hits(priced, &flipped, scalars, (0, y, x)), "{what}: to its left");
+                    }
+                    oracle(rule, &flipped, &scalars);
+                }
+            }
+        }
+
+        // A scalar one bit off misses everywhere.
+        for changed in [[f64::from_bits(RATE.to_bits() ^ 1), VOLATILITY], [RATE, 0.25]] {
+            assert!(!hits(priced, &copies, changed, (0, 0, cols)), "scalars {changed:?}");
+            oracle(rule, &copies, &changed);
+        }
+    }
+
+    /// The memo's own oracle: `check` compares a trial's output with the
+    /// vector the span copies from, so that vector is held to `call_price`
+    /// here, cell by cell — called as `elem` calls it, with scalars the
+    /// compiler cannot see through.
+    #[test]
+    fn the_span_memo_holds_call_price_of_its_own_inputs_bit_for_bit() {
+        let (r, v) = std::hint::black_box((RATE, VOLATILITY));
+        for n in [MIN_N, 4_096, 50_000] {
+            let b = BlackScholes::new(n);
+            let priced = &b.prepared().priced;
+            let [s, k, t] = [0, 1, 2].map(|i| priced.inputs[i].as_slice());
+            assert_eq!(priced.prices.len(), s.len());
+            for (i, price) in priced.prices.iter().enumerate() {
+                let want = call_price(s[i], k[i], t[i], r, v);
+                assert_eq!(price.to_bits(), want.to_bits(), "n = {n}, option {i}");
+            }
+        }
+    }
 
     #[test]
     fn cnd_matches_known_values() {

@@ -85,8 +85,10 @@ impl std::fmt::Debug for Instance {
 /// with the stored key by `f64::to_bits`, reuses the stored result on a
 /// match and recomputes otherwise, never replacing the entry, so that
 /// hit ≡ miss whatever the configuration did upstream
-/// ([`svd`]'s eigendecomposition of `AᵀA` is the one such entry). What
-/// the step charges and what the plan looks like must not depend on it.
+/// ([`svd`]'s eigendecomposition of `AᵀA` is one such entry;
+/// [`blackscholes`]' prices are the other, checked per span of cells by
+/// the rule's span body). What the step charges and what the plan looks
+/// like must not depend on it.
 ///
 /// The memo lives and dies with the object. The evaluation farm never
 /// instantiates the object it is handed: it evaluates on children built
@@ -474,6 +476,84 @@ mod tests {
             // seconds, in compile order) included.
             assert_eq!(warm, cold, "`{}`, warm cell", b.spec());
             assert_eq!(fresh, cold, "`{}`, fresh object", b.spec());
+        }
+    }
+
+    /// Copy-ins by reference are invisible: every device trial above, and
+    /// Black-Scholes and the Tridiagonal chain split 6⁄8 as well, once as
+    /// instantiated (inputs shared with the prepared state, so the device
+    /// holds them by reference) and once with every shared slot detached
+    /// into a copy of its own first (so every copy-in copies, as at the
+    /// parent of this mechanism): the same report, device statistics, peak
+    /// device bytes and matrices, and donors nobody wrote or kept.
+    #[test]
+    fn a_trial_runs_the_same_with_shared_inputs_held_by_reference_and_copied_in() {
+        use petal_blas::Matrix;
+        use petal_core::{MatrixId, Tunable};
+        use std::sync::Arc;
+        let m = MachineProfile::desktop();
+        let mut trials = device_trials();
+        let whole = trials.len();
+        for (at, site) in [(0, "blackscholes"), (trials.len() - 1, "tridiag")] {
+            let mut cfg = trials[at].1.clone();
+            cfg.set_tunable(&format!("{site}.gpu_ratio"), Tunable::new(6, 0, 8));
+            trials.push((benchmark_from_spec(&trials[at].0.spec()).expect("round-trips"), cfg));
+        }
+        let touched = |plan: &Plan| -> Vec<MatrixId> {
+            let mut ids = plan.outputs().to_vec();
+            for step in plan.steps() {
+                ids.extend(step.reads().iter().chain(step.writes()));
+            }
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (at, (b, cfg)) in trials.into_iter().enumerate() {
+            let what = format!("`{}`{}", b.spec(), if at < whole { "" } else { ", split 6/8" });
+            // An instance that never runs keeps the donors reachable.
+            let Instance { world: idle, plan, .. } = b.instantiate(&m, &cfg);
+            let donors: Vec<_> =
+                touched(&plan).iter().filter_map(|&id| idle.shared(id).cloned()).collect();
+            assert!(!donors.is_empty(), "{what}: shares no input");
+            let untouched: Vec<_> =
+                donors.iter().map(|d| (Arc::strong_count(d), bits(d))).collect();
+            let run = |copied: bool| {
+                let Instance { mut world, plan, .. } = b.instantiate(&m, &cfg);
+                let ids = touched(&plan);
+                for &id in &ids {
+                    if copied && world.shared(id).is_some() {
+                        let _ = world.get_mut(id);
+                    }
+                }
+                let mut ex = Executor::new(&m);
+                let report = ex.run(plan, &mut world).expect("the trial runs");
+                let holders: Vec<_> = donors.iter().map(Arc::strong_count).collect();
+                let device = ex.device().expect("desktop has a device");
+                let device = (device.stats(), device.buffers().peak_bytes());
+                let left: Vec<_> = ids
+                    .iter()
+                    .map(|&id| {
+                        let _ = world.ensure_host(id, f64::MAX);
+                        bits(world.get(id))
+                    })
+                    .collect();
+                ((report, device, left), holders)
+            };
+            let (by_reference, held) = run(false);
+            let slot_and_buffer = held.iter().zip(&untouched).any(|(h, (idle, _))| *h >= idle + 2);
+            // (Sort's plans sort their input in place: its slot is
+            // detached before any copy-in sees it.)
+            let sorts = b.spec().starts_with("sort ");
+            assert!(slot_and_buffer != sorts, "{what}: donors held by a device buffer: {held:?}");
+            let (copying, held) = run(true);
+            let idle_counts: Vec<_> = untouched.iter().map(|(count, _)| *count).collect();
+            assert_eq!(held, idle_counts, "{what}: a detached slot's copy-in held a donor");
+            assert_eq!(by_reference, copying, "{what}");
+            for (donor, (count, was)) in donors.iter().zip(&untouched) {
+                assert_eq!(Arc::strong_count(donor), *count, "{what}: a trial kept a donor");
+                assert_eq!(&bits(donor), was, "{what}: a trial wrote a donor");
+            }
         }
     }
 

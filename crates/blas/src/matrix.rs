@@ -211,6 +211,13 @@ impl Matrix {
     }
 }
 
+/// The row-major elements, as [`Matrix::as_slice`] gives them.
+impl AsRef<[f64]> for Matrix {
+    fn as_ref(&self) -> &[f64] {
+        &self.data
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
 

@@ -7,6 +7,7 @@
 //! is deferred until a consumer actually needs them (*may copy-out*, §3.2).
 
 use petal_blas::Matrix;
+use petal_gpu::buffer::SharedSlice;
 use std::sync::Arc;
 
 /// Handle to a matrix inside a [`World`].
@@ -25,8 +26,9 @@ impl MatrixId {
 /// virtual time it only becomes available on the host once it is pulled.
 #[derive(Debug, Clone)]
 pub struct LazyEntry {
-    /// The data that will land in the matrix when pulled.
-    pub data: Vec<f64>,
+    /// The data that will land in the matrix when pulled: a snapshot of the
+    /// device buffer, copied only by the pull.
+    pub data: SharedSlice,
     /// Virtual time at which the device-side producer kernel finishes.
     pub ready_at: f64,
     /// Modeled transfer seconds for the pull itself.
@@ -98,6 +100,17 @@ impl World {
         self.versions.push(0);
         self.lazy.push(None);
         MatrixId(self.mats.len() - 1)
+    }
+
+    /// The donor of a slot that still borrows it ([`World::alloc_shared`]
+    /// and no host write since), as a device copy-in may hold it: by
+    /// reference. `None` once the slot owns its matrix.
+    #[must_use]
+    pub fn shared(&self, id: MatrixId) -> Option<&Arc<Matrix>> {
+        match &self.mats[id.0] {
+            Slot::Shared(m) => Some(m),
+            Slot::Owned(_) => None,
+        }
     }
 
     /// Number of matrices.
@@ -210,7 +223,7 @@ impl World {
             Some(e) => {
                 let wait = (e.ready_at - now).max(0.0);
                 let (cols, rows) = self.get_dims(id);
-                self.mats[id.0] = Slot::Owned(Matrix::from_vec(rows, cols, e.data));
+                self.mats[id.0] = Slot::Owned(Matrix::from_vec(rows, cols, e.data.to_vec()));
                 self.versions[id.0] += 1;
                 self.lazy_pulls += 1;
                 wait + e.pull_secs
@@ -251,6 +264,7 @@ mod tests {
         let id = w.alloc_shared(Arc::clone(&donor));
         let fresh = w.residency_key(id, 0, 1);
         assert!(std::ptr::eq(w.get(id), &*donor), "reads go to the donor's bytes");
+        assert!(w.shared(id).is_some_and(|held| Arc::ptr_eq(held, &donor)));
         assert_eq!((w.get_dims(id), w.version(id)), ((2, 1), 0));
         assert_eq!(Arc::strong_count(&donor), 2);
 
@@ -260,6 +274,7 @@ mod tests {
         assert_eq!(w.get(id).as_slice(), [9.0, 2.0]);
         assert_eq!(donor.as_slice(), [1.0, 2.0]);
         assert_eq!(Arc::strong_count(&donor), 1, "the slot let go of the donor");
+        assert!(w.shared(id).is_none(), "an owned slot has no donor to hold by reference");
 
         // Every other write path detaches the same way.
         let mut w = World::new();
@@ -267,7 +282,10 @@ mod tests {
         let mut taken = w.take_matrix(a);
         taken[(0, 1)] = 7.0;
         w.restore_matrix(a, taken);
-        w.defer_copy_out(b, LazyEntry { data: vec![5.0, 6.0], ready_at: 0.0, pull_secs: 0.0 });
+        w.defer_copy_out(
+            b,
+            LazyEntry { data: vec![5.0, 6.0].into(), ready_at: 0.0, pull_secs: 0.0 },
+        );
         let _ = w.ensure_host(b, 0.0);
         assert_eq!((w.version(a), w.version(b)), (1, 1));
         assert_eq!((w.get(a).as_slice(), w.get(b).as_slice()), (&[1.0, 7.0][..], &[5.0, 6.0][..]));
@@ -290,7 +308,10 @@ mod tests {
     fn lazy_pull_charges_wait_and_transfer() {
         let mut w = World::new();
         let id = w.alloc(Matrix::zeros(1, 2));
-        w.defer_copy_out(id, LazyEntry { data: vec![7.0, 8.0], ready_at: 5.0, pull_secs: 0.5 });
+        w.defer_copy_out(
+            id,
+            LazyEntry { data: vec![7.0, 8.0].into(), ready_at: 5.0, pull_secs: 0.5 },
+        );
         assert!(w.has_pending_copy_out(id));
         // Consumer arrives at t=3: waits 2.0 for the kernel, then 0.5 transfer.
         let extra = w.ensure_host(id, 3.0);
@@ -305,7 +326,7 @@ mod tests {
     fn lazy_pull_after_ready_time_costs_only_transfer() {
         let mut w = World::new();
         let id = w.alloc(Matrix::zeros(1, 1));
-        w.defer_copy_out(id, LazyEntry { data: vec![1.0], ready_at: 1.0, pull_secs: 0.25 });
+        w.defer_copy_out(id, LazyEntry { data: vec![1.0].into(), ready_at: 1.0, pull_secs: 0.25 });
         let extra = w.ensure_host(id, 9.0);
         assert!((extra - 0.25).abs() < 1e-12);
     }
@@ -315,7 +336,7 @@ mod tests {
     fn reading_pending_matrix_panics() {
         let mut w = World::new();
         let id = w.alloc(Matrix::zeros(1, 1));
-        w.defer_copy_out(id, LazyEntry { data: vec![1.0], ready_at: 0.0, pull_secs: 0.0 });
+        w.defer_copy_out(id, LazyEntry { data: vec![1.0].into(), ready_at: 0.0, pull_secs: 0.0 });
         let _ = w.get(id);
     }
 
@@ -323,7 +344,7 @@ mod tests {
     fn host_write_supersedes_pending_copy_out() {
         let mut w = World::new();
         let id = w.alloc(Matrix::zeros(1, 1));
-        w.defer_copy_out(id, LazyEntry { data: vec![1.0], ready_at: 0.0, pull_secs: 0.0 });
+        w.defer_copy_out(id, LazyEntry { data: vec![1.0].into(), ready_at: 0.0, pull_secs: 0.0 });
         w.set(id, Matrix::from_vec(1, 1, vec![2.0]));
         assert!(!w.has_pending_copy_out(id));
         assert_eq!(w.get(id)[(0, 0)], 2.0);

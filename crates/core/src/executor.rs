@@ -16,7 +16,7 @@ use crate::codegen::{self, Geometry, RawInput};
 use crate::data::{LazyEntry, World};
 use crate::plan::{analyze_movement, CopyOutPolicy, Placement, Plan, StencilStep, StepKind};
 use crate::Error;
-use petal_gpu::buffer::BufferId;
+use petal_gpu::buffer::{BufferId, SharedSlice};
 use petal_gpu::compile::KernelHandle;
 use petal_gpu::cost;
 use petal_gpu::device::{Device, KernelLaunch};
@@ -355,7 +355,7 @@ impl Executor {
         struct Inv {
             in_bufs: Vec<Option<(BufferId, bool)>>,
             out_buf: Option<BufferId>,
-            read: Option<(Event, Vec<f64>)>,
+            read: Option<(Event, SharedSlice)>,
         }
         // Shared invocation state between the four chain tasks. `Arc<Mutex>`
         // (not `Rc<RefCell>`): the chain must be `Send` so a whole trial can
@@ -384,7 +384,13 @@ impl Executor {
                     if let Some(id) = ctx.device.buffers().lookup_resident(key) {
                         st.in_bufs[k] = Some((id, true));
                     } else {
-                        let id = ctx.device.alloc_buffer(m_len);
+                        // A slot that borrows its donor gets a buffer that
+                        // borrows it too: nothing to zero-fill, and nothing
+                        // for the copy-in to copy if the slot still does.
+                        let id = match world.shared(i) {
+                            Some(donor) => ctx.device.alloc_buffer_shared(Arc::clone(donor).into()),
+                            None => ctx.device.alloc_buffer(m_len),
+                        };
                         secs += cost::alloc_secs(&profile, m_len as f64 * 8.0);
                         st.in_bufs[k] = Some((id, false));
                     }
@@ -415,9 +421,17 @@ impl Executor {
                 }
                 let rows = world.get_dims(i).1;
                 let key = world.residency_key(i, 0, rows);
-                // The device copies on write, so the host matrix can be
-                // handed over as a slice — no per-copy-in staging Vec.
-                ctx.device.enqueue_write(ctx.now, buf, world.get(i).as_slice())?;
+                // A donor is read-only for as long as anyone holds it, so
+                // a slot that still borrows one is copied in by reference;
+                // an owned matrix (a host write detaches the slot, between
+                // prepare and here included) is copied, handed over as a
+                // slice.
+                match world.shared(i) {
+                    Some(donor) => {
+                        ctx.device.enqueue_write_shared(ctx.now, buf, Arc::clone(donor).into())?
+                    }
+                    None => ctx.device.enqueue_write(ctx.now, buf, world.get(i).as_slice())?,
+                };
                 ctx.device.buffers_mut().mark_resident(key, buf);
                 Ok(GpuOutcome::Done { manager_secs: ISSUE_SECS })
             });
@@ -465,7 +479,7 @@ impl Executor {
                         }
                     }
                     CopyOutPolicy::Lazy => {
-                        let data = ctx.device.buffers().get(out_buf)?.data().to_vec();
+                        let data = ctx.device.buffers_mut().get_mut(out_buf)?.snapshot();
                         let bytes = data.len() as f64 * 8.0;
                         let pull = cost::transfer_secs(ctx.device.profile(), bytes);
                         let key = world.residency_key(output, 0, out_h);
@@ -531,6 +545,7 @@ mod tests {
     use crate::plan::{NativeStep, PlanBuilder};
     use crate::stencil::{AccessPattern, StencilInput, StencilRule};
     use petal_blas::Matrix;
+    use petal_gpu::device::DeviceStats;
 
     /// out[y][x] = 2 * in[y][x]
     fn double_rule() -> Arc<StencilRule> {
@@ -635,6 +650,95 @@ mod tests {
         let want = Matrix::from_fn(8, 8, |r, cc| 4.0 * (r * 8 + cc) as f64);
         assert!(w.get(c).approx_eq(&want, 0.0));
         assert!(rep.rt.copy_in_dedup_hits >= 1, "dedup hits {}", rep.rt.copy_in_dedup_hits);
+    }
+
+    /// What a run leaves behind that a by-reference copy-in must not move.
+    fn observed(ex: &Executor, w: &World, out: MatrixId) -> (Vec<u64>, DeviceStats, usize) {
+        let device = ex.device().expect("desktop has a device");
+        let bits: Vec<u64> = w.get(out).as_slice().iter().map(|x| x.to_bits()).collect();
+        (bits, device.stats(), device.buffers().peak_bytes())
+    }
+
+    #[test]
+    fn a_shared_input_is_copied_in_by_reference_and_runs_as_a_copied_one_does() {
+        let n = 16;
+        let donor = Arc::new(Matrix::from_fn(n, n, |r, c| (r * n + c) as f64));
+        let split =
+            Placement::Split { gpu_eighths: 5, local_memory: false, local_size: 16, cpu_chunks: 2 };
+        for placement in [Placement::OpenCl { local_memory: false, local_size: 16 }, split] {
+            let run = |shared: bool| {
+                let mut w = World::new();
+                let a = if shared {
+                    w.alloc_shared(Arc::clone(&donor))
+                } else {
+                    w.alloc(Matrix::clone(&donor))
+                };
+                let b = w.alloc(Matrix::zeros(n, n));
+                let mut p = PlanBuilder::new();
+                p.stencil(step(a, b, n, placement), &[]);
+                p.mark_output(b);
+                let mut ex = Executor::new(&MachineProfile::desktop());
+                let rep = ex.run(p.build(), &mut w).unwrap();
+                // World, device buffers and our handle, while all three live.
+                assert_eq!(Arc::strong_count(&donor), if shared { 3 } else { 1 });
+                assert!(w.get(b).approx_eq(&expected(n), 0.0));
+                (rep, observed(&ex, &w, b))
+            };
+            assert_eq!(run(true), run(false), "{placement:?}");
+            assert_eq!(Arc::strong_count(&donor), 1, "world and executor let go of the donor");
+            assert_eq!(*donor, Matrix::from_fn(n, n, |r, c| (r * n + c) as f64));
+        }
+    }
+
+    #[test]
+    fn a_host_write_between_prepare_and_copy_in_falls_back_to_the_copy() {
+        // No verified plan writes a stencil's input while its chain is in
+        // flight (the write below is undeclared, so that `hazards` lets it
+        // through): the copy-in looks at the slot again because it costs
+        // nothing to, not because it has to. Prepare issues two allocations
+        // (8 µs on the Desktop manager thread); the write starts 1.2 µs in.
+        let n = 8;
+        let donor = Arc::new(Matrix::from_fn(n, n, |r, c| (r * n + c) as f64));
+        let mut w = World::new();
+        let a = w.alloc_shared(Arc::clone(&donor));
+        let b = w.alloc(Matrix::zeros(n, n));
+        let holders_at_write = Arc::new(Mutex::new(0));
+        let mut p = PlanBuilder::new();
+        p.stencil(step(a, b, n, Placement::OpenCl { local_memory: false, local_size: 16 }), &[]);
+        let native = |label: &str, run: crate::plan::NativeFn| NativeStep {
+            label: label.into(),
+            reads: vec![],
+            writes: vec![],
+            run,
+        };
+        let wait = p.native(native("wait", Box::new(|_, _| Charge::Secs(1.0e-6))), &[]);
+        let (seen, held) = (Arc::clone(&holders_at_write), Arc::clone(&donor));
+        p.native(
+            native(
+                "undeclared write",
+                Box::new(move |world, _| {
+                    *seen.lock().expect("unshared") = Arc::strong_count(&held);
+                    world.get_mut(a)[(0, 0)] = 100.0;
+                    Charge::Secs(0.0)
+                }),
+            ),
+            &[wait],
+        );
+        p.mark_output(b);
+        let mut ex = Executor::new(&MachineProfile::desktop());
+        ex.run(p.build(), &mut w).unwrap();
+        // Ours, the closure's, the slot's — and the buffer prepare reserved.
+        assert_eq!(
+            *holders_at_write.lock().expect("unshared"),
+            4,
+            "prepare ran first, by reference"
+        );
+        let mut want = expected(n);
+        want[(0, 0)] = 200.0;
+        assert!(w.get(b).approx_eq(&want, 0.0), "the copy-in ran second, and copied");
+        assert_eq!(donor[(0, 0)], 0.0, "nothing wrote through to the donor");
+        drop((w, ex));
+        assert_eq!(Arc::strong_count(&donor), 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Prepared state is invisible: a trial that finds its benchmark's inputs,
 //! reference answer, rules (with the kernel text they have generated) or a
 //! config-independent result (SVD's eigendecomposition, Tridiagonal's CPU
-//! solutions) memoised by a farm's or a worker's per-size table answers
-//! exactly as a trial on a freshly built benchmark does.
+//! solutions, Black-Scholes' prices) memoised by a farm's or a worker's
+//! per-size table answers exactly as a trial on a freshly built benchmark
+//! does.
 //! The fourth mechanism of the farm's determinism contract
 //! (ARCHITECTURE.md) rests on these tests.
 
@@ -179,7 +180,8 @@ fn unpriced(results: &[EvalResult]) -> Vec<(bool, Option<u64>, u64, u64)> {
 /// `reset()` — which keeps the table — answers the same again. (The
 /// sweep's Tridiagonal configurations take all three choices at every
 /// size, so the race covers its two solution cells, the packed bands and
-/// the rules' kernel-text cells as well as every benchmark's inputs.)
+/// the rules' kernel-text cells as well as every benchmark's inputs —
+/// Black-Scholes' with the prices and the rule keyed on them.)
 #[test]
 fn a_cold_farm_at_eight_threads_equals_one_thread_and_fresh_objects() {
     for bench in benchmarks() {
@@ -422,6 +424,56 @@ fn tridiagonal_span_and_memo_trials_equal_a_fresh_object_and_a_spanless_one() {
         }
         assert!(seen.iter().any(|p| matches!(p, Placement::OpenCl { .. })));
         assert!(seen.iter().any(|p| matches!(p, Placement::Split { gpu_eighths: 3, .. })));
+    }
+    session.serve_and_check();
+}
+
+/// Black-Scholes' memoised prices are invisible. On the CPU in chunks, on
+/// the device, split 6⁄8 between them and with `gpu_ratio` 0 (the device
+/// choice driven back to the CPU), at the smallest instance, a ladder rung
+/// and the benchmark's full size: a session child's 1st, 2nd and 3rd trial
+/// (every span a hit, recognised by address on the CPU and in a device
+/// buffer that holds the donor by reference) leave the bits a fresh
+/// object's trial leaves (which prices its options first), which are the
+/// bits a trial without the span leaves (`elem` calling `call_price` cell
+/// by cell); a worker session's three answers per job are the fresh
+/// object's `JobOutcome`, which is the spanless one's.
+#[test]
+fn blackscholes_memo_trials_equal_a_fresh_object_and_a_spanless_one() {
+    let machine = MachineProfile::desktop();
+    let mut session = Session::default();
+    for n in [64, 4_096, 50_000] {
+        let full = BlackScholes::new(n);
+        let untouched = || benchmark_from_spec(&full.spec()).expect("specs round-trip");
+        let child = full.resized(full.input_size()).expect("the farm's full-size child");
+        session.init(&full, &machine);
+        let mut seen = Vec::new();
+        for (mutant, base) in configs(&full, &machine).into_iter().skip(1).step_by(2).enumerate() {
+            for (choice, ratio) in [(0, 8), (1, 8), (1, 6), (1, 0)] {
+                let mut cfg = base.clone();
+                cfg.set_selector("blackscholes", Selector::constant(choice, 2));
+                cfg.set_tunable("blackscholes.gpu_ratio", Tunable::new(ratio, 0, 8));
+                let what = format!("n = {n}, mutant {mutant}, choice {choice}, gpu_ratio {ratio}");
+
+                let (placements, want) = trial_matrices(&*untouched(), &machine, &cfg);
+                for trial in 1..=3 {
+                    let (_, got) = trial_matrices(&*child, &machine, &cfg);
+                    assert_eq!(got, want, "{what}: session trial {trial}");
+                }
+                let size = full.input_size();
+                let job = EvalJob { config: cfg.clone(), size, engine_seed: job_seed(23, size, 0) };
+                let outcome = fresh(&full, &machine, &job);
+                assert!(outcome.fitness.is_some(), "{what}: the trial must run and check");
+                session.job_thrice(&job, &outcome, &what);
+                let spanless = Spanless(untouched());
+                assert_eq!(trial_matrices(&spanless, &machine, &cfg).1, want, "{what}: elem");
+                assert_same_outcome(&evaluate_job(&spanless, &machine, &job), &outcome, &what);
+                seen.extend(placements);
+            }
+        }
+        assert!(seen.iter().any(|p| matches!(p, Placement::Cpu { .. })));
+        assert!(seen.iter().any(|p| matches!(p, Placement::OpenCl { .. })));
+        assert!(seen.iter().any(|p| matches!(p, Placement::Split { gpu_eighths: 6, .. })));
     }
     session.serve_and_check();
 }

@@ -1,7 +1,9 @@
 //! Device buffers and the residency table.
 //!
-//! Buffers are backed by real `Vec<f64>` storage so kernels can execute
-//! functionally. The [`BufferTable`] additionally tracks which *host region*
+//! Buffers are backed by real `f64` storage so kernels can execute
+//! functionally: a `Vec` of their own, or — copy-on-write — a reference to
+//! read-only data somebody else holds ([`SharedSlice`]) until the first
+//! device write. The [`BufferTable`] additionally tracks which *host region*
 //! each buffer currently mirrors; the GPU management thread uses this for
 //! the copy-in deduplication of §4.3 ("if all data that will be copied in by
 //! the task is already on the GPU ... change the status of that copy-in task
@@ -9,6 +11,8 @@
 
 use crate::GpuError;
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a live device buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,11 +26,72 @@ impl BufferId {
     }
 }
 
+/// Read-only `f64`s a buffer can hold by reference: a host matrix a
+/// copy-in found shared, or a buffer's own contents once a copy-out has
+/// taken a snapshot of them. Dereferences to the slice; whatever owns the
+/// storage lives as long as any clone of this does.
+#[derive(Clone)]
+pub struct SharedSlice(Arc<dyn AsRef<[f64]> + Send + Sync>);
+
+impl<T: AsRef<[f64]> + Send + Sync + 'static> From<Arc<T>> for SharedSlice {
+    fn from(owner: Arc<T>) -> Self {
+        SharedSlice(owner)
+    }
+}
+
+impl From<Vec<f64>> for SharedSlice {
+    fn from(data: Vec<f64>) -> Self {
+        SharedSlice(Arc::new(data))
+    }
+}
+
+impl std::ops::Deref for SharedSlice {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        (*self.0).as_ref()
+    }
+}
+
+impl fmt::Debug for SharedSlice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SharedSlice(len {})", self.len())
+    }
+}
+
+/// What backs a buffer. `Shared` storage is never written through: the
+/// first write replaces it with an `Owned` copy.
+#[derive(Debug, Clone)]
+enum Storage {
+    Owned(Vec<f64>),
+    Shared(SharedSlice),
+}
+
+impl Storage {
+    fn as_slice(&self) -> &[f64] {
+        match self {
+            Storage::Owned(v) => v,
+            Storage::Shared(s) => s,
+        }
+    }
+
+    /// The storage as a `Vec` of the buffer's own, copied if it was shared.
+    fn make_mut(&mut self) -> &mut Vec<f64> {
+        if let Storage::Shared(s) = self {
+            *self = Storage::Owned(s.to_vec());
+        }
+        match self {
+            Storage::Owned(v) => v,
+            Storage::Shared(_) => unreachable!("made owned above"),
+        }
+    }
+}
+
 /// A device allocation backed by host storage.
 #[derive(Debug, Clone)]
 pub struct DeviceBuffer {
     id: BufferId,
-    data: Vec<f64>,
+    data: Storage,
 }
 
 impl DeviceBuffer {
@@ -39,24 +104,40 @@ impl DeviceBuffer {
     /// Length in elements.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data().len()
     }
 
     /// True when the buffer holds zero elements.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data().is_empty()
     }
 
     /// Read-only view of the backing storage.
     #[must_use]
     pub fn data(&self) -> &[f64] {
-        &self.data
+        self.data.as_slice()
     }
 
     /// Mutable view of the backing storage (used by the kernel interpreter).
+    /// A buffer that holds its contents by reference copies them first, so
+    /// whoever else holds them never sees the write.
     pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+        self.data.make_mut()
+    }
+
+    /// The buffer's contents as they are now, by reference (the data part of
+    /// a copy-out): the buffer keeps reading the same storage, and a later
+    /// device write to it copies first, so the snapshot never changes.
+    pub fn snapshot(&mut self) -> SharedSlice {
+        match &mut self.data {
+            Storage::Shared(s) => s.clone(),
+            Storage::Owned(v) => {
+                let moved = SharedSlice::from(std::mem::take(v));
+                self.data = Storage::Shared(moved.clone());
+                moved
+            }
+        }
     }
 }
 
@@ -84,10 +165,22 @@ impl BufferTable {
 
     /// Allocate a zero-initialized buffer of `len` elements.
     pub fn alloc(&mut self, len: usize) -> BufferId {
+        self.push(Storage::Owned(vec![0.0; len]))
+    }
+
+    /// Allocate the buffer a copy-in of `host` is about to fill: one of
+    /// `host.len()` elements, accounted as [`BufferTable::alloc`] accounts
+    /// it, that reads `host`'s storage in place from the start instead of
+    /// zero-filling storage of its own that the copy-in would overwrite.
+    pub fn alloc_shared(&mut self, host: SharedSlice) -> BufferId {
+        self.push(Storage::Shared(host))
+    }
+
+    fn push(&mut self, data: Storage) -> BufferId {
         let id = BufferId(self.buffers.len());
-        self.buffers.push(Some(DeviceBuffer { id, data: vec![0.0; len] }));
-        self.bytes_allocated += len * std::mem::size_of::<f64>();
+        self.bytes_allocated += std::mem::size_of_val(data.as_slice());
         self.peak_bytes = self.peak_bytes.max(self.bytes_allocated);
+        self.buffers.push(Some(DeviceBuffer { id, data }));
         id
     }
 
@@ -131,9 +224,9 @@ impl BufferTable {
         out: BufferId,
         f: impl FnOnce(&BufferTable, &mut [f64]) -> R,
     ) -> Result<R, GpuError> {
-        let mut data = std::mem::take(&mut self.get_mut(out)?.data);
+        let mut data = std::mem::take(self.get_mut(out)?.data.make_mut());
         let result = f(self, &mut data);
-        self.get_mut(out)?.data = data;
+        self.get_mut(out)?.data = Storage::Owned(data);
         Ok(result)
     }
 
@@ -147,7 +240,29 @@ impl BufferTable {
         if buf.len() != host.len() {
             return Err(GpuError::SizeMismatch { expected: buf.len(), actual: host.len() });
         }
-        buf.data_mut().copy_from_slice(host);
+        match &mut buf.data {
+            Storage::Owned(v) => v.copy_from_slice(host),
+            // Nothing of the old contents survives a whole-buffer write.
+            shared @ Storage::Shared(_) => *shared = Storage::Owned(host.to_vec()),
+        }
+        Ok(())
+    }
+
+    /// [`BufferTable::write`] of host data that is read-only and shared: the
+    /// buffer reads `host`'s storage in place from now on instead of holding
+    /// a copy of it, and copies it on the first device write
+    /// ([`DeviceBuffer::data_mut`], [`BufferTable::with_output`]). Nothing
+    /// else tells the two apart: lengths, accounting and residency are a
+    /// copied write's.
+    ///
+    /// # Errors
+    /// As [`BufferTable::write`].
+    pub fn write_shared(&mut self, id: BufferId, host: SharedSlice) -> Result<(), GpuError> {
+        let buf = self.get_mut(id)?;
+        if buf.len() != host.len() {
+            return Err(GpuError::SizeMismatch { expected: buf.len(), actual: host.len() });
+        }
+        buf.data = Storage::Shared(host);
         Ok(())
     }
 
@@ -236,6 +351,76 @@ mod tests {
         assert_eq!(t.bytes_allocated(), 32);
         t.free(out).unwrap();
         assert_eq!(t.with_output(out, |_, _| ()).unwrap_err(), GpuError::UnknownBuffer(out));
+    }
+
+    #[test]
+    fn a_shared_buffer_reads_its_donor_in_place_and_is_accounted_like_a_copy() {
+        let donor = Arc::new(vec![1.0, 2.0, 3.0]);
+        let (mut by_ref, mut copied) = (BufferTable::new(), BufferTable::new());
+        // Reserved by reference and filled by reference; zero-filled and
+        // then filled by reference; zero-filled and then copied into.
+        let reserved = by_ref.alloc_shared(Arc::clone(&donor).into());
+        let filled = by_ref.alloc(3);
+        for id in [reserved, filled] {
+            by_ref.write_shared(id, Arc::clone(&donor).into()).unwrap();
+            assert!(std::ptr::eq(by_ref.get(id).unwrap().data(), &donor[..]), "no copy was made");
+        }
+        for _ in 0..2 {
+            let id = copied.alloc(3);
+            copied.write(id, &donor).unwrap();
+            assert_eq!(copied.get(id).unwrap().data(), &donor[..]);
+        }
+        assert_eq!(Arc::strong_count(&donor), 3);
+        let accounts = |t: &BufferTable| (t.bytes_allocated(), t.peak_bytes(), t.live_buffers());
+        assert_eq!(accounts(&by_ref), accounts(&copied));
+        assert_eq!(by_ref.get(reserved).unwrap().len(), 3);
+
+        let short: SharedSlice = vec![0.0; 2].into();
+        assert_eq!(
+            by_ref.write_shared(filled, short).unwrap_err(),
+            GpuError::SizeMismatch { expected: 3, actual: 2 }
+        );
+        by_ref.free(filled).unwrap();
+        assert_eq!(accounts(&by_ref), (24, 48, 1));
+        drop(by_ref);
+        assert_eq!(Arc::strong_count(&donor), 1, "the table let go of the donor");
+    }
+
+    #[test]
+    fn every_device_write_detaches_a_shared_buffer_and_leaves_the_donor_untouched() {
+        let donor = Arc::new(vec![1.0, 2.0]);
+        type Write = fn(&mut BufferTable, BufferId);
+        let writes: [(&str, Write); 3] = [
+            ("data_mut", |t, id| t.get_mut(id).unwrap().data_mut()[0] = 9.0),
+            ("with_output", |t, id| t.with_output(id, |_, out| out[0] = 9.0).unwrap()),
+            ("write", |t, id| t.write(id, &[9.0, 2.0]).unwrap()),
+        ];
+        for (name, write) in writes {
+            let mut t = BufferTable::new();
+            let id = t.alloc_shared(Arc::clone(&donor).into());
+            write(&mut t, id);
+            assert_eq!(t.get(id).unwrap().data(), [9.0, 2.0], "{name}");
+            assert_eq!(*donor, [1.0, 2.0], "{name} wrote through to the donor");
+            assert_eq!(Arc::strong_count(&donor), 1, "{name} kept the donor");
+            assert_eq!(t.bytes_allocated(), 16, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_snapshot_is_the_buffer_at_that_moment_and_costs_no_copy_until_a_write() {
+        let mut t = BufferTable::new();
+        let id = t.alloc(2);
+        t.write(id, &[1.0, 2.0]).unwrap();
+        let storage = t.get(id).unwrap().data().as_ptr();
+        let first = t.get_mut(id).unwrap().snapshot();
+        let second = t.get_mut(id).unwrap().snapshot();
+        for at in [first.as_ptr(), second.as_ptr(), t.get(id).unwrap().data().as_ptr()] {
+            assert_eq!(at, storage, "the snapshots and the buffer read the storage it had");
+        }
+        t.with_output(id, |_, out| out[1] = 7.0).unwrap();
+        assert_eq!(t.get(id).unwrap().data(), [1.0, 7.0]);
+        assert_eq!((&*first, &*second), (&[1.0, 2.0][..], &[1.0, 2.0][..]));
+        assert_eq!(*t.get_mut(id).unwrap().snapshot(), [1.0, 7.0]);
     }
 
     #[test]

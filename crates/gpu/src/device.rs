@@ -6,7 +6,7 @@
 //! and golden tests) and a [`KernelBody`] — the functional implementation
 //! that actually transforms buffer contents when the launch executes.
 
-use crate::buffer::{BufferId, BufferTable};
+use crate::buffer::{BufferId, BufferTable, SharedSlice};
 use crate::compile::{CompileCache, CompileStats, KernelHandle, KernelText};
 use crate::cost::{self, KernelWork};
 use crate::profile::GpuProfile;
@@ -178,6 +178,13 @@ impl Device {
         self.buffers.alloc(len)
     }
 
+    /// Allocate the device buffer a copy-in of the shared, read-only `host`
+    /// data will fill, holding that data by reference
+    /// ([`BufferTable::alloc_shared`]).
+    pub fn alloc_buffer_shared(&mut self, host: SharedSlice) -> BufferId {
+        self.buffers.alloc_shared(host)
+    }
+
     /// Free a device buffer.
     ///
     /// # Errors
@@ -200,23 +207,52 @@ impl Device {
         host: &[f64],
     ) -> Result<Event, GpuError> {
         self.buffers.write(id, host)?;
-        let bytes = host.len() as f64 * 8.0;
+        Ok(self.charge_write(now, host.len()))
+    }
+
+    /// [`Device::enqueue_write`] of read-only host data the caller shares:
+    /// the buffer holds `host` by reference and copies it on the first
+    /// device write ([`BufferTable::write_shared`]). The modeled transfer,
+    /// the statistics and the event are those of the copying write.
+    ///
+    /// # Errors
+    /// Buffer lookup or size mismatch.
+    pub fn enqueue_write_shared(
+        &mut self,
+        now: f64,
+        id: BufferId,
+        host: SharedSlice,
+    ) -> Result<Event, GpuError> {
+        let len = host.len();
+        self.buffers.write_shared(id, host)?;
+        Ok(self.charge_write(now, len))
+    }
+
+    /// Model a host→device transfer of `len` elements issued at `now`.
+    fn charge_write(&mut self, now: f64, len: usize) -> Event {
+        let bytes = len as f64 * 8.0;
         let secs = cost::transfer_secs(&self.profile, bytes);
         self.stats.writes += 1;
         self.stats.bytes_in += bytes;
-        Ok(self.queue.enqueue(now, secs))
+        self.queue.enqueue(now, secs)
     }
 
     /// Enqueue a non-blocking device→host read at virtual time `now`.
     ///
-    /// Functional data is returned immediately; the caller must not publish
-    /// it to the host side before the event completes (the runtime's
-    /// copy-out completion task enforces this).
+    /// Functional data is returned immediately, as a snapshot by reference
+    /// ([`crate::buffer::DeviceBuffer::snapshot`]: a later kernel that
+    /// writes the buffer copies it first); the caller must not publish it
+    /// to the host side before the event completes (the runtime's copy-out
+    /// completion task enforces this).
     ///
     /// # Errors
     /// Buffer lookup failure.
-    pub fn enqueue_read(&mut self, now: f64, id: BufferId) -> Result<(Event, Vec<f64>), GpuError> {
-        let data = self.buffers.get(id)?.data().to_vec();
+    pub fn enqueue_read(
+        &mut self,
+        now: f64,
+        id: BufferId,
+    ) -> Result<(Event, SharedSlice), GpuError> {
+        let data = self.buffers.get_mut(id)?.snapshot();
         let bytes = data.len() as f64 * 8.0;
         let secs = cost::transfer_secs(&self.profile, bytes);
         self.stats.reads += 1;
@@ -315,11 +351,42 @@ mod tests {
         let k = d.enqueue_kernel(0.0, &launch(h, buf, 4)).unwrap();
         assert!(k.complete_at > w.complete_at, "kernel queued behind write");
         let (r, data) = d.enqueue_read(0.0, buf).unwrap();
-        assert_eq!(data, vec![2.0, 4.0, 6.0, 8.0]);
+        assert_eq!(*data, [2.0, 4.0, 6.0, 8.0]);
         assert!(r.complete_at > k.complete_at);
         assert_eq!(d.stats().launches, 1);
         assert_eq!(d.stats().writes, 1);
         assert_eq!(d.stats().reads, 1);
+    }
+
+    #[test]
+    fn a_shared_write_is_charged_and_counted_as_the_copying_write_is() {
+        let host = Arc::new(vec![1.0, 2.0, 3.0, 4.0]);
+        let (mut by_ref, mut copying) = (device(), device());
+        let (h, _) = by_ref.register_kernel(&KernelText::new("dbl", "src"), double_body());
+        copying.register_kernel(&KernelText::new("dbl", "src"), double_body());
+        let shared = by_ref.alloc_buffer_shared(Arc::clone(&host).into());
+        let copied = copying.alloc_buffer(4);
+        assert_eq!(
+            by_ref.enqueue_write_shared(0.0, shared, Arc::clone(&host).into()).unwrap(),
+            copying.enqueue_write(0.0, copied, &host).unwrap()
+        );
+        // The kernel writes its one buffer: the shared one detaches first.
+        assert_eq!(
+            by_ref.enqueue_kernel(0.0, &launch(h, shared, 4)).unwrap(),
+            copying.enqueue_kernel(0.0, &launch(h, copied, 4)).unwrap()
+        );
+        let (by_ref_read, got) = by_ref.enqueue_read(0.0, shared).unwrap();
+        let (copying_read, want) = copying.enqueue_read(0.0, copied).unwrap();
+        assert_eq!((by_ref_read, &*got), (copying_read, &*want));
+        assert_eq!(*got, [2.0, 4.0, 6.0, 8.0]);
+        assert_eq!(*host, [1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(by_ref.stats(), copying.stats());
+        assert_eq!(by_ref.buffers().peak_bytes(), copying.buffers().peak_bytes());
+        assert_eq!(by_ref.busy_until().to_bits(), copying.busy_until().to_bits());
+        // A later kernel write leaves the snapshot a read returned alone.
+        by_ref.enqueue_kernel(0.0, &launch(h, shared, 4)).unwrap();
+        assert_eq!(*got, [2.0, 4.0, 6.0, 8.0]);
+        assert_eq!(by_ref.buffers().get(shared).unwrap().data(), [4.0, 8.0, 12.0, 16.0]);
     }
 
     #[test]

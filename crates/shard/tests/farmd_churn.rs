@@ -294,8 +294,15 @@ fn dispatcher_kills_with_journal_recovery_never_perturb_the_tuned_config() {
     // `workers_first: false` delays the whole fleet until *after* the
     // restart, so the first batch is parked in the queue when the kill
     // lands — `queued > 0` observed by polling alone would be a race,
-    // since an idle fleet drains the queue the instant jobs arrive. The
-    // other two triggers dwell long enough to poll for.
+    // since an idle fleet drains the queue the instant jobs arrive.
+    // `inflight > 0` is made to dwell the same way, not by a trial being
+    // slow (since PR 19 a Black-Scholes trial is microseconds): worker `a`
+    // reaches the dispatcher through a proxy that holds its first RESULT
+    // on the wire for 300 ms (worker→dispatcher frames 1–3 are HELLO,
+    // REGISTER, READY; its heartbeats are pushed out of the window so the
+    // numbering holds), and it registers first because the scheduler
+    // prefers the lowest-id worker. After the bounce it reconnects
+    // through the same proxy, unscripted.
     let schedules: &[(&str, Trigger, bool)] = &[
         ("mid-queue", |s| s.queued > 0, false),
         ("mid-assignment", |s| s.inflight > 0, true),
@@ -317,8 +324,11 @@ fn dispatcher_kills_with_journal_recovery_never_perturb_the_tuned_config() {
         };
         let mut farmd = Farmd::bind(std::slice::from_ref(&ep), opts()).expect("bind dispatcher");
         let mut guards = Vec::new();
+        let held_result = Fault::DelayAfterFrames { after: 3, delay: Duration::from_millis(300) };
+        let proxy = FaultProxy::start(ep.clone(), vec![vec![held_result]]).expect("proxy");
         if workers_first {
-            guards.push(spawn_worker(&ep, &format!("bounce-{i}-a"), 100, None));
+            guards.push(spawn_worker(proxy.endpoint(), &format!("bounce-{i}-a"), 60_000, None));
+            assert!(farmd.wait_workers(1, Duration::from_secs(10)), "{label}");
             guards.push(spawn_worker(&ep, &format!("bounce-{i}-b"), 100, None));
             assert!(farmd.wait_workers(2, Duration::from_secs(10)), "{label}");
         }
@@ -361,6 +371,7 @@ fn dispatcher_kills_with_journal_recovery_never_perturb_the_tuned_config() {
         assert_eq!(stats.inflight, 0, "{label}: nothing left behind");
         drop(late_guards);
         drop(guards);
+        drop(proxy);
         drop(farmd);
         let _ = std::fs::remove_dir_all(&dir);
     }

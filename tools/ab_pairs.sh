@@ -2,7 +2,9 @@
 # The claim protocol of choosing-metrics § 8 as one command: build two
 # checkouts' benchmark/ once, run <pairs> parent/change pairs of one
 # workload on one seed, alternating which side runs first, and print each
-# side's median and quartiles per end-to-end metric plus pairs won.
+# side's median and quartiles per end-to-end metric plus pairs won, and the
+# median number of passes each side fitted into the run beside peak_rss_mb
+# (the harness keeps every pass's results, so a faster pass means more kept).
 #
 #   tools/ab_pairs.sh <parent-dir> <change-dir> <workload|all> <seed> <pairs>
 #
@@ -13,7 +15,7 @@
 # once per seed a claim has to hold on. See docs/benchmarks.md.
 set -euo pipefail
 
-[[ $# == 5 ]] || { sed -n '2,13p' "$0"; exit 2; }
+[[ $# == 5 ]] || { sed -n '2,15p' "$0"; exit 2; }
 PARENT="$(cd "$1" && pwd)"
 CHANGE="$(cd "$2" && pwd)"
 WORKLOAD="$3" SEED="$4" PAIRS="$5"
@@ -36,7 +38,8 @@ bench() { # <dir> <cargo subcommand> [benchmark args...]
 }
 
 # One run of <side>'s tree: its metrics go to $RUNS as `side pair name
-# value`, its operation counts as the pseudo-metrics attempted/failed.
+# value`, its operation counts and the `passes` line it prints as the
+# pseudo-metrics attempted/failed/passes.
 run_side() { # <side> <dir> <pair>
   bench "$2" run -- run --workload "$WORKLOAD" --seed "$SEED" >"$RUNS.out"
   local result
@@ -47,6 +50,7 @@ run_side() { # <side> <dir> <pair>
     | sed -E "s/^\"([a-z_]+)\": \{\"value\": (.*)$/$1 $3 \1 \2/" >>"$RUNS"
   sed -E "s/.*\"attempted\": ([0-9]+), \"failed\": ([0-9]+),.*/$1 $3 attempted \1\n$1 $3 failed \2/" \
     <<<"$result" >>"$RUNS"
+  awk -v s="$1" -v p="$3" '$1 == "passes" { print s, p, "passes", $2 + 0 }' "$RUNS.out" >>"$RUNS"
 }
 
 echo "== building parent ($PARENT) and change ($CHANGE)"
@@ -101,6 +105,11 @@ sed -n '/"end_to_end"/,/\]/p' "$CHANGE/BENCHMARK.json" \
             (10 * won >= 9 * pairs && gain > pq3 - pq1) ? "GAIN (claimable)" \
               : (-gain > bound * pmed) ? "REGRESSION (beyond the bound)" : "no claim, within the bound"
         }'
+      if [[ "$name" == peak_rss_mb ]]; then
+        read -r _ ppasses _ <<<"$(quartiles parent passes)"
+        read -r _ cpasses _ <<<"$(quartiles change passes)"
+        printf '%-12s passes kept in memory per run: parent median %s, change median %s\n' "" "$ppasses" "$cpasses"
+      fi
     done
 echo "operations  parent $(total parent failed) failed of $(total parent attempted), change $(total change failed) failed of $(total change attempted)"
 echo
