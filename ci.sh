@@ -47,9 +47,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 echo "== petal-verify --all --deny (static plan/choice-space verification, smoke budget)"
 PETAL_SMOKE=1 cargo run --release --offline -p petal_analysis --bin petal-verify -- --all --deny
 
-echo "== smoke-mode criterion suites (PETAL_SMOKE=1, reduced sizes/samples)"
-PETAL_SMOKE=1 cargo bench --offline
-
 echo "== bench_baseline --check-virtual (bit-exact virtual-time reference numbers)"
 cargo run --release --offline -p petal_bench --bin bench_baseline -- --check-virtual
 
@@ -216,5 +213,8 @@ if [[ "${PETAL_SOAK:-0}" == "1" ]]; then
 else
   echo "   skipped (set PETAL_SOAK=1 to run)"
 fi
+
+echo "== counted lines (informational; tools/count_lines.sh prints the per-crate table)"
+tools/count_lines.sh | tail -n 2
 
 echo "CI green"

@@ -2,22 +2,18 @@
 //!
 //! Where `bench_baseline` pins *virtual* reference numbers (the cost
 //! model), this binary pins **host-side throughput**: how fast the engine
-//! chews through scheduling events and how many autotuner trials one
-//! thread completes per wall-clock second. Because the optimized
-//! scheduler's predecessor is retained as
+//! chews through scheduling events. Because the optimized scheduler's
+//! predecessor is retained as
 //! [`petal_rt::SchedPolicy::NaiveScan`] (bit-identical behavior, original
 //! full-scan cost), the before/after table is *regenerated live* on every
 //! run — both columns always come from the same host, same build, same
 //! workloads.
 //!
-//! Metrics:
-//!
-//! * `engine_events_per_sec` — scheduling decisions (`RunReport::
-//!   sched_steps`) per host second of plan execution (`Executor::run`)
-//!   under scheduler-stressing recursive configurations, per
-//!   machine/workload;
-//! * `tuner_trials_per_sec` — autotuner trials per host second on one
-//!   farm thread, per machine profile.
+//! One metric: `engine_events_per_sec` — scheduling decisions
+//! (`RunReport::sched_steps`) per host second of plan execution
+//! (`Executor::run`) under scheduler-stressing recursive configurations,
+//! per machine/workload. (Whole-tune throughput is not measured here: it
+//! is `benchmark/`'s `tune_execute` `ops_per_sec`, over 72 tunes.)
 //!
 //! Modes:
 //!
@@ -34,15 +30,16 @@ use petal_bench::{num_field, str_field};
 use petal_core::executor::Executor;
 use petal_core::{Config, Selector, Tunable};
 use petal_gpu::profile::MachineProfile;
-use petal_rt::{set_default_sched_policy, SchedPolicy};
-use petal_tuner::{Autotuner, TunerSettings};
+use petal_rt::SchedPolicy;
 use std::fmt::Write as _;
 use std::time::Instant;
+
+/// The table's one metric: scheduling decisions per host second.
+const METRIC: &str = "engine_events_per_sec";
 
 /// One before/after row.
 struct Entry {
     key: String,
-    metric: &'static str,
     /// Throughput under [`SchedPolicy::NaiveScan`] (the retained original
     /// scheduler), in metric units per host second.
     naive_per_sec: f64,
@@ -139,7 +136,7 @@ fn measure_engine(machine: &MachineProfile, bench: &dyn Benchmark, cfg: &Config)
     let mut best = [f64::INFINITY; 2];
     for _ in 0..n {
         for (k, policy) in POLICIES.into_iter().enumerate() {
-            set_default_sched_policy(policy);
+            ex.set_sched_policy(policy);
             let inst = bench.instantiate(machine, cfg);
             let mut world = inst.world;
             let t0 = Instant::now();
@@ -148,39 +145,7 @@ fn measure_engine(machine: &MachineProfile, bench: &dyn Benchmark, cfg: &Config)
             events[k] = report.rt.sched_steps;
         }
     }
-    set_default_sched_policy(SchedPolicy::Incremental);
     [events[0] as f64 / best[0], events[1] as f64 / best[1]]
-}
-
-/// Trials/sec of a small single-threaded tuning run under both policies
-/// (interleaved + best-repetition, like [`measure_engine`]).
-fn measure_tuner(machine: &MachineProfile, bench: &dyn Benchmark) -> Columns {
-    let settings = TunerSettings {
-        seed: 0x407,
-        trials_per_round: 10,
-        population: 3,
-        size_schedule: vec![0.25, 1.0],
-        small_size_trial_fraction: 0.5,
-        model_process_restarts: true,
-        farm: petal_farm::FarmSettings::default(),
-        kick_after: 2,
-        kick_strength: 3,
-        warm_start: None,
-    };
-    let n = reps(4, 1);
-    let mut trials = [0usize; 2];
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..n {
-        for (k, policy) in POLICIES.into_iter().enumerate() {
-            set_default_sched_policy(policy);
-            let t0 = Instant::now();
-            let tuned = Autotuner::new(bench, machine, settings.clone()).run();
-            best[k] = best[k].min(t0.elapsed().as_secs_f64());
-            trials[k] = tuned.stats.trials;
-        }
-    }
-    set_default_sched_policy(SchedPolicy::Incremental);
-    [trials[0] as f64 / best[0], trials[1] as f64 / best[1]]
 }
 
 fn entries() -> Vec<Entry> {
@@ -189,18 +154,6 @@ fn entries() -> Vec<Entry> {
         let [naive, incremental] = measure_engine(&machine, &*bench, &cfg);
         out.push(Entry {
             key: format!("{}/{}", machine.codename, bench.name().replace(' ', "_")),
-            metric: "engine_events_per_sec",
-            naive_per_sec: naive,
-            incremental_per_sec: incremental,
-        });
-    }
-    // One tuner row per machine, on the most scheduler-bound benchmark.
-    for machine in [MachineProfile::desktop(), MachineProfile::server()] {
-        let bench = petal_apps::sort::Sort::new(1024);
-        let [naive, incremental] = measure_tuner(&machine, &bench);
-        out.push(Entry {
-            key: format!("{}/tuner_Sort", machine.codename),
-            metric: "tuner_trials_per_sec",
             naive_per_sec: naive,
             incremental_per_sec: incremental,
         });
@@ -220,7 +173,7 @@ fn render(entries: &[Entry]) -> String {
             "    {{\"key\": \"{}\", \"metric\": \"{}\", \"naive_per_sec\": {:.4e}, \
              \"incremental_per_sec\": {:.4e}, \"speedup\": {:.3}}}{}",
             e.key,
-            e.metric,
+            METRIC,
             e.naive_per_sec,
             e.incremental_per_sec,
             e.speedup(),
@@ -279,7 +232,7 @@ fn main() {
                 // gain (at least 1.05x) so host noise cannot flake CI, but
                 // losing the scheduler speedup outright fails. Rows whose
                 // committed speedup is below 1.2x claim nothing (compute-
-                // bound control rows, noisy tuner rows) and are report-only.
+                // bound control rows) and are report-only.
                 let floor = (c.speedup >= 1.2).then(|| (1.0 + (c.speedup - 1.0) / 3.0).max(1.05));
                 let live = got.speedup();
                 let ok = !floor.is_some_and(|f| live < f);
@@ -288,7 +241,7 @@ fn main() {
                 }
                 println!(
                     "{} {}: committed speedup {:.2}x, live {live:.2}x \
-                     (floor {}; {:.3e} -> {:.3e} events-or-trials/s)",
+                     (floor {}; {:.3e} -> {:.3e} events/s)",
                     if ok { "ok  " } else { "LOST" },
                     c.key,
                     c.speedup,
@@ -298,9 +251,9 @@ fn main() {
                 );
                 // Flat-regression guard. The speedup floor above is blind
                 // to a slowdown that hits both scheduler columns equally —
-                // e.g. new per-trial overhead on the tuner path keeps
-                // `tuner_trials_per_sec`'s *ratio* flat while the absolute
-                // trials/sec quietly collapses. Hold the incremental
+                // e.g. new per-task overhead in `Executor::run` keeps the
+                // *ratio* flat while the absolute events/sec quietly
+                // collapses. Hold the incremental
                 // column to a third of its committed absolute throughput:
                 // far below any plausible host-to-host or noise spread,
                 // but a 3x flat regression fails loudly.
@@ -313,7 +266,7 @@ fn main() {
                          this host is really that much slower (or the workload \
                          intentionally grew), rerun `bench_hotpath --write` on the \
                          reference host and commit the diff",
-                        c.key, got.metric, got.incremental_per_sec, c.incremental_per_sec,
+                        c.key, METRIC, got.incremental_per_sec, c.incremental_per_sec,
                     );
                 }
             }

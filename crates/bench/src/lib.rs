@@ -272,28 +272,6 @@ pub fn harness_farm_settings() -> petal_farm::FarmSettings {
     }
 }
 
-/// Criterion sample size for the bench suites: tiny under `PETAL_SMOKE=1`
-/// (the CI smoke run only checks the suites still execute), normal
-/// otherwise.
-#[must_use]
-pub fn bench_sample_size() -> usize {
-    if petal_apps::workload::smoke_mode() {
-        3
-    } else {
-        10
-    }
-}
-
-/// Shrink a bench workload size under `PETAL_SMOKE=1`.
-#[must_use]
-pub fn bench_size(full: usize, smoke: usize) -> usize {
-    if petal_apps::workload::smoke_mode() {
-        smoke
-    } else {
-        full
-    }
-}
-
 /// Tuner settings used by the harnesses (slightly larger than smoke).
 ///
 /// Evaluation runs on the farm with one worker per available hardware

@@ -83,7 +83,7 @@ pub struct Executor {
     device: Option<Device>,
     workers: usize,
     seed: u64,
-    sched_policy: Option<petal_rt::SchedPolicy>,
+    sched_policy: petal_rt::SchedPolicy,
 }
 
 impl std::fmt::Debug for Executor {
@@ -105,7 +105,7 @@ impl Executor {
             device: machine.gpu.clone().map(Device::new),
             workers: machine.cpu.cores,
             seed: 0x5eed,
-            sched_policy: None,
+            sched_policy: petal_rt::SchedPolicy::Incremental,
         }
     }
 
@@ -115,13 +115,14 @@ impl Executor {
         self
     }
 
-    /// Pin the scheduling-core implementation instead of the process
-    /// default. The two policies are bit-identical in behavior (the
-    /// determinism audit in `petal_analysis` proves it on verifier-clean
-    /// plans); this knob exists so that proof can run both sides
-    /// explicitly.
+    /// Pin the scheduling-core implementation of the engines this
+    /// executor builds (`Incremental` otherwise). The two policies are
+    /// bit-identical in behavior (the determinism audit in
+    /// `petal_analysis` proves it on verifier-clean plans); this knob
+    /// exists so that proof, and `bench_hotpath`'s "before" column, can
+    /// run both sides explicitly.
     pub fn set_sched_policy(&mut self, policy: petal_rt::SchedPolicy) -> &mut Self {
-        self.sched_policy = Some(policy);
+        self.sched_policy = policy;
         self
     }
 
@@ -185,9 +186,7 @@ impl Executor {
 
         let mut engine: Engine<World> =
             Engine::with_device_and_workers(&self.machine, self.workers, device, self.seed);
-        if let Some(policy) = self.sched_policy {
-            engine.set_sched_policy(policy);
-        }
+        engine.set_sched_policy(self.sched_policy);
 
         let (steps, _outputs) = plan.into_steps();
         // Native steps (the overwhelming majority in recursive plans) lower

@@ -235,17 +235,10 @@ fn serve_worker(
                         }
                     }
                     Message::Result { index, outcome } => {
-                        match shared.complete_job(id, index, now) {
-                            Some((session, key_index)) => {
-                                shared.forward_result(session, key_index, outcome);
-                            }
-                            None => {
-                                // Duplicate/stale answers are dropped;
-                                // disorder already tore the worker down.
-                                if shared.worker_gone(id) {
-                                    return;
-                                }
-                            }
+                        // Duplicate/stale answers are dropped; disorder
+                        // tears the worker down.
+                        if !shared.complete_job(id, index, outcome, now) {
+                            return;
                         }
                     }
                     Message::Goodbye { reason } => {

@@ -3,6 +3,13 @@
 //! `--journal <dir>` replays to its exact pre-crash queue/session state
 //! and resumes mid-batch.
 //!
+//! The journal holds no copy of that state. A reader thread makes one of
+//! the dispatcher's four durable transitions (`State::{open, enqueue,
+//! record_result, close}`) under the global lock and appends the record
+//! of it here; [`Journal::open`] decodes the records and calls the same
+//! four methods, so replay *is* the live path fed from the log, and
+//! compaction writes from the state it is handed.
+//!
 //! ## Record format
 //!
 //! Journal lines reuse the wire framing ([`Record`]): one record per
@@ -13,14 +20,18 @@
 //! encoded line is embedded as **one escaped field** — the journal
 //! never re-flattens message payloads, so the two codecs cannot drift.
 //!
-//! | Tag        | Fields                                | Meaning on replay |
-//! |------------|---------------------------------------|-------------------|
-//! | `J_NEXT`   | next session id                       | floor for the session counter (ids never reused across restarts) |
-//! | `J_OPEN`   | session, nonce, embedded `INIT` line  | session accepted; restores spec/machine/resume-nonce |
-//! | `J_JOB`    | session, embedded `JOB` line          | job queued (pending unless a later `J_RESULT` answers it) |
-//! | `J_ASSIGN` | session, index, worker id             | diagnostics only — assignment dies with the worker connection, so replay re-queues instead |
-//! | `J_RESULT` | session, embedded `RESULT` line       | result forwarded; moves the index from pending to done (the full outcome is stored so recovery re-serves it without re-evaluating) |
-//! | `J_CLOSE`  | session                               | session retired; drops all its records |
+//! | Tag        | Fields                                | Replayed through |
+//! |------------|---------------------------------------|------------------|
+//! | `J_NEXT`   | next session id                       | a floor for the session counter (ids never reused across restarts) |
+//! | `J_OPEN`   | session, nonce, embedded `INIT` line  | `State::open`: restores spec/machine/resume-nonce, detached |
+//! | `J_JOB`    | session, embedded `JOB` line          | `State::enqueue`: unanswered unless a `J_RESULT` answers it |
+//! | `J_RESULT` | session, embedded `RESULT` line       | `State::record_result`: the index moves from unanswered to done (the full outcome is stored so recovery re-serves it without re-evaluating) |
+//! | `J_CLOSE`  | session                               | `State::close`: drops everything the session held |
+//!
+//! (Assignments are not journaled: they die with the worker connections,
+//! so a restarted dispatcher queues every unanswered job again. Logs
+//! written before PR 20 carry a sixth, diagnostics-only tag for them,
+//! which replay skips.)
 //!
 //! ## Durability and crash ordering
 //!
@@ -30,79 +41,79 @@
 //! [`Journal::open`] tolerates exactly that torn tail by dropping any
 //! trailing partial line. (There is no per-append `fsync`: process
 //! death does not lose the page cache; only a whole-OS crash can, and
-//! that is outside this journal's contract.) A `RESULT` is journaled
-//! *before* the socket send, so either the client got the result (and
-//! never re-asks) or the journal has it (and recovery re-serves it) —
-//! both orders converge to the same merged trajectory.
+//! that is outside this journal's contract.) A transition and its record
+//! share one critical section, so nothing acts on a fact the log lacks:
+//! a job is journaled before the scheduler can see it, and a `RESULT` is
+//! journaled *before* the socket send, so either the client got the
+//! result (and never re-asks) or the journal has it (and recovery
+//! re-serves it) — both orders converge to the same merged trajectory.
 //!
 //! ## Compaction
 //!
-//! Dead records (answered `J_JOB`s, `J_ASSIGN`s, records of closed
-//! sessions) accumulate; once enough do, the journal is rewritten as
-//! `J_NEXT` + each open session's `J_OPEN`, pending `J_JOB`s and done
-//! `J_RESULT`s, to a temp file that is fsynced and atomically renamed
-//! over the log — a crash during compaction leaves either the old or
-//! the new file, never a mix.
+//! Dead records (answered `J_JOB`s, records of closed sessions)
+//! accumulate; once enough do, the journal is rewritten as `J_NEXT` +
+//! each open session's `J_OPEN` and done `J_RESULT`s + every unanswered
+//! `J_JOB`, to a temp file that is fsynced and atomically renamed over
+//! the log — a crash during compaction leaves either the old or the new
+//! file, never a mix.
 
+use crate::{Session, State};
 use petal_farm::wire::{Message, Record, WIRE_VERSION};
 use petal_farm::{EvalJob, JobOutcome};
-use petal_gpu::profile::MachineProfile;
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Dead records tolerated before the log is compacted in place.
 const COMPACT_DEAD_THRESHOLD: u64 = 2048;
 
-/// One session as reconstructed from the journal.
-#[derive(Debug, Clone)]
-pub(crate) struct RecoveredSession {
-    /// The session's benchmark spec (from its embedded `INIT`).
-    pub bench_spec: String,
-    /// The session's machine profile (from its embedded `INIT`).
-    pub machine: MachineProfile,
-    /// The resume secret handed to the client in its `SESSION` record.
-    pub nonce: u64,
-    /// Jobs queued and not yet answered, by submission index.
-    pub pending: BTreeMap<u64, EvalJob>,
-    /// Results already forwarded, by submission index — re-served to a
-    /// resuming client instead of re-evaluating.
-    pub done: BTreeMap<u64, JobOutcome>,
-}
-
-/// The journal's mirror of live dispatcher state: exactly what replay
-/// reconstructs, maintained incrementally so compaction can rewrite the
-/// log without consulting the dispatcher.
-#[derive(Debug, Default)]
-pub(crate) struct JournalState {
-    /// The next session id a recovered dispatcher may assign.
-    pub next_session: u64,
-    /// Open sessions by id.
-    pub sessions: BTreeMap<u64, RecoveredSession>,
-}
-
-/// The append handle plus its mirrored state. Lives inside the
-/// dispatcher's global lock, so appends serialize with the state
-/// mutations they record.
+/// The append handle. Lives inside the dispatcher's global lock, so
+/// appends serialize with the transitions they record.
 pub(crate) struct Journal {
     path: PathBuf,
     file: File,
-    state: JournalState,
     /// Records in the file that replay would discard; drives compaction.
     dead: u64,
     /// Reusable append buffer.
     line: String,
 }
 
+/// An accepted session (its `INIT` embedded whole).
+pub(crate) fn open_record(id: u64, s: &Session) -> Record {
+    let init = Message::Init {
+        version: WIRE_VERSION,
+        bench_spec: s.bench_spec.clone(),
+        machine: Box::new(s.machine.clone()),
+    };
+    Record::new("J_OPEN", vec![id.to_string(), s.nonce.to_string(), init.encode()])
+}
+
+/// A queued job (its `JOB` embedded whole).
+pub(crate) fn job_record(session: u64, index: u64, job: &EvalJob) -> Record {
+    let msg = Message::Job { index, job: job.clone() };
+    Record::new("J_JOB", vec![session.to_string(), msg.encode()])
+}
+
+/// A result about to be forwarded (its `RESULT` embedded whole).
+pub(crate) fn result_record(session: u64, index: u64, outcome: &JobOutcome) -> Record {
+    let msg = Message::Result { index, outcome: outcome.clone() };
+    Record::new("J_RESULT", vec![session.to_string(), msg.encode()])
+}
+
+/// A retired session; every record it wrote is now dead.
+pub(crate) fn close_record(session: u64) -> Record {
+    Record::new("J_CLOSE", vec![session.to_string()])
+}
+
 impl Journal {
-    /// Open (or create) the journal under `dir`, replay it into a fresh
-    /// [`JournalState`], and compact once so a torn tail from the last
-    /// crash is truncated away.
-    pub(crate) fn open(dir: &Path) -> io::Result<Journal> {
+    /// Open (or create) the journal under `dir`, replay it into `state`
+    /// through the dispatcher's own transitions (recovered sessions are
+    /// detached since `now`), and compact once so a torn tail from the
+    /// last crash is truncated away.
+    pub(crate) fn open(dir: &Path, state: &mut State, now: Instant) -> io::Result<Journal> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("journal.log");
-        let mut state = JournalState { next_session: 1, sessions: BTreeMap::new() };
         let mut dead = 0u64;
         if path.exists() {
             let mut text = String::new();
@@ -111,7 +122,7 @@ impl Journal {
             while let Some(nl) = rest.find('\n') {
                 let line = &rest[..nl];
                 rest = &rest[nl + 1..];
-                match replay_line(&mut state, line) {
+                match replay_line(state, line, now) {
                     Ok(line_dead) => dead += line_dead,
                     Err(e) => {
                         // Corruption before the tail is not a torn
@@ -131,139 +142,58 @@ impl Journal {
                     rest.len()
                 );
             }
+            // Assignments died with the old process's worker connections:
+            // every unanswered job is queued again, in (session, index)
+            // order.
+            state.queue = state.jobs.keys().copied().collect();
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let mut journal = Journal { path, file, state, dead, line: String::new() };
+        let mut journal = Journal { path, file, dead, line: String::new() };
         // Always compact on open: truncates any torn tail and starts
         // the new process from a minimal log.
-        journal.compact()?;
+        journal.compact(state)?;
         Ok(journal)
     }
 
-    /// The replayed state, for recovery in `Farmd::bind`.
-    pub(crate) fn state(&self) -> &JournalState {
-        &self.state
-    }
-
-    /// Record an accepted session (its `INIT` embedded whole).
-    pub(crate) fn open_session(
-        &mut self,
-        session: u64,
-        nonce: u64,
-        bench_spec: &str,
-        machine: &MachineProfile,
-    ) {
-        let init = Message::Init {
-            version: WIRE_VERSION,
-            bench_spec: bench_spec.to_owned(),
-            machine: Box::new(machine.clone()),
-        };
-        self.append(&Record::new(
-            "J_OPEN",
-            vec![session.to_string(), nonce.to_string(), init.encode()],
-        ));
-        self.state.sessions.insert(
-            session,
-            RecoveredSession {
-                bench_spec: bench_spec.to_owned(),
-                machine: machine.clone(),
-                nonce,
-                pending: BTreeMap::new(),
-                done: BTreeMap::new(),
-            },
-        );
-        self.state.next_session = self.state.next_session.max(session + 1);
-    }
-
-    /// Record a queued job (its `JOB` embedded whole).
-    pub(crate) fn enqueue(&mut self, session: u64, index: u64, job: &EvalJob) {
-        let msg = Message::Job { index, job: job.clone() };
-        self.append(&Record::new("J_JOB", vec![session.to_string(), msg.encode()]));
-        if let Some(s) = self.state.sessions.get_mut(&session) {
-            s.pending.insert(index, job.clone());
-        }
-    }
-
-    /// Record an assignment — diagnostics only; replay ignores it
-    /// because the worker connection died with the old process.
-    pub(crate) fn assign(&mut self, session: u64, index: u64, worker: u64) {
-        self.append(&Record::new(
-            "J_ASSIGN",
-            vec![session.to_string(), index.to_string(), worker.to_string()],
-        ));
-        self.dead += 1; // dead the moment it is written
-        self.maybe_compact();
-    }
-
-    /// Record a forwarded result (its `RESULT` embedded whole). Call
-    /// **before** the socket send — see the module docs' crash-ordering
-    /// argument.
-    pub(crate) fn result(&mut self, session: u64, index: u64, outcome: &JobOutcome) {
-        let msg = Message::Result { index, outcome: outcome.clone() };
-        self.append(&Record::new("J_RESULT", vec![session.to_string(), msg.encode()]));
-        if let Some(s) = self.state.sessions.get_mut(&session) {
-            if s.pending.remove(&index).is_some() {
-                self.dead += 1; // the J_JOB this answers
-            }
-            s.done.insert(index, outcome.clone());
-        }
-        self.maybe_compact();
-    }
-
-    /// Record a retired session; every record it wrote is now dead.
-    pub(crate) fn close(&mut self, session: u64) {
-        self.append(&Record::new("J_CLOSE", vec![session.to_string()]));
-        if let Some(s) = self.state.sessions.remove(&session) {
-            self.dead += 2 + s.pending.len() as u64 + s.done.len() as u64;
-        }
-        self.maybe_compact();
-    }
-
-    /// Append one record as a full line. Failures are reported, not
-    /// fatal: the dispatcher keeps serving (availability over
-    /// durability) and the operator sees why recovery would be stale.
-    fn append(&mut self, record: &Record) {
+    /// Append the record of a transition `state` has already made, as one
+    /// full line, and compact once `dead` more dead records tip the
+    /// count over the threshold. Failures are reported, not fatal: the
+    /// dispatcher keeps serving (availability over durability) and the
+    /// operator sees why recovery would be stale.
+    pub(crate) fn append(&mut self, record: &Record, dead: u64, state: &State) {
         self.line.clear();
         self.line.push_str(&record.encode());
         self.line.push('\n');
         if let Err(e) = self.file.write_all(self.line.as_bytes()) {
             eprintln!("petal-farmd: journal append failed: {e}");
         }
-    }
-
-    fn maybe_compact(&mut self) {
+        self.dead += dead;
         if self.dead >= COMPACT_DEAD_THRESHOLD {
-            if let Err(e) = self.compact() {
+            if let Err(e) = self.compact(state) {
                 eprintln!("petal-farmd: journal compaction failed: {e}");
             }
         }
     }
 
-    /// Rewrite the log as the minimal record set for the mirrored
-    /// state: tmp file, fsync, atomic rename.
-    fn compact(&mut self) -> io::Result<()> {
+    /// Rewrite the log as the minimal record set for `state`: tmp file,
+    /// fsync, atomic rename.
+    fn compact(&mut self, state: &State) -> io::Result<()> {
         let tmp = self.path.with_extension("log.tmp");
         let mut out = File::create(&tmp)?;
         let mut text = String::new();
-        push_line(&mut text, &Record::new("J_NEXT", vec![self.state.next_session.to_string()]));
-        for (&id, s) in &self.state.sessions {
-            let init = Message::Init {
-                version: WIRE_VERSION,
-                bench_spec: s.bench_spec.clone(),
-                machine: Box::new(s.machine.clone()),
-            };
-            push_line(
-                &mut text,
-                &Record::new("J_OPEN", vec![id.to_string(), s.nonce.to_string(), init.encode()]),
-            );
-            for (&index, job) in &s.pending {
-                let msg = Message::Job { index, job: job.clone() };
-                push_line(&mut text, &Record::new("J_JOB", vec![id.to_string(), msg.encode()]));
-            }
+        let mut push = |record: Record| {
+            text.push_str(&record.encode());
+            text.push('\n');
+        };
+        push(Record::new("J_NEXT", vec![state.next_session.to_string()]));
+        for (&id, s) in &state.sessions {
+            push(open_record(id, s));
             for (&index, outcome) in &s.done {
-                let msg = Message::Result { index, outcome: outcome.clone() };
-                push_line(&mut text, &Record::new("J_RESULT", vec![id.to_string(), msg.encode()]));
+                push(result_record(id, index, outcome));
             }
+        }
+        for (&(session, index), job) in &state.jobs {
+            push(job_record(session, index, job));
         }
         out.write_all(text.as_bytes())?;
         out.sync_all()?;
@@ -274,14 +204,10 @@ impl Journal {
     }
 }
 
-fn push_line(out: &mut String, record: &Record) {
-    out.push_str(&record.encode());
-    out.push('\n');
-}
-
-/// Replay one journal line into `state`; returns how many already-dead
-/// records this line proves (for the compaction counter).
-fn replay_line(state: &mut JournalState, line: &str) -> Result<u64, String> {
+/// Replay one journal line: decode it and make the transition it records.
+/// Returns how many already-dead records the line proves (for the
+/// compaction counter); a record that changes nothing is itself dead.
+fn replay_line(state: &mut State, line: &str, now: Instant) -> Result<u64, String> {
     let rec = Record::parse(line).map_err(|e| e.to_string())?;
     let field = |i: usize| -> Result<&str, String> {
         rec.fields.get(i).map(String::as_str).ok_or_else(|| format!("{} too short", rec.tag))
@@ -289,71 +215,36 @@ fn replay_line(state: &mut JournalState, line: &str) -> Result<u64, String> {
     let num = |i: usize| -> Result<u64, String> {
         field(i)?.parse().map_err(|_| format!("bad integer in {}", rec.tag))
     };
+    let embedded = |i: usize| Message::decode(field(i)?).map_err(|e| e.to_string());
     match rec.tag.as_str() {
         "J_NEXT" => {
             state.next_session = state.next_session.max(num(0)?);
             Ok(0)
         }
         "J_OPEN" => {
-            let session = num(0)?;
-            let nonce = num(1)?;
-            let Message::Init { bench_spec, machine, .. } =
-                Message::decode(field(2)?).map_err(|e| e.to_string())?
-            else {
+            let Message::Init { bench_spec, machine, .. } = embedded(2)? else {
                 return Err("J_OPEN does not embed an INIT".to_owned());
             };
-            state.sessions.insert(
-                session,
-                RecoveredSession {
-                    bench_spec,
-                    machine: *machine,
-                    nonce,
-                    pending: BTreeMap::new(),
-                    done: BTreeMap::new(),
-                },
-            );
-            state.next_session = state.next_session.max(session + 1);
+            state.open(num(0)?, num(1)?, bench_spec, *machine, now);
             Ok(0)
         }
         "J_JOB" => {
-            let session = num(0)?;
-            let Message::Job { index, job } =
-                Message::decode(field(1)?).map_err(|e| e.to_string())?
-            else {
+            let Message::Job { index, job } = embedded(1)? else {
                 return Err("J_JOB does not embed a JOB".to_owned());
             };
-            match state.sessions.get_mut(&session) {
-                Some(s) if !s.done.contains_key(&index) => {
-                    s.pending.insert(index, job);
-                    Ok(0)
-                }
-                _ => Ok(1), // closed session or already answered
-            }
+            Ok(u64::from(!state.enqueue(num(0)?, index, job)))
         }
-        "J_ASSIGN" => Ok(1), // diagnostics only; never replayed
+        // Not written since PR 20 (an assignment dies with its worker
+        // connection and was never replayed); a log the previous release
+        // wrote still opens.
+        "J_ASSIGN" => Ok(1),
         "J_RESULT" => {
-            let session = num(0)?;
-            let Message::Result { index, outcome } =
-                Message::decode(field(1)?).map_err(|e| e.to_string())?
-            else {
+            let Message::Result { index, outcome } = embedded(1)? else {
                 return Err("J_RESULT does not embed a RESULT".to_owned());
             };
-            match state.sessions.get_mut(&session) {
-                Some(s) => {
-                    let was_pending = s.pending.remove(&index).is_some();
-                    s.done.insert(index, outcome);
-                    Ok(u64::from(was_pending))
-                }
-                None => Ok(1),
-            }
+            Ok(state.record_result(num(0)?, index, outcome).map_or(1, u64::from))
         }
-        "J_CLOSE" => {
-            let session = num(0)?;
-            match state.sessions.remove(&session) {
-                Some(s) => Ok(2 + s.pending.len() as u64 + s.done.len() as u64),
-                None => Ok(1),
-            }
-        }
+        "J_CLOSE" => Ok(state.close(num(0)?).map_or(1, |held| 2 + held)),
         tag => Err(format!("unknown journal tag `{tag}`")),
     }
 }
@@ -361,7 +252,18 @@ fn replay_line(state: &mut JournalState, line: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::ConnWriter;
+    use crate::registry::JobKey;
+    use crate::{FarmdOptions, Shared};
     use petal_apps::Benchmark as _;
+    use petal_farm::net::FarmStream;
+    use petal_farm::session::Framed;
+    use petal_gpu::profile::MachineProfile;
+    use proptest::prelude::*;
+    use std::io::BufRead as _;
+    use std::os::unix::net::UnixStream;
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
 
     fn job(seed: u64) -> EvalJob {
         let machine = MachineProfile::laptop();
@@ -388,50 +290,189 @@ mod tests {
         dir
     }
 
+    /// A journaled dispatcher with no listener and no threads: the tests
+    /// call the entry points its reader threads would, with one end of a
+    /// socket pair as every peer, and one worker holds whatever a
+    /// scheduler pass assigns. Dropping it is the crash.
+    struct Live {
+        shared: Arc<Shared>,
+        worker: u64,
+        /// The far end of every writer handed out, in order.
+        peers: Vec<UnixStream>,
+    }
+
+    impl Live {
+        fn start(dir: &Path) -> Live {
+            let opts = FarmdOptions { journal: Some(dir.to_owned()), ..FarmdOptions::default() };
+            let shared = Arc::new(Shared::new(opts).expect("open the journal"));
+            let mut live = Live { shared, worker: 0, peers: Vec::new() };
+            live.admit(u64::MAX);
+            live
+        }
+
+        fn writer(&mut self) -> Arc<Mutex<ConnWriter>> {
+            let (near, far) = UnixStream::pair().expect("socket pair");
+            self.peers.push(far);
+            Arc::new(Mutex::new(Framed::new(std::io::empty(), FarmStream::Unix(near))))
+        }
+
+        fn admit(&mut self, slots: u64) {
+            let writer = self.writer();
+            self.worker = self.shared.admit_worker("w", slots, 0, writer);
+        }
+
+        /// Lose the worker (its jobs re-queue) and admit a replacement.
+        fn replace_worker(&mut self, slots: u64) {
+            self.shared.lose_worker(self.worker, "test", false);
+            self.admit(slots);
+        }
+
+        fn open(&mut self, spec: &str, machine: MachineProfile) -> (u64, u64) {
+            let writer = self.writer();
+            self.shared.open_session(spec, machine, writer)
+        }
+
+        /// One scheduler pass: queued jobs go to the worker while it has
+        /// slots (the sends themselves are dropped).
+        fn schedule(&self) {
+            let opts = &self.shared.opts;
+            let mut inner = self.shared.inner.lock().expect("farmd lock");
+            drop(inner.plan(Instant::now(), opts.starvation, opts.session_linger));
+        }
+
+        /// A scheduler pass, then the worker answers its oldest job.
+        fn answer(&self, outcome: JobOutcome) -> Option<JobKey> {
+            self.schedule();
+            let key = {
+                let inner = self.shared.inner.lock().expect("farmd lock");
+                *inner.registry.get(self.worker)?.inflight.front()?
+            };
+            assert!(self.shared.complete_job(self.worker, key.1, outcome, Instant::now()));
+            Some(key)
+        }
+
+        fn with_state<R>(&self, f: impl FnOnce(&State) -> R) -> R {
+            f(&self.shared.inner.lock().expect("farmd lock").state)
+        }
+
+        fn with_journal<R>(&self, f: impl FnOnce(&mut Journal, &State) -> R) -> R {
+            let inner = &mut *self.shared.inner.lock().expect("farmd lock");
+            f(inner.journal.as_mut().expect("journaled"), &inner.state)
+        }
+    }
+
+    fn reopen(dir: &Path) -> State {
+        let mut state = State::new();
+        Journal::open(dir, &mut state, Instant::now()).expect("reopen");
+        state
+    }
+
+    /// Everything a restart must not lose, floats by bit pattern.
+    fn facts(state: &State) -> impl PartialEq + std::fmt::Debug {
+        let sessions: Vec<_> = state
+            .sessions
+            .iter()
+            .map(|(&id, s)| {
+                let done: Vec<_> = s
+                    .done
+                    .iter()
+                    .map(|(&index, o)| {
+                        let compiles: Vec<_> = o
+                            .compiles
+                            .iter()
+                            .map(|&(hash, frontend, jit)| (hash, frontend.to_bits(), jit.to_bits()))
+                            .collect();
+                        (index, o.ran, o.fitness.map(f64::to_bits), o.makespan.to_bits(), compiles)
+                    })
+                    .collect();
+                (id, s.nonce, s.bench_spec.clone(), s.machine.clone(), done)
+            })
+            .collect();
+        (state.next_session, sessions, state.jobs.clone())
+    }
+
+    /// The history the fixed tests share: session 1 with index 0
+    /// answered and index 1 in flight, session 2 opened, fed and closed.
+    /// Returns session 1's nonce.
+    fn two_sessions(live: &mut Live) -> u64 {
+        let (first, nonce) = live.open("sort n=64", MachineProfile::desktop());
+        assert_eq!(first, 1);
+        live.shared.enqueue_job(1, 0, job(10));
+        live.shared.enqueue_job(1, 1, job(11));
+        assert_eq!(live.answer(outcome(2.5e-3)), Some((1, 0)));
+        assert_eq!(live.open("sort n=64", MachineProfile::laptop()).0, 2);
+        live.shared.enqueue_job(2, 0, job(20));
+        live.shared.close_session(2, "test");
+        nonce
+    }
+
     #[test]
     fn replay_reconstructs_sessions_jobs_and_results() {
         let dir = tmp_dir("replay");
-        {
-            let mut j = Journal::open(&dir).expect("open");
-            j.open_session(1, 0xabcd, "sort n=64", &MachineProfile::desktop());
-            j.enqueue(1, 0, &job(10));
-            j.enqueue(1, 1, &job(11));
-            j.assign(1, 0, 3);
-            j.result(1, 0, &outcome(2.5e-3));
-            j.open_session(2, 0x1111, "sort n=64", &MachineProfile::laptop());
-            j.enqueue(2, 0, &job(20));
-            j.close(2);
-        }
-        let j = Journal::open(&dir).expect("reopen");
-        let st = j.state();
+        let nonce = two_sessions(&mut Live::start(&dir));
+        let st = reopen(&dir);
         assert_eq!(st.next_session, 3, "session ids are never reused");
         assert_eq!(st.sessions.len(), 1, "closed session 2 is gone");
         let s = &st.sessions[&1];
-        assert_eq!(s.nonce, 0xabcd);
+        assert_eq!(s.nonce, nonce);
         assert_eq!(s.bench_spec, "sort n=64");
         assert_eq!(s.machine.codename, MachineProfile::desktop().codename);
-        assert_eq!(s.pending.keys().copied().collect::<Vec<_>>(), [1]);
-        assert_eq!(s.pending[&1].engine_seed, 11);
+        assert_eq!(st.jobs.keys().copied().collect::<Vec<_>>(), [(1, 1)]);
+        assert_eq!(st.jobs[&(1, 1)].engine_seed, 11);
         assert_eq!(s.done.len(), 1);
         assert_eq!(s.done[&0].fitness, Some(2.5e-3));
+        // The in-flight job is queued again and the session awaits a RESUME.
+        assert_eq!(st.queue, [(1, 1)]);
+        assert!(s.writer.is_none() && s.epoch == 0 && s.detached_since.is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_with_the_previous_releases_assignment_records_recovers_the_same_state() {
+        let (dir, old_dir) = (tmp_dir("assign-new"), tmp_dir("assign-old"));
+        two_sessions(&mut Live::start(&dir));
+        // The previous release's scheduler appended one `J_ASSIGN
+        // session index worker` line per assignment, after the `J_JOB`.
+        let mut old_log = String::new();
+        for line in std::fs::read_to_string(dir.join("journal.log")).expect("read").lines() {
+            old_log.push_str(line);
+            old_log.push('\n');
+            let rec = Record::parse(line).expect("a record");
+            if rec.tag == "J_JOB" {
+                let Ok(Message::Job { index, .. }) = Message::decode(&rec.fields[1]) else {
+                    panic!("J_JOB embeds a JOB");
+                };
+                old_log.push_str(&format!("J_ASSIGN 1:{} 1:{index} 1:3\n", rec.fields[0]));
+            }
+        }
+        assert_eq!(old_log.matches("\nJ_ASSIGN ").count(), 3);
+        assert!(old_log.contains("\nJ_ASSIGN 1:1 1:0 1:3\n"));
+        std::fs::create_dir_all(&old_dir).expect("mkdir");
+        std::fs::write(old_dir.join("journal.log"), old_log).expect("write");
+        let (new, old) = (reopen(&dir), reopen(&old_dir));
+        assert_eq!(facts(&old), facts(&new));
+        assert_eq!(old.queue, new.queue);
+        let compacted = std::fs::read_to_string(old_dir.join("journal.log")).expect("read");
+        assert!(!compacted.contains("J_ASSIGN"), "and the tag is gone after the first open");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&old_dir);
     }
 
     #[test]
     fn torn_trailing_line_is_dropped_and_truncated_away() {
         let dir = tmp_dir("torn");
         {
-            let mut j = Journal::open(&dir).expect("open");
-            j.open_session(1, 7, "sort n=64", &MachineProfile::desktop());
-            j.enqueue(1, 0, &job(1));
+            let mut live = Live::start(&dir);
+            live.open("sort n=64", MachineProfile::desktop());
+            live.shared.enqueue_job(1, 0, job(1));
         }
         // Simulate a crash mid-append: a partial line with no newline.
         let path = dir.join("journal.log");
         let mut f = OpenOptions::new().append(true).open(&path).expect("append");
         f.write_all(b"J_JOB 1:1 13:half-a-record").expect("tear");
         drop(f);
-        let j = Journal::open(&dir).expect("reopen tolerates the tear");
-        assert_eq!(j.state().sessions[&1].pending.len(), 1);
+        let st = reopen(&dir);
+        assert_eq!(st.jobs.keys().copied().collect::<Vec<_>>(), [(1, 0)]);
         // The open() compaction rewrote the log whole — reopen again and
         // nothing torn remains.
         let text = std::fs::read_to_string(&path).expect("read");
@@ -445,44 +486,166 @@ mod tests {
         let dir = tmp_dir("compact");
         let path = dir.join("journal.log");
         {
-            let mut j = Journal::open(&dir).expect("open");
-            j.open_session(1, 9, "sort n=64", &MachineProfile::desktop());
+            let mut live = Live::start(&dir);
+            live.open("sort n=64", MachineProfile::desktop());
             for i in 0..50 {
-                j.enqueue(1, i, &job(i));
-                j.assign(1, i, 2);
-                j.result(1, i, &outcome(1e-3));
+                live.shared.enqueue_job(1, i, job(i));
+                assert_eq!(live.answer(outcome(1e-3)), Some((1, i)));
             }
             let before = std::fs::metadata(&path).expect("meta").len();
-            j.compact().expect("compact");
+            live.with_journal(|journal, state| journal.compact(state)).expect("compact");
             let after = std::fs::metadata(&path).expect("meta").len();
             assert!(after < before, "compaction shrinks ({before} -> {after})");
         }
-        let j = Journal::open(&dir).expect("reopen");
-        let s = &j.state().sessions[&1];
-        assert!(s.pending.is_empty());
-        assert_eq!(s.done.len(), 50);
-        assert_eq!(j.state().next_session, 2);
+        let st = reopen(&dir);
+        assert!(st.jobs.is_empty());
+        assert_eq!(st.sessions[&1].done.len(), 50);
+        assert_eq!(st.next_session, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_result_that_trips_compaction_is_done_in_the_rewritten_log() {
+        let dir = tmp_dir("trip");
+        let live = &mut Live::start(&dir);
+        live.open("sort n=64", MachineProfile::desktop());
+        live.shared.enqueue_job(1, 0, job(1));
+        live.with_journal(|journal, _| journal.dead = COMPACT_DEAD_THRESHOLD - 1);
+        assert_eq!(live.answer(outcome(1e-3)), Some((1, 0)));
+        assert_eq!(live.with_journal(|journal, _| journal.dead), 0, "that append compacted");
+        // Rewritten from the state the transition had already reached:
+        // the job is done, not unanswered, and never neither.
+        let text = std::fs::read_to_string(dir.join("journal.log")).expect("read");
+        assert!(text.starts_with("J_NEXT "));
+        assert_eq!(text.matches("\nJ_RESULT ").count(), 1);
+        assert!(!text.contains("\nJ_JOB "));
+        let st = reopen(&dir);
+        assert!(st.jobs.is_empty());
+        assert_eq!(st.sessions[&1].done[&0].fitness, Some(1e-3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corruption_before_the_tail_is_refused_not_guessed_at() {
         let dir = tmp_dir("corrupt");
-        {
-            let mut j = Journal::open(&dir).expect("open");
-            j.open_session(1, 7, "sort n=64", &MachineProfile::desktop());
-        }
+        Live::start(&dir).open("sort n=64", MachineProfile::desktop());
         let path = dir.join("journal.log");
         let mut text = std::fs::read_to_string(&path).expect("read");
         text.push_str("garbage that is not a record\n");
-        text.push_str(&Record::new("J_CLOSE", vec!["1".to_owned()]).encode());
+        text.push_str(&close_record(1).encode());
         text.push('\n');
         std::fs::write(&path, text).expect("write");
-        let err = match Journal::open(&dir) {
+        let err = match Journal::open(&dir, &mut State::new(), Instant::now()) {
             Ok(_) => panic!("mid-log corruption must refuse"),
             Err(e) => e,
         };
         assert!(err.to_string().contains("corrupt"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_duplicate_job_is_dropped_while_unanswered_and_re_served_once_answered() {
+        let dir = tmp_dir("duplicate");
+        let live = &mut Live::start(&dir);
+        live.replace_worker(2);
+        live.open("sort n=64", MachineProfile::desktop());
+        let client = live.peers.last().expect("the session's peer").try_clone().expect("clone");
+        for i in 0..3 {
+            live.shared.enqueue_job(1, i, job(i));
+        }
+        // Two slots: 0 and 1 go out, 2 stays queued; then 0 is answered.
+        assert_eq!(live.answer(outcome(7e-3)), Some((1, 0)));
+        let unanswered = |live: &Live| {
+            let inner = live.shared.inner.lock().expect("farmd lock");
+            let inflight = inner.registry.get(live.worker).expect("worker").inflight.clone();
+            (
+                inner.state.jobs.keys().copied().collect::<Vec<_>>(),
+                inner.state.queue.clone(),
+                inflight,
+            )
+        };
+        let before = unanswered(live);
+        assert_eq!(before, (vec![(1, 1), (1, 2)], [(1, 2)].into(), [(1, 1)].into()));
+        let log = std::fs::read_to_string(dir.join("journal.log")).expect("read");
+        for (i, seed) in [(2, 92), (1, 91), (0, 90)] {
+            live.shared.enqueue_job(1, i, job(seed)); // queued, in flight, answered
+        }
+        assert_eq!(unanswered(live), before, "no second copy of a queued or in-flight job");
+        assert!(live.with_state(
+            |st| st.jobs[&(1, 1)].engine_seed == 1 && st.jobs[&(1, 2)].engine_seed == 2
+        ));
+        assert_eq!(std::fs::read_to_string(dir.join("journal.log")).expect("read"), log);
+        // The client holds index 0 twice: the forward and the re-serving.
+        client.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        let mut lines = std::io::BufReader::new(client).lines();
+        let served: Vec<_> = (0..2)
+            .map(|_| {
+                Message::decode(&lines.next().expect("a line").expect("read")).expect("decode")
+            })
+            .collect();
+        assert_eq!(served[0], Message::Result { index: 0, outcome: outcome(7e-3) });
+        assert_eq!(served[1], served[0]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Replay ≡ live: after any interleaving of the four transitions
+        /// over several sessions (with duplicate and late submissions,
+        /// lost workers and forced compactions thrown in), reopening the
+        /// journal recovers the state the dispatcher held when it died,
+        /// torn tail or not, and reopening again changes nothing.
+        #[test]
+        fn replay_of_any_history_is_the_live_state_at_the_crash(
+            ops in proptest::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 1..60),
+            torn in any::<bool>(),
+        ) {
+            let dir = tmp_dir("prop");
+            let path = dir.join("journal.log");
+            let specs = ["sort n=64", "blackscholes n=64", "strassen n=64"];
+            let machines =
+                [MachineProfile::desktop(), MachineProfile::laptop(), MachineProfile::server()];
+            let mut live = Live::start(&dir);
+            let mut opened = 0;
+            for (op, a, b) in ops {
+                // Any session ever opened, closed ones included.
+                let session = 1 + a % opened.max(1);
+                match op {
+                    0 => {
+                        let which = (a % 3) as usize;
+                        opened = live.open(specs[which], machines[which].clone()).0;
+                    }
+                    1..=3 => live.shared.enqueue_job(session, b % 8, job(b)),
+                    4 | 5 => {
+                        let mut answer = outcome(f64::from_bits(a));
+                        answer.compiles.push((b, f64::from_bits(b), 0.0));
+                        live.answer(answer);
+                    }
+                    6 => live.shared.close_session(session, "test"),
+                    _ if a % 2 == 0 => live.replace_worker(1 + b % 4),
+                    _ => live.with_journal(|journal, state| journal.compact(state)).expect("compact"),
+                }
+            }
+            let at_the_crash = live.with_state(facts);
+            drop(live);
+            if torn {
+                let mut f = OpenOptions::new().append(true).open(&path).expect("append");
+                f.write_all(b"J_RESULT 1:1 40:RESULT 1:0 1:1 1:1 18:0x3f50").expect("tear");
+            }
+            let first = reopen(&dir);
+            prop_assert_eq!(facts(&first), at_the_crash);
+            prop_assert_eq!(&first.queue, &first.jobs.keys().copied().collect::<Vec<_>>());
+            prop_assert!(first
+                .sessions
+                .values()
+                .all(|s| s.writer.is_none() && s.epoch == 0 && s.detached_since.is_some()));
+            // Replay of a compacted log is idempotent, to the byte.
+            let log = std::fs::read(&path).expect("read");
+            let second = reopen(&dir);
+            prop_assert_eq!(facts(&second), facts(&first));
+            prop_assert_eq!(std::fs::read(&path).expect("read"), log);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -40,14 +40,29 @@
 //!   a slow peer can never stall the dispatcher. Every connection also
 //!   carries a socket **write timeout**, so a wedged peer whose receive
 //!   buffer fills turns into a write error (and the worker-drain /
-//!   session-detach path) instead of parking a thread forever.
+//!   session-detach path) instead of parking a thread forever. A
+//!   `RESULT` takes the global lock **once**: the registry's verdict, the
+//!   session's `done` entry and the journal append are one critical
+//!   section, so no other thread (and no journal compaction) can find a
+//!   job that is neither unanswered nor done.
+//!
+//! ## One copy of the state, one path that changes it
+//!
+//! What must survive a crash — the open sessions, the results each has
+//! been served, the payload of every unanswered job — lives once, in
+//! `State`, and changes only through its four I/O-free transitions
+//! (`open`, `enqueue`, `record_result`, `close`). The queue and the
+//! workers' in-flight FIFOs hold job *keys*; a re-queue moves a key, not
+//! a payload.
 //!
 //! ## Crash safety
 //!
-//! With `--journal <dir>` ([`FarmdOptions::journal`]) the dispatcher
-//! appends every session/job lifecycle event to a durable, wire-codec
-//! journal (see `journal`); a restarted dispatcher replays it to the
-//! exact pre-crash queue/session state, workers reconnect and drain the
+//! With `--journal <dir>` ([`FarmdOptions::journal`]) the reader threads
+//! append the record of every transition they make to a durable,
+//! wire-codec journal (see `journal`); a restarted dispatcher feeds the
+//! log's records through the same four transitions — replay is the live
+//! path, not a second implementation of it — which restores the exact
+//! pre-crash queue/session state; workers reconnect and drain the
 //! recovered backlog, and clients re-attach their sessions with
 //! `RESUME` — the tuning loop finishes with results bit-identical to an
 //! unbounced run. See `docs/farmd.md` § "Crash recovery & journal
@@ -63,11 +78,12 @@ pub mod registry;
 use conn::ConnWriter;
 use journal::Journal;
 use petal_farm::net::{Endpoint, FarmListener};
-use petal_farm::wire::{Message, WIRE_VERSION};
+use petal_farm::wire::{Message, Record, WIRE_VERSION};
 use petal_farm::{EvalJob, JobOutcome};
 use petal_gpu::profile::MachineProfile;
 use petal_registry::{entry_from_wire, entry_to_wire, ConfigStore, DirStore};
 use registry::{Ack, JobKey, Registry};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -137,13 +153,6 @@ pub struct FarmdStats {
     pub completed: u64,
 }
 
-/// One queued (not yet assigned) job.
-struct Pending {
-    session: u64,
-    index: u64,
-    job: EvalJob,
-}
-
 /// One open client session.
 struct Session {
     bench_spec: String,
@@ -165,6 +174,14 @@ struct Session {
 }
 
 impl Session {
+    /// Hand the session to a (new) connection, returning the writer it
+    /// supersedes, if any.
+    fn attach(&mut self, writer: Arc<Mutex<ConnWriter>>) -> Option<Arc<Mutex<ConnWriter>>> {
+        self.epoch += 1;
+        self.detached_since = None;
+        self.writer.replace(writer)
+    }
+
     /// Forget the (dead) connection but keep the session and its queued
     /// and in-flight work; the linger reaper bounds how long.
     fn detach(&mut self, id: u64, reason: &str) {
@@ -174,26 +191,113 @@ impl Session {
     }
 }
 
+/// What the dispatcher must not forget, kept **once**: the open sessions
+/// (each with the results it has been served) and the payload of every
+/// unanswered job. The four transitions below are the only code that
+/// changes them, and they do no I/O: a reader thread calls one under the
+/// global lock and appends the matching journal record; journal replay
+/// calls the same one with the record it decoded. Replay is the live
+/// path fed from the log.
+struct State {
+    sessions: BTreeMap<u64, Session>,
+    next_session: u64,
+    /// Every unanswered job, queued or in flight, by `(session, index)`.
+    jobs: BTreeMap<JobKey, EvalJob>,
+    /// Keys of the unassigned jobs, FIFO; re-queued keys go back to the
+    /// *front* so recovery work is retried before new work.
+    queue: VecDeque<JobKey>,
+}
+
+impl State {
+    fn new() -> State {
+        State {
+            sessions: BTreeMap::new(),
+            next_session: 1,
+            jobs: BTreeMap::new(),
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// Transition 1 of 4: a session is accepted as `id`. It starts
+    /// detached (since `now`, for the linger reaper): a reader thread
+    /// attaches its connection at once, replay leaves it awaiting a
+    /// `RESUME`.
+    fn open(
+        &mut self,
+        id: u64,
+        nonce: u64,
+        bench_spec: String,
+        machine: MachineProfile,
+        now: Instant,
+    ) -> &mut Session {
+        self.next_session = self.next_session.max(id + 1);
+        let session = Session {
+            bench_spec,
+            machine,
+            nonce,
+            writer: None,
+            epoch: 0,
+            done: BTreeMap::new(),
+            detached_since: Some(now),
+        };
+        self.sessions.insert(id, session);
+        self.sessions.get_mut(&id).expect("just inserted")
+    }
+
+    /// Transition 2 of 4: `job` is submitted as `(session, index)`.
+    /// `false`, and nothing changes, when the session is closed or the
+    /// index is already answered, queued or in flight — re-submission is
+    /// idempotent.
+    fn enqueue(&mut self, session: u64, index: u64, job: EvalJob) -> bool {
+        if self.sessions.get(&session).map_or(true, |s| s.done.contains_key(&index)) {
+            return false;
+        }
+        let Entry::Vacant(unanswered) = self.jobs.entry((session, index)) else {
+            return false;
+        };
+        unanswered.insert(job);
+        self.queue.push_back((session, index));
+        true
+    }
+
+    /// Transition 3 of 4: `(session, index)` is answered. The outcome
+    /// joins the session's `done` and the job stops being unanswered in
+    /// one step, so nothing can observe it as neither. `None` when the
+    /// session has closed (the answer is dropped), else whether the index
+    /// was unanswered until now. The queue is not searched: live, an
+    /// answered job was in flight, and replay rebuilds the queue when the
+    /// log ends.
+    fn record_result(&mut self, session: u64, index: u64, outcome: JobOutcome) -> Option<bool> {
+        self.sessions.get_mut(&session)?.done.insert(index, outcome);
+        Some(self.jobs.remove(&(session, index)).is_some())
+    }
+
+    /// Transition 4 of 4: `session` is retired with everything it holds.
+    /// Returns how many jobs and results that was, `None` when it was
+    /// already closed. Results for its still-inflight jobs will be
+    /// dropped on arrival.
+    fn close(&mut self, session: u64) -> Option<u64> {
+        let closed = self.sessions.remove(&session)?;
+        let unanswered = self.jobs.len();
+        self.jobs.retain(|&(owner, _), _| owner != session);
+        self.queue.retain(|&(owner, _)| owner != session);
+        Some((unanswered - self.jobs.len() + closed.done.len()) as u64)
+    }
+}
+
 /// All mutable dispatcher state, behind the one global lock.
 struct Inner {
     registry: Registry,
     /// Write handles of registered workers, by registry id.
     worker_writers: BTreeMap<u64, Arc<Mutex<ConnWriter>>>,
-    sessions: BTreeMap<u64, Session>,
-    next_session: u64,
-    /// Unassigned jobs, FIFO; re-queued jobs go back to the *front* so
-    /// recovery work is retried before new work.
-    queue: VecDeque<Pending>,
-    /// Payloads of assigned jobs, so a lost worker's inflight keys can be
-    /// turned back into queue entries.
-    inflight_jobs: BTreeMap<JobKey, EvalJob>,
+    state: State,
     /// When the queue first became non-empty with zero ready workers;
     /// cleared the moment either condition lapses.
     starved_since: Option<Instant>,
     requeues: u64,
     completed: u64,
     /// The durable journal, when `--journal` is set. Inside the global
-    /// lock so appends serialize with the state changes they record.
+    /// lock so appends serialize with the transitions they record.
     journal: Option<Journal>,
 }
 
@@ -221,6 +325,47 @@ struct SendPlan {
 }
 
 impl Shared {
+    /// Open the hosted store and the journal, if configured. Journal
+    /// recovery is replay: the log's records go through the same four
+    /// transitions the reader threads call, which leaves every recovered
+    /// session detached (awaiting `RESUME`) and every unanswered job
+    /// queued — assignments died with the old process's connections.
+    fn new(opts: FarmdOptions) -> std::io::Result<Shared> {
+        let store = match &opts.registry {
+            Some(dir) => {
+                Some(Mutex::new(DirStore::open(dir.clone()).map_err(std::io::Error::other)?))
+            }
+            None => None,
+        };
+        let mut state = State::new();
+        let journal = match &opts.journal {
+            Some(dir) => Some(Journal::open(dir, &mut state, Instant::now())?),
+            None => None,
+        };
+        if !state.sessions.is_empty() {
+            eprintln!(
+                "petal-farmd: recovered {} session(s) with {} queued job(s) from the journal",
+                state.sessions.len(),
+                state.queue.len()
+            );
+        }
+        Ok(Shared {
+            inner: Mutex::new(Inner {
+                registry: Registry::new(opts.deadline),
+                worker_writers: BTreeMap::new(),
+                state,
+                starved_since: None,
+                requeues: 0,
+                completed: 0,
+                journal,
+            }),
+            wake: Condvar::new(),
+            stop: AtomicBool::new(false),
+            opts,
+            store,
+        })
+    }
+
     // ---- worker-side entry points (called from conn reader threads) ----
 
     fn notify(&self) {
@@ -246,36 +391,46 @@ impl Shared {
         self.inner.lock().expect("farmd lock").registry.touch(id, now)
     }
 
-    pub(crate) fn worker_gone(&self, id: u64) -> bool {
-        self.inner.lock().expect("farmd lock").registry.get(id).is_none()
-    }
-
-    /// Judge a RESULT. `Some((session, index))` means fresh — forward it;
-    /// `None` means it was dropped (duplicate/stale) or the worker was
-    /// torn down (disorder).
+    /// Judge a worker's RESULT and, when it is the first answer to its
+    /// job, record, journal and forward it. The verdict, the `done` entry
+    /// and the `J_RESULT` append share **one** acquisition of the global
+    /// lock; the send happens after it is released, under the session
+    /// writer's own mutex. Recorded before sent: a crash between the two
+    /// re-serves the outcome on resume instead of losing it, and a
+    /// detached session just records. Duplicate and stale answers are
+    /// dropped; disorder tears the worker down. `false` once the worker
+    /// is no longer registered.
     pub(crate) fn complete_job(
         self: &Arc<Self>,
         id: u64,
         index: u64,
+        outcome: JobOutcome,
         now: Instant,
-    ) -> Option<(u64, u64)> {
+    ) -> bool {
         let mut inner = self.inner.lock().expect("farmd lock");
         inner.registry.touch(id, now);
-        match inner.registry.complete(id, index) {
-            Ack::Fresh(key) => {
-                inner.inflight_jobs.remove(&key);
-                inner.completed += 1;
-                drop(inner);
-                self.notify(); // a slot freed up
-                Some(key)
-            }
-            Ack::Duplicate | Ack::Stale => None,
+        let (session, index) = match inner.registry.complete(id, index) {
+            Ack::Fresh(key) => key,
+            Ack::Duplicate | Ack::Stale => return inner.registry.get(id).is_some(),
             Ack::Disorder => {
                 drop(inner);
                 self.lose_worker(id, &format!("RESULT {index} violates FIFO order"), true);
-                None
+                return false;
             }
+        };
+        inner.completed += 1;
+        // A session that disappeared mid-flight drops the answer.
+        let mut writer = None;
+        if let Some(fresh) = inner.state.record_result(session, index, outcome.clone()) {
+            inner.log(u64::from(fresh), |_| journal::result_record(session, index, &outcome));
+            writer = inner.state.sessions[&session].writer.clone();
         }
+        drop(inner);
+        self.notify(); // a slot freed up
+        if let Some(writer) = writer {
+            self.send_result(session, &writer, index, outcome);
+        }
+        true
     }
 
     /// Tear down worker `id`: re-queue everything it held, forget its
@@ -305,33 +460,19 @@ impl Shared {
         self.notify();
     }
 
-    /// Forward a fresh RESULT to its session's client (outside the global
-    /// lock — only the session writer's own mutex is held while writing).
-    /// The outcome is recorded (and journaled) **before** the send, so a
-    /// crash between the two re-serves it on resume instead of losing
-    /// it; a detached session just records.
-    pub(crate) fn forward_result(self: &Arc<Self>, session: u64, index: u64, outcome: JobOutcome) {
-        let writer = {
-            let mut inner = self.inner.lock().expect("farmd lock");
-            let Some(s) = inner.sessions.get_mut(&session) else {
-                return; // session disappeared mid-flight; drop the answer
-            };
-            let writer = s.writer.clone();
-            s.done.insert(index, outcome.clone());
-            if let Some(j) = inner.journal.as_mut() {
-                j.result(session, index, &outcome);
-            }
-            writer
-        };
-        if let Some(writer) = writer {
-            let sent = writer
-                .lock()
-                .expect("writer lock")
-                .send(&Message::Result { index, outcome })
-                .is_ok();
-            if !sent {
-                self.client_writer_failed(session, &writer);
-            }
+    /// Send one RESULT to a session's client, outside the global lock; a
+    /// failed write detaches the session.
+    fn send_result(
+        self: &Arc<Self>,
+        session: u64,
+        writer: &Arc<Mutex<ConnWriter>>,
+        index: u64,
+        outcome: JobOutcome,
+    ) {
+        let sent =
+            writer.lock().expect("writer lock").send(&Message::Result { index, outcome }).is_ok();
+        if !sent {
+            self.client_writer_failed(session, writer);
         }
     }
 
@@ -345,24 +486,10 @@ impl Shared {
         writer: Arc<Mutex<ConnWriter>>,
     ) -> (u64, u64) {
         let mut inner = self.inner.lock().expect("farmd lock");
-        let id = inner.next_session;
-        inner.next_session += 1;
+        let id = inner.state.next_session;
         let nonce = fresh_nonce(id);
-        if let Some(j) = inner.journal.as_mut() {
-            j.open_session(id, nonce, bench_spec, &machine);
-        }
-        inner.sessions.insert(
-            id,
-            Session {
-                bench_spec: bench_spec.to_owned(),
-                machine,
-                nonce,
-                writer: Some(writer),
-                epoch: 1,
-                done: BTreeMap::new(),
-                detached_since: None,
-            },
-        );
+        inner.state.open(id, nonce, bench_spec.to_owned(), machine, Instant::now()).attach(writer);
+        inner.log(0, |state| journal::open_record(id, &state.sessions[&id]));
         (id, nonce)
     }
 
@@ -377,15 +504,13 @@ impl Shared {
     ) -> Result<u64, String> {
         let (old, epoch) = {
             let mut inner = self.inner.lock().expect("farmd lock");
-            let Some(s) = inner.sessions.get_mut(&token) else {
+            let Some(s) = inner.state.sessions.get_mut(&token) else {
                 return Err(format!("unknown session {token}; nothing to resume"));
             };
             if s.nonce != nonce {
                 return Err(format!("session {token} does not match the presented credentials"));
             }
-            s.epoch += 1;
-            s.detached_since = None;
-            (s.writer.replace(writer), s.epoch)
+            (s.attach(writer), s.epoch)
         };
         // A superseded live connection (e.g. the client gave up on a
         // stalled socket the dispatcher still thinks is fine) is closed;
@@ -400,51 +525,32 @@ impl Shared {
     /// The session's benchmark spec, for the resume serve loop.
     pub(crate) fn session_spec(&self, session: u64) -> Option<String> {
         let inner = self.inner.lock().expect("farmd lock");
-        inner.sessions.get(&session).map(|s| s.bench_spec.clone())
+        inner.state.sessions.get(&session).map(|s| s.bench_spec.clone())
     }
 
+    /// Accept one `JOB`. Re-submission is idempotent: an index the
+    /// session was already answered is re-served from `done`, one that is
+    /// still queued or in flight is not duplicated. An accepted job is
+    /// journaled in the critical section that queues it, before the
+    /// scheduler can see it.
     pub(crate) fn enqueue_job(self: &Arc<Self>, session: u64, index: u64, job: EvalJob) {
-        let done_replay = {
-            let inner = self.inner.lock().expect("farmd lock");
-            let Some(s) = inner.sessions.get(&session) else {
-                return;
-            };
-            // Idempotent re-submission: an index the crash already
-            // answered is re-served from the result log; one that is
-            // still queued or in flight is simply not duplicated.
-            if let Some(outcome) = s.done.get(&index) {
-                Some((s.writer.clone(), outcome.clone()))
-            } else if inner.inflight_jobs.contains_key(&(session, index))
-                || inner.queue.iter().any(|p| p.session == session && p.index == index)
-            {
-                return;
-            } else {
-                None
-            }
-        };
-        if let Some((writer, outcome)) = done_replay {
-            if let Some(writer) = writer {
-                let sent = writer
-                    .lock()
-                    .expect("writer lock")
-                    .send(&Message::Result { index, outcome })
-                    .is_ok();
-                if !sent {
-                    self.client_writer_failed(session, &writer);
-                }
-            }
-            return;
-        }
         let mut inner = self.inner.lock().expect("farmd lock");
-        if !inner.sessions.contains_key(&session) {
-            return;
+        let answered = inner
+            .state
+            .sessions
+            .get(&session)
+            .and_then(|s| Some((s.done.get(&index)?.clone(), s.writer.clone()?)));
+        if let Some((outcome, writer)) = answered {
+            drop(inner);
+            return self.send_result(session, &writer, index, outcome);
         }
-        if let Some(j) = inner.journal.as_mut() {
-            j.enqueue(session, index, &job);
+        if inner.state.enqueue(session, index, job) {
+            inner.log(0, |state| {
+                journal::job_record(session, index, &state.jobs[&(session, index)])
+            });
+            drop(inner);
+            self.notify();
         }
-        inner.queue.push_back(Pending { session, index, job });
-        drop(inner);
-        self.notify();
     }
 
     /// A send through `writer` failed: detach the session if that
@@ -453,7 +559,7 @@ impl Shared {
     /// resumed connection.
     fn client_writer_failed(self: &Arc<Self>, session: u64, writer: &Arc<Mutex<ConnWriter>>) {
         let mut inner = self.inner.lock().expect("farmd lock");
-        let Some(s) = inner.sessions.get_mut(&session) else { return };
+        let Some(s) = inner.state.sessions.get_mut(&session) else { return };
         if s.writer.as_ref().is_some_and(|w| Arc::ptr_eq(w, writer)) {
             s.detach(session, "client write failed");
         }
@@ -464,7 +570,7 @@ impl Shared {
     /// reader's exit a no-op after a resume.
     pub(crate) fn client_gone(self: &Arc<Self>, session: u64, epoch: u64, reason: &str) {
         let mut inner = self.inner.lock().expect("farmd lock");
-        let Some(s) = inner.sessions.get_mut(&session) else { return };
+        let Some(s) = inner.state.sessions.get_mut(&session) else { return };
         if s.epoch == epoch {
             s.detach(session, reason);
         }
@@ -581,18 +687,15 @@ impl Shared {
         }
     }
 
-    /// Retire a session: drop its queued jobs and forget it. Results for
-    /// its still-inflight jobs will be dropped on arrival.
+    /// Retire a session with its queued and unanswered jobs; a second
+    /// close of the same session is a no-op.
     pub(crate) fn close_session(self: &Arc<Self>, session: u64, reason: &str) {
         let mut inner = self.inner.lock().expect("farmd lock");
-        if inner.sessions.remove(&session).is_none() {
+        let Some(held) = inner.state.close(session) else {
             return; // already closed by the other path
-        }
-        if let Some(j) = inner.journal.as_mut() {
-            j.close(session);
-        }
-        inner.queue.retain(|p| p.session != session);
-        inner.inflight_jobs.retain(|&(s, _), _| s != session);
+        };
+        // The session's J_OPEN and this J_CLOSE die with what it held.
+        inner.log(2 + held, |_| journal::close_record(session));
         eprintln!("petal-farmd: session {session} closed ({reason})");
         drop(inner);
         self.notify();
@@ -614,14 +717,23 @@ fn fresh_nonce(session: u64) -> u64 {
 }
 
 impl Inner {
-    /// Put re-queued job keys back at the *front* of the queue in their
-    /// original FIFO order, rehydrating payloads from `inflight_jobs`.
-    /// Keys whose session has since closed are dropped.
+    /// Append the record of the transition `state` just made (built only
+    /// when there is a journal); `dead` is how many records it leaves
+    /// dead.
+    fn log(&mut self, dead: u64, record: impl FnOnce(&State) -> Record) {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.append(&record(&self.state), dead, &self.state);
+        }
+    }
+
+    /// Put a lost worker's job keys back at the *front* of the queue in
+    /// their original FIFO order (keys move, payloads stay where they
+    /// are). Keys answered or closed in the meantime are dropped.
     fn requeue(&mut self, keys: &[JobKey]) {
-        for &(session, index) in keys.iter().rev() {
-            if let Some(job) = self.inflight_jobs.remove(&(session, index)) {
+        for &key in keys.iter().rev() {
+            if self.state.jobs.contains_key(&key) {
                 self.requeues += 1;
-                self.queue.push_front(Pending { session, index, job });
+                self.state.queue.push_front(key);
             }
         }
     }
@@ -658,14 +770,16 @@ impl Inner {
         // One SendPlan per worker keeps each worker's INIT→JOB ordering
         // while batching lock acquisitions.
         let mut plans: Vec<SendPlan> = Vec::new();
-        while let Some(front) = self.queue.front() {
-            let session_id = front.session;
-            let Some(session) = self.sessions.get(&session_id) else {
-                self.queue.pop_front(); // session closed while queued
+        while let Some(&key) = self.state.queue.front() {
+            let (session_id, index) = key;
+            let (Some(session), Some(job)) =
+                (self.state.sessions.get(&session_id), self.state.jobs.get(&key))
+            else {
+                self.state.queue.pop_front(); // closed or answered while queued
                 continue;
             };
             let Some(worker) = self.registry.pick(session_id) else { break };
-            let pending = self.queue.pop_front().expect("front exists");
+            self.state.queue.pop_front();
             let writer =
                 Arc::clone(self.worker_writers.get(&worker).expect("picked worker has a writer"));
             let plan = match plans.iter_mut().find(|p| p.worker == worker) {
@@ -683,31 +797,28 @@ impl Inner {
                 });
                 self.registry.set_session(worker, session_id);
             }
-            let key = (session_id, pending.index);
             self.registry.assign(worker, key);
-            self.inflight_jobs.insert(key, pending.job.clone());
-            if let Some(j) = self.journal.as_mut() {
-                j.assign(session_id, pending.index, worker);
-            }
-            plan.msgs.push(Message::Job { index: pending.index, job: pending.job });
+            plan.msgs.push(Message::Job { index, job: job.clone() });
         }
 
         // Starvation: jobs waiting with an empty fleet. Within the grace
         // window this is just elastic join in progress; past it, sessions
         // with queued work are told so instead of blocking forever.
         let mut starved = Vec::new();
-        if self.queue.is_empty() || self.registry.ready_count() > 0 {
+        if self.state.queue.is_empty() || self.registry.ready_count() > 0 {
             self.starved_since = None;
         } else {
             let since = *self.starved_since.get_or_insert(now);
             if now.duration_since(since) >= starvation {
-                let mut ids: Vec<u64> = self.queue.iter().map(|p| p.session).collect();
+                let mut ids: Vec<u64> = self.state.queue.iter().map(|&(id, _)| id).collect();
                 ids.sort_unstable();
                 ids.dedup();
                 for id in ids {
                     // Detached sessions cannot be told; the linger
                     // reaper below bounds their lifetime instead.
-                    if let Some(writer) = self.sessions.get(&id).and_then(|s| s.writer.clone()) {
+                    if let Some(writer) =
+                        self.state.sessions.get(&id).and_then(|s| s.writer.clone())
+                    {
                         starved.push((id, writer));
                     }
                 }
@@ -719,6 +830,7 @@ impl Inner {
         // is eventually closed for good (outside the lock, since
         // close_session re-locks).
         let lingered: Vec<u64> = self
+            .state
             .sessions
             .iter()
             .filter(|(_, s)| s.detached_since.is_some_and(|t| now.duration_since(t) >= linger))
@@ -743,71 +855,10 @@ impl Farmd {
     /// [`Self::endpoints`].
     ///
     /// # Errors
-    /// Any `bind(2)` failure.
+    /// Any `bind(2)` failure; a registry or journal directory that cannot
+    /// be opened; a journal that is corrupt before its last line.
     pub fn bind(endpoints: &[Endpoint], opts: FarmdOptions) -> std::io::Result<Farmd> {
-        let store = match &opts.registry {
-            Some(dir) => {
-                Some(Mutex::new(DirStore::open(dir.clone()).map_err(std::io::Error::other)?))
-            }
-            None => None,
-        };
-        // Journal recovery: replay the log into sessions (detached,
-        // awaiting RESUME) and a queue of every unanswered job, in
-        // (session, index) order. Inflight is empty — assignments died
-        // with the old process's worker connections.
-        let journal = match &opts.journal {
-            Some(dir) => Some(Journal::open(dir)?),
-            None => None,
-        };
-        let mut sessions: BTreeMap<u64, Session> = BTreeMap::new();
-        let mut queue: VecDeque<Pending> = VecDeque::new();
-        let mut next_session = 1;
-        if let Some(j) = &journal {
-            let state = j.state();
-            next_session = state.next_session;
-            for (&id, rs) in &state.sessions {
-                sessions.insert(
-                    id,
-                    Session {
-                        bench_spec: rs.bench_spec.clone(),
-                        machine: rs.machine.clone(),
-                        nonce: rs.nonce,
-                        writer: None,
-                        epoch: 0,
-                        done: rs.done.clone(),
-                        detached_since: Some(Instant::now()),
-                    },
-                );
-                for (&index, job) in &rs.pending {
-                    queue.push_back(Pending { session: id, index, job: job.clone() });
-                }
-            }
-            if !sessions.is_empty() {
-                eprintln!(
-                    "petal-farmd: recovered {} session(s) with {} queued job(s) from the journal",
-                    sessions.len(),
-                    queue.len()
-                );
-            }
-        }
-        let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner {
-                registry: Registry::new(opts.deadline),
-                worker_writers: BTreeMap::new(),
-                sessions,
-                next_session,
-                queue,
-                inflight_jobs: BTreeMap::new(),
-                starved_since: None,
-                requeues: 0,
-                completed: 0,
-                journal,
-            }),
-            wake: Condvar::new(),
-            stop: AtomicBool::new(false),
-            opts,
-            store,
-        });
+        let shared = Arc::new(Shared::new(opts)?);
         let conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(Mutex::new(Vec::new()));
         let mut threads = Vec::new();
@@ -838,8 +889,8 @@ impl Farmd {
         FarmdStats {
             workers: inner.registry.len(),
             ready: inner.registry.ready_count(),
-            sessions: inner.sessions.len(),
-            queued: inner.queue.len(),
+            sessions: inner.state.sessions.len(),
+            queued: inner.state.queue.len(),
             inflight: inner.registry.inflight_total(),
             requeues: inner.requeues,
             completed: inner.completed,
@@ -889,7 +940,7 @@ impl Farmd {
             let inner = self.shared.inner.lock().expect("farmd lock");
             (
                 inner.worker_writers.values().cloned().collect::<Vec<_>>(),
-                inner.sessions.values().filter_map(|s| s.writer.clone()).collect::<Vec<_>>(),
+                inner.state.sessions.values().filter_map(|s| s.writer.clone()).collect::<Vec<_>>(),
             )
         };
         for writer in workers.iter().chain(&clients) {

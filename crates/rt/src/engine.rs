@@ -45,7 +45,6 @@ use petal_gpu::GpuError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Manager time spent re-checking an in-flight read (§4.2 copy-out
 /// completion poll).
@@ -69,30 +68,6 @@ pub enum SchedPolicy {
     /// The original full-scan scheduler: every decision rescans every
     /// deque (O(workers × queue length)). Kept as the equivalence oracle.
     NaiveScan,
-}
-
-/// Process-wide default policy for newly constructed engines
-/// (0 = Incremental, 1 = NaiveScan). A bench/diagnostic knob: because the
-/// two policies are bit-identical in behavior, flipping it can never
-/// change a result, only host time.
-static DEFAULT_POLICY: AtomicU8 = AtomicU8::new(0);
-
-/// Set the [`SchedPolicy`] used by engines constructed after this call
-/// (e.g. everything inside a benchmark's `run_with_config`). Used by the
-/// `bench_hotpath` harness to measure the naive scheduler as its
-/// "before" column without threading a knob through every layer.
-pub fn set_default_sched_policy(policy: SchedPolicy) {
-    DEFAULT_POLICY.store(matches!(policy, SchedPolicy::NaiveScan) as u8, Ordering::SeqCst);
-}
-
-/// The [`SchedPolicy`] newly constructed engines start with.
-#[must_use]
-pub fn default_sched_policy() -> SchedPolicy {
-    if DEFAULT_POLICY.load(Ordering::SeqCst) == 1 {
-        SchedPolicy::NaiveScan
-    } else {
-        SchedPolicy::Incremental
-    }
 }
 
 /// One scheduling decision: which entity acts. Public so the equivalence
@@ -427,7 +402,7 @@ impl<S> Engine<S> {
             report: RunReport::default(),
             roots: Vec::new(),
             max_completion: 0.0,
-            policy: default_sched_policy(),
+            policy: SchedPolicy::Incremental,
             pop_tree: MinTree::new(workers),
             steal_tree: MinTree::new(workers),
             arrival_tree: MinTree::new(workers),

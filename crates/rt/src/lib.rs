@@ -77,9 +77,7 @@ pub mod graph;
 pub mod stats;
 pub mod task;
 
-pub use engine::{
-    default_sched_policy, set_default_sched_policy, Engine, SchedAction, SchedPolicy,
-};
+pub use engine::{Engine, SchedAction, SchedPolicy};
 pub use graph::Reachability;
 pub use stats::RunReport;
 pub use task::{Charge, CpuCtx, GpuCtx, GpuOutcome, GpuTaskClass, TaskId, TaskState};
