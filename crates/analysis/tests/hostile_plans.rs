@@ -10,7 +10,7 @@ use petal_blas::Matrix;
 use petal_core::plan::{
     analyze_movement, CopyOutPolicy, NativeStep, Placement, PlanBuilder, StencilStep,
 };
-use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, Executor, MatrixId, Program, Selector, Tunable, World};
 use petal_gpu::profile::MachineProfile;
 use petal_rt::{Charge, SchedPolicy};
@@ -28,7 +28,7 @@ fn double_rule() -> Arc<StencilRule> {
         flops_per_output: 1.0,
         body_c: "result = 2.0 * IN0(x, y);".into(),
         elem: Arc::new(|env, x, y| 2.0 * env.inputs[0].at(x, y)),
-        span: None,
+        span: Span::PerCell { why: "a test rule" },
         native_only_body: false,
         text: Default::default(),
     })

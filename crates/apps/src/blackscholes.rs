@@ -9,10 +9,10 @@
 
 use crate::workload::random_vec;
 use crate::Instance;
-use petal_blas::Matrix;
+use petal_blas::{same_bits, Matrix};
 use petal_core::plan::{placement_from_config, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
-use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, Program, World};
 use petal_gpu::profile::MachineProfile;
 use std::sync::{Arc, OnceLock};
@@ -22,9 +22,7 @@ pub const RATE: f64 = 0.02;
 /// Volatility used by the workload.
 pub const VOLATILITY: f64 = 0.30;
 
-/// The smallest `n` that is an instance: what [`BlackScholes::new`] asserts,
-/// `resized` refuses below and [`crate::benchmark_from_spec`] rejects, so a
-/// resized child is always a size the factory would rebuild.
+/// The smallest `n` that is an instance ([`BlackScholes::try_new`]).
 pub const MIN_N: usize = 64;
 
 /// Arithmetic cost per option: exp/log/sqrt-heavy closed form.
@@ -85,14 +83,6 @@ struct Priced {
     prices: Vec<f64>,
 }
 
-/// Whether two spans hold the same bit patterns, element for element. A
-/// span at the same address is the same memory, so it is not read.
-fn same_bits(given: &[f64], key: &[f64]) -> bool {
-    given.len() == key.len()
-        && (std::ptr::eq(given.as_ptr(), key.as_ptr())
-            || given.iter().zip(key).all(|(g, k)| g.to_bits() == k.to_bits()))
-}
-
 impl Priced {
     fn new(rows: usize, cols: usize) -> Self {
         let n = rows * cols;
@@ -114,8 +104,7 @@ impl Priced {
         let at = y * cols + x0;
         let hit = y < rows
             && x0 + len <= cols
-            && r.to_bits() == RATE.to_bits()
-            && v.to_bits() == VOLATILITY.to_bits()
+            && same_bits(&[r, v], &[RATE, VOLATILITY])
             && given
                 .iter()
                 .zip(&self.inputs)
@@ -157,7 +146,7 @@ impl Prepared {
             // the span is keyed, not faster: a span of the prepared inputs
             // copies its row of prices out, any other is priced cell by
             // cell as `elem` prices it.
-            span: Some(Arc::new(move |env, x0, y, out| {
+            span: Span::Rows(Arc::new(move |env, x0, y, out| {
                 let given = [0, 1, 2].map(|k| env.inputs[k].row_span(y, x0, out.len()));
                 let (r, v) = (env.scalars[0], env.scalars[1]);
                 if let Some(prices) = memo.span(&given, r, v, x0, y) {
@@ -179,12 +168,20 @@ impl Prepared {
 impl BlackScholes {
     /// New instance with `n` options (the paper tests 500 000).
     ///
+    /// # Errors
+    /// When `n <` [`MIN_N`].
+    pub fn try_new(n: usize) -> Result<Self, String> {
+        crate::at_least("blackscholes", n, MIN_N)
+            .map(|n| BlackScholes { n, prepared: OnceLock::new() })
+    }
+
+    /// [`Self::try_new`] for parameters known to be valid.
+    ///
     /// # Panics
-    /// Panics when `n <` [`MIN_N`].
+    /// Panics where `try_new` errs.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n >= MIN_N, "too few options");
-        BlackScholes { n, prepared: OnceLock::new() }
+        Self::try_new(n).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The logical option array as `rows × cols`, so fractional CPU/GPU
@@ -216,8 +213,7 @@ impl crate::Benchmark for BlackScholes {
     }
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
-        (size >= MIN_N as u64)
-            .then(|| Box::new(BlackScholes::new(size as usize)) as Box<dyn crate::Benchmark>)
+        Self::try_new(size as usize).map(crate::boxed).ok()
     }
 
     fn program(&self, _machine: &MachineProfile) -> Program {

@@ -12,7 +12,7 @@ use crate::Instance;
 use petal_blas::Matrix;
 use petal_core::plan::{placement_from_config, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
-use petal_core::stencil::{saxpy, sum_identity, AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{saxpy, sum_identity, AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, Program, Selector, Tunable, World};
 use petal_gpu::profile::MachineProfile;
 use std::sync::{Arc, OnceLock};
@@ -75,16 +75,27 @@ struct Prepared {
 }
 
 impl SeparableConvolution {
-    /// New instance (`n` ≥ 3·`k` keeps the output non-degenerate; the paper
+    /// New instance (`n` > 3·`k` keeps the output non-degenerate; the paper
     /// uses n = 3520, k ∈ 3..17 odd).
     ///
+    /// # Errors
+    /// When `k` is even or below 3, `n` is not above `3k`, or `3k` or the
+    /// `n²` cells of the image are more than a `usize` counts.
+    pub fn try_new(n: usize, k: usize) -> Result<Self, String> {
+        let fits = k.checked_mul(3).is_some_and(|k3| n > k3) && n.checked_mul(n).is_some();
+        if !(k % 2 == 1 && k >= 3 && fits) {
+            return Err("convolution: need odd k >= 3, n > 3k and n^2 a usize".into());
+        }
+        Ok(SeparableConvolution { n, k, prepared: OnceLock::new() })
+    }
+
+    /// [`Self::try_new`] for parameters known to be valid.
+    ///
     /// # Panics
-    /// Panics when `k` is even, zero, or too large for `n`.
+    /// Panics where `try_new` errs.
     #[must_use]
     pub fn new(n: usize, k: usize) -> Self {
-        assert!(k % 2 == 1 && k >= 3, "kernel width must be odd and ≥ 3");
-        assert!(n > 3 * k, "input too small for kernel");
-        SeparableConvolution { n, k, prepared: OnceLock::new() }
+        Self::try_new(n, k).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn prepared(&self) -> &Prepared {
@@ -138,7 +149,7 @@ impl SeparableConvolution {
             }),
             // Tap-outer: every cell still takes its k² taps in `elem`'s
             // (j, i) order from `elem`'s 0.0, each as `(in · cᵢ) · cⱼ`.
-            span: Some(Arc::new(|env, x0, y, out| {
+            span: Span::Rows(Arc::new(|env, x0, y, out| {
                 let k = env.scalars[0] as usize;
                 let coef = env.inputs[1].row_span(0, 0, k);
                 out.fill(0.0);
@@ -175,7 +186,7 @@ impl SeparableConvolution {
                 (0..k).map(|i| env.inputs[0].at(x + i, y) * env.inputs[1].at(i, 0)).sum()
             }),
             // Tap-outer shifted SAXPY, taps in `elem`'s order.
-            span: Some(Arc::new(|env, x0, y, out| {
+            span: Span::Rows(Arc::new(|env, x0, y, out| {
                 let k = env.scalars[0] as usize;
                 out.fill(sum_identity());
                 for (i, &c) in env.inputs[1].row_span(0, 0, k).iter().enumerate() {
@@ -206,7 +217,7 @@ impl SeparableConvolution {
                 (0..k).map(|i| env.inputs[0].at(x, y + i) * env.inputs[1].at(i, 0)).sum()
             }),
             // Tap-outer SAXPY down the rows, taps in `elem`'s order.
-            span: Some(Arc::new(|env, x0, y, out| {
+            span: Span::Rows(Arc::new(|env, x0, y, out| {
                 let k = env.scalars[0] as usize;
                 out.fill(sum_identity());
                 for (i, &c) in env.inputs[1].row_span(0, 0, k).iter().enumerate() {
@@ -271,8 +282,7 @@ impl crate::Benchmark for SeparableConvolution {
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
         let n = (size as f64).sqrt() as usize;
-        (n > 3 * self.k)
-            .then(|| Box::new(SeparableConvolution::new(n, self.k)) as Box<dyn crate::Benchmark>)
+        Self::try_new(n, self.k).map(crate::boxed).ok()
     }
 
     fn program(&self, _machine: &MachineProfile) -> Program {
@@ -360,15 +370,7 @@ impl crate::Benchmark for SeparableConvolution {
         }
         p.mark_output(out);
 
-        let expected = Arc::clone(&prepared.expected);
-        let check = Box::new(move |w: &World| -> Result<(), String> {
-            let got = w.get(out);
-            if got.approx_eq(&expected, 1e-9) {
-                Ok(())
-            } else {
-                Err(format!("max abs diff {}", got.max_abs_diff(&expected)))
-            }
-        });
+        let check = crate::check_within(out, Arc::clone(&prepared.expected), 1e-9);
         Instance { world, plan: p.build(), check }
     }
 }

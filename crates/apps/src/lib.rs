@@ -26,14 +26,44 @@ pub mod svd;
 pub mod tridiagonal;
 pub mod workload;
 
+use petal_blas::Matrix;
 use petal_core::executor::{ExecReport, Executor};
-use petal_core::{Config, Error, Plan, Program, World};
+use petal_core::{Config, Error, MatrixId, Plan, Program, World};
 use petal_gpu::profile::MachineProfile;
+use std::sync::Arc;
 
 /// Post-run verification closure against the reference implementation.
 /// `Send` so a whole instance can be built and verified on an
 /// evaluation-farm worker thread.
 pub type CheckFn = Box<dyn Fn(&World) -> Result<(), String> + Send>;
+
+/// The check of a benchmark whose prepared answer is a matrix: `out` within
+/// `tol` of `expected` in every element, else the largest difference.
+pub(crate) fn check_within(out: MatrixId, expected: Arc<Matrix>, tol: f64) -> CheckFn {
+    Box::new(move |w: &World| {
+        let got = w.get(out);
+        if got.approx_eq(&expected, tol) {
+            Ok(())
+        } else {
+            Err(format!("max abs diff {}", got.max_abs_diff(&expected)))
+        }
+    })
+}
+
+/// `n` when it reaches a kind's smallest size `min`, the kind's refusal
+/// otherwise: all of validity for the kinds whose one parameter is `n`.
+pub(crate) fn at_least(kind: &str, n: usize, min: usize) -> Result<usize, String> {
+    if n < min {
+        return Err(format!("{kind}: n must be >= {min}"));
+    }
+    Ok(n)
+}
+
+/// What a kind's `try_new` built, as the object `resized` and
+/// [`benchmark_from_spec`] hand out.
+pub(crate) fn boxed(built: impl Benchmark + 'static) -> Box<dyn Benchmark> {
+    Box::new(built)
+}
 
 /// One runnable problem instance: the world holding inputs/outputs, the
 /// schedule for the chosen configuration, and a correctness check to run
@@ -61,7 +91,11 @@ impl std::fmt::Debug for Instance {
 /// [`Benchmark::instantiate`] to build an independent trial.
 ///
 /// A benchmark is a problem description (sizes, seeds, accuracy targets)
-/// plus whatever it chooses to memoise of the *prepared* half of an
+/// whose validity — smallest size, shape, every derived extent
+/// representable — is stated once, by its kind's `try_new`: `new` panics
+/// where that errs, `resized` answers `None` and [`benchmark_from_spec`]
+/// passes the message on, so the three cannot disagree. Beside it lives
+/// whatever it chooses to memoise of the *prepared* half of an
 /// instance: anything that is a pure function of [`Benchmark::spec`] —
 /// the seeded inputs, the host reference answer `check` compares
 /// against, the data-parallel rules its plans are made of (each of which
@@ -81,10 +115,12 @@ impl std::fmt::Debug for Instance {
 ///
 /// An *intermediate* result — what a plan step computes at run time from
 /// a matrix in its `World` — may join the prepared state only keyed by
-/// the bit pattern of the input it was computed from: the step compares the input it was handed
-/// with the stored key by `f64::to_bits`, reuses the stored result on a
-/// match and recomputes otherwise, never replacing the entry, so that
-/// hit ≡ miss whatever the configuration did upstream
+/// the bit pattern of the input it was computed from: the step compares
+/// the input it was handed with the stored key by
+/// [`petal_blas::same_bits`] (and nothing looser: not `==`, not a
+/// tolerance), reuses the stored result on a match and recomputes
+/// otherwise, never replacing the entry, so that hit ≡ miss whatever the
+/// configuration did upstream
 /// ([`svd`]'s eigendecomposition of `AᵀA` is one such entry;
 /// [`blackscholes`]' prices are the other, checked per span of cells by
 /// the rule's span body). What the step charges and what the plan looks
@@ -222,56 +258,22 @@ pub fn spec_f64_parse(raw: &str) -> Result<f64, String> {
 ///
 /// # Errors
 /// Returns a human-readable message when the kind is unknown, a field is
-/// missing or malformed, or the parameters would violate the benchmark's
-/// constructor invariants (so a corrupt spec never panics a worker).
+/// missing or malformed, or the kind's `try_new` refuses the parameters
+/// (so a corrupt spec never panics a worker).
 pub fn benchmark_from_spec(spec: &str) -> Result<Box<dyn Benchmark>, String> {
     let tokens: Vec<&str> = spec.split_whitespace().collect();
     let (&kind, params) = tokens.split_first().ok_or_else(|| "empty spec".to_owned())?;
+    let n = || spec_usize(params, "n");
     match kind {
-        "blackscholes" => {
-            let n = spec_usize(params, "n")?;
-            (n >= blackscholes::MIN_N)
-                .then(|| Box::new(blackscholes::BlackScholes::new(n)) as Box<dyn Benchmark>)
-                .ok_or_else(|| format!("blackscholes: n must be >= {}", blackscholes::MIN_N))
-        }
-        "poisson2d" => {
-            let (n, iters) = (spec_usize(params, "n")?, spec_usize(params, "iters")?);
-            (n >= poisson::MIN_N && iters >= 1)
-                .then(|| Box::new(poisson::Poisson2D::new(n, iters)) as Box<dyn Benchmark>)
-                .ok_or_else(|| format!("poisson2d: need n >= {} and iters >= 1", poisson::MIN_N))
-        }
+        "blackscholes" => blackscholes::BlackScholes::try_new(n()?).map(boxed),
+        "poisson2d" => poisson::Poisson2D::try_new(n()?, spec_usize(params, "iters")?).map(boxed),
         "convolution" => {
-            let (n, k) = (spec_usize(params, "n")?, spec_usize(params, "k")?);
-            (k % 2 == 1 && k >= 3 && n > 3 * k)
-                .then(|| {
-                    Box::new(convolution::SeparableConvolution::new(n, k)) as Box<dyn Benchmark>
-                })
-                .ok_or_else(|| "convolution: need odd k >= 3 and n > 3k".to_owned())
+            convolution::SeparableConvolution::try_new(n()?, spec_usize(params, "k")?).map(boxed)
         }
-        "sort" => {
-            let n = spec_usize(params, "n")?;
-            (n >= sort::MIN_N)
-                .then(|| Box::new(sort::Sort::new(n)) as Box<dyn Benchmark>)
-                .ok_or_else(|| format!("sort: n must be >= {}", sort::MIN_N))
-        }
-        "strassen" => {
-            let n = spec_usize(params, "n")?;
-            (n >= strassen::MIN_N)
-                .then(|| Box::new(strassen::Strassen::new(n)) as Box<dyn Benchmark>)
-                .ok_or_else(|| format!("strassen: n must be >= {}", strassen::MIN_N))
-        }
-        "svd" => {
-            let (n, target) = (spec_usize(params, "n")?, spec_f64_bits(params, "target")?);
-            (n >= svd::MIN_N && target > 0.0 && target <= 1.0)
-                .then(|| Box::new(svd::Svd::new(n, target)) as Box<dyn Benchmark>)
-                .ok_or_else(|| format!("svd: need n >= {} and target in (0, 1]", svd::MIN_N))
-        }
-        "tridiagonal" => {
-            let n = spec_usize(params, "n")?;
-            (n >= tridiagonal::MIN_N)
-                .then(|| Box::new(tridiagonal::Tridiagonal::new(n)) as Box<dyn Benchmark>)
-                .ok_or_else(|| format!("tridiagonal: n must be >= {}", tridiagonal::MIN_N))
-        }
+        "sort" => sort::Sort::try_new(n()?).map(boxed),
+        "strassen" => strassen::Strassen::try_new(n()?).map(boxed),
+        "svd" => svd::Svd::try_new(n()?, spec_f64_bits(params, "target")?).map(boxed),
+        "tridiagonal" => tridiagonal::Tridiagonal::try_new(n()?).map(boxed),
         other => Err(format!("unknown benchmark kind `{other}`")),
     }
 }
@@ -296,9 +298,79 @@ pub fn all_benchmarks() -> Vec<Box<dyn Benchmark>> {
 mod tests {
     use super::*;
 
+    /// One row per kind, at every parameter but `n` its own smallest: what
+    /// the law tests below are driven from.
+    struct Kind {
+        /// The smallest `n` that is an instance (the tests hold it to that).
+        min_n: usize,
+        /// `input_size()` is `n` to this power.
+        dim: u32,
+        /// The spec line at `n`.
+        spec: fn(usize) -> String,
+        /// The kind's `try_new` at `n`.
+        try_new: fn(usize) -> Result<Box<dyn Benchmark>, String>,
+    }
+
+    fn kinds() -> [Kind; 7] {
+        [
+            Kind {
+                min_n: blackscholes::MIN_N,
+                dim: 1,
+                spec: |n| format!("blackscholes n={n}"),
+                try_new: |n| blackscholes::BlackScholes::try_new(n).map(boxed),
+            },
+            Kind {
+                min_n: poisson::MIN_N,
+                dim: 2,
+                spec: |n| format!("poisson2d n={n} iters=1"),
+                try_new: |n| poisson::Poisson2D::try_new(n, 1).map(boxed),
+            },
+            Kind {
+                min_n: 10, // n > 3k
+                dim: 2,
+                spec: |n| format!("convolution n={n} k=3"),
+                try_new: |n| convolution::SeparableConvolution::try_new(n, 3).map(boxed),
+            },
+            Kind {
+                min_n: sort::MIN_N,
+                dim: 1,
+                spec: |n| format!("sort n={n}"),
+                try_new: |n| sort::Sort::try_new(n).map(boxed),
+            },
+            Kind {
+                min_n: strassen::MIN_N,
+                dim: 1,
+                spec: |n| format!("strassen n={n}"),
+                try_new: |n| strassen::Strassen::try_new(n).map(boxed),
+            },
+            Kind {
+                min_n: svd::MIN_N,
+                dim: 1,
+                spec: |n| format!("svd n={n} target={}", spec_f64(1.0)),
+                try_new: |n| svd::Svd::try_new(n, 1.0).map(boxed),
+            },
+            Kind {
+                min_n: tridiagonal::MIN_N,
+                dim: 1,
+                spec: |n| format!("tridiagonal n={n}"),
+                try_new: |n| tridiagonal::Tridiagonal::try_new(n).map(boxed),
+            },
+        ]
+    }
+
+    /// The harness sizes, and the smallest instance of every kind as the
+    /// factory builds it.
+    fn harness_and_smallest() -> Vec<Box<dyn Benchmark>> {
+        let smallest = kinds().into_iter().map(|k| {
+            let spec = (k.spec)(k.min_n);
+            benchmark_from_spec(&spec).unwrap_or_else(|e| panic!("`{spec}` is an instance: {e}"))
+        });
+        all_benchmarks().into_iter().chain(smallest).collect()
+    }
+
     #[test]
     fn specs_round_trip_through_the_factory() {
-        for b in all_benchmarks() {
+        for b in harness_and_smallest() {
             let spec = b.spec();
             let rebuilt = benchmark_from_spec(&spec)
                 .unwrap_or_else(|e| panic!("{}: spec `{spec}` did not parse: {e}", b.name()));
@@ -308,32 +380,13 @@ mod tests {
         }
     }
 
-    /// One spec per kind with `n` at `min + below_by` (every other
-    /// parameter at its own smallest): `below_by = 0` is the smallest
-    /// instance of each kind.
-    fn specs_at_min_less(below_by: usize) -> Vec<String> {
-        let one = spec_f64(1.0);
-        vec![
-            format!("blackscholes n={}", blackscholes::MIN_N - below_by),
-            format!("poisson2d n={} iters=1", poisson::MIN_N - below_by),
-            format!("convolution n={} k=3", 10 - below_by), // n > 3k
-            format!("sort n={}", sort::MIN_N - below_by),
-            format!("strassen n={}", strassen::MIN_N - below_by),
-            format!("svd n={} target={one}", svd::MIN_N - below_by),
-            format!("tridiagonal n={}", tridiagonal::MIN_N - below_by),
-        ]
-    }
-
     #[test]
     fn resizing_to_the_own_size_reproduces_the_benchmark() {
         // The farm's per-size table builds the full-size child this way;
         // Poisson2D and SeparableConvolution get there through a square
         // root. At the harness sizes, and at the smallest size the factory
         // accepts: an object the factory builds is one `resized` builds.
-        let smallest = specs_at_min_less(0).into_iter().map(|spec| {
-            benchmark_from_spec(&spec).unwrap_or_else(|e| panic!("`{spec}` is an instance: {e}"))
-        });
-        for b in all_benchmarks().into_iter().chain(smallest) {
+        for b in harness_and_smallest() {
             let same = b
                 .resized(b.input_size())
                 .unwrap_or_else(|| panic!("`{}` refuses its own size", b.spec()));
@@ -344,7 +397,8 @@ mod tests {
 
     #[test]
     fn bad_specs_error_instead_of_panicking() {
-        let below_the_smallest = specs_at_min_less(1);
+        let below_the_smallest: Vec<String> =
+            kinds().iter().map(|k| (k.spec)(k.min_n - 1)).collect();
         for bad in [
             "",
             "warp10 n=4",
@@ -357,11 +411,45 @@ mod tests {
             "svd n=64 target=0x0000000000000000",
             "svd n=7 target=0x3fc3333333333333",
             "tridiagonal n=2",
+            // Parameters whose derived extents (3k, n², n + 2) no `usize`
+            // holds: refused, in debug and in release, not wrapped.
+            "convolution n=5 k=18446744073709551615",
+            "poisson2d n=4294967296 iters=1",
+            "convolution n=4294967296 k=3",
+            "poisson2d n=18446744073709551615 iters=1",
         ]
         .into_iter()
         .chain(below_the_smallest.iter().map(String::as_str))
         {
             assert!(benchmark_from_spec(bad).is_err(), "`{bad}` should be rejected");
+        }
+    }
+
+    /// A kind's validity is stated once, so its three readers cannot
+    /// disagree: around every minimum (and at sizes whose squares no
+    /// `usize` holds), `try_new` errs exactly where the factory does, with
+    /// the same message, and exactly where `resized` answers `None`.
+    #[test]
+    fn try_new_resized_and_the_factory_agree_on_what_an_instance_is() {
+        for k in kinds() {
+            let smallest = (k.try_new)(k.min_n).expect("the table's row is an instance");
+            for n in (k.min_n - 2..=k.min_n + 2).chain([1 << 32, usize::MAX]) {
+                let spec = (k.spec)(n);
+                let refusal = (k.try_new)(n).err();
+                assert_eq!(
+                    refusal.is_none(),
+                    n >= k.min_n && (k.dim == 1 || n < 1 << 32),
+                    "`{spec}`"
+                );
+                assert_eq!(benchmark_from_spec(&spec).err(), refusal, "`{spec}`: the factory");
+                if let Some(size) = (n as u64).checked_pow(k.dim) {
+                    let child = smallest.resized(size);
+                    assert_eq!(child.is_none(), refusal.is_some(), "`{spec}`: resized({size})");
+                    if let Some(child) = child {
+                        assert_eq!(child.spec(), spec);
+                    }
+                }
+            }
         }
     }
 
@@ -488,9 +576,8 @@ mod tests {
     /// device bytes and matrices, and donors nobody wrote or kept.
     #[test]
     fn a_trial_runs_the_same_with_shared_inputs_held_by_reference_and_copied_in() {
-        use petal_blas::Matrix;
-        use petal_core::{MatrixId, Tunable};
-        use std::sync::Arc;
+        use petal_blas::same_bits;
+        use petal_core::Tunable;
         let m = MachineProfile::desktop();
         let mut trials = device_trials();
         let whole = trials.len();
@@ -508,7 +595,9 @@ mod tests {
             ids.dedup();
             ids
         };
-        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let all_same_bits = |a: &[Vec<f64>], b: &[Vec<f64>]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same_bits(a, b))
+        };
         for (at, (b, cfg)) in trials.into_iter().enumerate() {
             let what = format!("`{}`{}", b.spec(), if at < whole { "" } else { ", split 6/8" });
             // An instance that never runs keeps the donors reachable.
@@ -517,7 +606,7 @@ mod tests {
                 touched(&plan).iter().filter_map(|&id| idle.shared(id).cloned()).collect();
             assert!(!donors.is_empty(), "{what}: shares no input");
             let untouched: Vec<_> =
-                donors.iter().map(|d| (Arc::strong_count(d), bits(d))).collect();
+                donors.iter().map(|d| (Arc::strong_count(d), d.as_slice().to_vec())).collect();
             let run = |copied: bool| {
                 let Instance { mut world, plan, .. } = b.instantiate(&m, &cfg);
                 let ids = touched(&plan);
@@ -535,24 +624,25 @@ mod tests {
                     .iter()
                     .map(|&id| {
                         let _ = world.ensure_host(id, f64::MAX);
-                        bits(world.get(id))
+                        world.get(id).as_slice().to_vec()
                     })
                     .collect();
-                ((report, device, left), holders)
+                ((report, device), left, holders)
             };
-            let (by_reference, held) = run(false);
+            let (by_reference, left_by_reference, held) = run(false);
             let slot_and_buffer = held.iter().zip(&untouched).any(|(h, (idle, _))| *h >= idle + 2);
             // (Sort's plans sort their input in place: its slot is
             // detached before any copy-in sees it.)
             let sorts = b.spec().starts_with("sort ");
             assert!(slot_and_buffer != sorts, "{what}: donors held by a device buffer: {held:?}");
-            let (copying, held) = run(true);
+            let (copying, left_copying, held) = run(true);
             let idle_counts: Vec<_> = untouched.iter().map(|(count, _)| *count).collect();
             assert_eq!(held, idle_counts, "{what}: a detached slot's copy-in held a donor");
             assert_eq!(by_reference, copying, "{what}");
+            assert!(all_same_bits(&left_by_reference, &left_copying), "{what}: matrices");
             for (donor, (count, was)) in donors.iter().zip(&untouched) {
                 assert_eq!(Arc::strong_count(donor), *count, "{what}: a trial kept a donor");
-                assert_eq!(&bits(donor), was, "{what}: a trial wrote a donor");
+                assert!(same_bits(donor.as_slice(), was), "{what}: a trial wrote a donor");
             }
         }
     }

@@ -17,14 +17,12 @@ use crate::Instance;
 use petal_blas::Matrix;
 use petal_core::plan::{placement_from_config, PlanBuilder, StencilStep, StepId};
 use petal_core::program::ChoiceSite;
-use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, MatrixId, Program, World};
 use petal_gpu::profile::MachineProfile;
 use std::sync::{Arc, OnceLock};
 
-/// The smallest `n` that is an instance: what [`Poisson2D::new`] asserts,
-/// `resized` refuses below and [`crate::benchmark_from_spec`] rejects, so a
-/// resized child is always a size the factory would rebuild.
+/// The smallest `n` that is an instance ([`Poisson2D::try_new`]).
 pub const MIN_N: usize = 8;
 
 /// Over-relaxation factor.
@@ -55,12 +53,24 @@ struct Prepared {
 impl Poisson2D {
     /// New instance (the paper uses n = 2048).
     ///
+    /// # Errors
+    /// When `n <` [`MIN_N`], `iters == 0`, or the `(n + 2)²` cells of the
+    /// grid with its boundary are more than a `usize` counts.
+    pub fn try_new(n: usize, iters: usize) -> Result<Self, String> {
+        let cells = n.checked_add(2).and_then(|n2| n2.checked_mul(n2));
+        if n < MIN_N || iters < 1 || cells.is_none() {
+            return Err(format!("poisson2d: need n >= {MIN_N}, iters >= 1 and (n + 2)^2 a usize"));
+        }
+        Ok(Poisson2D { n, iters, prepared: OnceLock::new() })
+    }
+
+    /// [`Self::try_new`] for parameters known to be valid.
+    ///
     /// # Panics
-    /// Panics when `n <` [`MIN_N`] or `iters == 0`.
+    /// Panics where `try_new` errs.
     #[must_use]
     pub fn new(n: usize, iters: usize) -> Self {
-        assert!(n >= MIN_N && iters >= 1, "grid too small or no iterations");
-        Poisson2D { n, iters, prepared: OnceLock::new() }
+        Self::try_new(n, iters).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn prepared(&self) -> &Prepared {
@@ -105,7 +115,7 @@ impl Poisson2D {
                 }
             }),
             // The same cell, the row read as one slice.
-            span: Some(Arc::new(|env, x0, y, out| {
+            span: Span::Rows(Arc::new(|env, x0, y, out| {
                 let color = env.scalars[0] as usize;
                 let row = env.inputs[0].row_span(y, x0, out.len());
                 for ((x, o), &v) in (x0..).zip(out).zip(row) {
@@ -159,7 +169,7 @@ impl Poisson2D {
             // the four neighbours summed in `elem`'s order — over the three
             // rows of `other` and this row of `mine` and `f` as slices. A
             // boundary row reads no neighbour row, as in `elem`.
-            span: Some(Arc::new(|env, x0, y, out| {
+            span: Span::Rows(Arc::new(|env, x0, y, out| {
                 let color = env.scalars[0] as usize;
                 let omega = env.scalars[1];
                 let h2 = env.scalars[2];
@@ -200,7 +210,7 @@ impl Poisson2D {
             flops_per_output: 1.0,
             body_c: "result = IN0(x, y) + IN1(x, y);".into(),
             elem: Arc::new(|env, x, y| env.inputs[0].at(x, y) + env.inputs[1].at(x, y)),
-            span: Some(Arc::new(|env, x0, y, out| {
+            span: Span::Rows(Arc::new(|env, x0, y, out| {
                 let red = env.inputs[0].row_span(y, x0, out.len());
                 let black = env.inputs[1].row_span(y, x0, out.len());
                 for ((o, &r), &b) in out.iter_mut().zip(red).zip(black) {
@@ -255,7 +265,7 @@ impl crate::Benchmark for Poisson2D {
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
         let n = (size as f64).sqrt() as usize;
-        (n >= MIN_N).then(|| Box::new(Poisson2D::new(n, self.iters)) as Box<dyn crate::Benchmark>)
+        Self::try_new(n, self.iters).map(crate::boxed).ok()
     }
 
     fn program(&self, _machine: &MachineProfile) -> Program {
@@ -345,15 +355,7 @@ impl crate::Benchmark for Poisson2D {
             step(&mut p, combine_rule, vec![red[0], black[0]], out, vec![], iter_place, &last);
         p.mark_output(out);
 
-        let expected = Arc::clone(&prepared.expected);
-        let check = Box::new(move |w: &World| -> Result<(), String> {
-            let got = w.get(out);
-            if got.approx_eq(&expected, 1e-9) {
-                Ok(())
-            } else {
-                Err(format!("max abs diff {}", got.max_abs_diff(&expected)))
-            }
-        });
+        let check = crate::check_within(out, Arc::clone(&prepared.expected), 1e-9);
         Instance { world, plan: p.build(), check }
     }
 }

@@ -21,16 +21,14 @@ use crate::Instance;
 use petal_blas::Matrix;
 use petal_core::plan::{NativeStep, Placement, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
-use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, MatrixId, Program, World};
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
 use petal_rt::{Charge, CpuCtx};
 use std::sync::{Arc, OnceLock};
 
-/// The smallest `n` that is an instance: what [`Sort::new`] asserts,
-/// `resized` refuses below and [`crate::benchmark_from_spec`] rejects, so a
-/// resized child is always a size the factory would rebuild.
+/// The smallest `n` that is an instance ([`Sort::try_new`]).
 pub const MIN_N: usize = 16;
 
 /// Everything a recursive sort task needs.
@@ -63,12 +61,19 @@ struct Prepared {
 impl Sort {
     /// New instance (the paper uses n = 2²⁰).
     ///
+    /// # Errors
+    /// When `n <` [`MIN_N`].
+    pub fn try_new(n: usize) -> Result<Self, String> {
+        crate::at_least("sort", n, MIN_N).map(|n| Sort { n, prepared: OnceLock::new() })
+    }
+
+    /// [`Self::try_new`] for parameters known to be valid.
+    ///
     /// # Panics
-    /// Panics when `n <` [`MIN_N`].
+    /// Panics where `try_new` errs.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n >= MIN_N, "input too small");
-        Sort { n, prepared: OnceLock::new() }
+        Self::try_new(n).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn prepared(&self) -> &Prepared {
@@ -114,7 +119,7 @@ impl Sort {
             }),
             // The same cell, reading the row as one slice: whatever `j`
             // is, both reads are plain slice reads.
-            span: Some(Arc::new(|env, x0, _y, out| {
+            span: Span::Rows(Arc::new(|env, x0, _y, out| {
                 let j = env.scalars[0] as usize;
                 let k = env.scalars[1] as usize;
                 let row = env.inputs[0].row_span(0, 0, env.inputs[0].width());
@@ -145,8 +150,7 @@ impl crate::Benchmark for Sort {
     }
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
-        (size >= MIN_N as u64)
-            .then(|| Box::new(Sort::new(size as usize)) as Box<dyn crate::Benchmark>)
+        Self::try_new(size as usize).map(crate::boxed).ok()
     }
 
     fn program(&self, _machine: &MachineProfile) -> Program {

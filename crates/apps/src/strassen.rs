@@ -22,16 +22,14 @@ use petal_blas::gemm::{
 use petal_blas::Matrix;
 use petal_core::plan::{NativeStep, Placement, PlanBuilder, StencilStep, StepId};
 use petal_core::program::ChoiceSite;
-use petal_core::stencil::{saxpy, sum_identity, AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{saxpy, sum_identity, AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, MatrixId, Program, World};
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
 use petal_rt::Charge;
 use std::sync::{Arc, OnceLock};
 
-/// The smallest `n` that is an instance: what [`Strassen::new`] asserts,
-/// `resized` refuses below and [`crate::benchmark_from_spec`] rejects, so a
-/// resized child is always a size the factory would rebuild.
+/// The smallest `n` that is an instance ([`Strassen::try_new`]).
 pub const MIN_N: usize = 8;
 
 /// Recursion never descends below this size (leaves take over).
@@ -57,7 +55,7 @@ pub fn rule_matmul() -> Arc<StencilRule> {
         }),
         // k-outer SAXPY over the row: every cell still takes its terms
         // k = 0, 1, … in order from `sum()`'s starting value.
-        span: Some(Arc::new(|env, x0, y, out| {
+        span: Span::Rows(Arc::new(|env, x0, y, out| {
             let kk = env.scalars[0] as usize;
             out.fill(sum_identity());
             for (k, &a) in env.inputs[0].row_span(y, 0, kk).iter().enumerate() {
@@ -455,12 +453,19 @@ struct Prepared {
 impl Strassen {
     /// New instance (the paper uses n = 1024).
     ///
+    /// # Errors
+    /// When `n <` [`MIN_N`].
+    pub fn try_new(n: usize) -> Result<Self, String> {
+        crate::at_least("strassen", n, MIN_N).map(|n| Strassen { n, prepared: OnceLock::new() })
+    }
+
+    /// [`Self::try_new`] for parameters known to be valid.
+    ///
     /// # Panics
-    /// Panics when `n <` [`MIN_N`].
+    /// Panics where `try_new` errs.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n >= MIN_N, "matrices too small");
-        Strassen { n, prepared: OnceLock::new() }
+        Self::try_new(n).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn prepared(&self) -> &Prepared {
@@ -487,8 +492,7 @@ impl crate::Benchmark for Strassen {
     }
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
-        (size >= MIN_N as u64)
-            .then(|| Box::new(Strassen::new(size as usize)) as Box<dyn crate::Benchmark>)
+        Self::try_new(size as usize).map(crate::boxed).ok()
     }
 
     fn program(&self, _machine: &MachineProfile) -> Program {
@@ -517,16 +521,8 @@ impl crate::Benchmark for Strassen {
         let mut p = PlanBuilder::new();
         build_matmul(&prepared.rules, &mut p, &mut world, cfg, machine, "matmul", a, b, c, n, &[]);
         p.mark_output(c);
-        let expected = Arc::clone(&prepared.expected);
-        let check = Box::new(move |w: &World| -> Result<(), String> {
-            let got = w.get(c);
-            let tol = 1e-6 * expected.frobenius_norm().max(1.0);
-            if got.approx_eq(&expected, tol) {
-                Ok(())
-            } else {
-                Err(format!("max abs diff {}", got.max_abs_diff(&expected)))
-            }
-        });
+        let tol = 1e-6 * prepared.expected.frobenius_norm().max(1.0);
+        let check = crate::check_within(c, Arc::clone(&prepared.expected), tol);
         Instance { world, plan: p.build(), check }
     }
 }

@@ -18,10 +18,10 @@ use crate::strassen::{build_matmul, MatmulRules};
 use crate::workload::random_matrix;
 use crate::Instance;
 use petal_blas::eigen::{jacobi_eigh, EigenDecomposition};
-use petal_blas::Matrix;
+use petal_blas::{same_bits, Matrix};
 use petal_core::plan::{placement_from_config, NativeStep, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
-use petal_core::stencil::{saxpy, sum_identity, AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{saxpy, sum_identity, AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, Program, World};
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
@@ -29,9 +29,7 @@ use petal_rt::Charge;
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
-/// The smallest `n` that is an instance: what [`Svd::new`] asserts,
-/// `resized` refuses below and [`crate::benchmark_from_spec`] rejects, so a
-/// resized child is always a size the factory would rebuild.
+/// The smallest `n` that is an instance ([`Svd::try_new`]).
 pub const MIN_N: usize = 8;
 
 /// The `AᵀA` rule: `B[y][x] = Σ_r A[r][y]·A[r][x]` (two column reads of
@@ -55,7 +53,7 @@ pub fn rule_ata() -> Arc<StencilRule> {
         }),
         // r-outer SAXPY over the row: every cell still takes its terms
         // r = 0, 1, … in order from `sum()`'s starting value.
-        span: Some(Arc::new(|env, x0, y, out| {
+        span: Span::Rows(Arc::new(|env, x0, y, out| {
             let m = env.scalars[0] as usize;
             out.fill(sum_identity());
             for r in 0..m {
@@ -95,12 +93,16 @@ impl Prepared {
     /// The Jacobi eigendecomposition of `ata`: the stored one when `ata`
     /// is the stored key bit for bit, otherwise computed for this call
     /// (the entry is never replaced). Either way it is `solve(ata)`, so a
-    /// hit and a miss are indistinguishable.
+    /// hit and a miss are indistinguishable. The call that fills the entry
+    /// made the key from `ata`, so it does not compare them.
     fn eigh(&self, ata: &Matrix) -> Cow<'_, EigenDecomposition> {
-        let (key, eig) = self.eig.get_or_init(|| (ata.clone(), solve(ata)));
-        let same_bits = (key.rows(), key.cols()) == (ata.rows(), ata.cols())
-            && key.as_slice().iter().zip(ata.as_slice()).all(|(k, x)| k.to_bits() == x.to_bits());
-        if same_bits {
+        let mut filled_here = false;
+        let (key, eig) = self.eig.get_or_init(|| {
+            filled_here = true;
+            (ata.clone(), solve(ata))
+        });
+        let same_shape = (key.rows(), key.cols()) == (ata.rows(), ata.cols());
+        if filled_here || (same_shape && same_bits(key.as_slice(), ata.as_slice())) {
             Cow::Borrowed(eig)
         } else {
             Cow::Owned(solve(ata))
@@ -120,16 +122,23 @@ pub struct Svd {
 impl Svd {
     /// New instance (the paper uses n = 256).
     ///
+    /// # Errors
+    /// When `n <` [`MIN_N`] or the target is not a relative Frobenius
+    /// error in `(0, 1]`.
+    pub fn try_new(n: usize, max_relative_error: f64) -> Result<Self, String> {
+        if !(n >= MIN_N && max_relative_error > 0.0 && max_relative_error <= 1.0) {
+            return Err(format!("svd: need n >= {MIN_N} and target in (0, 1]"));
+        }
+        Ok(Svd { n, target: max_relative_error, prepared: OnceLock::new() })
+    }
+
+    /// [`Self::try_new`] for parameters known to be valid.
+    ///
     /// # Panics
-    /// Panics when `n <` [`MIN_N`] or the target is not in `(0, 1]`.
+    /// Panics where `try_new` errs.
     #[must_use]
     pub fn new(n: usize, max_relative_error: f64) -> Self {
-        assert!(n >= MIN_N, "matrix too small");
-        assert!(
-            max_relative_error > 0.0 && max_relative_error <= 1.0,
-            "target must be a relative Frobenius error in (0, 1]"
-        );
-        Svd { n, target: max_relative_error, prepared: OnceLock::new() }
+        Self::try_new(n, max_relative_error).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The accuracy target.
@@ -180,8 +189,7 @@ impl crate::Benchmark for Svd {
     }
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
-        (size >= MIN_N as u64)
-            .then(|| Box::new(Svd::new(size as usize, self.target)) as Box<dyn crate::Benchmark>)
+        Self::try_new(size as usize, self.target).map(crate::boxed).ok()
     }
 
     fn dynamic_config_keys(&self) -> Vec<String> {
@@ -388,8 +396,8 @@ mod tests {
 
     #[test]
     fn a_key_one_ulp_off_recomputes_and_leaves_the_entry_intact() {
-        let bits = |e: &EigenDecomposition| -> Vec<u64> {
-            e.values.iter().chain(e.vectors.as_slice()).map(|x| x.to_bits()).collect()
+        let same = |a: &EigenDecomposition, b: &EigenDecomposition| {
+            same_bits(&a.values, &b.values) && same_bits(a.vectors.as_slice(), b.vectors.as_slice())
         };
         let prepared = Svd::new(16, 0.15).prepared();
         let first = lapack_gemm(&prepared.input.transposed(), &prepared.input);
@@ -399,11 +407,11 @@ mod tests {
         assert!(matches!(prepared.eigh(&first), Cow::Borrowed(_)), "the miss fills the cell");
         let other = prepared.eigh(&nudged);
         assert!(matches!(other, Cow::Owned(_)), "one ulp off is another matrix");
-        assert_eq!(bits(&other), bits(&solve(&nudged)));
-        assert_ne!(bits(&other), bits(&solve(&first)));
+        assert!(same(&other, &solve(&nudged)));
+        assert!(!same(&other, &solve(&first)));
         let (key, stored) = prepared.eig.get().expect("filled by the first call");
         assert_eq!(key, &first);
-        assert_eq!(bits(stored), bits(&solve(&first)));
+        assert!(same(stored, &solve(&first)));
         assert!(matches!(prepared.eigh(&first), Cow::Borrowed(_)), "and still hits");
     }
 

@@ -20,16 +20,14 @@ use petal_blas::tridiag::{
 use petal_blas::Matrix;
 use petal_core::plan::{placement_from_config, Placement, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
-use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, Program, World};
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
 use petal_rt::Charge;
 use std::sync::{Arc, OnceLock};
 
-/// The smallest `n` that is an instance: what [`Tridiagonal::new`] asserts,
-/// `resized` refuses below and [`crate::benchmark_from_spec`] rejects, so a
-/// resized child is always a size the factory would rebuild.
+/// The smallest `n` that is an instance ([`Tridiagonal::try_new`]).
 pub const MIN_N: usize = 4;
 
 /// Stop the GPU reduction and solve directly below this size.
@@ -86,12 +84,20 @@ struct Prepared {
 impl Tridiagonal {
     /// New instance (`n` unknowns; the paper evaluates 1024² total work).
     ///
+    /// # Errors
+    /// When `n <` [`MIN_N`].
+    pub fn try_new(n: usize) -> Result<Self, String> {
+        crate::at_least("tridiagonal", n, MIN_N)
+            .map(|n| Tridiagonal { n, prepared: OnceLock::new() })
+    }
+
+    /// [`Self::try_new`] for parameters known to be valid.
+    ///
     /// # Panics
-    /// Panics when `n <` [`MIN_N`].
+    /// Panics where `try_new` errs.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n >= MIN_N, "system too small");
-        Tridiagonal { n, prepared: OnceLock::new() }
+        Self::try_new(n).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// One cyclic-reduction level as a data-parallel rule:
@@ -147,7 +153,7 @@ impl Tridiagonal {
             // The same cell over the four bands as slices, the output band
             // chosen once per row; `a` and `c` need only one of
             // `alpha`/`beta`, so they divide once per cell.
-            span: Some(Arc::new(|env, x0, y, out| {
+            span: Span::Rows(Arc::new(|env, x0, y, out| {
                 let m = env.scalars[0] as usize;
                 let [a, b, c, d] = [0, 1, 2, 3].map(|band| env.inputs[0].row_span(band, 0, m));
                 // What eliminating the left and the right neighbour adds
@@ -195,7 +201,7 @@ impl Tridiagonal {
                 (bands.at(x, 3) - left - right) / bands.at(x, 1)
             }),
             // The same cell, bands and even solution read as slices.
-            span: Some(Arc::new(|env, x0, _y, out| {
+            span: Span::Rows(Arc::new(|env, x0, _y, out| {
                 let m = env.scalars[0] as usize;
                 let [a, b, c, d] = [0, 1, 2, 3].map(|band| env.inputs[0].row_span(band, 0, m));
                 let even = env.inputs[1].row_span(0, 0, env.inputs[1].width());
@@ -242,8 +248,7 @@ impl crate::Benchmark for Tridiagonal {
     }
 
     fn resized(&self, size: u64) -> Option<Box<dyn crate::Benchmark>> {
-        (size >= MIN_N as u64)
-            .then(|| Box::new(Tridiagonal::new(size as usize)) as Box<dyn crate::Benchmark>)
+        Self::try_new(size as usize).map(crate::boxed).ok()
     }
 
     fn program(&self, _machine: &MachineProfile) -> Program {
@@ -468,8 +473,7 @@ mod tests {
                 let x_out = plan.outputs()[0];
                 petal_core::Executor::new(&m).run(plan, &mut world).expect("runs");
                 let got = world.get(x_out).as_slice();
-                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(got), bits(&want), "choice {alg}, trial {trial}");
+                assert!(petal_blas::same_bits(got, &want), "choice {alg}, trial {trial}");
             }
         }
         assert!(b.prepared().thomas.get().is_some() && b.prepared().cyclic.get().is_some());

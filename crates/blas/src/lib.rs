@@ -24,3 +24,32 @@ pub mod matrix;
 pub mod tridiag;
 
 pub use matrix::Matrix;
+
+/// Whether two slices hold the same bit patterns, element for element — the
+/// one comparison prepared state may be keyed on (`-0.0` is not `0.0`, a NaN
+/// equals itself payload for payload). Slices at the same address are the
+/// same memory, so they are not read.
+#[must_use]
+pub fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && (std::ptr::eq(a.as_ptr(), b.as_ptr())
+            || a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::same_bits;
+
+    #[test]
+    fn same_bits_is_length_then_address_then_every_bit_pattern() {
+        let nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        let a = [1.0, -0.0, nan];
+        assert!(same_bits(&a, &a), "the same memory");
+        let copy = a;
+        assert!(same_bits(&a, &copy), "a copy, NaN payload included");
+        assert!(!same_bits(&a, &a[..2]), "a prefix at the same address is shorter");
+        assert!(!same_bits(&a, &[1.0, 0.0, nan]), "-0.0 is not 0.0");
+        assert!(!same_bits(&a, &[1.0, -0.0, f64::NAN]), "another NaN");
+        assert!(same_bits(&[], &[]));
+    }
+}

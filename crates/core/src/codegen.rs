@@ -17,7 +17,7 @@
 //!   — including real tile staging for the local variant, so bounding-box
 //!   violations are caught by the tile views.
 
-use crate::stencil::{AccessPattern, StencilEnv, StencilRule, View};
+use crate::stencil::{AccessPattern, Span, StencilEnv, StencilRule, View};
 use petal_gpu::buffer::BufferTable;
 use petal_gpu::cost::{CpuWork, KernelWork};
 use petal_gpu::device::{KernelBody, KernelLaunch};
@@ -327,11 +327,11 @@ fn emit_cooperative_loads(b: &mut SourceBuilder, rule: &StencilRule) {
 pub type RawInput<'a> = (&'a [f64], usize, usize);
 
 /// Compute the `out.len()` cells of output row `y` starting at column `x0`:
-/// one call of the rule's span body when it defines one, `elem` cell by cell
-/// otherwise. Debug builds hold the span to its contract at both ends of
+/// one call of the rule's span body when it has one, `elem` cell by cell
+/// when it says [`Span::PerCell`]. Debug builds hold the span to its contract at both ends of
 /// every span, so every test that runs a rule cross-checks its two forms.
 fn eval_span(rule: &StencilRule, env: &StencilEnv<'_>, x0: usize, y: usize, out: &mut [f64]) {
-    let Some(span) = &rule.span else {
+    let Span::Rows(span) = &rule.span else {
         for (i, o) in out.iter_mut().enumerate() {
             *o = (rule.elem)(env, x0 + i, y);
         }
@@ -538,7 +538,7 @@ mod tests {
                 let k = env.scalars[0] as usize;
                 (0..k).map(|i| env.inputs[0].at(x + i, y)).sum()
             }),
-            span: None,
+            span: Span::PerCell { why: "the form the tests below compare a span with" },
             native_only_body: false,
             text: Default::default(),
         }
@@ -548,7 +548,7 @@ mod tests {
     /// row: `out.len()` is what the declared box allows.
     fn blur_rule_with_span(k: usize, reach: fn(usize) -> usize) -> StencilRule {
         StencilRule {
-            span: Some(Arc::new(move |env, x0, y, out| {
+            span: Span::Rows(Arc::new(move |env, x0, y, out| {
                 let k = env.scalars[0] as usize;
                 out.fill(crate::stencil::sum_identity());
                 for i in 0..k {
@@ -638,8 +638,8 @@ mod tests {
     #[should_panic(expected = "span gives")]
     fn debug_builds_hold_a_span_to_elem_at_both_ends() {
         let mut rule = blur_rule_with_span(3, |len| len);
-        let good = rule.span.take().expect("defined above");
-        rule.span = Some(Arc::new(move |env, x0, y, out| {
+        let Span::Rows(good) = rule.span else { panic!("defined above") };
+        rule.span = Span::Rows(Arc::new(move |env, x0, y, out| {
             good(env, x0, y, out);
             *out.last_mut().expect("non-empty span") += 1.0;
         }));

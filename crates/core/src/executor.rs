@@ -542,7 +542,7 @@ mod tests {
     use super::*;
     use crate::data::MatrixId;
     use crate::plan::{NativeStep, PlanBuilder};
-    use crate::stencil::{AccessPattern, StencilInput, StencilRule};
+    use crate::stencil::{AccessPattern, Span, StencilInput, StencilRule};
     use petal_blas::Matrix;
     use petal_gpu::device::DeviceStats;
 
@@ -554,7 +554,7 @@ mod tests {
             flops_per_output: 1.0,
             body_c: "result = 2.0 * IN0(x, y);".into(),
             elem: Arc::new(|env, x, y| 2.0 * env.inputs[0].at(x, y)),
-            span: None,
+            span: Span::PerCell { why: "a test rule" },
             native_only_body: false,
             text: Default::default(),
         })
@@ -818,7 +818,7 @@ mod tests {
                 }
                 s
             }),
-            span: None,
+            span: Span::PerCell { why: "a test rule" },
             native_only_body: false,
             text: Default::default(),
         });

@@ -483,7 +483,7 @@ pub fn cpu_chunks(cfg: &Config, machine: &MachineProfile, out_rows: usize) -> us
 mod tests {
     use super::*;
     use crate::config::{Selector, Tunable};
-    use crate::stencil::{AccessPattern, StencilInput};
+    use crate::stencil::{AccessPattern, Span, StencilInput};
 
     fn rule(access: AccessPattern) -> Arc<StencilRule> {
         Arc::new(StencilRule {
@@ -492,7 +492,7 @@ mod tests {
             flops_per_output: 1.0,
             body_c: "result = IN0(x, y);".into(),
             elem: Arc::new(|env, x, y| env.inputs[0].at(x, y)),
-            span: None,
+            span: Span::PerCell { why: "a test rule" },
             native_only_body: false,
             text: Default::default(),
         })

@@ -259,8 +259,37 @@ pub struct StencilEnv<'a> {
 pub type ElemFn = Arc<dyn Fn(&StencilEnv<'_>, usize, usize) -> f64 + Send + Sync>;
 
 /// Span body `(env, x0, y, out)`: computes the `out.len()` cells of output
-/// row `y` starting at column `x0` in one call (see [`StencilRule::span`]).
+/// row `y` starting at column `x0` in one call (see [`Span::Rows`]).
 pub type SpanFn = Arc<dyn Fn(&StencilEnv<'_>, usize, usize, &mut [f64]) + Send + Sync>;
+
+/// How the functional simulation computes a row of a rule's cells. Every
+/// rule states the decision (there is no default): a rule that runs cell by
+/// cell pays a `dyn` call and asserted reads per cell, and says why in its
+/// own source.
+#[derive(Clone)]
+pub enum Span {
+    /// A row-at-a-time form of `elem`: one call per output row (or per tile
+    /// row under the scratchpad variant). Contract: after
+    /// `span(env, x0, y, out)`, `out[i]` equals `elem(env, x0 + i, y)` **bit
+    /// for bit** for every `i` — same terms, same order, same starting
+    /// value per cell; only independent cells may be interleaved. It reads
+    /// inputs through [`View::row_span`] (or [`View::at`]) only, so a read
+    /// outside a staged tile still panics. Debug builds spot-check both ends
+    /// of every span against `elem`; [`assert_span_matches_elem`] checks
+    /// every cell.
+    Rows(SpanFn),
+    /// `elem`, one call per cell, and why this rule has no row form.
+    PerCell { why: &'static str },
+}
+
+impl fmt::Debug for Span {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Span::Rows(_) => f.write_str("Rows"),
+            Span::PerCell { why } => f.debug_struct("PerCell").field("why", why).finish(),
+        }
+    }
+}
 
 /// What `Iterator::sum::<f64>()` starts from — the value a span body must
 /// give every cell before the first term when `elem` is written with `sum()`
@@ -286,9 +315,9 @@ pub fn saxpy(out: &mut [f64], a: f64, xs: &[f64]) {
 /// ([`StencilRule::kernel_text`]).
 ///
 /// The text is a function of the rule's other fields, so a copy of a rule
-/// does not take it along: `clone()` yields empty cells, and a struct-update
-/// rebuild (`StencilRule { body_c, ..rule.clone() }`) can never carry text
-/// generated from the fields it replaced.
+/// does not take it along: `clone()` yields empty cells, so a rebuild from
+/// a clone ([`StencilRule::per_cell`], `StencilRule { body_c, ..rule.clone() }`)
+/// can never carry text generated from the fields it replaced.
 #[derive(Debug, Default)]
 pub struct KernelTexts([OnceLock<KernelText>; 2]);
 
@@ -302,9 +331,9 @@ impl Clone for KernelTexts {
 ///
 /// The body appears three times: [`body_c`](Self::body_c) is the OpenCL C
 /// text (hashed, priced, never executed); [`elem`](Self::elem) is the
-/// functional definition of one output cell; [`span`](Self::span), when
-/// present, computes a row of cells per call and must reproduce `elem` bit
-/// for bit. Costs (`codegen::kernel_work`, `codegen::cpu_work`) come from
+/// functional definition of one output cell; [`span`](Self::span) says
+/// whether a row of cells is computed per call, by a body that must
+/// reproduce `elem` bit for bit, or cell by cell. Costs (`codegen::kernel_work`, `codegen::cpu_work`) come from
 /// the declared [`inputs`](Self::inputs) and
 /// [`flops_per_output`](Self::flops_per_output) alone, so which form the
 /// host runs never reaches virtual time.
@@ -323,18 +352,9 @@ pub struct StencilRule {
     /// **definition** of the rule's value at one cell, and the oracle every
     /// other form is checked against.
     pub elem: ElemFn,
-    /// Optional row-at-a-time form of `elem`, which the functional
-    /// simulation prefers when a rule defines it (one call per output row,
-    /// or per tile row under the scratchpad variant, instead of one `dyn`
-    /// call and two asserted reads per multiply-add). Contract: after
-    /// `span(env, x0, y, out)`, `out[i]` equals `elem(env, x0 + i, y)` **bit
-    /// for bit** for every `i` — same terms, same order, same starting
-    /// value per cell; only independent cells may be interleaved. It reads
-    /// inputs through [`View::row_span`] (or [`View::at`]) only, so a read
-    /// outside a staged tile still panics. Debug builds spot-check both ends
-    /// of every span against `elem`; [`assert_span_matches_elem`] checks
-    /// every cell. `None` runs `elem` cell by cell.
-    pub span: Option<SpanFn>,
+    /// How the functional simulation runs the rule: a row-at-a-time form
+    /// of `elem`, or `elem` cell by cell and why.
+    pub span: Span,
     /// True when the body contains constructs OpenCL cannot express
     /// (phase-2 rejection even if the pattern is data parallel).
     pub native_only_body: bool,
@@ -351,7 +371,7 @@ impl fmt::Debug for StencilRule {
             .field("name", &self.name)
             .field("inputs", &self.inputs)
             .field("flops_per_output", &self.flops_per_output)
-            .field("has_span", &self.span.is_some())
+            .field("span", &self.span)
             .field("native_only_body", &self.native_only_body)
             .finish_non_exhaustive()
     }
@@ -366,6 +386,15 @@ impl StencilRule {
         self.text.0[usize::from(local_memory)].get_or_init(|| {
             KernelText::new(&entry_name(self, local_memory), &generate_source(self, local_memory))
         })
+    }
+
+    /// This rule run cell by cell: a clone (so it carries no generated
+    /// kernel text) whose span is taken away, every other field kept — the
+    /// `elem` oracle a span body is compared against, and the one way to
+    /// derive a spanless rule from an existing one.
+    #[must_use]
+    pub fn per_cell(&self) -> StencilRule {
+        StencilRule { span: Span::PerCell { why: "the `elem` oracle" }, ..self.clone() }
     }
 
     /// Full mappability verdict (phases 1 and 2 of §3.1).
@@ -416,8 +445,8 @@ pub fn assert_span_matches_elem(
     scalars: &[f64],
     geom: &Geometry,
 ) {
-    assert!(rule.span.is_some(), "rule '{}' defines no span body", rule.name);
-    let oracle = StencilRule { span: None, ..rule.clone() };
+    assert!(matches!(rule.span, Span::Rows(_)), "rule '{}' defines no span body", rule.name);
+    let oracle = rule.per_cell();
     let unwritten = f64::from_bits(0x7ff8_dead_beef_0000);
     type Run = fn(&StencilRule, &[RawInput<'_>], &[f64], &mut [f64], &Geometry);
     for (views, run) in [("Full", run_global as Run), ("Tile", run_tiled as Run)] {
@@ -455,7 +484,7 @@ mod tests {
             flops_per_output: 1.0,
             body_c: "result = 0.0;".into(),
             elem: Arc::new(|_, _, _| 0.0),
-            span: None,
+            span: Span::PerCell { why: "a test rule that is never run" },
             native_only_body: native,
             text: Default::default(),
         }
@@ -512,6 +541,28 @@ mod tests {
         let text = edited.kernel_text(false);
         assert_ne!(text.source_hash(), lowered.kernel_text(false).source_hash());
         assert_eq!(text.source(), generate_source(&edited, false));
+    }
+
+    #[test]
+    fn per_cell_strips_the_span_keeps_every_other_field_and_carries_no_text() {
+        let lowered = StencilRule {
+            span: Span::Rows(Arc::new(|_, _, _, out| out.fill(0.0))),
+            ..rule(&[AccessPattern::Stencil { w: 3, h: 1 }, AccessPattern::All], true)
+        };
+        let _ = (lowered.kernel_text(false), lowered.kernel_text(true));
+        let stripped = lowered.per_cell();
+        assert!(matches!(stripped.span, Span::PerCell { .. }));
+        assert_eq!(stripped.name, lowered.name);
+        assert_eq!(stripped.inputs, lowered.inputs);
+        assert_eq!(stripped.flops_per_output.to_bits(), lowered.flops_per_output.to_bits());
+        assert_eq!(stripped.body_c, lowered.body_c);
+        assert!(Arc::ptr_eq(&stripped.elem, &lowered.elem));
+        assert_eq!(stripped.native_only_body, lowered.native_only_body);
+        assert!(stripped.text.0.iter().all(|cell| cell.get().is_none()), "text is per object");
+        assert!(lowered.text.0.iter().all(|cell| cell.get().is_some()), "the donor keeps its own");
+        // The decision is what `Debug` shows of the span.
+        assert!(format!("{lowered:?}").contains("span: Rows"));
+        assert!(format!("{stripped:?}").contains("span: PerCell { why: \"the `elem` oracle\" }"));
     }
 
     #[test]

@@ -7,13 +7,13 @@ use petal_core::codegen::{
     decode_scalars, encode_scalars, generate_source, kernel_work, run_global, run_tiled, Geometry,
     RawInput,
 };
-use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{AccessPattern, Span, StencilInput, StencilRule};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// A box-sum stencil of shape `bw × bh` over one input, computed per cell.
 fn box_rule(bw: usize, bh: usize) -> StencilRule {
-    StencilRule { span: None, ..box_rule_with_span(bw, bh) }
+    box_rule_with_span(bw, bh).per_cell()
 }
 
 /// [`box_rule`] with the row-at-a-time form beside `elem`: tap-outer, each
@@ -35,7 +35,7 @@ fn box_rule_with_span(bw: usize, bh: usize) -> StencilRule {
             }
             acc
         }),
-        span: Some(Arc::new(move |env, x0, y, out| {
+        span: Span::Rows(Arc::new(move |env, x0, y, out| {
             out.fill(0.0);
             for j in 0..bh {
                 for i in 0..bw {

@@ -16,7 +16,7 @@ use petal_apps::svd::Svd;
 use petal_apps::tridiagonal::Tridiagonal;
 use petal_apps::{benchmark_from_spec, Benchmark, Instance};
 use petal_core::plan::{PlanBuilder, Step, StepKind};
-use petal_core::stencil::StencilRule;
+use petal_core::stencil::Span;
 use petal_core::{Config, Executor, Placement, Program, Selector, Tunable};
 use petal_farm::session::{serve_jobs, Framed};
 use petal_farm::wire::{Message, WIRE_VERSION};
@@ -294,8 +294,7 @@ fn svd_trials_leave_the_same_matrices_on_a_miss_a_hit_and_a_fresh_object() {
 }
 
 /// A benchmark whose plans run every data-parallel rule cell by cell: each
-/// stencil step's rule is replaced by a clone with its `span` taken away,
-/// which is all it takes to fall back to `elem`.
+/// stencil step's rule is replaced by its `StencilRule::per_cell` form.
 struct Spanless(Box<dyn Benchmark>);
 
 impl Benchmark for Spanless {
@@ -318,8 +317,9 @@ impl Benchmark for Spanless {
         for Step { kind, deps } in steps {
             match kind {
                 StepKind::Stencil(mut s) => {
-                    assert!(s.rule.span.is_some(), "'{}' has a span to take away", s.rule.name);
-                    s.rule = Arc::new(StencilRule { span: None, ..(*s.rule).clone() });
+                    let has_span = matches!(s.rule.span, Span::Rows(_));
+                    assert!(has_span, "'{}' has a span to take away", s.rule.name);
+                    s.rule = Arc::new(s.rule.per_cell());
                     rebuilt.stencil(s, &deps);
                 }
                 StepKind::Native(n) => {

@@ -4,7 +4,7 @@
 use petal::prelude::*;
 use petal_apps::all_benchmarks;
 use petal_core::codegen;
-use petal_core::stencil::{AccessPattern, StencilInput, StencilRule};
+use petal_core::stencil::{AccessPattern, Span, StencilInput, StencilRule};
 use std::sync::Arc;
 
 #[test]
@@ -52,7 +52,7 @@ fn wavefront_rules_are_rejected_like_the_paper_says() {
         flops_per_output: 1.0,
         body_c: String::new(),
         elem: Arc::new(|_, _, _| 0.0),
-        span: None,
+        span: Span::PerCell { why: "a test rule" },
         native_only_body: false,
         text: Default::default(),
     };
