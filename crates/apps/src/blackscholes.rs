@@ -14,6 +14,7 @@ use petal_core::plan::{placement_from_config, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
 use petal_core::stencil::{AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, Program, World};
+use petal_gpu::buffer::Recycler;
 use petal_gpu::profile::MachineProfile;
 use std::sync::{Arc, OnceLock};
 
@@ -70,6 +71,8 @@ pub struct BlackScholes {
 struct Prepared {
     priced: Arc<Priced>,
     rule: Arc<StencilRule>,
+    /// Every trial's `World` is built on this, so its storage recycles.
+    recycler: Arc<Recycler>,
 }
 
 /// The seeded inputs and the price of every option.
@@ -161,7 +164,7 @@ impl Prepared {
             native_only_body: false,
             text: Default::default(),
         });
-        Prepared { priced, rule }
+        Prepared { priced, rule, recycler: Arc::default() }
     }
 }
 
@@ -233,10 +236,10 @@ impl crate::Benchmark for BlackScholes {
         let (rows, cols) = self.shape();
         let n = rows * cols;
         let prepared = self.prepared();
-        let mut world = World::new();
+        let mut world = World::on(Arc::clone(&prepared.recycler));
         let inputs: Vec<_> =
             prepared.priced.inputs.iter().map(|m| world.alloc_shared(Arc::clone(m))).collect();
-        let out = world.alloc(Matrix::zeros(rows, cols));
+        let out = world.zeros(rows, cols);
 
         let rule = Arc::clone(&prepared.rule);
         let placement = placement_from_config(cfg, "blackscholes", n as u64, machine, &rule, rows);
@@ -316,7 +319,7 @@ mod tests {
     fn the_keyed_span_matches_elem_on_a_hit_a_miss_and_a_changed_scalar() {
         // 64 × 45: two whole 16-wide tiles and a ragged third per row.
         let b = BlackScholes::new(64 * 45);
-        let Prepared { priced, rule } = b.prepared();
+        let Prepared { priced, rule, .. } = b.prepared();
         let (rows, cols) = b.shape();
         let scalars = [RATE, VOLATILITY];
         let copies = [0, 1, 2].map(|k| Matrix::clone(&priced.inputs[k]));

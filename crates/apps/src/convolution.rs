@@ -14,6 +14,7 @@ use petal_core::plan::{placement_from_config, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
 use petal_core::stencil::{saxpy, sum_identity, AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, Program, Selector, Tunable, World};
+use petal_gpu::buffer::Recycler;
 use petal_gpu::profile::MachineProfile;
 use std::sync::{Arc, OnceLock};
 
@@ -72,6 +73,8 @@ struct Prepared {
     rule_2d: Arc<StencilRule>,
     rule_rows: Arc<StencilRule>,
     rule_cols: Arc<StencilRule>,
+    /// Every trial's `World` is built on this, so its storage recycles.
+    recycler: Arc<Recycler>,
 }
 
 impl SeparableConvolution {
@@ -110,6 +113,7 @@ impl SeparableConvolution {
                 rule_2d: Self::rule_2d(self.k),
                 rule_rows: Self::rule_rows(self.k),
                 rule_cols: Self::rule_cols(self.k),
+                recycler: Arc::default(),
             }
         })
     }
@@ -312,18 +316,18 @@ impl crate::Benchmark for SeparableConvolution {
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let (n, k) = (self.n, self.k);
         let prepared = self.prepared();
-        let mut world = World::new();
+        let mut world = World::on(Arc::clone(&prepared.recycler));
         let input = world.alloc_shared(Arc::clone(&prepared.input));
         let kernel = world.alloc_shared(Arc::clone(&prepared.kernel));
         let out_n = n - k + 1;
-        let out = world.alloc(Matrix::zeros(out_n, out_n));
+        let out = world.zeros(out_n, out_n);
 
         let size = (n * n) as u64;
         let separable = cfg.select("separable", size) == 1;
         let mut p = PlanBuilder::new();
         if separable {
             // Choice 2: ConvolveRows into `buffer`, then ConvolveColumns.
-            let buffer = world.alloc(Matrix::zeros(n, out_n));
+            let buffer = world.zeros(n, out_n);
             let rows_rule = Arc::clone(&prepared.rule_rows);
             let rows_place =
                 placement_from_config(cfg, "convolve_rows", size, machine, &rows_rule, n);

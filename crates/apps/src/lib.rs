@@ -647,6 +647,37 @@ mod tests {
         }
     }
 
+    /// A session pays the allocator for one trial's storage, once: in a
+    /// run of identical trials on one object the recycler's `fresh` count
+    /// stays where the first trial left it and `reused` grows by exactly
+    /// that per trial — on the device configurations above and on the
+    /// (CPU) defaults, exact counts, the same on every repeat.
+    #[test]
+    fn identical_trials_allocate_once_and_recycle_exactly_that_from_then_on() {
+        let m = MachineProfile::desktop();
+        let defaults = all_benchmarks().into_iter().map(|b| {
+            let small = b.resized(b.input_size() / 8).expect("a ladder rung");
+            let cfg = small.program(&m).default_config(&m);
+            (small, cfg)
+        });
+        for (b, cfg) in device_trials().into_iter().chain(defaults) {
+            let trial = || {
+                let Instance { mut world, plan, .. } = b.instantiate(&m, &cfg);
+                let recycler = Arc::clone(world.recycler());
+                Executor::new(&m).run(plan, &mut world).expect("the trial runs");
+                drop(world);
+                recycler.fresh_and_reused()
+            };
+            let (fresh, reused_within) = trial();
+            assert!(fresh > 0, "`{}`: a trial has outputs", b.spec());
+            let per_trial = fresh + reused_within;
+            for repeat in 1..=3 {
+                let want = (fresh, reused_within + repeat * per_trial);
+                assert_eq!(trial(), want, "`{}`, repeat {repeat}", b.spec());
+            }
+        }
+    }
+
     #[test]
     fn every_benchmark_runs_with_defaults_on_every_machine() {
         // Including the iGPU/ManyCore extension profiles: default configs

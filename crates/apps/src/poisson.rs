@@ -19,6 +19,7 @@ use petal_core::plan::{placement_from_config, PlanBuilder, StencilStep, StepId};
 use petal_core::program::ChoiceSite;
 use petal_core::stencil::{AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, MatrixId, Program, World};
+use petal_gpu::buffer::Recycler;
 use petal_gpu::profile::MachineProfile;
 use std::sync::{Arc, OnceLock};
 
@@ -48,6 +49,8 @@ struct Prepared {
     split: Arc<StencilRule>,
     sweep: Arc<StencilRule>,
     combine: Arc<StencilRule>,
+    /// Every trial's `World` is built on this, so its storage recycles.
+    recycler: Arc<Recycler>,
 }
 
 impl Poisson2D {
@@ -92,6 +95,7 @@ impl Poisson2D {
                 split: Self::rule_split(),
                 sweep: Self::rule_sweep(),
                 combine: Self::rule_combine(),
+                recycler: Arc::default(),
             }
         })
     }
@@ -292,13 +296,13 @@ impl crate::Benchmark for Poisson2D {
         let h2 = 1.0 / ((n2 - 1) as f64 * (n2 - 1) as f64);
         let size = (self.n * self.n) as u64;
         let prepared = self.prepared();
-        let mut world = World::new();
+        let mut world = World::on(Arc::clone(&prepared.recycler));
         let u0 = world.alloc_shared(Arc::clone(&prepared.u0));
         let f = world.alloc_shared(Arc::clone(&prepared.f));
         // Ping-pong color buffers.
-        let mut red = [world.alloc(Matrix::zeros(n2, n2)), world.alloc(Matrix::zeros(n2, n2))];
-        let mut black = [world.alloc(Matrix::zeros(n2, n2)), world.alloc(Matrix::zeros(n2, n2))];
-        let out = world.alloc(Matrix::zeros(n2, n2));
+        let mut red = [world.zeros(n2, n2), world.zeros(n2, n2)];
+        let mut black = [world.zeros(n2, n2), world.zeros(n2, n2)];
+        let out = world.zeros(n2, n2);
 
         let (split_rule, sweep_rule, combine_rule) =
             (&prepared.split, &prepared.sweep, &prepared.combine);

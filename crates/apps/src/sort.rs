@@ -23,6 +23,7 @@ use petal_core::plan::{NativeStep, Placement, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
 use petal_core::stencil::{AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, MatrixId, Program, World};
+use petal_gpu::buffer::Recycler;
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
 use petal_rt::{Charge, CpuCtx};
@@ -56,6 +57,8 @@ struct Prepared {
     values: Arc<Matrix>,
     expected: Arc<Vec<f64>>,
     bitonic: Arc<StencilRule>,
+    /// Every trial's `World` is built on this, so its storage recycles.
+    recycler: Arc<Recycler>,
 }
 
 impl Sort {
@@ -85,6 +88,7 @@ impl Sort {
                 values: Arc::new(Matrix::from_vec(1, self.n, values)),
                 expected: Arc::new(expected),
                 bitonic: Self::rule_bitonic(),
+                recycler: Arc::default(),
             }
         })
     }
@@ -179,7 +183,7 @@ impl crate::Benchmark for Sort {
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let n = self.n;
         let prepared = self.prepared();
-        let mut world = World::new();
+        let mut world = World::on(Arc::clone(&prepared.recycler));
         let data = world.alloc_shared(Arc::clone(&prepared.values));
         let mut p = PlanBuilder::new();
 
@@ -187,7 +191,7 @@ impl crate::Benchmark for Sort {
         if top_choice == 7 && machine.has_opencl() {
             build_gpu_bitonic(&mut p, &mut world, machine, cfg, &prepared.bitonic, data, n);
         } else {
-            let scratch = world.alloc(Matrix::zeros(1, n));
+            let scratch = world.zeros(1, n);
             let params = SortParams { cfg: Arc::new(cfg.clone()), data, scratch, lo: 0, hi: n };
             p.native(
                 NativeStep {
@@ -532,7 +536,7 @@ fn build_gpu_bitonic(
     n: usize,
 ) {
     let n_pad = n.next_power_of_two().max(2);
-    let mut bufs = [world.alloc(Matrix::zeros(1, n_pad)), world.alloc(Matrix::zeros(1, n_pad))];
+    let mut bufs = [world.zeros(1, n_pad), world.zeros(1, n_pad)];
     let pad_step = p.native(
         NativeStep {
             label: "bitonic_pad".into(),

@@ -24,6 +24,7 @@ use petal_core::plan::{NativeStep, Placement, PlanBuilder, StencilStep, StepId};
 use petal_core::program::ChoiceSite;
 use petal_core::stencil::{saxpy, sum_identity, AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, MatrixId, Program, World};
+use petal_gpu::buffer::Recycler;
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
 use petal_rt::Charge;
@@ -210,12 +211,7 @@ fn leaf_gemm_into(out: &mut Matrix, leaf: usize, a: &Matrix, b: &Matrix) -> CpuW
 
 /// Quadrant helper: allocate the four `n/2` quadrants of a matrix.
 fn alloc_quads(world: &mut World, h: usize) -> [MatrixId; 4] {
-    [
-        world.alloc(Matrix::zeros(h, h)),
-        world.alloc(Matrix::zeros(h, h)),
-        world.alloc(Matrix::zeros(h, h)),
-        world.alloc(Matrix::zeros(h, h)),
-    ]
+    [world.zeros(h, h), world.zeros(h, h), world.zeros(h, h), world.zeros(h, h)]
 }
 
 /// Native step extracting the 2×2 quadrants of `src` into `dst`.
@@ -278,7 +274,7 @@ fn build_recursive_8(
     let mut products = Vec::with_capacity(8);
     let mut terminals = Vec::new();
     for (ai, bi) in pairs {
-        let t = world.alloc(Matrix::zeros(h, h));
+        let t = world.zeros(h, h);
         let term =
             build_matmul(rules, p, world, cfg, machine, selector, aq[ai], bq[bi], t, h, &[sa, sb]);
         products.push(t);
@@ -362,7 +358,7 @@ fn build_strassen_7(
                 // A bare quadrant: no sum step needed.
                 (quads[terms[0].0], None)
             } else {
-                let dst = world.alloc(Matrix::zeros(h, h));
+                let dst = world.zeros(h, h);
                 let terms = terms.clone();
                 let s = p.native(
                     NativeStep {
@@ -395,7 +391,7 @@ fn build_strassen_7(
         let mut product_deps = vec![sa, sb];
         product_deps.extend(l_step);
         product_deps.extend(r_step);
-        let t = world.alloc(Matrix::zeros(h, h));
+        let t = world.zeros(h, h);
         let term =
             build_matmul(rules, p, world, cfg, machine, selector, l_id, r_id, t, h, &product_deps);
         m_ids.push(t);
@@ -448,6 +444,8 @@ struct Prepared {
     b: Arc<Matrix>,
     expected: Arc<Matrix>,
     rules: MatmulRules,
+    /// Every trial's `World` is built on this, so its storage recycles.
+    recycler: Arc<Recycler>,
 }
 
 impl Strassen {
@@ -473,7 +471,13 @@ impl Strassen {
             let a = random_matrix(self.n, self.n, -1.0, 1.0, 51);
             let b = random_matrix(self.n, self.n, -1.0, 1.0, 52);
             let expected = Arc::new(lapack_gemm(&a, &b));
-            Prepared { a: Arc::new(a), b: Arc::new(b), expected, rules: MatmulRules::new(self.n) }
+            Prepared {
+                a: Arc::new(a),
+                b: Arc::new(b),
+                expected,
+                rules: MatmulRules::new(self.n),
+                recycler: Arc::default(),
+            }
         })
     }
 }
@@ -514,10 +518,10 @@ impl crate::Benchmark for Strassen {
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let n = self.n;
         let prepared = self.prepared();
-        let mut world = World::new();
+        let mut world = World::on(Arc::clone(&prepared.recycler));
         let a = world.alloc_shared(Arc::clone(&prepared.a));
         let b = world.alloc_shared(Arc::clone(&prepared.b));
-        let c = world.alloc(Matrix::zeros(n, n));
+        let c = world.zeros(n, n);
         let mut p = PlanBuilder::new();
         build_matmul(&prepared.rules, &mut p, &mut world, cfg, machine, "matmul", a, b, c, n, &[]);
         p.mark_output(c);

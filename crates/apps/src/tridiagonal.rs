@@ -22,6 +22,7 @@ use petal_core::plan::{placement_from_config, Placement, PlanBuilder, StencilSte
 use petal_core::program::ChoiceSite;
 use petal_core::stencil::{AccessPattern, Span, StencilInput, StencilRule};
 use petal_core::{Config, Program, World};
+use petal_gpu::buffer::Recycler;
 use petal_gpu::cost::CpuWork;
 use petal_gpu::profile::MachineProfile;
 use petal_rt::Charge;
@@ -79,6 +80,8 @@ struct Prepared {
     /// The two rules of the GPU chain.
     reduce: Arc<StencilRule>,
     backsub: Arc<StencilRule>,
+    /// Every trial's `World` is built on this, so its storage recycles.
+    recycler: Arc<Recycler>,
 }
 
 impl Tridiagonal {
@@ -229,6 +232,7 @@ impl Tridiagonal {
                 cyclic: OnceLock::new(),
                 reduce: Self::rule_reduce(),
                 backsub: Self::rule_backsub(),
+                recycler: Arc::default(),
             })
         })
     }
@@ -269,8 +273,8 @@ impl crate::Benchmark for Tridiagonal {
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let prepared = self.prepared();
         let n = self.n;
-        let mut world = World::new();
-        let x_out = world.alloc(Matrix::zeros(1, n));
+        let mut world = World::on(Arc::clone(&prepared.recycler));
+        let x_out = world.zeros(1, n);
         let mut choice = cfg.select("tridiag", n as u64);
         if choice == 2 && !machine.has_opencl() {
             choice = 0;
@@ -309,7 +313,7 @@ impl crate::Benchmark for Tridiagonal {
                 while *sizes.last().expect("nonempty") > DIRECT_CUTOFF {
                     let m = *sizes.last().expect("nonempty");
                     let half = m.div_ceil(2);
-                    let next = world.alloc(Matrix::zeros(4, half));
+                    let next = world.zeros(4, half);
                     let s = p.stencil(
                         StencilStep {
                             rule: Arc::clone(reduce),
@@ -327,7 +331,7 @@ impl crate::Benchmark for Tridiagonal {
                     deps = vec![s];
                 }
                 // Direct solve of the small remaining system on the CPU.
-                let small_x = world.alloc(Matrix::zeros(1, *sizes.last().expect("nonempty")));
+                let small_x = world.zeros(1, *sizes.last().expect("nonempty"));
                 let small_bands = bands_id;
                 let small_step = p.native(
                     petal_core::plan::NativeStep {
@@ -352,7 +356,7 @@ impl crate::Benchmark for Tridiagonal {
                 let mut even_x = small_x;
                 let mut deps = vec![small_step];
                 for (level_bands, m) in levels.into_iter().rev() {
-                    let full = world.alloc(Matrix::zeros(1, m));
+                    let full = world.zeros(1, m);
                     let s = p.stencil(
                         StencilStep {
                             rule: Arc::clone(backsub),
@@ -376,9 +380,10 @@ impl crate::Benchmark for Tridiagonal {
                         writes: vec![x_out],
                         run: Box::new(move |w: &mut World, ctx| {
                             let extra = w.ensure_host(final_x, ctx.now());
-                            let data = w.get(final_x).as_slice().to_vec();
-                            let len = data.len();
-                            w.set(x_out, Matrix::from_vec(1, len, data));
+                            let mut x = w.take_matrix(x_out);
+                            x.as_mut_slice().copy_from_slice(w.get(final_x).as_slice());
+                            let len = x.len();
+                            w.restore_matrix(x_out, x);
                             Charge::WorkPlusSecs(CpuWork::new(0.0, 16.0 * len as f64), extra)
                         }),
                     },

@@ -5,9 +5,15 @@
 //! GPU residency table can detect stale copies, §4.3), and holds the
 //! **lazy copy-out** table: regions computed on the GPU whose transfer back
 //! is deferred until a consumer actually needs them (*may copy-out*, §3.2).
+//!
+//! A world is built on a [`Recycler`]: the zero matrices it hands out
+//! ([`World::zeros`]) draw their storage from it and every matrix the
+//! world owns when it is dropped goes back to it, so a session that builds
+//! its worlds on one recycler pays the allocator for a trial's outputs
+//! once, not once per trial.
 
 use petal_blas::Matrix;
-use petal_gpu::buffer::SharedSlice;
+use petal_gpu::buffer::{Recycler, SharedSlice};
 use std::sync::Arc;
 
 /// Handle to a matrix inside a [`World`].
@@ -72,18 +78,42 @@ pub struct World {
     lazy: Vec<Option<LazyEntry>>,
     /// Lazy pulls performed (for reports and the movement-analysis tests).
     pub lazy_pulls: usize,
+    recycler: Arc<Recycler>,
 }
 
 impl World {
-    /// Empty world.
+    /// Empty world, on a recycler of its own.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Empty world on `recycler`, which outlives it: what this world
+    /// gives back, the next world built on it starts from.
+    #[must_use]
+    pub fn on(recycler: Arc<Recycler>) -> Self {
+        World { mats: Vec::new(), versions: Vec::new(), lazy: Vec::new(), lazy_pulls: 0, recycler }
+    }
+
+    /// The recycler this world is built on; `Executor::run` lends it to
+    /// the device for the run, so device buffers recycle with the world.
+    #[must_use]
+    pub fn recycler(&self) -> &Arc<Recycler> {
+        &self.recycler
+    }
+
     /// Install a matrix and get its handle.
     pub fn alloc(&mut self, m: Matrix) -> MatrixId {
         self.push(Slot::Owned(m))
+    }
+
+    /// Install a `rows × cols` matrix of zeros — `alloc(Matrix::zeros(rows,
+    /// cols))` in everything a task can observe, every element `0.0`
+    /// whatever the storage held before ([`Recycler::zeros`]) — drawn from
+    /// the world's recycler.
+    pub fn zeros(&mut self, rows: usize, cols: usize) -> MatrixId {
+        let zeros = self.recycler.zeros(rows * cols);
+        self.alloc(Matrix::from_vec(rows, cols, zeros))
     }
 
     /// Install a read-only matrix shared with other worlds. Reads cost
@@ -222,11 +252,28 @@ impl World {
             None => 0.0,
             Some(e) => {
                 let wait = (e.ready_at - now).max(0.0);
-                let (cols, rows) = self.get_dims(id);
-                self.mats[id.0] = Slot::Owned(Matrix::from_vec(rows, cols, e.data.to_vec()));
+                // Into the storage the slot owns; a slot that borrows a
+                // donor gets a matrix of its own, as on any host write.
+                match &mut self.mats[id.0] {
+                    Slot::Owned(m) => m.as_mut_slice().copy_from_slice(&e.data),
+                    Slot::Shared(m) => {
+                        let pulled = Matrix::from_vec(m.rows(), m.cols(), e.data.to_vec());
+                        self.mats[id.0] = Slot::Owned(pulled);
+                    }
+                }
                 self.versions[id.0] += 1;
                 self.lazy_pulls += 1;
                 wait + e.pull_secs
+            }
+        }
+    }
+}
+
+impl Drop for World {
+    fn drop(&mut self) {
+        for slot in self.mats.drain(..) {
+            if let Slot::Owned(m) = slot {
+                self.recycler.give(m.into_vec());
             }
         }
     }
@@ -288,6 +335,7 @@ mod tests {
         );
         let _ = w.ensure_host(b, 0.0);
         assert_eq!((w.version(a), w.version(b)), (1, 1));
+        assert_eq!(w.lazy_pulls, 1);
         assert_eq!((w.get(a).as_slice(), w.get(b).as_slice()), (&[1.0, 7.0][..], &[5.0, 6.0][..]));
         assert_eq!(donor.as_slice(), [1.0, 2.0]);
     }
@@ -314,12 +362,49 @@ mod tests {
         );
         assert!(w.has_pending_copy_out(id));
         // Consumer arrives at t=3: waits 2.0 for the kernel, then 0.5 transfer.
+        let storage = w.mats[id.0].get().as_slice().as_ptr();
         let extra = w.ensure_host(id, 3.0);
         assert!((extra - 2.5).abs() < 1e-12);
         assert_eq!(w.get(id)[(0, 1)], 8.0);
         assert_eq!(w.lazy_pulls, 1);
         // Second call is free.
         assert_eq!(w.ensure_host(id, 10.0), 0.0);
+        // The pull is one host write — to the world, the same as `set`ting
+        // the pulled data — into the storage the slot already owned.
+        let mut twin = World::new();
+        let twin_id = twin.alloc(Matrix::zeros(1, 2));
+        twin.set(twin_id, Matrix::from_vec(1, 2, vec![7.0, 8.0]));
+        assert_eq!((w.version(id), w.lazy_pulls), (1, 1));
+        assert_eq!(w.residency_key(id, 0, 1), twin.residency_key(twin_id, 0, 1));
+        assert_eq!(w.get(id), twin.get(twin_id));
+        assert_eq!(w.get(id).as_slice().as_ptr(), storage, "copied into, not replaced");
+    }
+
+    #[test]
+    fn zeros_are_zeros_on_recycled_storage_and_a_dropped_world_gives_its_matrices_back() {
+        let recycler = Arc::new(Recycler::default());
+        let donor = Arc::new(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
+        let mut w = World::on(Arc::clone(&recycler));
+        assert!(Arc::ptr_eq(w.recycler(), &recycler));
+        let (a, b) = (w.zeros(2, 3), w.zeros(1, 4));
+        let shared = w.alloc_shared(Arc::clone(&donor));
+        assert_eq!(w.get(a), &Matrix::zeros(2, 3));
+        assert_eq!((w.get_dims(b), w.version(b)), ((4, 1), 0));
+        w.get_mut(a).as_mut_slice().fill(f64::NAN);
+        w.get_mut(b).as_mut_slice().fill(-0.0);
+        let storage = [a, b].map(|id| w.get(id).as_slice().as_ptr());
+        drop(w);
+        assert_eq!(Arc::strong_count(&donor), 1, "a shared slot is let go of, not given");
+        let _ = shared;
+
+        // Best fit: the four-element buffer serves the three, the six the five.
+        let mut next = World::on(Arc::clone(&recycler));
+        let (c, d) = (next.zeros(1, 3), next.zeros(5, 1));
+        assert_eq!([d, c].map(|id| next.get(id).as_slice().as_ptr()), storage);
+        for id in [c, d] {
+            assert!(next.get(id).as_slice().iter().all(|x| x.to_bits() == 0));
+        }
+        assert_eq!(recycler.fresh_and_reused(), (2, 2));
     }
 
     #[test]

@@ -177,9 +177,12 @@ impl Executor {
         // farm now: a farm trial gets a fresh executor (= fresh process)
         // and the farm re-prices compiles against its shared IR-cache
         // model, so the executor itself only resets transient device state.
+        // The device draws this run's buffers from the world's recycler,
+        // so they recycle with the world's own matrices, session-long.
         let mut device = self.device.take();
         if let Some(d) = &mut device {
             d.reset_timeline();
+            d.buffers_mut().draw_from(Arc::clone(world.recycler()));
         }
         let mut compile_secs = 0.0;
         let lazy_before = world.lazy_pulls;
@@ -799,6 +802,35 @@ mod tests {
         assert!(first.compile_secs > 0.0);
         assert_eq!(second.compile_secs, 0.0, "kernel cache is warm");
         assert!(second.total_secs() < first.total_secs());
+    }
+
+    #[test]
+    fn a_reused_executor_holds_one_runs_buffers_and_recycles_the_run_befores() {
+        let recycler = Arc::new(petal_gpu::buffer::Recycler::default());
+        let run = |ex: &mut Executor| {
+            let mut w = World::on(Arc::clone(&recycler));
+            let a = w.alloc(Matrix::from_fn(8, 8, |r, c| (r * 8 + c) as f64));
+            let b = w.zeros(8, 8);
+            let mut p = PlanBuilder::new();
+            p.stencil(
+                step(a, b, 8, Placement::OpenCl { local_memory: false, local_size: 16 }),
+                &[],
+            );
+            p.mark_output(b);
+            let report = ex.run(p.build(), &mut w).unwrap();
+            assert!(w.get(b).approx_eq(&expected(8), 0.0));
+            let buffers = ex.device().expect("desktop has a device").buffers();
+            (report.rt, buffers.live_buffers(), buffers.bytes_allocated(), buffers.peak_bytes())
+        };
+        let mut ex = Executor::new(&MachineProfile::desktop());
+        let first = run(&mut ex);
+        assert_eq!((first.1, first.2), (2, 2 * 64 * 8), "an input and an output buffer");
+        // The world's output and the two device buffers, once.
+        assert_eq!(recycler.fresh_and_reused(), (3, 0));
+        for runs in 2..=3 {
+            assert_eq!(run(&mut ex), first, "run {runs} leaves what one run leaves");
+            assert_eq!(recycler.fresh_and_reused(), (3, 3 * (runs - 1)));
+        }
     }
 
     #[test]

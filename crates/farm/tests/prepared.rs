@@ -3,7 +3,9 @@
 //! config-independent result (SVD's eigendecomposition, Tridiagonal's CPU
 //! solutions, Black-Scholes' prices) memoised by a farm's or a worker's
 //! per-size table answers exactly as a trial on a freshly built benchmark
-//! does.
+//! does. So does a trial that runs on storage the session's earlier trials
+//! used: the sweeps below run with every buffer a child's recycler retains
+//! filled with NaN between trials ([`Poisoning`]).
 //! The fourth mechanism of the farm's determinism contract
 //! (ARCHITECTURE.md) rests on these tests.
 
@@ -21,12 +23,13 @@ use petal_core::{Config, Executor, Placement, Program, Selector, Tunable};
 use petal_farm::session::{serve_jobs, Framed};
 use petal_farm::wire::{Message, WIRE_VERSION};
 use petal_farm::{evaluate_job, job_seed, EvalFarm, EvalJob, EvalResult, FarmSettings, JobOutcome};
+use petal_gpu::buffer::Recycler;
 use petal_gpu::profile::MachineProfile;
 use petal_tuner::{mutate::mutate, Autotuner, TunerSettings};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The seven benchmarks, small enough for a debug-build sweep and large
 /// enough that at least two rungs of the size ladder run.
@@ -89,6 +92,52 @@ fn assert_same_outcome(got: &JobOutcome, want: &JobOutcome, what: &str) {
     assert_eq!(bits(got), bits(want), "{what}: compiles");
 }
 
+/// A delegating wrapper that poisons the session it is evaluated in: before
+/// every trial a child builds, every buffer the child's recycler retains —
+/// what the trials before gave back — is filled with NaN. Children stay
+/// wrapped, so the farm's per-size table holds one of these per size. (The
+/// recycler is the child's own state, reachable only through a `World` it
+/// built: the first trial of a child has nothing retained to poison.)
+struct Poisoning {
+    inner: Box<dyn Benchmark>,
+    recycler: OnceLock<Arc<Recycler>>,
+}
+
+impl Poisoning {
+    fn new(inner: Box<dyn Benchmark>) -> Self {
+        Poisoning { inner, recycler: OnceLock::new() }
+    }
+}
+
+impl Benchmark for Poisoning {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn spec(&self) -> String {
+        self.inner.spec()
+    }
+    fn input_size(&self) -> u64 {
+        self.inner.input_size()
+    }
+    fn program(&self, machine: &MachineProfile) -> Program {
+        self.inner.program(machine)
+    }
+    fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
+        if let Some(retaining) = self.recycler.get() {
+            retaining.poison();
+        }
+        let instance = self.inner.instantiate(machine, cfg);
+        self.recycler.get_or_init(|| Arc::clone(instance.world.recycler()));
+        instance
+    }
+    fn resized(&self, size: u64) -> Option<Box<dyn Benchmark>> {
+        Some(Box::new(Poisoning::new(self.inner.resized(size)?)))
+    }
+    fn dynamic_config_keys(&self) -> Vec<String> {
+        self.inner.dynamic_config_keys()
+    }
+}
+
 /// A worker session's script and, per `JOB` sent, what its `RESULT` must
 /// be.
 #[derive(Default)]
@@ -146,11 +195,21 @@ impl Session {
 /// table), re-`INIT`ed per machine (same spec: table kept) and per
 /// benchmark (new spec: table dropped). Each answer must equal a fresh
 /// one-shot evaluation field for field.
+///
+/// The same session is held poisoned as well. `serve_jobs` builds its
+/// children from the spec line, so nothing outside it can reach their
+/// recyclers; the table it keeps them in is the one an in-process farm
+/// keeps, kept and dropped by the same rule, so the poisoned session is one
+/// sequential farm handed a [`Poisoning`] wrapper and the same jobs, thrice
+/// each: every trial but a child's first draws its storage from buffers
+/// full of NaN and still answers as the fresh evaluation does.
 #[test]
 fn a_session_answers_every_repeat_like_a_fresh_benchmark() {
     let mut session = Session::default();
+    let mut poisoned = EvalFarm::new(&FarmSettings::sequential(), true);
     let (mut asked, mut ran) = (0, 0);
     for bench in benchmarks() {
+        let poisoning = Poisoning::new(benchmark_from_spec(&bench.spec()).expect("round-trips"));
         for machine in MachineProfile::extended() {
             session.init(&*bench, &machine);
             for job in jobs(&*bench, &machine) {
@@ -159,6 +218,14 @@ fn a_session_answers_every_repeat_like_a_fresh_benchmark() {
                 ran += usize::from(want.ran);
                 let what = format!("{} on {} at size {}", bench.name(), machine.codename, job.size);
                 session.job_thrice(&job, &want, &what);
+                let thrice = [job.clone(), job.clone(), job];
+                for got in poisoned.evaluate(&poisoning, &machine, &thrice) {
+                    assert_eq!(
+                        (got.ran, got.fitness.map(f64::to_bits)),
+                        (want.ran, want.fitness.map(f64::to_bits)),
+                        "{what}, poisoned"
+                    );
+                }
             }
         }
     }
@@ -181,7 +248,9 @@ fn unpriced(results: &[EvalResult]) -> Vec<(bool, Option<u64>, u64, u64)> {
 /// sweep's Tridiagonal configurations take all three choices at every
 /// size, so the race covers its two solution cells, the packed bands and
 /// the rules' kernel-text cells as well as every benchmark's inputs —
-/// Black-Scholes' with the prices and the rule keyed on them.)
+/// Black-Scholes' with the prices and the rule keyed on them.) Every farm
+/// here is poisoned ([`Poisoning`]): at eight threads a child's retained
+/// buffers are filled with NaN while its other trials are in flight.
 #[test]
 fn a_cold_farm_at_eight_threads_equals_one_thread_and_fresh_objects() {
     for bench in benchmarks() {
@@ -190,9 +259,11 @@ fn a_cold_farm_at_eight_threads_equals_one_thread_and_fresh_objects() {
             let run = |threads: usize| {
                 let settings = FarmSettings { threads, ..FarmSettings::sequential() };
                 let mut farm = EvalFarm::new(&settings, true);
-                let cold = farm.evaluate(&*bench, &machine, &jobs);
+                let poisoning =
+                    Poisoning::new(benchmark_from_spec(&bench.spec()).expect("round-trips"));
+                let cold = farm.evaluate(&poisoning, &machine, &jobs);
                 farm.reset();
-                let warm = farm.evaluate(&*bench, &machine, &jobs);
+                let warm = farm.evaluate(&poisoning, &machine, &jobs);
                 assert_eq!(
                     unpriced(&cold),
                     unpriced(&warm),

@@ -3,16 +3,21 @@
 //! Buffers are backed by real `f64` storage so kernels can execute
 //! functionally: a `Vec` of their own, or — copy-on-write — a reference to
 //! read-only data somebody else holds ([`SharedSlice`]) until the first
-//! device write. The [`BufferTable`] additionally tracks which *host region*
+//! device write. A buffer's own `Vec` is drawn from a [`Recycler`] and goes
+//! back to it when the buffer dies, so a session of trials stops asking the
+//! allocator for the same pages over and over; the recycler lives here, in
+//! the lowest crate both the table and `petal_core`'s `World` can see (it
+//! knows nothing of either, and `petal_gpu` depends on no other crate).
+//! The [`BufferTable`] additionally tracks which *host region*
 //! each buffer currently mirrors; the GPU management thread uses this for
 //! the copy-in deduplication of §4.3 ("if all data that will be copied in by
 //! the task is already on the GPU ... change the status of that copy-in task
 //! to complete without actually executing it").
 
 use crate::GpuError;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Identifier of a live device buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,6 +64,139 @@ impl fmt::Debug for SharedSlice {
     }
 }
 
+/// A free list of `f64` storage, for whoever allocates the same zeroed
+/// buffers again and again: the trials of one tuning session, whose `World`
+/// outputs, device buffers and copy-out snapshots have the same sizes every
+/// time. One is owned by each resized benchmark a session keeps (every
+/// `World` that benchmark instantiates is built on it, and
+/// `Executor::run` lends it to the device for the run), so it lives as
+/// long as the session and is shared by the session's threads.
+///
+/// **A recycled buffer is a fresh one.** [`Recycler::zeros`] hands out
+/// exactly `len` elements, every one `0.0`, whether the storage is new or
+/// was given back full of somebody's results: nothing that runs on it can
+/// tell the difference, so nothing has to prove it writes every cell.
+///
+/// **It holds no more than was once in use.** [`Recycler::give`] keeps a
+/// buffer only while what is retained plus what is lent stays within the
+/// most that was ever lent at once; anything beyond that is freed as it
+/// always was. There is nothing to configure.
+#[derive(Debug, Default)]
+pub struct Recycler(Mutex<FreeList>);
+
+/// Sizes are capacities, in elements.
+#[derive(Debug, Default)]
+struct FreeList {
+    /// Retained buffers by capacity (a trial asks for many of one size).
+    free: BTreeMap<usize, Vec<Vec<f64>>>,
+    retained: usize,
+    /// Handed out and not given back yet, and the most that ever was.
+    lent: usize,
+    peak_lent: usize,
+    fresh: u64,
+    reused: u64,
+}
+
+impl Recycler {
+    /// A free list has no invariant a panic elsewhere can break: a
+    /// poisoned lock is taken over.
+    fn list(&self) -> MutexGuard<'_, FreeList> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `len` zeros, as `vec![0.0; len]` is: in the smallest retained
+    /// buffer that holds them, cleared and zero-filled, or in new storage
+    /// when none does.
+    #[must_use]
+    pub fn zeros(&self, len: usize) -> Vec<f64> {
+        let found = {
+            let mut list = self.list();
+            let found = list.free.range_mut(len..).find_map(|(_, same)| same.pop());
+            let capacity = found.as_ref().map_or(len, Vec::capacity);
+            if found.is_some() {
+                list.retained -= capacity;
+                list.reused += 1;
+            } else {
+                list.fresh += 1;
+            }
+            list.lent += capacity;
+            list.peak_lent = list.peak_lent.max(list.lent);
+            // Only new storage can pass the bound, beside buffers all too
+            // small for it: the smallest go until it holds again.
+            while list.retained + list.lent > list.peak_lent {
+                let smallest = list.free.values_mut().find_map(Vec::pop);
+                list.retained -= smallest.map_or(0, |v| v.capacity());
+            }
+            found
+        };
+        // The fill runs outside the lock.
+        match found {
+            Some(mut v) => {
+                v.clear();
+                v.resize(len, 0.0);
+                v
+            }
+            None => vec![0.0; len],
+        }
+    }
+
+    /// Take storage back, whatever it holds and wherever it came from;
+    /// keep it while `retained + lent` stays within the most ever lent at
+    /// once, free it otherwise.
+    pub fn give(&self, v: Vec<f64>) {
+        let capacity = v.capacity();
+        if capacity == 0 {
+            return;
+        }
+        let mut list = self.list();
+        list.lent = list.lent.saturating_sub(capacity);
+        if list.retained + capacity + list.lent <= list.peak_lent {
+            list.free.entry(capacity).or_default().push(v);
+            list.retained += capacity;
+        }
+    }
+
+    /// How many [`Recycler::zeros`] calls were served from new storage and
+    /// how many from a retained buffer, so far.
+    #[must_use]
+    pub fn fresh_and_reused(&self) -> (u64, u64) {
+        let list = self.list();
+        (list.fresh, list.reused)
+    }
+
+    /// Fill every retained buffer with NaN, to its capacity: what a test
+    /// does between two trials to show that no answer depends on what a
+    /// recycled buffer held.
+    #[doc(hidden)]
+    pub fn poison(&self) {
+        for v in self.list().free.values_mut().flatten() {
+            let capacity = v.capacity();
+            v.clear();
+            v.resize(capacity, f64::NAN);
+        }
+    }
+}
+
+/// Storage a copy-out snapshot took from its buffer: read-only from here
+/// on, and given back to the recycler the buffer drew it from when the
+/// last [`SharedSlice`] of it is dropped.
+struct Snapshot {
+    data: Vec<f64>,
+    home: Arc<Recycler>,
+}
+
+impl AsRef<[f64]> for Snapshot {
+    fn as_ref(&self) -> &[f64] {
+        &self.data
+    }
+}
+
+impl Drop for Snapshot {
+    fn drop(&mut self) {
+        self.home.give(std::mem::take(&mut self.data));
+    }
+}
+
 /// What backs a buffer. `Shared` storage is never written through: the
 /// first write replaces it with an `Owned` copy.
 #[derive(Debug, Clone)]
@@ -92,6 +230,8 @@ impl Storage {
 pub struct DeviceBuffer {
     id: BufferId,
     data: Storage,
+    /// Where storage of the buffer's own comes from and goes back to.
+    home: Arc<Recycler>,
 }
 
 impl DeviceBuffer {
@@ -128,15 +268,26 @@ impl DeviceBuffer {
 
     /// The buffer's contents as they are now, by reference (the data part of
     /// a copy-out): the buffer keeps reading the same storage, and a later
-    /// device write to it copies first, so the snapshot never changes.
+    /// device write to it copies first, so the snapshot never changes. The
+    /// storage goes back to the buffer's recycler when the buffer and every
+    /// clone of the snapshot have let go of it.
     pub fn snapshot(&mut self) -> SharedSlice {
         match &mut self.data {
             Storage::Shared(s) => s.clone(),
             Storage::Owned(v) => {
-                let moved = SharedSlice::from(std::mem::take(v));
+                let taken = Snapshot { data: std::mem::take(v), home: Arc::clone(&self.home) };
+                let moved = SharedSlice::from(Arc::new(taken));
                 self.data = Storage::Shared(moved.clone());
                 moved
             }
+        }
+    }
+}
+
+impl Drop for DeviceBuffer {
+    fn drop(&mut self) {
+        if let Storage::Owned(v) = &mut self.data {
+            self.home.give(std::mem::take(v));
         }
     }
 }
@@ -154,6 +305,8 @@ pub struct BufferTable {
     resident: HashMap<ResidencyKey, BufferId>,
     bytes_allocated: usize,
     peak_bytes: usize,
+    /// Where the buffers allocated from now on draw their storage.
+    recycler: Arc<Recycler>,
 }
 
 impl BufferTable {
@@ -163,9 +316,24 @@ impl BufferTable {
         Self::default()
     }
 
-    /// Allocate a zero-initialized buffer of `len` elements.
+    /// Draw the storage of every buffer allocated from now on from
+    /// `recycler` (a table nobody lends one to has a private one). Live
+    /// buffers keep the recycler they were allocated under: storage always
+    /// goes back where it came from.
+    pub fn draw_from(&mut self, recycler: Arc<Recycler>) {
+        self.recycler = recycler;
+    }
+
+    /// Allocate a zero-initialized buffer of `len` elements. The storage
+    /// comes from the table's [`Recycler`] — `len` zeros whether it is new
+    /// or recycled — and returns to it when the buffer is freed, released
+    /// or dropped with the table, or, once a copy-out has taken a snapshot
+    /// of it, when the last holder of the snapshot lets go. The modeled
+    /// allocation (`alloc_secs`, the accounting below) is the same either
+    /// way: recycling saves host time, not virtual time.
     pub fn alloc(&mut self, len: usize) -> BufferId {
-        self.push(Storage::Owned(vec![0.0; len]))
+        let zeros = self.recycler.zeros(len);
+        self.push(Storage::Owned(zeros))
     }
 
     /// Allocate the buffer a copy-in of `host` is about to fill: one of
@@ -180,8 +348,17 @@ impl BufferTable {
         let id = BufferId(self.buffers.len());
         self.bytes_allocated += std::mem::size_of_val(data.as_slice());
         self.peak_bytes = self.peak_bytes.max(self.bytes_allocated);
-        self.buffers.push(Some(DeviceBuffer { id, data }));
+        self.buffers.push(Some(DeviceBuffer { id, data, home: Arc::clone(&self.recycler) }));
         id
+    }
+
+    /// Free every buffer (ids start over) and drop every residency entry:
+    /// what the previous run left on a device that is about to run again.
+    /// The high-water mark stays.
+    pub(crate) fn release_all(&mut self) {
+        self.buffers.clear();
+        self.resident.clear();
+        self.bytes_allocated = 0;
     }
 
     /// Release a buffer and drop any residency entries pointing at it.
@@ -324,6 +501,120 @@ impl BufferTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn capacities(r: &Recycler) -> Vec<usize> {
+        r.list().free.values().flatten().map(Vec::capacity).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The recycler's whole contract over random histories: a hand-out
+        /// is `len` zeros by bits whatever was written into the storage
+        /// before it came back (NaN, −0.0, a poisoning of the list); it is
+        /// the smallest retained buffer that fits, new storage only when
+        /// none does; and `retained + lent` never passes the most ever
+        /// lent, with buffers the recycler never lent given to it as well.
+        #[test]
+        fn a_hand_out_is_zeros_best_fit_and_the_list_stays_within_the_peak(
+            ops in proptest::collection::vec((0u8..6, 0usize..96), 1..120),
+        ) {
+            let r = Recycler::default();
+            let mut out: Vec<Vec<f64>> = Vec::new();
+            for (op, n) in ops {
+                match op {
+                    0..=2 => {
+                        let before = capacities(&r);
+                        let counts = r.fresh_and_reused();
+                        let mut v = r.zeros(n);
+                        prop_assert_eq!(v.len(), n);
+                        prop_assert!(v.iter().all(|x| x.to_bits() == 0), "{:?}", v);
+                        match before.iter().copied().filter(|&c| c >= n).min() {
+                            Some(best) => {
+                                prop_assert_eq!(v.capacity(), best);
+                                prop_assert_eq!(r.fresh_and_reused(), (counts.0, counts.1 + 1));
+                            }
+                            None => {
+                                prop_assert_eq!(v.capacity(), n);
+                                prop_assert_eq!(r.fresh_and_reused(), (counts.0 + 1, counts.1));
+                            }
+                        }
+                        v.fill(if op == 0 { f64::NAN } else { -0.0 });
+                        out.push(v);
+                    }
+                    3 | 4 if !out.is_empty() => r.give(out.swap_remove(n % out.len())),
+                    3 | 4 => r.give(vec![f64::NAN; n]),
+                    _ => r.poison(),
+                }
+                let caps = capacities(&r);
+                let list = r.list();
+                prop_assert!(list.free.iter().all(|(c, same)| same.iter().all(|v| v.capacity() == *c)));
+                prop_assert!(caps.iter().all(|&c| c > 0));
+                prop_assert_eq!(list.retained, caps.iter().sum::<usize>());
+                prop_assert!(list.retained + list.lent <= list.peak_lent, "{:?}", *list);
+                let lent: usize = out.iter().map(Vec::capacity).sum();
+                prop_assert!(list.lent <= lent, "foreign gives only ever understate");
+            }
+        }
+    }
+
+    #[test]
+    fn a_recycler_whose_lock_a_panic_poisoned_keeps_serving() {
+        let r = Arc::new(Recycler::default());
+        r.give(r.zeros(8));
+        let held = Arc::clone(&r);
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.0.lock().expect("first holder");
+            panic!("while holding the free list");
+        })
+        .join();
+        assert!(panicked.is_err() && r.0.is_poisoned());
+        assert_eq!(r.zeros(8), [0.0; 8]);
+        assert_eq!(r.fresh_and_reused(), (1, 1));
+    }
+
+    #[test]
+    fn a_buffers_storage_goes_back_where_it_was_drawn_from_by_every_way_out() {
+        let (home, other) = (Arc::new(Recycler::default()), Arc::new(Recycler::default()));
+        let mut t = BufferTable::new();
+        t.draw_from(Arc::clone(&home));
+        // Freed; snapshotted, then released with a holder left; dropped
+        // with the table — all after the table was pointed elsewhere.
+        let (freed, snapped, dropped) = (t.alloc(4), t.alloc(5), t.alloc(6));
+        t.draw_from(Arc::clone(&other));
+        let elsewhere = t.alloc(7);
+        assert_eq!((home.fresh_and_reused(), other.fresh_and_reused()), ((3, 0), (1, 0)));
+
+        t.free(freed).unwrap();
+        assert_eq!(capacities(&home), [4]);
+        t.write(snapped, &[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
+        let held = t.get_mut(snapped).unwrap().snapshot();
+        t.free(snapped).unwrap();
+        assert_eq!(capacities(&home), [4], "a snapshot is still read");
+        assert_eq!(*held, [1.0, 2.0, 3.0, 4.0, 5.0]);
+        drop(held);
+        assert_eq!(capacities(&home), [4, 5]);
+        t.free(elsewhere).unwrap();
+        drop(t);
+        assert_eq!((capacities(&home), capacities(&other)), (vec![4, 5, 6], vec![7]));
+        let _ = dropped;
+    }
+
+    #[test]
+    fn release_all_frees_every_buffer_and_keeps_the_high_water_mark() {
+        let mut t = BufferTable::new();
+        let first = t.alloc(3);
+        t.alloc_shared(vec![1.0; 2].into());
+        t.mark_resident(9, first);
+        t.release_all();
+        assert_eq!((t.live_buffers(), t.bytes_allocated(), t.peak_bytes()), (0, 0, 40));
+        assert_eq!(t.lookup_resident(9), None);
+        assert_eq!(t.get(first).unwrap_err(), GpuError::UnknownBuffer(first));
+        // Ids start over, on the storage the released buffer gave back.
+        assert_eq!((t.alloc(3), t.recycler.fresh_and_reused()), (first, (1, 1)));
+        assert_eq!(t.get(first).unwrap().data(), [0.0; 3]);
+    }
 
     #[test]
     fn alloc_write_read_roundtrip() {

@@ -294,11 +294,13 @@ impl Device {
         self.bodies.clear();
     }
 
-    /// Clear timing state and residency between autotuning trials, keeping
-    /// compiled kernels (they persist within a process).
+    /// Clear timing state between autotuning trials and release the
+    /// buffers of the run before (nothing can reach them once residency is
+    /// gone; their storage goes back to the recycler it was drawn from),
+    /// keeping compiled kernels (they persist within a process).
     pub fn reset_timeline(&mut self) {
         self.queue.reset();
-        self.buffers.invalidate_all();
+        self.buffers.release_all();
         self.stats = DeviceStats::default();
     }
 }
@@ -427,5 +429,7 @@ mod tests {
         assert_eq!(d.busy_until(), 0.0);
         assert_eq!(d.kernel_count(), 1);
         assert!(d.kernel_source(h).is_some());
+        let left = (d.buffers().live_buffers(), d.buffers().bytes_allocated());
+        assert_eq!(left, (0, 0), "the run before's buffers are released");
     }
 }

@@ -45,7 +45,7 @@ pub mod profile;
 pub mod queue;
 pub mod source;
 
-pub use buffer::{BufferId, BufferTable, DeviceBuffer, SharedSlice};
+pub use buffer::{BufferId, BufferTable, DeviceBuffer, Recycler, SharedSlice};
 pub use compile::{CompileCache, CompiledKernel, KernelHandle, KernelText};
 pub use cost::{CpuWork, KernelWork};
 pub use device::{Device, DeviceStats};
