@@ -18,12 +18,16 @@ cargo build --release --offline
 echo "== cargo test -q (offline)"
 cargo test -q --offline
 
-echo "== span oracle and poisoned sessions, release (the build that ships: SAXPY spans only vectorise here, and debug_assert-free)"
+echo "== span oracle, leaf law and poisoned sessions, release (the build that ships: SAXPY spans only vectorise here, and debug_assert-free)"
 # Every rule with a span body against its own `elem`, bit for bit, over
 # Full and Tile views; the random-rule property; and whole trials with
 # and without spans. `cargo test -q` above ran the same tests in debug.
 cargo test -q --release --offline -p petal_core -p petal_apps -p petal_farm span
 cargo test -q --release --offline -p petal_core --test codegen_prop
+# The leaf law, same build: a native leaf's body runs the cheapest route
+# that leaves its definition's bits (sort regions, the one GEMM fold), and
+# only here is the blocked kernel vectorised and the debug cross-check off.
+cargo test -q --release --offline -p petal_blas -p petal_apps -- leaf_law gemm::tests
 # The same build runs the poisoned sessions: every benchmark, ladder size
 # and configuration on storage earlier trials used, NaN-filled in between.
 cargo test -q --release --offline -p petal_farm --test prepared -- a_session_answers a_cold_farm

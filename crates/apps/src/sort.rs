@@ -240,8 +240,7 @@ fn sort_step(w: &mut World, ctx: &mut CpuCtx<World>, params: &SortParams) -> Cha
     let choice = cfg.select("sort", m as u64).min(6);
     match choice {
         1 => {
-            let slice = region_mut(w, data, lo, hi);
-            selection_sort(slice);
+            sort_region(region_mut(w, data, lo, hi), selection_sort);
             Charge::Work(CpuWork::new(0.6 * (m * m) as f64, (m * 8) as f64))
         }
         2 if m >= 8 => {
@@ -258,8 +257,7 @@ fn sort_step(w: &mut World, ctx: &mut CpuCtx<World>, params: &SortParams) -> Cha
             Charge::Work(CpuWork::new(3.0 * m as f64, (m * 8) as f64))
         }
         3 => {
-            let slice = region_mut(w, data, lo, hi);
-            radix_sort(slice);
+            sort_region(region_mut(w, data, lo, hi), radix_sort);
             Charge::Work(CpuWork::new(18.0 * m as f64, (m * 8 * 10) as f64))
         }
         4 | 5 if m >= 8 => {
@@ -282,15 +280,13 @@ fn sort_step(w: &mut World, ctx: &mut CpuCtx<World>, params: &SortParams) -> Cha
             Charge::Work(CpuWork::new(2.0 * m as f64, 64.0))
         }
         6 => {
-            let slice = region_mut(w, data, lo, hi);
-            bitonic_sort_cpu(slice);
+            sort_region(region_mut(w, data, lo, hi), bitonic_sort_cpu);
             let logn = (m as f64).log2().ceil().max(1.0);
             Charge::Work(CpuWork::new(2.0 * m as f64 * logn * logn, (m * 16) as f64))
         }
         _ => {
             // Insertion sort (and the base case for tiny quick/merge regions).
-            let slice = region_mut(w, data, lo, hi);
-            insertion_sort(slice);
+            sort_region(region_mut(w, data, lo, hi), insertion_sort);
             Charge::Work(CpuWork::new(0.3 * (m * m) as f64, (m * 8) as f64))
         }
     }
@@ -320,20 +316,27 @@ fn merge_step(w: &mut World, ctx: &mut CpuCtx<World>, params: &SortParams, ways:
         ctx.set_continuation(copyback);
         return Charge::Work(CpuWork::new(64.0, 64.0));
     }
-    // Sequential k-way merge through the scratch buffer.
-    let mut bounds = Vec::with_capacity(ways + 1);
-    for i in 0..=ways {
-        bounds.push(lo + m * i / ways);
-    }
-    let runs: Vec<Vec<f64>> =
-        bounds.windows(2).map(|wd| w.get(data).as_slice()[wd[0]..wd[1]].to_vec()).collect();
-    let mut cursors = vec![0usize; ways];
-    let out = region_mut(w, data, lo, hi);
+    // Sequential k-way merge: stage the runs in the scratch buffer, merge
+    // them back into place.
+    let mut staged = w.take_matrix(scratch);
+    staged.as_mut_slice()[lo..hi].copy_from_slice(&w.get(data).as_slice()[lo..hi]);
+    merge_runs(region_mut(w, data, lo, hi), &staged.as_slice()[lo..hi], ways);
+    w.restore_matrix(scratch, staged);
+    Charge::Work(CpuWork::new((ways * m) as f64, (m * 8 * 3) as f64))
+}
+
+/// Merge into `out` the `ways ≤ 4` sorted runs that `runs` is, cut evenly
+/// as `sort_step` cut them. The smallest head by strict `<` goes next, so
+/// among equal heads the lowest-numbered run's.
+fn merge_runs(out: &mut [f64], runs: &[f64], ways: usize) {
+    let m = runs.len();
+    let bounds: [usize; 5] = std::array::from_fn(|i| m * i.min(ways) / ways);
+    let mut cursors = bounds;
     for slot in out.iter_mut() {
         let mut best: Option<(usize, f64)> = None;
-        for (r, run) in runs.iter().enumerate() {
-            if cursors[r] < run.len() {
-                let v = run[cursors[r]];
+        for r in 0..ways {
+            if cursors[r] < bounds[r + 1] {
+                let v = runs[cursors[r]];
                 if best.map_or(true, |(_, bv)| v < bv) {
                     best = Some((r, v));
                 }
@@ -343,7 +346,6 @@ fn merge_step(w: &mut World, ctx: &mut CpuCtx<World>, params: &SortParams, ways:
         cursors[r] += 1;
         *slot = v;
     }
-    Charge::Work(CpuWork::new((ways * m) as f64, (m * 8 * 3) as f64))
 }
 
 /// Merge one half of the output range `[lo, hi)` into the scratch buffer.
@@ -405,6 +407,43 @@ fn co_rank(k: usize, a: &[f64], b: &[f64]) -> (usize, usize) {
 /// Mutable view of `data[lo..hi]`.
 fn region_mut(w: &mut World, id: MatrixId, lo: usize, hi: usize) -> &mut [f64] {
     &mut w.get_mut(id).as_mut_slice()[lo..hi]
+}
+
+/// Whether `a` has exactly one sorted arrangement, bit for bit: no NaN
+/// (unordered, so an algorithm's comparison sequence shows in where it
+/// lands) and not both zeros (`-0.0 == 0.0`, so stability shows). Any other
+/// two elements are either `<`-ordered or the same bits.
+fn uniquely_ordered(a: &[f64]) -> bool {
+    let (mut nan, mut pos_zero, mut neg_zero) = (false, false, false);
+    for &x in a {
+        nan |= x.is_nan();
+        pos_zero |= x.to_bits() == 0.0f64.to_bits();
+        neg_zero |= x.to_bits() == (-0.0f64).to_bits();
+    }
+    !(nan || pos_zero && neg_zero)
+}
+
+/// Sort a region in place to the bits `definition` would leave — the
+/// body of every in-place leaf. The leaf's `Charge` prices `definition`;
+/// the host only owes its result, and on a [`uniquely_ordered`] region
+/// every correct sort leaves the same one, so the library's runs. Any
+/// other region goes through `definition` itself. (Radix sort's key order
+/// *is* `total_cmp`, so it would need no guard; it takes the same route
+/// as the rest rather than one of its own.) Debug builds run `definition`
+/// beside the route on every call.
+fn sort_region(a: &mut [f64], definition: fn(&mut [f64])) {
+    if !uniquely_ordered(a) {
+        return definition(a);
+    }
+    let mut defined = if cfg!(debug_assertions) { a.to_vec() } else { Vec::new() };
+    a.sort_unstable_by(f64::total_cmp);
+    debug_assert!(
+        {
+            definition(&mut defined);
+            petal_blas::same_bits(a, &defined)
+        },
+        "a sort leaf's route left other bits than its definition"
+    );
 }
 
 fn insertion_sort(a: &mut [f64]) {
@@ -594,9 +633,11 @@ fn build_gpu_bitonic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::span_oracle;
+    use crate::workload::{checked_trial, span_oracle};
     use crate::Benchmark;
     use petal_core::{Selector, Tunable};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn bitonic_span_matches_elem_bit_for_bit() {
@@ -624,6 +665,138 @@ mod tests {
             let mut v = original.clone();
             f(&mut v);
             assert_eq!(v, reference);
+        }
+    }
+
+    /// The definitions behind the in-place leaves (selector values 0, 1, 3
+    /// and 6), named.
+    type Definition = fn(&mut [f64]);
+    const DEFINITIONS: [(&str, Definition); 4] = [
+        ("insertion", insertion_sort),
+        ("selection", selection_sort),
+        ("radix", radix_sort),
+        ("bitonic", bitonic_sort_cpu),
+    ];
+
+    /// A region of one operand class: integers (so duplicates), with a
+    /// quarter of the cells replaced by draws from `special`.
+    fn region(len: usize, special: &[f64], seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| match special {
+                [_, ..] if rng.gen_range(0..4) == 0 => special[rng.gen_range(0..special.len())],
+                // (`+ 0.0`: a rounded -0.3 is -0.0, and signed zeros are a class of their own.)
+                _ => rng.gen_range(-8.0f64..8.0).round() + 0.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn leaf_law_a_route_leaves_its_definitions_bits_on_every_region() {
+        let nans = [f64::NAN, -f64::NAN, f64::from_bits(0x7ff8_0000_0000_0001)];
+        let classes: [(&str, &[f64]); 6] = [
+            ("integers", &[]),
+            ("signed zeros", &[0.0, -0.0]),
+            ("infinities", &[f64::INFINITY, f64::NEG_INFINITY]),
+            ("subnormals", &[5e-324, -5e-324, 1e-310, -1e-310]),
+            ("NaNs", &nans),
+            ("everything", &[-0.0, f64::INFINITY, 5e-324, f64::NAN]),
+        ];
+        let mut decisions = [0, 0];
+        for len in (0..=70).chain([4096]) {
+            let regions = classes.map(|(class, special)| (class, region(len, special, len as u64)));
+            let uniform = ("uniform", random_vec(len, -1e6, 1e6, len as u64));
+            for (class, v) in regions.into_iter().chain([uniform]) {
+                // The guard, restated: no NaN, and not a zero of each sign.
+                let holds = |bits: u64| v.iter().any(|x| x.to_bits() == bits);
+                let both_zeros = holds(0.0f64.to_bits()) && holds((-0.0f64).to_bits());
+                let unique = !(both_zeros || v.iter().any(|x| x.is_nan()));
+                assert_eq!(uniquely_ordered(&v), unique, "{class}, length {len}");
+                decisions[usize::from(unique)] += 1;
+                for (name, definition) in DEFINITIONS {
+                    if name == "selection" && len > 70 {
+                        continue; // quadratic: the long region is for the rest
+                    }
+                    let (mut routed, mut defined) = (v.clone(), v.clone());
+                    sort_region(&mut routed, definition);
+                    definition(&mut defined);
+                    assert!(
+                        petal_blas::same_bits(&routed, &defined),
+                        "{name} on {class}, length {len}"
+                    );
+                }
+            }
+        }
+        assert!(decisions.iter().all(|&n| n > 100), "both sides of the guard: {decisions:?}");
+    }
+
+    #[test]
+    fn leaf_law_the_guard_sends_what_an_algorithm_shows_in_to_the_definition() {
+        // Where the definitions differ from each other and from the
+        // library's `total_cmp` order, the route is the definition's.
+        let zeros = [1.0, 0.0, -0.0, -1.0];
+        let nans = [3.0, f64::NAN, 1.0, 2.0];
+        for region in [zeros, nans] {
+            assert!(!uniquely_ordered(&region));
+            let mut by_total_cmp = region;
+            by_total_cmp.sort_unstable_by(f64::total_cmp);
+            let (mut routed, mut defined) = (region, region);
+            sort_region(&mut routed, insertion_sort);
+            insertion_sort(&mut defined);
+            assert!(petal_blas::same_bits(&routed, &defined));
+            assert!(!petal_blas::same_bits(&routed, &by_total_cmp), "{region:?} tells them apart");
+        }
+        // Radix sort's key order is `total_cmp`: no region tells them apart.
+        for mut region in [zeros, nans] {
+            let mut by_total_cmp = region;
+            by_total_cmp.sort_unstable_by(f64::total_cmp);
+            radix_sort(&mut region);
+            assert!(petal_blas::same_bits(&region, &by_total_cmp));
+        }
+        for unique in [&[][..], &[-0.0, -0.0], &[0.0, 5e-324, f64::INFINITY, f64::NEG_INFINITY]] {
+            assert!(uniquely_ordered(unique), "{unique:?}");
+        }
+    }
+
+    #[test]
+    fn merge_ties_go_to_the_lowest_numbered_run() {
+        // Four runs of a 10-cell region (cut at 2, 5, 7): duplicates across
+        // runs, and a zero of each sign in runs 1 and 2 — `<` calls them
+        // equal, so run 1's comes first whatever its sign.
+        let runs = [1.0, 2.0, 0.0, 1.0, 3.0, -0.0, 1.0, 1.0, 2.0, 2.0];
+        let mut out = [f64::NAN; 10];
+        merge_runs(&mut out, &runs, 4);
+        assert!(petal_blas::same_bits(&out, &[0.0, -0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0]));
+        // Two runs (cut at 5), the zeros the other way round.
+        let runs = [-0.0, 1.0, 1.0, 2.0, 4.0, 0.0, 1.0, 3.0, 4.0, 4.0];
+        merge_runs(&mut out, &runs, 2);
+        assert!(petal_blas::same_bits(&out, &[-0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 4.0, 4.0]));
+    }
+
+    /// The leaf law on whole trials: whichever algorithm the selector
+    /// names, the world is left holding the prepared expectation's bits,
+    /// and the trial's virtual time is the algorithm's — pinned to the
+    /// values read before the leaves' bodies were rerouted, so a `Charge`
+    /// that moves with a body fails here by name.
+    #[test]
+    fn leaf_law_every_choice_leaves_the_expected_bits_at_its_own_virtual_time() {
+        let b = Sort::new(3000);
+        let m = MachineProfile::desktop();
+        let pinned: [u64; 7] = [
+            0x3f51_b2af_eb14_b670,
+            0x3f61_b244_8b4a_4b7e,
+            0x3f1d_59d4_9e01_a73f,
+            0x3f09_454b_63ab_a103,
+            0x3f22_0305_f08f_31a8,
+            0x3f20_15c5_e6b3_e69d,
+            0x3f36_a98f_b0e2_8b7b,
+        ];
+        for (alg, want) in pinned.into_iter().enumerate() {
+            let mut cfg = b.program(&m).default_config(&m);
+            cfg.set_selector("sort", Selector::constant(alg, 8));
+            let (left, secs) = checked_trial(&b, &m, &cfg);
+            assert!(petal_blas::same_bits(&left, &b.prepared().expected), "sort = {alg}");
+            assert_eq!(secs, want, "sort = {alg}: {secs:#x}");
         }
     }
 

@@ -17,9 +17,9 @@
 use crate::workload::random_matrix;
 use crate::Instance;
 use petal_blas::gemm::{
-    blocked_gemm_into, gemm_flops, lapack_gemm, lapack_gemm_into, naive_gemm, transposed_gemm_into,
+    blocked_gemm, gemm_flops, lapack_gemm, lapack_gemm_into, naive_gemm, transposed_gemm,
 };
-use petal_blas::Matrix;
+use petal_blas::{same_bits, Matrix};
 use petal_core::plan::{NativeStep, Placement, PlanBuilder, StencilStep, StepId};
 use petal_core::program::ChoiceSite;
 use petal_core::stencil::{saxpy, sum_identity, AccessPattern, Span, StencilInput, StencilRule};
@@ -184,26 +184,30 @@ pub fn build_matmul(
 }
 
 /// Execute one leaf kernel choice into the (all-zeros) output and return
-/// its cost charge.
+/// its cost charge. The charge is the chosen algorithm's; the bits are the
+/// same whichever is chosen (`petal_blas::gemm`: one fold), so the host
+/// runs the one route and debug builds hold it to the leaf's definition.
 fn leaf_gemm_into(out: &mut Matrix, leaf: usize, a: &Matrix, b: &Matrix) -> CpuWork {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let flops = gemm_flops(m, k, n);
+    lapack_gemm_into(out, a, b);
+    let is = |definition: Matrix| same_bits(out.as_slice(), definition.as_slice());
     match leaf {
         1 => {
-            *out = naive_gemm(a, b);
+            debug_assert!(is(naive_gemm(a, b)), "leaf 1 is not the naive product's bits");
             CpuWork::new(flops, flops * 4.0) // strided misses
         }
         2 => {
-            transposed_gemm_into(out, a, b);
+            debug_assert!(is(transposed_gemm(a, b)), "leaf 2 is not the transposed product's bits");
             CpuWork::new(flops, flops * 0.8)
         }
         3 => {
-            blocked_gemm_into(out, a, b, 64);
+            debug_assert!(is(blocked_gemm(a, b, 64)), "leaf 3 is not the blocked product's bits");
             CpuWork::new(flops, flops * 0.35)
         }
         // LAPACK: vectorized (≈4-wide) and cache-blocked.
         _ => {
-            lapack_gemm_into(out, a, b);
+            // The route is this leaf's definition: nothing to compare.
             CpuWork::new(flops / 4.0, flops * 0.3)
         }
     }
@@ -534,7 +538,7 @@ impl crate::Benchmark for Strassen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::span_oracle;
+    use crate::workload::{checked_trial, span_oracle};
     use crate::Benchmark;
     use petal_core::{Selector, Tunable};
 
@@ -559,6 +563,47 @@ mod tests {
             let cfg = config_with(&m, &b, Selector::constant(alg, 7));
             let r = b.run_with_config(&m, &cfg);
             assert!(r.is_ok(), "alg {alg}: {:?}", r.err());
+        }
+    }
+
+    /// The leaf law on whole trials: whichever leaf the selector names,
+    /// the world is left holding the naive product's bits (24: every
+    /// output row is one full chunk and a remainder; 64: whole chunks),
+    /// and the trial's virtual time is the leaf's own — pinned to the
+    /// values read before the four bodies became one route, so a
+    /// `CpuWork` that moves with a body fails here by name.
+    #[test]
+    fn leaf_law_every_choice_leaves_the_naive_products_bits_at_its_own_virtual_time() {
+        let m = MachineProfile::desktop();
+        let pinned: [(usize, [u64; 4]); 2] = [
+            (
+                24,
+                [
+                    0x3ec8_dedc_0979_d30a,
+                    0x3ef7_670c_c503_8175,
+                    0x3ee7_9cbc_aa38_fad3,
+                    0x3ee7_9cbc_aa38_fad3,
+                ],
+            ),
+            (
+                64,
+                [
+                    0x3f0b_97b7_cc72_7a6a,
+                    0x3f3b_803a_d82b_1551,
+                    0x3f2b_8395_d67e_6ce7,
+                    0x3f2b_8395_d67e_6ce7,
+                ],
+            ),
+        ];
+        for (n, by_leaf) in pinned {
+            let b = Strassen::new(n);
+            let product = naive_gemm(&b.prepared().a, &b.prepared().b);
+            for (leaf, want) in by_leaf.into_iter().enumerate() {
+                let cfg = config_with(&m, &b, Selector::constant(leaf, 7));
+                let (left, secs) = checked_trial(&b, &m, &cfg);
+                assert!(same_bits(&left, product.as_slice()), "n = {n}, leaf {leaf}");
+                assert_eq!(secs, want, "n = {n}, leaf {leaf}: {secs:#x}");
+            }
         }
     }
 

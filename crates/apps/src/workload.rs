@@ -39,6 +39,21 @@ pub fn triangle_kernel(k: usize) -> Matrix {
     Matrix::from_vec(1, k, weights)
 }
 
+/// One checked trial of `b` under `cfg`: the bits its output matrix is
+/// left holding, and its virtual time's.
+#[cfg(test)]
+pub(crate) fn checked_trial(
+    b: &dyn crate::Benchmark,
+    machine: &petal_gpu::profile::MachineProfile,
+    cfg: &petal_core::Config,
+) -> (Vec<f64>, u64) {
+    let crate::Instance { mut world, plan, check } = b.instantiate(machine, cfg);
+    let out = plan.outputs()[0];
+    let report = petal_core::Executor::new(machine).run(plan, &mut world).expect("the trial runs");
+    check(&world).expect("the trial's answer is right");
+    (world.get(out).as_slice().to_vec(), report.virtual_time_secs().to_bits())
+}
+
 /// The sweep every rule with a span body is put through by its app's
 /// tests: `petal_core`'s bit-equality oracle over each combination of the
 /// operand fills below, over the whole output and over a band inside it,
