@@ -63,22 +63,38 @@ echo "== benchmark package tests (a wrapped benchmark tunes bit-identically; res
 # out-of-tree `Benchmark` implementation the table must go through.
 cargo test --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml
 
+wait_for_log() { # <file> <pattern>, polled for up to 10 s
+  for _ in $(seq 1000); do
+    if grep -q "$2" "$1"; then return 0; fi
+    sleep 0.01
+  done
+  return 1
+}
+
 echo "== farmd loopback smoke (dispatcher + 2 workers on a unix socket, one injected kill)"
 # fig2 (smoke sweep) and fig7 (Black-Scholes) run against a live
 # petal-farmd pool via PETAL_FARMD; worker ci-a kills itself mid-run
-# (--fail-after) so the re-queue path is exercised in every CI run. The
+# (--fail-after) so the re-queue path is exercised in every CI run — the
+# dispatcher's log must say it re-queued. ci-a registers first, so it is
+# the lowest-id worker and every generation's first jobs go to it. The
 # figures' own asserts prove results match the in-process farm.
 FARMD_SOCK="$(mktemp -u /tmp/petal-farmd-ci.XXXXXX.sock)"
-./target/release/petal-farmd --listen "unix:$FARMD_SOCK" &
+FARMD_LOG="$(mktemp /tmp/petal-farmd-ci.XXXXXX.log)"
+./target/release/petal-farmd --listen "unix:$FARMD_SOCK" 2>"$FARMD_LOG" &
 FARMD_PID=$!
 ./target/release/petal-shard --connect "unix:$FARMD_SOCK" --name ci-a --fail-after 60 &
+wait_for_log "$FARMD_LOG" '`ci-a` joined' \
+  || { echo "loopback smoke: ci-a never registered"; cat "$FARMD_LOG"; exit 1; }
 ./target/release/petal-shard --connect "unix:$FARMD_SOCK" --name ci-b &
 WORKER_B_PID=$!
-trap 'kill "$FARMD_PID" "$WORKER_B_PID" 2>/dev/null || true; rm -f "$FARMD_SOCK"' EXIT
+trap 'kill "$FARMD_PID" "$WORKER_B_PID" 2>/dev/null || true; rm -f "$FARMD_SOCK" "$FARMD_LOG"' EXIT
 PETAL_SMOKE=1 PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig2_convolution >/dev/null
 PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig7_migration scholes >/dev/null
 kill "$FARMD_PID" 2>/dev/null || true
 wait "$FARMD_PID" 2>/dev/null || true
+grep -q 're-queueing' "$FARMD_LOG" \
+  || { echo "loopback smoke: --fail-after 60 never made the dispatcher re-queue"; cat "$FARMD_LOG"; exit 1; }
+rm -f "$FARMD_LOG"
 
 echo "== farmd bounce smoke (SIGKILL the journaled dispatcher mid-fig2, restart, same config)"
 # Crash recovery end-to-end on the release binaries: fig2 tunes against
@@ -103,13 +119,6 @@ FIG2_PID=$!
 # The kill is triggered by the dispatcher's own log, not by a timer: since
 # PR 17 fig2's smoke sweep is three ~0.1 s sessions (it was seconds when
 # this was a `sleep 1`), so SIGKILL lands as soon as the first is open.
-wait_for_log() { # <file> <pattern>, polled for up to 10 s
-  for _ in $(seq 1000); do
-    if grep -q "$2" "$1"; then return 0; fi
-    sleep 0.01
-  done
-  return 1
-}
 wait_for_log "$BOUNCE_DIR/farmd-1.log" 'session 1 .* opened' \
   || { echo "bounce smoke: fig2 never opened a session"; cat "$BOUNCE_DIR"/farmd-*.log; exit 1; }
 kill -9 "$BOUNCE_PID" 2>/dev/null || true

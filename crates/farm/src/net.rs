@@ -201,9 +201,8 @@ impl std::fmt::Display for Endpoint {
 
 /// A listening socket on either transport.
 ///
-/// Accept is non-blocking ([`Self::poll_accept`]) so a server loop can
-/// interleave accepting with a stop flag instead of blocking forever in
-/// `accept(2)`.
+/// Accept blocks ([`Self::accept`]); a server loop that must stop wakes
+/// its accepting thread by connecting to [`Self::local_endpoint`] itself.
 #[derive(Debug)]
 pub enum FarmListener {
     /// Listening TCP socket.
@@ -221,7 +220,7 @@ impl FarmListener {
     /// The underlying `bind(2)` failure; `dir:`/`none` endpoints are not
     /// listenable and fail with `InvalidInput`.
     pub fn bind(endpoint: &Endpoint) -> io::Result<FarmListener> {
-        let listener = match endpoint {
+        Ok(match endpoint {
             Endpoint::Tcp(addr) => FarmListener::Tcp(TcpListener::bind(addr.as_str())?),
             Endpoint::Unix(path) => {
                 // A previous dispatcher that died without cleanup leaves
@@ -236,12 +235,7 @@ impl FarmListener {
                     format!("endpoint `{endpoint}` is not a single socket; cannot listen on it"),
                 ))
             }
-        };
-        match &listener {
-            FarmListener::Tcp(l) => l.set_nonblocking(true)?,
-            FarmListener::Unix(l, _) => l.set_nonblocking(true)?,
-        }
-        Ok(listener)
+        })
     }
 
     /// The bound endpoint, with any ephemeral TCP port resolved.
@@ -255,26 +249,15 @@ impl FarmListener {
         }
     }
 
-    /// Accept one pending connection, or `None` when nothing is waiting.
-    /// The accepted stream is switched back to blocking mode.
+    /// Wait for the next connection.
     ///
     /// # Errors
-    /// Accept failures other than `WouldBlock`.
-    pub fn poll_accept(&self) -> io::Result<Option<FarmStream>> {
-        let stream = match self {
-            FarmListener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => FarmStream::Tcp(s),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) => return Err(e),
-            },
-            FarmListener::Unix(l, _) => match l.accept() {
-                Ok((s, _)) => FarmStream::Unix(s),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) => return Err(e),
-            },
-        };
-        stream.set_nonblocking(false)?;
-        Ok(Some(stream))
+    /// The underlying `accept(2)` failure.
+    pub fn accept(&self) -> io::Result<FarmStream> {
+        Ok(match self {
+            FarmListener::Tcp(l) => FarmStream::Tcp(l.accept()?.0),
+            FarmListener::Unix(l, _) => FarmStream::Unix(l.accept()?.0),
+        })
     }
 }
 
@@ -398,13 +381,6 @@ impl FarmStream {
         match self {
             FarmStream::Tcp(s) => s.set_write_timeout(timeout),
             FarmStream::Unix(s) => s.set_write_timeout(timeout),
-        }
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            FarmStream::Tcp(s) => s.set_nonblocking(nonblocking),
-            FarmStream::Unix(s) => s.set_nonblocking(nonblocking),
         }
     }
 
@@ -563,12 +539,7 @@ mod tests {
         };
         let list = Endpoint::Fallback(vec![dead, live]);
         let mut client = FarmStream::connect(&list).expect("fallback connect");
-        let mut server = loop {
-            if let Some(s) = listener.poll_accept().expect("accept") {
-                break s;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        };
+        let mut server = listener.accept().expect("accept");
         client.write_all(b"ok").expect("write");
         let mut buf = [0u8; 2];
         server.read_exact(&mut buf).expect("read");
@@ -580,12 +551,7 @@ mod tests {
         let listener = FarmListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
         let ep = listener.local_endpoint().expect("addr");
         let mut client = FarmStream::connect(&ep).expect("connect");
-        let mut server = loop {
-            if let Some(s) = listener.poll_accept().expect("accept") {
-                break s;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        };
+        let mut server = listener.accept().expect("accept");
         client.write_all(b"ping\n").expect("write");
         let mut buf = [0u8; 5];
         server.read_exact(&mut buf).expect("read");
@@ -599,12 +565,7 @@ mod tests {
         let ep = Endpoint::Unix(path.clone());
         let listener = FarmListener::bind(&ep).expect("bind over stale file");
         let mut client = FarmStream::connect(&ep).expect("connect");
-        let mut server = loop {
-            if let Some(s) = listener.poll_accept().expect("accept") {
-                break s;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        };
+        let mut server = listener.accept().expect("accept");
         client.write_all(b"hi").expect("write");
         let mut buf = [0u8; 2];
         server.read_exact(&mut buf).expect("read");

@@ -27,6 +27,7 @@ use crate::session::{dial, Framed, SessionError};
 use crate::shard::{Link, Peer, ShardError, Wire};
 use crate::wire::{Message, WIRE_VERSION};
 use petal_gpu::profile::MachineProfile;
+use std::io::BufReader;
 use std::time::{Duration, Instant};
 
 pub use crate::shard::Pool as RemotePool;
@@ -75,8 +76,9 @@ impl RemotePool {
 fn open(endpoint: &Endpoint, patience: Duration, opening: &Message) -> Result<Link, SessionError> {
     use SessionError::{Lost, Refused};
     let (reader, writer) = dial(endpoint, patience)?.0.into_parts();
-    let mut wire: Wire = Framed::new(Box::new(reader), Box::new(writer));
-    wire.send(opening).map_err(Lost)?;
+    // Read through `dial`'s reader, which holds whatever it buffered.
+    let mut wire: Wire = Framed::new(BufReader::new(Box::new(reader)), Box::new(writer));
+    wire.send(opening);
     match wire.expect().map_err(Lost)? {
         Message::Ready { version: WIRE_VERSION } => {}
         Message::Goodbye { reason } => {

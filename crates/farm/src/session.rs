@@ -4,12 +4,20 @@
 //!
 //! * [`Framed`] is the one framed codec — a reader and a writer plus the
 //!   reused [`WireEncoder`] and line buffers, so a steady-state exchange
-//!   (one `JOB` out, one `RESULT` back) allocates nothing for framing.
-//!   The pipe worker, the socket worker, the farm's pool links, the
-//!   served-registry client and the dispatcher's per-connection writers
-//!   all hold one; a write-only holder passes [`std::io::empty`] as its
-//!   reader.
-//! * [`read_frame`] / [`decode_frame`] are the two steps under
+//!   allocates nothing for framing. The pipe worker, the socket worker,
+//!   the farm's pool links, the served-registry client and the
+//!   dispatcher's per-connection writers all hold one; a write-only
+//!   holder passes [`std::io::empty`] as its reader.
+//! * **The flush rule.** [`Framed::send`] only queues a record; the queue
+//!   goes out in one `write` ([`Framed::flush`]) just before its holder
+//!   would block on a read — [`Framed::recv`] flushes first unless a
+//!   whole record is already in its [`BufReader`]'s buffer — so a worker
+//!   answers every `JOB` already in hand with one write (a job slow
+//!   enough to dwarf a hand-off is answered at once), and a generation
+//!   crosses each hop as one hand-off instead of one per job. A holder
+//!   that reads elsewhere or never (the pool with several links, farmd's
+//!   writers) calls `flush` itself at the end of each burst.
+//! * [`read_frame`] / [`frame_text`] are the two steps under
 //!   [`Framed::recv`], public for the dispatcher's timeout-aware reader:
 //!   no line grows past [`MAX_LINE_BYTES`], whoever reads it.
 //! * [`dial`] is the one connection opener: connect, `HELLO` exchange,
@@ -27,7 +35,7 @@ use crate::wire::{
 use petal_apps::{benchmark_from_spec, Benchmark};
 use petal_gpu::profile::MachineProfile;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest record any reader accepts, newline excluded. Far above the
 /// largest legitimate record (an `ls` `REG_MISS` listing every unusable
@@ -63,7 +71,7 @@ impl std::error::Error for SessionError {}
 /// Append bytes up to and including the next `\n` to `frame`, reading no
 /// further than one byte past [`MAX_LINE_BYTES`]. Returns the bytes read
 /// (0 at EOF). A frame left longer than the limit with no newline is
-/// over-long; [`decode_frame`] refuses it by name. Bytes already in
+/// over-long; [`frame_text`] refuses it by name. Bytes already in
 /// `frame` count, so a reader interrupted by a timeout can call again.
 ///
 /// # Errors
@@ -73,8 +81,12 @@ pub fn read_frame(reader: &mut impl BufRead, frame: &mut Vec<u8>) -> io::Result<
     reader.take(room as u64).read_until(b'\n', frame)
 }
 
-/// Strip the line terminator and check the length and encoding.
-fn frame_text(frame: &[u8]) -> Result<&str, WireError> {
+/// One frame as read by [`read_frame`], its `\n` or `\r\n` terminator
+/// (optional) stripped: the record's text, for [`Message::decode`].
+///
+/// # Errors
+/// An over-long or non-UTF-8 frame.
+pub fn frame_text(frame: &[u8]) -> Result<&str, WireError> {
     let line = frame.strip_suffix(b"\n").unwrap_or(frame);
     let line = line.strip_suffix(b"\r").unwrap_or(line);
     if line.len() > MAX_LINE_BYTES {
@@ -83,30 +95,24 @@ fn frame_text(frame: &[u8]) -> Result<&str, WireError> {
     std::str::from_utf8(line).map_err(|_| WireError::new("record is not UTF-8"))
 }
 
-/// Decode one frame as read by [`read_frame`] (its `\n` or `\r\n`
-/// terminator is optional).
-///
-/// # Errors
-/// An over-long or non-UTF-8 frame, and everything
-/// [`Message::decode`] rejects.
-pub fn decode_frame(frame: &[u8]) -> Result<Message, WireError> {
-    Message::decode(frame_text(frame)?)
-}
-
 fn torn(e: WireError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 /// A wire session over a byte stream: one record per line each way.
+/// Whoever reads through one hands it a [`BufReader`], whose buffer is how
+/// it tells a record in hand from one it would block for.
 pub struct Framed<R, W> {
     reader: R,
     writer: W,
     enc: WireEncoder,
     line_out: String,
+    /// Records sent and not yet written, each a whole line.
+    queued: String,
     frame_in: Vec<u8>,
 }
 
-impl<R: BufRead, W: Write> Framed<R, W> {
+impl<R, W: Write> Framed<R, W> {
     /// Frame `reader` and `writer`.
     pub fn new(reader: R, writer: W) -> Self {
         Framed {
@@ -114,25 +120,58 @@ impl<R: BufRead, W: Write> Framed<R, W> {
             writer,
             enc: WireEncoder::default(),
             line_out: String::new(),
+            queued: String::new(),
             frame_in: Vec::new(),
         }
     }
 
-    /// Write `msg` as one line and flush. The line reaches the writer in
-    /// a single `write_all`, so a writer that serializes those calls
-    /// keeps records whole when several `Framed`s share a stream.
+    /// Queue `msg` as one line, to go out with the next [`Self::flush`].
+    pub fn send(&mut self, msg: &Message) {
+        self.enc.encode_into(msg, &mut self.line_out);
+        self.queued.push_str(&self.line_out);
+        self.queued.push('\n');
+    }
+
+    /// Queue one record already in wire form (`line` has no terminator),
+    /// as [`Self::send`] does.
+    pub fn send_line(&mut self, line: &str) {
+        self.queued.push_str(line);
+        self.queued.push('\n');
+    }
+
+    /// Write every queued record in one `write_all` and flush. Whole
+    /// records reach the writer in that one call, so a writer that
+    /// serializes its calls keeps records whole when several `Framed`s
+    /// share a stream. The queue is empty afterwards, written or not.
     ///
     /// # Errors
     /// The writer's I/O errors.
-    pub fn send(&mut self, msg: &Message) -> io::Result<()> {
-        self.enc.encode_into(msg, &mut self.line_out);
-        self.line_out.push('\n');
-        self.writer.write_all(self.line_out.as_bytes())?;
-        self.writer.flush()
+    pub fn flush(&mut self) -> io::Result<()> {
+        let written =
+            self.writer.write_all(self.queued.as_bytes()).and_then(|()| self.writer.flush());
+        self.queued.clear();
+        written
     }
 
-    /// The next line without its terminator; `None` at a clean EOF.
+    /// The underlying writer.
+    pub fn writer(&self) -> &W {
+        &self.writer
+    }
+
+    /// Give the streams back (a buffered reader keeps what it buffered;
+    /// records still queued are dropped).
+    pub fn into_parts(self) -> (R, W) {
+        (self.reader, self.writer)
+    }
+}
+
+impl<R: Read, W: Write> Framed<BufReader<R>, W> {
+    /// The next line without its terminator; `None` at a clean EOF. The
+    /// queue is flushed first unless a whole record is already buffered.
     fn recv_line(&mut self) -> io::Result<Option<&str>> {
+        if !self.reader.buffer().contains(&b'\n') {
+            self.flush()?;
+        }
         self.frame_in.clear();
         if read_frame(&mut self.reader, &mut self.frame_in)? == 0 {
             return Ok(None);
@@ -145,8 +184,9 @@ impl<R: BufRead, W: Write> Framed<R, W> {
     /// at a clean EOF.
     ///
     /// # Errors
-    /// The reader's I/O errors; an undecodable or over-long record is an
-    /// `InvalidData` error carrying the [`WireError`].
+    /// The writer's I/O errors from the flush before a blocking read, the
+    /// reader's; an undecodable or over-long record is an `InvalidData`
+    /// error carrying the [`WireError`].
     pub fn recv(&mut self) -> io::Result<Option<Message>> {
         loop {
             let Some(line) = self.recv_line()? else { return Ok(None) };
@@ -166,16 +206,6 @@ impl<R: BufRead, W: Write> Framed<R, W> {
         self.recv()?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed the connection")
         })
-    }
-
-    /// The underlying writer.
-    pub fn writer(&self) -> &W {
-        &self.writer
-    }
-
-    /// Give the streams back (a buffered reader keeps what it buffered).
-    pub fn into_parts(self) -> (R, W) {
-        (self.reader, self.writer)
     }
 }
 
@@ -201,7 +231,7 @@ pub fn dial(
     let handle = stream.try_clone().map_err(Lost)?;
     let writer = stream.try_clone().map_err(Lost)?;
     let mut wire = Framed::new(BufReader::new(stream), writer);
-    wire.send(&Message::hello()).map_err(Lost)?;
+    wire.send(&Message::hello());
     match wire.expect().map_err(Lost)? {
         Message::Hello { min_version, max_version } => {
             negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (min_version, max_version))
@@ -217,6 +247,14 @@ pub fn dial(
     Ok((wire, handle))
 }
 
+/// How long a job may keep [`serve_jobs`] before its answer stops
+/// waiting for the jobs buffered behind it. A hand-off costs tens of µs
+/// (`docs/benchmarks.md`), so a job this slow pays a few percent at most
+/// for a write of its own, while µs-scale trials still share one; and a
+/// worker that dies holding answers loses less than this much work per
+/// answer held.
+const SLOW_JOB: Duration = Duration::from_millis(1);
+
 /// How a job loop ended when nothing went wrong.
 #[derive(Debug)]
 pub enum Ended {
@@ -229,24 +267,31 @@ pub enum Ended {
 /// The worker job loop: `INIT` (re)targets the `(benchmark, machine)`
 /// session and is answered `READY`, `JOB` is evaluated as
 /// [`crate::evaluate_job`] would and answered `RESULT`, `DONE`/`GOODBYE`
-/// end the loop, and EOF is reported for the caller to judge.
-/// `before_job` sees each `JOB`'s index before it is evaluated. The
-/// loop owns the per-size benchmark table its jobs run on: an `INIT`
-/// that names the benchmark already being served keeps it, any other
-/// drops it, and it dies with the loop.
+/// end the loop, and EOF is reported for the caller to judge. Answers
+/// follow the [flush rule](self): every `JOB` already buffered is
+/// answered before the answers go out in one write — except that a job
+/// that took `SLOW_JOB` (1 ms) or longer is written at once, with whatever
+/// was queued before it — and a dismissal writes the answers still
+/// queued before it returns. `before_job` sees
+/// each `JOB`'s index, and the wire (to flush before the process exits,
+/// say), before the job is evaluated. The loop owns the per-size
+/// benchmark table its jobs run on: an `INIT` that names the benchmark
+/// already being served keeps it, any other drops it, and it dies with
+/// the loop.
 ///
 /// # Errors
 /// `Lost` for I/O failures and torn records; `Refused` for version skew,
 /// an unknown benchmark spec, a `JOB` or `DONE` before any `INIT`, and
 /// records a worker is never sent.
-pub fn serve_jobs<R: BufRead, W: Write>(
-    wire: &mut Framed<R, W>,
-    mut before_job: impl FnMut(u64),
+pub fn serve_jobs<R: Read, W: Write>(
+    wire: &mut Framed<BufReader<R>, W>,
+    mut before_job: impl FnMut(&mut Framed<BufReader<R>, W>, u64),
 ) -> Result<Ended, SessionError> {
     use SessionError::{Lost, Refused};
     let mut session: Option<(Box<dyn Benchmark>, MachineProfile)> = None;
     let mut sized = crate::SizeTable::default();
-    loop {
+    let dismissed = loop {
+        // EOF is read only after a flush: nothing is left queued then.
         let Some(line) = wire.recv_line().map_err(Lost)? else { return Ok(Ended::Eof) };
         // The version is checked before the INIT is decoded in full: a
         // future version may change INIT's layout, and skew must read as
@@ -269,22 +314,28 @@ pub fn serve_jobs<R: BufRead, W: Write>(
                     .map_err(|e| Refused(format!("bad benchmark spec `{bench_spec}`: {e}")))?;
                 sized.retarget(&bench.spec());
                 session = Some((bench, *machine));
-                wire.send(&Message::Ready { version: WIRE_VERSION }).map_err(Lost)?;
+                wire.send(&Message::Ready { version: WIRE_VERSION });
             }
-            (Message::Goodbye { reason }, _) => return Ok(Ended::Dismissed(reason)),
+            (Message::Goodbye { reason }, _) => break reason,
             (Message::Heartbeat { .. }, _) => {}
             (Message::Job { index, job }, Some((bench, machine))) => {
-                before_job(index);
+                let started = Instant::now();
+                before_job(wire, index);
                 let outcome = sized.evaluate(&**bench, machine, &job);
-                wire.send(&Message::Result { index, outcome }).map_err(Lost)?;
+                wire.send(&Message::Result { index, outcome });
+                if started.elapsed() >= SLOW_JOB {
+                    wire.flush().map_err(Lost)?;
+                }
             }
-            (Message::Done, Some(_)) => return Ok(Ended::Dismissed("done".to_owned())),
+            (Message::Done, Some(_)) => break "done".to_owned(),
             (other, None) => return Err(Refused(format!("expected INIT, got {}", other.tag()))),
             (other, Some(_)) => {
                 return Err(Refused(format!("expected JOB or DONE, got {}", other.tag())));
             }
         }
-    }
+    };
+    wire.flush().map_err(Lost)?;
+    Ok(Ended::Dismissed(dismissed))
 }
 
 #[cfg(test)]
@@ -299,13 +350,66 @@ mod tests {
             Message::Ready { version: WIRE_VERSION }.encode(),
             Message::Done.encode(), // no trailing newline: still a record
         );
-        let mut wire = Framed::new(input.as_bytes(), Vec::new());
+        let mut wire = Framed::new(BufReader::new(input.as_bytes()), Vec::new());
         assert_eq!(wire.recv().expect("reads"), Some(Message::Ready { version: WIRE_VERSION }));
         assert_eq!(wire.recv().expect("reads"), Some(Message::Done));
         assert_eq!(wire.recv().expect("reads"), None);
         assert_eq!(wire.expect().expect_err("eof").kind(), io::ErrorKind::UnexpectedEof);
-        wire.send(&Message::Done).expect("writes");
+        wire.send(&Message::Done);
+        assert!(wire.writer().is_empty(), "send only queues");
+        wire.flush().expect("writes");
         assert_eq!(wire.into_parts().1, b"DONE\n");
+    }
+
+    /// Every `write` call, whole.
+    #[derive(Default)]
+    struct Writes(Vec<String>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(String::from_utf8(buf.to_vec()).expect("utf8"));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_slow_job_is_answered_at_once_and_the_rest_of_the_run_together() {
+        let bench = petal_apps::blackscholes::BlackScholes::new(2_000);
+        let machine = MachineProfile::laptop();
+        let config = bench.program(&machine).default_config(&machine);
+        let init = Message::Init {
+            version: WIRE_VERSION,
+            bench_spec: bench.spec(),
+            machine: Box::new(machine),
+        };
+        let mut script = format!("{}\n", init.encode());
+        for index in 0..5 {
+            let job = crate::EvalJob { config: config.clone(), size: 2_000, engine_seed: index };
+            script.push_str(&format!("{}\n", Message::Job { index, job }.encode()));
+        }
+        script.push_str("DONE\n");
+        // The whole script is in hand from the first read.
+        let reader = BufReader::with_capacity(script.len(), script.as_bytes());
+        let mut wire = Framed::new(reader, Writes::default());
+        let slow = |_: &mut Framed<_, _>, index| {
+            if index == 1 {
+                std::thread::sleep(SLOW_JOB);
+            }
+        };
+        serve_jobs(&mut wire, slow).expect("the session runs to DONE");
+        let tags = |write: &String| -> Vec<String> {
+            write.lines().map(|l| l.split(' ').next().expect("a tag").to_owned()).collect()
+        };
+        let writes: Vec<Vec<String>> = wire.writer().0.iter().map(tags).collect();
+        assert_eq!(
+            writes,
+            [vec!["READY", "RESULT", "RESULT"], vec!["RESULT"; 3]],
+            "job 1's answer (and what was queued before it) goes out at once"
+        );
     }
 
     #[test]
@@ -314,12 +418,12 @@ mod tests {
         let pad = "x".repeat(MAX_LINE_BYTES - "GOODBYE 4194290:".len());
         let longest = Message::Goodbye { reason: pad }.encode();
         assert_eq!(longest.len(), MAX_LINE_BYTES);
-        let mut wire = Framed::new(longest.as_bytes(), Vec::new());
+        let mut wire = Framed::new(BufReader::new(longest.as_bytes()), Vec::new());
         assert!(matches!(wire.recv(), Ok(Some(Message::Goodbye { .. }))));
         // …and a peer that never sends a newline is cut off one byte past
         // it, with the limit named, instead of being buffered forever.
         let endless = vec![b'x'; 3 * MAX_LINE_BYTES];
-        let mut wire = Framed::new(&endless[..], Vec::new());
+        let mut wire = Framed::new(BufReader::new(&endless[..]), Vec::new());
         let e = wire.recv().expect_err("over-long");
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("line limit"), "{e}");

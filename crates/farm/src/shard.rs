@@ -29,6 +29,11 @@
 //!   recovered with `RESUME` and the session token, after which only the
 //!   unanswered jobs are re-submitted.
 //!
+//! Every link's share of a submission round goes out in one write: jobs
+//! are queued on the links ([`Framed::send`]) and each link is flushed
+//! once the round is placed, before any link is read, so a read on one
+//! link never holds back another link's jobs.
+//!
 //! **Link loss is survivable.** Every job is a pure function of its
 //! [`crate::EvalJob`], so a lost link's unanswered jobs are re-queued, in
 //! submission order, to whatever links remain; the outcome vector — and
@@ -42,7 +47,7 @@ use crate::wire::{Message, WireError, WIRE_VERSION};
 use crate::{EvalJob, JobOutcome};
 use petal_gpu::profile::MachineProfile;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
@@ -147,7 +152,7 @@ const PIPE_WINDOW: usize = 8;
 
 /// A link's framed stream. Boxed so one pool type serves children's
 /// pipes, dispatcher sockets and the in-memory streams tests script.
-pub(crate) type Wire = Framed<Box<dyn BufRead + Send>, Box<dyn Write + Send>>;
+pub(crate) type Wire = Framed<BufReader<Box<dyn Read + Send>>, Box<dyn Write + Send>>;
 
 /// What answers on a link — the one thing window and recovery follow.
 pub(crate) enum Peer {
@@ -252,7 +257,7 @@ impl Pool {
             let (Some(stdout), Some(stdin)) = pipes else {
                 return Err(ShardError::at_worker(i, "spawned without piped stdio"));
             };
-            pool.attach(BufReader::new(stdout), stdin)?;
+            pool.attach(stdout, stdin)?;
         }
         Ok(pool)
     }
@@ -261,13 +266,13 @@ impl Pool {
     /// stream and add it as the pool's next link.
     pub(crate) fn attach(
         &mut self,
-        reader: impl BufRead + Send + 'static,
+        reader: impl Read + Send + 'static,
         writer: impl Write + Send + 'static,
     ) -> Result<(), ShardError> {
         let at = |msg: String| ShardError::at_worker(self.links.len(), msg);
-        let mut wire: Wire = Framed::new(Box::new(reader), Box::new(writer));
-        wire.send(&self.init()).map_err(|e| at(format!("writing INIT: {e}")))?;
-        match wire.expect().map_err(|e| at(format!("reading READY: {e}")))? {
+        let mut wire: Wire = Framed::new(BufReader::new(Box::new(reader)), Box::new(writer));
+        wire.send(&self.init());
+        match wire.expect().map_err(|e| at(format!("answering INIT: {e}")))? {
             Message::Ready { version: WIRE_VERSION } => {}
             Message::Ready { version } => {
                 return Err(at(format!(
@@ -304,7 +309,8 @@ impl Pool {
         if !transport {
             // The stream still works, so part cleanly: a worker exits and
             // a dispatcher retires the session instead of detaching it.
-            let _ = link.wire.send(&Message::Done);
+            link.wire.send(&Message::Done);
+            let _ = link.wire.flush();
         } else if let Peer::Farmd { endpoint, token, nonce } = link.peer {
             drop(link.wire); // the dead connection closes before its successor opens
             match crate::remote::resume(&endpoint, token, nonce) {
@@ -325,9 +331,10 @@ impl Pool {
     /// the farm's round-robin accounting assumes.
     ///
     /// Submission and collection interleave: jobs go to live links with
-    /// room, then one result is read from the link with the deepest
-    /// queue (which keeps every pipeline moving), and so on until every
-    /// job is answered. See the [module docs](self) for loss handling.
+    /// room, each link's share in one write, then one result is read
+    /// from the link with the deepest queue (which keeps every pipeline
+    /// moving), and so on until every job is answered. See the
+    /// [module docs](self) for loss handling.
     ///
     /// # Errors
     /// Only when the batch cannot be completed at all — every link is
@@ -369,11 +376,12 @@ impl Pool {
                 // Outstanding before the write: a job that failed to
                 // send is re-queued with the rest.
                 link.outstanding.push_back(i);
-                let msg = Message::Job { index: base + i as u64, job: jobs[i].clone() };
-                if let Err(e) = link.wire.send(&msg) {
-                    let lost = self.lose(w, format!("writing a JOB: {e}"), true, &mut todo);
-                    last_loss = lost.or(last_loss);
-                }
+                link.wire.send(&Message::Job { index: base + i as u64, job: jobs[i].clone() });
+            }
+            // Every link's share goes out before any link is read. A
+            // link whose write fails is found lost by its next read.
+            for link in self.links.iter_mut().flatten() {
+                let _ = link.wire.flush();
             }
             if unanswered == 0 {
                 return Ok(outcomes.into_iter().map(|o| o.expect("all answered")).collect());
@@ -436,7 +444,8 @@ impl Drop for Pool {
         // resume; then close the streams and reap the children. Errors
         // are ignored because drop runs on success and failure paths.
         for link in self.links.iter_mut().flatten() {
-            let _ = link.wire.send(&Message::Done);
+            link.wire.send(&Message::Done);
+            let _ = link.wire.flush();
         }
         self.links.clear();
         for child in &mut self.children {
@@ -454,6 +463,7 @@ mod tests {
     use petal_apps::Benchmark;
     use std::net::Shutdown;
     use std::os::unix::net::UnixStream;
+    use std::sync::{Arc, Mutex};
     use std::thread::JoinHandle;
 
     /// How a scripted peer misbehaves.
@@ -469,11 +479,41 @@ mod tests {
         Lie,
     }
 
+    /// Every read and write call the pool makes on its links, in order:
+    /// `(link, wrote)`.
+    type Log = Arc<Mutex<Vec<(usize, bool)>>>;
+
+    /// The pool's end of a link: a socket that logs its calls.
+    struct Probe {
+        stream: UnixStream,
+        link: usize,
+        log: Log,
+    }
+
+    impl Read for Probe {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.log.lock().expect("log").push((self.link, false));
+            self.stream.read(buf)
+        }
+    }
+
+    impl Write for Probe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.log.lock().expect("log").push((self.link, true));
+            self.stream.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.stream.flush()
+        }
+    }
+
     /// Attach one link to `pool`, served over a socket pair by a thread
     /// that evaluates jobs like a worker — until its script says not to.
     /// The thread ends when the pool lets go of the link.
     fn attach_peer(
         pool: &mut Pool,
+        log: &Log,
         bench: &BlackScholes,
         machine: &MachineProfile,
         script: Script,
@@ -489,6 +529,7 @@ mod tests {
                     Message::Init { .. } => Message::Ready { version: WIRE_VERSION },
                     Message::Job { index, job } => {
                         if matches!(script, Script::EofAfter(n) if answered == n) {
+                            let _ = wire.flush();
                             let _ = theirs.shutdown(Shutdown::Write);
                             continue;
                         }
@@ -499,13 +540,12 @@ mod tests {
                     }
                     _ => return,
                 };
-                if wire.send(&reply).is_err() {
-                    return;
-                }
+                wire.send(&reply);
             }
         });
-        let reader = BufReader::new(ours.try_clone().expect("clone"));
-        pool.attach(reader, ours).expect("handshake");
+        let probe = |stream| Probe { stream, link: pool.links.len(), log: Arc::clone(log) };
+        let reader = probe(ours.try_clone().expect("clone"));
+        pool.attach(reader, probe(ours)).expect("handshake");
         peer
     }
 
@@ -523,15 +563,18 @@ mod tests {
         (bench, machine, jobs)
     }
 
-    /// A pool with one scripted peer per script, and the peers' threads.
+    /// A pool with one scripted peer per script, the peers' threads and
+    /// the log of the pool's calls on its links.
     fn pool_of(
         bench: &BlackScholes,
         machine: &MachineProfile,
         scripts: &[Script],
-    ) -> (Pool, Vec<JoinHandle<()>>) {
+    ) -> (Pool, Vec<JoinHandle<()>>, Log) {
         let mut pool = Pool::empty(&bench.spec(), machine);
-        let peers = scripts.iter().map(|&s| attach_peer(&mut pool, bench, machine, s)).collect();
-        (pool, peers)
+        let log = Log::default();
+        let peers =
+            scripts.iter().map(|&s| attach_peer(&mut pool, &log, bench, machine, s)).collect();
+        (pool, peers, log)
     }
 
     /// Close the pool and check that no peer thread panicked.
@@ -543,10 +586,24 @@ mod tests {
     }
 
     #[test]
+    fn each_link_gets_its_share_in_one_write_before_any_link_is_read() {
+        let (bench, machine, jobs) = fixture(6);
+        let direct: Vec<_> = jobs.iter().map(|j| evaluate_job(&bench, &machine, j)).collect();
+        let (mut pool, peers, log) = pool_of(&bench, &machine, &[Script::Honest; 2]);
+        log.lock().expect("log").clear(); // the handshakes
+        assert_eq!(pool.evaluate(&jobs, 2).expect("the batch"), direct);
+        let calls = log.lock().expect("log").clone();
+        assert_eq!(calls[..2], [(0, true), (1, true)], "both shares out before a read: {calls:?}");
+        assert_eq!(calls.iter().filter(|&&(_, wrote)| wrote).count(), 2, "{calls:?}");
+        finish(pool, peers);
+    }
+
+    #[test]
     fn a_link_lost_mid_batch_has_its_jobs_requeued_to_the_survivor() {
         let (bench, machine, jobs) = fixture(12);
         let direct: Vec<_> = jobs.iter().map(|j| evaluate_job(&bench, &machine, j)).collect();
-        let (mut pool, peers) = pool_of(&bench, &machine, &[Script::EofAfter(3), Script::Honest]);
+        let (mut pool, peers, _) =
+            pool_of(&bench, &machine, &[Script::EofAfter(3), Script::Honest]);
         assert_eq!(pool.evaluate(&jobs, 2).expect("the survivor finishes the batch"), direct);
         assert!(pool.links[0].is_none() && pool.links[1].is_some());
         // The next batch runs on the survivor alone, at absolute indices.
@@ -557,7 +614,7 @@ mod tests {
     #[test]
     fn losing_every_link_reports_exactly_the_unanswered_jobs() {
         let (bench, machine, jobs) = fixture(10);
-        let (mut pool, peers) =
+        let (mut pool, peers, _) =
             pool_of(&bench, &machine, &[Script::EofAfter(3), Script::EofAfter(2)]);
         let e = pool.evaluate(&jobs, 2).expect_err("nobody is left");
         // Link 0 answered its first three jobs (0, 2, 4), link 1 its
@@ -573,7 +630,7 @@ mod tests {
     fn a_result_for_a_job_the_link_does_not_hold_retires_the_link() {
         let (bench, machine, jobs) = fixture(6);
         let direct: Vec<_> = jobs.iter().map(|j| evaluate_job(&bench, &machine, j)).collect();
-        let (mut pool, peers) = pool_of(&bench, &machine, &[Script::Lie, Script::Honest]);
+        let (mut pool, peers, _) = pool_of(&bench, &machine, &[Script::Lie, Script::Honest]);
         // Nothing the liar said is filed: every outcome is the honest one.
         assert_eq!(pool.evaluate(&jobs, 2).expect("the honest link finishes"), direct);
         assert!(pool.links[0].is_none(), "the lying link is out of service");

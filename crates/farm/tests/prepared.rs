@@ -173,8 +173,8 @@ impl Session {
     /// to what was expected of it, in order.
     fn serve_and_check(mut self) {
         self.send(&Message::Done);
-        let mut wire = Framed::new(self.script.as_bytes(), Vec::new());
-        serve_jobs(&mut wire, |_| {}).expect("the session runs to DONE");
+        let mut wire = Framed::new(std::io::BufReader::new(self.script.as_bytes()), Vec::new());
+        serve_jobs(&mut wire, |_, _| {}).expect("the session runs to DONE");
         let answers = String::from_utf8(wire.into_parts().1).expect("utf8");
         let mut results = answers.lines().filter_map(|line| match Message::decode(line) {
             Ok(Message::Result { index, outcome }) => Some((index, outcome)),

@@ -5,14 +5,19 @@
 //! Every connection gets one reader thread (this module) built over a
 //! socket **read timeout**: reads wake every [`READ_TIMEOUT`] to check
 //! the dispatcher's stop flag, so shutdown never waits on a silent peer.
+//! A reader hands the dispatcher each run of records already buffered
+//! behind the one it read — a client's `JOB`s, a worker's `RESULT`s — as
+//! one batch ([`run_of`]); the first record of another kind ends the
+//! run and is handled after it, so order is kept.
 //! Writers live behind per-connection mutexes ([`ConnWriter`]) shared
 //! with the scheduler (worker `INIT`/`JOB` sends) and with other readers
-//! (a worker's `RESULT` forwarded to a client), and every send happens
-//! **outside** the dispatcher's global lock.
+//! (a worker's `RESULT`s forwarded to a client); every send happens
+//! **outside** the dispatcher's global lock, one write per burst
+//! ([`send`]).
 
 use crate::Shared;
 use petal_farm::net::FarmStream;
-use petal_farm::session::{decode_frame, read_frame, Framed, MAX_LINE_BYTES};
+use petal_farm::session::{frame_text, read_frame, Framed, MAX_LINE_BYTES};
 use petal_farm::wire::{negotiate, Message, WireError, MIN_WIRE_VERSION, WIRE_VERSION};
 use std::io::BufReader;
 use std::sync::atomic::Ordering;
@@ -44,11 +49,18 @@ pub(crate) fn close(writer: &Mutex<ConnWriter>) {
     writer.lock().expect("writer lock").writer().shutdown();
 }
 
+/// Write `msgs` to the connection as one burst, in one write; `false`
+/// when the write failed.
+pub(crate) fn send(writer: &Mutex<ConnWriter>, msgs: &[Message]) -> bool {
+    let mut w = writer.lock().expect("writer lock");
+    msgs.iter().for_each(|msg| w.send(msg));
+    w.flush().is_ok()
+}
+
 /// Tell the peer why (best effort), then close the connection.
 pub(crate) fn goodbye(writer: &Mutex<ConnWriter>, reason: impl Into<String>) {
-    let mut w = writer.lock().expect("writer lock");
-    let _ = w.send(&Message::Goodbye { reason: reason.into() });
-    w.writer().shutdown();
+    let _ = send(writer, &[Message::Goodbye { reason: reason.into() }]);
+    close(writer);
 }
 
 /// What one patient read produced.
@@ -78,7 +90,7 @@ fn read_msg(
             // A whole line — or one already past the line limit, which
             // the decoder refuses by name.
             Ok(_) if buf.ends_with(b"\n") || buf.len() > MAX_LINE_BYTES => {
-                return decode_frame(buf).map(Incoming::Msg);
+                return frame_text(buf).and_then(Message::decode).map(Incoming::Msg);
             }
             // A read returning data without a newline means EOF landed
             // mid-line (a truncated frame): treat as a close.
@@ -94,6 +106,33 @@ fn read_msg(
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return Ok(Incoming::Eof),
+        }
+    }
+}
+
+/// Take a run: hand `first`, then each record already buffered behind
+/// it, to `take` with its text as the peer sent it, until `take` hands
+/// one back (it is not of the run) or no whole record is left in hand;
+/// never blocks. Returns the read that ended the run, to be handled
+/// after it, or `None`.
+fn run_of(
+    reader: &mut BufReader<FarmStream>,
+    buf: &mut Vec<u8>,
+    shared: &Shared,
+    first: Message,
+    mut take: impl FnMut(Message, &str) -> Option<Message>,
+) -> Option<Result<Incoming, WireError>> {
+    let mut next = first;
+    loop {
+        if let Some(other) = take(next, frame_text(buf).unwrap_or_default()) {
+            return Some(Ok(Incoming::Msg(other)));
+        }
+        if !reader.buffer().contains(&b'\n') {
+            return None;
+        }
+        match read_msg(reader, buf, shared, None) {
+            Ok(Incoming::Msg(msg)) => next = msg,
+            ended => return Some(ended),
         }
     }
 }
@@ -127,7 +166,7 @@ pub(crate) fn serve_conn(shared: &Arc<Shared>, stream: FarmStream, peer: &str) {
         Ok(Incoming::Eof | Incoming::Stopped) => return,
         Err(e) => return goodbye(&writer, format!("bad HELLO: {e}")),
     };
-    if writer.lock().expect("writer lock").send(&Message::hello()).is_err() {
+    if !send(&writer, &[Message::hello()]) {
         return;
     }
     if let Err(e) = negotiate((MIN_WIRE_VERSION, WIRE_VERSION), theirs) {
@@ -191,13 +230,8 @@ fn serve_registry(
         };
         match msg {
             request @ (Message::RegGet { .. } | Message::RegPut { .. }) => {
-                let replies = shared.serve_registry_request(&request);
-                let mut w = writer.lock().expect("writer lock");
-                for reply in &replies {
-                    if w.send(reply).is_err() {
-                        w.writer().shutdown();
-                        return;
-                    }
+                if !send(writer, &shared.serve_registry_request(&request)) {
+                    return close(writer);
                 }
             }
             Message::Done => return,
@@ -209,8 +243,8 @@ fn serve_registry(
     }
 }
 
-/// Worker-side serve loop: admit to the registry, then judge every
-/// `RESULT` through it and forward the fresh ones to their sessions.
+/// Worker-side serve loop: admit to the registry, then judge every run
+/// of `RESULT`s through it and forward the fresh ones to their sessions.
 #[allow(clippy::too_many_arguments)]
 fn serve_worker(
     shared: &Arc<Shared>,
@@ -224,8 +258,9 @@ fn serve_worker(
 ) {
     let id = shared.admit_worker(name, slots, pid, Arc::clone(writer));
     eprintln!("petal-farmd: worker {id} `{name}` joined from {peer} (slots {slots}, pid {pid})");
+    let mut held = None;
     loop {
-        match read_msg(&mut reader, &mut buf, shared, None) {
+        match held.take().unwrap_or_else(|| read_msg(&mut reader, &mut buf, shared, None)) {
             Ok(Incoming::Msg(msg)) => {
                 let now = Instant::now();
                 match msg {
@@ -234,10 +269,21 @@ fn serve_worker(
                             return; // drained while we read; conn is closing
                         }
                     }
-                    Message::Result { index, outcome } => {
+                    first @ Message::Result { .. } => {
+                        // A HEARTBEAT or READY inside the run only says
+                        // the worker is alive, which the run says too.
+                        let mut results = Vec::new();
+                        held = run_of(&mut reader, &mut buf, shared, first, |msg, _| match msg {
+                            Message::Result { index, outcome } => {
+                                results.push((index, outcome));
+                                None
+                            }
+                            Message::Heartbeat { .. } | Message::Ready { .. } => None,
+                            other => Some(other),
+                        });
                         // Duplicate/stale answers are dropped; disorder
                         // tears the worker down.
-                        if !shared.complete_job(id, index, outcome, now) {
+                        if !shared.complete_jobs(id, results, now) {
                             return;
                         }
                     }
@@ -291,12 +337,10 @@ fn serve_client(
     let (session, nonce) = shared.open_session(bench_spec, machine, Arc::clone(writer));
     eprintln!("petal-farmd: session {session} `{bench_spec}` opened from {peer}");
     // READY, then the credentials a RESUME would present.
-    let sent = {
-        let mut w = writer.lock().expect("writer lock");
-        w.send(&Message::Ready { version: WIRE_VERSION }).is_ok()
-            && w.send(&Message::Session { token: session, nonce }).is_ok()
-    };
-    if !sent {
+    if !send(
+        writer,
+        &[Message::Ready { version: WIRE_VERSION }, Message::Session { token: session, nonce }],
+    ) {
         // The client never received its token, so nothing can resume
         // this session: close it outright rather than detach.
         shared.close_session(session, "client write failed");
@@ -322,12 +366,8 @@ fn serve_resumed_client(
     };
     let spec = shared.session_spec(token).unwrap_or_default();
     eprintln!("petal-farmd: session {token} `{spec}` resumed from {peer}");
-    let sent = {
-        let mut w = writer.lock().expect("writer lock");
-        w.send(&Message::Ready { version: WIRE_VERSION }).is_ok()
-            && w.send(&Message::Session { token, nonce }).is_ok()
-    };
-    if !sent {
+    if !send(writer, &[Message::Ready { version: WIRE_VERSION }, Message::Session { token, nonce }])
+    {
         // The client still holds a valid token; detach and let it try
         // again rather than destroying the session.
         shared.client_gone(token, epoch, "client write failed during resume");
@@ -348,10 +388,19 @@ fn client_loop(
     session: u64,
     epoch: u64,
 ) {
+    let mut held = None;
     loop {
-        match read_msg(&mut reader, &mut buf, shared, None) {
-            Ok(Incoming::Msg(Message::Job { index, job })) => {
-                shared.enqueue_job(session, index, job);
+        match held.take().unwrap_or_else(|| read_msg(&mut reader, &mut buf, shared, None)) {
+            Ok(Incoming::Msg(first @ Message::Job { .. })) => {
+                let mut jobs = Vec::new();
+                held = run_of(&mut reader, &mut buf, shared, first, |msg, line| match msg {
+                    Message::Job { index, .. } => {
+                        jobs.push((index, line.to_owned()));
+                        None
+                    }
+                    other => Some(other),
+                });
+                shared.enqueue_jobs(session, jobs);
             }
             Ok(Incoming::Msg(Message::Done)) => {
                 shared.close_session(session, "client done");

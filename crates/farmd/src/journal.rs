@@ -3,10 +3,12 @@
 //! `--journal <dir>` replays to its exact pre-crash queue/session state
 //! and resumes mid-batch.
 //!
-//! The journal holds no copy of that state. A reader thread makes one of
-//! the dispatcher's four durable transitions (`State::{open, enqueue,
-//! record_result, close}`) under the global lock and appends the record
-//! of it here; [`Journal::open`] decodes the records and calls the same
+//! The journal holds no copy of that state. A reader thread makes the
+//! dispatcher's four durable transitions (`State::{open, enqueue,
+//! record_result, close}`) under the global lock — a run of `JOB`s or
+//! `RESULT`s is one batch of them — adds the record of each here as it
+//! makes it, and commits the batch in one write before it lets go of
+//! the lock; [`Journal::open`] decodes the records and calls the same
 //! four methods, so replay *is* the live path fed from the log, and
 //! compaction writes from the state it is handed.
 //!
@@ -19,6 +21,8 @@
 //! `INIT`, a queued `JOB`, a forwarded `RESULT`), the message's own
 //! encoded line is embedded as **one escaped field** — the journal
 //! never re-flattens message payloads, so the two codecs cannot drift.
+//! A `J_JOB` embeds the `JOB` record the client sent, as the dispatcher
+//! holds and forwards it.
 //!
 //! | Tag        | Fields                                | Replayed through |
 //! |------------|---------------------------------------|------------------|
@@ -35,18 +39,20 @@
 //!
 //! ## Durability and crash ordering
 //!
-//! Every append is a single `write_all` of one full line on an
-//! append-only descriptor, so a `SIGKILL` of the dispatcher can lose at
-//! most the line being written — never corrupt an earlier one — and
-//! [`Journal::open`] tolerates exactly that torn tail by dropping any
-//! trailing partial line. (There is no per-append `fsync`: process
-//! death does not lose the page cache; only a whole-OS crash can, and
-//! that is outside this journal's contract.) A transition and its record
-//! share one critical section, so nothing acts on a fact the log lacks:
-//! a job is journaled before the scheduler can see it, and a `RESULT` is
-//! journaled *before* the socket send, so either the client got the
-//! result (and never re-asks) or the journal has it (and recovery
-//! re-serves it) — both orders converge to the same merged trajectory.
+//! Every append is a single `write_all` of a batch's full lines on an
+//! append-only descriptor, so a `SIGKILL` of the dispatcher loses at most
+//! the batch being written, none of which was sent — never an earlier
+//! line — and [`Journal::open`] tolerates that torn tail by dropping any
+//! trailing partial line (the batch's whole lines before it replay as
+//! the prefix of the batch they are). (There is no per-append `fsync`:
+//! process death does not lose the page cache; only a whole-OS crash
+//! can, and that is outside this journal's contract.) A batch and its
+//! records share one critical section, so nothing acts on a fact the log
+//! lacks: a job is journaled before the scheduler can see it, and a
+//! `RESULT` is journaled *before* the socket send, so either the client
+//! got the result (and never re-asks) or the journal has it (and
+//! recovery re-serves it) — both orders converge to the same merged
+//! trajectory.
 //!
 //! ## Compaction
 //!
@@ -59,7 +65,7 @@
 
 use crate::{Session, State};
 use petal_farm::wire::{Message, Record, WIRE_VERSION};
-use petal_farm::{EvalJob, JobOutcome};
+use petal_farm::JobOutcome;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -75,8 +81,8 @@ pub(crate) struct Journal {
     file: File,
     /// Records in the file that replay would discard; drives compaction.
     dead: u64,
-    /// Reusable append buffer.
-    line: String,
+    /// Records of the batch being made, not yet written.
+    batch: String,
 }
 
 /// An accepted session (its `INIT` embedded whole).
@@ -89,10 +95,9 @@ pub(crate) fn open_record(id: u64, s: &Session) -> Record {
     Record::new("J_OPEN", vec![id.to_string(), s.nonce.to_string(), init.encode()])
 }
 
-/// A queued job (its `JOB` embedded whole).
-pub(crate) fn job_record(session: u64, index: u64, job: &EvalJob) -> Record {
-    let msg = Message::Job { index, job: job.clone() };
-    Record::new("J_JOB", vec![session.to_string(), msg.encode()])
+/// A queued job (its `JOB` record embedded whole).
+pub(crate) fn job_record(session: u64, job: &str) -> Record {
+    Record::new("J_JOB", vec![session.to_string(), job.to_owned()])
 }
 
 /// A result about to be forwarded (its `RESULT` embedded whole).
@@ -148,31 +153,38 @@ impl Journal {
             state.queue = state.jobs.keys().copied().collect();
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let mut journal = Journal { path, file, dead, line: String::new() };
+        let mut journal = Journal { path, file, dead, batch: String::new() };
         // Always compact on open: truncates any torn tail and starts
         // the new process from a minimal log.
         journal.compact(state)?;
         Ok(journal)
     }
 
-    /// Append the record of a transition `state` has already made, as one
-    /// full line, and compact once `dead` more dead records tip the
-    /// count over the threshold. Failures are reported, not fatal: the
-    /// dispatcher keeps serving (availability over durability) and the
-    /// operator sees why recovery would be stale.
+    /// Add the record of a transition `state` has already made to the
+    /// batch, and compact once `dead` more dead records tip the count over
+    /// the threshold — from `state`, which holds the batch so far, so the
+    /// records buffered until then are dropped, not written: the log is
+    /// the one record-by-record appends would leave, byte for byte.
     pub(crate) fn append(&mut self, record: &Record, dead: u64, state: &State) {
-        self.line.clear();
-        self.line.push_str(&record.encode());
-        self.line.push('\n');
-        if let Err(e) = self.file.write_all(self.line.as_bytes()) {
-            eprintln!("petal-farmd: journal append failed: {e}");
-        }
+        self.batch.push_str(&record.encode());
+        self.batch.push('\n');
         self.dead += dead;
         if self.dead >= COMPACT_DEAD_THRESHOLD {
-            if let Err(e) = self.compact(state) {
-                eprintln!("petal-farmd: journal compaction failed: {e}");
+            match self.compact(state) {
+                Ok(()) => self.batch.clear(),
+                Err(e) => eprintln!("petal-farmd: journal compaction failed: {e}"),
             }
         }
+    }
+
+    /// Write the batch as full lines in one write. Failures are reported,
+    /// not fatal: the dispatcher keeps serving (availability over
+    /// durability) and the operator sees why recovery would be stale.
+    pub(crate) fn commit(&mut self) {
+        if let Err(e) = self.file.write_all(self.batch.as_bytes()) {
+            eprintln!("petal-farmd: journal append failed: {e}");
+        }
+        self.batch.clear();
     }
 
     /// Rewrite the log as the minimal record set for `state`: tmp file,
@@ -192,8 +204,8 @@ impl Journal {
                 push(result_record(id, index, outcome));
             }
         }
-        for (&(session, index), job) in &state.jobs {
-            push(job_record(session, index, job));
+        for (&(session, _), job) in &state.jobs {
+            push(job_record(session, job));
         }
         out.write_all(text.as_bytes())?;
         out.sync_all()?;
@@ -229,10 +241,10 @@ fn replay_line(state: &mut State, line: &str, now: Instant) -> Result<u64, Strin
             Ok(0)
         }
         "J_JOB" => {
-            let Message::Job { index, job } = embedded(1)? else {
+            let Message::Job { index, .. } = embedded(1)? else {
                 return Err("J_JOB does not embed a JOB".to_owned());
             };
-            Ok(u64::from(!state.enqueue(num(0)?, index, job)))
+            Ok(u64::from(!state.enqueue(num(0)?, index, field(1)?.to_owned())))
         }
         // Not written since PR 20 (an assignment dies with its worker
         // connection and was never replayed); a log the previous release
@@ -258,21 +270,29 @@ mod tests {
     use petal_apps::Benchmark as _;
     use petal_farm::net::FarmStream;
     use petal_farm::session::Framed;
+    use petal_farm::{EvalJob, JobOutcome};
     use petal_gpu::profile::MachineProfile;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::io::BufRead as _;
     use std::os::unix::net::UnixStream;
     use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
-    fn job(seed: u64) -> EvalJob {
+    /// Job `index` of a session as a client submits it: its `JOB` record.
+    fn job(index: u64, seed: u64) -> (u64, String) {
         let machine = MachineProfile::laptop();
         let bench = petal_apps::blackscholes::BlackScholes::new(64);
-        EvalJob {
-            config: bench.program(&machine).default_config(&machine),
-            size: 64,
-            engine_seed: seed,
-        }
+        let config = bench.program(&machine).default_config(&machine);
+        (
+            index,
+            Message::Job { index, job: EvalJob { config, size: 64, engine_seed: seed } }.encode(),
+        )
+    }
+
+    fn seed(job: &str) -> u64 {
+        let Ok(Message::Job { job, .. }) = Message::decode(job) else { panic!("a JOB: {job}") };
+        job.engine_seed
     }
 
     fn outcome(fitness: f64) -> JobOutcome {
@@ -340,15 +360,18 @@ mod tests {
             drop(inner.plan(Instant::now(), opts.starvation, opts.session_linger));
         }
 
-        /// A scheduler pass, then the worker answers its oldest job.
-        fn answer(&self, outcome: JobOutcome) -> Option<JobKey> {
+        /// A scheduler pass, then the worker answers its oldest jobs, one
+        /// outcome each, as one run. Returns the jobs answered.
+        fn answer(&self, outcomes: Vec<JobOutcome>) -> Vec<JobKey> {
             self.schedule();
-            let key = {
+            let keys: Vec<JobKey> = {
                 let inner = self.shared.inner.lock().expect("farmd lock");
-                *inner.registry.get(self.worker)?.inflight.front()?
+                let inflight = &inner.registry.get(self.worker).expect("a worker").inflight;
+                inflight.iter().copied().take(outcomes.len()).collect()
             };
-            assert!(self.shared.complete_job(self.worker, key.1, outcome, Instant::now()));
-            Some(key)
+            let run = keys.iter().map(|key| key.1).zip(outcomes).collect();
+            assert!(self.shared.complete_jobs(self.worker, run, Instant::now()));
+            keys
         }
 
         fn with_state<R>(&self, f: impl FnOnce(&State) -> R) -> R {
@@ -368,7 +391,23 @@ mod tests {
     }
 
     /// Everything a restart must not lose, floats by bit pattern.
-    fn facts(state: &State) -> impl PartialEq + std::fmt::Debug {
+    #[derive(Debug, PartialEq)]
+    struct Facts {
+        next_session: u64,
+        /// Id, nonce, spec, machine and `done` (index, ran, fitness,
+        /// makespan, compiles) of each session.
+        #[allow(clippy::type_complexity)]
+        sessions: Vec<(
+            u64,
+            u64,
+            String,
+            MachineProfile,
+            Vec<(u64, bool, Option<u64>, u64, Vec<(u64, u64, u64)>)>,
+        )>,
+        jobs: BTreeMap<JobKey, String>,
+    }
+
+    fn facts(state: &State) -> Facts {
         let sessions: Vec<_> = state
             .sessions
             .iter()
@@ -388,7 +427,7 @@ mod tests {
                 (id, s.nonce, s.bench_spec.clone(), s.machine.clone(), done)
             })
             .collect();
-        (state.next_session, sessions, state.jobs.clone())
+        Facts { next_session: state.next_session, sessions, jobs: state.jobs.clone() }
     }
 
     /// The history the fixed tests share: session 1 with index 0
@@ -397,11 +436,10 @@ mod tests {
     fn two_sessions(live: &mut Live) -> u64 {
         let (first, nonce) = live.open("sort n=64", MachineProfile::desktop());
         assert_eq!(first, 1);
-        live.shared.enqueue_job(1, 0, job(10));
-        live.shared.enqueue_job(1, 1, job(11));
-        assert_eq!(live.answer(outcome(2.5e-3)), Some((1, 0)));
+        live.shared.enqueue_jobs(1, vec![job(0, 10), job(1, 11)]);
+        assert_eq!(live.answer(vec![outcome(2.5e-3)]), [(1, 0)]);
         assert_eq!(live.open("sort n=64", MachineProfile::laptop()).0, 2);
-        live.shared.enqueue_job(2, 0, job(20));
+        live.shared.enqueue_jobs(2, vec![job(0, 20)]);
         live.shared.close_session(2, "test");
         nonce
     }
@@ -418,7 +456,7 @@ mod tests {
         assert_eq!(s.bench_spec, "sort n=64");
         assert_eq!(s.machine.codename, MachineProfile::desktop().codename);
         assert_eq!(st.jobs.keys().copied().collect::<Vec<_>>(), [(1, 1)]);
-        assert_eq!(st.jobs[&(1, 1)].engine_seed, 11);
+        assert_eq!(seed(&st.jobs[&(1, 1)]), 11);
         assert_eq!(s.done.len(), 1);
         assert_eq!(s.done[&0].fitness, Some(2.5e-3));
         // The in-flight job is queued again and the session awaits a RESUME.
@@ -464,7 +502,7 @@ mod tests {
         {
             let mut live = Live::start(&dir);
             live.open("sort n=64", MachineProfile::desktop());
-            live.shared.enqueue_job(1, 0, job(1));
+            live.shared.enqueue_jobs(1, vec![job(0, 1)]);
         }
         // Simulate a crash mid-append: a partial line with no newline.
         let path = dir.join("journal.log");
@@ -489,8 +527,8 @@ mod tests {
             let mut live = Live::start(&dir);
             live.open("sort n=64", MachineProfile::desktop());
             for i in 0..50 {
-                live.shared.enqueue_job(1, i, job(i));
-                assert_eq!(live.answer(outcome(1e-3)), Some((1, i)));
+                live.shared.enqueue_jobs(1, vec![job(i, i)]);
+                assert_eq!(live.answer(vec![outcome(1e-3)]), [(1, i)]);
             }
             let before = std::fs::metadata(&path).expect("meta").len();
             live.with_journal(|journal, state| journal.compact(state)).expect("compact");
@@ -509,9 +547,9 @@ mod tests {
         let dir = tmp_dir("trip");
         let live = &mut Live::start(&dir);
         live.open("sort n=64", MachineProfile::desktop());
-        live.shared.enqueue_job(1, 0, job(1));
+        live.shared.enqueue_jobs(1, vec![job(0, 1)]);
         live.with_journal(|journal, _| journal.dead = COMPACT_DEAD_THRESHOLD - 1);
-        assert_eq!(live.answer(outcome(1e-3)), Some((1, 0)));
+        assert_eq!(live.answer(vec![outcome(1e-3)]), [(1, 0)]);
         assert_eq!(live.with_journal(|journal, _| journal.dead), 0, "that append compacted");
         // Rewritten from the state the transition had already reached:
         // the job is done, not unanswered, and never neither.
@@ -522,6 +560,30 @@ mod tests {
         let st = reopen(&dir);
         assert!(st.jobs.is_empty());
         assert_eq!(st.sessions[&1].done[&0].fitness, Some(1e-3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_compaction_inside_a_run_leaves_the_log_record_by_record_appends_would() {
+        let dir = tmp_dir("trip-run");
+        let live = &mut Live::start(&dir);
+        live.open("sort n=64", MachineProfile::desktop());
+        live.shared.enqueue_jobs(1, (0..3).map(|i| job(i, i)).collect());
+        live.with_journal(|journal, _| journal.dead = COMPACT_DEAD_THRESHOLD - 1);
+        let answers = [1e-3, 2e-3, 3e-3].map(outcome).to_vec();
+        assert_eq!(live.answer(answers), [(1, 0), (1, 1), (1, 2)]);
+        // The run's first answer tipped the compaction, from the state
+        // right after it: jobs 1 and 2 were still unanswered then, and
+        // their answers follow the rewritten log as appends.
+        let text = std::fs::read_to_string(dir.join("journal.log")).expect("read");
+        let tags: Vec<&str> = text.lines().map(|l| l.split(' ').next().expect("a tag")).collect();
+        assert_eq!(
+            tags,
+            ["J_NEXT", "J_OPEN", "J_RESULT", "J_JOB", "J_JOB", "J_RESULT", "J_RESULT"]
+        );
+        let st = reopen(&dir);
+        assert!(st.jobs.is_empty());
+        assert_eq!(st.sessions[&1].done[&2].fitness, Some(3e-3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -550,11 +612,9 @@ mod tests {
         live.replace_worker(2);
         live.open("sort n=64", MachineProfile::desktop());
         let client = live.peers.last().expect("the session's peer").try_clone().expect("clone");
-        for i in 0..3 {
-            live.shared.enqueue_job(1, i, job(i));
-        }
+        live.shared.enqueue_jobs(1, (0..3).map(|i| job(i, i)).collect());
         // Two slots: 0 and 1 go out, 2 stays queued; then 0 is answered.
-        assert_eq!(live.answer(outcome(7e-3)), Some((1, 0)));
+        assert_eq!(live.answer(vec![outcome(7e-3)]), [(1, 0)]);
         let unanswered = |live: &Live| {
             let inner = live.shared.inner.lock().expect("farmd lock");
             let inflight = inner.registry.get(live.worker).expect("worker").inflight.clone();
@@ -567,13 +627,10 @@ mod tests {
         let before = unanswered(live);
         assert_eq!(before, (vec![(1, 1), (1, 2)], [(1, 2)].into(), [(1, 1)].into()));
         let log = std::fs::read_to_string(dir.join("journal.log")).expect("read");
-        for (i, seed) in [(2, 92), (1, 91), (0, 90)] {
-            live.shared.enqueue_job(1, i, job(seed)); // queued, in flight, answered
-        }
+        // Queued, in flight, answered: one run.
+        live.shared.enqueue_jobs(1, vec![job(2, 92), job(1, 91), job(0, 90)]);
         assert_eq!(unanswered(live), before, "no second copy of a queued or in-flight job");
-        assert!(live.with_state(
-            |st| st.jobs[&(1, 1)].engine_seed == 1 && st.jobs[&(1, 2)].engine_seed == 2
-        ));
+        assert!(live.with_state(|st| seed(&st.jobs[&(1, 1)]) == 1 && seed(&st.jobs[&(1, 2)]) == 2));
         assert_eq!(std::fs::read_to_string(dir.join("journal.log")).expect("read"), log);
         // The client holds index 0 twice: the forward and the re-serving.
         client.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
@@ -588,18 +645,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Write calls this thread has made (`syscw` in `/proc/thread-self/io`).
+    fn writes() -> u64 {
+        let io = std::fs::read_to_string("/proc/thread-self/io").expect("per-thread I/O counters");
+        let count = io.lines().find_map(|line| line.strip_prefix("syscw: "));
+        count.expect("a syscw line").parse().expect("a count")
+    }
+
+    #[test]
+    fn a_run_of_jobs_is_one_journal_write_of_the_records_the_parent_wrote() {
+        let dir = tmp_dir("run");
+        let live = &mut Live::start(&dir);
+        live.open("sort n=64", MachineProfile::desktop());
+        let (before, writes_before) = (std::fs::read_to_string(dir.join("journal.log")), writes());
+        live.shared.enqueue_jobs(1, (0..5).map(|i| job(i, 40 + i)).collect());
+        assert_eq!(writes() - writes_before, 1, "one write");
+        // The previous release's `J_JOB`: the decoded job, re-encoded.
+        let parent: String = (0..5)
+            .map(|i| {
+                let Ok(Message::Job { index, job }) = Message::decode(&job(i, 40 + i).1) else {
+                    panic!("a JOB");
+                };
+                let embedded = Message::Job { index, job }.encode();
+                format!("{}\n", Record::new("J_JOB", vec!["1".to_owned(), embedded]).encode())
+            })
+            .collect();
+        assert!(parent.starts_with("J_JOB 1:1 "));
+        let log = std::fs::read_to_string(dir.join("journal.log")).expect("read");
+        assert_eq!(log, before.expect("read") + &parent);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Replay ≡ live: after any interleaving of the four transitions
-        /// over several sessions (with duplicate and late submissions,
-        /// lost workers and forced compactions thrown in), reopening the
-        /// journal recovers the state the dispatcher held when it died,
-        /// torn tail or not, and reopening again changes nothing.
+        /// over several sessions, in runs (with duplicate and late
+        /// submissions, lost workers and forced compactions thrown in),
+        /// reopening the journal recovers the state the dispatcher held
+        /// when it died — or, when the crash cut its last write, a run of
+        /// jobs, at any byte, that state less the run's records the cut
+        /// lost — and reopening again changes nothing.
         #[test]
         fn replay_of_any_history_is_the_live_state_at_the_crash(
             ops in proptest::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 1..60),
             torn in any::<bool>(),
+            cut in any::<u64>(),
         ) {
             let dir = tmp_dir("prop");
             let path = dir.join("journal.log");
@@ -616,22 +707,43 @@ mod tests {
                         let which = (a % 3) as usize;
                         opened = live.open(specs[which], machines[which].clone()).0;
                     }
-                    1..=3 => live.shared.enqueue_job(session, b % 8, job(b)),
+                    1..=3 => {
+                        let run = (0..1 + b % 4).map(|k| job((b + k) % 8, b ^ k)).collect();
+                        live.shared.enqueue_jobs(session, run);
+                    }
                     4 | 5 => {
-                        let mut answer = outcome(f64::from_bits(a));
-                        answer.compiles.push((b, f64::from_bits(b), 0.0));
-                        live.answer(answer);
+                        let run = (0..1 + a % 3).map(|k| {
+                            let mut answer = outcome(f64::from_bits(a ^ k));
+                            answer.compiles.push((b, f64::from_bits(b), 0.0));
+                            answer
+                        });
+                        live.answer(run.collect());
                     }
                     6 => live.shared.close_session(session, "test"),
                     _ if a % 2 == 0 => live.replace_worker(1 + b % 4),
                     _ => live.with_journal(|journal, state| journal.compact(state)).expect("compact"),
                 }
             }
-            let at_the_crash = live.with_state(facts);
-            drop(live);
+            let mut at_the_crash = live.with_state(facts);
+            let mut kept_bytes = None;
             if torn {
-                let mut f = OpenOptions::new().append(true).open(&path).expect("append");
-                f.write_all(b"J_RESULT 1:1 40:RESULT 1:0 1:1 1:1 18:0x3f50").expect("tear");
+                let session = live.open(specs[0], machines[0].clone()).0;
+                let run: Vec<_> = (0..5).map(|i| job(i, cut ^ i)).collect();
+                let start = std::fs::read(&path).expect("read").len();
+                live.shared.enqueue_jobs(session, run.clone());
+                let batch = std::fs::read(&path).expect("read").split_off(start);
+                let kept = usize::try_from(cut % (batch.len() as u64 + 1)).expect("small");
+                // Whole lines before the cut replay; the rest is lost.
+                let lines = batch[..kept].iter().filter(|&&b| b == b'\n').count();
+                at_the_crash = live.with_state(facts);
+                for (index, _) in &run[lines..] {
+                    at_the_crash.jobs.remove(&(session, *index));
+                }
+                kept_bytes = Some((start + kept) as u64);
+            }
+            drop(live);
+            if let Some(len) = kept_bytes {
+                OpenOptions::new().write(true).open(&path).expect("open").set_len(len).expect("cut");
             }
             let first = reopen(&dir);
             prop_assert_eq!(facts(&first), at_the_crash);

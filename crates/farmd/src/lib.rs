@@ -30,7 +30,8 @@
 //!
 //! Everything is std-only and lock-disciplined rather than async:
 //!
-//! * one **accept thread** per listener, polling with a stop flag;
+//! * one **accept thread** per listener, blocked in `accept(2)`; on stop
+//!   the dispatcher wakes it by connecting to its own endpoint;
 //! * one **reader thread** per connection (see `conn`), reading with a
 //!   socket timeout so shutdown is prompt;
 //! * one **scheduler thread** that assigns queued jobs and expires
@@ -40,11 +41,20 @@
 //!   a slow peer can never stall the dispatcher. Every connection also
 //!   carries a socket **write timeout**, so a wedged peer whose receive
 //!   buffer fills turns into a write error (and the worker-drain /
-//!   session-detach path) instead of parking a thread forever. A
-//!   `RESULT` takes the global lock **once**: the registry's verdict, the
-//!   session's `done` entry and the journal append are one critical
-//!   section, so no other thread (and no journal compaction) can find a
-//!   job that is neither unanswered nor done.
+//!   session-detach path) instead of parking a thread forever.
+//!
+//! A reader thread hands the dispatcher each **run** of records already
+//! buffered on its connection — the `JOB`s a client wrote together, the
+//! `RESULT`s a worker wrote together — as one batch: one acquisition of
+//! the global lock, one journal write, one wake-up and one write per
+//! peer, however many records it holds (a single record is a batch of
+//! one). A `RESULT` run's verdicts, `done` entries and journal append
+//! are one critical section, so no other thread (and no journal
+//! compaction) can find a job that is neither unanswered nor done.
+//! The scheduler writes each worker's assignment the same way, one
+//! write per pass, and forwards each job's wire text as the client sent
+//! it: a `JOB` is decoded once, to refuse a malformed one, and never
+//! re-encoded.
 //!
 //! ## One copy of the state, one path that changes it
 //!
@@ -53,7 +63,7 @@
 //! `State`, and changes only through its four I/O-free transitions
 //! (`open`, `enqueue`, `record_result`, `close`). The queue and the
 //! workers' in-flight FIFOs hold job *keys*; a re-queue moves a key, not
-//! a payload.
+//! a job's text.
 //!
 //! ## Crash safety
 //!
@@ -77,9 +87,9 @@ pub mod registry;
 
 use conn::ConnWriter;
 use journal::Journal;
-use petal_farm::net::{Endpoint, FarmListener};
+use petal_farm::net::{Endpoint, FarmListener, FarmStream};
 use petal_farm::wire::{Message, Record, WIRE_VERSION};
-use petal_farm::{EvalJob, JobOutcome};
+use petal_farm::JobOutcome;
 use petal_gpu::profile::MachineProfile;
 use petal_registry::{entry_from_wire, entry_to_wire, ConfigStore, DirStore};
 use registry::{Ack, JobKey, Registry};
@@ -201,8 +211,9 @@ impl Session {
 struct State {
     sessions: BTreeMap<u64, Session>,
     next_session: u64,
-    /// Every unanswered job, queued or in flight, by `(session, index)`.
-    jobs: BTreeMap<JobKey, EvalJob>,
+    /// Every unanswered job's `JOB` record as the client sent it (no
+    /// terminator), queued or in flight, by `(session, index)`.
+    jobs: BTreeMap<JobKey, String>,
     /// Keys of the unassigned jobs, FIFO; re-queued keys go back to the
     /// *front* so recovery work is retried before new work.
     queue: VecDeque<JobKey>,
@@ -244,11 +255,11 @@ impl State {
         self.sessions.get_mut(&id).expect("just inserted")
     }
 
-    /// Transition 2 of 4: `job` is submitted as `(session, index)`.
-    /// `false`, and nothing changes, when the session is closed or the
-    /// index is already answered, queued or in flight — re-submission is
-    /// idempotent.
-    fn enqueue(&mut self, session: u64, index: u64, job: EvalJob) -> bool {
+    /// Transition 2 of 4: the `JOB` record `job` is submitted as
+    /// `(session, index)`. `false`, and nothing changes, when the session
+    /// is closed or the index is already answered, queued or in flight —
+    /// re-submission is idempotent.
+    fn enqueue(&mut self, session: u64, index: u64, job: String) -> bool {
         if self.sessions.get(&session).map_or(true, |s| s.done.contains_key(&index)) {
             return false;
         }
@@ -316,12 +327,12 @@ pub(crate) struct Shared {
     store: Option<Mutex<DirStore>>,
 }
 
-/// One planned burst of sends to a single worker, executed outside the
-/// global lock.
+/// One planned burst of records (wire text) to a single worker, written
+/// outside the global lock in one write.
 struct SendPlan {
     worker: u64,
     writer: Arc<Mutex<ConnWriter>>,
-    msgs: Vec<Message>,
+    lines: Vec<String>,
 }
 
 impl Shared {
@@ -391,46 +402,60 @@ impl Shared {
         self.inner.lock().expect("farmd lock").registry.touch(id, now)
     }
 
-    /// Judge a worker's RESULT and, when it is the first answer to its
-    /// job, record, journal and forward it. The verdict, the `done` entry
-    /// and the `J_RESULT` append share **one** acquisition of the global
-    /// lock; the send happens after it is released, under the session
-    /// writer's own mutex. Recorded before sent: a crash between the two
-    /// re-serves the outcome on resume instead of losing it, and a
-    /// detached session just records. Duplicate and stale answers are
-    /// dropped; disorder tears the worker down. `false` once the worker
-    /// is no longer registered.
-    pub(crate) fn complete_job(
+    /// Judge a run of a worker's `RESULT`s and record, journal and
+    /// forward each first answer to its job. The verdicts, the `done`
+    /// entries and the batch's `J_RESULT` write share **one** acquisition
+    /// of the global lock; the sends happen after it is released, one
+    /// write per session under that session writer's own mutex. Recorded
+    /// before sent: a crash between the two re-serves the outcomes on
+    /// resume instead of losing them, and a detached session just
+    /// records. Duplicate and stale answers are dropped; disorder tears
+    /// the worker down after the answers before it. `false` once the
+    /// worker is no longer registered.
+    pub(crate) fn complete_jobs(
         self: &Arc<Self>,
         id: u64,
-        index: u64,
-        outcome: JobOutcome,
+        results: Vec<(u64, JobOutcome)>,
         now: Instant,
     ) -> bool {
         let mut inner = self.inner.lock().expect("farmd lock");
         inner.registry.touch(id, now);
-        let (session, index) = match inner.registry.complete(id, index) {
-            Ack::Fresh(key) => key,
-            Ack::Duplicate | Ack::Stale => return inner.registry.get(id).is_some(),
-            Ack::Disorder => {
-                drop(inner);
-                self.lose_worker(id, &format!("RESULT {index} violates FIFO order"), true);
-                return false;
+        let mut disorder = None;
+        let mut sends = BTreeMap::new();
+        for (index, outcome) in results {
+            let (session, index) = match inner.registry.complete(id, index) {
+                Ack::Fresh(key) => key,
+                Ack::Duplicate | Ack::Stale => continue,
+                Ack::Disorder => {
+                    disorder = Some(index);
+                    break;
+                }
+            };
+            inner.completed += 1;
+            // A session that disappeared mid-flight drops the answer.
+            if let Some(unanswered) = inner.state.record_result(session, index, outcome.clone()) {
+                inner.log(u64::from(unanswered), |_| {
+                    journal::result_record(session, index, &outcome)
+                });
+                let writer = || inner.state.sessions[&session].writer.clone();
+                let (_, msgs) = sends.entry(session).or_insert_with(|| (writer(), Vec::new()));
+                msgs.push(Message::Result { index, outcome });
             }
-        };
-        inner.completed += 1;
-        // A session that disappeared mid-flight drops the answer.
-        let mut writer = None;
-        if let Some(fresh) = inner.state.record_result(session, index, outcome.clone()) {
-            inner.log(u64::from(fresh), |_| journal::result_record(session, index, &outcome));
-            writer = inner.state.sessions[&session].writer.clone();
         }
+        inner.commit();
+        let registered = inner.registry.get(id).is_some();
         drop(inner);
-        self.notify(); // a slot freed up
-        if let Some(writer) = writer {
-            self.send_result(session, &writer, index, outcome);
+        self.notify(); // slots freed up
+        for (session, (writer, msgs)) in sends {
+            if let Some(writer) = writer {
+                self.send_results(session, &writer, &msgs);
+            }
         }
-        true
+        if let Some(index) = disorder {
+            self.lose_worker(id, &format!("RESULT {index} violates FIFO order"), true);
+            return false;
+        }
+        registered
     }
 
     /// Tear down worker `id`: re-queue everything it held, forget its
@@ -460,18 +485,15 @@ impl Shared {
         self.notify();
     }
 
-    /// Send one RESULT to a session's client, outside the global lock; a
-    /// failed write detaches the session.
-    fn send_result(
+    /// Send `results` to a session's client in one write, outside the
+    /// global lock; a failed write detaches the session.
+    fn send_results(
         self: &Arc<Self>,
         session: u64,
         writer: &Arc<Mutex<ConnWriter>>,
-        index: u64,
-        outcome: JobOutcome,
+        results: &[Message],
     ) {
-        let sent =
-            writer.lock().expect("writer lock").send(&Message::Result { index, outcome }).is_ok();
-        if !sent {
+        if !conn::send(writer, results) {
             self.client_writer_failed(session, writer);
         }
     }
@@ -490,6 +512,7 @@ impl Shared {
         let nonce = fresh_nonce(id);
         inner.state.open(id, nonce, bench_spec.to_owned(), machine, Instant::now()).attach(writer);
         inner.log(0, |state| journal::open_record(id, &state.sessions[&id]));
+        inner.commit();
         (id, nonce)
     }
 
@@ -528,28 +551,29 @@ impl Shared {
         inner.state.sessions.get(&session).map(|s| s.bench_spec.clone())
     }
 
-    /// Accept one `JOB`. Re-submission is idempotent: an index the
-    /// session was already answered is re-served from `done`, one that is
-    /// still queued or in flight is not duplicated. An accepted job is
-    /// journaled in the critical section that queues it, before the
-    /// scheduler can see it.
-    pub(crate) fn enqueue_job(self: &Arc<Self>, session: u64, index: u64, job: EvalJob) {
+    /// Accept a run of `JOB`s, each its index and its record as the
+    /// client sent it. Re-submission is idempotent: an index the session
+    /// was already answered is re-served from `done` (in one write), one
+    /// that is still queued or in flight is not duplicated. The run's
+    /// accepted jobs are journaled, in one write, in the critical section
+    /// that queues them, before the scheduler can see them.
+    pub(crate) fn enqueue_jobs(self: &Arc<Self>, session: u64, jobs: Vec<(u64, String)>) {
         let mut inner = self.inner.lock().expect("farmd lock");
-        let answered = inner
-            .state
-            .sessions
-            .get(&session)
-            .and_then(|s| Some((s.done.get(&index)?.clone(), s.writer.clone()?)));
-        if let Some((outcome, writer)) = answered {
-            drop(inner);
-            return self.send_result(session, &writer, index, outcome);
+        let mut reserved = Vec::new();
+        for (index, job) in jobs {
+            let done = inner.state.sessions.get(&session).and_then(|s| s.done.get(&index));
+            if let Some(outcome) = done {
+                reserved.push(Message::Result { index, outcome: outcome.clone() });
+            } else if inner.state.enqueue(session, index, job) {
+                inner.log(0, |state| journal::job_record(session, &state.jobs[&(session, index)]));
+            }
         }
-        if inner.state.enqueue(session, index, job) {
-            inner.log(0, |state| {
-                journal::job_record(session, index, &state.jobs[&(session, index)])
-            });
-            drop(inner);
-            self.notify();
+        inner.commit();
+        let writer = inner.state.sessions.get(&session).and_then(|s| s.writer.clone());
+        drop(inner);
+        self.notify();
+        if let Some(writer) = writer.filter(|_| !reserved.is_empty()) {
+            self.send_results(session, &writer, &reserved);
         }
     }
 
@@ -696,6 +720,7 @@ impl Shared {
         };
         // The session's J_OPEN and this J_CLOSE die with what it held.
         inner.log(2 + held, |_| journal::close_record(session));
+        inner.commit();
         eprintln!("petal-farmd: session {session} closed ({reason})");
         drop(inner);
         self.notify();
@@ -717,12 +742,20 @@ fn fresh_nonce(session: u64) -> u64 {
 }
 
 impl Inner {
-    /// Append the record of the transition `state` just made (built only
-    /// when there is a journal); `dead` is how many records it leaves
-    /// dead.
+    /// Add the record of the transition `state` just made to the batch
+    /// (built only when there is a journal); `dead` is how many records
+    /// it leaves dead.
     fn log(&mut self, dead: u64, record: impl FnOnce(&State) -> Record) {
         if let Some(journal) = self.journal.as_mut() {
             journal.append(&record(&self.state), dead, &self.state);
+        }
+    }
+
+    /// Write the batch logged since the last commit, in one write: every
+    /// entry point does before it releases the lock.
+    fn commit(&mut self) {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.commit();
         }
     }
 
@@ -771,7 +804,7 @@ impl Inner {
         // while batching lock acquisitions.
         let mut plans: Vec<SendPlan> = Vec::new();
         while let Some(&key) = self.state.queue.front() {
-            let (session_id, index) = key;
+            let session_id = key.0;
             let (Some(session), Some(job)) =
                 (self.state.sessions.get(&session_id), self.state.jobs.get(&key))
             else {
@@ -785,20 +818,21 @@ impl Inner {
             let plan = match plans.iter_mut().find(|p| p.worker == worker) {
                 Some(p) => p,
                 None => {
-                    plans.push(SendPlan { worker, writer, msgs: Vec::new() });
+                    plans.push(SendPlan { worker, writer, lines: Vec::new() });
                     plans.last_mut().expect("just pushed")
                 }
             };
             if self.registry.session(worker) != Some(session_id) {
-                plan.msgs.push(Message::Init {
+                let init = Message::Init {
                     version: WIRE_VERSION,
                     bench_spec: session.bench_spec.clone(),
                     machine: Box::new(session.machine.clone()),
-                });
+                };
+                plan.lines.push(init.encode());
                 self.registry.set_session(worker, session_id);
             }
             self.registry.assign(worker, key);
-            plan.msgs.push(Message::Job { index, job: job.clone() });
+            plan.lines.push(job.clone());
         }
 
         // Starvation: jobs waiting with an empty fleet. Within the grace
@@ -898,19 +932,14 @@ impl Farmd {
     }
 
     /// Block until at least `n` workers are ready or `timeout` elapses;
-    /// returns whether the fleet reached `n`.
+    /// returns whether the fleet reached `n`. Woken by the condvar every
+    /// admission notifies.
     #[must_use]
     pub fn wait_workers(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.stats().ready >= n {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let inner = self.shared.inner.lock().expect("farmd lock");
+        let short = |inner: &mut Inner| inner.registry.ready_count() < n;
+        let waited = self.shared.wake.wait_timeout_while(inner, timeout, short);
+        !waited.expect("farmd lock").1.timed_out()
     }
 
     /// Stop serving: flag every thread down, say goodbye to workers and
@@ -923,8 +952,10 @@ impl Farmd {
     /// `SIGKILL` would, and join all threads. Exists so in-process
     /// crash-recovery tests can bounce a journaled dispatcher without
     /// granting peers the graceful-shutdown diagnostics a real crash
-    /// never sends. The journal needs no flushing — every append was a
-    /// synchronous full-line write.
+    /// never sends. The journal needs no flushing: each of the four
+    /// entry points (`open_session`, `enqueue_jobs`, `complete_jobs`,
+    /// `close_session`) commits its batch in one write before it
+    /// releases the global lock, so nothing is left buffered.
     pub fn abort(&mut self) {
         self.stop(false);
     }
@@ -950,8 +981,13 @@ impl Farmd {
                 conn::close(writer);
             }
         }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        // Accept thread `i` is blocked in `accept(2)` on endpoint `i`:
+        // connecting wakes it to see the flag. One nothing can reach (its
+        // socket file unlinked under it) is left behind, not joined forever.
+        for (i, t) in self.threads.drain(..).enumerate() {
+            if self.endpoints.get(i).map_or(true, |e| FarmStream::connect(e).is_ok()) {
+                let _ = t.join();
+            }
         }
         let conns = std::mem::take(&mut *self.conn_threads.lock().expect("conn threads lock"));
         for t in conns {
@@ -974,15 +1010,18 @@ fn accept_loop(
     conn_threads: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
     let label = listener.local_endpoint().map_or_else(|_| "?".to_owned(), |e| e.to_string());
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.poll_accept() {
-            Ok(Some(stream)) => {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return; // the wake-up connection, or a peer too late to serve
+        }
+        match accepted {
+            Ok(stream) => {
                 let shared_ = Arc::clone(shared);
                 let peer = label.clone();
                 let handle = std::thread::spawn(move || conn::serve_conn(&shared_, stream, &peer));
                 conn_threads.lock().expect("conn threads lock").push(handle);
             }
-            Ok(None) => std::thread::sleep(Duration::from_millis(10)),
             Err(e) => {
                 eprintln!("petal-farmd: accept on {label} failed: {e}");
                 std::thread::sleep(Duration::from_millis(100));
@@ -1023,7 +1062,8 @@ fn scheduler_loop(shared: &Arc<Shared>) {
         for plan in plans {
             let ok = {
                 let mut w = plan.writer.lock().expect("writer lock");
-                plan.msgs.iter().all(|m| w.send(m).is_ok())
+                plan.lines.iter().for_each(|line| w.send_line(line));
+                w.flush().is_ok()
             };
             if !ok {
                 shared.lose_worker(plan.worker, "write failed", false);

@@ -96,21 +96,19 @@ impl FaultProxy {
         let endpoint = listener.local_endpoint()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_ = Arc::clone(&stop);
+        // Blocks in `accept(2)`; `drop` wakes it by connecting.
         let accept_thread = std::thread::spawn(move || {
             let mut accepted = 0usize;
             let scripts = scripts; // moved in
-            while !stop_.load(Ordering::Relaxed) {
-                match listener.poll_accept() {
-                    Ok(Some(peer)) => {
-                        let script = scripts.get(accepted).cloned().unwrap_or_default();
-                        accepted += 1;
-                        let stop__ = Arc::clone(&stop_);
-                        let upstream_ = upstream.clone();
-                        std::thread::spawn(move || proxy_conn(peer, &upstream_, script, &stop__));
-                    }
-                    Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-                    Err(_) => return,
+            while let Ok(peer) = listener.accept() {
+                if stop_.load(Ordering::SeqCst) {
+                    return;
                 }
+                let script = scripts.get(accepted).cloned().unwrap_or_default();
+                accepted += 1;
+                let stop__ = Arc::clone(&stop_);
+                let upstream_ = upstream.clone();
+                std::thread::spawn(move || proxy_conn(peer, &upstream_, script, &stop__));
             }
         });
         Ok(FaultProxy { endpoint, stop, accept_thread: Some(accept_thread) })
@@ -125,9 +123,11 @@ impl FaultProxy {
 
 impl Drop for FaultProxy {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            if FarmStream::connect(&self.endpoint).is_ok() {
+                let _ = t.join();
+            }
         }
     }
 }

@@ -102,8 +102,9 @@ impl RemoteStore {
             Some(c) => c,
             None => self.open_conn()?,
         };
+        conn.send(request);
         let result = conn
-            .send(request)
+            .flush()
             .map_err(|e| self.remote_err(format!("writing request: {e}")))
             .and_then(|()| handle(&mut conn));
         if result.is_ok() {
@@ -129,7 +130,8 @@ impl Drop for RemoteStore {
         // session instead of logging a dropped client.
         if let Ok(mut slot) = self.conn.lock() {
             if let Some(mut conn) = slot.take() {
-                let _ = conn.send(&Message::Done);
+                conn.send(&Message::Done);
+                let _ = conn.flush();
             }
         }
     }

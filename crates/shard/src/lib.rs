@@ -23,7 +23,7 @@ pub use remote::{serve_remote, RemoteOptions};
 
 use petal_farm::session::{serve_jobs, Framed};
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, Write};
 
 /// A fatal worker error: protocol violation, unknown benchmark spec, or a
 /// broken pipe to the parent.
@@ -51,7 +51,8 @@ pub(crate) fn err(message: impl Into<String>) -> ServeError {
 ///
 /// This is the whole worker; `main` merely binds it to stdin/stdout. It
 /// is generic over the streams so tests can drive a session through
-/// in-memory buffers.
+/// in-memory buffers. Answers to every `JOB` already read go out in one
+/// write (see [`petal_farm::session`]'s flush rule).
 ///
 /// # Errors
 /// On any protocol violation (bad handshake, malformed record, unknown
@@ -60,7 +61,8 @@ pub(crate) fn err(message: impl Into<String>) -> ServeError {
 pub fn serve(input: impl BufRead, output: impl Write) -> Result<(), ServeError> {
     // `DONE`, or EOF without it (the parent died or closed early): exit
     // quietly either way.
-    serve_jobs(&mut Framed::new(input, output), |_| {})
+    // Its own buffer, so the loop can see which records are in hand.
+    serve_jobs(&mut Framed::new(BufReader::new(input), output), |_, _| {})
         .map(|_ended| ())
         .map_err(|e| err(e.to_string()))
 }
@@ -124,6 +126,59 @@ mod tests {
                 "job {i}"
             );
         }
+    }
+
+    /// The reading end of a pipe the parent wrote twice: the `INIT`, and
+    /// — once `READY` came back — a generation of jobs and `DONE`.
+    struct Pipe(std::collections::VecDeque<String>);
+
+    impl std::io::Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(chunk) = self.0.pop_front() else { return Ok(0) };
+            buf[..chunk.len()].copy_from_slice(chunk.as_bytes());
+            Ok(chunk.len())
+        }
+    }
+
+    /// Every `write` call, whole.
+    #[derive(Default)]
+    struct Writes(Vec<String>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(String::from_utf8(buf.to_vec()).expect("utf8"));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_generation_read_together_is_answered_in_one_write() {
+        let bench = BlackScholes::new(2_000);
+        let machine = MachineProfile::laptop();
+        let config = bench.program(&machine).default_config(&machine);
+        let init = Message::Init {
+            version: WIRE_VERSION,
+            bench_spec: bench.spec(),
+            machine: Box::new(machine),
+        };
+        let mut generation = String::new();
+        for index in 0..5 {
+            let job = EvalJob { config: config.clone(), size: 2_000, engine_seed: index };
+            generation.push_str(&format!("{}\n", Message::Job { index, job }.encode()));
+        }
+        generation.push_str("DONE\n");
+        let pipe = Pipe([format!("{}\n", init.encode()), generation].into());
+        let mut writes = Writes::default();
+        serve(std::io::BufReader::new(pipe), &mut writes).expect("session succeeds");
+        let tags = |write: &String| -> Vec<String> {
+            write.lines().map(|l| l.split(' ').next().expect("a tag").to_owned()).collect()
+        };
+        let tags: Vec<Vec<String>> = writes.0.iter().map(tags).collect();
+        assert_eq!(tags, [vec!["READY"], vec!["RESULT"; 5]], "READY, then the five RESULTs");
     }
 
     #[test]

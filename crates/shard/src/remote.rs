@@ -72,7 +72,7 @@ impl RemoteOptions {
 
 /// The socket's write half, shared by the job loop (`READY`s, `RESULT`s)
 /// and the heartbeat thread, each through its own [`Framed`]. A `Framed`
-/// hands over one whole record per `write`, and this writes all of it
+/// hands over whole records in one `write`, and this writes all of it
 /// under one lock hold, so records never interleave.
 #[derive(Clone)]
 struct SharedWriter(Arc<Mutex<FarmStream>>);
@@ -139,13 +139,13 @@ fn serve_once(
     let writer = SharedWriter(Arc::new(Mutex::new(writer)));
     let mut wire = Framed::new(reader, writer.clone());
 
-    // Join the pool.
+    // Join the pool, on the wire before the heartbeat thread can write.
     wire.send(&Message::Register {
         name: opts.name.clone(),
         slots: opts.slots.max(1),
         pid: u64::from(std::process::id()),
-    })
-    .map_err(SessionError::Lost)?;
+    });
+    wire.flush().map_err(SessionError::Lost)?;
 
     // Liveness thread: heartbeats flow even while a long trial evaluates,
     // because the job loop and this thread share the writer mutex, not
@@ -159,7 +159,8 @@ fn serve_once(
         let mut seq: u64 = 0;
         loop {
             std::thread::sleep(hb_period);
-            if hb_stop.load(Ordering::Relaxed) || beat.send(&Message::Heartbeat { seq }).is_err() {
+            beat.send(&Message::Heartbeat { seq });
+            if hb_stop.load(Ordering::Relaxed) || beat.flush().is_err() {
                 return;
             }
             seq += 1;
@@ -176,10 +177,12 @@ fn serve_once(
     }
     let _cleanup = Cleanup(stop, stream);
 
-    let ended = serve_jobs(&mut wire, |index| {
+    let ended = serve_jobs(&mut wire, |wire, index| {
         if opts.fail_after.is_some_and(|n| *served >= n) {
             // Injected fault: die the way a crashed worker dies —
-            // mid-protocol, without a RESULT or a GOODBYE.
+            // mid-protocol, without a RESULT or a GOODBYE — once the
+            // answers to the jobs it served are out.
+            let _ = wire.flush();
             eprintln!("petal-shard[{}]: injected failure before job {index}", opts.name);
             std::process::exit(3);
         }
