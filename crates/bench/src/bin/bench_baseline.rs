@@ -11,19 +11,16 @@
 //! * `--write` — regenerate `BENCH_baseline.json` at the repo root (do
 //!   this, and commit the diff, in any PR that intentionally changes the
 //!   cost model or the simulator's hot paths);
-//! * `--check` — recompute and compare virtual seconds against the
-//!   committed file (relative tolerance 1e-6); host times are reported but
-//!   never asserted. Exits nonzero on drift, making cost-model changes
-//!   conscious instead of accidental.
-//! * `--check-virtual` — the strict form: every recomputed `virtual_secs`
-//!   must match the committed `virtual_bits` **exactly** (not even one ULP
-//!   of drift). Virtual time is a pure function of the cost model, so this
-//!   is deterministic on every host; CI runs it after host-side perf work
-//!   to prove the simulator's *answers* did not move.
+//! * `--check-virtual` — recompute every `virtual_secs` and compare it
+//!   with the committed `virtual_bits` **exactly** (not even one ULP of
+//!   drift); host times are reported but never asserted. Virtual time is
+//!   a pure function of the cost model, so this is deterministic on every
+//!   host; CI runs it to prove the simulator's *answers* did not move, and
+//!   a cost-model change has to be a conscious `--write`.
 
 use petal_apps::convolution::{ConvMapping, SeparableConvolution};
 use petal_apps::{all_benchmarks, Benchmark};
-use petal_bench::{num_field, str_field};
+use petal_bench::str_field;
 use petal_gpu::profile::MachineProfile;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -90,25 +87,24 @@ fn render(entries: &[Entry]) -> String {
     s
 }
 
-/// One committed-baseline row: `(key, virtual_secs, exact bits if the
-/// file carries them)`.
+/// One committed-baseline row: its key and its exact virtual seconds.
 struct Committed {
     key: String,
-    virtual_secs: f64,
-    virtual_bits: Option<f64>,
+    virtual_bits: f64,
 }
 
 /// Parse the committed baseline (flat format written by [`render`]; no
-/// JSON dependency available offline).
+/// JSON dependency available offline). Every row carries its bits.
 fn parse_baseline(text: &str) -> Vec<Committed> {
     text.lines()
         .filter_map(|line| {
-            Some(Committed {
-                key: str_field(line, "key")?.to_owned(),
-                virtual_secs: num_field(line, "virtual_secs")?,
-                virtual_bits: str_field(line, "virtual_bits")
-                    .and_then(|bits| petal_apps::spec_f64_parse(bits).ok()),
-            })
+            let key = str_field(line, "key")?.to_owned();
+            let bits =
+                str_field(line, "virtual_bits").and_then(|b| petal_apps::spec_f64_parse(b).ok());
+            let virtual_bits = bits.unwrap_or_else(|| {
+                panic!("{key}: no virtual_bits in BENCH_baseline.json; regenerate it with --write")
+            });
+            Some(Committed { key, virtual_bits })
         })
         .collect()
 }
@@ -127,8 +123,7 @@ fn main() {
             std::fs::write(baseline_path(), &rendered).expect("write BENCH_baseline.json");
             println!("wrote {} entries to BENCH_baseline.json", entries.len());
         }
-        Some(mode @ ("--check" | "--check-virtual")) => {
-            let strict = mode == "--check-virtual";
+        Some("--check-virtual") => {
             let committed =
                 std::fs::read_to_string(baseline_path()).expect("BENCH_baseline.json present");
             let baseline = parse_baseline(&committed);
@@ -137,43 +132,24 @@ fn main() {
             for (want, got) in baseline.iter().zip(&entries) {
                 let key = &want.key;
                 assert_eq!(key, &got.key, "entry order drifted; rerun with --write");
-                let ok = if strict {
-                    // Not even one ULP of drift: virtual time is a pure
-                    // function of the cost model, identical on every host.
-                    let bits = want.virtual_bits.unwrap_or_else(|| {
-                        panic!(
-                            "{key}: no virtual_bits in BENCH_baseline.json; \
-                             regenerate it once with --write"
-                        )
-                    });
-                    bits.to_bits() == got.virtual_secs.to_bits()
-                } else {
-                    let rel = (got.virtual_secs - want.virtual_secs).abs()
-                        / want.virtual_secs.abs().max(1e-300);
-                    rel <= 1e-6
-                };
+                let ok = want.virtual_bits.to_bits() == got.virtual_secs.to_bits();
                 if !ok {
                     drift += 1;
                 }
                 println!(
                     "{} {key}: virtual {:.6e} -> {:.6e} (host {:.2} ms)",
                     if ok { "ok  " } else { "DRIFT" },
-                    want.virtual_bits.unwrap_or(want.virtual_secs),
+                    want.virtual_bits,
                     got.virtual_secs,
                     got.host_ms
                 );
             }
             assert!(
                 drift == 0,
-                "{drift} virtual-time baselines drifted{}; if intentional, \
-                 rerun `bench_baseline --write` and commit the diff",
-                if strict { " (bit-exact comparison)" } else { "" }
+                "{drift} virtual-time baselines drifted (bit-exact comparison); if \
+                 intentional, rerun `bench_baseline --write` and commit the diff"
             );
-            println!(
-                "baseline check passed ({} entries{})",
-                entries.len(),
-                if strict { ", bit-exact" } else { "" }
-            );
+            println!("baseline check passed ({} entries, bit-exact)", entries.len());
         }
         _ => print!("{rendered}"),
     }

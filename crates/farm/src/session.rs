@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn a_slow_job_is_answered_at_once_and_the_rest_of_the_run_together() {
-        let bench = petal_apps::blackscholes::BlackScholes::new(2_000);
+        let bench = petal_apps::blackscholes::BlackScholes::new(256);
         let machine = MachineProfile::laptop();
         let config = bench.program(&machine).default_config(&machine);
         let init = Message::Init {
@@ -388,7 +388,7 @@ mod tests {
         };
         let mut script = format!("{}\n", init.encode());
         for index in 0..5 {
-            let job = crate::EvalJob { config: config.clone(), size: 2_000, engine_seed: index };
+            let job = crate::EvalJob { config: config.clone(), size: 256, engine_seed: index };
             script.push_str(&format!("{}\n", Message::Job { index, job }.encode()));
         }
         script.push_str("DONE\n");

@@ -3,13 +3,13 @@
 //! `--journal <dir>` replays to its exact pre-crash queue/session state
 //! and resumes mid-batch.
 //!
-//! The journal holds no copy of that state. A reader thread makes the
-//! dispatcher's four durable transitions (`State::{open, enqueue,
-//! record_result, close}`) under the global lock — a run of `JOB`s or
-//! `RESULT`s is one batch of them — adds the record of each here as it
-//! makes it, and commits the batch in one write before it lets go of
-//! the lock; [`Journal::open`] decodes the records and calls the same
-//! four methods, so replay *is* the live path fed from the log, and
+//! The journal holds no copy of that state. A dispatcher step makes the
+//! four durable transitions (`State::{open, enqueue, record_result,
+//! close}`) — a run of `JOB`s or `RESULT`s is one step of them — and
+//! emits the record of each as it makes it ([`Entry`]); the driver
+//! commits a step's records in one write before it lets go of the global
+//! lock. [`Journal::open`] decodes the records and calls the same four
+//! methods, so replay *is* the live path fed from the log, and
 //! compaction writes from the state it is handed.
 //!
 //! ## Record format
@@ -39,7 +39,7 @@
 //!
 //! ## Durability and crash ordering
 //!
-//! Every append is a single `write_all` of a batch's full lines on an
+//! Every append is a single `write_all` of a step's full lines on an
 //! append-only descriptor, so a `SIGKILL` of the dispatcher loses at most
 //! the batch being written, none of which was sent — never an earlier
 //! line — and [`Journal::open`] tolerates that torn tail by dropping any
@@ -57,31 +57,38 @@
 //! ## Compaction
 //!
 //! Dead records (answered `J_JOB`s, records of closed sessions)
-//! accumulate; once enough do, the journal is rewritten as `J_NEXT` +
+//! accumulate; once enough do, the step that tips the count rewrites the
+//! journal from the state right after that record, as `J_NEXT` +
 //! each open session's `J_OPEN` and done `J_RESULT`s + every unanswered
 //! `J_JOB`, to a temp file that is fsynced and atomically renamed over
 //! the log — a crash during compaction leaves either the old or the new
 //! file, never a mix.
 
-use crate::{Session, State};
+use crate::dispatcher::{Session, State};
 use petal_farm::wire::{Message, Record, WIRE_VERSION};
-use petal_farm::JobOutcome;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Dead records tolerated before the log is compacted in place.
-const COMPACT_DEAD_THRESHOLD: u64 = 2048;
+pub(crate) const COMPACT_DEAD_THRESHOLD: u64 = 2048;
 
-/// The append handle. Lives inside the dispatcher's global lock, so
+/// The journal's side of a dispatcher step, in order.
+pub(crate) enum Entry {
+    /// The record of one transition, to append.
+    Record(Record),
+    /// The whole log ([`snapshot`]) as the state stood right after the
+    /// records before it, which it replaces: a compaction.
+    Compacted(String),
+}
+
+/// The append handle, owned by the driver inside the global lock, so
 /// appends serialize with the transitions they record.
 pub(crate) struct Journal {
     path: PathBuf,
     file: File,
-    /// Records in the file that replay would discard; drives compaction.
-    dead: u64,
-    /// Records of the batch being made, not yet written.
+    /// The lines of the step being committed.
     batch: String,
 }
 
@@ -100,15 +107,35 @@ pub(crate) fn job_record(session: u64, job: &str) -> Record {
     Record::new("J_JOB", vec![session.to_string(), job.to_owned()])
 }
 
-/// A result about to be forwarded (its `RESULT` embedded whole).
-pub(crate) fn result_record(session: u64, index: u64, outcome: &JobOutcome) -> Record {
-    let msg = Message::Result { index, outcome: outcome.clone() };
-    Record::new("J_RESULT", vec![session.to_string(), msg.encode()])
+/// A result about to be forwarded (its `RESULT` record embedded whole).
+pub(crate) fn result_record(session: u64, result: String) -> Record {
+    Record::new("J_RESULT", vec![session.to_string(), result])
 }
 
 /// A retired session; every record it wrote is now dead.
 pub(crate) fn close_record(session: u64) -> Record {
     Record::new("J_CLOSE", vec![session.to_string()])
+}
+
+/// The minimal log for `state`: `J_NEXT`, each open session's `J_OPEN`
+/// and done `J_RESULT`s, every unanswered `J_JOB`.
+pub(crate) fn snapshot(state: &State) -> String {
+    let mut text = String::new();
+    let mut push = |record: Record| {
+        text.push_str(&record.encode());
+        text.push('\n');
+    };
+    push(Record::new("J_NEXT", vec![state.next_session.to_string()]));
+    for (&id, s) in &state.sessions {
+        push(open_record(id, s));
+        for (&index, outcome) in &s.done {
+            push(result_record(id, Message::Result { index, outcome: outcome.clone() }.encode()));
+        }
+    }
+    for (&(session, _), job) in &state.jobs {
+        push(job_record(session, job));
+    }
+    text
 }
 
 impl Journal {
@@ -119,107 +146,85 @@ impl Journal {
     pub(crate) fn open(dir: &Path, state: &mut State, now: Instant) -> io::Result<Journal> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("journal.log");
-        let mut dead = 0u64;
         if path.exists() {
             let mut text = String::new();
             File::open(&path)?.read_to_string(&mut text)?;
-            let mut rest = text.as_str();
-            while let Some(nl) = rest.find('\n') {
-                let line = &rest[..nl];
-                rest = &rest[nl + 1..];
-                match replay_line(state, line, now) {
-                    Ok(line_dead) => dead += line_dead,
-                    Err(e) => {
-                        // Corruption before the tail is not a torn
-                        // append; refuse to guess at what was lost.
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("journal {} is corrupt: {e} in `{line}`", path.display()),
-                        ));
-                    }
-                }
-            }
-            if !rest.is_empty() {
+            // Corruption before the tail is not a torn append; refuse to
+            // guess at what was lost.
+            let torn = replay(state, &text, now).map_err(|e| {
+                let e = format!("journal {} is corrupt: {e}", path.display());
+                io::Error::new(io::ErrorKind::InvalidData, e)
+            })?;
+            if torn > 0 {
                 eprintln!(
-                    "petal-farmd: journal {} ends in a torn line ({} bytes); \
+                    "petal-farmd: journal {} ends in a torn line ({torn} bytes); \
                      dropping it (crash mid-append)",
-                    path.display(),
-                    rest.len()
+                    path.display()
                 );
             }
-            // Assignments died with the old process's worker connections:
-            // every unanswered job is queued again, in (session, index)
-            // order.
-            state.queue = state.jobs.keys().copied().collect();
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let mut journal = Journal { path, file, dead, batch: String::new() };
+        let mut journal = Journal { path, file, batch: String::new() };
         // Always compact on open: truncates any torn tail and starts
         // the new process from a minimal log.
-        journal.compact(state)?;
+        journal.rewrite(&snapshot(state))?;
         Ok(journal)
     }
 
-    /// Add the record of a transition `state` has already made to the
-    /// batch, and compact once `dead` more dead records tip the count over
-    /// the threshold — from `state`, which holds the batch so far, so the
-    /// records buffered until then are dropped, not written: the log is
-    /// the one record-by-record appends would leave, byte for byte.
-    pub(crate) fn append(&mut self, record: &Record, dead: u64, state: &State) {
-        self.batch.push_str(&record.encode());
-        self.batch.push('\n');
-        self.dead += dead;
-        if self.dead >= COMPACT_DEAD_THRESHOLD {
-            match self.compact(state) {
-                Ok(()) => self.batch.clear(),
-                Err(e) => eprintln!("petal-farmd: journal compaction failed: {e}"),
+    /// Write a step's journal side: its records as full lines in one
+    /// write, less those a compaction in it already holds. Failures are
+    /// reported, not fatal: the dispatcher keeps serving (availability
+    /// over durability) and the operator sees why recovery would be
+    /// stale; a failed compaction leaves the records to be appended.
+    pub(crate) fn commit(&mut self, entries: Vec<Entry>) {
+        for entry in entries {
+            match entry {
+                Entry::Record(record) => {
+                    self.batch.push_str(&record.encode());
+                    self.batch.push('\n');
+                }
+                Entry::Compacted(text) => match self.rewrite(&text) {
+                    Ok(()) => self.batch.clear(),
+                    Err(e) => eprintln!("petal-farmd: journal compaction failed: {e}"),
+                },
             }
         }
-    }
-
-    /// Write the batch as full lines in one write. Failures are reported,
-    /// not fatal: the dispatcher keeps serving (availability over
-    /// durability) and the operator sees why recovery would be stale.
-    pub(crate) fn commit(&mut self) {
         if let Err(e) = self.file.write_all(self.batch.as_bytes()) {
             eprintln!("petal-farmd: journal append failed: {e}");
         }
         self.batch.clear();
     }
 
-    /// Rewrite the log as the minimal record set for `state`: tmp file,
-    /// fsync, atomic rename.
-    fn compact(&mut self, state: &State) -> io::Result<()> {
+    /// Replace the log with `text`: tmp file, fsync, atomic rename.
+    fn rewrite(&mut self, text: &str) -> io::Result<()> {
         let tmp = self.path.with_extension("log.tmp");
         let mut out = File::create(&tmp)?;
-        let mut text = String::new();
-        let mut push = |record: Record| {
-            text.push_str(&record.encode());
-            text.push('\n');
-        };
-        push(Record::new("J_NEXT", vec![state.next_session.to_string()]));
-        for (&id, s) in &state.sessions {
-            push(open_record(id, s));
-            for (&index, outcome) in &s.done {
-                push(result_record(id, index, outcome));
-            }
-        }
-        for (&(session, _), job) in &state.jobs {
-            push(job_record(session, job));
-        }
         out.write_all(text.as_bytes())?;
         out.sync_all()?;
         std::fs::rename(&tmp, &self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.dead = 0;
         Ok(())
     }
 }
 
+/// Replay a log's text into `state` through the dispatcher's own
+/// transitions, then queue every unanswered job again, in `(session,
+/// index)` order: assignments died with the old process's worker
+/// connections. Returns the length of a torn last line, which is
+/// dropped; an error names the first whole line that does not replay.
+pub(crate) fn replay(state: &mut State, text: &str, now: Instant) -> Result<usize, String> {
+    let mut rest = text;
+    while let Some(nl) = rest.find('\n') {
+        let line = &rest[..nl];
+        rest = &rest[nl + 1..];
+        replay_line(state, line, now).map_err(|e| format!("{e} in `{line}`"))?;
+    }
+    state.queue = state.jobs.keys().copied().collect();
+    Ok(rest.len())
+}
+
 /// Replay one journal line: decode it and make the transition it records.
-/// Returns how many already-dead records the line proves (for the
-/// compaction counter); a record that changes nothing is itself dead.
-fn replay_line(state: &mut State, line: &str, now: Instant) -> Result<u64, String> {
+fn replay_line(state: &mut State, line: &str, now: Instant) -> Result<(), String> {
     let rec = Record::parse(line).map_err(|e| e.to_string())?;
     let field = |i: usize| -> Result<&str, String> {
         rec.fields.get(i).map(String::as_str).ok_or_else(|| format!("{} too short", rec.tag))
@@ -229,55 +234,48 @@ fn replay_line(state: &mut State, line: &str, now: Instant) -> Result<u64, Strin
     };
     let embedded = |i: usize| Message::decode(field(i)?).map_err(|e| e.to_string());
     match rec.tag.as_str() {
-        "J_NEXT" => {
-            state.next_session = state.next_session.max(num(0)?);
-            Ok(0)
-        }
+        "J_NEXT" => state.next_session = state.next_session.max(num(0)?),
         "J_OPEN" => {
             let Message::Init { bench_spec, machine, .. } = embedded(2)? else {
                 return Err("J_OPEN does not embed an INIT".to_owned());
             };
             state.open(num(0)?, num(1)?, bench_spec, *machine, now);
-            Ok(0)
         }
         "J_JOB" => {
             let Message::Job { index, .. } = embedded(1)? else {
                 return Err("J_JOB does not embed a JOB".to_owned());
             };
-            Ok(u64::from(!state.enqueue(num(0)?, index, field(1)?.to_owned())))
+            state.enqueue(num(0)?, index, field(1)?.to_owned());
         }
-        // Not written since PR 20 (an assignment dies with its worker
+        // Assignments are no longer written (one dies with its worker
         // connection and was never replayed); a log the previous release
         // wrote still opens.
-        "J_ASSIGN" => Ok(1),
+        "J_ASSIGN" => {}
         "J_RESULT" => {
             let Message::Result { index, outcome } = embedded(1)? else {
                 return Err("J_RESULT does not embed a RESULT".to_owned());
             };
-            Ok(state.record_result(num(0)?, index, outcome).map_or(1, u64::from))
+            state.record_result(num(0)?, index, outcome);
         }
-        "J_CLOSE" => Ok(state.close(num(0)?).map_or(1, |held| 2 + held)),
-        tag => Err(format!("unknown journal tag `{tag}`")),
+        "J_CLOSE" => {
+            state.close(num(0)?);
+        }
+        tag => return Err(format!("unknown journal tag `{tag}`")),
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::ConnWriter;
+    use crate::dispatcher::tests::{facts, Harness};
+    use crate::dispatcher::{ConnId, Event};
     use crate::registry::JobKey;
-    use crate::{FarmdOptions, Shared};
     use petal_apps::Benchmark as _;
-    use petal_farm::net::FarmStream;
-    use petal_farm::session::Framed;
     use petal_farm::{EvalJob, JobOutcome};
     use petal_gpu::profile::MachineProfile;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
-    use std::io::BufRead as _;
-    use std::os::unix::net::UnixStream;
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
 
     /// Job `index` of a session as a client submits it: its `JOB` record.
     fn job(index: u64, seed: u64) -> (u64, String) {
@@ -310,144 +308,94 @@ mod tests {
         dir
     }
 
-    /// A journaled dispatcher with no listener and no threads: the tests
-    /// call the entry points its reader threads would, with one end of a
-    /// socket pair as every peer, and one worker holds whatever a
-    /// scheduler pass assigns. Dropping it is the crash.
-    struct Live {
-        shared: Arc<Shared>,
-        worker: u64,
-        /// The far end of every writer handed out, in order.
-        peers: Vec<UnixStream>,
+    /// A journaled dispatcher stepped by hand, one worker holding
+    /// whatever a scheduler pass assigns. Dropping it is the crash.
+    struct Run {
+        h: Harness,
+        worker: ConnId,
+        /// The connection that opened each session.
+        clients: BTreeMap<u64, ConnId>,
     }
 
-    impl Live {
-        fn start(dir: &Path) -> Live {
-            let opts = FarmdOptions { journal: Some(dir.to_owned()), ..FarmdOptions::default() };
-            let shared = Arc::new(Shared::new(opts).expect("open the journal"));
-            let mut live = Live { shared, worker: 0, peers: Vec::new() };
-            live.admit(u64::MAX);
-            live
-        }
-
-        fn writer(&mut self) -> Arc<Mutex<ConnWriter>> {
-            let (near, far) = UnixStream::pair().expect("socket pair");
-            self.peers.push(far);
-            Arc::new(Mutex::new(Framed::new(std::io::empty(), FarmStream::Unix(near))))
+    impl Run {
+        fn start(dir: &Path) -> Run {
+            let mut run = Run { h: Harness::journaled(dir), worker: 0, clients: BTreeMap::new() };
+            run.admit(u64::MAX);
+            run
         }
 
         fn admit(&mut self, slots: u64) {
-            let writer = self.writer();
-            self.worker = self.shared.admit_worker("w", slots, 0, writer);
+            self.worker = self.h.connect();
+            self.h.step(self.worker, Event::Register { name: "w".into(), slots, pid: 0 });
         }
 
         /// Lose the worker (its jobs re-queue) and admit a replacement.
         fn replace_worker(&mut self, slots: u64) {
-            self.shared.lose_worker(self.worker, "test", false);
+            self.h.step(self.worker, Event::Closed("test".into()));
             self.admit(slots);
         }
 
         fn open(&mut self, spec: &str, machine: MachineProfile) -> (u64, u64) {
-            let writer = self.writer();
-            self.shared.open_session(spec, machine, writer)
+            let (conn, id) = (self.h.connect(), self.h.d.state.next_session);
+            let (bench_spec, machine, nonce) = (spec.to_owned(), Box::new(machine), 7 * id + 3);
+            self.h.step(conn, Event::Open { bench_spec, machine, nonce });
+            self.clients.insert(id, conn);
+            (id, nonce)
         }
 
-        /// One scheduler pass: queued jobs go to the worker while it has
-        /// slots (the sends themselves are dropped).
-        fn schedule(&self) {
-            let opts = &self.shared.opts;
-            let mut inner = self.shared.inner.lock().expect("farmd lock");
-            drop(inner.plan(Instant::now(), opts.starvation, opts.session_linger));
+        /// A client's run of jobs; one for a session never opened goes
+        /// nowhere.
+        fn enqueue(&mut self, session: u64, jobs: Vec<(u64, String)>) {
+            let conn = self.clients.get(&session).copied().unwrap_or(0);
+            self.h.step(conn, Event::Jobs(jobs));
+        }
+
+        fn close(&mut self, session: u64) {
+            let conn = self.clients.get(&session).copied().unwrap_or(0);
+            self.h.step(conn, Event::Msg(Message::Done));
         }
 
         /// A scheduler pass, then the worker answers its oldest jobs, one
         /// outcome each, as one run. Returns the jobs answered.
-        fn answer(&self, outcomes: Vec<JobOutcome>) -> Vec<JobKey> {
-            self.schedule();
-            let keys: Vec<JobKey> = {
-                let inner = self.shared.inner.lock().expect("farmd lock");
-                let inflight = &inner.registry.get(self.worker).expect("a worker").inflight;
-                inflight.iter().copied().take(outcomes.len()).collect()
-            };
+        fn answer(&mut self, outcomes: Vec<JobOutcome>) -> Vec<JobKey> {
+            self.h.schedule();
+            let keys: Vec<JobKey> =
+                self.h.inflight(self.worker).into_iter().take(outcomes.len()).collect();
             let run = keys.iter().map(|key| key.1).zip(outcomes).collect();
-            assert!(self.shared.complete_jobs(self.worker, run, Instant::now()));
+            self.h.step(self.worker, Event::Results(run));
             keys
         }
 
-        fn with_state<R>(&self, f: impl FnOnce(&State) -> R) -> R {
-            f(&self.shared.inner.lock().expect("farmd lock").state)
-        }
-
-        fn with_journal<R>(&self, f: impl FnOnce(&mut Journal, &State) -> R) -> R {
-            let inner = &mut *self.shared.inner.lock().expect("farmd lock");
-            f(inner.journal.as_mut().expect("journaled"), &inner.state)
+        fn compact(&mut self) -> io::Result<()> {
+            let text = snapshot(&self.h.d.state);
+            self.h.journal.as_mut().expect("journaled").rewrite(&text)
         }
     }
 
     fn reopen(dir: &Path) -> State {
         let mut state = State::new();
-        Journal::open(dir, &mut state, Instant::now()).expect("reopen");
+        Journal::open(dir, &mut state, crate::clock()).expect("reopen");
         state
-    }
-
-    /// Everything a restart must not lose, floats by bit pattern.
-    #[derive(Debug, PartialEq)]
-    struct Facts {
-        next_session: u64,
-        /// Id, nonce, spec, machine and `done` (index, ran, fitness,
-        /// makespan, compiles) of each session.
-        #[allow(clippy::type_complexity)]
-        sessions: Vec<(
-            u64,
-            u64,
-            String,
-            MachineProfile,
-            Vec<(u64, bool, Option<u64>, u64, Vec<(u64, u64, u64)>)>,
-        )>,
-        jobs: BTreeMap<JobKey, String>,
-    }
-
-    fn facts(state: &State) -> Facts {
-        let sessions: Vec<_> = state
-            .sessions
-            .iter()
-            .map(|(&id, s)| {
-                let done: Vec<_> = s
-                    .done
-                    .iter()
-                    .map(|(&index, o)| {
-                        let compiles: Vec<_> = o
-                            .compiles
-                            .iter()
-                            .map(|&(hash, frontend, jit)| (hash, frontend.to_bits(), jit.to_bits()))
-                            .collect();
-                        (index, o.ran, o.fitness.map(f64::to_bits), o.makespan.to_bits(), compiles)
-                    })
-                    .collect();
-                (id, s.nonce, s.bench_spec.clone(), s.machine.clone(), done)
-            })
-            .collect();
-        Facts { next_session: state.next_session, sessions, jobs: state.jobs.clone() }
     }
 
     /// The history the fixed tests share: session 1 with index 0
     /// answered and index 1 in flight, session 2 opened, fed and closed.
     /// Returns session 1's nonce.
-    fn two_sessions(live: &mut Live) -> u64 {
+    fn two_sessions(live: &mut Run) -> u64 {
         let (first, nonce) = live.open("sort n=64", MachineProfile::desktop());
         assert_eq!(first, 1);
-        live.shared.enqueue_jobs(1, vec![job(0, 10), job(1, 11)]);
+        live.enqueue(1, vec![job(0, 10), job(1, 11)]);
         assert_eq!(live.answer(vec![outcome(2.5e-3)]), [(1, 0)]);
         assert_eq!(live.open("sort n=64", MachineProfile::laptop()).0, 2);
-        live.shared.enqueue_jobs(2, vec![job(0, 20)]);
-        live.shared.close_session(2, "test");
+        live.enqueue(2, vec![job(0, 20)]);
+        live.close(2);
         nonce
     }
 
     #[test]
     fn replay_reconstructs_sessions_jobs_and_results() {
         let dir = tmp_dir("replay");
-        let nonce = two_sessions(&mut Live::start(&dir));
+        let nonce = two_sessions(&mut Run::start(&dir));
         let st = reopen(&dir);
         assert_eq!(st.next_session, 3, "session ids are never reused");
         assert_eq!(st.sessions.len(), 1, "closed session 2 is gone");
@@ -461,14 +409,14 @@ mod tests {
         assert_eq!(s.done[&0].fitness, Some(2.5e-3));
         // The in-flight job is queued again and the session awaits a RESUME.
         assert_eq!(st.queue, [(1, 1)]);
-        assert!(s.writer.is_none() && s.epoch == 0 && s.detached_since.is_some());
+        assert!(s.conn.is_none() && s.detached_since.is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_log_with_the_previous_releases_assignment_records_recovers_the_same_state() {
         let (dir, old_dir) = (tmp_dir("assign-new"), tmp_dir("assign-old"));
-        two_sessions(&mut Live::start(&dir));
+        two_sessions(&mut Run::start(&dir));
         // The previous release's scheduler appended one `J_ASSIGN
         // session index worker` line per assignment, after the `J_JOB`.
         let mut old_log = String::new();
@@ -500,9 +448,9 @@ mod tests {
     fn torn_trailing_line_is_dropped_and_truncated_away() {
         let dir = tmp_dir("torn");
         {
-            let mut live = Live::start(&dir);
+            let mut live = Run::start(&dir);
             live.open("sort n=64", MachineProfile::desktop());
-            live.shared.enqueue_jobs(1, vec![job(0, 1)]);
+            live.enqueue(1, vec![job(0, 1)]);
         }
         // Simulate a crash mid-append: a partial line with no newline.
         let path = dir.join("journal.log");
@@ -524,14 +472,14 @@ mod tests {
         let dir = tmp_dir("compact");
         let path = dir.join("journal.log");
         {
-            let mut live = Live::start(&dir);
+            let mut live = Run::start(&dir);
             live.open("sort n=64", MachineProfile::desktop());
             for i in 0..50 {
-                live.shared.enqueue_jobs(1, vec![job(i, i)]);
+                live.enqueue(1, vec![job(i, i)]);
                 assert_eq!(live.answer(vec![outcome(1e-3)]), [(1, i)]);
             }
             let before = std::fs::metadata(&path).expect("meta").len();
-            live.with_journal(|journal, state| journal.compact(state)).expect("compact");
+            live.compact().expect("compact");
             let after = std::fs::metadata(&path).expect("meta").len();
             assert!(after < before, "compaction shrinks ({before} -> {after})");
         }
@@ -545,12 +493,12 @@ mod tests {
     #[test]
     fn the_result_that_trips_compaction_is_done_in_the_rewritten_log() {
         let dir = tmp_dir("trip");
-        let live = &mut Live::start(&dir);
+        let live = &mut Run::start(&dir);
         live.open("sort n=64", MachineProfile::desktop());
-        live.shared.enqueue_jobs(1, vec![job(0, 1)]);
-        live.with_journal(|journal, _| journal.dead = COMPACT_DEAD_THRESHOLD - 1);
+        live.enqueue(1, vec![job(0, 1)]);
+        live.h.d.dead = Some(COMPACT_DEAD_THRESHOLD - 1);
         assert_eq!(live.answer(vec![outcome(1e-3)]), [(1, 0)]);
-        assert_eq!(live.with_journal(|journal, _| journal.dead), 0, "that append compacted");
+        assert_eq!(live.h.d.dead, Some(0), "that append compacted");
         // Rewritten from the state the transition had already reached:
         // the job is done, not unanswered, and never neither.
         let text = std::fs::read_to_string(dir.join("journal.log")).expect("read");
@@ -566,10 +514,10 @@ mod tests {
     #[test]
     fn a_compaction_inside_a_run_leaves_the_log_record_by_record_appends_would() {
         let dir = tmp_dir("trip-run");
-        let live = &mut Live::start(&dir);
+        let live = &mut Run::start(&dir);
         live.open("sort n=64", MachineProfile::desktop());
-        live.shared.enqueue_jobs(1, (0..3).map(|i| job(i, i)).collect());
-        live.with_journal(|journal, _| journal.dead = COMPACT_DEAD_THRESHOLD - 1);
+        live.enqueue(1, (0..3).map(|i| job(i, i)).collect());
+        live.h.d.dead = Some(COMPACT_DEAD_THRESHOLD - 1);
         let answers = [1e-3, 2e-3, 3e-3].map(outcome).to_vec();
         assert_eq!(live.answer(answers), [(1, 0), (1, 1), (1, 2)]);
         // The run's first answer tipped the compaction, from the state
@@ -590,14 +538,14 @@ mod tests {
     #[test]
     fn corruption_before_the_tail_is_refused_not_guessed_at() {
         let dir = tmp_dir("corrupt");
-        Live::start(&dir).open("sort n=64", MachineProfile::desktop());
+        Run::start(&dir).open("sort n=64", MachineProfile::desktop());
         let path = dir.join("journal.log");
         let mut text = std::fs::read_to_string(&path).expect("read");
         text.push_str("garbage that is not a record\n");
         text.push_str(&close_record(1).encode());
         text.push('\n');
         std::fs::write(&path, text).expect("write");
-        let err = match Journal::open(&dir, &mut State::new(), Instant::now()) {
+        let err = match Journal::open(&dir, &mut State::new(), crate::clock()) {
             Ok(_) => panic!("mid-log corruption must refuse"),
             Err(e) => e,
         };
@@ -608,40 +556,32 @@ mod tests {
     #[test]
     fn a_duplicate_job_is_dropped_while_unanswered_and_re_served_once_answered() {
         let dir = tmp_dir("duplicate");
-        let live = &mut Live::start(&dir);
+        let live = &mut Run::start(&dir);
         live.replace_worker(2);
         live.open("sort n=64", MachineProfile::desktop());
-        let client = live.peers.last().expect("the session's peer").try_clone().expect("clone");
-        live.shared.enqueue_jobs(1, (0..3).map(|i| job(i, i)).collect());
+        live.enqueue(1, (0..3).map(|i| job(i, i)).collect());
         // Two slots: 0 and 1 go out, 2 stays queued; then 0 is answered.
         assert_eq!(live.answer(vec![outcome(7e-3)]), [(1, 0)]);
-        let unanswered = |live: &Live| {
-            let inner = live.shared.inner.lock().expect("farmd lock");
-            let inflight = inner.registry.get(live.worker).expect("worker").inflight.clone();
-            (
-                inner.state.jobs.keys().copied().collect::<Vec<_>>(),
-                inner.state.queue.clone(),
-                inflight,
-            )
+        let unanswered = |live: &Run| {
+            let state = &live.h.d.state;
+            let inflight = live.h.inflight(live.worker);
+            (state.jobs.keys().copied().collect::<Vec<_>>(), state.queue.clone(), inflight)
         };
         let before = unanswered(live);
-        assert_eq!(before, (vec![(1, 1), (1, 2)], [(1, 2)].into(), [(1, 1)].into()));
+        assert_eq!(before, (vec![(1, 1), (1, 2)], [(1, 2)].into(), vec![(1, 1)]));
         let log = std::fs::read_to_string(dir.join("journal.log")).expect("read");
         // Queued, in flight, answered: one run.
-        live.shared.enqueue_jobs(1, vec![job(2, 92), job(1, 91), job(0, 90)]);
+        live.enqueue(1, vec![job(2, 92), job(1, 91), job(0, 90)]);
         assert_eq!(unanswered(live), before, "no second copy of a queued or in-flight job");
-        assert!(live.with_state(|st| seed(&st.jobs[&(1, 1)]) == 1 && seed(&st.jobs[&(1, 2)]) == 2));
+        let jobs = &live.h.d.state.jobs;
+        assert!(seed(&jobs[&(1, 1)]) == 1 && seed(&jobs[&(1, 2)]) == 2);
         assert_eq!(std::fs::read_to_string(dir.join("journal.log")).expect("read"), log);
         // The client holds index 0 twice: the forward and the re-serving.
-        client.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-        let mut lines = std::io::BufReader::new(client).lines();
-        let served: Vec<_> = (0..2)
-            .map(|_| {
-                Message::decode(&lines.next().expect("a line").expect("read")).expect("decode")
-            })
-            .collect();
-        assert_eq!(served[0], Message::Result { index: 0, outcome: outcome(7e-3) });
-        assert_eq!(served[1], served[0]);
+        let sent = &live.h.sent[&live.clients[&1]];
+        let served: Vec<_> =
+            sent.iter().map(|line| Message::decode(line).expect("decode")).collect();
+        let result = Message::Result { index: 0, outcome: outcome(7e-3) };
+        assert_eq!(served[2..], [result.clone(), result]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -655,10 +595,10 @@ mod tests {
     #[test]
     fn a_run_of_jobs_is_one_journal_write_of_the_records_the_parent_wrote() {
         let dir = tmp_dir("run");
-        let live = &mut Live::start(&dir);
+        let live = &mut Run::start(&dir);
         live.open("sort n=64", MachineProfile::desktop());
         let (before, writes_before) = (std::fs::read_to_string(dir.join("journal.log")), writes());
-        live.shared.enqueue_jobs(1, (0..5).map(|i| job(i, 40 + i)).collect());
+        live.enqueue(1, (0..5).map(|i| job(i, 40 + i)).collect());
         assert_eq!(writes() - writes_before, 1, "one write");
         // The previous release's `J_JOB`: the decoded job, re-encoded.
         let parent: String = (0..5)
@@ -697,7 +637,7 @@ mod tests {
             let specs = ["sort n=64", "blackscholes n=64", "strassen n=64"];
             let machines =
                 [MachineProfile::desktop(), MachineProfile::laptop(), MachineProfile::server()];
-            let mut live = Live::start(&dir);
+            let mut live = Run::start(&dir);
             let mut opened = 0;
             for (op, a, b) in ops {
                 // Any session ever opened, closed ones included.
@@ -709,7 +649,7 @@ mod tests {
                     }
                     1..=3 => {
                         let run = (0..1 + b % 4).map(|k| job((b + k) % 8, b ^ k)).collect();
-                        live.shared.enqueue_jobs(session, run);
+                        live.enqueue(session, run);
                     }
                     4 | 5 => {
                         let run = (0..1 + a % 3).map(|k| {
@@ -719,23 +659,23 @@ mod tests {
                         });
                         live.answer(run.collect());
                     }
-                    6 => live.shared.close_session(session, "test"),
+                    6 => live.close(session),
                     _ if a % 2 == 0 => live.replace_worker(1 + b % 4),
-                    _ => live.with_journal(|journal, state| journal.compact(state)).expect("compact"),
+                    _ => live.compact().expect("compact"),
                 }
             }
-            let mut at_the_crash = live.with_state(facts);
+            let mut at_the_crash = facts(&live.h.d.state);
             let mut kept_bytes = None;
             if torn {
                 let session = live.open(specs[0], machines[0].clone()).0;
                 let run: Vec<_> = (0..5).map(|i| job(i, cut ^ i)).collect();
                 let start = std::fs::read(&path).expect("read").len();
-                live.shared.enqueue_jobs(session, run.clone());
+                live.enqueue(session, run.clone());
                 let batch = std::fs::read(&path).expect("read").split_off(start);
                 let kept = usize::try_from(cut % (batch.len() as u64 + 1)).expect("small");
                 // Whole lines before the cut replay; the rest is lost.
                 let lines = batch[..kept].iter().filter(|&&b| b == b'\n').count();
-                at_the_crash = live.with_state(facts);
+                at_the_crash = facts(&live.h.d.state);
                 for (index, _) in &run[lines..] {
                     at_the_crash.jobs.remove(&(session, *index));
                 }
@@ -751,7 +691,7 @@ mod tests {
             prop_assert!(first
                 .sessions
                 .values()
-                .all(|s| s.writer.is_none() && s.epoch == 0 && s.detached_since.is_some()));
+                .all(|s| s.conn.is_none() && s.detached_since.is_some()));
             // Replay of a compacted log is idempotent, to the byte.
             let log = std::fs::read(&path).expect("read");
             let second = reopen(&dir);

@@ -32,46 +32,53 @@
 //!
 //! * one **accept thread** per listener, blocked in `accept(2)`; on stop
 //!   the dispatcher wakes it by connecting to its own endpoint;
-//! * one **reader thread** per connection (see `conn`), reading with a
-//!   socket timeout so shutdown is prompt;
-//! * one **scheduler thread** that assigns queued jobs and expires
-//!   silent workers, woken by a condvar on any state change;
-//! * all shared state behind one [`Mutex`] (`Inner`), and every socket
-//!   write behind a per-connection mutex **outside** the global lock, so
-//!   a slow peer can never stall the dispatcher. Every connection also
-//!   carries a socket **write timeout**, so a wedged peer whose receive
-//!   buffer fills turns into a write error (and the worker-drain /
+//! * one **reader thread** per connection (see `conn`): after a handshake
+//!   bounded by a read timeout it blocks in `read(2)`, decodes, and hands
+//!   each event to the driver; on stop the dispatcher shuts down every
+//!   connection it has accepted, which ends every read at once;
+//! * one **scheduler thread** that only keeps time: it waits on a condvar
+//!   until the state machine's next deadline — a queued job meeting a
+//!   free slot is one that has already passed — then steps a `Tick`;
+//! * all dispatcher state behind one [`Mutex`], and every socket write
+//!   behind a per-connection mutex **outside** the global lock, so a slow
+//!   peer can never stall the dispatcher. Every connection also carries a
+//!   socket **write timeout**, so a wedged peer whose receive buffer
+//!   fills turns into a write error (and the worker-drain /
 //!   session-detach path) instead of parking a thread forever.
 //!
 //! A reader thread hands the dispatcher each **run** of records already
 //! buffered on its connection — the `JOB`s a client wrote together, the
-//! `RESULT`s a worker wrote together — as one batch: one acquisition of
-//! the global lock, one journal write, one wake-up and one write per
-//! peer, however many records it holds (a single record is a batch of
-//! one). A `RESULT` run's verdicts, `done` entries and journal append
-//! are one critical section, so no other thread (and no journal
-//! compaction) can find a job that is neither unanswered nor done.
-//! The scheduler writes each worker's assignment the same way, one
-//! write per pass, and forwards each job's wire text as the client sent
-//! it: a `JOB` is decoded once, to refuse a malformed one, and never
-//! re-encoded.
+//! `RESULT`s a worker wrote together — as one event: one step, one
+//! journal write, one wake-up and one write per peer, however many
+//! records it holds. A `RESULT` run's verdicts, `done` entries and
+//! journal records are one step, so no other thread (and no journal
+//! compaction) can find a job that is neither unanswered nor done. Each
+//! worker's assignment goes out in one write per `Tick`, carrying each
+//! job's wire text as the client sent it: a `JOB` is decoded once, to
+//! refuse a malformed one, and never re-encoded.
 //!
 //! ## One copy of the state, one path that changes it
 //!
-//! What must survive a crash — the open sessions, the results each has
-//! been served, the payload of every unanswered job — lives once, in
-//! `State`, and changes only through its four I/O-free transitions
-//! (`open`, `enqueue`, `record_result`, `close`). The queue and the
-//! workers' in-flight FIFOs hold job *keys*; a re-queue moves a key, not
-//! a job's text.
+//! The dispatcher is one I/O-free state machine (`dispatcher`):
+//! `step(now, conn, event)` is the only code that changes its state, and
+//! it returns the sends, goodbyes, closes and journal records the step
+//! calls for. One driver ([`Farmd`]'s `Shared::step`) performs them: it
+//! takes the global lock, reads the clock — the dispatcher's only clock
+//! read — steps, commits the journal records, releases the lock, wakes
+//! the scheduler, and writes. What must survive a crash — the open
+//! sessions, the results each has been served, the payload of every
+//! unanswered job — lives once, in `State`, and changes only through its
+//! four transitions (`open`, `enqueue`, `record_result`, `close`). The
+//! queue and the workers' in-flight FIFOs hold job *keys*; a re-queue
+//! moves a key, not a job's text.
 //!
 //! ## Crash safety
 //!
-//! With `--journal <dir>` ([`FarmdOptions::journal`]) the reader threads
-//! append the record of every transition they make to a durable,
-//! wire-codec journal (see `journal`); a restarted dispatcher feeds the
-//! log's records through the same four transitions — replay is the live
-//! path, not a second implementation of it — which restores the exact
+//! With `--journal <dir>` ([`FarmdOptions::journal`]) the driver appends
+//! the record of every transition a step makes to a durable, wire-codec
+//! journal (see `journal`); a restarted dispatcher feeds the log's
+//! records through the same four transitions — replay is the live path,
+//! not a second implementation of it — which restores the exact
 //! pre-crash queue/session state; workers reconnect and drain the
 //! recovered backlog, and clients re-attach their sessions with
 //! `RESUME` — the tuning loop finishes with results bit-identical to an
@@ -81,34 +88,29 @@
 #![warn(missing_docs)]
 
 mod conn;
+mod dispatcher;
 mod journal;
 pub mod proxy;
 pub mod registry;
 
 use conn::ConnWriter;
+use dispatcher::{ConnId, Dispatcher, Event, State, CLOCK};
 use journal::Journal;
 use petal_farm::net::{Endpoint, FarmListener, FarmStream};
-use petal_farm::wire::{Message, Record, WIRE_VERSION};
-use petal_farm::JobOutcome;
-use petal_gpu::profile::MachineProfile;
+use petal_farm::wire::Message;
 use petal_registry::{entry_from_wire, entry_to_wire, ConfigStore, DirStore};
-use registry::{Ack, JobKey, Registry};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Dispatcher tuning knobs.
 #[derive(Debug, Clone)]
 pub struct FarmdOptions {
-    /// A worker silent for longer than this is drained and its jobs
-    /// re-queued. Workers heartbeat well under it (250 ms by default).
+    /// A worker silent this long is drained and its jobs re-queued.
+    /// Workers heartbeat well under it (250 ms by default).
     pub deadline: Duration,
-    /// Scheduler wake period when idle (it is also condvar-woken on
-    /// every state change, so this only bounds expiry latency).
-    pub poll: Duration,
     /// How long queued jobs may wait with **zero** ready workers before
     /// their sessions are closed with a GOODBYE. This is the elastic
     /// grace window: workers joining within it pick up the backlog;
@@ -135,7 +137,6 @@ impl Default for FarmdOptions {
     fn default() -> Self {
         FarmdOptions {
             deadline: Duration::from_secs(2),
-            poll: Duration::from_millis(50),
             starvation: Duration::from_secs(30),
             registry: None,
             journal: None,
@@ -163,163 +164,49 @@ pub struct FarmdStats {
     pub completed: u64,
 }
 
-/// One open client session.
-struct Session {
-    bench_spec: String,
-    machine: MachineProfile,
-    /// Resume secret handed to the client in its SESSION record.
-    nonce: u64,
-    /// `None` while detached: the client is gone but the session (and
-    /// its queued/in-flight work) survives awaiting a RESUME.
-    writer: Option<Arc<Mutex<ConnWriter>>>,
-    /// Bumped on every attach. A reader thread that noticed its
-    /// connection die only detaches/closes if the epoch still matches —
-    /// otherwise a newer connection already owns the session.
-    epoch: u64,
-    /// Outcomes already forwarded, re-served when a resumed client
-    /// re-submits an index the crash already answered.
-    done: BTreeMap<u64, JobOutcome>,
-    /// When the session detached, for the linger reaper.
-    detached_since: Option<Instant>,
+/// The dispatcher's clock: the one place it reads the time. Everything
+/// else takes `now` as an argument.
+#[allow(clippy::disallowed_methods)]
+fn clock() -> Instant {
+    Instant::now()
 }
 
-impl Session {
-    /// Hand the session to a (new) connection, returning the writer it
-    /// supersedes, if any.
-    fn attach(&mut self, writer: Arc<Mutex<ConnWriter>>) -> Option<Arc<Mutex<ConnWriter>>> {
-        self.epoch += 1;
-        self.detached_since = None;
-        self.writer.replace(writer)
-    }
-
-    /// Forget the (dead) connection but keep the session and its queued
-    /// and in-flight work; the linger reaper bounds how long.
-    fn detach(&mut self, id: u64, reason: &str) {
-        self.writer = None;
-        self.detached_since = Some(Instant::now());
-        eprintln!("petal-farmd: session {id} detached ({reason}); awaiting resume");
-    }
+/// An unguessable-enough resume nonce: SplitMix64 over wall-clock
+/// nanoseconds mixed with the connection id. It gates accidental
+/// cross-session resumes, never feeds any result, so its entropy source
+/// cannot perturb determinism.
+#[allow(clippy::disallowed_methods)]
+fn fresh_nonce(conn: ConnId) -> u64 {
+    let t = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| u64::try_from(d.as_nanos() & u128::from(u64::MAX)).unwrap_or(0));
+    let mut z = t ^ conn.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-/// What the dispatcher must not forget, kept **once**: the open sessions
-/// (each with the results it has been served) and the payload of every
-/// unanswered job. The four transitions below are the only code that
-/// changes them, and they do no I/O: a reader thread calls one under the
-/// global lock and appends the matching journal record; journal replay
-/// calls the same one with the record it decoded. Replay is the live
-/// path fed from the log.
-struct State {
-    sessions: BTreeMap<u64, Session>,
-    next_session: u64,
-    /// Every unanswered job's `JOB` record as the client sent it (no
-    /// terminator), queued or in flight, by `(session, index)`.
-    jobs: BTreeMap<JobKey, String>,
-    /// Keys of the unassigned jobs, FIFO; re-queued keys go back to the
-    /// *front* so recovery work is retried before new work.
-    queue: VecDeque<JobKey>,
-}
-
-impl State {
-    fn new() -> State {
-        State {
-            sessions: BTreeMap::new(),
-            next_session: 1,
-            jobs: BTreeMap::new(),
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// Transition 1 of 4: a session is accepted as `id`. It starts
-    /// detached (since `now`, for the linger reaper): a reader thread
-    /// attaches its connection at once, replay leaves it awaiting a
-    /// `RESUME`.
-    fn open(
-        &mut self,
-        id: u64,
-        nonce: u64,
-        bench_spec: String,
-        machine: MachineProfile,
-        now: Instant,
-    ) -> &mut Session {
-        self.next_session = self.next_session.max(id + 1);
-        let session = Session {
-            bench_spec,
-            machine,
-            nonce,
-            writer: None,
-            epoch: 0,
-            done: BTreeMap::new(),
-            detached_since: Some(now),
-        };
-        self.sessions.insert(id, session);
-        self.sessions.get_mut(&id).expect("just inserted")
-    }
-
-    /// Transition 2 of 4: the `JOB` record `job` is submitted as
-    /// `(session, index)`. `false`, and nothing changes, when the session
-    /// is closed or the index is already answered, queued or in flight —
-    /// re-submission is idempotent.
-    fn enqueue(&mut self, session: u64, index: u64, job: String) -> bool {
-        if self.sessions.get(&session).map_or(true, |s| s.done.contains_key(&index)) {
-            return false;
-        }
-        let Entry::Vacant(unanswered) = self.jobs.entry((session, index)) else {
-            return false;
-        };
-        unanswered.insert(job);
-        self.queue.push_back((session, index));
-        true
-    }
-
-    /// Transition 3 of 4: `(session, index)` is answered. The outcome
-    /// joins the session's `done` and the job stops being unanswered in
-    /// one step, so nothing can observe it as neither. `None` when the
-    /// session has closed (the answer is dropped), else whether the index
-    /// was unanswered until now. The queue is not searched: live, an
-    /// answered job was in flight, and replay rebuilds the queue when the
-    /// log ends.
-    fn record_result(&mut self, session: u64, index: u64, outcome: JobOutcome) -> Option<bool> {
-        self.sessions.get_mut(&session)?.done.insert(index, outcome);
-        Some(self.jobs.remove(&(session, index)).is_some())
-    }
-
-    /// Transition 4 of 4: `session` is retired with everything it holds.
-    /// Returns how many jobs and results that was, `None` when it was
-    /// already closed. Results for its still-inflight jobs will be
-    /// dropped on arrival.
-    fn close(&mut self, session: u64) -> Option<u64> {
-        let closed = self.sessions.remove(&session)?;
-        let unanswered = self.jobs.len();
-        self.jobs.retain(|&(owner, _), _| owner != session);
-        self.queue.retain(|&(owner, _)| owner != session);
-        Some((unanswered - self.jobs.len() + closed.done.len()) as u64)
-    }
-}
-
-/// All mutable dispatcher state, behind the one global lock.
+/// Everything behind the one global lock.
 struct Inner {
-    registry: Registry,
-    /// Write handles of registered workers, by registry id.
-    worker_writers: BTreeMap<u64, Arc<Mutex<ConnWriter>>>,
-    state: State,
-    /// When the queue first became non-empty with zero ready workers;
-    /// cleared the moment either condition lapses.
-    starved_since: Option<Instant>,
-    requeues: u64,
-    completed: u64,
-    /// The durable journal, when `--journal` is set. Inside the global
-    /// lock so appends serialize with the transitions they record.
+    dispatcher: Dispatcher,
+    /// The durable journal, when `--journal` is set.
     journal: Option<Journal>,
+    /// Every accepted connection's writer, from its accept until a
+    /// `Closed` step.
+    conns: BTreeMap<ConnId, Arc<Mutex<ConnWriter>>>,
+    next_conn: ConnId,
+    /// Every reader thread spawned, for the stop to join.
+    readers: Vec<JoinHandle<()>>,
+    /// Set once by the stop; nothing is accepted after it.
+    stopping: bool,
 }
 
 /// State shared by every dispatcher thread.
 pub(crate) struct Shared {
     inner: Mutex<Inner>,
-    /// Woken on any state change the scheduler cares about (job queued,
-    /// worker joined/lost, session closed).
+    /// Woken after every step: the scheduler re-reads its deadline and
+    /// [`Farmd::wait_workers`] the fleet.
     wake: Condvar,
-    pub(crate) stop: AtomicBool,
-    opts: FarmdOptions,
     /// The hosted tuned-config store, when this dispatcher serves one.
     /// The mutex serializes whole registry operations, so a `REG_PUT`'s
     /// read-compare-write merge is atomic with respect to every other
@@ -327,20 +214,21 @@ pub(crate) struct Shared {
     store: Option<Mutex<DirStore>>,
 }
 
-/// One planned burst of records (wire text) to a single worker, written
-/// outside the global lock in one write.
-struct SendPlan {
-    worker: u64,
-    writer: Arc<Mutex<ConnWriter>>,
-    lines: Vec<String>,
+/// The poisoning policy of the global lock: a poisoned one means a step
+/// panicked mid-transition. A poisoned dispatcher is a crashed one, and
+/// its journal is the recovery path, so this prints one diagnostic and
+/// aborts the process rather than serve from a half-made transition.
+fn poisoned<T, R>(_: T) -> R {
+    eprintln!("petal-farmd: a dispatcher step panicked mid-transition; aborting");
+    std::process::abort()
 }
 
 impl Shared {
     /// Open the hosted store and the journal, if configured. Journal
     /// recovery is replay: the log's records go through the same four
-    /// transitions the reader threads call, which leaves every recovered
-    /// session detached (awaiting `RESUME`) and every unanswered job
-    /// queued — assignments died with the old process's connections.
+    /// transitions a step makes, which leaves every recovered session
+    /// detached (awaiting `RESUME`) and every unanswered job queued —
+    /// assignments died with the old process's connections.
     fn new(opts: FarmdOptions) -> std::io::Result<Shared> {
         let store = match &opts.registry {
             Some(dir) => {
@@ -348,9 +236,9 @@ impl Shared {
             }
             None => None,
         };
-        let mut state = State::new();
+        let (mut state, now) = (State::new(), clock());
         let journal = match &opts.journal {
-            Some(dir) => Some(Journal::open(dir, &mut state, Instant::now())?),
+            Some(dir) => Some(Journal::open(dir, &mut state, now)?),
             None => None,
         };
         if !state.sessions.is_empty() {
@@ -360,247 +248,66 @@ impl Shared {
                 state.queue.len()
             );
         }
-        Ok(Shared {
-            inner: Mutex::new(Inner {
-                registry: Registry::new(opts.deadline),
-                worker_writers: BTreeMap::new(),
-                state,
-                starved_since: None,
-                requeues: 0,
-                completed: 0,
-                journal,
-            }),
-            wake: Condvar::new(),
-            stop: AtomicBool::new(false),
-            opts,
-            store,
-        })
+        let dispatcher = Dispatcher::new(state, opts, journal.is_some(), now);
+        let conns = BTreeMap::new();
+        let readers = Vec::new();
+        let inner = Inner { dispatcher, journal, conns, next_conn: 1, readers, stopping: false };
+        Ok(Shared { inner: Mutex::new(inner), wake: Condvar::new(), store })
     }
 
-    // ---- worker-side entry points (called from conn reader threads) ----
+    /// The global lock, under [`poisoned`]'s policy.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(poisoned)
+    }
 
-    fn notify(&self) {
+    /// Admit an accepted connection under a fresh id; `None` once the
+    /// dispatcher is stopping.
+    fn connect(&self, writer: Arc<Mutex<ConnWriter>>) -> Option<ConnId> {
+        let mut inner = self.lock();
+        if inner.stopping {
+            return None;
+        }
+        let conn = inner.next_conn;
+        inner.next_conn += 1;
+        inner.conns.insert(conn, writer);
+        Some(conn)
+    }
+
+    /// The one driver of `Dispatcher::step`. Under the global lock it
+    /// reads the clock, steps, commits the step's journal records — so
+    /// nothing acts on a fact the log lacks — and resolves connections to
+    /// writers; with the lock released it wakes the scheduler and
+    /// [`Farmd::wait_workers`], writes each connection's records in one
+    /// write and closes connections. A failed write is that connection's
+    /// `Closed` step.
+    pub(crate) fn step(&self, conn: ConnId, event: Event) {
+        let closed = matches!(event, Event::Closed(_));
+        let (sends, closes) = {
+            let mut inner = self.lock();
+            let inner = &mut *inner;
+            let effects = inner.dispatcher.step(clock(), conn, event);
+            if let Some(journal) = &mut inner.journal {
+                journal.commit(effects.journal);
+            }
+            let writer = |conn: &ConnId| inner.conns.get(conn).cloned();
+            let sends: Vec<_> = (effects.sends.into_iter())
+                .filter_map(|(conn, lines)| Some((writer(&conn)?, lines, conn)))
+                .collect();
+            let closes: BTreeMap<_, _> =
+                effects.closes.iter().filter_map(|conn| Some((*conn, writer(conn)?))).collect();
+            if closed {
+                inner.conns.remove(&conn);
+            }
+            (sends, closes)
+        };
         self.wake.notify_all();
-    }
-
-    pub(crate) fn admit_worker(
-        self: &Arc<Self>,
-        name: &str,
-        slots: u64,
-        pid: u64,
-        writer: Arc<Mutex<ConnWriter>>,
-    ) -> u64 {
-        let mut inner = self.inner.lock().expect("farmd lock");
-        let id = inner.registry.register(name, slots, pid, Instant::now());
-        inner.worker_writers.insert(id, writer);
-        drop(inner);
-        self.notify();
-        id
-    }
-
-    pub(crate) fn touch_worker(&self, id: u64, now: Instant) -> bool {
-        self.inner.lock().expect("farmd lock").registry.touch(id, now)
-    }
-
-    /// Judge a run of a worker's `RESULT`s and record, journal and
-    /// forward each first answer to its job. The verdicts, the `done`
-    /// entries and the batch's `J_RESULT` write share **one** acquisition
-    /// of the global lock; the sends happen after it is released, one
-    /// write per session under that session writer's own mutex. Recorded
-    /// before sent: a crash between the two re-serves the outcomes on
-    /// resume instead of losing them, and a detached session just
-    /// records. Duplicate and stale answers are dropped; disorder tears
-    /// the worker down after the answers before it. `false` once the
-    /// worker is no longer registered.
-    pub(crate) fn complete_jobs(
-        self: &Arc<Self>,
-        id: u64,
-        results: Vec<(u64, JobOutcome)>,
-        now: Instant,
-    ) -> bool {
-        let mut inner = self.inner.lock().expect("farmd lock");
-        inner.registry.touch(id, now);
-        let mut disorder = None;
-        let mut sends = BTreeMap::new();
-        for (index, outcome) in results {
-            let (session, index) = match inner.registry.complete(id, index) {
-                Ack::Fresh(key) => key,
-                Ack::Duplicate | Ack::Stale => continue,
-                Ack::Disorder => {
-                    disorder = Some(index);
-                    break;
-                }
-            };
-            inner.completed += 1;
-            // A session that disappeared mid-flight drops the answer.
-            if let Some(unanswered) = inner.state.record_result(session, index, outcome.clone()) {
-                inner.log(u64::from(unanswered), |_| {
-                    journal::result_record(session, index, &outcome)
-                });
-                let writer = || inner.state.sessions[&session].writer.clone();
-                let (_, msgs) = sends.entry(session).or_insert_with(|| (writer(), Vec::new()));
-                msgs.push(Message::Result { index, outcome });
+        for (writer, lines, conn) in sends {
+            if !conn::send(&writer, lines) && !closes.contains_key(&conn) {
+                self.step(conn, Event::Closed("write failed".to_owned()));
             }
         }
-        inner.commit();
-        let registered = inner.registry.get(id).is_some();
-        drop(inner);
-        self.notify(); // slots freed up
-        for (session, (writer, msgs)) in sends {
-            if let Some(writer) = writer {
-                self.send_results(session, &writer, &msgs);
-            }
-        }
-        if let Some(index) = disorder {
-            self.lose_worker(id, &format!("RESULT {index} violates FIFO order"), true);
-            return false;
-        }
-        registered
+        closes.values().for_each(|writer| conn::close(writer));
     }
-
-    /// Tear down worker `id`: re-queue everything it held, forget its
-    /// writer, optionally send a GOODBYE naming the reason, and close its
-    /// socket. Idempotent — the reader thread and the scheduler can both
-    /// call it for the same loss.
-    pub(crate) fn lose_worker(self: &Arc<Self>, id: u64, reason: &str, send_goodbye: bool) {
-        let writer = {
-            let mut inner = self.inner.lock().expect("farmd lock");
-            let keys = inner.registry.remove(id);
-            if !keys.is_empty() {
-                eprintln!(
-                    "petal-farmd: worker {id} lost ({reason}); re-queueing {} jobs",
-                    keys.len()
-                );
-            } else if inner.worker_writers.contains_key(&id) {
-                eprintln!("petal-farmd: worker {id} left ({reason})");
-            }
-            inner.requeue(&keys);
-            inner.worker_writers.remove(&id)
-        };
-        match writer {
-            Some(writer) if send_goodbye => conn::goodbye(&writer, reason),
-            Some(writer) => conn::close(&writer),
-            None => {}
-        }
-        self.notify();
-    }
-
-    /// Send `results` to a session's client in one write, outside the
-    /// global lock; a failed write detaches the session.
-    fn send_results(
-        self: &Arc<Self>,
-        session: u64,
-        writer: &Arc<Mutex<ConnWriter>>,
-        results: &[Message],
-    ) {
-        if !conn::send(writer, results) {
-            self.client_writer_failed(session, writer);
-        }
-    }
-
-    // ---- client-side entry points ----
-
-    /// Open a session; returns its id (the resume token) and nonce.
-    pub(crate) fn open_session(
-        self: &Arc<Self>,
-        bench_spec: &str,
-        machine: MachineProfile,
-        writer: Arc<Mutex<ConnWriter>>,
-    ) -> (u64, u64) {
-        let mut inner = self.inner.lock().expect("farmd lock");
-        let id = inner.state.next_session;
-        let nonce = fresh_nonce(id);
-        inner.state.open(id, nonce, bench_spec.to_owned(), machine, Instant::now()).attach(writer);
-        inner.log(0, |state| journal::open_record(id, &state.sessions[&id]));
-        inner.commit();
-        (id, nonce)
-    }
-
-    /// Re-attach a live or journal-recovered session to a new
-    /// connection. Returns the new epoch (for the reader's stale-exit
-    /// guard) or a GOODBYE-able reason.
-    pub(crate) fn resume_session(
-        self: &Arc<Self>,
-        token: u64,
-        nonce: u64,
-        writer: Arc<Mutex<ConnWriter>>,
-    ) -> Result<u64, String> {
-        let (old, epoch) = {
-            let mut inner = self.inner.lock().expect("farmd lock");
-            let Some(s) = inner.state.sessions.get_mut(&token) else {
-                return Err(format!("unknown session {token}; nothing to resume"));
-            };
-            if s.nonce != nonce {
-                return Err(format!("session {token} does not match the presented credentials"));
-            }
-            (s.attach(writer), s.epoch)
-        };
-        // A superseded live connection (e.g. the client gave up on a
-        // stalled socket the dispatcher still thinks is fine) is closed;
-        // its reader thread's exit is ignored by the epoch guard.
-        if let Some(old) = old {
-            conn::close(&old);
-        }
-        self.notify();
-        Ok(epoch)
-    }
-
-    /// The session's benchmark spec, for the resume serve loop.
-    pub(crate) fn session_spec(&self, session: u64) -> Option<String> {
-        let inner = self.inner.lock().expect("farmd lock");
-        inner.state.sessions.get(&session).map(|s| s.bench_spec.clone())
-    }
-
-    /// Accept a run of `JOB`s, each its index and its record as the
-    /// client sent it. Re-submission is idempotent: an index the session
-    /// was already answered is re-served from `done` (in one write), one
-    /// that is still queued or in flight is not duplicated. The run's
-    /// accepted jobs are journaled, in one write, in the critical section
-    /// that queues them, before the scheduler can see them.
-    pub(crate) fn enqueue_jobs(self: &Arc<Self>, session: u64, jobs: Vec<(u64, String)>) {
-        let mut inner = self.inner.lock().expect("farmd lock");
-        let mut reserved = Vec::new();
-        for (index, job) in jobs {
-            let done = inner.state.sessions.get(&session).and_then(|s| s.done.get(&index));
-            if let Some(outcome) = done {
-                reserved.push(Message::Result { index, outcome: outcome.clone() });
-            } else if inner.state.enqueue(session, index, job) {
-                inner.log(0, |state| journal::job_record(session, &state.jobs[&(session, index)]));
-            }
-        }
-        inner.commit();
-        let writer = inner.state.sessions.get(&session).and_then(|s| s.writer.clone());
-        drop(inner);
-        self.notify();
-        if let Some(writer) = writer.filter(|_| !reserved.is_empty()) {
-            self.send_results(session, &writer, &reserved);
-        }
-    }
-
-    /// A send through `writer` failed: detach the session if that
-    /// writer is still its current one. The `Arc::ptr_eq` guard keeps a
-    /// failure on a superseded writer from tearing down a freshly
-    /// resumed connection.
-    fn client_writer_failed(self: &Arc<Self>, session: u64, writer: &Arc<Mutex<ConnWriter>>) {
-        let mut inner = self.inner.lock().expect("farmd lock");
-        let Some(s) = inner.state.sessions.get_mut(&session) else { return };
-        if s.writer.as_ref().is_some_and(|w| Arc::ptr_eq(w, writer)) {
-            s.detach(session, "client write failed");
-        }
-    }
-
-    /// A reader thread's connection ended (EOF, error): the session
-    /// detaches and awaits a RESUME. The epoch guard makes a stale
-    /// reader's exit a no-op after a resume.
-    pub(crate) fn client_gone(self: &Arc<Self>, session: u64, epoch: u64, reason: &str) {
-        let mut inner = self.inner.lock().expect("farmd lock");
-        let Some(s) = inner.state.sessions.get_mut(&session) else { return };
-        if s.epoch == epoch {
-            s.detach(session, reason);
-        }
-    }
-
-    // ---- registry-side entry points ----
 
     /// Whether this dispatcher hosts a registry at all.
     pub(crate) fn hosts_registry(&self) -> bool {
@@ -619,7 +326,7 @@ impl Shared {
                     .to_owned(),
             }];
         };
-        let store = store.lock().expect("registry store lock");
+        let store = conn::recover(store);
         let err_miss =
             |e: petal_registry::RegistryError| Message::RegMiss { reason: format!("error: {e}") };
         match msg {
@@ -710,176 +417,13 @@ impl Shared {
             _ => vec![Message::RegMiss { reason: "error: not a registry request".to_owned() }],
         }
     }
-
-    /// Retire a session with its queued and unanswered jobs; a second
-    /// close of the same session is a no-op.
-    pub(crate) fn close_session(self: &Arc<Self>, session: u64, reason: &str) {
-        let mut inner = self.inner.lock().expect("farmd lock");
-        let Some(held) = inner.state.close(session) else {
-            return; // already closed by the other path
-        };
-        // The session's J_OPEN and this J_CLOSE die with what it held.
-        inner.log(2 + held, |_| journal::close_record(session));
-        inner.commit();
-        eprintln!("petal-farmd: session {session} closed ({reason})");
-        drop(inner);
-        self.notify();
-    }
-}
-
-/// An unguessable-enough resume nonce: SplitMix64 over wall-clock
-/// nanoseconds mixed with the session id. It gates accidental
-/// cross-session resumes, never feeds any result, so its entropy source
-/// cannot perturb determinism.
-fn fresh_nonce(session: u64) -> u64 {
-    let t = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| u64::try_from(d.as_nanos() & u128::from(u64::MAX)).unwrap_or(0));
-    let mut z = t ^ session.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-impl Inner {
-    /// Add the record of the transition `state` just made to the batch
-    /// (built only when there is a journal); `dead` is how many records
-    /// it leaves dead.
-    fn log(&mut self, dead: u64, record: impl FnOnce(&State) -> Record) {
-        if let Some(journal) = self.journal.as_mut() {
-            journal.append(&record(&self.state), dead, &self.state);
-        }
-    }
-
-    /// Write the batch logged since the last commit, in one write: every
-    /// entry point does before it releases the lock.
-    fn commit(&mut self) {
-        if let Some(journal) = self.journal.as_mut() {
-            journal.commit();
-        }
-    }
-
-    /// Put a lost worker's job keys back at the *front* of the queue in
-    /// their original FIFO order (keys move, payloads stay where they
-    /// are). Keys answered or closed in the meantime are dropped.
-    fn requeue(&mut self, keys: &[JobKey]) {
-        for &key in keys.iter().rev() {
-            if self.state.jobs.contains_key(&key) {
-                self.requeues += 1;
-                self.state.queue.push_front(key);
-            }
-        }
-    }
-
-    /// Plan one scheduler pass: expire silent workers, assign queued
-    /// jobs, detect starvation, and reap detached sessions whose resume
-    /// window lapsed. Returns the socket work to perform outside the
-    /// lock: send plans, worker closes, starved sessions, and lingered
-    /// session ids.
-    #[allow(clippy::type_complexity)]
-    fn plan(
-        &mut self,
-        now: Instant,
-        starvation: Duration,
-        linger: Duration,
-    ) -> (Vec<SendPlan>, Vec<Arc<Mutex<ConnWriter>>>, Vec<(u64, Arc<Mutex<ConnWriter>>)>, Vec<u64>)
-    {
-        // Expiry: drain workers past the heartbeat deadline and reclaim
-        // their jobs. Their connections are closed outside the lock; the
-        // reader thread's EOF then removes them from the registry.
-        let mut closes = Vec::new();
-        for (id, keys) in self.registry.expire(now) {
-            eprintln!(
-                "petal-farmd: worker {id} missed its heartbeat deadline; re-queueing {} jobs",
-                keys.len()
-            );
-            self.requeue(&keys);
-            if let Some(writer) = self.worker_writers.get(&id) {
-                closes.push(Arc::clone(writer));
-            }
-        }
-
-        // Assignment: drain the queue onto ready workers with free slots.
-        // One SendPlan per worker keeps each worker's INIT→JOB ordering
-        // while batching lock acquisitions.
-        let mut plans: Vec<SendPlan> = Vec::new();
-        while let Some(&key) = self.state.queue.front() {
-            let session_id = key.0;
-            let (Some(session), Some(job)) =
-                (self.state.sessions.get(&session_id), self.state.jobs.get(&key))
-            else {
-                self.state.queue.pop_front(); // closed or answered while queued
-                continue;
-            };
-            let Some(worker) = self.registry.pick(session_id) else { break };
-            self.state.queue.pop_front();
-            let writer =
-                Arc::clone(self.worker_writers.get(&worker).expect("picked worker has a writer"));
-            let plan = match plans.iter_mut().find(|p| p.worker == worker) {
-                Some(p) => p,
-                None => {
-                    plans.push(SendPlan { worker, writer, lines: Vec::new() });
-                    plans.last_mut().expect("just pushed")
-                }
-            };
-            if self.registry.session(worker) != Some(session_id) {
-                let init = Message::Init {
-                    version: WIRE_VERSION,
-                    bench_spec: session.bench_spec.clone(),
-                    machine: Box::new(session.machine.clone()),
-                };
-                plan.lines.push(init.encode());
-                self.registry.set_session(worker, session_id);
-            }
-            self.registry.assign(worker, key);
-            plan.lines.push(job.clone());
-        }
-
-        // Starvation: jobs waiting with an empty fleet. Within the grace
-        // window this is just elastic join in progress; past it, sessions
-        // with queued work are told so instead of blocking forever.
-        let mut starved = Vec::new();
-        if self.state.queue.is_empty() || self.registry.ready_count() > 0 {
-            self.starved_since = None;
-        } else {
-            let since = *self.starved_since.get_or_insert(now);
-            if now.duration_since(since) >= starvation {
-                let mut ids: Vec<u64> = self.state.queue.iter().map(|&(id, _)| id).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                for id in ids {
-                    // Detached sessions cannot be told; the linger
-                    // reaper below bounds their lifetime instead.
-                    if let Some(writer) =
-                        self.state.sessions.get(&id).and_then(|s| s.writer.clone())
-                    {
-                        starved.push((id, writer));
-                    }
-                }
-                self.starved_since = None; // re-arm for any later backlog
-            }
-        }
-
-        // Linger reaping: a detached session whose client never resumed
-        // is eventually closed for good (outside the lock, since
-        // close_session re-locks).
-        let lingered: Vec<u64> = self
-            .state
-            .sessions
-            .iter()
-            .filter(|(_, s)| s.detached_since.is_some_and(|t| now.duration_since(t) >= linger))
-            .map(|(&id, _)| id)
-            .collect();
-        (plans, closes, starved, lingered)
-    }
 }
 
 /// A running dispatcher: listeners, scheduler, and connection threads.
 /// Dropping it shuts everything down.
 pub struct Farmd {
     shared: Arc<Shared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    threads: Vec<JoinHandle<()>>,
     endpoints: Vec<Endpoint>,
 }
 
@@ -893,20 +437,17 @@ impl Farmd {
     /// be opened; a journal that is corrupt before its last line.
     pub fn bind(endpoints: &[Endpoint], opts: FarmdOptions) -> std::io::Result<Farmd> {
         let shared = Arc::new(Shared::new(opts)?);
-        let conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
         let mut threads = Vec::new();
         let mut bound = Vec::new();
         for endpoint in endpoints {
             let listener = FarmListener::bind(endpoint)?;
             bound.push(listener.local_endpoint()?);
             let shared_ = Arc::clone(&shared);
-            let conns = Arc::clone(&conn_threads);
-            threads.push(std::thread::spawn(move || accept_loop(&shared_, &listener, &conns)));
+            threads.push(std::thread::spawn(move || accept_loop(&shared_, &listener)));
         }
         let shared_ = Arc::clone(&shared);
         threads.push(std::thread::spawn(move || scheduler_loop(&shared_)));
-        Ok(Farmd { shared, threads, conn_threads, endpoints: bound })
+        Ok(Farmd { shared, threads, endpoints: bound })
     }
 
     /// The endpoints actually bound (ephemeral TCP ports resolved), in
@@ -919,31 +460,32 @@ impl Farmd {
     /// Snapshot the dispatcher's state.
     #[must_use]
     pub fn stats(&self) -> FarmdStats {
-        let inner = self.shared.inner.lock().expect("farmd lock");
+        let inner = self.shared.lock();
+        let d = &inner.dispatcher;
         FarmdStats {
-            workers: inner.registry.len(),
-            ready: inner.registry.ready_count(),
-            sessions: inner.state.sessions.len(),
-            queued: inner.state.queue.len(),
-            inflight: inner.registry.inflight_total(),
-            requeues: inner.requeues,
-            completed: inner.completed,
+            workers: d.registry.len(),
+            ready: d.registry.ready_count(),
+            sessions: d.state.sessions.len(),
+            queued: d.state.queue.len(),
+            inflight: d.registry.inflight_total(),
+            requeues: d.requeues,
+            completed: d.completed,
         }
     }
 
     /// Block until at least `n` workers are ready or `timeout` elapses;
     /// returns whether the fleet reached `n`. Woken by the condvar every
-    /// admission notifies.
+    /// step notifies.
     #[must_use]
     pub fn wait_workers(&self, n: usize, timeout: Duration) -> bool {
-        let inner = self.shared.inner.lock().expect("farmd lock");
-        let short = |inner: &mut Inner| inner.registry.ready_count() < n;
+        let inner = self.shared.lock();
+        let short = |inner: &mut Inner| inner.dispatcher.registry.ready_count() < n;
         let waited = self.shared.wake.wait_timeout_while(inner, timeout, short);
-        !waited.expect("farmd lock").1.timed_out()
+        !waited.unwrap_or_else(poisoned).1.timed_out()
     }
 
-    /// Stop serving: flag every thread down, say goodbye to workers and
-    /// clients, close their sockets, and join all threads.
+    /// Stop serving: say goodbye to every peer, close every connection,
+    /// and join all threads.
     pub fn shutdown(&mut self) {
         self.stop(true);
     }
@@ -952,29 +494,25 @@ impl Farmd {
     /// `SIGKILL` would, and join all threads. Exists so in-process
     /// crash-recovery tests can bounce a journaled dispatcher without
     /// granting peers the graceful-shutdown diagnostics a real crash
-    /// never sends. The journal needs no flushing: each of the four
-    /// entry points (`open_session`, `enqueue_jobs`, `complete_jobs`,
-    /// `close_session`) commits its batch in one write before it
-    /// releases the global lock, so nothing is left buffered.
+    /// never sends. The journal needs no flushing: every step's records
+    /// are committed in one write before the global lock is released, so
+    /// nothing is left buffered.
     pub fn abort(&mut self) {
         self.stop(false);
     }
 
     fn stop(&mut self, graceful: bool) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return; // second call
-        }
-        self.shared.wake.notify_all();
-        // Goodbyes unblock peers promptly; the socket shutdowns unblock
-        // our own reader threads.
-        let (workers, clients) = {
-            let inner = self.shared.inner.lock().expect("farmd lock");
-            (
-                inner.worker_writers.values().cloned().collect::<Vec<_>>(),
-                inner.state.sessions.values().filter_map(|s| s.writer.clone()).collect::<Vec<_>>(),
-            )
+        let conns: Vec<_> = {
+            let mut inner = self.shared.lock();
+            if std::mem::replace(&mut inner.stopping, true) {
+                return; // second call
+            }
+            inner.conns.values().cloned().collect()
         };
-        for writer in workers.iter().chain(&clients) {
+        self.shared.wake.notify_all();
+        // Shutting every accepted connection down ends every reader's
+        // blocking read, whatever the peer is doing.
+        for writer in &conns {
             if graceful {
                 conn::goodbye(writer, "dispatcher shutting down");
             } else {
@@ -989,8 +527,8 @@ impl Farmd {
                 let _ = t.join();
             }
         }
-        let conns = std::mem::take(&mut *self.conn_threads.lock().expect("conn threads lock"));
-        for t in conns {
+        let readers = std::mem::take(&mut self.shared.lock().readers);
+        for t in readers {
             let _ = t.join();
         }
     }
@@ -1002,72 +540,128 @@ impl Drop for Farmd {
     }
 }
 
-/// Accept connections until the stop flag rises, handing each to its own
-/// reader thread.
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: &FarmListener,
-    conn_threads: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
+/// Accept connections until the dispatcher stops, handing each to its
+/// own reader thread.
+fn accept_loop(shared: &Arc<Shared>, listener: &FarmListener) {
     let label = listener.local_endpoint().map_or_else(|_| "?".to_owned(), |e| e.to_string());
     loop {
-        let accepted = listener.accept();
-        if shared.stop.load(Ordering::SeqCst) {
-            return; // the wake-up connection, or a peer too late to serve
-        }
-        match accepted {
-            Ok(stream) => {
-                let shared_ = Arc::clone(shared);
-                let peer = label.clone();
-                let handle = std::thread::spawn(move || conn::serve_conn(&shared_, stream, &peer));
-                conn_threads.lock().expect("conn threads lock").push(handle);
-            }
+        let stream = match listener.accept() {
+            Ok(stream) => stream,
+            Err(_) if shared.lock().stopping => return,
             Err(e) => {
                 eprintln!("petal-farmd: accept on {label} failed: {e}");
                 std::thread::sleep(Duration::from_millis(100));
+                continue;
             }
-        }
+        };
+        let Ok(writer) = conn::writer(&stream) else { continue };
+        // `None`: the wake-up connection, or a peer too late to serve.
+        let Some(conn) = shared.connect(Arc::clone(&writer)) else { return };
+        let shared_ = Arc::clone(shared);
+        let reader = std::thread::spawn(move || conn::serve_conn(&shared_, conn, stream, &writer));
+        shared.lock().readers.push(reader);
     }
 }
 
-/// Assign and expire until the stop flag rises. All socket writes happen
-/// with the global lock released.
-fn scheduler_loop(shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        let (plans, closes, starved, lingered) = {
-            let mut inner = shared.inner.lock().expect("farmd lock");
-            let (plans, closes, starved, lingered) =
-                inner.plan(Instant::now(), shared.opts.starvation, shared.opts.session_linger);
-            if plans.is_empty() && closes.is_empty() && starved.is_empty() && lingered.is_empty() {
-                // Idle: sleep until state changes or the poll period
-                // bounds how stale expiry checks can get.
-                let _unused =
-                    shared.wake.wait_timeout(inner, shared.opts.poll).expect("farmd lock");
-                continue;
+/// Keep the dispatcher's time until it stops: wait until its next
+/// deadline (or a step's wake-up), then step a `Tick` once one is due.
+fn scheduler_loop(shared: &Shared) {
+    let mut inner = shared.lock();
+    while !inner.stopping {
+        let now = clock();
+        inner = match inner.dispatcher.next_deadline() {
+            Some(due) if due <= now => {
+                drop(inner);
+                shared.step(CLOCK, Event::Tick);
+                shared.lock()
             }
-            (plans, closes, starved, lingered)
+            Some(due) => shared.wake.wait_timeout(inner, due - now).unwrap_or_else(poisoned).0,
+            None => shared.wake.wait(inner).unwrap_or_else(poisoned),
         };
-        for session in lingered {
-            shared.close_session(session, "resume window expired");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use petal_farm::wire::WIRE_VERSION;
+    use petal_farm::{EvalJob, JobOutcome};
+    use petal_gpu::profile::MachineProfile;
+    use std::io::{BufRead, BufReader, Write};
+
+    /// A raw peer past its handshake: records out, records in.
+    struct Peer(BufReader<FarmStream>);
+
+    impl Peer {
+        fn connect(farmd: &Farmd, first: &Message) -> Peer {
+            let stream = FarmStream::connect(&farmd.endpoints()[0]).expect("connect");
+            stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+            let mut peer = Peer(BufReader::new(stream));
+            peer.send(&[Message::hello()]);
+            assert!(matches!(peer.recv(), Message::Hello { .. }));
+            peer.send(std::slice::from_ref(first));
+            peer
         }
-        for writer in closes {
-            // The reader thread will observe the close and finish the
-            // teardown (registry removal) via lose_worker.
-            conn::goodbye(&writer, "heartbeat deadline missed");
+
+        fn send(&mut self, msgs: &[Message]) {
+            let lines: String = msgs.iter().map(|msg| format!("{}\n", msg.encode())).collect();
+            self.0.get_mut().write_all(lines.as_bytes()).expect("send");
         }
-        for (session, writer) in starved {
-            conn::goodbye(&writer, "no workers available for queued jobs");
-            shared.close_session(session, "starved: no workers available");
+
+        fn recv(&mut self) -> Message {
+            let mut line = String::new();
+            assert!(self.0.read_line(&mut line).expect("recv") > 0, "closed");
+            Message::decode(line.trim_end()).expect("decodes")
         }
-        for plan in plans {
-            let ok = {
-                let mut w = plan.writer.lock().expect("writer lock");
-                plan.lines.iter().for_each(|line| w.send_line(line));
-                w.flush().is_ok()
-            };
-            if !ok {
-                shared.lose_worker(plan.worker, "write failed", false);
+    }
+
+    /// A panic while one connection's writer was held poisons only that
+    /// writer: the next send takes it back, and the dispatcher keeps
+    /// serving every peer — the poisoned client included.
+    #[test]
+    fn a_poisoned_writer_is_taken_back_and_every_peer_is_still_served() {
+        let endpoint = Endpoint::Tcp("127.0.0.1:0".to_owned());
+        let farmd = Farmd::bind(&[endpoint], FarmdOptions::default()).expect("bind");
+        let register = Message::Register { name: "w".to_owned(), slots: 2, pid: 1 };
+        let mut worker = Peer::connect(&farmd, &register);
+        assert!(farmd.wait_workers(1, Duration::from_secs(10)));
+        let init = Message::Init {
+            version: WIRE_VERSION,
+            bench_spec: "sort n=64".to_owned(),
+            machine: Box::new(MachineProfile::laptop()),
+        };
+        let mut clients = [Peer::connect(&farmd, &init), Peer::connect(&farmd, &init)];
+        for client in &mut clients {
+            assert_eq!(client.recv(), Message::Ready { version: WIRE_VERSION });
+            assert!(matches!(client.recv(), Message::Session { .. }));
+        }
+        let writer = {
+            let inner = farmd.shared.lock();
+            let conn = inner.dispatcher.state.sessions[&1].conn.expect("attached");
+            Arc::clone(&inner.conns[&conn])
+        };
+        let holder = Arc::clone(&writer);
+        let poisoner = std::thread::spawn(move || {
+            let _held = holder.lock();
+            panic!("a writer's holder panics");
+        });
+        assert!(poisoner.join().is_err() && writer.is_poisoned());
+
+        let job = EvalJob { config: Default::default(), size: 64, engine_seed: 5 };
+        for client in &mut clients {
+            client.send(&[Message::Job { index: 0, job: job.clone() }]);
+        }
+        let outcome = JobOutcome { fitness: Some(1.0), ran: true, makespan: 1.0, compiles: vec![] };
+        let mut jobs = 0;
+        while jobs < 2 {
+            if let Message::Job { .. } = worker.recv() {
+                jobs += 1;
             }
+        }
+        let result = Message::Result { index: 0, outcome };
+        worker.send(&[result.clone(), result.clone()]);
+        for client in &mut clients {
+            assert_eq!(client.recv(), result);
         }
     }
 }

@@ -2,8 +2,8 @@
 //! machine over the live worker fleet.
 //!
 //! Everything time-dependent takes `now` as a parameter, so the state
-//! machine is deterministic and directly unit-testable — the connection
-//! and scheduler layers own the clock.
+//! machine is deterministic and directly unit-testable — the dispatcher's
+//! driver owns the clock.
 //!
 //! ## Worker lifecycle
 //!
@@ -96,7 +96,7 @@ pub struct Registry {
 
 impl Registry {
     /// New registry with the given heartbeat deadline: a worker silent
-    /// for longer than this is drained.
+    /// this long is drained.
     #[must_use]
     pub fn new(deadline: Duration) -> Self {
         Registry { deadline, next_id: 1, workers: BTreeMap::new() }
@@ -141,12 +141,19 @@ impl Registry {
     pub fn expire(&mut self, now: Instant) -> Vec<(u64, Vec<JobKey>)> {
         let mut drained = Vec::new();
         for (&id, w) in &mut self.workers {
-            if w.state == WorkerState::Ready && now.duration_since(w.last_seen) > self.deadline {
+            if w.state == WorkerState::Ready && now.duration_since(w.last_seen) >= self.deadline {
                 w.state = WorkerState::Draining;
                 drained.push((id, w.inflight.drain(..).collect()));
             }
         }
         drained
+    }
+
+    /// When [`Self::expire`] next drains a worker, if any is `Ready`.
+    #[must_use]
+    pub fn next_expiry(&self) -> Option<Instant> {
+        let ready = self.workers.values().filter(|w| w.state == WorkerState::Ready);
+        ready.map(|w| w.last_seen + self.deadline).min()
     }
 
     /// Forget `id` entirely (connection torn down), returning any jobs it
@@ -259,7 +266,7 @@ mod tests {
     use super::*;
 
     fn reg() -> (Registry, Instant) {
-        (Registry::new(Duration::from_millis(100)), Instant::now())
+        (Registry::new(Duration::from_millis(100)), crate::clock())
     }
 
     /// The satellite's lifecycle walk: register → heartbeat lapse →

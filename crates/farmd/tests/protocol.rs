@@ -1,9 +1,11 @@
 //! Dispatcher protocol tests over raw sockets: handshake hardening
 //! (version skew and confusion answered with GOODBYE diagnostics, never
 //! parse errors or silent closes), the line-length cap, client session
-//! bring-up, elastic workers joining after jobs are already queued, and
-//! runs of records: what a peer writes together is handled together, in
-//! order, and crosses each hop in one write.
+//! bring-up, elastic workers joining after jobs are already queued, runs
+//! of records (what a peer writes together is handled together, in
+//! order, and crosses each hop in one write), and a shutdown that waits
+//! on no timer.
+#![allow(clippy::disallowed_methods)] // tests time the dispatcher by the wall clock
 
 use petal_apps::Benchmark;
 use petal_farm::net::{Endpoint, FarmStream};
@@ -14,6 +16,7 @@ use petal_farm::{job_seed, EvalJob, JobOutcome};
 use petal_farmd::{Farmd, FarmdOptions, FarmdStats};
 use petal_gpu::profile::MachineProfile;
 use std::io::{BufRead, BufReader, Write};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// One raw protocol peer: line-in/line-out over a connected socket.
@@ -419,4 +422,46 @@ fn a_worker_failing_after_three_jobs_delivers_three_answers_first() {
     assert_eq!(doomed.wait().expect("reaped").code(), Some(3), "the injected exit");
     let stats = until(&farmd, |s| s.requeues == 2);
     assert_eq!((stats.completed, stats.requeues, stats.queued), (3, 2, 2));
+}
+
+/// `shutdown`, then `abort`, each return within a second while a silent
+/// connection, one mid-handshake, an idle registry client, an idle worker
+/// and an idle client are open: stop shuts every connection down, so no
+/// reader waits out a timer. A watchdog turns a missed wake-up into a
+/// failure instead of a hang.
+#[test]
+fn shutdown_and_abort_never_wait_on_a_timer() {
+    let dir = std::env::temp_dir().join(format!("petal-protocol-stop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = FarmdOptions { registry: Some(dir.clone()), ..FarmdOptions::default() };
+    let mut farmd = Farmd::bind(&[Endpoint::Tcp("127.0.0.1:0".to_owned())], opts).expect("bind");
+    let ep = farmd.endpoints()[0].clone();
+    let _silent = Peer::connect(&ep);
+    let mut handshaking = Peer::connect(&ep);
+    handshaking.send(&Message::hello());
+    let _their_hello = handshaking.recv();
+    let mut registry = Peer::connect(&ep);
+    registry.send(&Message::hello());
+    let _their_hello = registry.recv();
+    let ls =
+        Message::RegGet { op: "ls".to_owned(), bench_spec: String::new(), size: 0, machine: None };
+    registry.send(&ls);
+    assert!(matches!(registry.recv(), Message::RegMiss { .. }), "the empty listing");
+    let _worker = worker(&farmd, 2);
+    let _client = client(&ep);
+    assert_eq!(farmd.stats().sessions, 1);
+
+    let (returned, watchdog) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        farmd.shutdown();
+        returned.send("shutdown").expect("the watchdog listens");
+        farmd.abort();
+        returned.send("abort").expect("the watchdog listens");
+    });
+    for call in ["shutdown", "abort"] {
+        let done = watchdog.recv_timeout(Duration::from_secs(1));
+        assert_eq!(done, Ok(call), "{call} did not return within 1 s");
+    }
+    stopper.join().expect("the stopping thread");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn a_generation_read_together_is_answered_in_one_write() {
-        let bench = BlackScholes::new(2_000);
+        let bench = BlackScholes::new(256);
         let machine = MachineProfile::laptop();
         let config = bench.program(&machine).default_config(&machine);
         let init = Message::Init {
@@ -167,7 +167,7 @@ mod tests {
         };
         let mut generation = String::new();
         for index in 0..5 {
-            let job = EvalJob { config: config.clone(), size: 2_000, engine_seed: index };
+            let job = EvalJob { config: config.clone(), size: 256, engine_seed: index };
             generation.push_str(&format!("{}\n", Message::Job { index, job }.encode()));
         }
         generation.push_str("DONE\n");
