@@ -181,7 +181,7 @@ REGD_PID=$!
 REGD_A_PID=$!
 ./target/release/petal-shard --connect "unix:$REGD_SOCK" --name regd-b &
 REGD_B_PID=$!
-trap 'rm -rf "$REG_DIR" "$REGD_DIR"; kill "$FARMD_PID" "$WORKER_B_PID" "$REGD_PID" "$REGD_A_PID" "$REGD_B_PID" 2>/dev/null || true; rm -f "$FARMD_SOCK" "$REGD_SOCK"' EXIT
+trap 'rm -rf "$REG_DIR" "$REGD_DIR" "${REGD_FALLBACK:-}"; kill "$FARMD_PID" "$WORKER_B_PID" "$REGD_PID" "$REGD_A_PID" "$REGD_B_PID" 2>/dev/null || true; rm -f "$FARMD_SOCK" "$REGD_SOCK"' EXIT
 if ./target/release/petal-registry get --registry "unix:$REGD_SOCK" \
     --machine laptop --spec "blackscholes n=4096" >/dev/null 2>"$REGD_DIR/miss.meta"; then
   echo "served-registry smoke: expected the first GET to miss cold"; exit 1
@@ -202,6 +202,14 @@ grep -q 'selector' "$REGD_DIR/got.cfg" \
   || { echo "served-registry smoke: the served get did not return a config file"; exit 1; }
 grep -q 'tier=exact' "$REGD_DIR/got.meta" \
   || { echo "served-registry smoke: the second client's get was not an exact hit"; exit 1; }
+# A fallback list whose directory is empty: the Desktop row can only come
+# from the served registry, so the socket was parsed and tried first.
+REGD_FALLBACK="$(mktemp -d /tmp/petal-regd-fallback-ci.XXXXXX)"
+./target/release/petal-registry ls --registry "unix:$REGD_SOCK,dir:$REGD_FALLBACK" \
+  >"$REGD_DIR/ls-list.out"
+grep -q 'machine=Desktop' "$REGD_DIR/ls-list.out" \
+  || { echo "served-registry smoke: the fallback list did not try the socket first"; exit 1; }
+rm -rf "$REGD_FALLBACK"
 kill "$REGD_PID" "$REGD_A_PID" "$REGD_B_PID" 2>/dev/null || true
 wait "$REGD_PID" 2>/dev/null || true
 rm -rf "$REGD_DIR"

@@ -18,7 +18,7 @@
 use petal_apps::Benchmark;
 use petal_farm::net::Endpoint;
 use petal_gpu::profile::MachineProfile;
-use petal_registry::{ConfigStore, DirStore, RemoteStore};
+use petal_registry::ConfigStore;
 use petal_tuner::{Autotuner, Tuned, TunerSettings, WarmStart};
 
 pub mod baselines;
@@ -299,75 +299,13 @@ pub fn tune(bench: &dyn Benchmark, machine: &MachineProfile) -> Tuned {
     Autotuner::new(bench, machine, harness_tuner_settings()).run()
 }
 
-/// Open the config store a registry endpoint names: `dir:` endpoints
-/// open the directory in-process, `tcp:`/`unix:` endpoints connect to a
-/// `petal-farmd --registry` dispatcher. The two are indistinguishable
-/// behind the returned [`ConfigStore`].
-///
-/// A comma-separated fallback list walks its elements in order: socket
-/// elements are tried first (the [`RemoteStore`] walks them on every
-/// connect), and a `dir:` element — if present — is the terminal local
-/// fallback when no service answers, so `tcp:a:1,tcp:b:1,dir:/srv/reg`
-/// degrades from the primary registry host to a standby to a plain
-/// directory without killing the run.
-///
-/// # Errors
-/// A human-readable message when the directory cannot be opened, the
-/// service cannot be reached (and no `dir:` fallback exists), or the
-/// endpoint is `none`.
-pub fn open_config_store(endpoint: &Endpoint) -> Result<Box<dyn ConfigStore>, String> {
-    let open_dir = |dir: &std::path::Path| {
-        DirStore::open(dir.to_path_buf())
-            .map(|s| Box::new(s) as Box<dyn ConfigStore>)
-            .map_err(|e| format!("cannot open registry directory `{}`: {e}", dir.display()))
-    };
-    match endpoint {
-        Endpoint::Dir(dir) => open_dir(dir),
-        Endpoint::Disabled => Err("the registry is disabled (`none`)".to_owned()),
-        Endpoint::Fallback(elements) => {
-            let dir = elements.iter().find_map(|e| match e {
-                Endpoint::Dir(d) => Some(d.clone()),
-                _ => None,
-            });
-            let service_err = if endpoint.socket_elements().is_empty() {
-                None
-            } else {
-                match RemoteStore::connect(endpoint) {
-                    Ok(s) => return Ok(Box::new(s)),
-                    Err(e) => Some(e),
-                }
-            };
-            match (dir, service_err) {
-                (Some(d), Some(e)) => {
-                    eprintln!(
-                        "warning: registry service unreachable ({e}); \
-                         falling back to directory `{}`",
-                        d.display()
-                    );
-                    open_dir(&d)
-                }
-                (Some(d), None) => open_dir(&d),
-                (None, Some(e)) => {
-                    Err(format!("cannot reach the registry service at `{endpoint}`: {e}"))
-                }
-                (None, None) => {
-                    Err(format!("registry endpoint list `{endpoint}` has nothing to open"))
-                }
-            }
-        }
-        remote => RemoteStore::connect(remote)
-            .map(|s| Box::new(s) as Box<dyn ConfigStore>)
-            .map_err(|e| format!("cannot reach the registry service at `{remote}`: {e}")),
-    }
-}
-
 /// The store `--registry`/`PETAL_REGISTRY` names, opened, or `None`
 /// with a stderr warning when it cannot be (the registry is an
 /// optimization — an unreachable one must not kill a harness run).
 #[must_use]
 pub fn registry_store() -> Option<Box<dyn ConfigStore>> {
     let endpoint = registry_flag()?;
-    match open_config_store(&endpoint) {
+    match petal_registry::open(&endpoint) {
         Ok(store) => Some(store),
         Err(e) => {
             eprintln!("warning: {e}");
@@ -621,7 +559,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let bench = BlackScholes::new(50_000);
         let machine = MachineProfile::desktop();
-        let store = DirStore::open(&dir).expect("open");
+        let store = petal_registry::DirStore::open(&dir).expect("open");
         assert!(
             registry_warm_start(&store, &machine, &bench).is_none(),
             "empty registry yields no warm start"

@@ -67,7 +67,10 @@
 //! that lost a keep-best race receives the better config in the
 //! acknowledgement. `DONE` (or EOF) ends the session. Keep-best merge
 //! and persistence happen dispatcher-side, so concurrent `REG_PUT`s from
-//! many clients are serialized and deterministic.
+//! many clients are serialized and deterministic. An entry travels as
+//! the registry's on-disk entry text, embedded whole in one escaped
+//! field: this module carries it opaquely, and the registry's own codec
+//! (`petal_registry::decode_entry`) is the only one that reads it.
 
 use crate::{EvalJob, JobOutcome};
 use petal_core::Config;
@@ -75,7 +78,7 @@ use petal_gpu::profile::{CpuProfile, GpuProfile, MachineProfile};
 use std::fmt;
 
 /// The protocol version this build speaks (bumped on any wire change).
-pub const WIRE_VERSION: u64 = 4;
+pub const WIRE_VERSION: u64 = 5;
 
 /// Oldest protocol version this build speaks: the same one. `HELLO`
 /// still carries a range so that a future build can overlap with this
@@ -369,7 +372,7 @@ impl WireEncoder {
             }
             Message::RegPut { force, entry } => {
                 self.field_display(out, u64::from(*force));
-                self.encode_reg_entry_into(entry, out);
+                push_field_raw(out, entry);
             }
             Message::RegHit { verdict, distance, scaled_from, entry } => {
                 push_field_raw(out, verdict);
@@ -381,7 +384,7 @@ impl WireEncoder {
                         self.field_display(out, size);
                     }
                 }
-                self.encode_reg_entry_into(entry, out);
+                push_field_raw(out, entry);
             }
             Message::RegMiss { reason } => {
                 push_field_raw(out, reason);
@@ -411,19 +414,6 @@ impl WireEncoder {
         self.scratch.clear();
         petal_apps::spec_f64_into(v, &mut self.scratch);
         push_field_raw(out, &self.scratch);
-    }
-
-    /// Flatten a registry entry into wire fields (fixed order, the exact
-    /// inverse of `decode_reg_entry`). The config travels as one text
-    /// field in its canonical format, like a `JOB`'s; the machine is
-    /// flattened like an `INIT`'s.
-    fn encode_reg_entry_into(&mut self, e: &RegEntry, out: &mut String) {
-        push_field_raw(out, &e.bench_spec);
-        self.field_display(out, e.size);
-        self.field_f64(out, e.time_secs);
-        push_field_raw(out, &e.source);
-        self.field_display(out, &e.config);
-        self.encode_machine_into(&e.machine, out);
     }
 
     /// Flatten a machine profile into wire fields (fixed order, the exact
@@ -559,8 +549,9 @@ pub enum Message {
     RegPut {
         /// Overwrite even a better stored time (the CLI's `put --force`).
         force: bool,
-        /// The entry being published.
-        entry: Box<RegEntry>,
+        /// The entry being published: its on-disk entry text
+        /// (`petal_registry::StoredEntry::encode`), opaque to the wire.
+        entry: String,
     },
     /// Dispatcher → registry client: one stored entry. Answers a
     /// `get`/`exact` query (verdict = match tier), acknowledges a
@@ -577,8 +568,9 @@ pub enum Message {
         /// When the donor was rescaled from another input size, the size
         /// it was stored under (presence-flagged).
         scaled_from: Option<u64>,
-        /// The entry itself.
-        entry: Box<RegEntry>,
+        /// The entry itself, as its on-disk entry text (like
+        /// [`Message::RegPut`]'s).
+        entry: String,
     },
     /// Dispatcher → registry client: no entry. Answers a missed
     /// `get`/`exact`, terminates an `ls` stream, reports a `gc` sweep,
@@ -611,27 +603,6 @@ pub enum Message {
         /// The nonce from the same record.
         nonce: u64,
     },
-}
-
-/// A tuned-config registry entry as it travels in [`Message::RegPut`]
-/// and [`Message::RegHit`] — the wire-level mirror of the registry's
-/// stored entry, here so the transport does not depend on the store.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegEntry {
-    /// The machine the config was tuned on (full profile; its
-    /// fingerprint is the store key's machine component).
-    pub machine: Box<MachineProfile>,
-    /// [`petal_apps::Benchmark::spec`] line the config was tuned for.
-    pub bench_spec: String,
-    /// Input size the config was tuned at.
-    pub size: u64,
-    /// The tuned configuration.
-    pub config: Config,
-    /// Best virtual time the config achieved when stored (keep-best
-    /// compares these).
-    pub time_secs: f64,
-    /// Provenance note (who tuned it, from what donor).
-    pub source: String,
 }
 
 impl Message {
@@ -736,16 +707,12 @@ impl Message {
                     if r.bool()? { Some(Box::new(decode_machine(&mut r)?)) } else { None };
                 Message::RegGet { op, bench_spec, size, machine }
             }
-            "REG_PUT" => {
-                let force = r.bool()?;
-                let entry = Box::new(decode_reg_entry(&mut r)?);
-                Message::RegPut { force, entry }
-            }
+            "REG_PUT" => Message::RegPut { force: r.bool()?, entry: r.str()?.to_owned() },
             "REG_HIT" => {
                 let verdict = r.str()?.to_owned();
                 let distance = r.f64()?;
                 let scaled_from = if r.bool()? { Some(r.u64()?) } else { None };
-                let entry = Box::new(decode_reg_entry(&mut r)?);
+                let entry = r.str()?.to_owned();
                 Message::RegHit { verdict, distance, scaled_from, entry }
             }
             "REG_MISS" => Message::RegMiss { reason: r.str()?.to_owned() },
@@ -762,17 +729,6 @@ impl Message {
     pub fn hello() -> Message {
         Message::Hello { min_version: MIN_WIRE_VERSION, max_version: WIRE_VERSION }
     }
-}
-
-fn decode_reg_entry(r: &mut FieldReader<'_>) -> Result<RegEntry, WireError> {
-    let bench_spec = r.str()?.to_owned();
-    let size = r.u64()?;
-    let time_secs = r.f64()?;
-    let source = r.str()?.to_owned();
-    let config: Config =
-        r.str()?.parse().map_err(|e| WireError::new(format!("bad config in entry: {e}")))?;
-    let machine = Box::new(decode_machine(r)?);
-    Ok(RegEntry { machine, bench_spec, size, config, time_secs, source })
 }
 
 fn decode_machine(r: &mut FieldReader<'_>) -> Result<MachineProfile, WireError> {
@@ -901,17 +857,9 @@ mod tests {
 
     #[test]
     fn registry_records_round_trip() {
-        let mut config = Config::new();
-        config.set_selector("sort", Selector::new(vec![64, 4096], vec![2, 0, 1], 3));
-        config.set_tunable("merge_parallel_cutoff", Tunable::new(512, 1, 1 << 20));
-        let entry = RegEntry {
-            machine: Box::new(MachineProfile::laptop()),
-            bench_spec: "sort n=4096".to_owned(),
-            size: 4096,
-            config,
-            time_secs: 2.5e-3,
-            source: "tuned:Laptop\nwith a hostile\\source".to_owned(),
-        };
+        // An entry is opaque text here: a multi-line record stack with
+        // escapes of its own, embedded whole in one field.
+        let entry = "REGV 1:1\nINIT 1:0 11:sort n=4096\nTUNED 4:4096 5:a\\b\r\n".to_owned();
         let messages = vec![
             Message::RegGet {
                 op: "get".to_owned(),
@@ -925,18 +873,18 @@ mod tests {
                 size: 0,
                 machine: None,
             },
-            Message::RegPut { force: false, entry: Box::new(entry.clone()) },
+            Message::RegPut { force: false, entry: entry.clone() },
             Message::RegHit {
                 verdict: "family".to_owned(),
                 distance: 3.75,
                 scaled_from: Some(1024),
-                entry: Box::new(entry.clone()),
+                entry: entry.clone(),
             },
             Message::RegHit {
                 verdict: "inserted".to_owned(),
                 distance: 0.0,
                 scaled_from: None,
-                entry: Box::new(entry),
+                entry,
             },
             Message::RegMiss { reason: "no entry for `sort n=8192`\nsecond line".to_owned() },
         ];

@@ -9,7 +9,7 @@
 use petal_core::config::{Selector, Tunable};
 use petal_core::Config;
 use petal_farm::net::Endpoint;
-use petal_farm::wire::{negotiate, Message, Record, RegEntry, MIN_WIRE_VERSION, WIRE_VERSION};
+use petal_farm::wire::{negotiate, Message, Record, MIN_WIRE_VERSION, WIRE_VERSION};
 use petal_farm::{EvalJob, JobOutcome};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -51,22 +51,16 @@ fn config_from(raw: &[(u64, u64)], tunables: &[(i64, i64)]) -> Config {
     cfg
 }
 
-/// Build a registry entry over hostile text fields and an arbitrary
-/// time bit pattern (keep-best times travel by bits, NaNs included).
-fn reg_entry(spec_seed: u64, size: u64, time_bits: u64, which: usize) -> RegEntry {
-    let mut machine = petal_gpu::profile::MachineProfile::extended().remove(which);
-    machine.codename = hostile_string(spec_seed.wrapping_add(2));
-    RegEntry {
-        machine: Box::new(machine),
-        bench_spec: hostile_string(spec_seed),
-        size,
-        config: config_from(
-            &[(size | 1, spec_seed)],
-            &[((spec_seed % 1000) as i64 - 500, (size % 1024) as i64)],
-        ),
-        time_secs: f64::from_bits(time_bits),
-        source: hostile_string(spec_seed.wrapping_add(1)),
-    }
+/// A registry entry as the wire sees it: opaque text. Hostile on
+/// purpose — multi-line, escapes, framing characters, lookalike record
+/// tags and length prefixes — since the wire must carry it whole and
+/// only the registry's own codec reads it.
+fn reg_entry(spec_seed: u64, size: u64, time_bits: u64) -> String {
+    format!(
+        "REGV 1:1\n{}INIT 4:{size}\r\nTUNED 18:0x{time_bits:016x} {}\n",
+        hostile_string(spec_seed),
+        hostile_string(spec_seed.wrapping_add(1)),
+    )
 }
 
 proptest! {
@@ -231,25 +225,30 @@ proptest! {
         has_scaled in any::<bool>(),
         force in any::<bool>(),
         verdict_seed in any::<u64>(),
-        which in 0usize..5,
     ) {
-        // Times and distances travel by bits, so NaN payloads defeat
-        // PartialEq; the encoding is bit-canonical, so a lossless round
-        // trip is exactly `encode ∘ decode = id` on the line.
-        let entry = Box::new(reg_entry(spec_seed, size, time_bits, which));
+        // Distances travel by bits, so NaN payloads defeat PartialEq;
+        // the encoding is bit-canonical, so a lossless round trip is
+        // exactly `encode ∘ decode = id` on the line. The entry text must
+        // come back byte for byte.
+        let entry = reg_entry(spec_seed, size, time_bits);
         for msg in [
             Message::RegPut { force, entry: entry.clone() },
             Message::RegHit {
                 verdict: hostile_string(verdict_seed),
                 distance: f64::from_bits(distance_bits),
                 scaled_from: has_scaled.then_some(scaled_size),
-                entry,
+                entry: entry.clone(),
             },
         ] {
             let line = msg.encode();
             prop_assert!(!line.contains('\n'), "records must stay line-delimited");
             let decoded = Message::decode(&line).expect("decodes");
             prop_assert_eq!(decoded.encode(), line, "re-encoding is lossless");
+            let (Message::RegPut { entry: back, .. } | Message::RegHit { entry: back, .. }) = decoded
+            else {
+                panic!("the tag changed in a round trip");
+            };
+            prop_assert_eq!(back, entry.clone());
         }
     }
 
@@ -272,7 +271,7 @@ proptest! {
         // never a panic — the dispatcher feeds these straight off sockets.
         let line = Message::RegPut {
             force: false,
-            entry: Box::new(reg_entry(spec_seed, 4096, time_bits, 0)),
+            entry: reg_entry(spec_seed, 4096, time_bits),
         }
         .encode();
         let boundaries: Vec<usize> = line.char_indices().map(|(i, _)| i).collect();

@@ -98,8 +98,9 @@ use dispatcher::{ConnId, Dispatcher, Event, State, CLOCK};
 use journal::Journal;
 use petal_farm::net::{Endpoint, FarmListener, FarmStream};
 use petal_farm::wire::Message;
-use petal_registry::{entry_from_wire, entry_to_wire, ConfigStore, DirStore};
+use petal_registry::{decode_entry, ConfigStore, DirStore, StoredEntry};
 use std::collections::BTreeMap;
+use std::error::Error;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -316,107 +317,78 @@ impl Shared {
 
     /// Answer one registry request with the full reply sequence —
     /// `REG_HIT`s first, then the closing `REG_HIT` ack or `REG_MISS`.
-    /// Server-side failures become `REG_MISS` reasons with the `error:`
+    /// Server-side failures — an offered entry that does not decode
+    /// included — become one `REG_MISS` whose reason has the `error:`
     /// prefix, never a dropped connection; the whole operation runs
     /// under the store lock, so concurrent clients serialize here.
     pub(crate) fn serve_registry_request(&self, msg: &Message) -> Vec<Message> {
-        let Some(store) = &self.store else {
-            return vec![Message::RegMiss {
-                reason: "error: no registry hosted (start petal-farmd with --registry <dir>)"
-                    .to_owned(),
-            }];
+        let replies = match &self.store {
+            Some(store) => registry_replies(&conn::recover(store), msg),
+            None => Err("no registry hosted (start petal-farmd with --registry <dir>)".into()),
         };
-        let store = conn::recover(store);
-        let err_miss =
-            |e: petal_registry::RegistryError| Message::RegMiss { reason: format!("error: {e}") };
-        match msg {
-            Message::RegGet { op, bench_spec, size, machine } => match op.as_str() {
-                "get" | "exact" => {
-                    let Some(machine) = machine else {
-                        return vec![Message::RegMiss {
-                            reason: format!("error: `{op}` needs a machine profile"),
-                        }];
-                    };
-                    match ConfigStore::lookup(&*store, machine, bench_spec, *size, op == "exact") {
-                        Ok(Some(m)) => vec![Message::RegHit {
-                            verdict: m.tier.to_string(),
-                            distance: m.distance,
-                            scaled_from: m.scaled_from,
-                            entry: Box::new(entry_to_wire(&m.entry)),
-                        }],
-                        Ok(None) => vec![Message::RegMiss {
-                            reason: format!("no entry for `{bench_spec}` size {size}"),
-                        }],
-                        Err(e) => vec![err_miss(e)],
-                    }
-                }
-                "ls" => match ConfigStore::ls(&*store) {
-                    Ok(listing) => {
-                        let mut reason = format!(
-                            "{} entries, {} unusable",
-                            listing.entries.len(),
-                            listing.issues.len()
-                        );
-                        for issue in &listing.issues {
-                            reason.push('\n');
-                            reason.push_str(issue);
-                        }
-                        let mut replies: Vec<Message> = listing
-                            .entries
-                            .iter()
-                            .map(|(_, e)| Message::RegHit {
-                                verdict: "ls".to_owned(),
-                                distance: 0.0,
-                                scaled_from: None,
-                                entry: Box::new(entry_to_wire(e)),
-                            })
-                            .collect();
-                        replies.push(Message::RegMiss { reason });
-                        replies
-                    }
-                    Err(e) => vec![err_miss(e)],
-                },
-                "gc" => match ConfigStore::gc(&*store) {
-                    Ok(removed) => {
-                        let mut reason = format!("{} files removed", removed.len());
-                        for line in &removed {
-                            reason.push('\n');
-                            reason.push_str(line);
-                        }
-                        vec![Message::RegMiss { reason }]
-                    }
-                    Err(e) => vec![err_miss(e)],
-                },
-                other => vec![Message::RegMiss {
-                    reason: format!("error: unknown registry op `{other}`"),
-                }],
-            },
-            Message::RegPut { force, entry } => {
-                let entry = entry_from_wire((**entry).clone());
-                match ConfigStore::put(&*store, &entry, *force) {
-                    // The ack carries whichever entry now wins the key,
-                    // so a losing publisher learns the better incumbent
-                    // in the same round trip.
-                    Ok(outcome) => {
-                        match store.get_exact(&entry.machine, &entry.bench_spec, entry.size) {
-                            Ok(Some(winner)) => vec![Message::RegHit {
-                                verdict: outcome.to_string(),
-                                distance: 0.0,
-                                scaled_from: None,
-                                entry: Box::new(entry_to_wire(&winner)),
-                            }],
-                            Ok(None) => vec![Message::RegMiss {
-                                reason: "error: stored entry vanished before the ack".to_owned(),
-                            }],
-                            Err(e) => vec![err_miss(e)],
-                        }
-                    }
-                    Err(e) => vec![err_miss(e)],
+        replies.unwrap_or_else(|e| vec![Message::RegMiss { reason: format!("error: {e}") }])
+    }
+}
+
+/// The replies to one registry request from the (locked) hosted store.
+fn registry_replies(store: &DirStore, msg: &Message) -> Result<Vec<Message>, Box<dyn Error>> {
+    let hit = |verdict: String, entry: &StoredEntry| Message::RegHit {
+        verdict,
+        distance: 0.0,
+        scaled_from: None,
+        entry: entry.encode(),
+    };
+    // A closing `REG_MISS`: the headline, then one line per item.
+    let report = |mut reason: String, lines: &[String]| {
+        for line in lines {
+            reason.push('\n');
+            reason.push_str(line);
+        }
+        Message::RegMiss { reason }
+    };
+    Ok(match msg {
+        Message::RegGet { op, bench_spec, size, machine } => match op.as_str() {
+            "get" | "exact" => {
+                let machine = machine.as_ref().ok_or(format!("`{op}` needs a machine profile"))?;
+                match store.lookup(machine, bench_spec, *size, op == "exact")? {
+                    Some(m) => vec![Message::RegHit {
+                        verdict: m.tier.to_string(),
+                        distance: m.distance,
+                        scaled_from: m.scaled_from,
+                        entry: m.entry.encode(),
+                    }],
+                    None => vec![Message::RegMiss {
+                        reason: format!("no entry for `{bench_spec}` size {size}"),
+                    }],
                 }
             }
-            _ => vec![Message::RegMiss { reason: "error: not a registry request".to_owned() }],
+            "ls" => {
+                let listing = store.ls()?;
+                let (n, bad) = (listing.entries.len(), listing.issues.len());
+                let mut replies: Vec<Message> =
+                    listing.entries.iter().map(|(_, e)| hit("ls".to_owned(), e)).collect();
+                replies.push(report(format!("{n} entries, {bad} unusable"), &listing.issues));
+                replies
+            }
+            "gc" => {
+                let removed = store.gc()?;
+                vec![report(format!("{} files removed", removed.len()), &removed)]
+            }
+            other => return Err(format!("unknown registry op `{other}`").into()),
+        },
+        Message::RegPut { force, entry } => {
+            let entry = decode_entry(entry)?;
+            let outcome = store.put(&entry, *force)?;
+            // The ack carries whichever entry now wins the key, so a
+            // losing publisher learns the better incumbent in the same
+            // round trip.
+            let winner = store
+                .get_exact(&entry.machine, &entry.bench_spec, entry.size)?
+                .ok_or("stored entry vanished before the ack")?;
+            vec![hit(outcome.to_string(), &winner)]
         }
-    }
+        _ => return Err("not a registry request".into()),
+    })
 }
 
 /// A running dispatcher: listeners, scheduler, and connection threads.

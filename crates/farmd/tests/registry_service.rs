@@ -1,15 +1,18 @@
 //! Served-registry protocol tests: a dispatcher hosting a `DirStore`
 //! answers `REG_GET`/`REG_PUT` over loopback sockets, concurrent
-//! publishers converge to keep-best regardless of arrival order, and a
-//! registry-less dispatcher bounces registry requests with a diagnostic
-//! GOODBYE instead of a silent close.
+//! publishers converge to keep-best regardless of arrival order, a
+//! hostile or version-skewed entry gets a diagnostic `REG_MISS` on a
+//! connection that stays up, and a registry-less dispatcher bounces
+//! registry requests with a diagnostic GOODBYE instead of a silent close.
 
 use petal_apps::Benchmark;
 use petal_farm::net::{Endpoint, FarmStream};
 use petal_farm::wire::Message;
 use petal_farmd::{Farmd, FarmdOptions};
 use petal_gpu::profile::MachineProfile;
-use petal_registry::{entry_to_wire, ConfigStore, DirStore, PutOutcome, RemoteStore, StoredEntry};
+use petal_registry::{
+    decode_entry, ConfigStore, DirStore, EntryError, PutOutcome, RemoteStore, StoredEntry,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -134,19 +137,20 @@ fn put_acks_carry_the_winning_entry_and_misses_are_plain() {
     let worse = entry(MachineProfile::laptop(), 2.0e-3);
     let mut peer = Peer::connect(&ep);
     peer.handshake();
-    peer.send(&Message::RegPut { force: false, entry: Box::new(entry_to_wire(&good)) });
+    peer.send(&Message::RegPut { force: false, entry: good.encode() });
     match peer.recv() {
         Message::RegHit { verdict, entry, .. } => {
             assert_eq!(verdict, "inserted");
-            assert_eq!(entry.time_secs, 1.0e-3);
+            assert_eq!(entry, good.encode(), "the ack carries the stored text");
         }
         other => panic!("expected the insert ack, got {other:?}"),
     }
-    peer.send(&Message::RegPut { force: false, entry: Box::new(entry_to_wire(&worse)) });
+    peer.send(&Message::RegPut { force: false, entry: worse.encode() });
     match peer.recv() {
         Message::RegHit { verdict, entry, .. } => {
             assert_eq!(verdict, "kept-existing", "keep-best refused the worse time");
-            assert_eq!(entry.time_secs, 1.0e-3, "the ack hands back the incumbent");
+            let incumbent = decode_entry(&entry).expect("the ack's entry decodes");
+            assert_eq!(incumbent.time_secs, 1.0e-3, "the ack hands back the incumbent");
         }
         other => panic!("expected the keep-best ack, got {other:?}"),
     }
@@ -164,6 +168,57 @@ fn put_acks_carry_the_winning_entry_and_misses_are_plain() {
             assert!(!reason.starts_with("error:"), "a miss is not a failure: {reason}");
         }
         other => panic!("expected a miss, got {other:?}"),
+    }
+    peer.send(&Message::Done);
+    drop(farmd);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An offered entry that does not decode — cut short, or written by
+/// another format version — is refused with a `REG_MISS` carrying the
+/// `EntryError`, stores nothing, and the same connection goes on to
+/// serve a valid request.
+#[test]
+fn hostile_reg_put_entries_get_a_diagnostic_and_the_session_survives() {
+    let dir = temp_dir("hostile");
+    let farmd = serving_dispatcher(&dir);
+    let ep = farmd.endpoints()[0].clone();
+
+    let good = entry(MachineProfile::server(), 1.0e-3);
+    let text = good.encode();
+    let truncated = text[..text.len() / 2].to_owned();
+    let skewed = text.replacen("REGV 1:1", "REGV 1:2", 1);
+    assert!(matches!(decode_entry(&truncated), Err(EntryError::Malformed(_))));
+    assert_eq!(decode_entry(&skewed), Err(EntryError::VersionSkew { found: 2 }));
+    let mut peer = Peer::connect(&ep);
+    peer.handshake();
+    for hostile in [truncated, skewed] {
+        let error = decode_entry(&hostile).expect_err("the offer is unusable").to_string();
+        peer.send(&Message::RegPut { force: true, entry: hostile });
+        match peer.recv() {
+            Message::RegMiss { reason } => {
+                assert!(reason.starts_with("error:"), "{reason}");
+                assert!(reason.contains(&error), "`{reason}` names `{error}`");
+            }
+            other => panic!("expected a diagnostic REG_MISS, got {other:?}"),
+        }
+    }
+    assert!(DirStore::open(&dir).expect("open").scan().expect("scan").entries.is_empty());
+
+    peer.send(&Message::RegPut { force: false, entry: text.clone() });
+    assert!(matches!(peer.recv(), Message::RegHit { .. }), "a valid put after the refusals");
+    peer.send(&Message::RegGet {
+        op: "exact".to_owned(),
+        bench_spec: good.bench_spec.clone(),
+        size: good.size,
+        machine: Some(Box::new(good.machine)),
+    });
+    match peer.recv() {
+        Message::RegHit { verdict, entry, .. } => {
+            assert_eq!(verdict, "exact");
+            assert_eq!(entry, text, "the stored entry comes back byte for byte");
+        }
+        other => panic!("expected the exact hit, got {other:?}"),
     }
     peer.send(&Message::Done);
     drop(farmd);

@@ -13,19 +13,19 @@
 //! The registry endpoint comes from `--registry <endpoint>` (also
 //! `--registry=<endpoint>`) or the `PETAL_REGISTRY` environment
 //! variable; the flag wins. An endpoint is `dir:<path>` (or a bare
-//! path) for a local directory store, or `tcp:<host>:<port>` /
-//! `unix:<path>` for a registry served by a `petal-farmd` dispatcher —
-//! every subcommand works identically against either. `get` prints the
+//! path) for a local directory store, `tcp:<host>:<port>` /
+//! `unix:<path>` for a registry served by a `petal-farmd` dispatcher,
+//! or a comma-separated fallback list of those
+//! (`unix:<sock>,tcp:<host>:<port>,dir:<path>`: the first dispatcher
+//! that answers, else the directory) — every subcommand works
+//! identically against each ([`petal_registry::open`]). `get` prints the
 //! stored config text to stdout (ready to redirect into a config file)
 //! and the match metadata — tier, distance, donor machine — to stderr,
 //! so scripts can pipe the one without parsing the other.
 
 use petal_farm::net::Endpoint;
 use petal_gpu::profile::MachineProfile;
-use petal_registry::{
-    decode_entry, fingerprint_hex, ConfigStore, DirStore, PutOutcome, RemoteStore, StoredEntry,
-    ENTRY_EXT,
-};
+use petal_registry::{fingerprint_hex, ConfigStore, PutOutcome, StoredEntry, ENTRY_EXT};
 use std::io::Read as _;
 use std::process::ExitCode;
 
@@ -49,7 +49,9 @@ const USAGE: &str = "usage:\n  \
     petal-registry ls [--registry <endpoint>]\n  \
     petal-registry gc [--registry <endpoint>]\n\
 (--registry defaults to $PETAL_REGISTRY; endpoints are dir:<path> | a bare \
-path | tcp:<host>:<port> | unix:<path>)";
+path | tcp:<host>:<port> | unix:<path>, or a comma-separated fallback list of \
+those, e.g. unix:<sock>,dir:<path>: the first dispatcher that answers, else \
+the directory)";
 
 /// Minimal flag cursor: `--flag value`, `--flag=value`, and boolean
 /// flags, mirroring the `HarnessArgs` conventions without depending on
@@ -105,9 +107,9 @@ impl Flags {
     }
 }
 
-/// Resolve `--registry`/`$PETAL_REGISTRY` into a live store — a
-/// [`DirStore`] for `dir:`/bare-path endpoints, a [`RemoteStore`] for
-/// socket endpoints. Subcommands only ever see `&dyn ConfigStore`.
+/// Resolve `--registry`/`$PETAL_REGISTRY` into a live store
+/// ([`petal_registry::open`]). Subcommands only ever see
+/// `&dyn ConfigStore`.
 fn open_store(flags: &mut Flags) -> Result<Box<dyn ConfigStore>, String> {
     let text = match flags.value("--registry")? {
         Some(e) => e,
@@ -116,48 +118,7 @@ fn open_store(flags: &mut Flags) -> Result<Box<dyn ConfigStore>, String> {
             _ => return Err("no registry: pass --registry <endpoint> or set PETAL_REGISTRY".into()),
         },
     };
-    let endpoint = Endpoint::parse_store(&text)?;
-    match endpoint {
-        Endpoint::Dir(dir) => Ok(Box::new(DirStore::open(dir).map_err(|e| e.to_string())?)),
-        Endpoint::Tcp(_) | Endpoint::Unix(_) => {
-            Ok(Box::new(RemoteStore::connect(&endpoint).map_err(|e| e.to_string())?))
-        }
-        // A fallback list: the RemoteStore walks the socket elements on
-        // every connect; a `dir:` element is the terminal local
-        // fallback when no service answers.
-        Endpoint::Fallback(ref elements) => {
-            let dir = elements.iter().find_map(|e| match e {
-                Endpoint::Dir(d) => Some(d.clone()),
-                _ => None,
-            });
-            let service_err = if endpoint.socket_elements().is_empty() {
-                None
-            } else {
-                match RemoteStore::connect(&endpoint) {
-                    Ok(store) => return Ok(Box::new(store)),
-                    Err(e) => Some(e),
-                }
-            };
-            match (dir, service_err) {
-                (Some(d), Some(e)) => {
-                    eprintln!(
-                        "petal-registry: registry service unreachable ({e}); \
-                         falling back to directory {}",
-                        d.display()
-                    );
-                    Ok(Box::new(DirStore::open(d).map_err(|e| e.to_string())?))
-                }
-                (Some(d), None) => Ok(Box::new(DirStore::open(d).map_err(|e| e.to_string())?)),
-                (None, Some(e)) => {
-                    Err(format!("cannot reach the registry service at `{endpoint}`: {e}"))
-                }
-                (None, None) => {
-                    Err(format!("registry endpoint list `{endpoint}` has nothing to open"))
-                }
-            }
-        }
-        Endpoint::Disabled => Err("registry disabled (`--registry none`)".into()),
-    }
+    petal_registry::open(&Endpoint::parse_store(&text)?)
 }
 
 fn machine_arg(flags: &mut Flags) -> Result<MachineProfile, String> {
@@ -298,16 +259,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 println!("removed {line}");
             }
             println!("{} files removed", removed.len());
-            Ok(ExitCode::SUCCESS)
-        }
-        "decode" => {
-            // Undocumented helper: decode an entry file for debugging.
-            let path = flags.value("--file")?.ok_or("decode needs --file <entry>")?;
-            flags.finish()?;
-            let text =
-                std::fs::read_to_string(&path).map_err(|e| format!("reading `{path}`: {e}"))?;
-            let entry = decode_entry(&text).map_err(|e| e.to_string())?;
-            println!("{entry:#?}");
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown subcommand `{other}`")),

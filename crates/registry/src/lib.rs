@@ -17,15 +17,22 @@
 //! Every consumer works against the object-safe [`ConfigStore`] trait
 //! (`lookup` / `put` / `ls` / `gc`); the two implementations are
 //! indistinguishable behind it, so a call site switches between them by
-//! changing nothing but an endpoint string:
+//! changing nothing but an endpoint string, which [`open`] turns into a
+//! store:
 //!
 //! * [`DirStore`] — the original directory-backed store (one entry per
 //!   `<key-hash>.reg` file, atomic write-then-rename);
 //! * [`RemoteStore`] — the same store served over a `petal-farmd`
 //!   dispatcher socket (the wire's `REG_GET`/`REG_PUT`/`REG_HIT`/
-//!   `REG_MISS` records). Keep-best merge and persistence stay on the
-//!   dispatcher, so concurrent publishes from many clients are
-//!   serialized and deterministic.
+//!   `REG_MISS` records, which carry an entry as its on-disk text).
+//!   Keep-best merge and persistence stay on the dispatcher, so
+//!   concurrent publishes from many clients are serialized and
+//!   deterministic.
+//!
+//! An endpoint may also be a comma-separated fallback list
+//! (`unix:/run/regd.sock,tcp:b:1,dir:/srv/reg`): [`open`] tries the
+//! socket elements in order and falls back to the list's `dir:`
+//! element when no dispatcher answers.
 //!
 //! ## Key schema
 //!
@@ -42,7 +49,7 @@
 //!
 //! ## Nearest-key lookup
 //!
-//! [`DirStore::lookup`] matches the benchmark spec and size exactly but
+//! [`ConfigStore::lookup`] matches the benchmark spec and size exactly but
 //! the *machine* by nearest key, in three tiers:
 //!
 //! * [`MatchTier::Exact`] — same fingerprint (bit-identical profile);
@@ -89,6 +96,12 @@
 //! hostile or truncated payloads decode to [`EntryError::Malformed`],
 //! never a panic (proven by `tests/store_prop.rs`).
 //!
+//! The same text is what travels the wire: a `REG_PUT` or `REG_HIT`
+//! embeds [`StoredEntry::encode`]'s output whole as one escaped field,
+//! and both ends read it with [`decode_entry`], so one entry has one
+//! codec on disk and in flight. A served entry that does not decode is
+//! answered with a `REG_MISS` naming its [`EntryError`].
+//!
 //! ## Determinism
 //!
 //! Registry reads happen on the client, before a tuning run starts: a
@@ -104,10 +117,11 @@ mod distance;
 mod remote;
 
 pub use distance::{distance, family, fingerprint, fingerprint_hex, MachineFamily};
-pub use remote::{entry_from_wire, entry_to_wire, RemoteStore};
+pub use remote::RemoteStore;
 
 use petal_core::config::{Selector, Tunable};
 use petal_core::Config;
+use petal_farm::net::Endpoint;
 use petal_farm::wire::{Message, Record};
 use petal_gpu::profile::MachineProfile;
 use std::fmt;
@@ -339,13 +353,33 @@ pub enum MatchTier {
     Fallback,
 }
 
-impl fmt::Display for MatchTier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl MatchTier {
+    /// Stable lower-case token (also the served protocol's verdict
+    /// field); inverse of [`Self::parse`].
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
             MatchTier::Exact => "exact",
             MatchTier::Family => "family",
             MatchTier::Fallback => "fallback",
-        })
+        }
+    }
+
+    /// Inverse of [`Self::as_str`]; `None` for unknown tokens.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<MatchTier> {
+        match s {
+            "exact" => Some(MatchTier::Exact),
+            "family" => Some(MatchTier::Family),
+            "fallback" => Some(MatchTier::Fallback),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for MatchTier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -461,32 +495,6 @@ impl DirStore {
         self.dir.join(format!("{key:016x}.{ENTRY_EXT}"))
     }
 
-    /// Store `entry` with keep-best semantics: an existing entry for the
-    /// same key survives unless the offer's `time_secs` is strictly
-    /// better (corrupt incumbents are always replaced).
-    ///
-    /// # Errors
-    /// [`RegistryError::Io`] on filesystem failures.
-    pub fn put(&self, entry: &StoredEntry) -> Result<PutOutcome, RegistryError> {
-        let path = self.entry_path(entry.key_hash());
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match decode_entry(&text) {
-                Ok(existing) if existing.time_secs <= entry.time_secs => {
-                    Ok(PutOutcome::KeptExisting)
-                }
-                _ => {
-                    self.write_entry(&path, entry)?;
-                    Ok(PutOutcome::Replaced)
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.write_entry(&path, entry)?;
-                Ok(PutOutcome::Inserted)
-            }
-            Err(source) => Err(RegistryError::Io { path, source }),
-        }
-    }
-
     /// Store `entry` unconditionally, replacing any incumbent.
     ///
     /// # Errors
@@ -562,63 +570,6 @@ impl DirStore {
             Err(source) => return Err(RegistryError::Io { path, source }),
         };
         decode_entry(&text).map(Some).map_err(|error| RegistryError::Entry { path, error })
-    }
-
-    /// Nearest-key lookup (see the module docs): spec and size match
-    /// exactly, the machine by tier (exact fingerprint → same family →
-    /// any), nearest [`distance`] first within a tier, ties broken on
-    /// fingerprint then key hex. When the queried `(spec, size)` cell
-    /// has no entry at all, falls back to cross-size donors of the same
-    /// benchmark kind, rescaled by [`rescale_config`] and ranked by
-    /// tier, size octaves, then machine distance. Deterministic for
-    /// given registry contents; unusable files are skipped.
-    ///
-    /// # Errors
-    /// [`RegistryError::Io`] when the directory cannot be read.
-    pub fn lookup(
-        &self,
-        machine: &MachineProfile,
-        bench_spec: &str,
-        size: u64,
-    ) -> Result<Option<Match>, RegistryError> {
-        let scan = self.scan()?;
-        if let Some(m) = best_same_cell(&scan.entries, machine, bench_spec, size) {
-            return Ok(Some(m));
-        }
-        Ok(best_cross_size(&scan.entries, machine, bench_spec, size))
-    }
-
-    /// Remove unusable entry files (corrupt bytes, version skew, stray
-    /// `.tmp` leftovers), returning what was deleted sorted by file name
-    /// (= key hash) — never by directory iteration order, so the report
-    /// is stable across filesystems.
-    ///
-    /// # Errors
-    /// [`RegistryError::Io`] when the directory cannot be read or a file
-    /// cannot be removed.
-    pub fn gc(&self) -> Result<Vec<ScanIssue>, RegistryError> {
-        let mut removed = self.scan()?.issues;
-        let rd = std::fs::read_dir(&self.dir)
-            .map_err(|source| RegistryError::Io { path: self.dir.clone(), source })?;
-        for tmp in rd
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "tmp"))
-        {
-            removed.push(ScanIssue {
-                path: tmp,
-                error: EntryError::Malformed("stale temporary file".to_owned()),
-            });
-        }
-        // scan() returns its issues file-name-sorted, but the `.tmp`
-        // sweep above walks the directory raw; sort the union so the
-        // filesystem's iteration order never leaks into the report.
-        removed.sort_by(|a, b| a.path.cmp(&b.path));
-        for issue in &removed {
-            std::fs::remove_file(&issue.path)
-                .map_err(|source| RegistryError::Io { path: issue.path.clone(), source })?;
-        }
-        Ok(removed)
     }
 }
 
@@ -855,6 +806,15 @@ fn issue_line(issue: &ScanIssue) -> String {
 }
 
 impl ConfigStore for DirStore {
+    /// Nearest-key lookup (see the module docs): spec and size match
+    /// exactly, the machine by tier (exact fingerprint → same family →
+    /// any), nearest [`distance`] first within a tier, ties broken on
+    /// fingerprint then key hex. When the queried `(spec, size)` cell
+    /// has no entry at all, falls back to cross-size donors of the same
+    /// benchmark kind, rescaled by [`rescale_config`] and ranked by
+    /// tier, size octaves, then machine distance. Deterministic for
+    /// given registry contents; unusable files are skipped. `exact` is
+    /// [`DirStore::get_exact`].
     fn lookup(
         &self,
         machine: &MachineProfile,
@@ -870,15 +830,32 @@ impl ConfigStore for DirStore {
                 scaled_from: None,
             }));
         }
-        DirStore::lookup(self, machine, bench_spec, size)
+        let scan = self.scan()?;
+        Ok(best_same_cell(&scan.entries, machine, bench_spec, size)
+            .or_else(|| best_cross_size(&scan.entries, machine, bench_spec, size)))
     }
 
+    /// Keep-best: an existing entry for the same key survives unless the
+    /// offer's `time_secs` is strictly better (corrupt incumbents are
+    /// always replaced); `force` is [`DirStore::put_force`].
     fn put(&self, entry: &StoredEntry, force: bool) -> Result<PutOutcome, RegistryError> {
         if force {
             self.put_force(entry)?;
             return Ok(PutOutcome::Replaced);
         }
-        DirStore::put(self, entry)
+        let path = self.entry_path(entry.key_hash());
+        let outcome = match std::fs::read_to_string(&path) {
+            Ok(text) => match decode_entry(&text) {
+                Ok(existing) if existing.time_secs <= entry.time_secs => {
+                    return Ok(PutOutcome::KeptExisting);
+                }
+                _ => PutOutcome::Replaced,
+            },
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => PutOutcome::Inserted,
+            Err(source) => return Err(RegistryError::Io { path, source }),
+        };
+        self.write_entry(&path, entry)?;
+        Ok(outcome)
     }
 
     fn ls(&self) -> Result<Listing, RegistryError> {
@@ -892,8 +869,79 @@ impl ConfigStore for DirStore {
         Ok(Listing { entries, issues: scan.issues.iter().map(issue_line).collect() })
     }
 
+    /// Removes unusable entry files (corrupt bytes, version skew, stray
+    /// `.tmp` leftovers), reported sorted by file name (= key hash) —
+    /// never by directory iteration order, so the report is stable
+    /// across filesystems.
     fn gc(&self) -> Result<Vec<String>, RegistryError> {
-        Ok(DirStore::gc(self)?.iter().map(issue_line).collect())
+        let mut removed = self.scan()?.issues;
+        let rd = std::fs::read_dir(&self.dir)
+            .map_err(|source| RegistryError::Io { path: self.dir.clone(), source })?;
+        for tmp in rd
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "tmp"))
+        {
+            removed.push(ScanIssue {
+                path: tmp,
+                error: EntryError::Malformed("stale temporary file".to_owned()),
+            });
+        }
+        // scan() returns its issues file-name-sorted, but the `.tmp`
+        // sweep above walks the directory raw; sort the union so the
+        // filesystem's iteration order never leaks into the report.
+        removed.sort_by(|a, b| a.path.cmp(&b.path));
+        for issue in &removed {
+            std::fs::remove_file(&issue.path)
+                .map_err(|source| RegistryError::Io { path: issue.path.clone(), source })?;
+        }
+        Ok(removed.iter().map(issue_line).collect())
+    }
+}
+
+/// Open the store an endpoint names — the one place an endpoint
+/// becomes a store. `dir:` opens the directory in-process; `tcp:`/`unix:`
+/// connects to a `petal-farmd --registry` dispatcher. A comma-separated
+/// fallback list tries its socket elements in order (the
+/// [`RemoteStore`] walks them again on every reconnect) and, when no
+/// dispatcher answers, opens the list's `dir:` element, so
+/// `tcp:a:1,tcp:b:1,dir:/srv/reg` degrades from the primary registry
+/// host to a standby to a plain directory without killing the run.
+///
+/// # Errors
+/// A human-readable message when the directory cannot be opened, no
+/// dispatcher answers and the list has no `dir:` element, or the
+/// endpoint is `none`.
+pub fn open(endpoint: &Endpoint) -> Result<Box<dyn ConfigStore>, String> {
+    let open_dir = |dir: &Path| {
+        DirStore::open(dir)
+            .map(|s| Box::new(s) as Box<dyn ConfigStore>)
+            .map_err(|e| format!("cannot open registry directory `{}`: {e}", dir.display()))
+    };
+    let dir = match endpoint {
+        Endpoint::Disabled => return Err("the registry is disabled (`none`)".to_owned()),
+        Endpoint::Dir(dir) => Some(dir),
+        Endpoint::Fallback(list) => list.iter().find_map(|e| match e {
+            Endpoint::Dir(dir) => Some(dir),
+            _ => None,
+        }),
+        Endpoint::Tcp(_) | Endpoint::Unix(_) => None,
+    };
+    if endpoint.socket_elements().is_empty() {
+        if let Some(dir) = dir {
+            return open_dir(dir);
+        }
+    }
+    match (RemoteStore::connect(endpoint), dir) {
+        (Ok(store), _) => Ok(Box::new(store)),
+        (Err(e), Some(dir)) => {
+            eprintln!(
+                "warning: registry service unreachable ({e}); falling back to directory `{}`",
+                dir.display()
+            );
+            open_dir(dir)
+        }
+        (Err(e), None) => Err(format!("cannot reach the registry service at `{endpoint}`: {e}")),
     }
 }
 
@@ -927,7 +975,7 @@ mod tests {
     fn entries_round_trip_through_disk() {
         let reg = temp_registry("roundtrip");
         let e = entry(MachineProfile::desktop(), 1.5e-3);
-        let out = reg.put(&e).expect("put");
+        let out = reg.put(&e, false).expect("put");
         assert_eq!(out, PutOutcome::Inserted);
         let back =
             reg.get_exact(&e.machine, &e.bench_spec, e.size).expect("get").expect("entry present");
@@ -940,12 +988,12 @@ mod tests {
         let reg = temp_registry("keepbest");
         let good = entry(MachineProfile::laptop(), 1.0e-3);
         let worse = entry(MachineProfile::laptop(), 2.0e-3);
-        assert_eq!(reg.put(&good).expect("put"), PutOutcome::Inserted);
-        assert_eq!(reg.put(&worse).expect("put"), PutOutcome::KeptExisting);
+        assert_eq!(reg.put(&good, false).expect("put"), PutOutcome::Inserted);
+        assert_eq!(reg.put(&worse, false).expect("put"), PutOutcome::KeptExisting);
         let back = reg.get_exact(&good.machine, &good.bench_spec, good.size).unwrap().unwrap();
         assert_eq!(back.time_secs, 1.0e-3, "keep-best kept the incumbent");
         let better = entry(MachineProfile::laptop(), 0.5e-3);
-        assert_eq!(reg.put(&better).expect("put"), PutOutcome::Replaced);
+        assert_eq!(reg.put(&better, false).expect("put"), PutOutcome::Replaced);
         reg.put_force(&worse).expect("forced put");
         let back = reg.get_exact(&good.machine, &good.bench_spec, good.size).unwrap().unwrap();
         assert_eq!(back.time_secs, 2.0e-3, "force overwrites");
@@ -957,17 +1005,18 @@ mod tests {
         let reg = temp_registry("tiers");
         // Desktop and Laptop are both discrete-GPU machines; ManyCore is
         // CPU-only — a different family from everything else.
-        reg.put(&entry(MachineProfile::laptop(), 2.0)).expect("put laptop");
-        reg.put(&entry(MachineProfile::manycore(), 3.0)).expect("put manycore");
+        reg.put(&entry(MachineProfile::laptop(), 2.0), false).expect("put laptop");
+        reg.put(&entry(MachineProfile::manycore(), 3.0), false).expect("put manycore");
         let got = reg
-            .lookup(&MachineProfile::desktop(), "sort n=4096", 4096)
+            .lookup(&MachineProfile::desktop(), "sort n=4096", 4096, false)
             .expect("lookup")
             .expect("some match");
         assert_eq!(got.tier, MatchTier::Family);
         assert_eq!(got.entry.machine.codename, "Laptop");
 
-        reg.put(&entry(MachineProfile::desktop(), 1.0)).expect("put desktop");
-        let got = reg.lookup(&MachineProfile::desktop(), "sort n=4096", 4096).unwrap().unwrap();
+        reg.put(&entry(MachineProfile::desktop(), 1.0), false).expect("put desktop");
+        let got =
+            reg.lookup(&MachineProfile::desktop(), "sort n=4096", 4096, false).unwrap().unwrap();
         assert_eq!(got.tier, MatchTier::Exact);
         assert_eq!(got.distance, 0.0);
 
@@ -975,8 +1024,8 @@ mod tests {
         let mut lone = MachineProfile::manycore();
         lone.cpu.cores = 48;
         let reg2 = temp_registry("fallback");
-        reg2.put(&entry(MachineProfile::desktop(), 1.0)).expect("put");
-        let got = reg2.lookup(&lone, "sort n=4096", 4096).unwrap().unwrap();
+        reg2.put(&entry(MachineProfile::desktop(), 1.0), false).expect("put");
+        let got = reg2.lookup(&lone, "sort n=4096", 4096, false).unwrap().unwrap();
         assert_eq!(got.tier, MatchTier::Fallback);
         let _ = std::fs::remove_dir_all(reg.dir());
         let _ = std::fs::remove_dir_all(reg2.dir());
@@ -991,9 +1040,10 @@ mod tests {
         let mut other = entry(MachineProfile::desktop(), 0.5);
         other.bench_spec = "sort n=8192".to_owned();
         other.size = 8192;
-        reg.put(&entry(MachineProfile::laptop(), 1.0)).expect("put same-cell");
-        reg.put(&other).expect("put cross-size");
-        let got = reg.lookup(&MachineProfile::desktop(), "sort n=4096", 4096).unwrap().unwrap();
+        reg.put(&entry(MachineProfile::laptop(), 1.0), false).expect("put same-cell");
+        reg.put(&other, false).expect("put cross-size");
+        let got =
+            reg.lookup(&MachineProfile::desktop(), "sort n=4096", 4096, false).unwrap().unwrap();
         assert_eq!(got.tier, MatchTier::Family);
         assert_eq!(got.scaled_from, None);
         assert_eq!(got.entry.machine.codename, "Laptop");
@@ -1003,10 +1053,11 @@ mod tests {
     #[test]
     fn cross_size_donors_are_rescaled_for_the_queried_cell() {
         let reg = temp_registry("crosssize");
-        reg.put(&entry(MachineProfile::desktop(), 1.0)).expect("put");
+        reg.put(&entry(MachineProfile::desktop(), 1.0), false).expect("put");
         // No entry for n=8192 anywhere: the n=4096 donor answers, spec
         // and size rewritten, cutoffs and size-like tunables doubled.
-        let got = reg.lookup(&MachineProfile::desktop(), "sort n=8192", 8192).unwrap().unwrap();
+        let got =
+            reg.lookup(&MachineProfile::desktop(), "sort n=8192", 8192, false).unwrap().unwrap();
         assert_eq!(got.tier, MatchTier::Exact);
         assert_eq!(got.scaled_from, Some(4096));
         assert_eq!(got.entry.bench_spec, "sort n=8192");
@@ -1019,7 +1070,7 @@ mod tests {
         );
         // A different benchmark kind never donates.
         assert!(reg
-            .lookup(&MachineProfile::desktop(), "matmul n=4096", 4096)
+            .lookup(&MachineProfile::desktop(), "matmul n=4096", 4096, false)
             .expect("lookup")
             .is_none());
         let _ = std::fs::remove_dir_all(reg.dir());
@@ -1060,7 +1111,7 @@ mod tests {
         let mut entries: Vec<StoredEntry> = Vec::new();
         for (i, m) in MachineProfile::extended().into_iter().enumerate() {
             let e = entry(m, 1.0 + i as f64);
-            reg.put(&e).expect("put");
+            reg.put(&e, false).expect("put");
             entries.push(e);
         }
         let listing = ConfigStore::ls(&reg).expect("ls");
@@ -1087,20 +1138,58 @@ mod tests {
     #[test]
     fn corrupt_files_are_skipped_by_lookup_and_removed_by_gc() {
         let reg = temp_registry("gc");
-        reg.put(&entry(MachineProfile::desktop(), 1.0)).expect("put");
+        reg.put(&entry(MachineProfile::desktop(), 1.0), false).expect("put");
         std::fs::write(reg.dir().join("deadbeef00000000.reg"), "REGV not-a-version")
             .expect("write corrupt");
         std::fs::write(reg.dir().join("feedface00000000.reg"), "REGV 1:9\n").expect("write skew");
         std::fs::write(reg.dir().join("0123456789abcdef.tmp"), "half an entry").expect("write tmp");
-        let got = reg.lookup(&MachineProfile::desktop(), "sort n=4096", 4096).unwrap();
+        let got = reg.lookup(&MachineProfile::desktop(), "sort n=4096", 4096, false).unwrap();
         assert!(got.is_some(), "good entry still served");
         let removed = reg.gc().expect("gc");
         assert_eq!(removed.len(), 3, "corrupt + skewed + tmp removed: {removed:?}");
-        assert!(removed.iter().any(|i| matches!(i.error, EntryError::VersionSkew { found: 9 })));
+        assert!(removed.iter().any(|line| line.contains("entry is v9")), "{removed:?}");
         let scan = reg.scan().expect("scan");
         assert_eq!(scan.entries.len(), 1);
         assert!(scan.issues.is_empty());
         let _ = std::fs::remove_dir_all(reg.dir());
+    }
+
+    /// A unix listener that closes every connection at once: a socket
+    /// that is up but never answers `HELLO`, so a dial fails at once
+    /// instead of retrying for its patience.
+    fn closing_listener(tag: &str) -> Endpoint {
+        let path = std::env::temp_dir()
+            .join(format!("petal-registry-test-{}-{tag}.sock", std::process::id()));
+        let endpoint = Endpoint::Unix(path);
+        let listener = petal_farm::net::FarmListener::bind(&endpoint).expect("bind");
+        std::thread::spawn(move || while listener.accept().is_ok() {});
+        endpoint
+    }
+
+    #[test]
+    fn open_takes_the_first_store_that_answers() {
+        let reg = temp_registry("open");
+        let e = entry(MachineProfile::desktop(), 1.0);
+        reg.put(&e, false).expect("put");
+        let dir = reg.dir().display().to_string();
+        let listed = |store: Box<dyn ConfigStore>| store.ls().expect("ls").entries;
+
+        let store = open(&Endpoint::parse_store(&format!("dir:{dir}")).unwrap()).expect("dir");
+        assert_eq!(listed(store), vec![(e.key_hash(), e.clone())]);
+
+        assert!(open(&Endpoint::parse_store("none").unwrap()).is_err());
+
+        let sock = closing_listener("open");
+        let sockets = Endpoint::parse_store(&format!("{sock},{sock}")).unwrap();
+        let err = open(&sockets).err().expect("no dispatcher answers");
+        assert!(err.contains(&sockets.to_string()), "{err}");
+
+        let list = Endpoint::parse_store(&format!("{sock},dir:{dir}")).unwrap();
+        assert_eq!(listed(open(&list).expect("falls back")), vec![(e.key_hash(), e)]);
+        let _ = std::fs::remove_dir_all(reg.dir());
+        if let Endpoint::Unix(path) = sock {
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]

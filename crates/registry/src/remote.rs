@@ -2,10 +2,12 @@
 //! `petal-farmd` dispatcher hosting a registry.
 //!
 //! A [`RemoteStore`] speaks the wire's registry records over the same
-//! socket (and the same [`dial`] handshake) as an evaluation client: `REG_GET` for `lookup`/`ls`/`gc`, `REG_PUT` for `put`, with
-//! every answer a `REG_HIT` (an entry) or `REG_MISS` (a miss, a
-//! terminator, or — when the reason starts with `error:` — a server-side
-//! failure). The nearest-key ranking, cross-size rescaling, keep-best
+//! socket (and the same [`dial`] handshake) as an evaluation client:
+//! `REG_GET` for `lookup`/`ls`/`gc`, `REG_PUT` for `put`, with every
+//! answer a `REG_HIT` (an entry) or `REG_MISS` (a miss, a terminator,
+//! or — when the reason starts with `error:` — a server-side failure).
+//! An entry crosses in either direction as its on-disk text
+//! ([`StoredEntry::encode`]), read back with [`decode_entry`]. The nearest-key ranking, cross-size rescaling, keep-best
 //! merge and atomic persistence all run on the *dispatcher* against its
 //! local [`DirStore`], which is what makes concurrent publishers from
 //! many client machines deterministic: the dispatcher serializes them
@@ -21,11 +23,11 @@
 //! one failed operation, not the store.
 
 use crate::{
-    key_hash, ConfigStore, Listing, Match, MatchTier, PutOutcome, RegistryError, StoredEntry,
+    decode_entry, ConfigStore, Listing, Match, MatchTier, PutOutcome, RegistryError, StoredEntry,
 };
 use petal_farm::net::Endpoint;
 use petal_farm::session::{dial, SocketWire};
-use petal_farm::wire::{Message, RegEntry};
+use petal_farm::wire::Message;
 use petal_gpu::profile::MachineProfile;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -122,6 +124,12 @@ impl RemoteStore {
             None => Ok(reason.to_owned()),
         }
     }
+
+    /// Read an entry the dispatcher sent, with the one entry codec.
+    fn entry(&self, text: &str) -> Result<StoredEntry, RegistryError> {
+        decode_entry(text)
+            .map_err(|e| self.remote_err(format!("dispatcher sent an unusable entry: {e}")))
+    }
 }
 
 impl Drop for RemoteStore {
@@ -134,42 +142,6 @@ impl Drop for RemoteStore {
                 let _ = conn.flush();
             }
         }
-    }
-}
-
-/// A stored entry flattened for the wire.
-#[must_use]
-pub fn entry_to_wire(entry: &StoredEntry) -> RegEntry {
-    RegEntry {
-        machine: Box::new(entry.machine.clone()),
-        bench_spec: entry.bench_spec.clone(),
-        size: entry.size,
-        config: entry.config.clone(),
-        time_secs: entry.time_secs,
-        source: entry.source.clone(),
-    }
-}
-
-/// A wire entry rebuilt as the store's own type.
-#[must_use]
-pub fn entry_from_wire(entry: RegEntry) -> StoredEntry {
-    StoredEntry {
-        machine: *entry.machine,
-        bench_spec: entry.bench_spec,
-        size: entry.size,
-        config: entry.config,
-        time_secs: entry.time_secs,
-        source: entry.source,
-    }
-}
-
-/// Parse a lookup verdict back into its tier.
-fn parse_tier(verdict: &str) -> Option<MatchTier> {
-    match verdict {
-        "exact" => Some(MatchTier::Exact),
-        "family" => Some(MatchTier::Family),
-        "fallback" => Some(MatchTier::Fallback),
-        _ => None,
     }
 }
 
@@ -189,10 +161,10 @@ impl ConfigStore for RemoteStore {
         };
         self.exchange(&request, |conn| match self.recv(conn)? {
             Message::RegHit { verdict, distance, scaled_from, entry } => {
-                let tier = parse_tier(&verdict).ok_or_else(|| {
+                let tier = MatchTier::parse(&verdict).ok_or_else(|| {
                     self.remote_err(format!("dispatcher answered with verdict `{verdict}`"))
                 })?;
-                Ok(Some(Match { entry: entry_from_wire(*entry), tier, distance, scaled_from }))
+                Ok(Some(Match { entry: self.entry(&entry)?, tier, distance, scaled_from }))
             }
             Message::RegMiss { reason } => self.miss(&reason).map(|_| None),
             Message::Goodbye { reason } => {
@@ -203,7 +175,7 @@ impl ConfigStore for RemoteStore {
     }
 
     fn put(&self, entry: &StoredEntry, force: bool) -> Result<PutOutcome, RegistryError> {
-        let request = Message::RegPut { force, entry: Box::new(entry_to_wire(entry)) };
+        let request = Message::RegPut { force, entry: entry.encode() };
         self.exchange(&request, |conn| match self.recv(conn)? {
             // The ack's entry is whichever config now wins the key — a
             // losing publisher learns the better incumbent for free, but
@@ -234,9 +206,8 @@ impl ConfigStore for RemoteStore {
             loop {
                 match self.recv(conn)? {
                     Message::RegHit { entry, .. } => {
-                        let entry = entry_from_wire(*entry);
-                        let key = key_hash(&entry.machine, &entry.bench_spec, entry.size);
-                        listing.entries.push((key, entry));
+                        let entry = self.entry(&entry)?;
+                        listing.entries.push((entry.key_hash(), entry));
                     }
                     Message::RegMiss { reason } => {
                         // Terminator: the headline line counts rows, any

@@ -1,8 +1,9 @@
-//! Property tests for the registry's on-disk record and nearest-key
-//! lookup — the ISSUE's "store_prop" satellite:
+//! Property tests for the registry's entry record and nearest-key
+//! lookup:
 //!
 //! * encode/decode round-trips over adversarial entries (hostile specs
-//!   and sources, arbitrary f64 bit patterns, mutated machines);
+//!   and sources, arbitrary f64 bit patterns, mutated machines), on disk
+//!   and across the wire's `REG_HIT` record;
 //! * hostile/truncated payloads never panic, whatever the bytes;
 //! * version skew is a diagnostic ([`EntryError::VersionSkew`]), never
 //!   a parse error, even with future trailing header fields;
@@ -12,9 +13,10 @@
 
 use petal_core::config::{Selector, Tunable};
 use petal_core::Config;
+use petal_farm::wire::Message;
 use petal_gpu::profile::MachineProfile;
 use petal_registry::{
-    decode_entry, family, fingerprint, DirStore, EntryError, MatchTier, StoredEntry,
+    decode_entry, family, fingerprint, ConfigStore, DirStore, EntryError, MatchTier, StoredEntry,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -111,15 +113,30 @@ proptest! {
         let entry =
             entry_from(which, cores, flops_bits, spec_seed, size, time_bits, &selectors, &tunables);
         let text = entry.encode();
-        let back = decode_entry(&text).expect("round-trip decode");
-        prop_assert_eq!(back.bench_spec, entry.bench_spec);
-        prop_assert_eq!(back.size, entry.size);
-        prop_assert_eq!(back.source, entry.source);
-        prop_assert_eq!(back.config, entry.config);
-        // Bits, not PartialEq: NaN time patterns must survive too.
-        prop_assert_eq!(back.time_secs.to_bits(), entry.time_secs.to_bits());
-        prop_assert_eq!(back.machine, entry.machine);
-        prop_assert_eq!(fingerprint(&back.machine), fingerprint(&entry.machine));
+        // The wire hop: the same text embedded in a `REG_HIT` line, out
+        // through `Message::decode`, then the one entry codec.
+        let line = Message::RegHit {
+            verdict: "exact".to_owned(),
+            distance: 0.0,
+            scaled_from: None,
+            entry: text.clone(),
+        }
+        .encode();
+        let Message::RegHit { entry: carried, .. } = Message::decode(&line).expect("REG_HIT decodes")
+        else {
+            panic!("a REG_HIT line decoded as another record");
+        };
+        for back in [decode_entry(&text), decode_entry(&carried)] {
+            let back = back.expect("round-trip decode");
+            prop_assert_eq!(&back.bench_spec, &entry.bench_spec);
+            prop_assert_eq!(back.size, entry.size);
+            prop_assert_eq!(&back.source, &entry.source);
+            prop_assert_eq!(&back.config, &entry.config);
+            // Bits, not PartialEq: NaN time patterns must survive too.
+            prop_assert_eq!(back.time_secs.to_bits(), entry.time_secs.to_bits());
+            prop_assert_eq!(&back.machine, &entry.machine);
+            prop_assert_eq!(fingerprint(&back.machine), fingerprint(&entry.machine));
+        }
     }
 
     // ---- hostility: never panic, skew is a diagnostic ----
@@ -212,7 +229,7 @@ proptest! {
         for &i in &perm {
             reg.put_force(&pool[i]).expect("put");
         }
-        let got = reg.lookup(&query, &spec, 4096).expect("lookup").expect("pool covers query");
+        let got = reg.lookup(&query, &spec, 4096, false).expect("lookup").expect("pool covers query");
 
         // Tier law: the query machine is in the pool, so the winner must
         // be the exact fingerprint match.
@@ -229,7 +246,7 @@ proptest! {
             .iter()
             .enumerate()
             .any(|(i, e)| i != query_which && family(&e.machine) == fam);
-        if let Some(m) = reg.lookup(&query, &spec, 4096).expect("lookup") {
+        if let Some(m) = reg.lookup(&query, &spec, 4096, false).expect("lookup") {
             if same_family_exists {
                 prop_assert_eq!(m.tier, MatchTier::Family);
                 prop_assert_eq!(family(&m.entry.machine), fam);
@@ -285,8 +302,8 @@ proptest! {
         for e in &pool {
             reg_b.put_force(e).expect("put b");
         }
-        let a = reg_a.lookup(&query, &spec, 64).expect("lookup a");
-        let b = reg_b.lookup(&query, &spec, 64).expect("lookup b");
+        let a = reg_a.lookup(&query, &spec, 64, false).expect("lookup a");
+        let b = reg_b.lookup(&query, &spec, 64, false).expect("lookup b");
         match (a, b) {
             (Some(ma), Some(mb)) => {
                 prop_assert_eq!(ma.entry, mb.entry);

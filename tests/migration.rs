@@ -5,7 +5,7 @@
 use petal::prelude::*;
 use petal_apps::blackscholes::BlackScholes;
 use petal_apps::strassen::Strassen;
-use petal_registry::{DirStore, MatchTier, PutOutcome, StoredEntry};
+use petal_registry::{ConfigStore, DirStore, MatchTier, PutOutcome, StoredEntry};
 use petal_tuner::{Autotuner, TunerSettings, WarmStart};
 
 fn settings(seed: u64) -> TunerSettings {
@@ -106,12 +106,12 @@ fn registry_warm_start_repairs_a_migration_faster_than_scratch() {
         time_secs: src.time_secs,
         source: "migration-test".to_owned(),
     };
-    assert!(matches!(reg.put(&stored).expect("put succeeds"), PutOutcome::Inserted));
+    assert!(matches!(reg.put(&stored, false).expect("put succeeds"), PutOutcome::Inserted));
 
     // Deployment 2: no Laptop entry exists, so the lookup must land on
     // the same-family (discrete-GPU) Desktop donor.
     let hit = reg
-        .lookup(&laptop, &bench.spec(), bench.input_size())
+        .lookup(&laptop, &bench.spec(), bench.input_size(), false)
         .expect("lookup succeeds")
         .expect("family donor found");
     assert_eq!(hit.tier, MatchTier::Family);
@@ -192,9 +192,9 @@ fn registry_warm_start_repairs_a_migration_faster_than_scratch() {
         time_secs: warm.time_secs,
         source: "migration-test-repair".to_owned(),
     };
-    assert!(matches!(reg.put(&repaired).expect("put succeeds"), PutOutcome::Inserted));
+    assert!(matches!(reg.put(&repaired, false).expect("put succeeds"), PutOutcome::Inserted));
     let hit = reg
-        .lookup(&laptop, &bench.spec(), bench.input_size())
+        .lookup(&laptop, &bench.spec(), bench.input_size(), false)
         .expect("lookup succeeds")
         .expect("exact hit found");
     assert_eq!(hit.tier, MatchTier::Exact);
