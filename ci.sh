@@ -15,6 +15,11 @@ cargo clippy --offline --all-targets -- -D warnings
 echo "== cargo build --release (offline)"
 cargo build --release --offline
 
+echo "== ablation_ircache (the §5.4 claim: the IR cache cuts tuning time, fewer small-size trials do not raise it)"
+# The end-to-end check of the one IR-cache model (petal_farm::EvalFarm's
+# compile pricing); the binary asserts both claims for its pinned seed.
+./target/release/ablation_ircache
+
 echo "== cargo test -q (offline)"
 cargo test -q --offline
 

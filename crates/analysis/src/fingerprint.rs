@@ -9,37 +9,7 @@
 //! `Benchmark::dynamic_config_keys`).
 
 use petal_core::plan::{Plan, Step, StepKind};
-
-/// FNV-1a, 64-bit. A hand-rolled hash keeps fingerprints stable across
-/// processes (so reports are reproducible verbatim), which `DefaultHasher`
-/// does not guarantee.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write(&(v as u64).to_le_bytes());
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write(s.as_bytes());
-    }
-}
+use petal_gpu::Fnv;
 
 fn hash_step(h: &mut Fnv, step: &Step) {
     match &step.kind {
@@ -76,7 +46,7 @@ fn hash_step(h: &mut Fnv, step: &Step) {
 /// Structural fingerprint of a lowered plan.
 #[must_use]
 pub fn plan_fingerprint(plan: &Plan) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     h.write_usize(plan.steps().len());
     for step in plan.steps() {
         hash_step(&mut h, step);
@@ -84,5 +54,24 @@ pub fn plan_fingerprint(plan: &Plan) -> u64 {
     for m in plan.outputs() {
         h.write_usize(m.index());
     }
-    h.0
+    h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use petal_apps::benchmark_from_spec;
+    use petal_gpu::profile::MachineProfile;
+
+    /// `petal-verify` reports quote fingerprints verbatim: one is pinned.
+    #[test]
+    fn a_plan_fingerprint_keeps_its_value() {
+        let machine = MachineProfile::desktop();
+        let bench = benchmark_from_spec("convolution n=64 k=5").unwrap();
+        let cfg = bench.program(&machine).default_config(&machine);
+        assert_eq!(
+            plan_fingerprint(&bench.instantiate(&machine, &cfg).plan),
+            0x025e_a59f_ecc5_0d25
+        );
+    }
 }

@@ -9,15 +9,15 @@
 //! region. CPU placements become row-chunk tasks on the workstealing side;
 //! fractional splits emit both and join on completion.
 //!
-//! OpenCL kernels are registered (and their runtime compilation charged)
-//! when the plan is lowered, mirroring the JIT cost structure of §5.4.
+//! OpenCL kernels are registered (and their runtime compiles logged) when
+//! the plan is lowered, mirroring the JIT cost structure of §5.4.
 
 use crate::codegen::{self, Geometry, RawInput};
 use crate::data::{LazyEntry, World};
 use crate::plan::{analyze_movement, CopyOutPolicy, Placement, Plan, StencilStep, StepKind};
 use crate::Error;
 use petal_gpu::buffer::{BufferId, SharedSlice};
-use petal_gpu::compile::KernelHandle;
+use petal_gpu::compile::{CompileEvent, KernelHandle};
 use petal_gpu::cost;
 use petal_gpu::device::{Device, KernelLaunch};
 use petal_gpu::profile::MachineProfile;
@@ -50,15 +50,17 @@ const ISSUE_SECS: f64 = 2.0e-6;
 pub struct ExecReport {
     /// Runtime statistics (makespan, steals, dedup hits, ...).
     pub rt: RunReport,
-    /// Virtual seconds spent JIT-compiling kernels while lowering this plan
-    /// (zero once the kernels are warm in the process).
+    /// Virtual seconds the kernel compiles of this run cost in a process
+    /// that had compiled none of them: `frontend_secs + jit_secs` of each
+    /// of `compile_events`, summed in compile order (zero once the kernels
+    /// are warm in the process).
     pub compile_secs: f64,
     /// Lazy copy-out pulls performed by consumers.
     pub lazy_pulls: usize,
-    /// Kernel compiles charged while lowering this plan, in compile order.
+    /// Kernel compiles done while lowering this plan, in compile order.
     /// The evaluation farm replays these against its shared process/IR-cache
-    /// model to re-price trials deterministically.
-    pub compile_events: Vec<petal_gpu::compile::CompileEvent>,
+    /// model to price trials deterministically.
+    pub compile_events: Vec<CompileEvent>,
 }
 
 impl ExecReport {
@@ -67,13 +69,6 @@ impl ExecReport {
     pub fn virtual_time_secs(&self) -> f64 {
         self.rt.makespan
     }
-
-    /// First-run time including JIT compilation (what an autotuning trial
-    /// pays).
-    #[must_use]
-    pub fn total_secs(&self) -> f64 {
-        self.rt.makespan + self.compile_secs
-    }
 }
 
 /// Executes plans on one machine, keeping the device's compiled-kernel
@@ -81,17 +76,13 @@ impl ExecReport {
 pub struct Executor {
     machine: MachineProfile,
     device: Option<Device>,
-    workers: usize,
     seed: u64,
     sched_policy: petal_rt::SchedPolicy,
 }
 
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor")
-            .field("machine", &self.machine.codename)
-            .field("workers", &self.workers)
-            .finish_non_exhaustive()
+        f.debug_struct("Executor").field("machine", &self.machine.codename).finish_non_exhaustive()
     }
 }
 
@@ -103,7 +94,6 @@ impl Executor {
         Executor {
             machine: machine.clone(),
             device: machine.gpu.clone().map(Device::new),
-            workers: machine.cpu.cores,
             seed: 0x5eed,
             sched_policy: petal_rt::SchedPolicy::Incremental,
         }
@@ -126,25 +116,13 @@ impl Executor {
         self
     }
 
-    /// Override the CPU worker count.
-    pub fn set_workers(&mut self, workers: usize) -> &mut Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Replace the device (e.g. one with the IR cache disabled).
-    pub fn set_device(&mut self, device: Option<Device>) -> &mut Self {
-        self.device = device;
-        self
-    }
-
     /// The machine this executor targets.
     #[must_use]
     pub fn machine(&self) -> &MachineProfile {
         &self.machine
     }
 
-    /// The device, if any (for inspecting kernels and compile statistics).
+    /// The device, if any (for inspecting its buffers).
     #[must_use]
     pub fn device(&self) -> Option<&Device> {
         self.device.as_ref()
@@ -184,11 +162,14 @@ impl Executor {
             d.reset_timeline();
             d.buffers_mut().draw_from(Arc::clone(world.recycler()));
         }
-        let mut compile_secs = 0.0;
         let lazy_before = world.lazy_pulls;
 
-        let mut engine: Engine<World> =
-            Engine::with_device_and_workers(&self.machine, self.workers, device, self.seed);
+        let mut engine: Engine<World> = Engine::with_device_and_workers(
+            &self.machine,
+            self.machine.cpu.cores,
+            device,
+            self.seed,
+        );
         engine.set_sched_policy(self.sched_policy);
 
         let (steps, _outputs) = plan.into_steps();
@@ -206,8 +187,7 @@ impl Executor {
                 }
                 StepKind::Stencil(s) => {
                     let policy = policies[idx].unwrap_or(CopyOutPolicy::Eager);
-                    let (init, term) =
-                        self.lower_stencil(&mut engine, &s, policy, &mut compile_secs)?;
+                    let (init, term) = self.lower_stencil(&mut engine, &s, policy)?;
                     (TaskSet::Many(init), TaskSet::Many(term))
                 }
             };
@@ -225,6 +205,8 @@ impl Executor {
         let rt = engine.run(world).map_err(Error::Rt)?;
         self.device = engine.take_device();
         let compile_events = self.device.as_mut().map(Device::take_compile_log).unwrap_or_default();
+        let compile_secs =
+            compile_events.iter().fold(0.0, |s, e| s + (e.frontend_secs + e.jit_secs));
         Ok(ExecReport {
             rt,
             compile_secs,
@@ -240,7 +222,6 @@ impl Executor {
         engine: &mut Engine<World>,
         s: &StencilStep,
         policy: CopyOutPolicy,
-        compile_secs: &mut f64,
     ) -> Result<(Vec<TaskId>, Vec<TaskId>), Error> {
         let (out_w, out_h) = s.out_dims;
         let (gpu_rows, cpu_chunks, local_memory, local_size) = match s.placement {
@@ -319,8 +300,7 @@ impl Executor {
                 Error::Validation(format!("rule '{}' cannot map to OpenCL: {r}", s.rule.name))
             })?;
             let body = codegen::make_kernel_body(Arc::clone(&s.rule), local_memory);
-            let (handle, secs) = device.register_kernel(s.rule.kernel_text(local_memory), body);
-            *compile_secs += secs;
+            let handle = device.register_kernel(s.rule.kernel_text(local_memory), body);
 
             let chain = self.gpu_invocation_chain(
                 engine,
@@ -609,7 +589,7 @@ mod tests {
         assert!(w.get(b).approx_eq(&expected(8), 0.0));
         // prepare + copy-in + execute + copy-out completion.
         assert!(rep.rt.gpu_tasks >= 4, "gpu tasks {}", rep.rt.gpu_tasks);
-        assert!(rep.compile_secs > 0.0, "first run JIT-compiles");
+        assert_eq!(rep.compile_events.len(), 1, "first run JIT-compiles");
     }
 
     #[test]
@@ -784,24 +764,46 @@ mod tests {
         assert!(matches!(err, Error::Validation(_)), "{err:?}");
     }
 
+    /// b = 2a, then c = 3b, both on the device: two kernels.
+    fn two_kernel_run(ex: &mut Executor) -> ExecReport {
+        let (mut w, a, b) = setup(8);
+        let c = w.alloc(Matrix::zeros(8, 8));
+        let triple = Arc::new(StencilRule {
+            name: "tpl".into(),
+            body_c: "result = 3.0 * IN0(x, y);".into(),
+            elem: Arc::new(|env, x, y| 3.0 * env.inputs[0].at(x, y)),
+            ..(*double_rule()).clone()
+        });
+        let gpu = Placement::OpenCl { local_memory: false, local_size: 16 };
+        let mut p = PlanBuilder::new();
+        let s1 = p.stencil(step(a, b, 8, gpu), &[]);
+        p.stencil(StencilStep { rule: triple, ..step(b, c, 8, gpu) }, &[s1]);
+        p.mark_output(c);
+        let report = ex.run(p.build(), &mut w).unwrap();
+        assert!(w.get(c).approx_eq(&Matrix::from_fn(8, 8, |r, cc| 6.0 * (r * 8 + cc) as f64), 0.0));
+        report
+    }
+
+    #[test]
+    fn compile_secs_is_the_fold_of_the_runs_compile_events() {
+        let mut ex = Executor::new(&MachineProfile::desktop());
+        let rep = two_kernel_run(&mut ex);
+        assert_eq!(rep.compile_events.len(), 2);
+        let fold = rep.compile_events.iter().fold(0.0, |s, e| s + (e.frontend_secs + e.jit_secs));
+        assert_eq!(rep.compile_secs.to_bits(), fold.to_bits());
+        // What a `+=` of each compile's full price from 0.0 gives.
+        let g = MachineProfile::desktop().gpu.unwrap();
+        let full = g.compile_frontend + g.compile_jit;
+        assert_eq!(rep.compile_secs.to_bits(), (0.0 + full + full).to_bits());
+    }
+
     #[test]
     fn second_run_compiles_nothing() {
-        let run = |ex: &mut Executor| {
-            let (mut w, a, b) = setup(8);
-            let mut p = PlanBuilder::new();
-            p.stencil(
-                step(a, b, 8, Placement::OpenCl { local_memory: false, local_size: 16 }),
-                &[],
-            );
-            p.mark_output(b);
-            ex.run(p.build(), &mut w).unwrap()
-        };
         let mut ex = Executor::new(&MachineProfile::desktop());
-        let first = run(&mut ex);
-        let second = run(&mut ex);
-        assert!(first.compile_secs > 0.0);
-        assert_eq!(second.compile_secs, 0.0, "kernel cache is warm");
-        assert!(second.total_secs() < first.total_secs());
+        two_kernel_run(&mut ex);
+        let second = two_kernel_run(&mut ex);
+        assert!(second.compile_events.is_empty(), "kernel cache is warm");
+        assert_eq!(second.compile_secs.to_bits(), 0.0_f64.to_bits(), "+0.0");
     }
 
     #[test]

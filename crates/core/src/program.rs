@@ -1,17 +1,16 @@
-//! Transform-level program structure: transforms, their algorithmic
-//! choices, and the choice dependency graph (§2, §3).
+//! Transform-level program structure: transforms and their algorithmic
+//! choices (§2, §3).
 //!
 //! A [`Program`] is the metadata the autotuner needs about a benchmark:
 //! which call sites carry selectors, how many algorithmic choices each has,
 //! which tunables exist, and the size of the resulting search space (the
-//! "# Possible Configs" column of Fig. 8). The [`ChoiceDependencyGraph`] is
-//! the paper's transform-level representation: data as vertices, rules as
-//! hyperedges, with multiple rules allowed to produce the same data — those
-//! are the choices.
+//! "# Possible Configs" column of Fig. 8). §3's choice dependency graph
+//! (data as vertices, rules as hyperedges, several rules producing one
+//! datum) is not a data structure here: each benchmark lowers the choices
+//! a configuration makes straight to a [`crate::plan::Plan`].
 
 use crate::config::{Config, Selector, Tunable, RATIO_DENOMINATOR};
 use petal_gpu::profile::MachineProfile;
-use std::collections::BTreeMap;
 
 /// Metadata about one choice site (a transform or a recursive call site).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,167 +128,10 @@ impl Program {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Choice dependency graph
-// ---------------------------------------------------------------------------
-
-/// Vertex id: a datum (matrix or region).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DataId(usize);
-
-/// Hyperedge id: a rule application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RuleId(usize);
-
-/// The paper's transform-level IR: "data dependencies are represented by
-/// vertices, while rules are represented by graph hyperedges", and more
-/// than one rule may output the same data — the compiler and autotuner
-/// decide which to use.
-#[derive(Debug, Clone, Default)]
-pub struct ChoiceDependencyGraph {
-    data_names: Vec<String>,
-    rules: Vec<RuleEdge>,
-}
-
-#[derive(Debug, Clone)]
-struct RuleEdge {
-    name: String,
-    inputs: Vec<DataId>,
-    output: DataId,
-}
-
-impl ChoiceDependencyGraph {
-    /// Empty graph.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a datum vertex.
-    pub fn add_data(&mut self, name: &str) -> DataId {
-        self.data_names.push(name.into());
-        DataId(self.data_names.len() - 1)
-    }
-
-    /// Add a rule hyperedge producing `output` from `inputs`.
-    pub fn add_rule(&mut self, name: &str, inputs: &[DataId], output: DataId) -> RuleId {
-        self.rules.push(RuleEdge { name: name.into(), inputs: inputs.to_vec(), output });
-        RuleId(self.rules.len() - 1)
-    }
-
-    /// All rules that can produce `d` — the algorithmic choices for it.
-    #[must_use]
-    pub fn choices_for(&self, d: DataId) -> Vec<RuleId> {
-        self.rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.output == d)
-            .map(|(i, _)| RuleId(i))
-            .collect()
-    }
-
-    /// Rule name.
-    #[must_use]
-    pub fn rule_name(&self, r: RuleId) -> &str {
-        &self.rules[r.0].name
-    }
-
-    /// Datum name.
-    #[must_use]
-    pub fn data_name(&self, d: DataId) -> &str {
-        &self.data_names[d.0]
-    }
-
-    /// Topologically order the given rule choices (one chosen rule per
-    /// produced datum) so every rule runs after the producers of its
-    /// inputs. Returns `None` on a cycle.
-    #[must_use]
-    pub fn schedule(&self, chosen: &[RuleId]) -> Option<Vec<RuleId>> {
-        let producer: BTreeMap<DataId, RuleId> =
-            chosen.iter().map(|&r| (self.rules[r.0].output, r)).collect();
-        let mut order = Vec::new();
-        let mut state: BTreeMap<RuleId, u8> = BTreeMap::new(); // 1=visiting, 2=done
-        fn visit(
-            g: &ChoiceDependencyGraph,
-            producer: &BTreeMap<DataId, RuleId>,
-            r: RuleId,
-            state: &mut BTreeMap<RuleId, u8>,
-            order: &mut Vec<RuleId>,
-        ) -> bool {
-            match state.get(&r) {
-                Some(1) => return false, // cycle
-                Some(2) => return true,
-                _ => {}
-            }
-            state.insert(r, 1);
-            for input in &g.rules[r.0].inputs {
-                if let Some(&p) = producer.get(input) {
-                    if !visit(g, producer, p, state, order) {
-                        return false;
-                    }
-                }
-            }
-            state.insert(r, 2);
-            order.push(r);
-            true
-        }
-        for &r in chosen {
-            if !visit(self, &producer, r, &mut state, &mut order) {
-                return None;
-            }
-        }
-        Some(order)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MAX_SELECTOR_LEVELS;
-
-    /// The SeparableConvolution choice structure of Fig. 1: Out produced
-    /// either by one 2D pass or by two 1D passes through a buffer.
-    fn separable_graph() -> (ChoiceDependencyGraph, DataId, Vec<RuleId>) {
-        let mut g = ChoiceDependencyGraph::new();
-        let input = g.add_data("In");
-        let kernel = g.add_data("Kernel");
-        let buffer = g.add_data("buffer");
-        let out = g.add_data("Out");
-        let conv2d = g.add_rule("Convolve2D", &[input, kernel], out);
-        let rows = g.add_rule("ConvolveRows", &[input, kernel], buffer);
-        let cols = g.add_rule("ConvolveColumns", &[buffer, kernel], out);
-        (g, out, vec![conv2d, rows, cols])
-    }
-
-    #[test]
-    fn multiple_rules_can_produce_same_data() {
-        let (g, out, rules) = separable_graph();
-        let choices = g.choices_for(out);
-        assert_eq!(choices.len(), 2, "Out has two producers: the choice");
-        assert!(choices.contains(&rules[0]));
-        assert!(choices.contains(&rules[2]));
-    }
-
-    #[test]
-    fn schedule_orders_two_pass_choice() {
-        let (g, _, rules) = separable_graph();
-        // Choice 2: rows then columns.
-        let order = g.schedule(&[rules[2], rules[1]]).expect("acyclic");
-        let pos = |r: RuleId| order.iter().position(|&x| x == r).unwrap();
-        assert!(pos(rules[1]) < pos(rules[2]), "rows pass precedes columns pass");
-        // Choice 1: single rule schedules alone.
-        assert_eq!(g.schedule(&[rules[0]]).unwrap(), vec![rules[0]]);
-    }
-
-    #[test]
-    fn schedule_detects_cycles() {
-        let mut g = ChoiceDependencyGraph::new();
-        let a = g.add_data("a");
-        let b = g.add_data("b");
-        let r1 = g.add_rule("r1", &[a], b);
-        let r2 = g.add_rule("r2", &[b], a);
-        assert!(g.schedule(&[r1, r2]).is_none());
-    }
 
     #[test]
     fn program_counts_kernels_and_space() {

@@ -414,20 +414,6 @@ impl StencilRule {
     pub fn has_local_memory_variant(&self) -> bool {
         self.opencl_verdict().is_ok() && local_memory_applicable(&self.inputs)
     }
-
-    /// Union bounding box over all inputs that have one, `(w, h)`.
-    #[must_use]
-    pub fn union_bounding_box(&self) -> (usize, usize) {
-        let mut bw = 1;
-        let mut bh = 1;
-        for i in &self.inputs {
-            if let Some((w, h)) = i.access.bounding_box() {
-                bw = bw.max(w);
-                bh = bh.max(h);
-            }
-        }
-        (bw, bh)
-    }
 }
 
 /// The span oracle: run `rule` over `geom` with its span body and again
@@ -573,15 +559,6 @@ mod tests {
         assert!(!rule(&[AccessPattern::Gather], false).has_local_memory_variant());
         // A 1x1 "stencil" is a point: no staging either.
         assert!(!rule(&[AccessPattern::Stencil { w: 1, h: 1 }], false).has_local_memory_variant());
-    }
-
-    #[test]
-    fn union_bounding_box_covers_all_inputs() {
-        let r = rule(
-            &[AccessPattern::Stencil { w: 3, h: 1 }, AccessPattern::Stencil { w: 1, h: 7 }],
-            false,
-        );
-        assert_eq!(r.union_bounding_box(), (3, 7));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! the batch (sound because jobs are pure).
 
 use crate::net::Endpoint;
-use crate::session::{dial, Framed, SessionError};
+use crate::session::{dial, Framed, SessionError, CONNECT_PATIENCE};
 use crate::shard::{Link, Peer, ShardError, Wire};
 use crate::wire::{Message, WIRE_VERSION};
 use petal_gpu::profile::MachineProfile;
@@ -31,10 +31,6 @@ use std::io::BufReader;
 use std::time::{Duration, Instant};
 
 pub use crate::shard::Pool as RemotePool;
-
-/// How long [`RemotePool::connect`] keeps retrying an endpoint that is not
-/// (yet) accepting — covers tuner-before-dispatcher bring-up races.
-const CONNECT_PATIENCE: Duration = Duration::from_secs(10);
 
 /// Overall deadline for resuming a session after a transport failure:
 /// the dispatcher gets this long to come back before the client gives
@@ -55,7 +51,7 @@ impl RemotePool {
     /// whose one link is that session.
     ///
     /// # Errors
-    /// Connect failures (after `CONNECT_PATIENCE` of retries), version
+    /// Connect failures (after [`CONNECT_PATIENCE`] of retries), version
     /// negotiation failures, and any protocol violation in the handshake.
     pub fn connect(
         endpoint: &str,

@@ -212,6 +212,11 @@ impl<R: Read, W: Write> Framed<BufReader<R>, W> {
 /// A [`Framed`] socket connection as [`dial`] opens it.
 pub type SocketWire = Framed<BufReader<FarmStream>, FarmStream>;
 
+/// How long a first connect keeps retrying an endpoint that is not (yet)
+/// accepting: the [`dial`] patience of every client, worker and registry
+/// connection, covering the races of bringing a fleet up in any order.
+pub const CONNECT_PATIENCE: Duration = Duration::from_secs(10);
+
 /// Open a connection to a dispatcher: connect (retrying for `patience`),
 /// exchange `HELLO`s and settle the wire version. Returns the framed
 /// connection and a third handle to the same socket whose
@@ -387,8 +392,12 @@ mod tests {
             machine: Box::new(machine),
         };
         let mut script = format!("{}\n", init.encode());
+        // At a size the benchmark refuses a job is answered in microseconds,
+        // so only job 1's sleep reaches `SLOW_JOB`. A real trial here takes
+        // a sizeable share of it in a debug build, and on a loaded host
+        // sometimes all of it, which would rightly be written at once.
         for index in 0..5 {
-            let job = crate::EvalJob { config: config.clone(), size: 256, engine_seed: index };
+            let job = crate::EvalJob { config: config.clone(), size: 1, engine_seed: index };
             script.push_str(&format!("{}\n", Message::Job { index, job }.encode()));
         }
         script.push_str("DONE\n");

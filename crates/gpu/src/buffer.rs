@@ -301,7 +301,7 @@ pub type ResidencyKey = u64;
 /// All buffers on one device, plus the host-region residency index.
 #[derive(Debug, Default)]
 pub struct BufferTable {
-    buffers: Vec<Option<DeviceBuffer>>,
+    buffers: Vec<DeviceBuffer>,
     resident: HashMap<ResidencyKey, BufferId>,
     bytes_allocated: usize,
     peak_bytes: usize,
@@ -326,8 +326,8 @@ impl BufferTable {
 
     /// Allocate a zero-initialized buffer of `len` elements. The storage
     /// comes from the table's [`Recycler`] — `len` zeros whether it is new
-    /// or recycled — and returns to it when the buffer is freed, released
-    /// or dropped with the table, or, once a copy-out has taken a snapshot
+    /// or recycled — and returns to it when the buffer is released or
+    /// dropped with the table, or, once a copy-out has taken a snapshot
     /// of it, when the last holder of the snapshot lets go. The modeled
     /// allocation (`alloc_secs`, the accounting below) is the same either
     /// way: recycling saves host time, not virtual time.
@@ -348,7 +348,7 @@ impl BufferTable {
         let id = BufferId(self.buffers.len());
         self.bytes_allocated += std::mem::size_of_val(data.as_slice());
         self.peak_bytes = self.peak_bytes.max(self.bytes_allocated);
-        self.buffers.push(Some(DeviceBuffer { id, data, home: Arc::clone(&self.recycler) }));
+        self.buffers.push(DeviceBuffer { id, data, home: Arc::clone(&self.recycler) });
         id
     }
 
@@ -361,24 +361,12 @@ impl BufferTable {
         self.bytes_allocated = 0;
     }
 
-    /// Release a buffer and drop any residency entries pointing at it.
-    ///
-    /// # Errors
-    /// Returns [`GpuError::UnknownBuffer`] if `id` is not live.
-    pub fn free(&mut self, id: BufferId) -> Result<(), GpuError> {
-        let slot =
-            self.buffers.get_mut(id.0).and_then(Option::take).ok_or(GpuError::UnknownBuffer(id))?;
-        self.bytes_allocated -= slot.len() * std::mem::size_of::<f64>();
-        self.resident.retain(|_, v| *v != id);
-        Ok(())
-    }
-
     /// Shared access to a buffer.
     ///
     /// # Errors
     /// Returns [`GpuError::UnknownBuffer`] if `id` is not live.
     pub fn get(&self, id: BufferId) -> Result<&DeviceBuffer, GpuError> {
-        self.buffers.get(id.0).and_then(Option::as_ref).ok_or(GpuError::UnknownBuffer(id))
+        self.buffers.get(id.0).ok_or(GpuError::UnknownBuffer(id))
     }
 
     /// Exclusive access to a buffer.
@@ -386,7 +374,7 @@ impl BufferTable {
     /// # Errors
     /// Returns [`GpuError::UnknownBuffer`] if `id` is not live.
     pub fn get_mut(&mut self, id: BufferId) -> Result<&mut DeviceBuffer, GpuError> {
-        self.buffers.get_mut(id.0).and_then(Option::as_mut).ok_or(GpuError::UnknownBuffer(id))
+        self.buffers.get_mut(id.0).ok_or(GpuError::UnknownBuffer(id))
     }
 
     /// Run `f` with exclusive access to `out`'s storage beside shared access
@@ -468,17 +456,6 @@ impl BufferTable {
         self.resident.get(&key).copied()
     }
 
-    /// Drop a residency entry (the host copy was overwritten, §4.3:
-    /// "releasing buffers that become stale").
-    pub fn invalidate(&mut self, key: ResidencyKey) {
-        self.resident.remove(&key);
-    }
-
-    /// Drop every residency entry (e.g. between autotuning trials).
-    pub fn invalidate_all(&mut self) {
-        self.resident.clear();
-    }
-
     /// Bytes currently allocated on the device.
     #[must_use]
     pub fn bytes_allocated(&self) -> usize {
@@ -494,7 +471,7 @@ impl BufferTable {
     /// Number of live buffers.
     #[must_use]
     pub fn live_buffers(&self) -> usize {
-        self.buffers.iter().filter(|b| b.is_some()).count()
+        self.buffers.len()
     }
 }
 
@@ -577,28 +554,31 @@ mod tests {
     #[test]
     fn a_buffers_storage_goes_back_where_it_was_drawn_from_by_every_way_out() {
         let (home, other) = (Arc::new(Recycler::default()), Arc::new(Recycler::default()));
-        let mut t = BufferTable::new();
+        let (mut t, mut kept) = (BufferTable::new(), BufferTable::new());
         t.draw_from(Arc::clone(&home));
-        // Freed; snapshotted, then released with a holder left; dropped
-        // with the table — all after the table was pointed elsewhere.
-        let (freed, snapped, dropped) = (t.alloc(4), t.alloc(5), t.alloc(6));
+        kept.draw_from(Arc::clone(&home));
+        // Released; snapshotted, then released with a holder left; dropped
+        // with its table — each after its table was pointed elsewhere.
+        let (released, snapped, dropped) = (t.alloc(4), t.alloc(5), kept.alloc(6));
         t.draw_from(Arc::clone(&other));
+        kept.draw_from(Arc::clone(&other));
         let elsewhere = t.alloc(7);
         assert_eq!((home.fresh_and_reused(), other.fresh_and_reused()), ((3, 0), (1, 0)));
 
-        t.free(freed).unwrap();
-        assert_eq!(capacities(&home), [4]);
         t.write(snapped, &[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
         let held = t.get_mut(snapped).unwrap().snapshot();
-        t.free(snapped).unwrap();
-        assert_eq!(capacities(&home), [4], "a snapshot is still read");
+        t.release_all();
+        assert_eq!(
+            (capacities(&home), capacities(&other)),
+            (vec![4], vec![7]),
+            "a snapshot is still read"
+        );
         assert_eq!(*held, [1.0, 2.0, 3.0, 4.0, 5.0]);
         drop(held);
         assert_eq!(capacities(&home), [4, 5]);
-        t.free(elsewhere).unwrap();
-        drop(t);
+        drop(kept);
         assert_eq!((capacities(&home), capacities(&other)), (vec![4, 5, 6], vec![7]));
-        let _ = dropped;
+        let _ = (released, dropped, elsewhere);
     }
 
     #[test]
@@ -640,7 +620,7 @@ mod tests {
         assert_eq!(seen, 0, "the lent buffer reads as empty meanwhile");
         assert_eq!(t.get(out).unwrap().data(), [1.0, 2.0]);
         assert_eq!(t.bytes_allocated(), 32);
-        t.free(out).unwrap();
+        t.release_all();
         assert_eq!(t.with_output(out, |_, _| ()).unwrap_err(), GpuError::UnknownBuffer(out));
     }
 
@@ -671,8 +651,6 @@ mod tests {
             by_ref.write_shared(filled, short).unwrap_err(),
             GpuError::SizeMismatch { expected: 3, actual: 2 }
         );
-        by_ref.free(filled).unwrap();
-        assert_eq!(accounts(&by_ref), (24, 48, 1));
         drop(by_ref);
         assert_eq!(Arc::strong_count(&donor), 1, "the table let go of the donor");
     }
@@ -720,39 +698,5 @@ mod tests {
         let id = t.alloc(4);
         let err = t.write(id, &[1.0]).unwrap_err();
         assert_eq!(err, GpuError::SizeMismatch { expected: 4, actual: 1 });
-    }
-
-    #[test]
-    fn free_releases_bytes_and_residency() {
-        let mut t = BufferTable::new();
-        let id = t.alloc(100);
-        t.mark_resident(42, id);
-        assert_eq!(t.bytes_allocated(), 800);
-        assert_eq!(t.lookup_resident(42), Some(id));
-        t.free(id).unwrap();
-        assert_eq!(t.bytes_allocated(), 0);
-        assert_eq!(t.lookup_resident(42), None);
-        assert_eq!(t.get(id).unwrap_err(), GpuError::UnknownBuffer(id));
-        assert_eq!(t.peak_bytes(), 800);
-    }
-
-    #[test]
-    fn double_free_errors() {
-        let mut t = BufferTable::new();
-        let id = t.alloc(1);
-        t.free(id).unwrap();
-        assert!(t.free(id).is_err());
-    }
-
-    #[test]
-    fn residency_invalidation() {
-        let mut t = BufferTable::new();
-        let id = t.alloc(1);
-        t.mark_resident(7, id);
-        t.invalidate(7);
-        assert_eq!(t.lookup_resident(7), None);
-        t.mark_resident(8, id);
-        t.invalidate_all();
-        assert_eq!(t.lookup_resident(8), None);
     }
 }

@@ -1,20 +1,18 @@
-//! Runtime kernel compilation and the IR cache (§5.4).
+//! Kernel dedup and the compile log (§5.4).
 //!
 //! OpenCL kernels are compiled at runtime; in the paper these compiles are
 //! "a fixed startup cost, often on the order of a few seconds" that dominates
-//! autotuning time at small input sizes. Two mitigations are modeled exactly
-//! as described:
-//!
-//! * an **IR cache** keyed by the hash of the kernel source, which skips the
-//!   frontend (parse + optimize) on a hit but must still pay the
-//!   architecture-specific JIT (OpenCL has no binary cache);
-//! * within a single process, a kernel already compiled costs nothing again.
+//! autotuning time at small input sizes. A device compiles each distinct
+//! source once (a later compile of it in the same process is a warm hit and
+//! costs nothing) and logs every compile it does as a [`CompileEvent`]. It
+//! prices nothing: what a compile costs depends on process and IR-cache
+//! state that outlives one trial's device, so the evaluation farm replays
+//! the log against the one model of it (`petal_farm::EvalFarm`).
 
-use crate::cost;
+use crate::fnv::Fnv;
 use crate::profile::GpuProfile;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Handle to a kernel compiled on one device.
@@ -39,8 +37,7 @@ impl KernelHandle {
 /// Kernel text ready to compile: the entry-point name, the OpenCL C source
 /// and the source's [`source_hash`], computed once here and shared from then
 /// on — whoever generated the text keeps one of these, and every compile of
-/// it is a hash-map probe and two reference-count bumps however long the
-/// source is.
+/// it is one hash-map probe however long the source is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelText {
     name: Arc<str>,
@@ -67,46 +64,24 @@ impl KernelText {
         &self.source
     }
 
-    /// FNV-1a hash of the source; the IR-cache key.
+    /// [`source_hash`] of the source: the dedup and IR-cache key.
     #[must_use]
     pub fn source_hash(&self) -> u64 {
         self.source_hash
     }
 }
 
-/// A compiled kernel: its text and compile provenance.
-#[derive(Debug, Clone)]
-pub struct CompiledKernel {
-    /// Name, source and identity hash, shared with whoever generated them.
-    pub text: KernelText,
-    /// Whether this compile hit the persistent IR cache.
-    pub ir_cache_hit: bool,
-}
-
-/// Hash used for IR-cache keys (FNV-1a; stable across runs, unlike
-/// `DefaultHasher` which is randomly seeded).
+/// The key a kernel source is deduplicated and IR-cached under: its
+/// FNV-1a hash ([`Fnv`]; stable across runs, unlike `DefaultHasher`, which
+/// is randomly seeded).
 #[must_use]
 pub fn source_hash(source: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in source.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv::of(source.as_bytes())
 }
 
-// Compile-time check that equal sources hash equal (`source_hash` is pure).
-#[allow(dead_code)]
-struct AssertHashStable;
-impl Hash for AssertHashStable {
-    fn hash<H: Hasher>(&self, _state: &mut H) {}
-}
-
-/// One *charged* compilation (warm in-process reuses are free and not
-/// logged). The evaluation farm replays these events against its shared
-/// process/IR-cache model to price trials deterministically — the event
-/// deliberately carries the raw frontend/JIT split, not a price: what a
-/// compile costs depends on cache state the *consumer* owns.
+/// One compile a device did (a warm in-process reuse is free and not
+/// logged). The event carries the raw frontend/JIT split, not a price:
+/// what a compile costs depends on cache state the *consumer* owns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompileEvent {
     /// IR-cache key of the compiled source ([`source_hash`]).
@@ -118,125 +93,37 @@ pub struct CompileEvent {
     pub jit_secs: f64,
 }
 
-/// Statistics about compilation activity, for the Fig. 8 table and the §5.4
-/// ablation.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CompileStats {
-    /// Kernels compiled from scratch (frontend + JIT).
-    pub full_compiles: usize,
-    /// Kernels whose frontend was skipped via the IR cache.
-    pub ir_cache_hits: usize,
-    /// Launch requests served by an already-compiled kernel (free).
-    pub warm_hits: usize,
-    /// Total virtual seconds spent compiling.
-    pub compile_secs: f64,
-}
-
-/// Per-device compiler with in-process kernel reuse and a persistent IR
-/// cache.
-///
-/// The IR cache survives [`CompileCache::reset_process`] (which models
-/// restarting the program between autotuning runs) but can be disabled to
-/// reproduce the §5.4 ablation.
-#[derive(Debug)]
+/// Per-device kernel dedup (one handle per distinct source) and the log of
+/// the compiles it did.
+#[derive(Debug, Default)]
 pub struct CompileCache {
-    kernels: Vec<CompiledKernel>,
     by_hash: HashMap<u64, KernelHandle>,
-    ir_cache: HashMap<u64, ()>,
-    ir_cache_enabled: bool,
-    stats: CompileStats,
     log: Vec<CompileEvent>,
 }
 
 impl CompileCache {
-    /// New compiler with the IR cache enabled (the paper's default).
-    #[must_use]
-    pub fn new() -> Self {
-        CompileCache {
-            kernels: Vec::new(),
-            by_hash: HashMap::new(),
-            ir_cache: HashMap::new(),
-            ir_cache_enabled: true,
-            stats: CompileStats::default(),
-            log: Vec::new(),
-        }
-    }
-
-    /// New compiler with the IR cache disabled (ablation baseline).
-    #[must_use]
-    pub fn without_ir_cache() -> Self {
-        let mut c = Self::new();
-        c.ir_cache_enabled = false;
-        c
-    }
-
-    /// Compile `text` (or reuse it), returning the handle and the virtual
-    /// seconds the compile cost on `gpu`.
-    pub fn compile(&mut self, gpu: &GpuProfile, text: &KernelText) -> (KernelHandle, f64) {
+    /// Compile `text` on `gpu`, or reuse the kernel an earlier compile of
+    /// the same source made; only a compile is logged.
+    pub fn compile(&mut self, gpu: &GpuProfile, text: &KernelText) -> KernelHandle {
         let hash = text.source_hash();
-        let slot = match self.by_hash.entry(hash) {
-            Entry::Occupied(warm) => {
-                self.stats.warm_hits += 1;
-                return (*warm.get(), 0.0);
+        let handle = KernelHandle(self.by_hash.len());
+        match self.by_hash.entry(hash) {
+            Entry::Occupied(warm) => *warm.get(),
+            Entry::Vacant(slot) => {
+                self.log.push(CompileEvent {
+                    source_hash: hash,
+                    frontend_secs: gpu.compile_frontend,
+                    jit_secs: gpu.compile_jit,
+                });
+                *slot.insert(handle)
             }
-            Entry::Vacant(slot) => slot,
-        };
-        // The IR cache keeps every source it is shown; a hit is one it had.
-        let ir_hit = self.ir_cache_enabled && self.ir_cache.insert(hash, ()).is_some();
-        let secs = cost::compile_secs(gpu, ir_hit);
-        if ir_hit {
-            self.stats.ir_cache_hits += 1;
-        } else {
-            self.stats.full_compiles += 1;
         }
-        self.stats.compile_secs += secs;
-        self.log.push(CompileEvent {
-            source_hash: hash,
-            frontend_secs: gpu.compile_frontend,
-            jit_secs: gpu.compile_jit,
-        });
-        let handle = KernelHandle(self.kernels.len());
-        self.kernels.push(CompiledKernel { text: text.clone(), ir_cache_hit: ir_hit });
-        slot.insert(handle);
-        (handle, secs)
     }
 
-    /// Look up a compiled kernel.
-    #[must_use]
-    pub fn get(&self, handle: KernelHandle) -> Option<&CompiledKernel> {
-        self.kernels.get(handle.0)
-    }
-
-    /// Number of distinct kernels compiled in this process.
-    #[must_use]
-    pub fn kernel_count(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// Compilation statistics so far.
-    #[must_use]
-    pub fn stats(&self) -> CompileStats {
-        self.stats
-    }
-
-    /// Drain the log of charged compiles since the last drain (in compile
-    /// order). Used by the executor to report per-run compile events.
+    /// Drain the log of compiles since the last drain (in compile order).
+    /// Used by the executor to report per-run compile events.
     pub fn take_compile_log(&mut self) -> Vec<CompileEvent> {
         std::mem::take(&mut self.log)
-    }
-
-    /// Model a process restart: in-process compiled kernels are lost, the
-    /// on-disk IR cache persists. Statistics are kept (they accumulate over
-    /// a whole autotuning session).
-    pub fn reset_process(&mut self) {
-        self.kernels.clear();
-        self.by_hash.clear();
-    }
-}
-
-impl Default for CompileCache {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -253,59 +140,44 @@ mod tests {
     fn source_hash_is_stable_and_discriminating() {
         assert_eq!(source_hash("kernel void f(){}"), source_hash("kernel void f(){}"));
         assert_ne!(source_hash("a"), source_hash("b"));
+        // FNV-1a's published vectors, and one kernel source pinned.
+        assert_eq!(source_hash(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(source_hash("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(source_hash("__kernel void f(__global double* out) {}"), 0xc4a7_7823_bb68_b497);
     }
 
     #[test]
     fn first_compile_is_full_price() {
         let g = gpu();
-        let mut c = CompileCache::new();
-        let (_, secs) = c.compile(&g, &KernelText::new("f", "src-a"));
-        assert!((secs - (g.compile_frontend + g.compile_jit)).abs() < 1e-12);
-        assert_eq!(c.stats().full_compiles, 1);
+        let mut c = CompileCache::default();
+        c.compile(&g, &KernelText::new("f", "src-a"));
+        let want = CompileEvent {
+            source_hash: source_hash("src-a"),
+            frontend_secs: g.compile_frontend,
+            jit_secs: g.compile_jit,
+        };
+        assert_eq!(c.take_compile_log(), [want]);
     }
 
     #[test]
     fn same_process_recompile_is_free() {
         let g = gpu();
-        let mut c = CompileCache::new();
-        let (h1, _) = c.compile(&g, &KernelText::new("f", "src-a"));
-        let (h2, secs) = c.compile(&g, &KernelText::new("f", "src-a"));
+        let mut c = CompileCache::default();
+        let h1 = c.compile(&g, &KernelText::new("f", "src-a"));
+        assert_eq!(c.take_compile_log().len(), 1);
+        let h2 = c.compile(&g, &KernelText::new("f", "src-a"));
         assert_eq!(h1, h2);
-        assert_eq!(secs, 0.0);
-        assert_eq!(c.stats().warm_hits, 1);
-    }
-
-    #[test]
-    fn ir_cache_halves_restart_cost() {
-        let g = gpu();
-        let mut c = CompileCache::new();
-        let (_, cold) = c.compile(&g, &KernelText::new("f", "src-a"));
-        c.reset_process();
-        let (_, warm) = c.compile(&g, &KernelText::new("f", "src-a"));
-        assert!((warm - g.compile_jit).abs() < 1e-12);
-        assert!(warm < cold);
-        assert_eq!(c.stats().ir_cache_hits, 1);
-    }
-
-    #[test]
-    fn disabled_ir_cache_pays_full_price_after_restart() {
-        let g = gpu();
-        let mut c = CompileCache::without_ir_cache();
-        let (_, cold) = c.compile(&g, &KernelText::new("f", "src-a"));
-        c.reset_process();
-        let (_, again) = c.compile(&g, &KernelText::new("f", "src-a"));
-        assert!((again - cold).abs() < 1e-12);
-        assert_eq!(c.stats().full_compiles, 2);
+        assert!(c.take_compile_log().is_empty(), "a warm hit is not logged");
     }
 
     #[test]
     fn distinct_sources_get_distinct_handles() {
         let g = gpu();
-        let mut c = CompileCache::new();
-        let (h1, _) = c.compile(&g, &KernelText::new("f", "src-a"));
-        let (h2, _) = c.compile(&g, &KernelText::new("g", "src-b"));
-        assert_ne!(h1, h2);
-        assert_eq!(c.kernel_count(), 2);
-        assert_eq!(c.get(h2).unwrap().text.name(), "g");
+        let mut c = CompileCache::default();
+        let h1 = c.compile(&g, &KernelText::new("f", "src-a"));
+        let h2 = c.compile(&g, &KernelText::new("g", "src-b"));
+        assert_eq!((h1.index(), h2.index()), (0, 1));
+        let logged: Vec<u64> = c.take_compile_log().iter().map(|e| e.source_hash).collect();
+        assert_eq!(logged, [source_hash("src-a"), source_hash("src-b")]);
     }
 }

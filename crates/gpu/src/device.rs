@@ -2,12 +2,13 @@
 //!
 //! A [`Device`] owns the buffer table, the in-order command queue and the
 //! compile cache for one machine's OpenCL runtime. Kernels are registered
-//! with both their generated OpenCL C source (for compile-cost accounting
-//! and golden tests) and a [`KernelBody`] — the functional implementation
-//! that actually transforms buffer contents when the launch executes.
+//! with both their generated OpenCL C source (deduplicated and logged as a
+//! compile, for the evaluation farm to price) and a [`KernelBody`] — the
+//! functional implementation that actually transforms buffer contents when
+//! the launch executes.
 
 use crate::buffer::{BufferId, BufferTable, SharedSlice};
-use crate::compile::{CompileCache, CompileStats, KernelHandle, KernelText};
+use crate::compile::{CompileCache, CompileEvent, KernelHandle, KernelText};
 use crate::cost::{self, KernelWork};
 use crate::profile::GpuProfile;
 use crate::queue::{CommandQueue, Event};
@@ -80,21 +81,14 @@ impl std::fmt::Debug for dyn KernelBody {
 }
 
 impl Device {
-    /// New device for `profile`, IR cache enabled.
+    /// New device for `profile`, no kernels compiled yet.
     #[must_use]
     pub fn new(profile: GpuProfile) -> Self {
-        Self::with_compiler(profile, CompileCache::new())
-    }
-
-    /// New device with a custom compiler (e.g. IR cache disabled for the
-    /// §5.4 ablation).
-    #[must_use]
-    pub fn with_compiler(profile: GpuProfile, compiler: CompileCache) -> Self {
         Device {
             profile,
             buffers: BufferTable::new(),
             queue: CommandQueue::new(),
-            compiler,
+            compiler: CompileCache::default(),
             bodies: HashMap::new(),
             stats: DeviceStats::default(),
         }
@@ -123,22 +117,10 @@ impl Device {
         self.stats
     }
 
-    /// Compilation statistics.
-    #[must_use]
-    pub fn compile_stats(&self) -> CompileStats {
-        self.compiler.stats()
-    }
-
-    /// Drain the charged-compile log since the last drain (see
+    /// Drain the compile log since the last drain (see
     /// [`CompileCache::take_compile_log`]).
-    pub fn take_compile_log(&mut self) -> Vec<crate::compile::CompileEvent> {
+    pub fn take_compile_log(&mut self) -> Vec<CompileEvent> {
         self.compiler.take_compile_log()
-    }
-
-    /// Number of distinct kernels compiled.
-    #[must_use]
-    pub fn kernel_count(&self) -> usize {
-        self.compiler.kernel_count()
     }
 
     /// Virtual time at which the device timeline drains.
@@ -153,24 +135,16 @@ impl Device {
         self.queue.busy_secs()
     }
 
-    /// Compile (or reuse) a kernel and register its functional body.
-    ///
-    /// Returns the handle and the virtual seconds compilation cost — zero if
-    /// the same source was already compiled in this process.
+    /// Compile (or reuse, if the same source was already compiled in this
+    /// process) a kernel and register its functional body.
     pub fn register_kernel(
         &mut self,
         text: &KernelText,
         body: Arc<dyn KernelBody>,
-    ) -> (KernelHandle, f64) {
-        let (handle, secs) = self.compiler.compile(&self.profile, text);
+    ) -> KernelHandle {
+        let handle = self.compiler.compile(&self.profile, text);
         self.bodies.entry(handle).or_insert(body);
-        (handle, secs)
-    }
-
-    /// Source text of a compiled kernel (for tests and diagnostics).
-    #[must_use]
-    pub fn kernel_source(&self, handle: KernelHandle) -> Option<&str> {
-        self.compiler.get(handle).map(|k| k.text.source())
+        handle
     }
 
     /// Allocate a device buffer (the data part of a *prepare* task).
@@ -183,14 +157,6 @@ impl Device {
     /// ([`BufferTable::alloc_shared`]).
     pub fn alloc_buffer_shared(&mut self, host: SharedSlice) -> BufferId {
         self.buffers.alloc_shared(host)
-    }
-
-    /// Free a device buffer.
-    ///
-    /// # Errors
-    /// [`GpuError::UnknownBuffer`] if the buffer is not live.
-    pub fn free_buffer(&mut self, id: BufferId) -> Result<(), GpuError> {
-        self.buffers.free(id)
     }
 
     /// Enqueue a non-blocking host→device write at virtual time `now`.
@@ -286,14 +252,6 @@ impl Device {
         Ok(self.queue.enqueue(now, secs))
     }
 
-    /// Model a process restart (§5.4): compiled kernels (and their
-    /// registered bodies — handles restart from zero) are lost, the
-    /// persistent IR cache survives.
-    pub fn reset_process(&mut self) {
-        self.compiler.reset_process();
-        self.bodies.clear();
-    }
-
     /// Clear timing state between autotuning trials and release the
     /// buffers of the run before (nothing can reach them once residency is
     /// gone; their storage goes back to the recycler it was drawn from),
@@ -345,9 +303,8 @@ mod tests {
     #[test]
     fn kernel_executes_functionally_and_charges_time() {
         let mut d = device();
-        let (h, compile_secs) =
-            d.register_kernel(&KernelText::new("dbl", "kernel void dbl(...)"), double_body());
-        assert!(compile_secs > 0.0);
+        let h = d.register_kernel(&KernelText::new("dbl", "kernel void dbl(...)"), double_body());
+        assert_eq!(d.take_compile_log().len(), 1);
         let buf = d.alloc_buffer(4);
         let w = d.enqueue_write(0.0, buf, &[1.0, 2.0, 3.0, 4.0]).unwrap();
         let k = d.enqueue_kernel(0.0, &launch(h, buf, 4)).unwrap();
@@ -364,7 +321,7 @@ mod tests {
     fn a_shared_write_is_charged_and_counted_as_the_copying_write_is() {
         let host = Arc::new(vec![1.0, 2.0, 3.0, 4.0]);
         let (mut by_ref, mut copying) = (device(), device());
-        let (h, _) = by_ref.register_kernel(&KernelText::new("dbl", "src"), double_body());
+        let h = by_ref.register_kernel(&KernelText::new("dbl", "src"), double_body());
         copying.register_kernel(&KernelText::new("dbl", "src"), double_body());
         let shared = by_ref.alloc_buffer_shared(Arc::clone(&host).into());
         let copied = copying.alloc_buffer(4);
@@ -394,7 +351,7 @@ mod tests {
     #[test]
     fn oversized_work_group_is_rejected() {
         let mut d = device();
-        let (h, _) = d.register_kernel(&KernelText::new("dbl", "src"), double_body());
+        let h = d.register_kernel(&KernelText::new("dbl", "src"), double_body());
         let buf = d.alloc_buffer(1);
         let mut l = launch(h, buf, 1);
         l.work.local_size = 100_000;
@@ -412,24 +369,23 @@ mod tests {
     #[test]
     fn recompiling_same_source_is_free() {
         let mut d = device();
-        let (_, s1) = d.register_kernel(&KernelText::new("a", "same"), double_body());
-        let (_, s2) = d.register_kernel(&KernelText::new("a", "same"), double_body());
-        assert!(s1 > 0.0);
-        assert_eq!(s2, 0.0);
-        assert_eq!(d.kernel_count(), 1);
+        let h1 = d.register_kernel(&KernelText::new("a", "same"), double_body());
+        let h2 = d.register_kernel(&KernelText::new("a", "same"), double_body());
+        assert_eq!(h1, h2);
+        assert_eq!(d.take_compile_log().len(), 1, "the second register compiles nothing");
     }
 
     #[test]
     fn reset_timeline_keeps_kernels() {
         let mut d = device();
-        let (h, _) = d.register_kernel(&KernelText::new("a", "src"), double_body());
+        let h = d.register_kernel(&KernelText::new("a", "src"), double_body());
         let buf = d.alloc_buffer(2);
         d.enqueue_write(0.0, buf, &[1.0, 1.0]).unwrap();
         d.reset_timeline();
         assert_eq!(d.busy_until(), 0.0);
-        assert_eq!(d.kernel_count(), 1);
-        assert!(d.kernel_source(h).is_some());
         let left = (d.buffers().live_buffers(), d.buffers().bytes_allocated());
         assert_eq!(left, (0, 0), "the run before's buffers are released");
+        let buf = d.alloc_buffer(2);
+        d.enqueue_kernel(0.0, &launch(h, buf, 2)).expect("the kernel is still registered");
     }
 }

@@ -18,7 +18,9 @@
 //!   local-memory (scratchpad) staging trade-off.
 //! * [`buffer`] — device buffers backed by real `Vec<f64>` storage plus the
 //!   buffer table used for copy-in deduplication.
-//! * [`compile`] — the runtime kernel compiler with the IR cache of §5.4.
+//! * [`compile`] — kernel dedup and the compile log (the evaluation farm
+//!   prices the logged compiles, §5.4).
+//! * [`fnv`] — the workspace's one stable hash (FNV-1a).
 //! * [`queue`] — an in-order command queue with non-blocking writes, reads
 //!   and kernel launches, tracked on a virtual device timeline.
 //! * [`device`] — ties the above together into a [`device::Device`].
@@ -41,14 +43,16 @@ pub mod buffer;
 pub mod compile;
 pub mod cost;
 pub mod device;
+pub mod fnv;
 pub mod profile;
 pub mod queue;
 pub mod source;
 
 pub use buffer::{BufferId, BufferTable, DeviceBuffer, Recycler, SharedSlice};
-pub use compile::{CompileCache, CompiledKernel, KernelHandle, KernelText};
+pub use compile::{CompileCache, KernelHandle, KernelText};
 pub use cost::{CpuWork, KernelWork};
 pub use device::{Device, DeviceStats};
+pub use fnv::Fnv;
 pub use profile::{CpuProfile, GpuProfile, MachineProfile};
 pub use queue::{CommandQueue, Event, EventStatus};
 

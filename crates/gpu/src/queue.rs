@@ -24,12 +24,6 @@ pub struct Event {
 }
 
 impl Event {
-    /// An event that is already complete (used for deduplicated copy-ins).
-    #[must_use]
-    pub fn already_complete(now: f64) -> Self {
-        Event { complete_at: now }
-    }
-
     /// Poll the event at virtual time `now`.
     #[must_use]
     pub fn status_at(&self, now: f64) -> EventStatus {
@@ -123,7 +117,6 @@ mod tests {
         let e = q.enqueue(0.0, 2.0);
         assert_eq!(e.status_at(1.0), EventStatus::Pending);
         assert_eq!(e.status_at(2.0), EventStatus::Complete);
-        assert_eq!(Event::already_complete(7.0).status_at(7.0), EventStatus::Complete);
     }
 
     #[test]

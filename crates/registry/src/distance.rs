@@ -13,21 +13,10 @@
 
 use petal_farm::wire::Message;
 use petal_gpu::profile::MachineProfile;
+use petal_gpu::Fnv;
 use std::fmt;
 
-/// FNV-1a 64-bit hash (the workspace is offline; this is the standard
-/// public-domain constant pair).
-#[must_use]
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// The machine's identity for registry keys: FNV-1a over the profile's
+/// The machine's identity for registry keys: FNV-1a ([`Fnv`]) over the profile's
 /// canonical wire encoding (the same [`petal_farm::wire`] field
 /// flattening that ships profiles to shard workers). Two profiles share
 /// a fingerprint iff every field — codename, OS, runtime, and every
@@ -40,7 +29,7 @@ pub fn fingerprint(machine: &MachineProfile) -> u64 {
     let line =
         Message::Init { version: 0, bench_spec: String::new(), machine: Box::new(machine.clone()) }
             .encode();
-    fnv1a64(line.as_bytes())
+    Fnv::of(line.as_bytes())
 }
 
 /// [`fingerprint`] as the fixed-width hex used in filenames and CLI

@@ -124,6 +124,7 @@ use petal_core::Config;
 use petal_farm::net::Endpoint;
 use petal_farm::wire::{Message, Record};
 use petal_gpu::profile::MachineProfile;
+use petal_gpu::Fnv;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -207,7 +208,7 @@ pub fn key_hash(machine: &MachineProfile, bench_spec: &str, size: u64) -> u64 {
     text.push_str(bench_spec);
     text.push('\n');
     text.push_str(&size.to_string());
-    distance::fnv1a64(text.as_bytes())
+    Fnv::of(text.as_bytes())
 }
 
 /// Why one entry's bytes could not be used (path-free; [`RegistryError`]
@@ -949,6 +950,15 @@ pub fn open(endpoint: &Endpoint) -> Result<Box<dyn ConfigStore>, String> {
 mod tests {
     use super::*;
     use petal_core::config::{Selector, Tunable};
+
+    /// Entry file names are key hashes of machine fingerprints, so a
+    /// change to either hash orphans every stored entry: both are pinned.
+    #[test]
+    fn fingerprints_and_key_hashes_keep_their_values() {
+        let desktop = MachineProfile::desktop();
+        assert_eq!(fingerprint_hex(&desktop), "fc6c50a6617f0122");
+        assert_eq!(key_hash(&desktop, "blackscholes n=4096", 4096), 0xa632_55a8_58d2_59cd);
+    }
 
     fn temp_registry(tag: &str) -> DirStore {
         let dir =

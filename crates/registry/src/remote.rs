@@ -26,16 +26,10 @@ use crate::{
     decode_entry, ConfigStore, Listing, Match, MatchTier, PutOutcome, RegistryError, StoredEntry,
 };
 use petal_farm::net::Endpoint;
-use petal_farm::session::{dial, SocketWire};
+use petal_farm::session::{dial, SocketWire, CONNECT_PATIENCE};
 use petal_farm::wire::Message;
 use petal_gpu::profile::MachineProfile;
 use std::sync::Mutex;
-use std::time::Duration;
-
-/// How long a connect keeps retrying an endpoint that is not (yet)
-/// accepting — same patience as the evaluation client, covering
-/// client-before-dispatcher bring-up races.
-const CONNECT_PATIENCE: Duration = Duration::from_secs(10);
 
 /// A tuned-config store served by a `petal-farmd` dispatcher — the
 /// remote [`ConfigStore`] implementation.

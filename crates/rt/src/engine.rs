@@ -415,12 +415,6 @@ impl<S> Engine<S> {
         engine
     }
 
-    /// Number of CPU workers.
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Override the scheduling-core implementation for this engine
     /// (behavior is identical either way; only host time differs).
     pub fn set_sched_policy(&mut self, policy: SchedPolicy) -> &mut Self {
@@ -1097,7 +1091,7 @@ mod tests {
             e.add_cpu_task(|_, _| Charge::Work(CpuWork::new(2.5e9, 0.0)));
         }
         let r = e.run(&mut ()).unwrap();
-        assert_eq!(e.worker_count(), 1);
+        assert_eq!(r.worker_busy.len(), 1);
         assert!(r.makespan >= 4.0, "serial on one worker: {}", r.makespan);
         assert_eq!(r.steals, 0);
     }

@@ -39,17 +39,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Aggregate CPU utilization in `[0, 1]`: busy worker-seconds over
-    /// `workers × makespan`.
-    #[must_use]
-    pub fn cpu_utilization(&self) -> f64 {
-        if self.makespan <= 0.0 || self.worker_busy.is_empty() {
-            return 0.0;
-        }
-        let busy: f64 = self.worker_busy.iter().sum();
-        busy / (self.makespan * self.worker_busy.len() as f64)
-    }
-
     /// Device utilization in `[0, 1]`.
     #[must_use]
     pub fn device_utilization(&self) -> f64 {
@@ -66,14 +55,10 @@ mod tests {
 
     #[test]
     fn utilization_bounds() {
-        let r = RunReport {
-            makespan: 2.0,
-            worker_busy: vec![1.0, 2.0],
-            device_busy: 1.0,
-            ..RunReport::default()
-        };
-        assert!((r.cpu_utilization() - 0.75).abs() < 1e-12);
+        let r = RunReport { makespan: 2.0, device_busy: 1.0, ..RunReport::default() };
         assert!((r.device_utilization() - 0.5).abs() < 1e-12);
-        assert_eq!(RunReport::default().cpu_utilization(), 0.0);
+        let over = RunReport { device_busy: 3.0, ..r };
+        assert_eq!(over.device_utilization(), 1.0);
+        assert_eq!(RunReport::default().device_utilization(), 0.0);
     }
 }

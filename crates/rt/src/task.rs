@@ -158,17 +158,6 @@ impl<S> CpuCtx<S> {
         SpawnRef::Local(self.spawned.len() - 1)
     }
 
-    /// Spawn a child GPU task; it is pushed to the bottom of the GPU
-    /// management thread's FIFO when this task finishes.
-    pub fn spawn_gpu(
-        &mut self,
-        class: GpuTaskClass,
-        f: impl FnMut(&mut S, &mut GpuCtx<'_>) -> Result<GpuOutcome, GpuError> + Send + 'static,
-    ) -> SpawnRef {
-        self.spawned.push(TaskKind::Gpu(class, Box::new(f)));
-        SpawnRef::Local(self.spawned.len() - 1)
-    }
-
     /// Declare that `task` cannot run until `on` completes.
     pub fn depend(&mut self, task: SpawnRef, on: SpawnRef) {
         self.deps.push((task, on));

@@ -166,8 +166,12 @@ mod tests {
             machine: Box::new(machine),
         };
         let mut generation = String::new();
+        // At a size the benchmark refuses a job is answered in microseconds,
+        // far below the 1 ms after which `serve_jobs` writes an answer at
+        // once. A real trial here takes a sizeable share of that in a debug
+        // build, and on a loaded host sometimes all of it.
         for index in 0..5 {
-            let job = EvalJob { config: config.clone(), size: 256, engine_seed: index };
+            let job = EvalJob { config: config.clone(), size: 1, engine_seed: index };
             generation.push_str(&format!("{}\n", Message::Job { index, job }.encode()));
         }
         generation.push_str("DONE\n");

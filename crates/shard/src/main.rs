@@ -11,7 +11,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: petal-shard [--connect <endpoint> \
                      [--name <name>] [--slots <n>] [--heartbeat-ms <ms>] \
-                     [--patience-ms <ms>] [--fail-after <n>]]";
+                     [--fail-after <n>]]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("petal-shard: {msg}\n{USAGE}");
@@ -33,10 +33,6 @@ fn parse_remote(mut args: std::env::Args) -> RemoteOptions {
             "--heartbeat-ms" => match value("--heartbeat-ms").parse() {
                 Ok(ms) => opts.heartbeat = Duration::from_millis(ms),
                 Err(_) => fail("--heartbeat-ms needs an integer"),
-            },
-            "--patience-ms" => match value("--patience-ms").parse() {
-                Ok(ms) => opts.patience = Duration::from_millis(ms),
-                Err(_) => fail("--patience-ms needs an integer"),
             },
             "--fail-after" => match value("--fail-after").parse() {
                 Ok(n) => opts.fail_after = Some(n),

@@ -16,7 +16,7 @@
 //!    period so the dispatcher can tell a busy worker from a dead one;
 //! 4. leave on `GOODBYE`/`DONE`; on EOF or a socket error the worker
 //!    assumes the dispatcher is *bouncing* (crash-recovery restart) and
-//!    reconnects + re-registers within the same `patience` window,
+//!    reconnects + re-registers within the same connect patience,
 //!    exiting quietly only when the dispatcher stays gone.
 //!
 //! The worker stays stateless with respect to tuning: raw outcomes only,
@@ -28,7 +28,7 @@
 
 use crate::{err, ServeError};
 use petal_farm::net::{Endpoint, FarmStream};
-use petal_farm::session::{dial, serve_jobs, Ended, Framed, SessionError};
+use petal_farm::session::{dial, serve_jobs, Ended, Framed, SessionError, CONNECT_PATIENCE};
 use petal_farm::wire::Message;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,8 +46,6 @@ pub struct RemoteOptions {
     pub slots: u64,
     /// `HEARTBEAT` period.
     pub heartbeat: Duration,
-    /// How long to keep retrying the initial connect.
-    pub patience: Duration,
     /// Fault injection for churn tests: serve exactly this many jobs,
     /// then die abruptly (no `RESULT`, no `GOODBYE`) on receiving the
     /// next one.
@@ -56,7 +54,7 @@ pub struct RemoteOptions {
 
 impl RemoteOptions {
     /// Defaults for `endpoint`: a pid-derived name, 2 slots, 250 ms
-    /// heartbeats, 10 s of connect patience, no fault injection.
+    /// heartbeats, no fault injection.
     #[must_use]
     pub fn new(endpoint: impl Into<String>) -> Self {
         RemoteOptions {
@@ -64,7 +62,6 @@ impl RemoteOptions {
             name: format!("worker-{}", std::process::id()),
             slots: 2,
             heartbeat: Duration::from_millis(250),
-            patience: Duration::from_secs(10),
             fail_after: None,
         }
     }
@@ -93,7 +90,8 @@ impl Write for SharedWriter {
 /// end: the dispatcher may be restarting with its journal, so the worker
 /// reconnects and re-registers, keeping its `fail_after` count across
 /// attempts. Only an explicit `GOODBYE`/`DONE` — or a dispatcher that
-/// stays unreachable for a whole `patience` window — ends the process.
+/// stays unreachable for a whole [`CONNECT_PATIENCE`] window — ends the
+/// process.
 ///
 /// # Errors
 /// First-connect failures, negotiation failures and protocol violations.
@@ -134,7 +132,7 @@ fn serve_once(
     endpoint: &Endpoint,
     served: &mut u64,
 ) -> Result<String, SessionError> {
-    let (wire, stream) = dial(endpoint, opts.patience)?;
+    let (wire, stream) = dial(endpoint, CONNECT_PATIENCE)?;
     let (reader, writer) = wire.into_parts();
     let writer = SharedWriter(Arc::new(Mutex::new(writer)));
     let mut wire = Framed::new(reader, writer.clone());
