@@ -169,6 +169,25 @@ grep -q 'selector' "$REG_DIR/got.cfg" \
   || { echo "registry smoke: get did not return a config file"; exit 1; }
 grep -q 'tier=exact' "$REG_DIR/got.meta" \
   || { echo "registry smoke: desktop get was not an exact hit"; exit 1; }
+# The nearest-machine path, past a corrupt file and a future-version one:
+# with fig7's ManyCore entry removed, a manycore get must rank the other
+# machines' entries while skipping both planted files, and ls must still
+# report the two.
+MANYCORE_ENTRY="$(sed -n 's/^\([0-9a-f]*\.reg\) machine=ManyCore .*/\1/p' "$REG_DIR/ls.out")"
+[[ -n "$MANYCORE_ENTRY" ]] || { echo "registry smoke: ManyCore entry missing from ls"; exit 1; }
+rm "$REG_DIR/$MANYCORE_ENTRY"
+printf 'REGV not-a-version\n' >"$REG_DIR/0000000000000bad.reg"
+printf 'REGV 2:99\nINIT 1:0 %s:%s\n' "${#REG_SPEC}" "$REG_SPEC" >"$REG_DIR/0000000000000099.reg"
+./target/release/petal-registry get --registry "$REG_DIR" \
+  --machine manycore --spec "$REG_SPEC" >"$REG_DIR/near.cfg" 2>"$REG_DIR/near.meta"
+grep -q 'selector' "$REG_DIR/near.cfg" \
+  || { echo "registry smoke: the manycore get did not return a config file"; exit 1; }
+grep -qE 'tier=(family|fallback)' "$REG_DIR/near.meta" \
+  || { echo "registry smoke: the manycore get was not a nearest-machine hit"; cat "$REG_DIR/near.meta"; exit 1; }
+./target/release/petal-registry ls --registry "$REG_DIR" >"$REG_DIR/ls.out" 2>"$REG_DIR/ls.err"
+grep -q 'skipped 0000000000000bad.reg: malformed' "$REG_DIR/ls.err" \
+  && grep -q 'skipped 0000000000000099.reg: .*entry is v99' "$REG_DIR/ls.err" \
+  || { echo "registry smoke: ls did not report both planted files"; cat "$REG_DIR/ls.err"; exit 1; }
 rm -rf "$REG_DIR"
 
 echo "== served-registry smoke (one dispatcher hosting the pool AND the registry)"

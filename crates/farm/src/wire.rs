@@ -75,6 +75,7 @@
 use crate::{EvalJob, JobOutcome};
 use petal_core::Config;
 use petal_gpu::profile::{CpuProfile, GpuProfile, MachineProfile};
+use std::borrow::Cow;
 use std::fmt;
 
 /// The protocol version this build speaks (bumped on any wire change).
@@ -132,9 +133,17 @@ fn escaped_len(s: &str) -> usize {
     s.bytes().map(|b| if matches!(b, b'\\' | b'\n' | b'\r') { 2 } else { 1 }).sum()
 }
 
-/// Append the escaped form of `s` to `out` so the record stays on one
-/// line (inverse of [`unescape`]).
-fn escape_into(s: &str, out: &mut String) {
+/// Append one ` <len>:<escaped bytes>` field to `out` (escaping each of
+/// `\`, `\n`, `\r` so the record stays on one line; inverse of
+/// [`unescape`]). A field with nothing to escape is copied whole.
+fn push_field_raw(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
+    let len = escaped_len(s);
+    let _ = write!(out, " {len}:");
+    if len == s.len() {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -145,16 +154,7 @@ fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// Append one ` <len>:<escaped bytes>` field to `out`.
-fn push_field_raw(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    out.push(' ');
-    let _ = write!(out, "{}", escaped_len(s));
-    out.push(':');
-    escape_into(s, out);
-}
-
-/// Inverse of [`escape`].
+/// Inverse of [`push_field_raw`]'s escaping.
 fn unescape(s: &str) -> Result<String, WireError> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -199,65 +199,77 @@ impl Record {
         out
     }
 
-    /// Parse one line (without its newline) back into a record.
+    /// Parse one line (without its newline) back into a record: [`split`]
+    /// with every field owned.
     ///
     /// # Errors
-    /// Any framing violation: empty line, malformed length prefix, short
-    /// field, missing separator, or a bad escape sequence.
+    /// [`split`]'s.
     pub fn parse(line: &str) -> Result<Record, WireError> {
-        let line = line.strip_suffix('\r').unwrap_or(line);
-        if line.is_empty() {
-            return Err(WireError::new("empty record"));
-        }
-        let (tag, mut rest) = match line.split_once(' ') {
-            Some((t, r)) => (t, r),
-            None => (line, ""),
-        };
-        if tag.is_empty() || !tag.bytes().all(|b| b.is_ascii_uppercase() || b == b'_') {
-            return Err(WireError::new(format!("bad tag `{tag}`")));
-        }
-        let mut fields = Vec::new();
-        while !rest.is_empty() {
-            let (len_str, tail) = rest
-                .split_once(':')
-                .ok_or_else(|| WireError::new("field without `len:` prefix"))?;
-            let len: usize = len_str
-                .parse()
-                .map_err(|_| WireError::new(format!("bad field length `{len_str}`")))?;
-            if tail.len() < len {
-                return Err(WireError::new("truncated field"));
-            }
-            if !tail.is_char_boundary(len) {
-                return Err(WireError::new("field length splits a UTF-8 character"));
-            }
-            fields.push(unescape(&tail[..len])?);
-            rest = match tail[len..].strip_prefix(' ') {
-                Some(r) => r,
-                None if tail.len() == len => "",
-                None => return Err(WireError::new("missing field separator")),
-            };
-        }
-        Ok(Record { tag: tag.to_owned(), fields })
+        let (tag, fields) = split(line)?;
+        Ok(Record {
+            tag: tag.to_owned(),
+            fields: fields.into_iter().map(Cow::into_owned).collect(),
+        })
     }
+}
+
+/// Frame one line (without its newline): its tag and its decoded field
+/// payloads, each borrowed from `line` unless it held an escape. The one
+/// framing of the format — [`Record::parse`] and [`Message::decode`] both
+/// read lines through it, and so can a reader that needs a few fields of
+/// a record without decoding the rest.
+///
+/// # Errors
+/// Any framing violation: empty line, malformed length prefix, short
+/// field, missing separator, or a bad escape sequence.
+pub fn split(line: &str) -> Result<(&str, Vec<Cow<'_, str>>), WireError> {
+    let line = line.strip_suffix('\r').unwrap_or(line);
+    if line.is_empty() {
+        return Err(WireError::new("empty record"));
+    }
+    let (tag, mut rest) = match line.split_once(' ') {
+        Some((t, r)) => (t, r),
+        None => (line, ""),
+    };
+    if tag.is_empty() || !tag.bytes().all(|b| b.is_ascii_uppercase() || b == b'_') {
+        return Err(WireError::new(format!("bad tag `{tag}`")));
+    }
+    let mut fields = Vec::new();
+    while !rest.is_empty() {
+        let (len_str, tail) =
+            rest.split_once(':').ok_or_else(|| WireError::new("field without `len:` prefix"))?;
+        let len: usize =
+            len_str.parse().map_err(|_| WireError::new(format!("bad field length `{len_str}`")))?;
+        if tail.len() < len {
+            return Err(WireError::new("truncated field"));
+        }
+        if !tail.is_char_boundary(len) {
+            return Err(WireError::new("field length splits a UTF-8 character"));
+        }
+        let field = &tail[..len];
+        fields.push(if field.contains('\\') { Cow::Owned(unescape(field)?) } else { field.into() });
+        rest = match tail[len..].strip_prefix(' ') {
+            Some(r) => r,
+            None if tail.len() == len => "",
+            None => return Err(WireError::new("missing field separator")),
+        };
+    }
+    Ok((tag, fields))
 }
 
 /// Typed cursor over a record's fields.
 struct FieldReader<'a> {
-    record: &'a Record,
+    tag: &'a str,
+    fields: &'a [Cow<'a, str>],
     next: usize,
 }
 
 impl<'a> FieldReader<'a> {
-    fn new(record: &'a Record) -> Self {
-        FieldReader { record, next: 0 }
-    }
-
     fn str(&mut self) -> Result<&'a str, WireError> {
         let f = self
-            .record
             .fields
             .get(self.next)
-            .ok_or_else(|| WireError::new(format!("{} record too short", self.record.tag)))?;
+            .ok_or_else(|| WireError::new(format!("{} record too short", self.tag)))?;
         self.next += 1;
         Ok(f)
     }
@@ -286,10 +298,10 @@ impl<'a> FieldReader<'a> {
     }
 
     fn finish(self) -> Result<(), WireError> {
-        if self.next == self.record.fields.len() {
+        if self.next == self.fields.len() {
             Ok(())
         } else {
-            Err(WireError::new(format!("{} record has trailing fields", self.record.tag)))
+            Err(WireError::new(format!("{} record has trailing fields", self.tag)))
         }
     }
 }
@@ -642,12 +654,12 @@ impl Message {
     /// Parse one line back into a message.
     ///
     /// # Errors
-    /// Framing errors from [`Record::parse`], unknown tags, wrong field
+    /// Framing errors from [`split`], unknown tags, wrong field
     /// counts or types, and config texts that do not parse.
     pub fn decode(line: &str) -> Result<Message, WireError> {
-        let record = Record::parse(line)?;
-        let mut r = FieldReader::new(&record);
-        let msg = match record.tag.as_str() {
+        let (tag, fields) = split(line)?;
+        let mut r = FieldReader { tag, fields: &fields, next: 0 };
+        let msg = match tag {
             "INIT" => {
                 let version = r.u64()?;
                 let bench_spec = r.str()?.to_owned();

@@ -4,15 +4,99 @@
 //! transports implement, so the round-trip must hold for *any* record —
 //! including fields full of newlines, backslashes, colons, spaces and
 //! multi-byte characters, and any f64 bit pattern (NaNs included, since
-//! they compare by bits here).
+//! they compare by bits here). The borrowed framing ([`split`]) is held
+//! to the owned-field parser it replaced, kept here as an oracle, field
+//! for field and error for error.
 
 use petal_core::config::{Selector, Tunable};
 use petal_core::Config;
 use petal_farm::net::Endpoint;
-use petal_farm::wire::{negotiate, Message, Record, MIN_WIRE_VERSION, WIRE_VERSION};
+use petal_farm::wire::{negotiate, split, Message, Record, MIN_WIRE_VERSION, WIRE_VERSION};
 use petal_farm::{EvalJob, JobOutcome};
+use petal_gpu::profile::MachineProfile;
+use petal_gpu::Fnv;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::borrow::Cow;
+
+/// The owned-field record parser the borrowed [`split`] replaced, kept
+/// verbatim as its oracle: the tag and every field unescaped into its own
+/// `String`, errors as the wire reports them.
+fn oracle_parse(line: &str) -> Result<(String, Vec<String>), String> {
+    fn unescape(s: &str) -> Result<String, String> {
+        let mut out = String::with_capacity(s.len());
+        let mut chars = s.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next() {
+                Some('\\') => out.push('\\'),
+                Some('n') => out.push('\n'),
+                Some('r') => out.push('\r'),
+                other => return Err(format!("bad escape `\\{other:?}`")),
+            }
+        }
+        Ok(out)
+    }
+    let line = line.strip_suffix('\r').unwrap_or(line);
+    if line.is_empty() {
+        return Err("empty record".to_owned());
+    }
+    let (tag, mut rest) = match line.split_once(' ') {
+        Some((t, r)) => (t, r),
+        None => (line, ""),
+    };
+    if tag.is_empty() || !tag.bytes().all(|b| b.is_ascii_uppercase() || b == b'_') {
+        return Err(format!("bad tag `{tag}`"));
+    }
+    let mut fields = Vec::new();
+    while !rest.is_empty() {
+        let (len_str, tail) = rest.split_once(':').ok_or("field without `len:` prefix")?;
+        let len: usize = len_str.parse().map_err(|_| format!("bad field length `{len_str}`"))?;
+        if tail.len() < len {
+            return Err("truncated field".to_owned());
+        }
+        if !tail.is_char_boundary(len) {
+            return Err("field length splits a UTF-8 character".to_owned());
+        }
+        fields.push(unescape(&tail[..len])?);
+        rest = match tail[len..].strip_prefix(' ') {
+            Some(r) => r,
+            None if tail.len() == len => "",
+            None => return Err("missing field separator".to_owned()),
+        };
+    }
+    Ok((tag.to_owned(), fields))
+}
+
+/// [`split`] and [`Record::parse`] against [`oracle_parse`] on one line:
+/// the same tag, fields and error, and every borrowed field a slice of
+/// `line` itself with no escape in it.
+fn assert_split_matches_oracle(line: &str) {
+    let oracle = oracle_parse(line);
+    let got = split(line);
+    if let Ok((_, fields)) = &got {
+        for f in fields {
+            if let Cow::Borrowed(f) = f {
+                assert!(line.as_bytes().as_ptr_range().contains(&f.as_ptr()) || f.is_empty());
+                assert!(!f.contains('\\'), "field {f:?} of {line:?} held an escape");
+            }
+        }
+    }
+    let got = got
+        .map(|(tag, fields)| (tag.to_owned(), fields.into_iter().map(Cow::into_owned).collect()))
+        .map_err(|e| e.message);
+    assert_eq!(&got, &oracle, "split of {:?}", line);
+    let parsed = Record::parse(line).map(|r| (r.tag, r.fields)).map_err(|e| e.message);
+    assert_eq!(&parsed, &oracle, "Record::parse of {:?}", line);
+}
+
+/// Every prefix of `line` that ends on a char boundary, `line` included.
+fn truncations(line: &str) -> impl Iterator<Item = &str> {
+    (0..=line.len()).filter(|&i| line.is_char_boundary(i)).map(move |i| &line[..i])
+}
 
 /// Map a u64 onto a short string over a hostile alphabet: escapes,
 /// separators, framing characters and multi-byte code points.
@@ -73,6 +157,46 @@ proptest! {
         prop_assert!(!line.contains('\n'), "encoding must stay line-delimited");
         prop_assert!(!line.contains('\r'));
         prop_assert_eq!(Record::parse(&line).expect("round-trip parse"), record);
+    }
+
+    #[test]
+    fn split_matches_the_owned_parser_on_hostile_lines(
+        seeds in vec(any::<u64>(), 0..6),
+        tag_seed in any::<u64>(),
+        noise_seed in any::<u64>(),
+    ) {
+        const TAGS: [&str; 5] = ["RESULT", "REG_HIT", "INIT", "_", "bad"];
+        let tag = TAGS[(tag_seed % TAGS.len() as u64) as usize];
+        let line = Record::new(tag, seeds.iter().map(|&s| hostile_string(s)).collect()).encode();
+        // In an encoded line a field holds an escape exactly when its
+        // text has a `\`, `\n` or `\r`: only those fields are copied.
+        if let Ok((_, fields)) = split(&line) {
+            for f in &fields {
+                let escaped = f.contains(['\\', '\n', '\r']);
+                prop_assert_eq!(matches!(f, Cow::Borrowed(_)), !escaped, "field {:?}", f);
+            }
+        }
+        // Every truncation of the line, with and without a trailing `\r`,
+        // and the whole line followed by hostile noise.
+        for cut in truncations(&line) {
+            assert_split_matches_oracle(cut);
+            assert_split_matches_oracle(&format!("{cut}\r"));
+        }
+        assert_split_matches_oracle(&format!("{line}{}", hostile_string(noise_seed)));
+        assert_split_matches_oracle(&format!("{line} {}", hostile_string(noise_seed)));
+    }
+
+    #[test]
+    fn split_matches_the_owned_parser_on_raw_hostile_text(seeds in vec(any::<u64>(), 0..10)) {
+        // Not an encoded record at all: framing-looking text built from
+        // the hostile alphabet plus length prefixes of every size.
+        let mut line = "TAG".to_owned();
+        for &s in &seeds {
+            line.push_str(&format!(" {}:{}", s % 7, hostile_string(s)));
+        }
+        for cut in truncations(&line) {
+            assert_split_matches_oracle(cut);
+        }
     }
 
     #[test]
@@ -405,4 +529,89 @@ proptest! {
             prop_assert!(e.contains("tcp:host:port"), "error must teach the grammar: {}", e);
         }
     }
+}
+
+/// Every `Message` kind, encoded: the corpus the decode golden is taken
+/// over.
+fn message_corpus() -> Vec<String> {
+    let mut config = Config::new();
+    config.set_selector("sort", Selector::new(vec![64, 4096], vec![2, 0, 1], 3));
+    config.set_tunable("sort.gpu_ratio", Tunable::new(3, 0, 8));
+    let entry = "REGV 1:1\nINIT 1:0 11:sort n=4096\nTUNED 4:4096 5:a\\b\r\n".to_owned();
+    let mut hostile = MachineProfile::desktop();
+    hostile.codename = "De\\sk\ntop ∞".to_owned();
+    let messages = vec![
+        Message::Init {
+            version: WIRE_VERSION,
+            bench_spec: "sort n=4096".to_owned(),
+            machine: Box::new(hostile),
+        },
+        Message::Init {
+            version: 0,
+            bench_spec: "é\\n x".to_owned(),
+            machine: Box::new(MachineProfile::manycore()),
+        },
+        Message::Ready { version: WIRE_VERSION },
+        Message::Job { index: 9, job: EvalJob { config, size: 4096, engine_seed: 0xfeed } },
+        Message::Result {
+            index: 9,
+            outcome: JobOutcome {
+                fitness: Some(1.5e-4),
+                ran: true,
+                makespan: f64::from_bits(0x7ff8_0000_0000_0001),
+                compiles: vec![(42, 1.2, 0.8), (7, 0.9, 0.5)],
+            },
+        },
+        Message::Done,
+        Message::hello(),
+        Message::Register { name: "rack7/worker-3".to_owned(), slots: 2, pid: 4242 },
+        Message::Heartbeat { seq: u64::MAX },
+        Message::Goodbye { reason: "drained:\r\n operator".to_owned() },
+        Message::RegGet {
+            op: "get".to_owned(),
+            bench_spec: "sort n=4096".to_owned(),
+            size: 4096,
+            machine: Some(Box::new(MachineProfile::server())),
+        },
+        Message::RegPut { force: true, entry: entry.clone() },
+        Message::RegHit {
+            verdict: "family".to_owned(),
+            distance: 3.75,
+            scaled_from: Some(1),
+            entry,
+        },
+        Message::RegMiss { reason: String::new() },
+        Message::Session { token: 7, nonce: u64::MAX },
+        Message::Resume { token: u64::MAX, nonce: 0 },
+    ];
+    messages.iter().map(Message::encode).collect()
+}
+
+/// `Message::decode` returns exactly what the owned-field decoder did:
+/// every answer and every error over the corpus, each line's every
+/// truncation and each line with one byte turned into a framing
+/// character, folded into one hash. The value was taken from the decoder
+/// before fields were borrowed; any change to what decode returns — a
+/// value, an error, an error's text — moves it.
+#[test]
+fn decode_returns_what_the_owned_decoder_returned() {
+    let mut hash = Fnv::default();
+    let mut lines = 0usize;
+    for line in message_corpus() {
+        let mut variants: Vec<String> = truncations(&line).map(str::to_owned).collect();
+        for (i, _) in line.char_indices().step_by(3) {
+            for framing in [':', ' ', '\\'] {
+                let mut mutated = line.clone();
+                let width = mutated[i..].chars().next().map_or(1, char::len_utf8);
+                mutated.replace_range(i..i + width, &framing.to_string());
+                variants.push(mutated);
+            }
+        }
+        for variant in variants {
+            hash.write_str(&variant);
+            hash.write_str(&format!("{:?}", Message::decode(&variant)));
+            lines += 1;
+        }
+    }
+    assert_eq!((lines, hash.finish()), (3864, 0x92b3_6ccf_23d7_b62a));
 }

@@ -75,7 +75,10 @@
 //! alone, since they track the machine, not the input. Cross-size
 //! matches rank below every same-cell match, ordered by tier, then size
 //! octaves, then machine [`distance`]; [`Match::scaled_from`] records
-//! the donor's stored size.
+//! the donor's stored size. Every candidate is of the queried kind, so a
+//! [`DirStore`] lookup reads every entry file but decodes only those
+//! whose spec — read through [`petal_farm::wire::split`] without decoding
+//! the entry — is of that kind.
 //!
 //! ## On-disk format
 //!
@@ -122,11 +125,13 @@ pub use remote::RemoteStore;
 use petal_core::config::{Selector, Tunable};
 use petal_core::Config;
 use petal_farm::net::Endpoint;
-use petal_farm::wire::{Message, Record};
+use petal_farm::wire::{self, Message, Record};
 use petal_gpu::profile::MachineProfile;
 use petal_gpu::Fnv;
+use std::borrow::Cow;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// On-disk entry format version written by this build (the `REGV`
 /// record). Bumped on any incompatible layout change; older/newer
@@ -298,18 +303,7 @@ pub fn decode_entry(text: &str) -> Result<StoredEntry, EntryError> {
     let malformed = |m: &str| EntryError::Malformed(m.to_owned());
     let mut lines = text.lines();
     let header = lines.next().ok_or_else(|| malformed("empty entry"))?;
-    let header = Record::parse(header).map_err(|e| malformed(&format!("bad header: {e}")))?;
-    if header.tag != "REGV" {
-        return Err(malformed(&format!("expected REGV header, found `{}`", header.tag)));
-    }
-    // Field 0 of REGV is frozen across every future version (later
-    // versions may append fields, which are deliberately ignored here):
-    // an unknown version must surface as skew, not as a parse error.
-    let version: u64 = header
-        .fields
-        .first()
-        .and_then(|f| f.parse().ok())
-        .ok_or_else(|| malformed("REGV header without a version field"))?;
+    let version = entry_version(header)?;
     if version != FORMAT_VERSION {
         return Err(EntryError::VersionSkew { found: version });
     }
@@ -319,11 +313,12 @@ pub fn decode_entry(text: &str) -> Result<StoredEntry, EntryError> {
         return Err(malformed("second record must be INIT"));
     };
     let tuned = lines.next().ok_or_else(|| malformed("entry truncated before TUNED"))?;
-    let tuned = Record::parse(tuned).map_err(|e| malformed(&format!("bad TUNED record: {e}")))?;
-    if tuned.tag != "TUNED" {
-        return Err(malformed(&format!("expected TUNED record, found `{}`", tuned.tag)));
+    let (tag, fields) =
+        wire::split(tuned).map_err(|e| malformed(&format!("bad TUNED record: {e}")))?;
+    if tag != "TUNED" {
+        return Err(malformed(&format!("expected TUNED record, found `{tag}`")));
     }
-    let [size, time, config, source] = tuned.fields.as_slice() else {
+    let [size, time, config, source] = fields.as_slice() else {
         return Err(malformed("TUNED record needs exactly 4 fields (size, time, config, source)"));
     };
     let size: u64 = size.parse().map_err(|_| malformed(&format!("bad size `{size}`")))?;
@@ -339,8 +334,37 @@ pub fn decode_entry(text: &str) -> Result<StoredEntry, EntryError> {
         size,
         config,
         time_secs,
-        source: source.clone(),
+        source: source.to_string(),
     })
+}
+
+/// The version an entry's `REGV` header names. Field 0 of `REGV` is
+/// frozen across every future version (later versions may append fields,
+/// which are deliberately ignored here): an unknown version must surface
+/// as skew, not as a parse error.
+fn entry_version(header: &str) -> Result<u64, EntryError> {
+    let malformed = EntryError::Malformed;
+    let (tag, fields) = wire::split(header).map_err(|e| malformed(format!("bad header: {e}")))?;
+    if tag != "REGV" {
+        return Err(malformed(format!("expected REGV header, found `{tag}`")));
+    }
+    fields
+        .first()
+        .and_then(|f| f.parse().ok())
+        .ok_or_else(|| malformed("REGV header without a version field".to_owned()))
+}
+
+/// An entry's benchmark spec, read without decoding the entry: field 1
+/// of its `INIT` record, behind a `REGV` header of this build's version.
+/// `None` when those two records do not frame so — and then
+/// [`decode_entry`] fails too, so such a file can answer no lookup.
+fn entry_spec(text: &str) -> Option<Cow<'_, str>> {
+    let mut lines = text.lines();
+    if entry_version(lines.next()?).ok()? != FORMAT_VERSION {
+        return None;
+    }
+    let (tag, mut fields) = wire::split(lines.next()?).ok()?;
+    (tag == "INIT" && fields.len() > 1).then(|| fields.swap_remove(1))
 }
 
 /// How close a lookup's winning entry is to the queried machine.
@@ -510,12 +534,29 @@ impl DirStore {
         // Write-then-rename so a crashed writer can never leave a
         // half-entry under the final name (a truncated file would be
         // skipped by scans anyway, but gc should not have to clean up
-        // after ordinary crashes).
-        let tmp = path.with_extension("tmp");
+        // after ordinary crashes). Each write has a temp file of its own
+        // (`<key>.<pid>.<seq>.tmp`): two writers of one key sharing one
+        // would truncate each other's bytes and race each other's rename.
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("{}.{seq}.tmp", std::process::id()));
         std::fs::write(&tmp, entry.encode())
             .map_err(|source| RegistryError::Io { path: tmp.clone(), source })?;
         std::fs::rename(&tmp, path)
             .map_err(|source| RegistryError::Io { path: path.to_path_buf(), source })
+    }
+
+    /// The directory's files with extension `ext`, sorted by file name.
+    fn files(&self, ext: &str) -> Result<Vec<PathBuf>, RegistryError> {
+        let rd = std::fs::read_dir(&self.dir)
+            .map_err(|source| RegistryError::Io { path: self.dir.clone(), source })?;
+        let mut files: Vec<PathBuf> = rd
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == ext))
+            .collect();
+        files.sort();
+        Ok(files)
     }
 
     /// Read every entry file, sorted by file name (= key hash), skipping
@@ -524,16 +565,16 @@ impl DirStore {
     /// # Errors
     /// [`RegistryError::Io`] when the directory itself cannot be read.
     pub fn scan(&self) -> Result<Scan, RegistryError> {
-        let rd = std::fs::read_dir(&self.dir)
-            .map_err(|source| RegistryError::Io { path: self.dir.clone(), source })?;
-        let mut files: Vec<PathBuf> = rd
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == ENTRY_EXT))
-            .collect();
-        files.sort();
+        self.scan_kind(None)
+    }
+
+    /// [`Self::scan`], or with `Some(kind)` only the entries of that
+    /// benchmark kind: every file is read, but only an entry whose spec
+    /// ([`entry_spec`]) is of `kind` is decoded, and the other files are
+    /// left out of both lists.
+    fn scan_kind(&self, kind: Option<&str>) -> Result<Scan, RegistryError> {
         let mut scan = Scan::default();
-        for path in files {
+        for path in self.files(ENTRY_EXT)? {
             let text = match std::fs::read_to_string(&path) {
                 Ok(t) => t,
                 Err(e) => {
@@ -542,6 +583,9 @@ impl DirStore {
                     continue;
                 }
             };
+            if kind.is_some_and(|k| !entry_spec(&text).is_some_and(|s| bench_kind(&s) == k)) {
+                continue;
+            }
             match decode_entry(&text) {
                 Ok(entry) => scan.entries.push((path, entry)),
                 Err(error) => scan.issues.push(ScanIssue { path, error }),
@@ -574,24 +618,25 @@ impl DirStore {
     }
 }
 
-/// Deterministic tie-break string for a candidate entry: fingerprint
-/// hex, then file name (= key-hash hex).
-fn tie_break(path: &Path, entry: &StoredEntry) -> String {
-    format!(
-        "{} {}",
-        fingerprint_hex(&entry.machine),
-        path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default()
-    )
-}
-
-/// Tier + distance of `entry`'s machine relative to the queried one.
-fn machine_rank(machine: &MachineProfile, entry: &StoredEntry) -> (MatchTier, f64) {
-    if fingerprint(&entry.machine) == fingerprint(machine) {
-        (MatchTier::Exact, 0.0)
+/// A candidate's rank against the queried machine, whose fingerprint is
+/// `query_fp`: its tier, its [`distance`] and the deterministic
+/// tie-break string — fingerprint hex, then file name (= key-hash hex).
+/// The candidate's fingerprint is computed once, for both.
+fn machine_rank(
+    machine: &MachineProfile,
+    query_fp: u64,
+    path: &Path,
+    entry: &StoredEntry,
+) -> (MatchTier, f64, String) {
+    let fp = fingerprint(&entry.machine);
+    let name = path.file_name().map(|n| n.to_string_lossy()).unwrap_or_default();
+    let tie = format!("{fp:016x} {name}");
+    if fp == query_fp {
+        (MatchTier::Exact, 0.0, tie)
     } else if family(&entry.machine) == family(machine) {
-        (MatchTier::Family, distance(machine, &entry.machine))
+        (MatchTier::Family, distance(machine, &entry.machine), tie)
     } else {
-        (MatchTier::Fallback, distance(machine, &entry.machine))
+        (MatchTier::Fallback, distance(machine, &entry.machine), tie)
     }
 }
 
@@ -599,26 +644,30 @@ fn machine_rank(machine: &MachineProfile, entry: &StoredEntry) -> (MatchTier, f6
 fn best_same_cell(
     entries: &[(PathBuf, StoredEntry)],
     machine: &MachineProfile,
+    query_fp: u64,
     bench_spec: &str,
     size: u64,
 ) -> Option<Match> {
-    let mut best: Option<(MatchTier, f64, String, Match)> = None;
+    let mut best: Option<(MatchTier, f64, String, &StoredEntry)> = None;
     for (path, entry) in entries {
         if entry.bench_spec != bench_spec || entry.size != size {
             continue;
         }
-        let (tier, d) = machine_rank(machine, entry);
-        let tie = tie_break(path, entry);
+        let (tier, d, tie) = machine_rank(machine, query_fp, path, entry);
         let wins = match &best {
             None => true,
             Some((bt, bd, btie, _)) => (tier, d, tie.as_str()) < (*bt, *bd, btie.as_str()),
         };
         if wins {
-            let m = Match { entry: entry.clone(), tier, distance: d, scaled_from: None };
-            best = Some((tier, d, tie, m));
+            best = Some((tier, d, tie, entry));
         }
     }
-    best.map(|(_, _, _, m)| m)
+    best.map(|(tier, d, _, entry)| Match {
+        entry: entry.clone(),
+        tier,
+        distance: d,
+        scaled_from: None,
+    })
 }
 
 /// The benchmark kind of a spec line: its first whitespace token (e.g.
@@ -634,6 +683,7 @@ fn bench_kind(spec: &str) -> &str {
 fn best_cross_size(
     entries: &[(PathBuf, StoredEntry)],
     machine: &MachineProfile,
+    query_fp: u64,
     bench_spec: &str,
     size: u64,
 ) -> Option<Match> {
@@ -648,9 +698,8 @@ fn best_cross_size(
         {
             continue;
         }
-        let (tier, d) = machine_rank(machine, entry);
+        let (tier, d, tie) = machine_rank(machine, query_fp, path, entry);
         let size_gap = distance::octaves(size as f64, entry.size as f64);
-        let tie = tie_break(path, entry);
         let wins = match &best {
             None => true,
             Some((bt, bs, bd, btie, _)) => {
@@ -814,8 +863,9 @@ impl ConfigStore for DirStore {
     /// has no entry at all, falls back to cross-size donors of the same
     /// benchmark kind, rescaled by [`rescale_config`] and ranked by
     /// tier, size octaves, then machine distance. Deterministic for
-    /// given registry contents; unusable files are skipped. `exact` is
-    /// [`DirStore::get_exact`].
+    /// given registry contents; unusable files are skipped. Every entry
+    /// file is read, but only the queried kind's entries are decoded.
+    /// `exact` is [`DirStore::get_exact`].
     fn lookup(
         &self,
         machine: &MachineProfile,
@@ -831,9 +881,12 @@ impl ConfigStore for DirStore {
                 scaled_from: None,
             }));
         }
-        let scan = self.scan()?;
-        Ok(best_same_cell(&scan.entries, machine, bench_spec, size)
-            .or_else(|| best_cross_size(&scan.entries, machine, bench_spec, size)))
+        // Every candidate, same-cell or cross-size, is of the queried
+        // kind: no other entry is decoded.
+        let entries = self.scan_kind(Some(bench_kind(bench_spec)))?.entries;
+        let query_fp = fingerprint(machine);
+        Ok(best_same_cell(&entries, machine, query_fp, bench_spec, size)
+            .or_else(|| best_cross_size(&entries, machine, query_fp, bench_spec, size)))
     }
 
     /// Keep-best: an existing entry for the same key survives unless the
@@ -876,21 +929,12 @@ impl ConfigStore for DirStore {
     /// across filesystems.
     fn gc(&self) -> Result<Vec<String>, RegistryError> {
         let mut removed = self.scan()?.issues;
-        let rd = std::fs::read_dir(&self.dir)
-            .map_err(|source| RegistryError::Io { path: self.dir.clone(), source })?;
-        for tmp in rd
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "tmp"))
-        {
-            removed.push(ScanIssue {
-                path: tmp,
-                error: EntryError::Malformed("stale temporary file".to_owned()),
-            });
+        for path in self.files("tmp")? {
+            let error = EntryError::Malformed("stale temporary file".to_owned());
+            removed.push(ScanIssue { path, error });
         }
-        // scan() returns its issues file-name-sorted, but the `.tmp`
-        // sweep above walks the directory raw; sort the union so the
-        // filesystem's iteration order never leaks into the report.
+        // Both lists are file-name-sorted; sort the union so the report
+        // is too.
         removed.sort_by(|a, b| a.path.cmp(&b.path));
         for issue in &removed {
             std::fs::remove_file(&issue.path)
@@ -1007,6 +1051,30 @@ mod tests {
         reg.put_force(&worse).expect("forced put");
         let back = reg.get_exact(&good.machine, &good.bench_spec, good.size).unwrap().unwrap();
         assert_eq!(back.time_secs, 2.0e-3, "force overwrites");
+        let _ = std::fs::remove_dir_all(reg.dir());
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_key_all_succeed_and_leave_one_offer() {
+        let reg = temp_registry("concurrent");
+        let offers: Vec<StoredEntry> =
+            (0..8).map(|i| entry(MachineProfile::desktop(), 1.0 + f64::from(i))).collect();
+        std::thread::scope(|s| {
+            for offer in &offers {
+                let reg = &reg;
+                s.spawn(move || {
+                    for _ in 0..25 {
+                        reg.put(offer, false).expect("a concurrent put never fails");
+                        reg.put_force(offer).expect("a concurrent forced put never fails");
+                    }
+                });
+            }
+        });
+        let e = &offers[0];
+        let back =
+            reg.get_exact(&e.machine, &e.bench_spec, e.size).expect("decodes").expect("kept");
+        assert!(offers.contains(&back), "the stored entry is one of the offers: {back:?}");
+        assert!(reg.gc().expect("gc").is_empty(), "no temp file or torn entry is left behind");
         let _ = std::fs::remove_dir_all(reg.dir());
     }
 

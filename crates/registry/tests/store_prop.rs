@@ -9,17 +9,22 @@
 //!   a parse error, even with future trailing header fields;
 //! * lookup laws: an exact hit beats every family hit beats every
 //!   fallback hit, and the answer is a pure function of registry
-//!   contents — identical under any insertion-order permutation.
+//!   contents — identical under any insertion-order permutation;
+//! * a lookup that decodes only the queried kind's entries answers
+//!   exactly what ranking every decodable entry answers (the oracle kept
+//!   below), whatever else the directory holds.
 
 use petal_core::config::{Selector, Tunable};
 use petal_core::Config;
 use petal_farm::wire::Message;
 use petal_gpu::profile::MachineProfile;
 use petal_registry::{
-    decode_entry, family, fingerprint, ConfigStore, DirStore, EntryError, MatchTier, StoredEntry,
+    decode_entry, distance, family, fingerprint, fingerprint_hex, rescale_config, ConfigStore,
+    DirStore, EntryError, Match, MatchTier, StoredEntry,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::path::Path;
 
 /// Map a u64 onto a short string over a hostile alphabet: escapes,
 /// separators, framing characters and multi-byte code points (shared
@@ -92,6 +97,96 @@ fn entry_from(
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("petal-registry-prop-{}-{tag}", std::process::id()))
+}
+
+/// |log₂(a/b)| as the registry measures size gaps (a copy of its
+/// crate-private `octaves`, bit for bit).
+fn octaves(a: f64, b: f64) -> f64 {
+    if a > 0.0 && b > 0.0 && a.is_finite() && b.is_finite() {
+        let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
+        (hi / lo).log2()
+    } else if a == b {
+        0.0
+    } else {
+        32.0
+    }
+}
+
+/// The lookup before it filtered by kind, kept as the oracle: rank every
+/// entry [`DirStore::scan`] decodes, first by the same-cell rule (tier,
+/// distance, fingerprint hex then file name), then — only when the cell
+/// is empty — by the cross-size rule (tier, size octaves, distance, the
+/// same tie-break) over the spec's kind.
+fn oracle_lookup(reg: &DirStore, machine: &MachineProfile, spec: &str, size: u64) -> Option<Match> {
+    let entries = reg.scan().expect("scan").entries;
+    let rank = |path: &Path, e: &StoredEntry| {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let tie = format!("{} {name}", fingerprint_hex(&e.machine));
+        if fingerprint(&e.machine) == fingerprint(machine) {
+            (MatchTier::Exact, 0.0, tie)
+        } else if family(&e.machine) == family(machine) {
+            (MatchTier::Family, distance(machine, &e.machine), tie)
+        } else {
+            (MatchTier::Fallback, distance(machine, &e.machine), tie)
+        }
+    };
+    let mut same: Option<(MatchTier, f64, String, &StoredEntry)> = None;
+    for (path, e) in entries.iter().filter(|(_, e)| e.bench_spec == spec && e.size == size) {
+        let (tier, d, tie) = rank(path, e);
+        if same.as_ref().map_or(true, |(bt, bd, btie, _)| (tier, d, &tie) < (*bt, *bd, btie)) {
+            same = Some((tier, d, tie, e));
+        }
+    }
+    if let Some((tier, d, _, e)) = same {
+        return Some(Match { entry: e.clone(), tier, distance: d, scaled_from: None });
+    }
+    let kind = spec.split_whitespace().next().unwrap_or("");
+    if kind.is_empty() {
+        return None;
+    }
+    let mut cross: Option<(MatchTier, f64, f64, String, &StoredEntry)> = None;
+    for (path, e) in
+        entries.iter().filter(|(_, e)| e.bench_spec.split_whitespace().next() == Some(kind))
+    {
+        let (tier, d, tie) = rank(path, e);
+        let gap = octaves(size as f64, e.size as f64);
+        let wins = cross
+            .as_ref()
+            .map_or(true, |(bt, bg, bd, btie, _)| (tier, gap, d, &tie) < (*bt, *bg, *bd, btie));
+        if wins {
+            cross = Some((tier, gap, d, tie, e));
+        }
+    }
+    cross.map(|(tier, _, d, _, donor)| Match {
+        entry: StoredEntry {
+            machine: donor.machine.clone(),
+            bench_spec: spec.to_owned(),
+            size,
+            config: rescale_config(&donor.config, donor.size, size),
+            time_secs: donor.time_secs,
+            source: donor.source.clone(),
+        },
+        tier,
+        distance: d,
+        scaled_from: Some(donor.size),
+    })
+}
+
+/// Benchmark kinds the filtered-lookup stores mix: one needs escaping on
+/// disk, so its spec is read through an owned field.
+const KINDS: [&str; 4] = ["sort", "matmul", "black\\scholes", "svd"];
+/// Sizes the stores and queries draw from (0 is the degenerate size).
+const SIZES: [u64; 4] = [64, 128, 4096, 0];
+
+/// A spec of kind `KINDS[kind]` at `size`; odd flavours prefix
+/// whitespace, which keeps the kind but makes another spec.
+fn spec_of(kind: usize, size: u64, flavour: u64) -> String {
+    let kind = KINDS[kind % KINDS.len()];
+    if flavour % 2 == 0 {
+        format!("{kind} n={size}")
+    } else {
+        format!("\n {kind} n={size}")
+    }
 }
 
 proptest! {
@@ -316,5 +411,72 @@ proptest! {
         for d in [&dir_a, &dir_b] {
             let _ = std::fs::remove_dir_all(d);
         }
+    }
+
+    #[test]
+    fn filtered_lookup_answers_what_ranking_every_entry_answers(
+        stored in vec((0usize..4, 0usize..4, 0u64..2, 0usize..5, 1usize..4, any::<u64>()), 1..24),
+        damaged in vec((0usize..4, any::<u64>(), any::<u64>()), 0..8),
+        queries in vec((0usize..5, 0usize..4, 0usize..4, 0u64..3), 1..12),
+        tag in any::<u64>(),
+    ) {
+        let dir = temp_dir(&format!("filtered-{tag:x}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = DirStore::open(&dir).expect("open");
+        let mut valid = Vec::new();
+        for &(kind, size, flavour, which, cores, bits) in &stored {
+            // Few distinct machines, so tiers, distances and tie-breaks
+            // collide across cells and sizes.
+            let entry = StoredEntry {
+                machine: machine_from(which, cores, bits % 3),
+                bench_spec: spec_of(kind, SIZES[size], flavour),
+                size: SIZES[size],
+                config: config_from(&[(64 + bits % 512, bits)], &[((bits % 100) as i64, 7)]),
+                time_secs: 1.0 + (bits % 5) as f64,
+                source: hostile_string(bits),
+            };
+            reg.put(&entry, false).expect("put");
+            valid.push(entry);
+        }
+        // Unusable files of every kind: a truncated entry (of any kind,
+        // the queried one included), hostile bytes, a version-skewed
+        // entry, and a stray temp file no scan reads.
+        for (i, &(how, pick, cut)) in damaged.iter().enumerate() {
+            let text = valid[(pick % valid.len() as u64) as usize].encode();
+            let bytes = match how {
+                0 => {
+                    let end = (cut % text.trim_end().len() as u64) as usize;
+                    let end = (0..=end).rev().find(|&e| text.is_char_boundary(e)).unwrap_or(0);
+                    text[..end].to_owned()
+                }
+                1 => hostile_string(cut),
+                2 => text.replacen("REGV 1:1", "REGV 2:99", 1),
+                _ => text,
+            };
+            let ext = if how == 3 { "tmp" } else { "reg" };
+            std::fs::write(dir.join(format!("{:016x}.{ext}", cut ^ i as u64)), bytes).expect("plant");
+        }
+        let planted = damaged.iter().filter(|d| d.0 != 3).count();
+        for &(which, kind, size, flavour) in &queries {
+            let machine = if which == 4 {
+                MachineProfile::desktop()
+            } else {
+                valid[which % valid.len()].machine.clone()
+            };
+            // flavour 2 queries a spec whose kind is empty.
+            let spec = if flavour == 2 { String::new() } else { spec_of(kind, SIZES[size], flavour) };
+            let got = reg.lookup(&machine, &spec, SIZES[size], false).expect("lookup");
+            let want = oracle_lookup(&reg, &machine, &spec, SIZES[size]);
+            prop_assert_eq!(
+                got.as_ref().map(|m| m.distance.to_bits()),
+                want.as_ref().map(|m| m.distance.to_bits())
+            );
+            prop_assert_eq!(got, want, "query {:?} at {}", spec, SIZES[size]);
+        }
+        // The unfiltered readers still see every file.
+        let scan = reg.scan().expect("scan");
+        prop_assert_eq!(scan.issues.len(), planted);
+        prop_assert_eq!(reg.ls().expect("ls").issues.len(), planted);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
