@@ -29,6 +29,10 @@ echo "== span oracle, leaf law and poisoned sessions, release (the build that sh
 # and without spans. `cargo test -q` above ran the same tests in debug.
 cargo test -q --release --offline -p petal_core -p petal_apps -p petal_farm span
 cargo test -q --release --offline -p petal_core --test codegen_prop
+# Black-Scholes' phase-blocked pricing against `call_price`, and its ladder
+# rungs built on one another's priced prefixes against fresh objects: the
+# blocked phases only vectorise here.
+cargo test -q --release --offline -p petal_apps -p petal_farm -- call_prices rungs
 # The leaf law, same build: a native leaf's body runs the cheapest route
 # that leaves its definition's bits (sort regions, the one GEMM fold), and
 # only here is the blocked kernel vectorised and the debug cross-check off.

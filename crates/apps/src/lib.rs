@@ -175,7 +175,10 @@ pub trait Benchmark: Send + Sync {
     /// `self`: same [`Benchmark::spec`], bit-identical evaluation. The
     /// farm evaluates full-size trials on that child; only a benchmark
     /// that refuses its own size (this default does) is instantiated
-    /// directly.
+    /// directly. The farm builds every size after the first from the
+    /// largest child it holds, so a child's `resized(size)` must build
+    /// what its parent's would; it may hand the new child prepared state
+    /// to build on, never a different instance.
     fn resized(&self, size: u64) -> Option<Box<dyn Benchmark>> {
         let _ = size;
         None
@@ -675,6 +678,26 @@ mod tests {
                 let want = (fresh, reused_within + repeat * per_trial);
                 assert_eq!(trial(), want, "`{}`, repeat {repeat}", b.spec());
             }
+        }
+    }
+
+    /// A NaN in one cell of an otherwise right output fails the check:
+    /// Black-Scholes' own, and `check_within`'s (Strassen's).
+    #[test]
+    fn one_nan_output_cell_fails_the_check() {
+        let m = MachineProfile::desktop();
+        let kinds: [Box<dyn Benchmark>; 2] = [
+            Box::new(blackscholes::BlackScholes::new(4_096)),
+            Box::new(strassen::Strassen::new(64)),
+        ];
+        for b in kinds {
+            let cfg = b.program(&m).default_config(&m);
+            let Instance { mut world, plan, check } = b.instantiate(&m, &cfg);
+            let out = plan.outputs()[0];
+            Executor::new(&m).run(plan, &mut world).expect("the trial runs");
+            assert_eq!(check(&world), Ok(()), "`{}`: the trial's answer is right", b.spec());
+            world.get_mut(out)[(1, 2)] = f64::NAN;
+            assert!(check(&world).is_err(), "`{}`: a NaN cell must fail", b.spec());
         }
     }
 

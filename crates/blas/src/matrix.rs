@@ -194,20 +194,26 @@ impl Matrix {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Largest absolute element-wise difference to `other`.
+    /// Largest absolute element-wise difference to `other`; NaN when any
+    /// difference is NaN (`f64::max` would drop it).
     ///
     /// # Panics
     /// Panics on dimension mismatch.
     #[must_use]
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "dimension mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
+        let diffs = self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs());
+        diffs.fold(0.0, |max, d| if d > max || d.is_nan() { d } else { max })
     }
 
-    /// True when every element differs from `other` by at most `tol`.
+    /// True when every element differs from `other` by at most `tol`; a
+    /// NaN difference is not within. One pass with no early exit, so it
+    /// vectorises.
     #[must_use]
     pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
-        (self.rows, self.cols) == (other.rows, other.cols) && self.max_abs_diff(other) <= tol
+        let diffs = self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs());
+        (self.rows, self.cols) == (other.rows, other.cols)
+            && diffs.fold(true, |all, d| all & (d <= tol))
     }
 }
 
@@ -309,6 +315,16 @@ mod tests {
         assert_eq!(a.add(&b).sub(&b), a);
         assert_eq!(a.scaled(2.0)[(1, 1)], 4.0);
         assert!((Matrix::identity(3).frobenius_norm() - 3f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_nan_difference_is_kept_and_never_within() {
+        let a = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f64);
+        let mut b = a.clone();
+        b[(1, 2)] = f64::NAN;
+        assert!(a.max_abs_diff(&b).is_nan());
+        assert!(!a.approx_eq(&b, f64::INFINITY));
+        assert!(a.approx_eq(&a.scaled(1.0 + 1e-15), 1e-12));
     }
 
     #[test]

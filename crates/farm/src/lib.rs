@@ -523,7 +523,11 @@ impl EvalFarm {
 /// it (`None` when the size is too small to run). A child keeps what its
 /// `instantiate` memoises — seeded inputs, the reference answer — so only
 /// the first trial at a size pays for them, and the object the session was
-/// handed is left as it came. An [`EvalFarm`] owns one for its in-process
+/// handed is left as it came: it is resized once, for the first child, and
+/// every later child is resized from the largest one here, so a kind whose
+/// smaller inputs are prefixes of its larger ones (Black-Scholes) prepares
+/// each rung from the last. What the children know dies with the table.
+/// An [`EvalFarm`] owns one for its in-process
 /// trials, a worker's `session::serve_jobs` loop owns one, and
 /// [`evaluate_job`] builds one per call.
 #[derive(Default)]
@@ -552,10 +556,16 @@ impl SizeTable {
         }
     }
 
-    /// Build the child for `size` through `bench`'s own `resized` (a
-    /// delegating wrapper's children stay wrapped) unless it is here.
+    /// Build the child for `size` unless it is here: through the `resized`
+    /// of the largest child already here, which may hand its prepared
+    /// state on, or of `bench` for the first (a delegating wrapper's
+    /// children stay wrapped).
     pub(crate) fn ensure(&mut self, bench: &dyn Benchmark, size: u64) {
-        self.by_size.entry(size).or_insert_with(|| bench.resized(size));
+        if !self.by_size.contains_key(&size) {
+            let largest = self.by_size.values().rev().flatten().next();
+            let child = largest.map_or(bench, |c| &**c).resized(size);
+            self.by_size.insert(size, child);
+        }
     }
 
     /// [`Self::ensure`] the job's size, then [`Self::run`] it.

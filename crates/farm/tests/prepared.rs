@@ -19,7 +19,7 @@ use petal_apps::tridiagonal::Tridiagonal;
 use petal_apps::{benchmark_from_spec, Benchmark, Instance};
 use petal_core::plan::{PlanBuilder, Step, StepKind};
 use petal_core::stencil::Span;
-use petal_core::{Config, Executor, Placement, Program, Selector, Tunable};
+use petal_core::{Config, Executor, MatrixId, Placement, Plan, Program, Selector, Tunable};
 use petal_farm::session::{serve_jobs, Framed};
 use petal_farm::wire::{Message, WIRE_VERSION};
 use petal_farm::{evaluate_job, job_seed, EvalFarm, EvalJob, EvalResult, FarmSettings, JobOutcome};
@@ -28,8 +28,9 @@ use petal_gpu::profile::MachineProfile;
 use petal_tuner::{mutate::mutate, Autotuner, TunerSettings};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The seven benchmarks, small enough for a debug-build sweep and large
 /// enough that at least two rungs of the size ladder run.
@@ -306,15 +307,12 @@ fn trial_matrices(
 ) -> (Vec<Placement>, Vec<Vec<u64>>) {
     let Instance { mut world, plan, .. } = bench.instantiate(machine, cfg);
     let mut placements = Vec::new();
-    let mut touched = plan.outputs().to_vec();
     for step in plan.steps() {
         if let StepKind::Stencil(s) = &step.kind {
             placements.push(s.placement);
         }
-        touched.extend(step.reads().iter().chain(step.writes()));
     }
-    touched.sort_unstable();
-    touched.dedup();
+    let touched = touched(&plan);
     Executor::new(machine).run(plan, &mut world).expect("the trial runs");
     let bits = |id| {
         // An intermediate nobody read is still on the device: pull it.
@@ -322,6 +320,18 @@ fn trial_matrices(
         world.get(id).as_slice().iter().map(|x| x.to_bits()).collect()
     };
     (placements, touched.into_iter().map(bits).collect())
+}
+
+/// Every matrix a step of `plan` reads or writes, and its outputs, once
+/// each.
+fn touched(plan: &Plan) -> Vec<MatrixId> {
+    let mut touched = plan.outputs().to_vec();
+    for step in plan.steps() {
+        touched.extend(step.reads().iter().chain(step.writes()));
+    }
+    touched.sort_unstable();
+    touched.dedup();
+    touched
 }
 
 /// SVD's memoised eigendecomposition is invisible in the `World`: whatever
@@ -612,5 +622,224 @@ fn a_wrapped_benchmark_sees_one_instantiate_per_trial_and_tunes_identically() {
         assert_eq!(tuned.stats, plain.stats);
         assert_eq!(calls.instantiate.load(Ordering::Relaxed), tune * plain.stats.trials);
         assert_eq!(calls.resized.load(Ordering::Relaxed), 3, "one child per ladder size");
+    }
+}
+
+/// Black-Scholes' ladder rungs, each with what a fresh object's trial
+/// leaves, memoised: sizes in any order, a rung (1 000 options, priced as
+/// 64 × 16) that is no power of two, and one (6 000) above the full size.
+struct Rungs {
+    machine: MachineProfile,
+    configs: Vec<Config>,
+    want: BTreeMap<(u64, usize), Vec<Vec<u64>>>,
+}
+
+impl Rungs {
+    const ORDERS: [&'static [u64]; 4] = [
+        &[64, 1_000, 4_096],
+        &[4_096, 1_000, 64],
+        &[1_000, 1_000, 4_096, 64, 4_096],
+        &[1_000, 6_000, 64, 4_096],
+    ];
+
+    /// The default configuration on the CPU, on the device, and split 6⁄8.
+    fn new() -> Self {
+        let machine = MachineProfile::desktop();
+        let full = BlackScholes::new(4_096);
+        let configs = [(0, 8), (1, 8), (1, 6)]
+            .map(|(choice, ratio)| {
+                let mut cfg = full.program(&machine).default_config(&machine);
+                cfg.set_selector("blackscholes", Selector::constant(choice, 2));
+                cfg.set_tunable("blackscholes.gpu_ratio", Tunable::new(ratio, 0, 8));
+                cfg
+            })
+            .to_vec();
+        Rungs { machine, configs, want: BTreeMap::new() }
+    }
+
+    /// The matrices a trial of `BlackScholes::new(size)` under config `c`
+    /// leaves.
+    fn want(&mut self, size: u64, c: usize) -> &Vec<Vec<u64>> {
+        let (machine, cfg) = (&self.machine, &self.configs[c]);
+        self.want
+            .entry((size, c))
+            .or_insert_with(|| trial_matrices(&BlackScholes::new(size as usize), machine, cfg).1)
+    }
+
+    /// Every configuration's trial on `bench` leaves what a fresh object's
+    /// does.
+    fn assert_fresh(&mut self, bench: &dyn Benchmark, what: &str) {
+        for c in 0..self.configs.len() {
+            let got = trial_matrices(bench, &self.machine, &self.configs[c]).1;
+            assert_eq!(&got, self.want(bench.input_size(), c), "{what}, config {c}");
+        }
+    }
+}
+
+/// A child resized from a sibling builds its prepared state on the
+/// sibling's priced prefix, and leaves what a fresh object leaves: along
+/// direct `resized` chains, each child resized from the one before and the
+/// first from the full-size object, in ascending, descending, repeated and
+/// shuffled order, with the full-size object prepared or not, each child
+/// prepared before the next is built or none until the chain is done, bare
+/// and inside [`Poisoning`].
+#[test]
+fn blackscholes_rungs_resized_from_one_another_equal_fresh_objects() {
+    let mut rungs = Rungs::new();
+    for order in Rungs::ORDERS {
+        for root_prepared in [false, true] {
+            for prepare_as_built in [false, true] {
+                for poisoned in [false, true] {
+                    let bare = Box::new(BlackScholes::new(4_096));
+                    let root: Box<dyn Benchmark> =
+                        if poisoned { Box::new(Poisoning::new(bare)) } else { bare };
+                    let what = format!(
+                        "order {order:?}, root prepared {root_prepared}, \
+                         prepared as built {prepare_as_built}, poisoned {poisoned}"
+                    );
+                    if root_prepared {
+                        rungs.assert_fresh(&*root, &format!("{what}: the root"));
+                    }
+                    let mut chain: Vec<Box<dyn Benchmark>> = Vec::new();
+                    for &size in order {
+                        let parent = chain.last().map_or(&*root, |c| &**c);
+                        let child = parent.resized(size).expect("every rung is an instance");
+                        if prepare_as_built {
+                            rungs.assert_fresh(&*child, &format!("{what}: {size} as built"));
+                        }
+                        chain.push(child);
+                    }
+                    for child in &chain {
+                        let size = child.input_size();
+                        rungs.assert_fresh(&**child, &format!("{what}: {size} after the chain"));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Records, when a trial is checked, the bits of every matrix its plan
+/// touches; its children record into the same log.
+struct Recording {
+    inner: Box<dyn Benchmark>,
+    log: Arc<Mutex<Vec<Vec<Vec<u64>>>>>,
+}
+
+impl Benchmark for Recording {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn spec(&self) -> String {
+        self.inner.spec()
+    }
+    fn input_size(&self) -> u64 {
+        self.inner.input_size()
+    }
+    fn program(&self, machine: &MachineProfile) -> Program {
+        self.inner.program(machine)
+    }
+    fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
+        let Instance { world, plan, check } = self.inner.instantiate(machine, cfg);
+        let (touched, log) = (touched(&plan), Arc::clone(&self.log));
+        let check = Box::new(move |w: &petal_core::World| {
+            let bits = |id| w.get(id).as_slice().iter().map(|x| x.to_bits()).collect();
+            log.lock()
+                .expect("no recorder panicked")
+                .push(touched.iter().map(|&id| bits(id)).collect());
+            check(w)
+        });
+        Instance { world, plan, check }
+    }
+    fn resized(&self, size: u64) -> Option<Box<dyn Benchmark>> {
+        let inner = self.inner.resized(size)?;
+        Some(Box::new(Recording { inner, log: Arc::clone(&self.log) }))
+    }
+    fn dynamic_config_keys(&self) -> Vec<String> {
+        self.inner.dynamic_config_keys()
+    }
+}
+
+/// The object a session is handed: counts its own `resized` and
+/// `instantiate` calls, and hands out poisoned, recording children.
+struct Handed {
+    inner: BlackScholes,
+    calls: Calls,
+    log: Arc<Mutex<Vec<Vec<Vec<u64>>>>>,
+}
+
+impl Benchmark for Handed {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn spec(&self) -> String {
+        self.inner.spec()
+    }
+    fn input_size(&self) -> u64 {
+        self.inner.input_size()
+    }
+    fn program(&self, machine: &MachineProfile) -> Program {
+        self.inner.program(machine)
+    }
+    fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
+        self.calls.instantiate.fetch_add(1, Ordering::Relaxed);
+        self.inner.instantiate(machine, cfg)
+    }
+    fn resized(&self, size: u64) -> Option<Box<dyn Benchmark>> {
+        self.calls.resized.fetch_add(1, Ordering::Relaxed);
+        let inner = Box::new(Poisoning::new(self.inner.resized(size)?));
+        Some(Box::new(Recording { inner, log: Arc::clone(&self.log) }))
+    }
+    fn dynamic_config_keys(&self) -> Vec<String> {
+        self.inner.dynamic_config_keys()
+    }
+}
+
+/// Through a farm's session, rungs asked for in any order — one batch
+/// per size, as the tuner asks — leave what fresh objects leave, after a
+/// `reset()` too. The handed object is resized once per session, for the
+/// first child, and never instantiated: the session prepares its own
+/// children only.
+#[test]
+fn blackscholes_rungs_in_a_session_equal_fresh_objects_and_leave_the_handed_one_cold() {
+    let mut rungs = Rungs::new();
+    for order in Rungs::ORDERS {
+        for threads in [1, 2] {
+            let log = Arc::default();
+            let handed = Handed {
+                inner: BlackScholes::new(4_096),
+                calls: Calls::default(),
+                log: Arc::clone(&log),
+            };
+            let mut farm =
+                EvalFarm::new(&FarmSettings { threads, ..FarmSettings::sequential() }, true);
+            for pass in 0..2 {
+                for &size in order {
+                    let jobs: Vec<EvalJob> = rungs
+                        .configs
+                        .iter()
+                        .map(|config| EvalJob {
+                            config: config.clone(),
+                            size,
+                            engine_seed: job_seed(29, size, 0),
+                        })
+                        .collect();
+                    let results = farm.evaluate(&handed, &rungs.machine, &jobs);
+                    assert!(results.iter().all(|r| r.fitness.is_some()), "every trial checks");
+                    // Threads record in the order they finish: compare as sorted lists.
+                    let mut got = std::mem::take(&mut *log.lock().expect("no recorder panicked"));
+                    let mut want: Vec<_> =
+                        (0..jobs.len()).map(|c| rungs.want(size, c).clone()).collect();
+                    got.sort();
+                    want.sort();
+                    let what =
+                        format!("order {order:?}, {threads} threads, pass {pass}, size {size}");
+                    assert_eq!(got, want, "{what}");
+                }
+                farm.reset();
+            }
+            assert_eq!(handed.calls.resized.load(Ordering::Relaxed), 1, "order {order:?}");
+            assert_eq!(handed.calls.instantiate.load(Ordering::Relaxed), 0, "order {order:?}");
+        }
     }
 }

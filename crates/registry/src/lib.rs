@@ -547,16 +547,19 @@ impl DirStore {
     }
 
     /// The directory's files with extension `ext`, sorted by file name.
+    /// (The names are sorted before they are joined to the directory:
+    /// one directory, so the same order, without `Path`'s comparison
+    /// re-parsing every component.)
     fn files(&self, ext: &str) -> Result<Vec<PathBuf>, RegistryError> {
         let rd = std::fs::read_dir(&self.dir)
             .map_err(|source| RegistryError::Io { path: self.dir.clone(), source })?;
-        let mut files: Vec<PathBuf> = rd
+        let mut names: Vec<_> = rd
             .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == ext))
+            .map(|e| e.file_name())
+            .filter(|name| Path::new(name).extension().is_some_and(|x| x == ext))
             .collect();
-        files.sort();
-        Ok(files)
+        names.sort_unstable();
+        Ok(names.into_iter().map(|name| self.dir.join(name)).collect())
     }
 
     /// Read every entry file, sorted by file name (= key hash), skipping
@@ -1009,6 +1012,29 @@ mod tests {
             std::env::temp_dir().join(format!("petal-registry-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         DirStore::open(dir).expect("temp registry opens")
+    }
+
+    /// `files` lists in the order a sort of the full paths gives, over
+    /// names of mixed length, case and alphabet, and leaves out other
+    /// extensions.
+    #[test]
+    fn files_are_listed_in_full_path_order() {
+        let reg = temp_registry("files");
+        let names = [
+            "ff.reg", "0.reg", "0a1b.reg", "0A1B.reg", "00.reg", "a-b.reg", "a.b.reg", "a_b.reg",
+            "~z.reg", "z.reg", "Zed.reg", "10.reg", "9.reg", "x.tmp", "reg", ".reg",
+        ];
+        for name in names {
+            std::fs::write(reg.dir().join(name), "").expect("write");
+        }
+        let mut want: Vec<PathBuf> = std::fs::read_dir(reg.dir())
+            .expect("read_dir")
+            .map(|e| e.expect("entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == ENTRY_EXT))
+            .collect();
+        want.sort();
+        assert_eq!(want.len(), 13);
+        assert_eq!(reg.files(ENTRY_EXT).expect("files"), want);
     }
 
     fn entry(machine: MachineProfile, time_secs: f64) -> StoredEntry {
