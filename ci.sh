@@ -80,13 +80,16 @@ wait_for_log() { # <file> <pattern>, polled for up to 10 s
   return 1
 }
 
-echo "== farmd loopback smoke (dispatcher + 2 workers on a unix socket, one injected kill)"
-# fig2 (smoke sweep) and fig7 (Black-Scholes) run against a live
-# petal-farmd pool via PETAL_FARMD; worker ci-a kills itself mid-run
-# (--fail-after) so the re-queue path is exercised in every CI run — the
-# dispatcher's log must say it re-queued. ci-a registers first, so it is
-# the lowest-id worker and every generation's first jobs go to it. The
-# figures' own asserts prove results match the in-process farm.
+echo "== farmd loopback smoke (dispatcher + 2 workers on a unix socket, two concurrent sessions, one injected kill)"
+# fig2 (smoke sweep) and fig7 (Black-Scholes) run at the same time against
+# a live petal-farmd pool via PETAL_FARMD, so two sessions whose job
+# indices overlap interleave on the same two workers — the dispatcher
+# numbers each worker connection's JOBs itself, and each figure's own
+# asserts prove it got its own answers, equal to the in-process farm's.
+# Worker ci-a kills itself mid-run (--fail-after) so the re-queue path is
+# exercised in every CI run — the dispatcher's log must say it re-queued.
+# ci-a registers first, so it is the lowest-id worker and every
+# generation's first jobs go to it.
 FARMD_SOCK="$(mktemp -u /tmp/petal-farmd-ci.XXXXXX.sock)"
 FARMD_LOG="$(mktemp /tmp/petal-farmd-ci.XXXXXX.log)"
 ./target/release/petal-farmd --listen "unix:$FARMD_SOCK" 2>"$FARMD_LOG" &
@@ -97,8 +100,14 @@ wait_for_log "$FARMD_LOG" '`ci-a` joined' \
 ./target/release/petal-shard --connect "unix:$FARMD_SOCK" --name ci-b &
 WORKER_B_PID=$!
 trap 'kill "$FARMD_PID" "$WORKER_B_PID" 2>/dev/null || true; rm -f "$FARMD_SOCK" "$FARMD_LOG"' EXIT
-PETAL_SMOKE=1 PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig2_convolution >/dev/null
-PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig7_migration scholes >/dev/null
+PETAL_SMOKE=1 PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig2_convolution >/dev/null &
+FIG2_PID=$!
+PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig7_migration scholes >/dev/null &
+FIG7_PID=$!
+wait "$FIG2_PID" \
+  || { echo "loopback smoke: fig2 failed beside fig7"; kill "$FIG7_PID"; cat "$FARMD_LOG"; exit 1; }
+wait "$FIG7_PID" \
+  || { echo "loopback smoke: fig7 failed beside fig2"; cat "$FARMD_LOG"; exit 1; }
 kill "$FARMD_PID" 2>/dev/null || true
 wait "$FARMD_PID" 2>/dev/null || true
 grep -q 're-queueing' "$FARMD_LOG" \

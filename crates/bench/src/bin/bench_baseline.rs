@@ -1,19 +1,18 @@
 //! Reference-number baseline for `crates/bench`.
 //!
 //! Runs a fixed, deterministic set of simulator workloads and reports, per
-//! entry, the **virtual** seconds (a pure function of the cost model —
-//! identical on every host) and the **host** milliseconds (meaningful only
-//! on the pinned machine that generated the committed baseline).
+//! entry, the **virtual** seconds: a pure function of the cost model,
+//! identical on every host. (Host time has its own ruler, `benchmark/`.)
 //!
 //! Modes:
 //!
 //! * no args — print the baseline JSON to stdout;
 //! * `--write` — regenerate `BENCH_baseline.json` at the repo root (do
 //!   this, and commit the diff, in any PR that intentionally changes the
-//!   cost model or the simulator's hot paths);
+//!   cost model);
 //! * `--check-virtual` — recompute every `virtual_secs` and compare it
 //!   with the committed `virtual_bits` **exactly** (not even one ULP of
-//!   drift); host times are reported but never asserted. Virtual time is
+//!   drift). Virtual time is
 //!   a pure function of the cost model, so this is deterministic on every
 //!   host; CI runs it to prove the simulator's *answers* did not move, and
 //!   a cost-model change has to be a conscious `--write`.
@@ -23,23 +22,16 @@ use petal_apps::{all_benchmarks, Benchmark};
 use petal_bench::str_field;
 use petal_gpu::profile::MachineProfile;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 struct Entry {
     key: String,
     virtual_secs: f64,
-    host_ms: f64,
 }
 
 fn measure(bench: &dyn Benchmark, machine: &MachineProfile, key: String) -> Entry {
     let cfg = bench.program(machine).default_config(machine);
-    let t0 = Instant::now();
     let report = bench.run_with_config(machine, &cfg).expect("baseline workload runs");
-    Entry {
-        key,
-        virtual_secs: report.virtual_time_secs(),
-        host_ms: t0.elapsed().as_secs_f64() * 1e3,
-    }
+    Entry { key, virtual_secs: report.virtual_time_secs() }
 }
 
 fn entries() -> Vec<Entry> {
@@ -58,28 +50,24 @@ fn entries() -> Vec<Entry> {
     let bench = SeparableConvolution::new(128, 7);
     for mapping in ConvMapping::all() {
         let cfg = bench.mapping_config(&machine, mapping);
-        let t0 = Instant::now();
         let report = bench.run_with_config(&machine, &cfg).expect("mapping runs");
         out.push(Entry {
             key: format!("Desktop/fig2_{}", mapping.label().replace(' ', "_")),
             virtual_secs: report.virtual_time_secs(),
-            host_ms: t0.elapsed().as_secs_f64() * 1e3,
         });
     }
     out
 }
 
 fn render(entries: &[Entry]) -> String {
-    let mut s = String::from("{\n  \"comment\": \"reference numbers from crates/bench; virtual_secs is host-independent, host_ms is from the pinned baseline machine\",\n  \"entries\": [\n");
+    let mut s = String::from("{\n  \"comment\": \"reference numbers from crates/bench; virtual_secs is host-independent\",\n  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"key\": \"{}\", \"virtual_secs\": {:.9e}, \"virtual_bits\": \"{}\", \
-             \"host_ms\": {:.3}}}{}",
+            "    {{\"key\": \"{}\", \"virtual_secs\": {:.9e}, \"virtual_bits\": \"{}\"}}{}",
             e.key,
             e.virtual_secs,
             petal_apps::spec_f64(e.virtual_secs),
-            e.host_ms,
             if i + 1 == entries.len() { "" } else { "," }
         );
     }
@@ -137,11 +125,10 @@ fn main() {
                     drift += 1;
                 }
                 println!(
-                    "{} {key}: virtual {:.6e} -> {:.6e} (host {:.2} ms)",
+                    "{} {key}: virtual {:.6e} -> {:.6e}",
                     if ok { "ok  " } else { "DRIFT" },
                     want.virtual_bits,
-                    got.virtual_secs,
-                    got.host_ms
+                    got.virtual_secs
                 );
             }
             assert!(

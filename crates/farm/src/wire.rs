@@ -257,6 +257,21 @@ pub fn split(line: &str) -> Result<(&str, Vec<Cow<'_, str>>), WireError> {
     Ok((tag, fields))
 }
 
+/// `record` — a `JOB` or `RESULT` line, whose first field is its index —
+/// with that index replaced by `index` and every other byte copied: how a
+/// relay renumbers a record without decoding the rest of it.
+///
+/// # Errors
+/// A line whose first field is not framed.
+pub fn with_index(record: &str, index: u64) -> Result<String, WireError> {
+    let unframed = || WireError::new("no index field to replace");
+    let (tag, fields) = record.split_once(' ').ok_or_else(unframed)?;
+    let (len, tail) = fields.split_once(':').ok_or_else(unframed)?;
+    let rest = len.parse().ok().and_then(|len: usize| tail.get(len..)).ok_or_else(unframed)?;
+    let digits = index.checked_ilog10().map_or(1, |d| d + 1);
+    Ok(format!("{tag} {digits}:{index}{rest}"))
+}
+
 /// Typed cursor over a record's fields.
 struct FieldReader<'a> {
     tag: &'a str,
@@ -489,7 +504,10 @@ pub enum Message {
     },
     /// Parent → worker: evaluate one candidate.
     Job {
-        /// Submission index; echoed back in the matching [`Message::Result`].
+        /// The job's index on this link, echoed back in the matching
+        /// [`Message::Result`]: the client's submission index, except on a
+        /// dispatcher's connection to a worker, where the *k*-th `JOB` it
+        /// sends (from 0) carries *k* whatever session the job is from.
         index: u64,
         /// The evaluation request.
         job: EvalJob,
@@ -497,7 +515,9 @@ pub enum Message {
     /// Worker → parent: the raw outcome of one job (un-priced compile
     /// events included — the parent's submission-order merge prices them).
     Result {
-        /// The `index` of the [`Message::Job`] this answers.
+        /// The `index` of the [`Message::Job`] this answers, as this link
+        /// numbered it (a dispatcher hands a worker's answer to the client
+        /// under the client's own index).
         index: u64,
         /// Raw trial outcome.
         outcome: JobOutcome,
@@ -923,6 +943,25 @@ mod tests {
         }
         assert!(Record::parse("REG-GET 1:x").is_err());
         assert!(Record::parse("reg_get 1:x").is_err());
+    }
+
+    #[test]
+    fn with_index_renumbers_a_record_and_keeps_every_other_byte() {
+        let mut config = Config::new();
+        config.set_selector("sort", Selector::new(vec![64, 4096], vec![2, 0, 1], 3));
+        let job = EvalJob { config, size: 64, engine_seed: 9 };
+        let outcome = JobOutcome { fitness: None, ran: false, makespan: 1.5, compiles: vec![] };
+        for (from, to) in [(0, 7), (7, 0), (9, 10), (12_345, 3), (3, u64::MAX)] {
+            let sent = Message::Job { index: from, job: job.clone() }.encode();
+            let want = Message::Job { index: to, job: job.clone() }.encode();
+            assert_eq!(with_index(&sent, to).expect("a JOB"), want);
+            let sent = Message::Result { index: from, outcome: outcome.clone() }.encode();
+            let want = Message::Result { index: to, outcome: outcome.clone() }.encode();
+            assert_eq!(with_index(&sent, to).expect("a RESULT"), want);
+        }
+        for bad in ["JOB", "JOB 1", "JOB x:1 1:2", "JOB 9:1 1:2", "DONE"] {
+            assert!(with_index(bad, 1).is_err(), "`{bad}`");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::journal::{self, Entry, COMPACT_DEAD_THRESHOLD};
 use crate::registry::{Ack, JobKey, Registry};
 use crate::FarmdOptions;
-use petal_farm::wire::{Message, Record, WIRE_VERSION};
+use petal_farm::wire::{with_index, Message, Record, WIRE_VERSION};
 use petal_farm::JobOutcome;
 use petal_gpu::profile::MachineProfile;
 use std::collections::btree_map::Entry as Slot;
@@ -43,7 +43,8 @@ pub(crate) enum Event {
     Resume { token: u64, nonce: u64 },
     /// A run of `JOB`s, each its index and its record as the peer sent it.
     Jobs(Vec<(u64, String)>),
-    /// A run of `RESULT`s, in the order the worker wrote them.
+    /// A run of `RESULT`s, in the order the worker wrote them, each
+    /// indexed as its `JOB` was on the worker's connection.
     Results(Vec<(u64, JobOutcome)>),
     /// Any other record after the handshake.
     Msg(Message),
@@ -383,19 +384,19 @@ impl Dispatcher {
     }
 
     /// Judge a run of a worker's `RESULT`s and record, journal and forward
-    /// each first answer to its job: recorded before sent, so a crash
-    /// between the two re-serves the outcome on resume instead of losing
-    /// it, and a detached session just records. Duplicate and stale
-    /// answers are dropped; disorder tears the worker down after the
-    /// answers before it.
+    /// each first answer to its job, under the client's index: recorded
+    /// before sent, so a crash between the two re-serves the outcome on
+    /// resume instead of losing it, and a detached session just records.
+    /// Duplicate and stale answers are dropped; disorder tears the worker
+    /// down after the answers before it.
     fn complete(&mut self, id: u64, results: Vec<(u64, JobOutcome)>) {
         self.registry.touch(id, self.now);
-        for (index, outcome) in results {
-            let (session, index) = match self.registry.complete(id, index) {
+        for (n, outcome) in results {
+            let (session, index) = match self.registry.complete(id, n) {
                 Ack::Fresh(key) => key,
                 Ack::Duplicate | Ack::Stale => continue,
                 Ack::Disorder => {
-                    let reason = format!("RESULT {index} violates FIFO order");
+                    let reason = format!("RESULT {n} violates FIFO order");
                     return self.lose_worker(id, &reason, true);
                 }
             };
@@ -490,7 +491,9 @@ impl Dispatcher {
     /// One scheduler pass: expire silent workers, assign queued jobs,
     /// reap detached sessions whose resume window lapsed, and close the
     /// sessions an empty fleet starved. Only a `Tick` assigns, so each
-    /// worker's `JOB`s go out in the order of its in-flight FIFO.
+    /// worker's `JOB`s go out in the order of its in-flight FIFO, each
+    /// the client's record with the index [`Registry::assign`] numbers it
+    /// by on the worker's connection.
     fn tick(&mut self) {
         let now = self.now;
         // Expiry: drain workers past the heartbeat deadline and reclaim
@@ -525,8 +528,8 @@ impl Dispatcher {
                 lines.push(Message::Init { version: WIRE_VERSION, bench_spec, machine }.encode());
                 self.registry.set_session(worker, key.0);
             }
-            self.registry.assign(worker, key);
-            lines.push(job.clone());
+            let n = self.registry.assign(worker, key);
+            lines.push(with_index(job, n).expect("a held JOB was decoded when it was accepted"));
         }
 
         // Linger: a detached session whose client never resumed is
@@ -730,12 +733,13 @@ pub(crate) mod tests {
         JobOutcome { fitness: Some(fitness), ran: true, makespan: fitness, compiles: Vec::new() }
     }
 
-    /// A worker process: the jobs it was sent, oldest first, while its
-    /// connection lives.
+    /// A worker process: the jobs it was sent, oldest first, and the
+    /// answers it wrote, while its connection lives.
     #[derive(Default)]
     struct SimWorker {
         conn: Option<ConnId>,
         pending: VecDeque<(u64, u64)>,
+        answered: Vec<(u64, JobOutcome)>,
     }
 
     /// A tuner's farm link: its session, the jobs it submitted, the
@@ -853,7 +857,7 @@ pub(crate) mod tests {
             }
             self.closing.insert(conn);
             for w in self.workers.iter_mut().filter(|w| w.conn == Some(conn)) {
-                (w.conn, w.pending) = (None, VecDeque::new());
+                *w = SimWorker::default();
             }
             for c in self.clients.iter_mut().filter(|c| c.conn == Some(conn)) {
                 c.conn = None;
@@ -878,7 +882,8 @@ pub(crate) mod tests {
             }
             assert_eq!(d.registry.ids(), d.workers.keys().copied().collect::<Vec<_>>());
             // Each worker's JOBs, in the order it was sent them, are the
-            // ones it answered and then its in-flight FIFO.
+            // ones it answered and then its in-flight FIFO, the k-th with
+            // index k and otherwise as the client sent it.
             let mut held: BTreeSet<JobKey> = d.state.queue.iter().copied().collect();
             for (&id, conn) in &d.workers {
                 let w = d.registry.get(id).expect("registered");
@@ -886,8 +891,9 @@ pub(crate) mod tests {
                 if w.state == crate::registry::WorkerState::Ready {
                     let unanswered = &sent[usize::try_from(w.served).expect("small")..];
                     assert_eq!(unanswered.len(), w.inflight.len(), "worker {id}'s FIFO");
-                    for (line, key) in unanswered.iter().zip(&w.inflight) {
-                        assert!(d.state.jobs.get(key).map_or(true, |job| job == line));
+                    for ((line, key), n) in unanswered.iter().zip(&w.inflight).zip(w.served..) {
+                        let numbered = |job: &String| with_index(job, n).expect("a JOB");
+                        assert!(d.state.jobs.get(key).map_or(true, |job| *line == numbered(job)));
                     }
                 }
                 held.extend(w.inflight.iter().copied());
@@ -972,8 +978,9 @@ pub(crate) mod tests {
             self.step(conn, Event::Register { name: "sim".into(), slots, pid: 0 });
         }
 
-        /// A worker answers a run of its oldest jobs, now and then with a
-        /// frame duplicated, a heartbeat inside, or two answers swapped.
+        /// A worker answers a run of its oldest jobs, now and then with
+        /// any answer it already wrote on this connection written again
+        /// after the original, or two neighbouring answers swapped.
         fn answer(&mut self) {
             let Some(i) = self.alive_worker() else { return };
             let w = &mut self.workers[i];
@@ -983,15 +990,15 @@ pub(crate) mod tests {
             if run.is_empty() {
                 return;
             }
-            // A `RESULT` names its index, not its session, so a duplicated
-            // frame is told from the answer to the next job only when the
-            // next job's index differs (see ROADMAP item 6).
-            let last = run[run.len() - 1].clone();
-            if self.rng.percent(15) && w.pending.front().map_or(true, |&(i, _)| i != last.0) {
-                run.push(last);
+            w.answered.extend(run.iter().cloned());
+            if self.rng.percent(15) {
+                let again = w.answered[self.rng.below(w.answered.len())].clone();
+                let after = run.iter().position(|(i, _)| *i == again.0).map_or(0, |at| at + 1);
+                run.insert(after + self.rng.below(run.len() + 1 - after), again);
             }
-            if run.len() > 1 && run[0].0 != run[1].0 && self.rng.percent(3) {
-                run.swap(0, 1);
+            if run.len() > 1 && self.rng.percent(3) {
+                let at = self.rng.below(run.len() - 1);
+                run.swap(at, at + 1);
             }
             let conn = w.conn.expect("alive");
             self.step(conn, Event::Results(run));
@@ -1084,7 +1091,7 @@ pub(crate) mod tests {
             self.h.d = Dispatcher::new(state, self.opts.clone(), true, self.h.now);
             self.gone.append(&mut self.closing);
             for w in &mut self.workers {
-                (w.conn, w.pending) = (None, VecDeque::new());
+                *w = SimWorker::default();
             }
             for c in &mut self.clients {
                 c.conn = None;
@@ -1136,6 +1143,39 @@ pub(crate) mod tests {
                 }
             }
             assert!(self.h.d.state.sessions.is_empty() && self.h.d.state.jobs.is_empty());
+        }
+    }
+
+    /// Two sessions each submit their job 0 and one worker takes both:
+    /// its first `RESULT` frame arriving twice is dropped the second time,
+    /// so each client is sent its own outcome and nothing else.
+    #[test]
+    fn a_repeated_result_frame_is_never_forwarded_to_another_session() {
+        let mut h = Harness::new(&FarmdOptions::default());
+        let worker = h.connect();
+        h.step(worker, Event::Register { name: "w".into(), slots: 2, pid: 0 });
+        let clients = [h.connect(), h.connect()];
+        for (seed, &client) in (0..).zip(&clients) {
+            let machine = Box::new(MachineProfile::laptop());
+            h.step(client, Event::Open { bench_spec: "sort n=64".into(), machine, nonce: seed });
+            let job = EvalJob { config: Default::default(), size: 64, engine_seed: seed };
+            h.step(client, Event::Jobs(vec![(0, Message::Job { index: 0, job }.encode())]));
+        }
+        h.schedule();
+        let records = |h: &Harness, conn| -> Vec<Message> {
+            h.sent[&conn].iter().map(|line| Message::decode(line).expect("a record")).collect()
+        };
+        let sent: Vec<u64> = (records(&h, worker).into_iter())
+            .filter_map(|msg| if let Message::Job { index, .. } = msg { Some(index) } else { None })
+            .collect();
+        assert_eq!(sent.len(), 2, "one worker holds both jobs");
+        h.step(worker, Event::Results(vec![(sent[0], answer(0)), (sent[0], answer(0))]));
+        h.step(worker, Event::Results(vec![(sent[1], answer(1))]));
+        for (seed, client) in (0..).zip(clients) {
+            let results: Vec<Message> = (records(&h, client).into_iter())
+                .filter(|msg| matches!(msg, Message::Result { .. }))
+                .collect();
+            assert_eq!(results, [Message::Result { index: 0, outcome: answer(seed) }]);
         }
     }
 

@@ -18,11 +18,14 @@
 //!
 //! The dispatcher never evaluates, prices, or reorders anything
 //! semantically: jobs are pure functions of their [`petal_farm::EvalJob`]
-//! and every `RESULT` is keyed by the client's submission index, so the
-//! client's submission-order merge (where all compile re-pricing lives)
-//! sees the same values no matter which worker answered, how often a job
-//! was retried, or in what order answers arrived. The dispatcher's only
-//! obligations are *exactly-once forwarding* per index (the registry's
+//! and every `RESULT` a client is sent is keyed by its own submission
+//! index, so the client's submission-order merge (where all compile
+//! re-pricing lives) sees the same values no matter which worker
+//! answered, how often a job was retried, or in what order answers
+//! arrived. On a worker's connection a job is known by the dispatcher's
+//! count of the `JOB`s sent there instead, so a worker's `RESULT` names
+//! exactly one job whichever sessions it serves. The dispatcher's only
+//! obligations are *exactly-once forwarding* per job (the registry's
 //! FIFO + verdicts) and *eventual completion* (re-queue on loss) —
 //! scheduling is free to be elastic.
 //!
@@ -54,8 +57,9 @@
 //! journal records are one step, so no other thread (and no journal
 //! compaction) can find a job that is neither unanswered nor done. Each
 //! worker's assignment goes out in one write per `Tick`, carrying each
-//! job's wire text as the client sent it: a `JOB` is decoded once, to
-//! refuse a malformed one, and never re-encoded.
+//! job's wire text as the client sent it but for its index (spliced by
+//! `petal_farm::wire::with_index`): a `JOB` is decoded once, to refuse a
+//! malformed one, and never re-encoded.
 //!
 //! ## One copy of the state, one path that changes it
 //!
@@ -90,7 +94,6 @@
 mod conn;
 mod dispatcher;
 mod journal;
-pub mod proxy;
 pub mod registry;
 
 use conn::ConnWriter;
@@ -624,16 +627,15 @@ mod tests {
             client.send(&[Message::Job { index: 0, job: job.clone() }]);
         }
         let outcome = JobOutcome { fitness: Some(1.0), ran: true, makespan: 1.0, compiles: vec![] };
-        let mut jobs = 0;
-        while jobs < 2 {
-            if let Message::Job { .. } = worker.recv() {
-                jobs += 1;
+        let mut results = Vec::new();
+        while results.len() < 2 {
+            if let Message::Job { index, .. } = worker.recv() {
+                results.push(Message::Result { index, outcome: outcome.clone() });
             }
         }
-        let result = Message::Result { index: 0, outcome };
-        worker.send(&[result.clone(), result.clone()]);
+        worker.send(&results);
         for client in &mut clients {
-            assert_eq!(client.recv(), result);
+            assert_eq!(client.recv(), Message::Result { index: 0, outcome: outcome.clone() });
         }
     }
 }

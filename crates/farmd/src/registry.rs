@@ -20,6 +20,18 @@
 //! with a new id; ids are never reused, so a stale socket can never be
 //! confused with its successor.
 //!
+//! ## A `RESULT` names exactly one job
+//!
+//! The dispatcher sends a worker's *k*-th `JOB` on its registration with
+//! index *k* ([`Registry::assign`] returns it), whatever index the client
+//! gave the job, and the worker echoes the index it was sent. Sessions
+//! number their jobs from 0 each, so a client's index would name a job of
+//! every session the worker serves; the connection's count names one.
+//! A worker answers in arrival order, so a `RESULT` for *k* is the next
+//! answer owed when *k* equals the jobs it has answered, a re-send of an
+//! earlier answer when *k* is less, and out of order otherwise
+//! ([`Registry::complete`]).
+//!
 //! ## Why dropping duplicates is sound
 //!
 //! Jobs are pure functions of their [`petal_farm::EvalJob`], so a job
@@ -49,8 +61,8 @@ pub enum WorkerState {
 pub enum Ack {
     /// First answer to the worker's oldest inflight job: forward it.
     Fresh(JobKey),
-    /// A re-send of the job this worker just answered (duplicated frame):
-    /// drop it, the first copy was forwarded.
+    /// A re-send of an answer this worker already gave (duplicated
+    /// frame): drop it, the first copy was forwarded.
     Duplicate,
     /// From an unknown or draining worker: the job was already re-queued
     /// elsewhere, drop it.
@@ -78,10 +90,7 @@ pub struct WorkerEntry {
     /// Assigned-but-unanswered jobs, oldest first (workers answer in
     /// arrival order, so `RESULT`s must match this FIFO's front).
     pub inflight: VecDeque<JobKey>,
-    /// The job this worker most recently answered, for duplicate
-    /// detection.
-    pub last_done: Option<JobKey>,
-    /// Jobs answered (diagnostics/stats).
+    /// Jobs answered: the index of the next `RESULT` this worker owes.
     pub served: u64,
 }
 
@@ -116,7 +125,6 @@ impl Registry {
                 last_seen: now,
                 session: None,
                 inflight: VecDeque::new(),
-                last_done: None,
                 served: 0,
             },
         );
@@ -162,17 +170,16 @@ impl Registry {
         self.workers.remove(&id).map(|mut w| w.inflight.drain(..).collect()).unwrap_or_default()
     }
 
-    /// Record that `key` was sent to worker `id`.
+    /// Record that `key` is sent to worker `id`, returning the index its
+    /// `JOB` goes out with: how many jobs the registration was sent before.
     ///
     /// # Panics
     /// When `id` is unknown — assignments only target workers picked from
     /// this registry under the same lock.
-    pub fn assign(&mut self, id: u64, key: JobKey) {
-        self.workers
-            .get_mut(&id)
-            .expect("assigning to a registered worker")
-            .inflight
-            .push_back(key);
+    pub fn assign(&mut self, id: u64, key: JobKey) -> u64 {
+        let w = self.workers.get_mut(&id).expect("assigning to a registered worker");
+        w.inflight.push_back(key);
+        w.served + w.inflight.len() as u64 - 1
     }
 
     /// Record that worker `id` was `INIT`ed into `session`.
@@ -188,26 +195,26 @@ impl Registry {
         self.workers.get(&id).and_then(|w| w.session)
     }
 
-    /// Judge a `RESULT` for job index `index` arriving from worker `id`
-    /// (workers echo the index they were sent; the session half of the
-    /// key comes from the FIFO).
-    pub fn complete(&mut self, id: u64, index: u64) -> Ack {
+    /// Judge a `RESULT` with index `n` arriving from worker `id`: the
+    /// index of the `JOB` it answers on this registration, as
+    /// [`Self::assign`] numbered it. The job's key comes from the FIFO.
+    pub fn complete(&mut self, id: u64, n: u64) -> Ack {
         let Some(w) = self.workers.get_mut(&id) else {
             return Ack::Stale;
         };
         if w.state == WorkerState::Draining {
             return Ack::Stale;
         }
-        match w.inflight.front() {
-            Some(&(_, front)) if front == index => {
-                let key = w.inflight.pop_front().expect("front exists");
-                w.last_done = Some(key);
+        if n < w.served {
+            return Ack::Duplicate;
+        }
+        match w.inflight.front().copied() {
+            Some(key) if n == w.served => {
+                w.inflight.pop_front();
                 w.served += 1;
                 Ack::Fresh(key)
             }
-            _ if w.last_done.is_some_and(|(_, i)| i == index) => Ack::Duplicate,
-            Some(_) => Ack::Disorder,
-            None => Ack::Disorder,
+            _ => Ack::Disorder,
         }
     }
 
@@ -310,21 +317,41 @@ mod tests {
     fn complete_verdicts_cover_fresh_duplicate_stale_and_disorder() {
         let (mut r, t0) = reg();
         let w = r.register("w", 4, 1, t0);
-        r.assign(w, (1, 10));
-        r.assign(w, (1, 11));
+        // The worker's JOBs are numbered by the connection, not the client.
+        assert_eq!(r.assign(w, (1, 10)), 0);
+        assert_eq!(r.assign(w, (1, 11)), 1);
 
-        // In order: fresh, and the key carries the session half.
-        assert_eq!(r.complete(w, 10), Ack::Fresh((1, 10)));
+        // In order: fresh, and the key is the client's.
+        assert_eq!(r.complete(w, 0), Ack::Fresh((1, 10)));
         // Same index again: a duplicated frame, dropped.
-        assert_eq!(r.complete(w, 10), Ack::Duplicate);
+        assert_eq!(r.complete(w, 0), Ack::Duplicate);
         // Out of FIFO order (or answering a job never sent): disorder.
         assert_eq!(r.complete(w, 99), Ack::Disorder);
         // Unknown worker: stale.
-        assert_eq!(r.complete(424_242, 10), Ack::Stale);
-        // An answer with nothing inflight and no matching last_done.
-        assert_eq!(r.complete(w, 11), Ack::Fresh((1, 11)));
-        assert_eq!(r.complete(w, 12), Ack::Disorder);
+        assert_eq!(r.complete(424_242, 0), Ack::Stale);
+        assert_eq!(r.complete(w, 1), Ack::Fresh((1, 11)));
+        // An answer to a job never sent, with nothing in flight.
+        assert_eq!(r.complete(w, 2), Ack::Disorder);
         assert_eq!(r.get(w).expect("w").served, 2);
+    }
+
+    /// Two sessions' jobs with equal client indices, back to back on one
+    /// worker: a repeated answer is a duplicate, never the answer to the
+    /// other session's job, and swapped answers are out of order.
+    #[test]
+    fn a_repeated_or_swapped_answer_never_completes_another_sessions_job() {
+        let (mut r, t0) = reg();
+        let w = r.register("w", 4, 1, t0);
+        r.assign(w, (1, 0));
+        r.assign(w, (2, 0));
+        // Sent as the connection's JOBs 0 and 1; answered swapped.
+        assert_eq!(r.complete(w, 1), Ack::Disorder);
+        assert_eq!(r.complete(w, 0), Ack::Fresh((1, 0)));
+        assert_eq!(r.complete(w, 0), Ack::Duplicate, "not the answer to (2, 0)");
+        assert_eq!(r.complete(w, 1), Ack::Fresh((2, 0)));
+        r.assign(w, (3, 0));
+        assert_eq!(r.complete(w, 0), Ack::Duplicate, "an answer two back");
+        assert_eq!(r.complete(w, 2), Ack::Fresh((3, 0)));
     }
 
     #[test]
@@ -387,8 +414,8 @@ mod tests {
         assert!(r.expire(t3).is_empty());
 
         // The steady worker's FIFO is untouched by the whole episode.
-        assert_eq!(r.complete(steady, 1), Ack::Fresh((1, 1)));
-        assert_eq!(r.complete(steady, 2), Ack::Fresh((1, 2)));
+        assert_eq!(r.complete(steady, 0), Ack::Fresh((1, 1)));
+        assert_eq!(r.complete(steady, 1), Ack::Fresh((1, 2)));
 
         // Reconnection is a *fresh registration*: a new id, never a
         // reused one, so a stale socket cannot impersonate its successor.
@@ -405,7 +432,7 @@ mod tests {
         let w = r.register("w", 8, 1, t0);
         r.assign(w, (2, 4));
         r.assign(w, (2, 5));
-        assert_eq!(r.complete(w, 4), Ack::Fresh((2, 4)));
+        assert_eq!(r.complete(w, 0), Ack::Fresh((2, 4)));
         assert_eq!(r.remove(w), vec![(2, 5)]);
         assert!(r.is_empty());
         assert_eq!(r.remove(w), Vec::<JobKey>::new(), "idempotent");

@@ -3,8 +3,8 @@
 //! parse errors or silent closes), the line-length cap, client session
 //! bring-up, elastic workers joining after jobs are already queued, runs
 //! of records (what a peer writes together is handled together, in
-//! order, and crosses each hop in one write), and a shutdown that waits
-//! on no timer.
+//! order, and crosses each hop in one write), a torn `RESULT`, and a
+//! shutdown that waits on no timer.
 #![allow(clippy::disallowed_methods)] // tests time the dispatcher by the wall clock
 
 use petal_apps::Benchmark;
@@ -393,6 +393,34 @@ fn a_heartbeat_inside_a_result_run_only_touches_the_worker() {
     assert_eq!(client.in_hand(), [Message::Result { index: 1, outcome: outcome(2.0) }]);
     let stats = farmd.stats();
     assert_eq!((stats.completed, stats.workers, stats.ready), (2, 1, 1));
+}
+
+/// A worker that writes a whole `RESULT` line but its `\n`, then closes,
+/// answered nothing: the torn record is dropped, the job is re-queued to
+/// a second worker, and the client is sent exactly one `RESULT` — the
+/// second worker's.
+#[test]
+fn a_result_torn_before_its_newline_is_dropped_and_the_job_retried() {
+    let farmd = dispatcher();
+    let mut torn = worker(&farmd, 1);
+    let mut client = client(&farmd.endpoints()[0]);
+    client.send_all(&jobs(1));
+    assert!(matches!(torn.recv(), Message::Init { .. }));
+    let Message::Job { index, .. } = torn.recv() else { panic!("expected the JOB") };
+    torn.send_raw(&Message::Result { index, outcome: outcome(1.0) }.encode());
+    drop(torn);
+    let mut second = Peer::connect(&farmd.endpoints()[0]);
+    second.send(&Message::hello());
+    let _their_hello = second.recv();
+    second.send(&Message::Register { name: "second".to_owned(), slots: 1, pid: 2 });
+    assert!(matches!(second.recv(), Message::Init { .. }));
+    let Message::Job { index, .. } = second.recv() else { panic!("expected the re-queued JOB") };
+    second.send(&Message::Result { index, outcome: outcome(2.0) });
+    assert_eq!(client.recv(), Message::Result { index: 0, outcome: outcome(2.0) });
+    client.send(&Message::Done);
+    client.expect_eof(); // no second RESULT came before the close
+    let stats = farmd.stats();
+    assert_eq!((stats.completed, stats.requeues), (1, 1));
 }
 
 /// `petal-shard --fail-after 3` serves exactly three jobs, then dies:

@@ -1,9 +1,12 @@
 //! The farmd acceptance matrix: autotuning against a `petal-farmd`
 //! dispatcher — over TCP, over unix-domain sockets, with workers killed
-//! mid-batch, and with scripted frame faults on the wire — produces a
-//! `Tuned.config` (and full search trajectory) bit-identical to the
-//! in-process farm. Together with `determinism.rs` (shards ∈ {0,1,2,4})
-//! this covers the whole determinism matrix with real worker processes.
+//! mid-batch, and with the dispatcher itself killed and recovered —
+//! produces a `Tuned.config` (and full search trajectory) bit-identical
+//! to the in-process farm. Together with `determinism.rs` (shards ∈
+//! {0,1,2,4}) this covers the whole determinism matrix with real worker
+//! processes. Frame faults (duplicated, swapped and late `RESULT`s) are
+//! the dispatcher's seeded simulator's, torn records the raw-socket
+//! tests' (`crates/farmd/tests/protocol.rs`, and the torn `JOB` below).
 //!
 //! Worker processes are the same `petal-shard` binary the pipe mode
 //! uses, in `--connect` mode; `--fail-after N` makes one exit abruptly
@@ -12,15 +15,19 @@
 
 use petal_apps::blackscholes::BlackScholes;
 use petal_apps::Benchmark;
-use petal_farm::net::Endpoint;
-use petal_farm::FarmSettings;
-use petal_farmd::proxy::{ConnScript, Fault, FaultProxy};
+use petal_farm::net::{Endpoint, FarmListener};
+use petal_farm::session::{dial, Framed, CONNECT_PATIENCE};
+use petal_farm::wire::{Message, WIRE_VERSION};
+use petal_farm::{EvalJob, FarmSettings};
 use petal_farmd::{Farmd, FarmdOptions, FarmdStats};
 use petal_gpu::profile::MachineProfile;
+use petal_shard::{serve_remote, RemoteOptions};
 use petal_tuner::{Autotuner, Tuned, TunerSettings};
+use std::io::{BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A spawned worker process, killed (if still alive) on scope exit.
@@ -33,23 +40,11 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// Spawn `petal-shard --connect` against `endpoint`. `heartbeat_ms` is
-/// explicit because the proxy tests need heartbeats out of the way (they
-/// count frames). `fail_after` injects an abrupt exit after N jobs.
-fn spawn_worker(
-    endpoint: &Endpoint,
-    name: &str,
-    heartbeat_ms: u64,
-    fail_after: Option<u64>,
-) -> WorkerGuard {
+/// Spawn `petal-shard --connect` against `endpoint`. `fail_after`
+/// injects an abrupt exit after N jobs.
+fn spawn_worker(endpoint: &Endpoint, name: &str, fail_after: Option<u64>) -> WorkerGuard {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_petal-shard"));
-    cmd.arg("--connect")
-        .arg(endpoint.to_string())
-        .arg("--name")
-        .arg(name)
-        .arg("--heartbeat-ms")
-        .arg(heartbeat_ms.to_string())
-        .stdin(Stdio::null());
+    cmd.arg("--connect").arg(endpoint.to_string()).arg("--name").arg(name).stdin(Stdio::null());
     if let Some(n) = fail_after {
         cmd.arg("--fail-after").arg(n.to_string());
     }
@@ -96,8 +91,8 @@ fn farmd_over_tcp_and_unix_matches_the_in_process_farm() {
 
     let farmd = tcp_dispatcher(Duration::from_secs(2));
     let ep = farmd.endpoints()[0].clone();
-    let _a = spawn_worker(&ep, "tcp-a", 100, None);
-    let _b = spawn_worker(&ep, "tcp-b", 100, None);
+    let _a = spawn_worker(&ep, "tcp-a", None);
+    let _b = spawn_worker(&ep, "tcp-b", None);
     assert!(farmd.wait_workers(2, Duration::from_secs(10)), "workers registered");
     let got = tune(&bench, &machine, FarmSettings::remote(ep.to_string()));
     assert_trajectory_eq(&got, &want, "farmd tcp");
@@ -107,8 +102,8 @@ fn farmd_over_tcp_and_unix_matches_the_in_process_farm() {
     let path = std::env::temp_dir().join(format!("petal-churn-{}.sock", std::process::id()));
     let farmd = dispatcher(Endpoint::Unix(path), Duration::from_secs(2));
     let ep = farmd.endpoints()[0].clone();
-    let _a = spawn_worker(&ep, "unix-a", 100, None);
-    let _b = spawn_worker(&ep, "unix-b", 100, None);
+    let _a = spawn_worker(&ep, "unix-a", None);
+    let _b = spawn_worker(&ep, "unix-b", None);
     assert!(farmd.wait_workers(2, Duration::from_secs(10)), "workers registered");
     let got = tune(&bench, &machine, FarmSettings::remote(ep.to_string()));
     assert_trajectory_eq(&got, &want, "farmd unix");
@@ -135,7 +130,7 @@ fn worker_deaths_mid_batch_never_perturb_the_tuned_config() {
         let ep = farmd.endpoints()[0].clone();
         let mut guards = Vec::new();
         for (i, &fail) in fleet.iter().enumerate() {
-            guards.push(spawn_worker(&ep, &format!("churn-{i}"), 100, fail));
+            guards.push(spawn_worker(&ep, &format!("churn-{i}"), fail));
             assert!(farmd.wait_workers(i + 1, Duration::from_secs(10)), "{label}");
         }
         let got = tune(&bench, &machine, FarmSettings::remote(ep.to_string()));
@@ -164,12 +159,12 @@ fn total_fleet_loss_mid_batch_recovers_when_a_replacement_joins() {
     // and drains it. The tuner never notices.
     let farmd = tcp_dispatcher(Duration::from_secs(2));
     let ep = farmd.endpoints()[0].clone();
-    let _doomed = spawn_worker(&ep, "doomed", 100, Some(2));
+    let _doomed = spawn_worker(&ep, "doomed", Some(2));
     assert!(farmd.wait_workers(1, Duration::from_secs(10)), "doomed worker up");
     let ep_ = ep.clone();
     let replacement = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(400));
-        spawn_worker(&ep_, "replacement", 100, None)
+        spawn_worker(&ep_, "replacement", None)
     });
     let got = tune(&bench, &machine, FarmSettings::remote(ep.to_string()));
     drop(replacement.join().expect("replacement spawned"));
@@ -188,86 +183,82 @@ fn workers_joining_mid_batch_leave_results_unchanged() {
 
     let farmd = tcp_dispatcher(Duration::from_secs(2));
     let ep = farmd.endpoints()[0].clone();
-    let _a = spawn_worker(&ep, "early", 100, None);
+    let _a = spawn_worker(&ep, "early", None);
     assert!(farmd.wait_workers(1, Duration::from_secs(10)), "first worker up");
     // A second worker elastically joins while the batch is in flight.
     let ep_ = ep.clone();
     let late = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(200));
-        spawn_worker(&ep_, "late", 100, None)
+        spawn_worker(&ep_, "late", None)
     });
     let got = tune(&bench, &machine, FarmSettings::remote(ep.to_string()));
     drop(late.join().expect("late joiner spawned"));
     assert_trajectory_eq(&got, &want, "elastic join");
 }
 
+/// A dispatcher→worker `JOB` torn mid-write: the worker takes the torn
+/// record for a lost connection, dials again and re-registers, and
+/// leaves when told `GOODBYE`. The dispatcher is faked on a unix
+/// listener: `HELLO`, `INIT`, half a `JOB`, then a close. (The
+/// dispatcher's side — a dead worker connection stepped `Closed`, its
+/// jobs re-queued — is the seeded simulator's hang-ups and
+/// `worker_deaths_mid_batch_…`.)
 #[test]
-fn frame_faults_on_the_wire_never_perturb_the_tuned_config() {
-    let machine = MachineProfile::desktop();
-    let bench = BlackScholes::new(4_096);
-    let want = baseline(&bench, &machine);
-
-    // Worker A reaches the dispatcher through the fault proxy; worker B
-    // connects directly and survives everything. Heartbeats are pushed
-    // out of the test window (60 s) so the worker→dispatcher frame
-    // numbering is deterministic: 1 HELLO, 2 REGISTER, 3 READY, 4+
-    // RESULTs; the dispatcher deadline is long for the same reason —
-    // deaths here are detected by EOF, not by heartbeat lapse.
-    let scripts: &[(&str, Fault)] = &[
-        ("duplicated RESULT", Fault::DuplicateFrame(5)),
-        ("delayed RESULT", Fault::DelayAfterFrames { after: 4, delay: Duration::from_millis(300) }),
-        ("truncated RESULT then close", Fault::TruncateFrameAndClose(6)),
-        ("connection closed mid-batch", Fault::CloseAfterFrames(7)),
-    ];
-    for (label, fault) in scripts {
-        let farmd = tcp_dispatcher(Duration::from_secs(60));
-        let ep = farmd.endpoints()[0].clone();
-        let proxy = FaultProxy::start(ep.clone(), vec![vec![fault.clone()]]).expect("proxy");
-        let _a = spawn_worker(proxy.endpoint(), "proxied", 60_000, None);
-        let _b = spawn_worker(&ep, "direct", 60_000, None);
-        assert!(farmd.wait_workers(2, Duration::from_secs(10)), "{label}");
-        let got = tune(&bench, &machine, FarmSettings::remote(ep.to_string()));
-        assert_trajectory_eq(&got, &want, label);
-        let stats = farmd.stats();
-        assert_eq!(stats.queued, 0, "{label}: nothing left behind");
-        assert_eq!(stats.inflight, 0, "{label}: nothing left behind");
-    }
+fn a_job_torn_mid_write_makes_the_worker_dial_again() {
+    let sock = std::env::temp_dir().join(format!("petal-torn-{}.sock", std::process::id()));
+    let ep = Endpoint::Unix(sock);
+    let listener = FarmListener::bind(&ep).expect("bind");
+    let opts = RemoteOptions::new(ep.to_string());
+    let worker = std::thread::spawn(move || serve_remote(&opts));
+    // Accept a worker's connection through its REGISTER.
+    let registered = |listener: &FarmListener| {
+        let stream = listener.accept().expect("accept");
+        let mut wire = Framed::new(BufReader::new(stream.try_clone().expect("clone")), stream);
+        assert!(matches!(wire.expect().expect("HELLO"), Message::Hello { .. }));
+        wire.send(&Message::hello());
+        assert!(matches!(wire.expect().expect("REGISTER"), Message::Register { .. }));
+        wire
+    };
+    let (done, watchdog) = mpsc::channel();
+    let dispatcher = std::thread::spawn(move || {
+        let mut wire = registered(&listener);
+        let machine = Box::new(MachineProfile::laptop());
+        let bench_spec = "sort n=64".to_owned();
+        wire.send(&Message::Init { version: WIRE_VERSION, bench_spec, machine });
+        assert_eq!(wire.expect().expect("READY"), Message::Ready { version: WIRE_VERSION });
+        let job = EvalJob { config: Default::default(), size: 64, engine_seed: 1 };
+        let job = Message::Job { index: 0, job }.encode();
+        let (_, mut stream) = wire.into_parts();
+        stream.write_all(&job.as_bytes()[..job.len() / 2]).expect("half a JOB");
+        stream.shutdown();
+        let mut wire = registered(&listener);
+        wire.send(&Message::Goodbye { reason: "test over".to_owned() });
+        wire.flush().expect("GOODBYE");
+        done.send(()).expect("the test waits");
+    });
+    let redialed = watchdog.recv_timeout(Duration::from_secs(30));
+    assert_eq!(redialed, Ok(()), "the worker never dialed again after the torn JOB");
+    dispatcher.join().expect("the fake dispatcher's thread");
+    assert!(worker.join().expect("the worker's thread").is_ok(), "GOODBYE ends it cleanly");
 }
 
-/// A dispatcher→worker write cut mid-frame (the connection dies under
-/// the dispatcher's pen) must degrade to an ordinary worker drain —
-/// lost jobs re-queued, scheduler alive — and never perturb the tuned
-/// config. The proxy truncates the 3rd downstream frame (HELLO, INIT,
-/// then mid-JOB) and slams the connection: the worker sees a torn
-/// record and reconnects as a fresh id; the dispatcher sees its writes
-/// fail and its reader hit EOF, and drains the broken connection.
-#[test]
-fn truncated_dispatcher_writes_drain_the_worker_not_the_scheduler() {
-    let machine = MachineProfile::desktop();
-    let bench = BlackScholes::new(4_096);
-    let want = baseline(&bench, &machine);
+/// Who serves a bounce schedule: nobody until the dispatcher restarts,
+/// or two workers from the start — the first of them `silent_worker`, or
+/// a `petal-shard` like the second.
+#[derive(Clone, Copy, PartialEq)]
+enum Fleet {
+    AfterRestart,
+    SilentFirst,
+    Shards,
+}
 
-    let farmd = tcp_dispatcher(Duration::from_secs(60));
-    let ep = farmd.endpoints()[0].clone();
-    let script = ConnScript {
-        upstream_to_peer: vec![Fault::TruncateFrameAndClose(3)],
-        ..ConnScript::default()
-    };
-    let proxy = FaultProxy::start_scripted(ep.clone(), vec![script]).expect("proxy");
-    // Register the proxied worker *first*: the scheduler prefers the
-    // lowest-id worker, so worker 1 is guaranteed to be assigned the JOB
-    // whose write the proxy tears (a later-registered worker might
-    // legitimately never be assigned anything).
-    let _a = spawn_worker(proxy.endpoint(), "torn-write", 60_000, None);
-    assert!(farmd.wait_workers(1, Duration::from_secs(10)), "proxied worker registered");
-    let _b = spawn_worker(&ep, "direct", 60_000, None);
-    assert!(farmd.wait_workers(2, Duration::from_secs(10)), "workers registered");
-    let got = tune(&bench, &machine, FarmSettings::remote(ep.to_string()));
-    assert_trajectory_eq(&got, &want, "truncated downstream JOB");
-    let stats = farmd.stats();
-    assert!(stats.requeues >= 1, "the torn write lost at least the truncated JOB");
-    assert_eq!(stats.queued, 0, "nothing left behind");
-    assert_eq!(stats.inflight, 0, "nothing left behind");
+/// A worker scripted over the wire: it registers with one slot, takes
+/// its first `JOB` and never answers it, so that job is in flight until
+/// the connection ends — which is when the returned thread ends.
+fn silent_worker(endpoint: &Endpoint) -> JoinHandle<()> {
+    let (mut wire, _) = dial(endpoint, CONNECT_PATIENCE).expect("dial the dispatcher");
+    wire.send(&Message::Register { name: "silent".to_owned(), slots: 1, pid: 0 });
+    std::thread::spawn(move || while let Ok(Some(_)) = wire.recv() {})
 }
 
 /// The crash-recovery acceptance matrix: SIGKILL-equivalent dispatcher
@@ -291,24 +282,21 @@ fn dispatcher_kills_with_journal_recovery_never_perturb_the_tuned_config() {
     assert_trajectory_eq(&want8, &want, "threads=8 baseline");
 
     type Trigger = fn(&FarmdStats) -> bool;
-    // `workers_first: false` delays the whole fleet until *after* the
+    // `Fleet::AfterRestart` delays the whole fleet until *after* the
     // restart, so the first batch is parked in the queue when the kill
     // lands — `queued > 0` observed by polling alone would be a race,
     // since an idle fleet drains the queue the instant jobs arrive.
     // `inflight > 0` is made to dwell the same way, not by a trial being
-    // slow (since PR 19 a Black-Scholes trial is microseconds): worker `a`
-    // reaches the dispatcher through a proxy that holds its first RESULT
-    // on the wire for 300 ms (worker→dispatcher frames 1–3 are HELLO,
-    // REGISTER, READY; its heartbeats are pushed out of the window so the
-    // numbering holds), and it registers first because the scheduler
-    // prefers the lowest-id worker. After the bounce it reconnects
-    // through the same proxy, unscripted.
-    let schedules: &[(&str, Trigger, bool)] = &[
-        ("mid-queue", |s| s.queued > 0, false),
-        ("mid-assignment", |s| s.inflight > 0, true),
-        ("after-last-result", |s| s.completed >= 3, true),
+    // slow (a Black-Scholes trial is microseconds): worker `a` is
+    // `silent_worker`, which holds its first JOB unanswered until the
+    // kill, and it registers first because the scheduler prefers the
+    // lowest-id worker. Only `b` comes back after the bounce.
+    let schedules: &[(&str, Trigger, Fleet)] = &[
+        ("mid-queue", |s| s.queued > 0, Fleet::AfterRestart),
+        ("mid-assignment", |s| s.inflight > 0, Fleet::SilentFirst),
+        ("after-last-result", |s| s.completed >= 3, Fleet::Shards),
     ];
-    for (i, &(label, trigger, workers_first)) in schedules.iter().enumerate() {
+    for (i, &(label, trigger, fleet)) in schedules.iter().enumerate() {
         let pid = std::process::id();
         let dir = std::env::temp_dir().join(format!("petal-journal-{pid}-{i}"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -323,13 +311,15 @@ fn dispatcher_kills_with_journal_recovery_never_perturb_the_tuned_config() {
             }
         };
         let mut farmd = Farmd::bind(std::slice::from_ref(&ep), opts()).expect("bind dispatcher");
-        let mut guards = Vec::new();
-        let held_result = Fault::DelayAfterFrames { after: 3, delay: Duration::from_millis(300) };
-        let proxy = FaultProxy::start(ep.clone(), vec![vec![held_result]]).expect("proxy");
-        if workers_first {
-            guards.push(spawn_worker(proxy.endpoint(), &format!("bounce-{i}-a"), 60_000, None));
+        let (mut guards, mut silent) = (Vec::new(), None);
+        match fleet {
+            Fleet::AfterRestart => {}
+            Fleet::SilentFirst => silent = Some(silent_worker(&ep)),
+            Fleet::Shards => guards.push(spawn_worker(&ep, &format!("bounce-{i}-a"), None)),
+        }
+        if fleet != Fleet::AfterRestart {
             assert!(farmd.wait_workers(1, Duration::from_secs(10)), "{label}");
-            guards.push(spawn_worker(&ep, &format!("bounce-{i}-b"), 100, None));
+            guards.push(spawn_worker(&ep, &format!("bounce-{i}-b"), None));
             assert!(farmd.wait_workers(2, Duration::from_secs(10)), "{label}");
         }
 
@@ -354,9 +344,9 @@ fn dispatcher_kills_with_journal_recovery_never_perturb_the_tuned_config() {
                 let farmd =
                     Farmd::bind(std::slice::from_ref(&ep), opts()).expect("re-bind dispatcher");
                 let mut late = Vec::new();
-                if !workers_first {
-                    late.push(spawn_worker(&ep, &format!("bounce-{i}-a"), 100, None));
-                    late.push(spawn_worker(&ep, &format!("bounce-{i}-b"), 100, None));
+                if fleet == Fleet::AfterRestart {
+                    late.push(spawn_worker(&ep, &format!("bounce-{i}-a"), None));
+                    late.push(spawn_worker(&ep, &format!("bounce-{i}-b"), None));
                 }
                 (farmd, true, late)
             })
@@ -371,7 +361,9 @@ fn dispatcher_kills_with_journal_recovery_never_perturb_the_tuned_config() {
         assert_eq!(stats.inflight, 0, "{label}: nothing left behind");
         drop(late_guards);
         drop(guards);
-        drop(proxy);
+        if let Some(worker) = silent {
+            worker.join().expect("the silent worker's thread");
+        }
         drop(farmd);
         let _ = std::fs::remove_dir_all(&dir);
     }
