@@ -41,6 +41,11 @@ cargo test -q --release --offline -p petal_blas -p petal_apps -- leaf_law gemm::
 # and configuration on storage earlier trials used, NaN-filled in between.
 cargo test -q --release --offline -p petal_farm --test prepared -- a_session_answers a_cold_farm
 
+echo "== figures, release (Fig. 6 placements and Fig. 7 bands at harness sizes, every benchmark)"
+# `cargo test -q` above ran only the benchmarks whose debug tunes are
+# short; Sort's and Strassen's tables are release-only.
+cargo test -q --release --offline -p petal_bench --test figures
+
 echo "== cargo doc --no-deps (RUSTDOCFLAGS=-D warnings: docs can never rot)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 
@@ -81,15 +86,20 @@ wait_for_log() { # <file> <pattern>, polled for up to 10 s
 }
 
 echo "== farmd loopback smoke (dispatcher + 2 workers on a unix socket, two concurrent sessions, one injected kill)"
-# fig2 (smoke sweep) and fig7 (Black-Scholes) run at the same time against
-# a live petal-farmd pool via PETAL_FARMD, so two sessions whose job
-# indices overlap interleave on the same two workers — the dispatcher
-# numbers each worker connection's JOBs itself, and each figure's own
-# asserts prove it got its own answers, equal to the in-process farm's.
+# fig2 (smoke sweep) and fig7 (Black-Scholes) run once in-process, then
+# at the same time against a live petal-farmd pool via PETAL_FARMD, so two
+# sessions whose job indices overlap interleave on the same two workers —
+# the dispatcher numbers each worker connection's JOBs itself. Each
+# figure prints its Tuned results, so its stdout must equal its
+# in-process run's byte for byte: it got its own answers, and they are
+# the in-process farm's.
 # Worker ci-a kills itself mid-run (--fail-after) so the re-queue path is
 # exercised in every CI run — the dispatcher's log must say it re-queued.
 # ci-a registers first, so it is the lowest-id worker and every
 # generation's first jobs go to it.
+FARM_REF="$(mktemp -d /tmp/petal-farm-ref-ci.XXXXXX)"
+PETAL_SMOKE=1 ./target/release/fig2_convolution >"$FARM_REF/fig2.out"
+./target/release/fig7_migration scholes >"$FARM_REF/fig7.out"
 FARMD_SOCK="$(mktemp -u /tmp/petal-farmd-ci.XXXXXX.sock)"
 FARMD_LOG="$(mktemp /tmp/petal-farmd-ci.XXXXXX.log)"
 ./target/release/petal-farmd --listen "unix:$FARMD_SOCK" 2>"$FARMD_LOG" &
@@ -99,10 +109,12 @@ wait_for_log "$FARMD_LOG" '`ci-a` joined' \
   || { echo "loopback smoke: ci-a never registered"; cat "$FARMD_LOG"; exit 1; }
 ./target/release/petal-shard --connect "unix:$FARMD_SOCK" --name ci-b &
 WORKER_B_PID=$!
-trap 'kill "$FARMD_PID" "$WORKER_B_PID" 2>/dev/null || true; rm -f "$FARMD_SOCK" "$FARMD_LOG"' EXIT
-PETAL_SMOKE=1 PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig2_convolution >/dev/null &
+trap 'kill "$FARMD_PID" "$WORKER_B_PID" 2>/dev/null || true; rm -rf "$FARM_REF"; rm -f "$FARMD_SOCK" "$FARMD_LOG"' EXIT
+PETAL_SMOKE=1 PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig2_convolution \
+  >"$FARM_REF/fig2-loopback.out" &
 FIG2_PID=$!
-PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig7_migration scholes >/dev/null &
+PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig7_migration scholes \
+  >"$FARM_REF/fig7-loopback.out" &
 FIG7_PID=$!
 wait "$FIG2_PID" \
   || { echo "loopback smoke: fig2 failed beside fig7"; kill "$FIG7_PID"; cat "$FARMD_LOG"; exit 1; }
@@ -112,15 +124,20 @@ kill "$FARMD_PID" 2>/dev/null || true
 wait "$FARMD_PID" 2>/dev/null || true
 grep -q 're-queueing' "$FARMD_LOG" \
   || { echo "loopback smoke: --fail-after 60 never made the dispatcher re-queue"; cat "$FARMD_LOG"; exit 1; }
+for fig in fig2 fig7; do
+  cmp "$FARM_REF/$fig.out" "$FARM_REF/$fig-loopback.out" \
+    || { echo "loopback smoke: $fig over farmd printed other than in-process"; exit 1; }
+done
 rm -f "$FARMD_LOG"
 
 echo "== farmd bounce smoke (SIGKILL the journaled dispatcher mid-fig2, restart, same config)"
 # Crash recovery end-to-end on the release binaries: fig2 tunes against
 # a --journal dispatcher that is killed with SIGKILL mid-run and
 # restarted on the same socket over the same journal. The workers
-# reconnect, the client resumes its session by token, and fig2's own
-# asserts prove the Tuned.config is bit-identical to the in-process
-# farm. (Outputs go to files — pipes would SIGPIPE under pipefail.)
+# reconnect, the client resumes its session by token, and fig2's stdout
+# must equal its in-process run's byte for byte: every Tuned time it
+# prints is the in-process farm's. (Outputs go to files — pipes would
+# SIGPIPE under pipefail.)
 BOUNCE_SOCK="$(mktemp -u /tmp/petal-bounce-ci.XXXXXX.sock)"
 BOUNCE_DIR="$(mktemp -d /tmp/petal-bounce-ci.XXXXXX)"
 ./target/release/petal-farmd --listen "unix:$BOUNCE_SOCK" --journal "$BOUNCE_DIR/journal" \
@@ -130,7 +147,7 @@ BOUNCE_PID=$!
 BOUNCE_A_PID=$!
 ./target/release/petal-shard --connect "unix:$BOUNCE_SOCK" --name bounce-b 2>/dev/null &
 BOUNCE_B_PID=$!
-trap 'kill -9 "$FIG2_PID" 2>/dev/null || true; kill "$BOUNCE_PID" "$BOUNCE_A_PID" "$BOUNCE_B_PID" "$FARMD_PID" "$WORKER_B_PID" 2>/dev/null || true; rm -rf "$BOUNCE_DIR"; rm -f "$BOUNCE_SOCK" "$FARMD_SOCK"' EXIT
+trap 'kill -9 "$FIG2_PID" 2>/dev/null || true; kill "$BOUNCE_PID" "$BOUNCE_A_PID" "$BOUNCE_B_PID" "$FARMD_PID" "$WORKER_B_PID" 2>/dev/null || true; rm -rf "$BOUNCE_DIR" "$FARM_REF"; rm -f "$BOUNCE_SOCK" "$FARMD_SOCK"' EXIT
 PETAL_SMOKE=1 PETAL_FARMD="unix:$BOUNCE_SOCK" \
   ./target/release/fig2_convolution >"$BOUNCE_DIR/fig2.out" &
 FIG2_PID=$!
@@ -146,6 +163,8 @@ wait "$BOUNCE_PID" 2>/dev/null || true
 BOUNCE_PID=$!
 wait "$FIG2_PID" \
   || { echo "bounce smoke: fig2 failed across the dispatcher bounce"; cat "$BOUNCE_DIR"/farmd-*.log; exit 1; }
+cmp "$FARM_REF/fig2.out" "$BOUNCE_DIR/fig2.out" \
+  || { echo "bounce smoke: fig2 across the bounce printed other than in-process"; exit 1; }
 # The restarted dispatcher must be past its exec before it is signalled: a
 # SIGTERM that lands between bash's fork and the exec is lost, and the
 # `wait` below would then never return.
@@ -155,7 +174,7 @@ grep -q ' resumed from ' "$BOUNCE_DIR/farmd-2.log" \
   || echo "   note: the kill fell between two sessions this run; no RESUME was exercised"
 kill "$BOUNCE_PID" "$BOUNCE_A_PID" "$BOUNCE_B_PID" 2>/dev/null || true
 wait "$BOUNCE_PID" 2>/dev/null || true
-rm -rf "$BOUNCE_DIR"
+rm -rf "$BOUNCE_DIR" "$FARM_REF"
 rm -f "$BOUNCE_SOCK"
 trap 'kill "$FARMD_PID" "$WORKER_B_PID" 2>/dev/null || true; rm -f "$FARMD_SOCK"' EXIT
 

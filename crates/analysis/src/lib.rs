@@ -15,7 +15,8 @@
 //! 3. **Choice-space linting** ([`lint::lint_config`],
 //!    [`lint::lint_choice_space`]) — shadowed selector arms, out-of-range
 //!    values, and dead tunables/selectors that never change the lowered
-//!    plan (probed by structural fingerprinting, [`fingerprint`]).
+//!    plan (probed by structural fingerprinting,
+//!    [`petal_core::plan::plan_fingerprint`]).
 //!
 //! Errors are never allowlistable; warnings fail a `--deny` run unless a
 //! committed [`allowlist`] entry with a written justification covers them.
@@ -25,7 +26,8 @@
 #![warn(missing_docs)]
 
 pub mod allowlist;
-pub mod fingerprint;
+#[cfg(test)]
+mod fingerprint;
 pub mod legality;
 pub mod lint;
 pub mod report;

@@ -24,10 +24,10 @@
 //! ([`petal_apps::Benchmark::dynamic_config_keys`]) are exempt: their
 //! effect is invisible to plan structure by construction.
 
-use crate::fingerprint::plan_fingerprint;
 use crate::legality::check_plan;
 use crate::report::{Finding, Pass, Severity, VerifyReport};
 use petal_apps::Benchmark;
+use petal_core::plan::plan_fingerprint;
 use petal_core::program::Program;
 use petal_core::{Config, Selector, Tunable};
 use petal_gpu::profile::MachineProfile;

@@ -15,10 +15,26 @@
 //!   in for the SDK samples: reasonable hand choices that are never
 //!   retuned per machine.
 
-use petal_apps::convolution::{ConvMapping, SeparableConvolution};
 use petal_apps::Benchmark;
 use petal_core::{Config, Selector, Tunable};
 use petal_gpu::profile::MachineProfile;
+
+/// `bench`'s Fig. 7 baseline on `machine`: the row label and its config,
+/// which is `None` where the baseline cannot run there. `None` for a
+/// benchmark the paper gives no baseline.
+#[must_use]
+pub fn baseline(
+    bench: &dyn Benchmark,
+    machine: &MachineProfile,
+) -> Option<(&'static str, Option<Config>)> {
+    Some(match bench.name() {
+        "Black-Scholes" | "Poisson2D SOR" => ("CPU-only Config", Some(cpu_only(bench, machine))),
+        "Sort" => ("GPU-only Config", gpu_bitonic_sort(bench, machine)),
+        "Strassen" => ("Hand-coded OpenCL", handcoded_matmul(bench, machine)),
+        "SeparableConvolution" => ("Hand-coded OpenCL", handcoded_convolution(bench, machine)),
+        _ => return None,
+    })
+}
 
 /// CPU-only configuration: every OpenCL choice disabled (Fig. 7b baseline).
 #[must_use]
@@ -51,15 +67,17 @@ pub fn gpu_bitonic_sort(bench: &dyn Benchmark, machine: &MachineProfile) -> Opti
 /// SDK-style fixed mapping — separable, scratchpad staging, a fixed
 /// work-group size chosen for NVIDIA hardware and never retuned.
 #[must_use]
-pub fn handcoded_convolution(
-    bench: &SeparableConvolution,
-    machine: &MachineProfile,
-) -> Option<Config> {
+pub fn handcoded_convolution(bench: &dyn Benchmark, machine: &MachineProfile) -> Option<Config> {
     if !machine.has_physical_gpu() {
         return None; // the SDK sample "only runs on our Desktop system"
     }
-    let mut cfg = bench.mapping_config(machine, ConvMapping::SeparableLocalMem);
+    // Fig. 2's `ConvMapping::SeparableLocalMem`: separable, every pass
+    // OpenCL with scratchpad staging (backend 2), all on the device.
+    let mut cfg = bench.program(machine).default_config(machine);
+    cfg.set_selector("separable", Selector::constant(1, 2));
     for t in ["convolve2d", "convolve_rows", "convolve_columns"] {
+        cfg.set_selector(t, Selector::constant(2, 3));
+        cfg.set_tunable(&format!("{t}.gpu_ratio"), Tunable::new(8, 0, 8));
         // 96 = 3 warps: fine on NVIDIA, a poor fit elsewhere — the point of
         // a hand-coded constant.
         cfg.set_tunable(&format!("{t}.local_size"), Tunable::new(96, 1, 1024));
@@ -84,6 +102,7 @@ pub fn handcoded_matmul(bench: &dyn Benchmark, machine: &MachineProfile) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use petal_apps::convolution::{ConvMapping, SeparableConvolution};
     use petal_apps::sort::Sort;
     use petal_apps::strassen::Strassen;
 
@@ -108,6 +127,18 @@ mod tests {
         let mm = Strassen::new(64);
         let cfg = handcoded_matmul(&mm, &d).expect("desktop has a physical GPU");
         mm.run_with_config(&d, &cfg).unwrap();
+    }
+
+    #[test]
+    fn handcoded_convolution_is_the_separable_local_memory_mapping() {
+        let d = MachineProfile::desktop();
+        let conv = SeparableConvolution::new(64, 5);
+        let handcoded = handcoded_convolution(&conv, &d).expect("desktop has a physical GPU");
+        let mut mapping = conv.mapping_config(&d, ConvMapping::SeparableLocalMem);
+        for t in ["convolve2d", "convolve_rows", "convolve_columns"] {
+            mapping.set_tunable(&format!("{t}.local_size"), Tunable::new(96, 1, 1024));
+        }
+        assert_eq!(handcoded, mapping);
     }
 
     #[test]

@@ -1,39 +1,40 @@
-//! Regenerates Figure 7(a–g): configuration migration between machines.
+//! Regenerates Figure 6 and Figure 7(a–g) from one tuning pass: each
+//! benchmark is tuned once per machine ([`figures::table`]).
 //!
-//! For every benchmark, autotune on each of the three machines; then run
-//! all three tuned configurations on all three machines, normalizing to
-//! the natively tuned configuration (1.0x = tuned in place; higher is
-//! worse). Baselines from the paper are included where applicable:
-//! CPU-only (Black-Scholes, Poisson), GPU-only bitonic (Sort), and
-//! hand-coded OpenCL (Convolution, Strassen).
+//! Fig. 6 is one line per machine, summarising its tuned configuration.
+//! Fig. 7 runs every tuned configuration on every machine, normalised to
+//! the same run of that machine's own tune (1.00x = tuned in place;
+//! higher is worse), so every diagonal cell is exactly 1.00x. Baselines
+//! from the paper are included where applicable: CPU-only (Black-Scholes,
+//! Poisson), GPU-only bitonic (Sort), and hand-coded OpenCL
+//! (Convolution, Strassen). At harness sizes the binary then holds each
+//! table to [`figures::check`]'s bands and exits 1 if a cell leaves its
+//! band; with `--full` it only prints, because the bands were measured
+//! at harness sizes.
 //!
 //! With `--registry <endpoint>` (or `PETAL_REGISTRY=<endpoint>`) — a
 //! directory or a `petal-farmd --registry` service — every native tune
 //! is stored in the tuned-config registry, and the matrix gains a
 //! **repair-curve** table: for each (src→dst) pair, the migration
-//! penalty plus how fast a warm-started re-tune (generation 0 seeded
-//! with the migrated config) closes the gap — `parity@gen N (S vs)` is
-//! the first generation, and the cumulative virtual tuning seconds, at
-//! which the search came within 5% of the natively tuned time. The
-//! scratch column prices the same parity for the cold search, so the
-//! saving is the difference.
+//! penalty (the matrix cell) plus how fast a warm-started re-tune
+//! (generation 0 seeded with the migrated config) closes the gap —
+//! `parity@gen N (S vs)` is the first generation, and the cumulative
+//! virtual tuning seconds, at which the search came within 5% of the
+//! native tune's own best trial. The scratch column prices the same
+//! parity for the cold search, so the saving is the difference.
 //!
 //! Usage: `fig7_migration [benchmark-substring] [--full] [--shards N]
 //! [--registry <endpoint>]`
 
 use petal_apps::workload::smoke_mode;
 use petal_apps::Benchmark;
+use petal_bench::figures::{self, Figure};
 use petal_bench::{
-    baselines, full_flag, harness_benchmarks, harness_tuner_settings, positional_args,
-    registry_store, row, store_tuned, tune,
+    full_flag, harness_benchmarks, harness_tuner_settings, positional_args, registry_store, row,
+    store_tuned,
 };
-use petal_core::Config;
 use petal_gpu::profile::MachineProfile;
-use petal_tuner::{Autotuner, Tuned, TunerSettings, WarmStart};
-
-fn time_on(bench: &dyn Benchmark, machine: &MachineProfile, cfg: &Config) -> Option<f64> {
-    bench.run_with_config(machine, cfg).ok().map(|r| r.virtual_time_secs())
-}
+use petal_tuner::{describe_config, Autotuner, Tuned, TunerSettings, WarmStart};
 
 /// `parity@gen N (S vs)` or `n/a` for one tuning run against a target.
 fn parity_cell(tuned: &Tuned, target: f64) -> String {
@@ -45,39 +46,25 @@ fn parity_cell(tuned: &Tuned, target: f64) -> String {
 
 /// The repair-curve table for one benchmark: every src→dst migration,
 /// warm-started from the src config, priced against the scratch tune.
-fn repair_table(
-    bench: &dyn Benchmark,
-    machines: &[MachineProfile],
-    tuned: &[Tuned],
-    native: &[f64],
-) {
+fn repair_table(bench: &dyn Benchmark, machines: &[MachineProfile], figure: &Figure) {
     let widths = [22, 10, 10, 26, 26];
     println!("--- Repair curves (warm-start re-tuning after migration) ---");
     let header =
         ["src -> dst", "penalty", "repair", "warm re-tune", "scratch tune"].map(str::to_owned);
     println!("{}", row(&header, &widths));
+    let tuned = &figure.tuned;
     for (si, src) in machines.iter().enumerate() {
         for (di, dst) in machines.iter().enumerate() {
             if si == di {
                 continue;
             }
-            let Some(migrated) = time_on(bench, dst, &tuned[si].config) else {
+            let pair = format!("{} -> {}", src.codename, dst.codename);
+            let Some(penalty) = figure.rows[si].cells[di] else {
                 // The migrated config cannot run here at all (e.g. it
                 // commits to OpenCL on a machine without a device) —
                 // the strongest possible argument for re-tuning.
-                println!(
-                    "{}",
-                    row(
-                        &[
-                            format!("{} -> {}", src.codename, dst.codename),
-                            "inf".into(),
-                            "-".into(),
-                            "-".into(),
-                            "-".into(),
-                        ],
-                        &widths
-                    )
-                );
+                let cells = [pair, "inf".into(), "-".into(), "-".into(), "-".into()];
+                println!("{}", row(&cells, &widths));
                 continue;
             };
             // Warm-start the dst re-tune from the migrated config —
@@ -94,24 +81,21 @@ fn repair_table(
                 },
             )
             .run();
-            let target = native[di] * 1.05;
+            // Parity compares the tuner's own trial times, so its target
+            // is the native tune's own best trial, not the matrix's re-run.
+            let target = tuned[di].time_secs * 1.05;
             let repair = warm
                 .stats
                 .repair_generations
                 .map_or_else(|| "-".to_owned(), |g| format!("gen {g}"));
-            println!(
-                "{}",
-                row(
-                    &[
-                        format!("{} -> {}", src.codename, dst.codename),
-                        format!("{:.2}x", migrated / native[di]),
-                        repair,
-                        parity_cell(&warm, target),
-                        parity_cell(&tuned[di], target),
-                    ],
-                    &widths
-                )
-            );
+            let cells = [
+                pair,
+                figures::cell(Some(penalty)),
+                repair,
+                parity_cell(&warm, target),
+                parity_cell(&tuned[di], target),
+            ];
+            println!("{}", row(&cells, &widths));
         }
     }
 }
@@ -124,7 +108,9 @@ fn main() {
     // ManyCore extension profiles (migration penalties are sharpest when
     // the device balance differs most).
     let machines = MachineProfile::extended();
+    let settings = harness_tuner_settings();
     let widths = [22, 12, 12, 12, 12, 12];
+    let mut failed = false;
 
     for bench in harness_benchmarks(full_flag()) {
         if let Some(f) = &filter {
@@ -132,98 +118,54 @@ fn main() {
                 continue;
             }
         }
+        let table = figures::table(std::slice::from_ref(&bench), &machines, &settings);
+        let figure = &table[0];
+        println!("=== Figure 6: {} ===", bench.name());
+        for (m, t) in machines.iter().zip(&figure.tuned) {
+            println!("{:8} {}", m.codename, describe_config(&t.config));
+        }
         println!("=== Figure 7: {} ===", bench.name());
-        // Tune natively on each machine.
-        let tuned: Vec<_> = machines.iter().map(|m| tune(&*bench, m)).collect();
-        let native: Vec<f64> = tuned.iter().map(|t| t.time_secs).collect();
         if let Some(store) = &registry {
-            for (m, t) in machines.iter().zip(&tuned) {
+            for (m, t) in machines.iter().zip(&figure.tuned) {
                 store_tuned(&**store, &*bench, m, t, "fig7");
             }
         }
 
         let mut header = vec!["Config \\ Machine".to_owned()];
-        header.extend(machines.iter().map(|m| m.codename.clone()));
+        header.extend(figure.machines.iter().cloned());
         println!("{}", row(&header, &widths));
-        for (ci, cm) in machines.iter().enumerate() {
-            let mut cells = vec![format!("{} Config", cm.codename)];
-            for (mi, m) in machines.iter().enumerate() {
-                let cell = match time_on(&*bench, m, &tuned[ci].config) {
-                    Some(t) => format!("{:.2}x", t / native[mi]),
-                    None => "n/a".to_owned(),
-                };
-                cells.push(cell);
-            }
-            println!("{}", row(&cells, &widths));
-        }
-        // Baselines.
-        let mut baseline_rows: Vec<(String, Vec<Option<f64>>)> = Vec::new();
-        match bench.name() {
-            "Black-Scholes" | "Poisson2D SOR" => {
-                let times = machines
-                    .iter()
-                    .map(|m| time_on(&*bench, m, &baselines::cpu_only(&*bench, m)))
-                    .collect();
-                baseline_rows.push(("CPU-only Config".into(), times));
-            }
-            "Sort" => {
-                let times = machines
-                    .iter()
-                    .map(|m| {
-                        baselines::gpu_bitonic_sort(&*bench, m)
-                            .and_then(|cfg| time_on(&*bench, m, &cfg))
-                    })
-                    .collect();
-                baseline_rows.push(("GPU-only Config".into(), times));
-            }
-            "Strassen" => {
-                let times = machines
-                    .iter()
-                    .map(|m| {
-                        baselines::handcoded_matmul(&*bench, m)
-                            .and_then(|cfg| time_on(&*bench, m, &cfg))
-                    })
-                    .collect();
-                baseline_rows.push(("Hand-coded OpenCL".into(), times));
-            }
-            "SeparableConvolution" => {
-                let conv = petal_apps::convolution::SeparableConvolution::new(
-                    if full_flag() { 3520 } else { 256 },
-                    7,
-                );
-                let times = machines
-                    .iter()
-                    .map(|m| {
-                        baselines::handcoded_convolution(&conv, m)
-                            .and_then(|cfg| time_on(&conv, m, &cfg))
-                    })
-                    .collect();
-                baseline_rows.push(("Hand-coded OpenCL".into(), times));
-            }
-            _ => {}
-        }
-        for (label, times) in baseline_rows {
-            let mut cells = vec![label];
-            for (mi, t) in times.iter().enumerate() {
-                cells.push(t.map_or("n/a".into(), |t| format!("{:.2}x", t / native[mi])));
-            }
+        for r in &figure.rows {
+            let mut cells = vec![r.label.clone()];
+            cells.extend(r.cells.iter().map(|&c| figures::cell(c)));
             println!("{}", row(&cells, &widths));
         }
         println!(
-            "native tuned times: {}\n",
-            machines
+            "native times: {}\n",
+            figure
+                .machines
                 .iter()
-                .zip(&native)
-                .map(|(m, t)| format!("{}={t:.5}s", m.codename))
+                .zip(&figure.native_secs)
+                .map(|(m, t)| format!("{m}={t:.5}s"))
                 .collect::<Vec<_>>()
                 .join("  ")
         );
+        if !full_flag() {
+            if let Err(errors) = figures::check(&table) {
+                for e in errors {
+                    eprintln!("error: {e}");
+                }
+                failed = true;
+            }
+        }
         if registry.is_some() {
             // Each src→dst cell costs a full warm re-tune; the smoke run
             // keeps the matrix to the paper's three machines.
             let n = if smoke_mode() { 3.min(machines.len()) } else { machines.len() };
-            repair_table(&*bench, &machines[..n], &tuned[..n], &native[..n]);
+            repair_table(&*bench, &machines[..n], figure);
             println!();
         }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -1,14 +1,12 @@
-//! # petal-bench — harness regenerating every figure and table of §6
+//! # petal-bench — harness regenerating the asserted figures of §6
 //!
-//! Each `fig*` binary reproduces one artifact of the paper's evaluation:
+//! Each binary reproduces one artifact of the paper's evaluation and
+//! asserts its claim at harness sizes:
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
 //! | `fig2_convolution` | Fig. 2 — convolution mapping sweep over kernel widths |
-//! | `fig6_configs` | Fig. 6 — autotuned configuration table |
-//! | `fig7_migration` | Fig. 7(a–g) — configuration-migration matrices + baselines |
-//! | `fig8_properties` | Fig. 8 — benchmark properties table |
-//! | `fig9_machines` | Fig. 9 — test-system table |
+//! | `fig7_migration` | Fig. 6 + Fig. 7(a–g) — tuned configs, migration matrices + baselines ([`figures`]) |
 //! | `ablation_ircache` | §5.4 — IR-cache / small-input-trial tuning-time ablation |
 //!
 //! Sizes default to reduced values so each binary finishes in seconds of
@@ -19,9 +17,10 @@ use petal_apps::Benchmark;
 use petal_farm::net::Endpoint;
 use petal_gpu::profile::MachineProfile;
 use petal_registry::ConfigStore;
-use petal_tuner::{Autotuner, Tuned, TunerSettings, WarmStart};
+use petal_tuner::{Tuned, TunerSettings, WarmStart};
 
 pub mod baselines;
+pub mod figures;
 
 /// Standard benchmark set at harness sizes.
 #[must_use]
@@ -272,13 +271,17 @@ pub fn harness_farm_settings() -> petal_farm::FarmSettings {
     }
 }
 
-/// Tuner settings used by the harnesses (slightly larger than smoke).
-///
-/// Evaluation runs on the farm with one worker per available hardware
-/// thread: results are bit-identical to a sequential search (the farm's
-/// determinism contract), only wall-clock time changes.
+/// Tuner settings used by the harnesses (slightly larger than smoke),
+/// evaluating on the farm the command line names.
 #[must_use]
 pub fn harness_tuner_settings() -> TunerSettings {
+    tuner_settings_on(harness_farm_settings())
+}
+
+/// The harness search on `farm`. Results are bit-identical on every
+/// farm (its determinism contract); only wall-clock time changes.
+#[must_use]
+pub fn tuner_settings_on(farm: petal_farm::FarmSettings) -> TunerSettings {
     TunerSettings {
         seed: 0xf1675,
         trials_per_round: 40,
@@ -286,17 +289,11 @@ pub fn harness_tuner_settings() -> TunerSettings {
         size_schedule: vec![1.0 / 16.0, 1.0 / 4.0, 1.0],
         small_size_trial_fraction: 0.5,
         model_process_restarts: true,
-        farm: harness_farm_settings(),
+        farm,
         kick_after: 2,
         kick_strength: 3,
         warm_start: None,
     }
-}
-
-/// Autotune `bench` for `machine` with harness settings.
-#[must_use]
-pub fn tune(bench: &dyn Benchmark, machine: &MachineProfile) -> Tuned {
-    Autotuner::new(bench, machine, harness_tuner_settings()).run()
 }
 
 /// The store `--registry`/`PETAL_REGISTRY` names, opened, or `None`
@@ -343,25 +340,6 @@ pub fn registry_warm_start(
             None
         }
     }
-}
-
-/// Autotune with a warm start from `store` (when it has a usable
-/// donor), then offer the improved result back with keep-best semantics
-/// — the tune → store → warm-start loop one deployment iteration
-/// performs, against a local directory and a served registry alike.
-#[must_use]
-pub fn tune_warm(
-    store: &dyn ConfigStore,
-    bench: &dyn Benchmark,
-    machine: &MachineProfile,
-) -> Tuned {
-    let settings = TunerSettings {
-        warm_start: registry_warm_start(store, machine, bench),
-        ..harness_tuner_settings()
-    };
-    let tuned = Autotuner::new(bench, machine, settings).run();
-    store_tuned(store, bench, machine, &tuned, "tune_warm");
-    tuned
 }
 
 /// Offer a tuning result to `store` (keep-best). Failures are reported,
@@ -568,7 +546,7 @@ mod tests {
             farm: petal_tuner::FarmSettings::sequential(),
             ..TunerSettings::smoke()
         };
-        let tuned = Autotuner::new(&bench, &machine, settings).run();
+        let tuned = petal_tuner::Autotuner::new(&bench, &machine, settings).run();
         store_tuned(&store, &bench, &machine, &tuned, "unit-test");
         let ws = registry_warm_start(&store, &machine, &bench).expect("stored entry found");
         assert_eq!(ws.config, tuned.config);

@@ -429,6 +429,56 @@ pub fn analyze_movement(plan: &Plan) -> Vec<Option<CopyOutPolicy>> {
     policies
 }
 
+/// Structural fingerprint of a lowered plan (FNV-1a).
+///
+/// Two plans with the same fingerprint lower to the same task structure:
+/// same step kinds in the same order, same placements, same buffer wiring,
+/// same dependence edges. `petal-verify` varies one configuration knob at
+/// a time and declares the knob *dead* when no probed variation ever
+/// changes the fingerprint. A native step hashes only its label, so
+/// closures that re-read the configuration at run time are invisible here
+/// (see `Benchmark::dynamic_config_keys`).
+#[must_use]
+pub fn plan_fingerprint(plan: &Plan) -> u64 {
+    let mut h = petal_gpu::Fnv::default();
+    h.write_usize(plan.steps().len());
+    for step in plan.steps() {
+        match &step.kind {
+            StepKind::Stencil(s) => {
+                h.write(&[1]);
+                h.write_str(&s.rule.name);
+                // Placement debug form covers the variant and every knob
+                // (chunks, local_size, local_memory, gpu_eighths).
+                h.write_str(&format!("{:?}", s.placement));
+                h.write_usize(s.out_dims.0);
+                h.write_usize(s.out_dims.1);
+                for sc in &s.user_scalars {
+                    h.write(&sc.to_bits().to_le_bytes());
+                }
+            }
+            StepKind::Native(n) => {
+                h.write(&[2]);
+                h.write_str(&n.label);
+            }
+        }
+        for m in step.reads() {
+            h.write_usize(m.index());
+        }
+        h.write(&[0xfe]);
+        for m in step.writes() {
+            h.write_usize(m.index());
+        }
+        h.write(&[0xfd]);
+        for d in &step.deps {
+            h.write_usize(d.index());
+        }
+    }
+    for m in plan.outputs() {
+        h.write_usize(m.index());
+    }
+    h.finish()
+}
+
 /// Map a configuration to a placement for the named transform, following
 /// the paper's GPU choice representation (§5.3): selector value 0 = CPU
 /// backend, 1 = OpenCL with global memory, 2 = OpenCL with the local-memory

@@ -322,7 +322,7 @@ impl MachineProfile {
     }
 
     /// The paper machines plus the two extension profiles ([`Self::igpu`],
-    /// [`Self::manycore`]) used by the extended fig7/fig9 matrices.
+    /// [`Self::manycore`]) used by the extended fig7 matrices.
     #[must_use]
     pub fn extended() -> Vec<MachineProfile> {
         vec![Self::desktop(), Self::server(), Self::laptop(), Self::igpu(), Self::manycore()]
