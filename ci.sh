@@ -77,6 +77,17 @@ echo "== benchmark package tests (a wrapped benchmark tunes bit-identically; res
 # out-of-tree `Benchmark` implementation the table must go through.
 cargo test --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml
 
+# A farmd-backed tune survives a worker death and a dispatcher bounce
+# without ever rebuilding its backend: the client resumes its session
+# and drops what the dispatcher re-serves, so its stderr never says it
+# fell back, nor that it retired a link for an answer it did not hold.
+no_rebuild() { # <label> <a tune's stderr>
+  if grep -E 'evaluation backend lost|which it does not hold' "$2"; then
+    echo "$1: the tune fell back to rebuilding its farmd backend"
+    exit 1
+  fi
+}
+
 wait_for_log() { # <file> <pattern>, polled for up to 10 s
   for _ in $(seq 1000); do
     if grep -q "$2" "$1"; then return 0; fi
@@ -111,15 +122,15 @@ wait_for_log "$FARMD_LOG" '`ci-a` joined' \
 WORKER_B_PID=$!
 trap 'kill "$FARMD_PID" "$WORKER_B_PID" 2>/dev/null || true; rm -rf "$FARM_REF"; rm -f "$FARMD_SOCK" "$FARMD_LOG"' EXIT
 PETAL_SMOKE=1 PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig2_convolution \
-  >"$FARM_REF/fig2-loopback.out" &
+  >"$FARM_REF/fig2-loopback.out" 2>"$FARM_REF/fig2-loopback.err" &
 FIG2_PID=$!
 PETAL_FARMD="unix:$FARMD_SOCK" ./target/release/fig7_migration scholes \
-  >"$FARM_REF/fig7-loopback.out" &
+  >"$FARM_REF/fig7-loopback.out" 2>"$FARM_REF/fig7-loopback.err" &
 FIG7_PID=$!
 wait "$FIG2_PID" \
-  || { echo "loopback smoke: fig2 failed beside fig7"; kill "$FIG7_PID"; cat "$FARMD_LOG"; exit 1; }
+  || { echo "loopback smoke: fig2 failed beside fig7"; kill "$FIG7_PID"; cat "$FARM_REF/fig2-loopback.err" "$FARMD_LOG"; exit 1; }
 wait "$FIG7_PID" \
-  || { echo "loopback smoke: fig7 failed beside fig2"; cat "$FARMD_LOG"; exit 1; }
+  || { echo "loopback smoke: fig7 failed beside fig2"; cat "$FARM_REF/fig7-loopback.err" "$FARMD_LOG"; exit 1; }
 kill "$FARMD_PID" 2>/dev/null || true
 wait "$FARMD_PID" 2>/dev/null || true
 grep -q 're-queueing' "$FARMD_LOG" \
@@ -127,6 +138,7 @@ grep -q 're-queueing' "$FARMD_LOG" \
 for fig in fig2 fig7; do
   cmp "$FARM_REF/$fig.out" "$FARM_REF/$fig-loopback.out" \
     || { echo "loopback smoke: $fig over farmd printed other than in-process"; exit 1; }
+  no_rebuild "loopback smoke: $fig" "$FARM_REF/$fig-loopback.err"
 done
 rm -f "$FARMD_LOG"
 
@@ -149,7 +161,7 @@ BOUNCE_A_PID=$!
 BOUNCE_B_PID=$!
 trap 'kill -9 "$FIG2_PID" 2>/dev/null || true; kill "$BOUNCE_PID" "$BOUNCE_A_PID" "$BOUNCE_B_PID" "$FARMD_PID" "$WORKER_B_PID" 2>/dev/null || true; rm -rf "$BOUNCE_DIR" "$FARM_REF"; rm -f "$BOUNCE_SOCK" "$FARMD_SOCK"' EXIT
 PETAL_SMOKE=1 PETAL_FARMD="unix:$BOUNCE_SOCK" \
-  ./target/release/fig2_convolution >"$BOUNCE_DIR/fig2.out" &
+  ./target/release/fig2_convolution >"$BOUNCE_DIR/fig2.out" 2>"$BOUNCE_DIR/fig2.err" &
 FIG2_PID=$!
 # The kill is triggered by the dispatcher's own log, not by a timer: since
 # PR 17 fig2's smoke sweep is three ~0.1 s sessions (it was seconds when
@@ -162,9 +174,10 @@ wait "$BOUNCE_PID" 2>/dev/null || true
   2>"$BOUNCE_DIR/farmd-2.log" &
 BOUNCE_PID=$!
 wait "$FIG2_PID" \
-  || { echo "bounce smoke: fig2 failed across the dispatcher bounce"; cat "$BOUNCE_DIR"/farmd-*.log; exit 1; }
+  || { echo "bounce smoke: fig2 failed across the dispatcher bounce"; cat "$BOUNCE_DIR/fig2.err" "$BOUNCE_DIR"/farmd-*.log; exit 1; }
 cmp "$FARM_REF/fig2.out" "$BOUNCE_DIR/fig2.out" \
   || { echo "bounce smoke: fig2 across the bounce printed other than in-process"; exit 1; }
+no_rebuild "bounce smoke: fig2" "$BOUNCE_DIR/fig2.err"
 # The restarted dispatcher must be past its exec before it is signalled: a
 # SIGTERM that lands between bash's fork and the exec is lost, and the
 # `wait` below would then never return.

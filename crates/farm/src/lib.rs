@@ -369,9 +369,12 @@ impl EvalFarm {
     /// ```
     ///
     /// # Panics
-    /// In shard mode, when the worker binary cannot be found or a worker
-    /// violates the wire protocol (the error names the worker and cause);
-    /// in thread mode, when a worker thread panics.
+    /// In shard or farmd mode, when the backend cannot be built (no
+    /// worker binary, a worker that fails its handshake, a dispatcher
+    /// that cannot be reached) or is lost twice in one batch; a worker
+    /// that violates the wire protocol is not one of these — its link is
+    /// retired and its jobs re-queued to the others. In thread mode, when
+    /// a worker thread panics.
     pub fn evaluate(
         &mut self,
         bench: &dyn Benchmark,

@@ -6,7 +6,8 @@
 //! `INIT` naming the `(benchmark, machine)` session, answered by `READY`
 //! and the session's `SESSION` credentials. From there the pool's one
 //! batch loop ([`RemotePool::evaluate`]) does the rest; a farmd link differs
-//! from a worker link only in having no window and in being recoverable.
+//! from a worker link only in having no window and in being recoverable
+//! (see [`crate::shard`] for what a resumed link's replayed answers mean).
 //!
 //! Worker churn is invisible here by design: the dispatcher re-queues a
 //! lost worker's jobs internally and the client just sees the results
@@ -24,7 +25,7 @@
 
 use crate::net::Endpoint;
 use crate::session::{dial, Framed, SessionError, CONNECT_PATIENCE};
-use crate::shard::{Link, Peer, ShardError, Wire};
+use crate::shard::{LinkKind, Session, ShardError, Wire};
 use crate::wire::{Message, WIRE_VERSION};
 use petal_gpu::profile::MachineProfile;
 use std::io::BufReader;
@@ -60,16 +61,22 @@ impl RemotePool {
     ) -> Result<RemotePool, ShardError> {
         let endpoint = Endpoint::parse(endpoint).map_err(ShardError::new)?;
         let mut pool = RemotePool::empty(bench_spec, machine);
-        let link = open(&endpoint, CONNECT_PATIENCE, &pool.init())
+        let (wire, token, nonce) = open(&endpoint, CONNECT_PATIENCE, &pool.init())
             .map_err(|e| ShardError::new(format!("opening a farmd session at {endpoint}: {e}")))?;
-        pool.links.push(Some(link));
+        pool.session = Some((endpoint, token, nonce));
+        pool.push(wire, LinkKind::Farmd);
         Ok(pool)
     }
 }
 
 /// Dial `endpoint` and attach a session with `opening` — an `INIT` for a
-/// new one, a `RESUME` for one that exists: `READY`, then `SESSION`.
-fn open(endpoint: &Endpoint, patience: Duration, opening: &Message) -> Result<Link, SessionError> {
+/// new one, a `RESUME` for one that exists: `READY`, then `SESSION`,
+/// whose token and nonce are returned with the stream.
+fn open(
+    endpoint: &Endpoint,
+    patience: Duration,
+    opening: &Message,
+) -> Result<(Wire, u64, u64), SessionError> {
     use SessionError::{Lost, Refused};
     let (reader, writer) = dial(endpoint, patience)?.0.into_parts();
     // Read through `dial`'s reader, which holds whatever it buffered.
@@ -85,33 +92,29 @@ fn open(endpoint: &Endpoint, patience: Duration, opening: &Message) -> Result<Li
         }
     }
     match wire.expect().map_err(Lost)? {
-        Message::Session { token, nonce } => {
-            Ok(Link::new(wire, Peer::Farmd { endpoint: endpoint.clone(), token, nonce }))
-        }
+        Message::Session { token, nonce } => Ok((wire, token, nonce)),
         other => Err(Refused(format!("farmd followed READY with {}", other.tag()))),
     }
 }
 
-/// Re-attach session `token` after a transport failure, retrying with
+/// Re-attach `session` after a transport failure, retrying with
 /// jittered exponential backoff until [`RESUME_DEADLINE`]. A dispatcher
 /// that answers and refuses ends the attempt at once.
-pub(crate) fn resume(endpoint: &Endpoint, token: u64, nonce: u64) -> Result<Link, ShardError> {
+pub(crate) fn resume(session: Option<&Session>) -> Result<Wire, ShardError> {
+    let Some(&(ref endpoint, token, nonce)) = session else {
+        return Err(ShardError::new("a pool of workers has no session to resume"));
+    };
     let start = Instant::now();
     let mut backoff = RESUME_BACKOFF_START;
     let mut last = String::from("never attempted");
     while start.elapsed() < RESUME_DEADLINE {
         match open(endpoint, Duration::ZERO, &Message::Resume { token, nonce }) {
-            Ok(Link { peer: Peer::Farmd { token: t, nonce: n, .. }, .. })
-                if (t, n) != (token, nonce) =>
-            {
+            Ok((_, t, n)) if (t, n) != (token, nonce) => {
                 return Err(ShardError::new(format!(
                     "farmd answered the resume of session {token} with session {t}"
                 )));
             }
-            Ok(mut link) => {
-                link.resumed = true;
-                return Ok(link);
-            }
+            Ok((wire, ..)) => return Ok(wire),
             Err(SessionError::Refused(why)) => return Err(ShardError::new(why)),
             Err(e) => last = e.to_string(),
         }

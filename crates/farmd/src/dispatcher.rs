@@ -572,6 +572,7 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::journal::Journal;
+    use petal_farm::shard::{self as farm, LinkKind, Machine, Next};
     use petal_farm::EvalJob;
     use std::time::Duration;
 
@@ -742,22 +743,39 @@ pub(crate) mod tests {
         answered: Vec<(u64, JobOutcome)>,
     }
 
-    /// A tuner's farm link: its session, the jobs it submitted, the
-    /// answers it holds, and what its current attachment was sent.
+    /// The `JOB` record for wire index `index` whose answer is `answer(seed)`.
+    fn job(index: u64, seed: u64) -> String {
+        let job = EvalJob { config: Default::default(), size: 64, engine_seed: seed };
+        Message::Job { index, job }.encode()
+    }
+
+    /// A tuner's farm link: the farm's own client machine over one
+    /// session, driven as `Pool::evaluate` drives it. It reads what it is
+    /// sent as it arrives; what it writes waits in [`Sim::unread`] for the
+    /// dispatcher's reader.
     #[derive(Default)]
-    struct SimClient {
-        conn: Option<ConnId>,
-        credentials: Option<(u64, u64)>,
-        /// Index → `JOB` record and seed, as submitted.
-        submitted: BTreeMap<u64, (String, u64)>,
-        got: BTreeSet<u64>,
-        /// Indices this attachment was sent, and the re-servings it is
-        /// owed for `JOB`s it sent again after holding the answer.
-        attached_got: BTreeSet<u64>,
-        owed: BTreeMap<u64, u32>,
-        /// Told GOODBYE (starved, refused, or its session gone) or done.
-        ended: bool,
-        done: bool,
+    struct Tuner {
+        machine: Machine,
+        conn: ConnId,
+        credentials: (u64, u64),
+        /// What it waits for; `None` once its last batch ended.
+        wait: Option<Wait>,
+        /// Each job's seed, by wire index.
+        seeds: Vec<u64>,
+        /// Jobs a batch, and batches still to begin.
+        jobs: usize,
+        batches: usize,
+        /// Every batch ended `Ok`.
+        finished: bool,
+    }
+
+    /// What a client waits for: `READY` and `SESSION`, its next record,
+    /// or the chance to dial again.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Wait {
+        Handshake,
+        Read,
+        Resume,
     }
 
     /// One seeded schedule over a dispatcher, its peers and its journal.
@@ -766,7 +784,10 @@ pub(crate) mod tests {
         opts: FarmdOptions,
         rng: Rng,
         workers: Vec<SimWorker>,
-        clients: Vec<SimClient>,
+        clients: Vec<Tuner>,
+        /// The records each connection's client wrote that its reader has
+        /// not read.
+        unread: BTreeMap<ConnId, VecDeque<String>>,
         /// Connections the peer or the dispatcher closed whose reader has
         /// not yet stepped `Closed`, and those whose reader has.
         closing: BTreeSet<ConnId>,
@@ -784,9 +805,9 @@ pub(crate) mod tests {
                 ..FarmdOptions::default()
             };
             let h = Harness::new(&opts);
-            let (workers, clients) = (Vec::new(), Vec::new());
+            let (workers, clients, unread) = (Vec::new(), Vec::new(), BTreeMap::new());
             let (closing, gone, jobs_sent) = (BTreeSet::new(), BTreeSet::new(), BTreeMap::new());
-            Sim { h, opts, rng: Rng(seed), workers, clients, closing, gone, jobs_sent }
+            Sim { h, opts, rng: Rng(seed), workers, clients, unread, closing, gone, jobs_sent }
         }
 
         /// Step, deliver the effects to the peers, run the scheduler, and
@@ -794,6 +815,11 @@ pub(crate) mod tests {
         fn step(&mut self, conn: ConnId, event: Event) {
             let effects = self.h.step(conn, event);
             self.deliver(effects);
+            self.settle_dispatcher();
+        }
+
+        /// Run the scheduler, deliver what it sends, and check.
+        fn settle_dispatcher(&mut self) {
             for effects in self.h.schedule() {
                 self.deliver(effects);
             }
@@ -804,11 +830,10 @@ pub(crate) mod tests {
             for (conn, lines) in effects.sends {
                 let jobs = lines.iter().filter(|line| line.starts_with("JOB "));
                 self.jobs_sent.entry(conn).or_default().extend(jobs.cloned());
-                if self.closing.contains(&conn) || self.gone.contains(&conn) {
-                    continue; // the peer is gone
-                }
                 for line in lines {
-                    self.receive(conn, &line);
+                    if !self.closing.contains(&conn) && !self.gone.contains(&conn) {
+                        self.receive(conn, &line); // else the peer is gone
+                    }
                 }
             }
             for conn in effects.closes {
@@ -824,28 +849,35 @@ pub(crate) mod tests {
                 }
                 return;
             }
-            let Some(c) = self.clients.iter_mut().find(|c| c.conn == Some(conn)) else {
+            let Some(i) = self.clients.iter().position(|c| c.conn == conn) else {
                 panic!("{line} sent to connection {conn}, which no peer holds");
             };
-            match msg {
-                Message::Session { token, nonce } => c.credentials = Some((token, nonce)),
-                Message::Result { index, outcome } => {
-                    let (_, seed) = c.submitted.get(&index).expect("a result for a submitted job");
-                    let bits = |o: &JobOutcome| (o.fitness.map(f64::to_bits), o.makespan.to_bits());
-                    assert_eq!(bits(&outcome), bits(&answer(*seed)), "the outcome the worker sent");
-                    if !c.attached_got.insert(index) {
-                        let owed = c.owed.get_mut(&index).filter(|n| **n > 0);
-                        *owed.expect("forwarded once per attachment") -= 1;
-                    }
-                    c.got.insert(index);
+            if let Message::Goodbye { reason } = &msg {
+                // Starvation is an empty fleet's verdict only.
+                let starved = reason.starts_with("no workers available");
+                assert!(!starved || self.h.d.registry.ready_count() == 0, "{reason}");
+            }
+            let c = &mut self.clients[i];
+            match (c.wait, msg) {
+                (Some(Wait::Read), msg) => self.drive(i, Some(farm::Event::Record(msg))),
+                (Some(Wait::Handshake), Message::Ready { version }) => {
+                    assert_eq!(version, WIRE_VERSION);
                 }
-                Message::Goodbye { reason } => {
-                    // Starvation is an empty fleet's verdict only.
-                    let starved = reason.starts_with("no workers available");
-                    assert!(!starved || self.h.d.registry.ready_count() == 0, "{reason}");
-                    c.ended = true;
+                (Some(Wait::Handshake), Message::Session { token, nonce })
+                    if c.seeds.is_empty() =>
+                {
+                    c.credentials = (token, nonce);
+                    c.machine.push(LinkKind::Farmd);
+                    self.begin(i);
                 }
-                _ => {}
+                (Some(Wait::Handshake), Message::Session { token, nonce }) => {
+                    assert_eq!((token, nonce), c.credentials, "the session it resumes");
+                    self.drive(i, Some(farm::Event::Resumed(Ok(()))));
+                }
+                (Some(Wait::Handshake), Message::Goodbye { reason }) => {
+                    self.drive(i, Some(farm::Event::Resumed(Err(reason))));
+                }
+                (wait, msg) => panic!("{msg:?} sent to a client waiting for {wait:?}"),
             }
         }
 
@@ -859,8 +891,9 @@ pub(crate) mod tests {
             for w in self.workers.iter_mut().filter(|w| w.conn == Some(conn)) {
                 *w = SimWorker::default();
             }
-            for c in self.clients.iter_mut().filter(|c| c.conn == Some(conn)) {
-                c.conn = None;
+            let reading = |c: &Tuner| c.conn == conn && c.wait == Some(Wait::Read);
+            if let Some(i) = self.clients.iter().position(reading) {
+                self.drive(i, Some(farm::Event::Lost("connection closed".into())));
             }
         }
 
@@ -906,34 +939,47 @@ pub(crate) mod tests {
         fn act(&mut self) {
             match self.rng.below(20) {
                 0 | 1 if self.workers.iter().filter(|w| w.conn.is_some()).count() < 3 => {
-                    self.connect_worker();
+                    let slots = 1 + self.rng.below(3) as u64;
+                    self.connect_worker(slots);
                 }
                 2..=5 => self.answer(),
-                6 => {
+                6 | 7 => {
+                    // A worker heartbeats, or dies, or leaves saying so.
                     let Some(i) = self.alive_worker() else { return };
                     let conn = self.workers[i].conn.expect("alive");
-                    self.step(conn, Event::Msg(Message::Heartbeat { seq: 0 }));
-                }
-                7 => {
-                    // A worker dies, or leaves saying so.
-                    let Some(i) = self.alive_worker() else { return };
-                    let conn = self.workers[i].conn.expect("alive");
-                    if self.rng.percent(50) {
-                        self.hang_up(conn);
-                    } else {
-                        self.step(conn, Event::Msg(Message::Goodbye { reason: "bye".into() }));
+                    match self.rng.below(4) {
+                        0 => self.hang_up(conn),
+                        1 => self.step(conn, Event::Msg(Message::Goodbye { reason: "bye".into() })),
+                        _ => self.step(conn, Event::Msg(Message::Heartbeat { seq: 0 })),
                     }
                 }
-                8 if self.clients.len() < 3 => self.open(),
-                9..=11 => self.submit(),
-                12 => {
-                    let Some(i) = self.attached_client() else { return };
-                    let conn = self.clients[i].conn.expect("attached");
-                    self.hang_up(conn);
+                8 if self.clients.len() < 3 => {
+                    let (jobs, batches) = (1 + self.rng.below(4), 1 + self.rng.below(3));
+                    self.open(jobs, batches);
                 }
-                13 => self.resume(),
-                14 => self.finish(),
-                15 | 16 => {
+                9..=11 => {
+                    // A reader takes some of what a client wrote.
+                    let written: Vec<ConnId> = self
+                        .unread
+                        .iter()
+                        .filter(|(_, q)| !q.is_empty())
+                        .map(|(&c, _)| c)
+                        .collect();
+                    if !written.is_empty() {
+                        let conn = written[self.rng.below(written.len())];
+                        self.read_run(conn);
+                    }
+                }
+                12 => {
+                    // A client's transport fails under it.
+                    let Some(i) = self.pick_client(Wait::Read) else { return };
+                    self.hang_up(self.clients[i].conn);
+                }
+                13 => {
+                    let Some(i) = self.pick_client(Wait::Resume) else { return };
+                    self.resume(i);
+                }
+                14 | 15 => {
                     // A reader notices its connection closed.
                     let Some(&conn) = self.closing.iter().nth(self.rng.below(self.closing.len()))
                     else {
@@ -941,21 +987,44 @@ pub(crate) mod tests {
                     };
                     self.reader_ends(conn);
                 }
-                17 | 18 => {
+                16 | 17 => {
                     let jump = [5, 5, 5, 40, 40, 120, 500, 900][self.rng.below(8)];
                     self.h.now += Duration::from_millis(jump);
                     self.step(CLOCK, Event::Tick);
                 }
+                18 => self.resend(),
                 _ if self.rng.percent(25) => self.crash(),
                 _ => {}
             }
         }
 
-        /// The reader of a closed connection reads EOF.
+        /// The reader of a closed connection reads what its client wrote
+        /// before the close, then EOF.
         fn reader_ends(&mut self, conn: ConnId) {
+            while self.read_run(conn) {}
             self.closing.remove(&conn);
             self.gone.insert(conn);
             self.step(conn, Event::Closed("connection closed".into()));
+        }
+
+        /// The reader of `conn` takes the oldest record its client wrote:
+        /// some of a run of `JOB`s, or one other record. `false` if none.
+        fn read_run(&mut self, conn: ConnId) -> bool {
+            let Some(queue) = self.unread.get_mut(&conn).filter(|q| !q.is_empty()) else {
+                return false;
+            };
+            let jobs = queue.iter().take_while(|line| line.starts_with("JOB ")).count();
+            let lines: Vec<String> = queue.drain(..1 + self.rng.below(jobs)).collect();
+            let indexed = |line: String| match Message::decode(&line) {
+                Ok(Message::Job { index, .. }) => (index, line),
+                other => panic!("{other:?} in a run of JOBs"),
+            };
+            let event = match Message::decode(&lines[0]).expect("a client writes records") {
+                Message::Job { .. } => Event::Jobs(lines.into_iter().map(indexed).collect()),
+                msg => Event::Msg(msg),
+            };
+            self.step(conn, event);
+            true
         }
 
         fn alive_worker(&mut self) -> Option<usize> {
@@ -965,15 +1034,14 @@ pub(crate) mod tests {
             (!alive.is_empty()).then(|| alive[self.rng.below(alive.len())])
         }
 
-        fn attached_client(&mut self) -> Option<usize> {
-            let attached: Vec<usize> =
-                (0..self.clients.len()).filter(|&i| self.clients[i].conn.is_some()).collect();
-            (!attached.is_empty()).then(|| attached[self.rng.below(attached.len())])
+        fn pick_client(&mut self, wait: Wait) -> Option<usize> {
+            let fit: Vec<usize> =
+                (0..self.clients.len()).filter(|&i| self.clients[i].wait == Some(wait)).collect();
+            (!fit.is_empty()).then(|| fit[self.rng.below(fit.len())])
         }
 
-        fn connect_worker(&mut self) {
+        fn connect_worker(&mut self, slots: u64) {
             let conn = self.h.connect();
-            let slots = 1 + self.rng.below(3) as u64;
             self.workers.push(SimWorker { conn: Some(conn), ..SimWorker::default() });
             self.step(conn, Event::Register { name: "sim".into(), slots, pid: 0 });
         }
@@ -1004,79 +1072,113 @@ pub(crate) mod tests {
             self.step(conn, Event::Results(run));
         }
 
-        fn open(&mut self) {
+        /// Worker `i` answers its `n` oldest jobs in one run.
+        fn answer_run(&mut self, i: usize, n: usize) {
+            let w = &mut self.workers[i];
+            let run: Vec<_> = w.pending.drain(..n).map(|(i, s)| (i, answer(s))).collect();
+            let conn = w.conn.expect("alive");
+            self.step(conn, Event::Results(run));
+        }
+
+        /// A client opens a session to run `batches` batches of `jobs`
+        /// jobs; its handshake begins the first.
+        fn open(&mut self, jobs: usize, batches: usize) {
             let conn = self.h.connect();
-            self.clients.push(SimClient { conn: Some(conn), ..SimClient::default() });
+            let wait = Some(Wait::Handshake);
+            self.clients.push(Tuner { conn, wait, jobs, batches, ..Tuner::default() });
             let machine = Box::new(MachineProfile::laptop());
             let nonce = self.rng.next();
             self.step(conn, Event::Open { bench_spec: "sort n=64".into(), machine, nonce });
         }
 
-        /// A client submits a run of new jobs, now and then with one it
-        /// submitted before.
-        fn submit(&mut self) {
-            let Some(i) = self.attached_client() else { return };
-            let (n, seed) = (1 + self.rng.below(4) as u64, self.rng.next());
+        /// Client `i` begins its next batch.
+        fn begin(&mut self, i: usize) {
             let c = &mut self.clients[i];
-            let first = c.submitted.len() as u64;
-            let mut run = Vec::new();
-            for index in first..first + n {
-                let job =
-                    EvalJob { config: Default::default(), size: 64, engine_seed: seed ^ index };
-                let line = Message::Job { index, job }.encode();
-                c.submitted.insert(index, (line.clone(), seed ^ index));
-                run.push((index, line));
+            c.batches -= 1;
+            for _ in 0..c.jobs {
+                c.seeds.push(self.rng.next());
             }
-            if first > 0 && self.rng.percent(30) {
-                let index = self.rng.below(first as usize) as u64;
-                if c.attached_got.contains(&index) {
-                    *c.owed.entry(index).or_default() += 1;
-                }
-                run.push((index, c.submitted[&index].0.clone()));
-            }
-            let conn = c.conn.expect("attached");
-            self.step(conn, Event::Jobs(run));
+            self.drive(i, None);
         }
 
-        /// A detached client re-attaches and sends again every job it has
-        /// no answer to, as a farm link does after a lost transport.
-        fn resume(&mut self) {
-            let detached: Vec<usize> = (0..self.clients.len())
-                .filter(|&i| {
-                    let c = &self.clients[i];
-                    c.conn.is_none() && c.credentials.is_some() && !c.ended
-                })
-                .collect();
-            if detached.is_empty() {
-                return;
-            }
-            let i = detached[self.rng.below(detached.len())];
+        /// Client `i` dials again and presents its credentials.
+        fn resume(&mut self, i: usize) {
             let conn = self.h.connect();
             let c = &mut self.clients[i];
-            let (token, nonce) = c.credentials.expect("credentials");
-            (c.conn, c.attached_got, c.owed) = (Some(conn), BTreeSet::new(), BTreeMap::new());
+            (c.conn, c.wait) = (conn, Some(Wait::Handshake));
+            let (token, nonce) = c.credentials;
             self.step(conn, Event::Resume { token, nonce });
-            let c = &self.clients[i];
-            if c.conn == Some(conn) {
-                let run: Vec<_> = (c.submitted.iter())
-                    .filter(|(index, _)| !c.got.contains(index))
-                    .map(|(&index, (line, _))| (index, line.clone()))
-                    .collect();
-                if !run.is_empty() {
-                    self.step(conn, Event::Jobs(run));
+        }
+
+        /// Step client `i`'s machine with `event`, or begin its batch, and
+        /// do what it asks as `Pool::evaluate` does: write its jobs and
+        /// part with its link, then wait, or — a batch over — check the
+        /// batch and begin the next, or part.
+        fn drive(&mut self, i: usize, event: Option<farm::Event>) {
+            let c = &mut self.clients[i];
+            c.wait = None; // while it acts: its own hang-up is no news to it
+            let effects = match event {
+                Some(event) => c.machine.step(0, event),
+                None => c.machine.begin(c.jobs, 1),
+            };
+            let (base, run, part, next) =
+                (effects.base, effects.runs.concat(), effects.part, effects.next);
+            for k in run {
+                let index = base + k as u64;
+                let line =
+                    job(index, self.clients[i].seeds[usize::try_from(index).expect("small")]);
+                self.unread.entry(self.clients[i].conn).or_default().push_back(line);
+            }
+            if part.is_some() {
+                let token = self.clients[i].credentials.0;
+                let attached =
+                    self.h.d.state.sessions.get(&token).is_some_and(|s| s.conn.is_some());
+                assert!(!attached, "a client parted with session {token}, which is still attached");
+                self.part(i);
+            }
+            let c = &mut self.clients[i];
+            match next {
+                Next::Read(_) => c.wait = Some(Wait::Read),
+                Next::Resume(_) => c.wait = Some(Wait::Resume),
+                Next::End(Err(_)) => {}
+                Next::End(Ok(outcomes)) => {
+                    let seeds = &c.seeds[usize::try_from(base).expect("small")..];
+                    let want = seeds.iter().map(|&seed| bits(&answer(seed)));
+                    assert!(outcomes.iter().map(bits).eq(want), "each job's own answer");
+                    if c.batches > 0 {
+                        return self.begin(i);
+                    }
+                    c.finished = true;
+                    self.part(i);
                 }
             }
         }
 
-        /// A client with every answer says `DONE`.
-        fn finish(&mut self) {
-            let Some(i) = self.attached_client() else { return };
-            let c = &mut self.clients[i];
-            if c.got.len() == c.submitted.len() {
-                c.done = true;
-                let conn = c.conn.expect("attached");
-                self.step(conn, Event::Msg(Message::Done));
+        /// Client `i` says `DONE` and closes its connection, as a pool
+        /// does when it parts with a link or is dropped.
+        fn part(&mut self, i: usize) {
+            let conn = self.clients[i].conn;
+            self.unread.entry(conn).or_default().push_back(Message::Done.encode());
+            self.hang_up(conn);
+        }
+
+        /// A client re-sends a `JOB` of an earlier batch on the attachment
+        /// that holds its answer — which the farm's client never does —
+        /// and is re-served that answer, with nothing queued or journaled.
+        fn resend(&mut self) {
+            let Some(i) = self.pick_client(Wait::Read) else { return };
+            let c = &self.clients[i];
+            let owner = matches!(self.h.d.roles.get(&c.conn), Some(Role::Client(s)) if *s == c.credentials.0);
+            if !owner || c.seeds.len() == c.jobs {
+                return;
             }
+            let (at, conn) = (self.rng.below(c.seeds.len() - c.jobs), c.conn);
+            let (index, seed) = (at as u64, c.seeds[at]);
+            let effects = self.h.step(conn, Event::Jobs(vec![(index, job(index, seed))]));
+            let want = Message::Result { index, outcome: answer(seed) }.encode();
+            assert_eq!(effects.sends.into_iter().collect::<Vec<_>>(), [(conn, vec![want])]);
+            assert!(effects.journal.is_empty() && effects.closes.is_empty());
+            self.settle_dispatcher();
         }
 
         /// The dispatcher dies with every connection; a new one recovers
@@ -1089,61 +1191,71 @@ pub(crate) mod tests {
             self.h.shadow = State::new();
             journal::replay(&mut self.h.shadow, &self.h.log, self.h.now).expect("replays");
             self.h.d = Dispatcher::new(state, self.opts.clone(), true, self.h.now);
+            let conns: Vec<ConnId> = self.clients.iter().map(|c| c.conn).collect();
+            conns.into_iter().for_each(|conn| self.hang_up(conn));
             self.gone.append(&mut self.closing);
+            self.unread.clear();
             for w in &mut self.workers {
                 *w = SimWorker::default();
-            }
-            for c in &mut self.clients {
-                c.conn = None;
             }
             self.jobs_sent.clear();
             self.step(CLOCK, Event::Tick);
         }
 
-        /// Run the schedule out: a worker stays, readers notice, clients
-        /// re-attach and finish. Every client not told GOODBYE holds
-        /// every answer, and the dispatcher is left holding nothing.
-        fn drain(&mut self) {
-            for _ in 0..100 {
-                if self.alive_worker().is_none() {
-                    self.connect_worker();
+        /// Let readers and clients run until neither has more to do:
+        /// readers take what clients wrote, and clients resume what they
+        /// lost.
+        fn settle(&mut self) {
+            loop {
+                if let Some((&conn, _)) = self.unread.iter().find(|(_, q)| !q.is_empty()) {
+                    self.read_run(conn);
+                } else if let Some(i) =
+                    self.clients.iter().position(|c| c.wait == Some(Wait::Resume))
+                {
+                    self.resume(i);
+                } else {
+                    return;
                 }
-                while let Some(&conn) = self.closing.iter().next() {
+            }
+        }
+
+        /// Run the schedule out: a worker stays, readers notice, clients
+        /// run every batch. Every client finishes or is told why not, and
+        /// the dispatcher is left holding nothing once the resume window
+        /// of a session whose `DONE` was lost has lapsed.
+        fn drain(&mut self) {
+            for _ in 0..200 {
+                if self.alive_worker().is_none() {
+                    self.connect_worker(2);
+                }
+                while let Some(&conn) = self.closing.first() {
                     self.reader_ends(conn);
                 }
-                for _ in 0..self.clients.len() {
-                    self.resume();
-                }
+                self.settle();
                 for i in 0..self.workers.len() {
                     let Some(conn) = self.workers[i].conn else { continue };
                     self.step(conn, Event::Msg(Message::Heartbeat { seq: 0 }));
-                    let w = &mut self.workers[i];
-                    let run: Vec<_> = w.pending.drain(..).map(|(i, s)| (i, answer(s))).collect();
-                    if !run.is_empty() && w.conn.is_some() {
-                        self.step(conn, Event::Results(run));
+                    let pending = self.workers[i].pending.len();
+                    if self.workers[i].conn.is_some() && pending > 0 {
+                        self.answer_run(i, pending);
                     }
                 }
-                for i in 0..self.clients.len() {
-                    let c = &mut self.clients[i];
-                    if let Some(conn) = c.conn.filter(|_| c.got.len() == c.submitted.len()) {
-                        c.done = true;
-                        self.step(conn, Event::Msg(Message::Done));
-                    }
-                }
+                self.settle();
                 self.h.now += Duration::from_millis(10);
                 self.step(CLOCK, Event::Tick);
-                if self.clients.iter().all(|c| c.done || c.ended) {
+                let idle = self.clients.iter().all(|c| c.wait.is_none());
+                if idle && self.closing.is_empty() && self.h.d.state.sessions.is_empty() {
                     break;
                 }
             }
-            for c in &self.clients {
-                assert!(c.done || c.ended, "a client never finished");
-                if !c.ended {
-                    assert_eq!(c.got.len(), c.submitted.len(), "every job answered");
-                }
-            }
+            assert!(self.clients.iter().all(|c| c.wait.is_none()), "a client never finished");
             assert!(self.h.d.state.sessions.is_empty() && self.h.d.state.jobs.is_empty());
         }
+    }
+
+    /// An outcome's bits: what "the same answer" means.
+    fn bits(o: &JobOutcome) -> (Option<u64>, u64) {
+        (o.fitness.map(f64::to_bits), o.makespan.to_bits())
     }
 
     /// Two sessions each submit their job 0 and one worker takes both:
@@ -1158,8 +1270,7 @@ pub(crate) mod tests {
         for (seed, &client) in (0..).zip(&clients) {
             let machine = Box::new(MachineProfile::laptop());
             h.step(client, Event::Open { bench_spec: "sort n=64".into(), machine, nonce: seed });
-            let job = EvalJob { config: Default::default(), size: 64, engine_seed: seed };
-            h.step(client, Event::Jobs(vec![(0, Message::Job { index: 0, job }.encode())]));
+            h.step(client, Event::Jobs(vec![(0, job(0, seed))]));
         }
         h.schedule();
         let records = |h: &Harness, conn| -> Vec<Message> {
@@ -1181,23 +1292,112 @@ pub(crate) mod tests {
 
     /// Thousands of seeded schedules of connects, runs of `JOB`s and
     /// `RESULT`s (duplicated and out of order among them), heartbeat
-    /// lapses, worker loss, detach and `RESUME`, linger and starvation,
-    /// and dispatcher crashes recovered from the log. Between any two
-    /// steps: replay of the log ≡ the live state (a crash there recovers
-    /// it), each connection is what its role says, each worker was sent
-    /// its in-flight FIFO in order, and no unanswered job is forgotten.
-    /// At every client: each index is forwarded once per attachment
-    /// (plus a re-serving per `JOB` re-sent for an answer it holds), as
-    /// the outcome the worker sent; and once a worker stays, every job is
-    /// answered.
+    /// lapses, worker loss, client transports lost and resumed by the
+    /// farm's own client machine, linger, starvation and dispatcher
+    /// crashes, in synthetic time. A client's records wait for the
+    /// dispatcher's reader, so a worker's answer can overtake a re-sent
+    /// `JOB`. Between any two steps: replay ≡ live, each connection is
+    /// what its role says, each worker was sent its in-flight FIFO in
+    /// order, no unanswered job is forgotten, and no client parts with a
+    /// session the dispatcher holds attached. Each finished batch holds
+    /// its jobs' own answers, and once a worker stays, every client
+    /// finishes or is told why not.
     #[test]
     fn seeded_schedules_keep_every_dispatcher_property() {
         for seed in 0..1_000 {
+            eprintln!("schedule seed {seed}"); // the last one printed is the failing one
             let mut sim = Sim::new(seed);
             for _ in 0..60 {
                 sim.act();
             }
             sim.drain();
         }
+    }
+
+    /// Run one churn schedule, scripted step by step, out: one client runs
+    /// two batches through the farm's own client machine, and every batch
+    /// ends with its own answers, on one session.
+    fn run_scripted(script: impl FnOnce(&mut Sim)) {
+        let mut sim = Sim::new(0);
+        script(&mut sim);
+        sim.drain();
+        assert!(sim.clients[0].finished, "the client kept its session");
+    }
+
+    /// An answer served twice after a `RESUME`, the copy read in the next
+    /// batch.
+    #[test]
+    fn an_answer_served_twice_after_a_resume_keeps_the_session() {
+        run_scripted(|sim| {
+            sim.connect_worker(1);
+            sim.open(1, 2);
+            sim.settle(); // the worker holds job 0
+            sim.hang_up(sim.clients[0].conn); // the client's transport fails
+            sim.resume(0); // RESUME, and JOB 0 written again
+            sim.answer_run(0, 1); // forwarded before the re-sent JOB 0 is read
+        });
+    }
+
+    /// The only worker dies holding jobs; the batch waits inside the
+    /// starvation window until a replacement joins and takes it.
+    #[test]
+    fn total_fleet_loss_mid_batch_recovers_when_a_replacement_joins() {
+        run_scripted(|sim| {
+            sim.connect_worker(2);
+            sim.open(6, 2);
+            sim.settle();
+            sim.answer_run(0, 1);
+            sim.settle();
+            let doomed = sim.workers[0].conn.expect("alive");
+            sim.hang_up(doomed);
+            sim.reader_ends(doomed);
+            assert_eq!(sim.h.d.requeues, 2, "both jobs it held are re-queued");
+            sim.h.now += sim.opts.starvation / 2;
+            sim.step(CLOCK, Event::Tick);
+            sim.connect_worker(2);
+            assert_eq!(sim.workers[1].pending.len(), 2, "the replacement takes them");
+        });
+    }
+
+    /// A worker joins mid-batch and takes a job at once.
+    #[test]
+    fn workers_joining_mid_batch_leave_results_unchanged() {
+        run_scripted(|sim| {
+            sim.connect_worker(1);
+            sim.open(6, 2);
+            sim.settle();
+            sim.connect_worker(1);
+            assert_eq!(sim.workers[1].pending.len(), 1, "the late worker takes a job");
+        });
+    }
+
+    /// The dispatcher dies with the batch queued; workers join after.
+    #[test]
+    fn a_dispatcher_crash_with_the_batch_queued_recovers_when_workers_join() {
+        run_scripted(|sim| {
+            sim.open(4, 2);
+            sim.settle();
+            sim.crash();
+            sim.settle(); // EOF, RESUME by token, the unanswered jobs again
+            assert_eq!(sim.h.d.state.queue.len(), 4, "the batch is queued once");
+            sim.connect_worker(2);
+        });
+    }
+
+    /// The dispatcher dies after forwarding an answer the client lost.
+    #[test]
+    fn a_dispatcher_crash_after_an_answer_the_client_lost_recovers() {
+        run_scripted(|sim| {
+            sim.connect_worker(2);
+            sim.open(4, 2);
+            sim.settle();
+            sim.answer_run(0, 2);
+            sim.settle();
+            sim.hang_up(sim.clients[0].conn); // the client's transport fails
+            sim.answer_run(0, 1); // RESULT 2 is forwarded into it
+            sim.crash();
+            sim.settle(); // RESUME; JOBs 2 and 3 again; RESULT 2 re-served
+            assert_eq!(sim.h.d.state.jobs.len(), 1, "only job 3 is unanswered");
+        });
     }
 }

@@ -4,9 +4,13 @@
 //! produces a `Tuned.config` (and full search trajectory) bit-identical
 //! to the in-process farm. Together with `determinism.rs` (shards ∈
 //! {0,1,2,4}) this covers the whole determinism matrix with real worker
-//! processes. Frame faults (duplicated, swapped and late `RESULT`s) are
-//! the dispatcher's seeded simulator's, torn records the raw-socket
-//! tests' (`crates/farmd/tests/protocol.rs`, and the torn `JOB` below).
+//! processes. Frame faults (duplicated, swapped and late `RESULT`s) and
+//! churn timed against a batch (the whole fleet lost, workers joining, a
+//! dispatcher bounce with the batch still queued or right after its last
+//! answer) are the dispatcher's seeded simulator's, which drives the
+//! farm's own client machine; torn records are the raw-socket tests'
+//! (`crates/farmd/tests/protocol.rs`, and the torn `JOB` below). No test
+//! here waits on a timer.
 //!
 //! Worker processes are the same `petal-shard` binary the pipe mode
 //! uses, in `--connect` mode; `--fail-after N` makes one exit abruptly
@@ -19,14 +23,13 @@ use petal_farm::net::{Endpoint, FarmListener};
 use petal_farm::session::{dial, Framed, CONNECT_PATIENCE};
 use petal_farm::wire::{Message, WIRE_VERSION};
 use petal_farm::{EvalJob, FarmSettings};
-use petal_farmd::{Farmd, FarmdOptions, FarmdStats};
+use petal_farmd::{Farmd, FarmdOptions};
 use petal_gpu::profile::MachineProfile;
 use petal_shard::{serve_remote, RemoteOptions};
 use petal_tuner::{Autotuner, Tuned, TunerSettings};
 use std::io::{BufReader, Write};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -51,13 +54,12 @@ fn spawn_worker(endpoint: &Endpoint, name: &str, fail_after: Option<u64>) -> Wor
     WorkerGuard(cmd.spawn().expect("spawn petal-shard --connect"))
 }
 
-fn dispatcher(endpoint: Endpoint, deadline: Duration) -> Farmd {
-    Farmd::bind(&[endpoint], FarmdOptions { deadline, ..FarmdOptions::default() })
-        .expect("bind dispatcher")
+fn dispatcher(endpoint: Endpoint) -> Farmd {
+    Farmd::bind(&[endpoint], FarmdOptions::default()).expect("bind dispatcher")
 }
 
-fn tcp_dispatcher(deadline: Duration) -> Farmd {
-    dispatcher(Endpoint::Tcp("127.0.0.1:0".to_owned()), deadline)
+fn tcp_dispatcher() -> Farmd {
+    dispatcher(Endpoint::Tcp("127.0.0.1:0".to_owned()))
 }
 
 fn tune(bench: &dyn Benchmark, machine: &MachineProfile, farm: FarmSettings) -> Tuned {
@@ -89,7 +91,7 @@ fn farmd_over_tcp_and_unix_matches_the_in_process_farm() {
     let bench = BlackScholes::new(4_096);
     let want = baseline(&bench, &machine);
 
-    let farmd = tcp_dispatcher(Duration::from_secs(2));
+    let farmd = tcp_dispatcher();
     let ep = farmd.endpoints()[0].clone();
     let _a = spawn_worker(&ep, "tcp-a", None);
     let _b = spawn_worker(&ep, "tcp-b", None);
@@ -100,7 +102,7 @@ fn farmd_over_tcp_and_unix_matches_the_in_process_farm() {
     drop(farmd);
 
     let path = std::env::temp_dir().join(format!("petal-churn-{}.sock", std::process::id()));
-    let farmd = dispatcher(Endpoint::Unix(path), Duration::from_secs(2));
+    let farmd = dispatcher(Endpoint::Unix(path));
     let ep = farmd.endpoints()[0].clone();
     let _a = spawn_worker(&ep, "unix-a", None);
     let _b = spawn_worker(&ep, "unix-b", None);
@@ -126,7 +128,7 @@ fn worker_deaths_mid_batch_never_perturb_the_tuned_config() {
         ("busiest two of three die in turn", &[Some(2), Some(4), None]),
     ];
     for &(label, fleet) in fleets {
-        let farmd = tcp_dispatcher(Duration::from_secs(2));
+        let farmd = tcp_dispatcher();
         let ep = farmd.endpoints()[0].clone();
         let mut guards = Vec::new();
         for (i, &fail) in fleet.iter().enumerate() {
@@ -137,63 +139,11 @@ fn worker_deaths_mid_batch_never_perturb_the_tuned_config() {
         assert_trajectory_eq(&got, &want, label);
         let stats = farmd.stats();
         let deaths = fleet.iter().flatten().count() as u64;
-        assert!(
-            stats.requeues >= deaths,
-            "{label}: expected ≥{deaths} re-queues, saw {}",
-            stats.requeues
-        );
+        assert!(stats.requeues >= deaths, "{label}: {} re-queues", stats.requeues);
         assert_eq!(stats.queued, 0, "{label}: nothing left behind");
         assert_eq!(stats.inflight, 0, "{label}: nothing left behind");
         drop(guards);
     }
-}
-
-#[test]
-fn total_fleet_loss_mid_batch_recovers_when_a_replacement_joins() {
-    let machine = MachineProfile::desktop();
-    let bench = BlackScholes::new(4_096);
-    let want = baseline(&bench, &machine);
-
-    // The only worker dies holding jobs; the batch waits in the queue
-    // (inside the starvation grace window) until a replacement registers
-    // and drains it. The tuner never notices.
-    let farmd = tcp_dispatcher(Duration::from_secs(2));
-    let ep = farmd.endpoints()[0].clone();
-    let _doomed = spawn_worker(&ep, "doomed", Some(2));
-    assert!(farmd.wait_workers(1, Duration::from_secs(10)), "doomed worker up");
-    let ep_ = ep.clone();
-    let replacement = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(400));
-        spawn_worker(&ep_, "replacement", None)
-    });
-    let got = tune(&bench, &machine, FarmSettings::remote(ep.to_string()));
-    drop(replacement.join().expect("replacement spawned"));
-    assert_trajectory_eq(&got, &want, "total fleet loss");
-    let stats = farmd.stats();
-    assert!(stats.requeues > 0, "the death actually caused re-queues");
-    assert_eq!(stats.queued, 0, "nothing left behind");
-    assert_eq!(stats.inflight, 0, "nothing left behind");
-}
-
-#[test]
-fn workers_joining_mid_batch_leave_results_unchanged() {
-    let machine = MachineProfile::desktop();
-    let bench = BlackScholes::new(4_096);
-    let want = baseline(&bench, &machine);
-
-    let farmd = tcp_dispatcher(Duration::from_secs(2));
-    let ep = farmd.endpoints()[0].clone();
-    let _a = spawn_worker(&ep, "early", None);
-    assert!(farmd.wait_workers(1, Duration::from_secs(10)), "first worker up");
-    // A second worker elastically joins while the batch is in flight.
-    let ep_ = ep.clone();
-    let late = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(200));
-        spawn_worker(&ep_, "late", None)
-    });
-    let got = tune(&bench, &machine, FarmSettings::remote(ep.to_string()));
-    drop(late.join().expect("late joiner spawned"));
-    assert_trajectory_eq(&got, &want, "elastic join");
 }
 
 /// A dispatcher→worker `JOB` torn mid-write: the worker takes the torn
@@ -242,35 +192,33 @@ fn a_job_torn_mid_write_makes_the_worker_dial_again() {
     assert!(worker.join().expect("the worker's thread").is_ok(), "GOODBYE ends it cleanly");
 }
 
-/// Who serves a bounce schedule: nobody until the dispatcher restarts,
-/// or two workers from the start — the first of them `silent_worker`, or
-/// a `petal-shard` like the second.
-#[derive(Clone, Copy, PartialEq)]
-enum Fleet {
-    AfterRestart,
-    SilentFirst,
-    Shards,
-}
-
 /// A worker scripted over the wire: it registers with one slot, takes
 /// its first `JOB` and never answers it, so that job is in flight until
-/// the connection ends — which is when the returned thread ends.
-fn silent_worker(endpoint: &Endpoint) -> JoinHandle<()> {
+/// the connection ends — which is when the returned thread ends. The
+/// receiver hears once the `JOB` is in hand.
+fn silent_worker(endpoint: &Endpoint) -> (JoinHandle<()>, mpsc::Receiver<()>) {
     let (mut wire, _) = dial(endpoint, CONNECT_PATIENCE).expect("dial the dispatcher");
     wire.send(&Message::Register { name: "silent".to_owned(), slots: 1, pid: 0 });
-    std::thread::spawn(move || while let Ok(Some(_)) = wire.recv() {})
+    let (holding, held) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        while let Ok(Some(msg)) = wire.recv() {
+            if matches!(msg, Message::Job { .. }) {
+                let _ = holding.send(());
+            }
+        }
+    });
+    (worker, held)
 }
 
-/// The crash-recovery acceptance matrix: SIGKILL-equivalent dispatcher
-/// bounces (`Farmd::abort` closes every socket with no goodbyes, then a
-/// fresh `Farmd::bind` replays the journal) at three scheduled points
-/// must leave `Tuned.config` *and* the full search trajectory
-/// bit-identical to the in-process farm at 1 and 8 threads. Unix
-/// sockets sidestep TCP rebind races. A controller thread owns the
-/// dispatcher: it polls `stats()` until its schedule's trigger fires,
-/// aborts, and re-binds the same endpoint over the same journal
-/// directory while the workers reconnect and the client resumes its
-/// session by token.
+/// The crash-recovery smoke over real sockets: a SIGKILL-equivalent
+/// dispatcher bounce (`Farmd::abort`, then a fresh `Farmd::bind` over the
+/// journal) with a job in flight leaves `Tuned.config` and the whole
+/// trajectory bit-identical to the in-process farm at 1 and 8 threads.
+/// The silent worker registers first (the scheduler prefers the lowest
+/// id) and holds its first `JOB` until the kill, which a controller makes
+/// the moment it holds it; worker `b` reconnects and the client resumes
+/// its session by token. (Bounces with the batch queued, or right after
+/// the last answer, are the dispatcher simulator's scripted schedules.)
 #[test]
 fn dispatcher_kills_with_journal_recovery_never_perturb_the_tuned_config() {
     let machine = MachineProfile::desktop();
@@ -281,90 +229,36 @@ fn dispatcher_kills_with_journal_recovery_never_perturb_the_tuned_config() {
     let want8 = tune(&bench, &machine, FarmSettings { threads: 8, ..FarmSettings::sequential() });
     assert_trajectory_eq(&want8, &want, "threads=8 baseline");
 
-    type Trigger = fn(&FarmdStats) -> bool;
-    // `Fleet::AfterRestart` delays the whole fleet until *after* the
-    // restart, so the first batch is parked in the queue when the kill
-    // lands — `queued > 0` observed by polling alone would be a race,
-    // since an idle fleet drains the queue the instant jobs arrive.
-    // `inflight > 0` is made to dwell the same way, not by a trial being
-    // slow (a Black-Scholes trial is microseconds): worker `a` is
-    // `silent_worker`, which holds its first JOB unanswered until the
-    // kill, and it registers first because the scheduler prefers the
-    // lowest-id worker. Only `b` comes back after the bounce.
-    let schedules: &[(&str, Trigger, Fleet)] = &[
-        ("mid-queue", |s| s.queued > 0, Fleet::AfterRestart),
-        ("mid-assignment", |s| s.inflight > 0, Fleet::SilentFirst),
-        ("after-last-result", |s| s.completed >= 3, Fleet::Shards),
-    ];
-    for (i, &(label, trigger, fleet)) in schedules.iter().enumerate() {
-        let pid = std::process::id();
-        let dir = std::env::temp_dir().join(format!("petal-journal-{pid}-{i}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let sock = std::env::temp_dir().join(format!("petal-bounce-{pid}-{i}.sock"));
-        let ep = Endpoint::Unix(sock);
-        let opts = {
-            let dir = dir.clone();
-            move || FarmdOptions {
-                deadline: Duration::from_secs(2),
-                journal: Some(dir.clone()),
-                ..FarmdOptions::default()
-            }
-        };
-        let mut farmd = Farmd::bind(std::slice::from_ref(&ep), opts()).expect("bind dispatcher");
-        let (mut guards, mut silent) = (Vec::new(), None);
-        match fleet {
-            Fleet::AfterRestart => {}
-            Fleet::SilentFirst => silent = Some(silent_worker(&ep)),
-            Fleet::Shards => guards.push(spawn_worker(&ep, &format!("bounce-{i}-a"), None)),
-        }
-        if fleet != Fleet::AfterRestart {
-            assert!(farmd.wait_workers(1, Duration::from_secs(10)), "{label}");
-            guards.push(spawn_worker(&ep, &format!("bounce-{i}-b"), None));
-            assert!(farmd.wait_workers(2, Duration::from_secs(10)), "{label}");
-        }
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("petal-journal-{pid}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ep = Endpoint::Unix(std::env::temp_dir().join(format!("petal-bounce-{pid}.sock")));
+    let opts = || FarmdOptions { journal: Some(dir.clone()), ..FarmdOptions::default() };
+    let mut farmd = Farmd::bind(std::slice::from_ref(&ep), opts()).expect("bind dispatcher");
+    let (silent, holding) = silent_worker(&ep);
+    assert!(farmd.wait_workers(1, Duration::from_secs(10)), "the silent worker registered");
+    let _b = spawn_worker(&ep, "bounce-b", None);
+    assert!(farmd.wait_workers(2, Duration::from_secs(10)), "worker b registered");
 
-        // `finished` lets the controller bail out (instead of spinning
-        // forever) if tuning somehow outruns its trigger; the test then
-        // fails loudly on `bounced` rather than hanging.
-        let finished = Arc::new(AtomicBool::new(false));
-        let controller = {
-            let finished = Arc::clone(&finished);
-            let ep = ep.clone();
-            std::thread::spawn(move || {
-                while !trigger(&farmd.stats()) {
-                    if finished.load(Ordering::Relaxed) {
-                        return (farmd, false, Vec::new());
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                // The crash: sockets slam shut, nothing is said.
+    let got = std::thread::scope(|scope| {
+        let controller = scope.spawn(|| {
+            let holding = holding; // moved in: a receiver is not shared
+                                   // The crash: sockets slam shut, nothing is said; the restart:
+                                   // same endpoint, same journal.
+            holding.recv().map(|()| {
                 farmd.abort();
-                drop(farmd);
-                // The restart: same endpoint, same journal.
-                let farmd =
-                    Farmd::bind(std::slice::from_ref(&ep), opts()).expect("re-bind dispatcher");
-                let mut late = Vec::new();
-                if fleet == Fleet::AfterRestart {
-                    late.push(spawn_worker(&ep, &format!("bounce-{i}-a"), None));
-                    late.push(spawn_worker(&ep, &format!("bounce-{i}-b"), None));
-                }
-                (farmd, true, late)
+                farmd = Farmd::bind(std::slice::from_ref(&ep), opts()).expect("re-bind");
             })
-        };
+        });
         let got = tune(&bench, &machine, FarmSettings::remote(ep.to_string()));
-        finished.store(true, Ordering::Relaxed);
-        let (farmd, bounced, late_guards) = controller.join().expect("controller thread");
-        assert!(bounced, "{label}: the trigger never fired; the schedule proved nothing");
-        assert_trajectory_eq(&got, &want, label);
-        let stats = farmd.stats();
-        assert_eq!(stats.queued, 0, "{label}: nothing left behind");
-        assert_eq!(stats.inflight, 0, "{label}: nothing left behind");
-        drop(late_guards);
-        drop(guards);
-        if let Some(worker) = silent {
-            worker.join().expect("the silent worker's thread");
-        }
-        drop(farmd);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        controller.join().expect("controller thread").expect("the silent worker held a JOB");
+        got
+    });
+    assert_trajectory_eq(&got, &want, "mid-assignment bounce");
+    let stats = farmd.stats();
+    assert_eq!(stats.queued, 0, "nothing left behind");
+    assert_eq!(stats.inflight, 0, "nothing left behind");
+    drop(farmd);
+    silent.join().expect("the silent worker's thread");
+    let _ = std::fs::remove_dir_all(&dir);
 }
