@@ -40,6 +40,11 @@ cargo test -q --release --offline -p petal_blas -p petal_apps -- leaf_law gemm::
 # The same build runs the poisoned sessions: every benchmark, ladder size
 # and configuration on storage earlier trials used, NaN-filled in between.
 cargo test -q --release --offline -p petal_farm --test prepared -- a_session_answers a_cold_farm
+# The farm's memo key at its release size: configurations that share a key
+# (size, plan fingerprint, dynamic-key values) agree on whether they draw
+# from the seed, and seed-free ones on their outcome, over 200 mutants per
+# kind and machine (a debug build draws 6).
+cargo test -q --release --offline -p petal_farm --test memo
 
 echo "== figures, release (Fig. 6 placements and Fig. 7 bands at harness sizes, every benchmark)"
 # `cargo test -q` above ran only the benchmarks whose debug tunes are

@@ -316,6 +316,10 @@ impl crate::Benchmark for BlackScholes {
         Some(crate::boxed(child))
     }
 
+    fn memoisable(&self) -> bool {
+        true
+    }
+
     fn program(&self, _machine: &MachineProfile) -> Program {
         let mut p = Program::new("blackscholes");
         p.add_site(ChoiceSite {

@@ -283,6 +283,10 @@ impl crate::Benchmark for SeparableConvolution {
         Self::try_new(n, self.k).map(crate::boxed).ok()
     }
 
+    fn memoisable(&self) -> bool {
+        true
+    }
+
     fn program(&self, _machine: &MachineProfile) -> Program {
         let mut p = Program::new("separable_convolution");
         // The algorithmic choice of Fig. 1 (single 2D pass vs. two 1D

@@ -195,6 +195,19 @@ pub trait Benchmark: Send + Sync {
         Vec::new()
     }
 
+    /// Whether the evaluation farm may answer a trial from the outcome of
+    /// an earlier one instead of running it. It does so only for a trial
+    /// whose engine never read its seed, keyed by (machine, size, plan
+    /// fingerprint, the values of [`Benchmark::dynamic_config_keys`]): the
+    /// repeat is instantiated but neither run nor checked. Say `true` only
+    /// when that key is complete — no native closure reads a key it does
+    /// not declare — and nothing is owed a run or a `check` per trial.
+    /// Default: `false`, so a wrapper that watches its trials, and does
+    /// not forward this, has every trial run.
+    fn memoisable(&self) -> bool {
+        false
+    }
+
     /// Convenience: run with the untuned default configuration.
     ///
     /// # Errors

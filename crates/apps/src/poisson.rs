@@ -272,6 +272,10 @@ impl crate::Benchmark for Poisson2D {
         Self::try_new(n, self.iters).map(crate::boxed).ok()
     }
 
+    fn memoisable(&self) -> bool {
+        true
+    }
+
     fn program(&self, _machine: &MachineProfile) -> Program {
         let mut p = Program::new("poisson2d_sor");
         p.add_site(ChoiceSite {

@@ -157,6 +157,10 @@ impl crate::Benchmark for Sort {
         Self::try_new(size as usize).map(crate::boxed).ok()
     }
 
+    fn memoisable(&self) -> bool {
+        true
+    }
+
     fn program(&self, _machine: &MachineProfile) -> Program {
         let mut p = Program::new("sort");
         p.add_site(ChoiceSite {

@@ -503,6 +503,10 @@ impl crate::Benchmark for Strassen {
         Self::try_new(size as usize).map(crate::boxed).ok()
     }
 
+    fn memoisable(&self) -> bool {
+        true
+    }
+
     fn program(&self, _machine: &MachineProfile) -> Program {
         let mut p = Program::new("strassen");
         p.add_site(ChoiceSite {

@@ -196,6 +196,10 @@ impl crate::Benchmark for Svd {
         Self::try_new(size as usize, self.target).map(crate::boxed).ok()
     }
 
+    fn memoisable(&self) -> bool {
+        true
+    }
+
     fn dynamic_config_keys(&self) -> Vec<String> {
         // The kept rank `k` is captured by the Jacobi / truncation closures:
         // it changes what they compute (and the accuracy/time trade-off) but

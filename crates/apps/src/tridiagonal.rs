@@ -255,6 +255,10 @@ impl crate::Benchmark for Tridiagonal {
         Self::try_new(size as usize).map(crate::boxed).ok()
     }
 
+    fn memoisable(&self) -> bool {
+        true
+    }
+
     fn program(&self, _machine: &MachineProfile) -> Program {
         let mut p = Program::new("tridiagonal");
         // Declared CPU algorithms: Thomas, CPU cyclic reduction. OpenCL

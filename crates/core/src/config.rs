@@ -26,7 +26,7 @@ pub const MAX_SELECTOR_LEVELS: usize = 12;
 pub const RATIO_DENOMINATOR: i64 = 8;
 
 /// A piecewise-constant algorithm selector over input sizes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Selector {
     /// Strictly increasing input-size cutoffs (`m−1` entries).
     cutoffs: Vec<u64>,
@@ -106,7 +106,7 @@ impl fmt::Display for Selector {
 }
 
 /// A bounded integer tunable parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tunable {
     /// Current value, in `[min, max]`.
     pub value: i64,

@@ -35,6 +35,14 @@
 //!   answer) is prepared once per size and not once per trial. What a
 //!   child memoises is a pure function of its spec: a trial cannot tell a
 //!   memo hit from a fresh build, whichever thread filled it.
+//! * A trial whose engine never read its seed (`RunReport::seed_draws`
+//!   is 0) computed what every seed computes. On a benchmark that is
+//!   [`Benchmark::memoisable`] the table keeps its outcome under its
+//!   [`TrialKey`] and answers a repeat of the key on the same machine
+//!   with it, compile list included, so the merge prices exactly what a
+//!   fresh run would have logged. The memo lives for one tuning run:
+//!   [`EvalFarm::reset`] empties it and closes any out-of-process
+//!   backend, and a worker's `INIT` empties its own.
 //!
 //! At `threads = 1` the farm runs jobs inline on the calling thread through
 //! exactly the same code path, so the sequential result is the parallel
@@ -74,11 +82,13 @@ pub mod wire;
 
 use petal_apps::{Benchmark, Instance};
 use petal_core::executor::Executor;
-use petal_core::Config;
+use petal_core::plan::plan_fingerprint;
+use petal_core::{Config, Plan, Selector, Tunable};
 use petal_gpu::profile::MachineProfile;
 use shard::Pool;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 
 /// Knobs controlling the evaluation farm.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -324,15 +334,20 @@ impl EvalFarm {
         &self.per_thread_trials
     }
 
-    /// Forget all cached compile state and per-thread accounting (start of
-    /// a fresh tuning run). The per-size benchmark table is kept: what
-    /// its children memoise is a pure function of their spec, so a second
-    /// run over them is indistinguishable from one over fresh children.
-    /// It goes when a batch names another spec, and with the farm.
+    /// Forget all cached compile state, per-thread accounting and
+    /// remembered trial outcomes (start of a fresh tuning run). The
+    /// per-size benchmark table is kept: what its children memoise is a
+    /// pure function of their spec, so a second run over them is
+    /// indistinguishable from one over fresh children. It goes when a
+    /// batch names another spec, and with the farm. An out-of-process
+    /// backend is closed, so the next batch opens a fresh one and every
+    /// worker's memo starts empty there too.
     pub fn reset(&mut self) {
         self.warm.clear();
         self.ir.clear();
         self.per_thread_trials = vec![0; self.workers()];
+        self.sized.forget();
+        self.pool = None;
     }
 
     /// Evaluate a batch of jobs against `bench` on `machine`, returning
@@ -533,10 +548,15 @@ impl EvalFarm {
 /// An [`EvalFarm`] owns one for its in-process
 /// trials, a worker's `session::serve_jobs` loop owns one, and
 /// [`evaluate_job`] builds one per call.
+///
+/// Beside the children the table keeps the outcome of every trial of a
+/// [`Benchmark::memoisable`] child that never read its engine seed
+/// ([`Memo`]), so a repeat of one is not run.
 #[derive(Default)]
 pub(crate) struct SizeTable {
     spec: String,
     by_size: BTreeMap<u64, Option<Box<dyn Benchmark>>>,
+    memo: Mutex<Memo>,
 }
 
 impl std::fmt::Debug for SizeTable {
@@ -544,19 +564,26 @@ impl std::fmt::Debug for SizeTable {
         f.debug_struct("SizeTable")
             .field("spec", &self.spec)
             .field("sizes", &self.by_size.keys())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
 impl SizeTable {
     /// Keep the children when `spec` is the one they were built from,
-    /// drop them otherwise. Children are machine-independent, so a
-    /// session that only changes machine keeps them.
+    /// drop them and the memo otherwise. Children are machine-independent,
+    /// so a session that only changes machine keeps them.
     pub(crate) fn retarget(&mut self, spec: &str) {
         if self.spec != spec {
             self.by_size.clear();
+            self.forget();
             spec.clone_into(&mut self.spec);
         }
+    }
+
+    /// Empty the memo (a new tuning run starts): the next trial of every
+    /// key runs.
+    pub(crate) fn forget(&mut self) {
+        self.memo = Mutex::default();
     }
 
     /// Build the child for `size` unless it is here: through the `resized`
@@ -582,8 +609,10 @@ impl SizeTable {
         self.run(bench, machine, job)
     }
 
-    /// Run one trial: instantiate, execute, check. Everything but the
-    /// child's memo is private to the job, so this is freely parallel.
+    /// Run one trial: instantiate, then answer from the memo (a
+    /// memoisable child only) or execute and check. Everything but the
+    /// child's memo and the table's is private to the job, so this is
+    /// freely parallel.
     ///
     /// # Panics
     /// When the job's size was not [`Self::ensure`]d.
@@ -601,13 +630,17 @@ impl SizeTable {
             None => return JobOutcome::invalid(),
         };
         let Instance { mut world, plan, check } = b.instantiate(machine, &job.config);
+        let key = b.memoisable().then(|| TrialKey::new(b, job, &plan));
+        if let Some(outcome) = key.as_ref().and_then(|key| self.memo().recall(machine, key)) {
+            return outcome;
+        }
         let mut ex = Executor::new(machine);
         ex.set_seed(job.engine_seed);
         let Ok(report) = ex.run(plan, &mut world) else {
             return JobOutcome::invalid();
         };
         let fitness = check(&world).ok().map(|()| report.virtual_time_secs());
-        JobOutcome {
+        let outcome = JobOutcome {
             fitness,
             ran: true,
             makespan: report.virtual_time_secs(),
@@ -616,7 +649,74 @@ impl SizeTable {
                 .iter()
                 .map(|e| (e.source_hash, e.frontend_secs, e.jit_secs))
                 .collect(),
+        };
+        if let Some(key) = key.filter(|_| report.rt.seed_draws == 0) {
+            self.memo().remember(machine, key, outcome.clone());
         }
+        outcome
+    }
+
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().expect("no trial panicked holding the memo")
+    }
+}
+
+/// What a trial's outcome on one machine is a function of once its engine
+/// never read its seed (`RunReport::seed_draws == 0`): the input size, the
+/// lowered plan's structure ([`plan_fingerprint`]), and the values of the
+/// config keys its native closures read at run time
+/// ([`Benchmark::dynamic_config_keys`]), which the structure cannot show.
+/// A farm's or a worker's table answers a repeat of such a trial's key, on
+/// the machine it ran on, with the outcome it stored.
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub struct TrialKey {
+    size: u64,
+    plan: u64,
+    dynamic: Vec<(Option<Selector>, Option<Tunable>)>,
+}
+
+impl TrialKey {
+    /// The key of `job` run on `bench`, whose `instantiate` lowered its
+    /// config to `plan`.
+    #[must_use]
+    pub fn new(bench: &dyn Benchmark, job: &EvalJob, plan: &Plan) -> Self {
+        let cfg = &job.config;
+        TrialKey {
+            size: job.size,
+            plan: plan_fingerprint(plan),
+            dynamic: bench
+                .dynamic_config_keys()
+                .iter()
+                .map(|k| (cfg.selector(k).cloned(), cfg.tunable(k).copied()))
+                .collect(),
+        }
+    }
+}
+
+/// Outcomes of seed-free trials (`RunReport::seed_draws == 0`) on one
+/// machine. Such a run computed what every seed computes, so a repeat of
+/// its key is answered with it and its compile list is priced as a fresh
+/// run's would be. A trial on another machine starts it afresh.
+#[derive(Default)]
+struct Memo {
+    machine: Option<MachineProfile>,
+    outcomes: HashMap<TrialKey, JobOutcome>,
+}
+
+impl Memo {
+    fn recall(&self, machine: &MachineProfile, key: &TrialKey) -> Option<JobOutcome> {
+        if self.machine.as_ref() != Some(machine) {
+            return None;
+        }
+        self.outcomes.get(key).cloned()
+    }
+
+    fn remember(&mut self, machine: &MachineProfile, key: TrialKey, outcome: JobOutcome) {
+        if self.machine.as_ref() != Some(machine) {
+            self.outcomes.clear();
+            self.machine = Some(machine.clone());
+        }
+        self.outcomes.insert(key, outcome);
     }
 }
 

@@ -383,13 +383,6 @@ impl FarmStream {
             FarmStream::Unix(s) => s.set_write_timeout(timeout),
         }
     }
-
-    /// Whether an I/O error is a read-timeout expiry rather than a real
-    /// failure (the two kinds differ across platforms).
-    #[must_use]
-    pub fn is_timeout(e: &io::Error) -> bool {
-        matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-    }
 }
 
 impl Read for FarmStream {

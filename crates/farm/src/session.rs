@@ -282,7 +282,8 @@ pub enum Ended {
 /// say), before the job is evaluated. The loop owns the per-size
 /// benchmark table its jobs run on: an `INIT` that names the benchmark
 /// already being served keeps it, any other drops it, and it dies with
-/// the loop.
+/// the loop. Every `INIT` empties the table's memo of seed-free trial
+/// outcomes, so its life is one tuning run, as in an in-process farm.
 ///
 /// # Errors
 /// `Lost` for I/O failures and torn records; `Refused` for version skew,
@@ -318,6 +319,7 @@ pub fn serve_jobs<R: Read, W: Write>(
                 let bench = benchmark_from_spec(&bench_spec)
                     .map_err(|e| Refused(format!("bad benchmark spec `{bench_spec}`: {e}")))?;
                 sized.retarget(&bench.spec());
+                sized.forget();
                 session = Some((bench, *machine));
                 wire.send(&Message::Ready { version: WIRE_VERSION });
             }

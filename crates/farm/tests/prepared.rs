@@ -145,6 +145,8 @@ impl Benchmark for Poisoning {
 struct Session {
     script: String,
     expected: Vec<(String, JobOutcome)>,
+    /// The last `INIT` sent.
+    init: Option<Message>,
 }
 
 impl Session {
@@ -154,19 +156,33 @@ impl Session {
     }
 
     fn init(&mut self, bench: &dyn Benchmark, machine: &MachineProfile) {
-        self.send(&Message::Init {
+        let init = Message::Init {
             version: WIRE_VERSION,
             bench_spec: bench.spec(),
             machine: Box::new(machine.clone()),
-        });
+        };
+        self.send(&init);
+        self.init = Some(init);
+    }
+
+    /// `job`, to be answered with `want`.
+    fn job(&mut self, job: &EvalJob, want: &JobOutcome, what: String) {
+        self.send(&Message::Job { index: self.expected.len() as u64, job: job.clone() });
+        self.expected.push((what, want.clone()));
     }
 
     /// `job` three times over — a miss, then two hits of the per-size
-    /// table — each to be answered with `want`.
+    /// table — each to be answered with `want`. Each repeat is a tuning
+    /// run of its own, re-`INIT`ed on the same spec: the table is kept,
+    /// and its memo of seed-free outcomes, which would answer the repeat
+    /// without running it, is emptied.
     fn job_thrice(&mut self, job: &EvalJob, want: &JobOutcome, what: &str) {
         for repeat in 1..=3 {
-            self.send(&Message::Job { index: self.expected.len() as u64, job: job.clone() });
-            self.expected.push((format!("{what}, evaluation {repeat}"), want.clone()));
+            if repeat > 1 {
+                let init = self.init.clone().expect("a job follows an INIT");
+                self.send(&init);
+            }
+            self.job(job, want, format!("{what}, evaluation {repeat}"));
         }
     }
 
@@ -193,16 +209,18 @@ impl Session {
 
 /// One worker session serves all seven benchmarks on all five machines:
 /// every job three times over (a miss, then two hits of the per-size
-/// table), re-`INIT`ed per machine (same spec: table kept) and per
-/// benchmark (new spec: table dropped). Each answer must equal a fresh
-/// one-shot evaluation field for field.
+/// table, each repeat re-`INIT`ed so that it runs), re-`INIT`ed per
+/// machine (same spec: table kept) and per benchmark (new spec: table
+/// dropped). Each answer must equal a fresh one-shot evaluation field for
+/// field.
 ///
 /// The same session is held poisoned as well. `serve_jobs` builds its
 /// children from the spec line, so nothing outside it can reach their
 /// recyclers; the table it keeps them in is the one an in-process farm
 /// keeps, kept and dropped by the same rule, so the poisoned session is one
 /// sequential farm handed a [`Poisoning`] wrapper and the same jobs, thrice
-/// each: every trial but a child's first draws its storage from buffers
+/// each (the wrapper is not [`Benchmark::memoisable`], so every repeat
+/// runs): every trial but a child's first draws its storage from buffers
 /// full of NaN and still answers as the fresh evaluation does.
 #[test]
 fn a_session_answers_every_repeat_like_a_fresh_benchmark() {
@@ -567,8 +585,9 @@ struct Calls {
 }
 
 /// A delegating wrapper, as an out-of-tree harness would write one (the
-/// benchmark package's `Traced` is one): forwards everything, counts
-/// `instantiate` and `resized`, and wraps the children it hands out.
+/// benchmark package's `Traced` is one): forwards everything but
+/// [`Benchmark::memoisable`], counts `instantiate` and `resized`, and
+/// wraps the children it hands out.
 struct Counting {
     inner: Box<dyn Benchmark>,
     calls: Arc<Calls>,
@@ -605,7 +624,10 @@ impl Benchmark for Counting {
 /// `instantiate` per trial that ran, one `resized` per ladder size for
 /// the whole tune (and none more for a second tune on the same tuner —
 /// `reset()` keeps the table), and the same answer as the bare
-/// benchmark's tune, bit for bit.
+/// benchmark's tune, bit for bit. The wrapper is not memoisable, so every
+/// one of its trials runs, while the bare tune answers its seed-free
+/// repeats from the memo: the two agreeing is the memo's exactness over
+/// a whole tune.
 #[test]
 fn a_wrapped_benchmark_sees_one_instantiate_per_trial_and_tunes_identically() {
     let machine = MachineProfile::laptop();
@@ -720,7 +742,9 @@ fn blackscholes_rungs_resized_from_one_another_equal_fresh_objects() {
 }
 
 /// Records, when a trial is checked, the bits of every matrix its plan
-/// touches; its children record into the same log.
+/// touches; its children record into the same log. It forwards
+/// [`Benchmark::memoisable`], so a trial answered from the memo is not
+/// checked and leaves no record.
 struct Recording {
     inner: Box<dyn Benchmark>,
     log: Arc<Mutex<Vec<Vec<Vec<u64>>>>>,
@@ -757,6 +781,9 @@ impl Benchmark for Recording {
     }
     fn dynamic_config_keys(&self) -> Vec<String> {
         self.inner.dynamic_config_keys()
+    }
+    fn memoisable(&self) -> bool {
+        self.inner.memoisable()
     }
 }
 
@@ -799,7 +826,8 @@ impl Benchmark for Handed {
 /// per size, as the tuner asks — leave what fresh objects leave, after a
 /// `reset()` too. The handed object is resized once per session, for the
 /// first child, and never instantiated: the session prepares its own
-/// children only.
+/// children only. Its children poison their storage, so they are not
+/// [`Benchmark::memoisable`] and a size asked twice runs twice.
 #[test]
 fn blackscholes_rungs_in_a_session_equal_fresh_objects_and_leave_the_handed_one_cold() {
     let mut rungs = Rungs::new();
@@ -842,4 +870,53 @@ fn blackscholes_rungs_in_a_session_equal_fresh_objects_and_leave_the_handed_one_
             assert_eq!(handed.calls.instantiate.load(Ordering::Relaxed), 0, "order {order:?}");
         }
     }
+}
+
+/// How many times `job`'s engine reads its seed when it runs on `bench`.
+fn seed_draws(bench: &dyn Benchmark, machine: &MachineProfile, job: &EvalJob) -> usize {
+    let Instance { mut world, plan, .. } = bench.instantiate(machine, &job.config);
+    let mut ex = Executor::new(machine);
+    ex.set_seed(job.engine_seed);
+    ex.run(plan, &mut world).expect("the trial runs").rt.seed_draws
+}
+
+/// A session moved from Desktop to Server and back on one spec keeps its
+/// children, and never answers a job with the outcome another machine
+/// stored for it: not a worker's session re-`INIT`ed per machine, nor an
+/// in-process farm that is not reset between machines, whose memo answers
+/// a repeat on one machine without running it (the [`Recording`] log
+/// counts the trials that ran).
+#[test]
+fn a_session_moved_to_another_machine_never_answers_with_the_first_ones_outcome() {
+    let bench = Tridiagonal::new(1_024);
+    let (desktop, server) = (MachineProfile::desktop(), MachineProfile::server());
+    let mut config = bench.program(&desktop).default_config(&desktop);
+    config.set_selector("tridiag", Selector::constant(0, 3));
+    let size = bench.input_size();
+    let job = EvalJob { config, size, engine_seed: job_seed(31, size, 0) };
+    let (on_desktop, on_server) = (fresh(&bench, &desktop, &job), fresh(&bench, &server, &job));
+    assert!(on_desktop.fitness.is_some() && on_server.fitness.is_some(), "the trial checks");
+    assert_ne!(on_desktop.makespan.to_bits(), on_server.makespan.to_bits(), "machines differ");
+    for machine in [&desktop, &server] {
+        assert_eq!(seed_draws(&bench, machine, &job), 0, "seed-free on {}", machine.codename);
+    }
+
+    let mut session = Session::default();
+    let log = Arc::default();
+    let recording = Recording { inner: Box::new(bench), log: Arc::clone(&log) };
+    let mut farm = EvalFarm::new(&FarmSettings::sequential(), true);
+    let moves = [(&desktop, &on_desktop), (&server, &on_server), (&desktop, &on_desktop)];
+    for (turn, (machine, want)) in moves.into_iter().enumerate() {
+        let what = format!("turn {turn}, on {}", machine.codename);
+        session.init(&recording, machine);
+        session.job(&job, want, format!("{what}, the miss"));
+        session.job(&job, want, format!("{what}, the hit"));
+        let twice = [job.clone(), job.clone()];
+        for got in farm.evaluate(&recording, machine, &twice) {
+            assert_eq!(got.fitness.map(f64::to_bits), want.fitness.map(f64::to_bits), "{what}");
+        }
+        let ran = std::mem::take(&mut *log.lock().expect("no recorder panicked")).len();
+        assert_eq!(ran, 1, "{what}: the first job runs, its repeat is answered");
+    }
+    session.serve_and_check();
 }

@@ -665,7 +665,7 @@ impl<S> Engine<S> {
         let n = self.workers.len();
         let max_attempts = MAX_STEAL_ATTEMPTS_FACTOR * n.max(2);
         for _ in 0..max_attempts {
-            let victim = self.rng.gen_range(0..n);
+            let victim = self.draw(n);
             now += self.cpu.steal_latency;
             self.report.steal_attempts += 1;
             if victim == i {
@@ -825,10 +825,19 @@ impl<S> Engine<S> {
         if self.arena.tasks[id.0].is_gpu {
             self.manager.push_back(QueueItem { task: id, arrival: t });
         } else {
-            let w = self.rng.gen_range(0..self.workers.len());
+            let n = self.workers.len();
+            // One worker is no choice: the seed is not read.
+            let w = if n > 1 { self.draw(n) } else { 0 };
             self.workers[w].push_bottom(QueueItem { task: id, arrival: t });
             self.refresh_worker(w);
         }
+    }
+
+    /// A uniformly random index below `n`: the engine's one read of its
+    /// seed, counted in [`RunReport::seed_draws`].
+    fn draw(&mut self, n: usize) -> usize {
+        self.report.seed_draws += 1;
+        self.rng.gen_range(0..n)
     }
 }
 

@@ -32,6 +32,13 @@ pub struct RunReport {
     /// [`crate::SchedPolicy`]; future profiling PRs can attribute queue
     /// time without re-instrumenting.
     pub eligibility_rescans: usize,
+    /// Draws from the engine's seeded generator: one per steal-victim
+    /// probe, one per random deque a GPU-woken CPU task is placed on (a
+    /// single worker is no choice and draws nothing). Identical under
+    /// every [`crate::SchedPolicy`]. A run with none never read its seed,
+    /// so its report, its host state and its action trace are the same
+    /// under every seed.
+    pub seed_draws: usize,
     /// Device activity during this run (zeroed if the machine has no GPU).
     pub device: DeviceStats,
     /// Device busy virtual seconds.
