@@ -93,6 +93,16 @@ no_rebuild() { # <label> <a tune's stderr>
   fi
 }
 
+# `protocol error` prefixes every record a dispatcher connection refuses
+# (crates/farmd/src/conn.rs); ordinary traffic never earns one, so one in
+# a smoke's log is a reader that misread it.
+no_refusal() { # <label> <a dispatcher's stderr>
+  if grep 'protocol error' "$2"; then
+    echo "$1: the dispatcher refused a record of ordinary traffic"
+    exit 1
+  fi
+}
+
 wait_for_log() { # <file> <pattern>, polled for up to 10 s
   for _ in $(seq 1000); do
     if grep -q "$2" "$1"; then return 0; fi
@@ -145,6 +155,7 @@ for fig in fig2 fig7; do
     || { echo "loopback smoke: $fig over farmd printed other than in-process"; exit 1; }
   no_rebuild "loopback smoke: $fig" "$FARM_REF/$fig-loopback.err"
 done
+no_refusal "loopback smoke" "$FARMD_LOG"
 rm -f "$FARMD_LOG"
 
 echo "== farmd bounce smoke (SIGKILL the journaled dispatcher mid-fig2, restart, same config)"
@@ -192,6 +203,7 @@ grep -q ' resumed from ' "$BOUNCE_DIR/farmd-2.log" \
   || echo "   note: the kill fell between two sessions this run; no RESUME was exercised"
 kill "$BOUNCE_PID" "$BOUNCE_A_PID" "$BOUNCE_B_PID" 2>/dev/null || true
 wait "$BOUNCE_PID" 2>/dev/null || true
+for log in "$BOUNCE_DIR"/farmd-*.log; do no_refusal "bounce smoke" "$log"; done
 rm -rf "$BOUNCE_DIR" "$FARM_REF"
 rm -f "$BOUNCE_SOCK"
 trap 'kill "$FARMD_PID" "$WORKER_B_PID" 2>/dev/null || true; rm -f "$FARMD_SOCK"' EXIT

@@ -241,10 +241,8 @@ pub fn job_seed(tuner_seed: u64, round: u64, trial_index: u64) -> u64 {
 /// that persists across batches of one tuning run.
 #[derive(Debug)]
 pub struct EvalFarm {
-    threads: usize,
-    shards: usize,
-    shard_bin: Option<PathBuf>,
-    endpoint: Option<String>,
+    /// The settings it was built with, `threads` resolved (at least 1).
+    settings: FarmSettings,
     /// Lazily built out-of-process pool (shard or remote mode), kept
     /// alive across batches of one tuning run.
     pool: Option<Pool>,
@@ -268,28 +266,20 @@ impl EvalFarm {
     /// process.
     #[must_use]
     pub fn new(settings: &FarmSettings, model_process_restarts: bool) -> Self {
-        let threads = settings.resolved_threads().max(1);
-        let shards = settings.shards;
-        let workers = if settings.endpoint.is_some() {
-            1
-        } else if shards > 0 {
-            shards
-        } else {
-            threads
-        };
-        EvalFarm {
-            threads,
-            shards,
-            shard_bin: settings.shard_bin.clone(),
-            endpoint: settings.endpoint.clone(),
+        let settings =
+            FarmSettings { threads: settings.resolved_threads().max(1), ..settings.clone() };
+        let mut farm = EvalFarm {
+            settings,
             pool: None,
             model_process_restarts,
             ir_cache_enabled: true,
             warm: HashSet::new(),
             ir: HashSet::new(),
-            per_thread_trials: vec![0; workers],
+            per_thread_trials: Vec::new(),
             sized: SizeTable::default(),
-        }
+        };
+        farm.per_thread_trials = vec![0; farm.workers()];
+        farm
     }
 
     /// Enable or disable the modeled persistent IR cache (§5.4 ablation).
@@ -302,13 +292,13 @@ impl EvalFarm {
     /// [`Self::shards`] is 0).
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.threads
+        self.settings.threads
     }
 
     /// Worker *processes* in the shard pool; 0 means in-process evaluation.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.shards
+        self.settings.shards
     }
 
     /// Workers of whichever kind this farm uses (shard processes when
@@ -317,12 +307,10 @@ impl EvalFarm {
     /// the deterministic accounting treats the whole farm as a single
     /// submission-ordered backend.
     fn workers(&self) -> usize {
-        if self.endpoint.is_some() {
-            1
-        } else if self.shards > 0 {
-            self.shards
-        } else {
-            self.threads
+        match &self.settings {
+            FarmSettings { endpoint: Some(_), .. } => 1,
+            FarmSettings { shards: 0, threads, .. } => *threads,
+            FarmSettings { shards, .. } => *shards,
         }
     }
 
@@ -397,7 +385,7 @@ impl EvalFarm {
         jobs: &[EvalJob],
     ) -> Vec<EvalResult> {
         let effective = self.workers().min(jobs.len()).max(1);
-        let raw: Vec<JobOutcome> = if self.endpoint.is_some() || self.shards > 0 {
+        let raw: Vec<JobOutcome> = if self.settings.endpoint.is_some() || self.settings.shards > 0 {
             self.evaluate_dispatched(bench, machine, jobs, effective)
         } else {
             // Every child is built before a worker starts, so the workers
@@ -465,11 +453,11 @@ impl EvalFarm {
     /// session: one farmd link when an endpoint is configured, spawned
     /// `petal-shard` children otherwise.
     fn build_pool(&self, spec: &str, machine: &MachineProfile) -> Result<Pool, shard::ShardError> {
-        match &self.endpoint {
+        match &self.settings.endpoint {
             Some(endpoint) => Pool::connect(endpoint, spec, machine),
             None => {
-                let bin = shard::resolve_shard_bin(self.shard_bin.as_deref())?;
-                Pool::spawn(&bin, self.shards, spec, machine)
+                let bin = shard::resolve_shard_bin(self.settings.shard_bin.as_deref())?;
+                Pool::spawn(&bin, self.settings.shards, spec, machine)
             }
         }
     }

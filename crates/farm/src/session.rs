@@ -6,20 +6,20 @@
 //!   reused [`WireEncoder`] and line buffers, so a steady-state exchange
 //!   allocates nothing for framing. The pipe worker, the socket worker,
 //!   the farm's pool links, the served-registry client and the
-//!   dispatcher's per-connection writers all hold one; a write-only
-//!   holder passes [`std::io::empty`] as its reader.
+//!   dispatcher's per-connection readers and writers all hold one; a
+//!   write-only holder passes [`std::io::empty`] as its reader, a
+//!   reader-only one [`std::io::sink`] as its writer.
+//! * [`Framed::recv_line`] is the one code that turns bytes into records,
+//!   by the rule the wire states ([`crate::wire`], *One record per line*).
 //! * **The flush rule.** [`Framed::send`] only queues a record; the queue
 //!   goes out in one `write` ([`Framed::flush`]) just before its holder
 //!   would block on a read — [`Framed::recv`] flushes first unless a
-//!   whole record is already in its [`BufReader`]'s buffer — so a worker
+//!   whole record is already [in hand](Framed::in_hand) — so a worker
 //!   answers every `JOB` already in hand with one write (a job slow
 //!   enough to dwarf a hand-off is answered at once), and a generation
 //!   crosses each hop as one hand-off instead of one per job. A holder
 //!   that reads elsewhere or never (the pool with several links, farmd's
 //!   writers) calls `flush` itself at the end of each burst.
-//! * [`read_frame`] / [`frame_text`] are the two steps under
-//!   [`Framed::recv`], public for the dispatcher's timeout-aware reader:
-//!   no line grows past [`MAX_LINE_BYTES`], whoever reads it.
 //! * [`dial`] is the one connection opener: connect, `HELLO` exchange,
 //!   [`negotiate`], and a `GOODBYE` turned into a diagnostic.
 //! * [`serve_jobs`] is the one worker job loop, shared by
@@ -30,7 +30,7 @@
 
 use crate::net::{Endpoint, FarmStream};
 use crate::wire::{
-    negotiate, Message, Record, WireEncoder, WireError, MIN_WIRE_VERSION, WIRE_VERSION,
+    negotiate, split, Message, WireEncoder, WireError, MIN_WIRE_VERSION, WIRE_VERSION,
 };
 use petal_apps::{benchmark_from_spec, Benchmark};
 use petal_gpu::profile::MachineProfile;
@@ -67,33 +67,6 @@ impl std::fmt::Display for SessionError {
 }
 
 impl std::error::Error for SessionError {}
-
-/// Append bytes up to and including the next `\n` to `frame`, reading no
-/// further than one byte past [`MAX_LINE_BYTES`]. Returns the bytes read
-/// (0 at EOF). A frame left longer than the limit with no newline is
-/// over-long; [`frame_text`] refuses it by name. Bytes already in
-/// `frame` count, so a reader interrupted by a timeout can call again.
-///
-/// # Errors
-/// The reader's own I/O errors.
-pub fn read_frame(reader: &mut impl BufRead, frame: &mut Vec<u8>) -> io::Result<usize> {
-    let room = (MAX_LINE_BYTES + 1).saturating_sub(frame.len());
-    reader.take(room as u64).read_until(b'\n', frame)
-}
-
-/// One frame as read by [`read_frame`], its `\n` or `\r\n` terminator
-/// (optional) stripped: the record's text, for [`Message::decode`].
-///
-/// # Errors
-/// An over-long or non-UTF-8 frame.
-pub fn frame_text(frame: &[u8]) -> Result<&str, WireError> {
-    let line = frame.strip_suffix(b"\n").unwrap_or(frame);
-    let line = line.strip_suffix(b"\r").unwrap_or(line);
-    if line.len() > MAX_LINE_BYTES {
-        return Err(WireError::new(format!("record exceeds the {MAX_LINE_BYTES}-byte line limit")));
-    }
-    std::str::from_utf8(line).map_err(|_| WireError::new("record is not UTF-8"))
-}
 
 fn torn(e: WireError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
@@ -153,6 +126,11 @@ impl<R, W: Write> Framed<R, W> {
         written
     }
 
+    /// The underlying reader.
+    pub fn reader(&self) -> &R {
+        &self.reader
+    }
+
     /// The underlying writer.
     pub fn writer(&self) -> &W {
         &self.writer
@@ -166,17 +144,40 @@ impl<R, W: Write> Framed<R, W> {
 }
 
 impl<R: Read, W: Write> Framed<BufReader<R>, W> {
-    /// The next line without its terminator; `None` at a clean EOF. The
-    /// queue is flushed first unless a whole record is already buffered.
-    fn recv_line(&mut self) -> io::Result<Option<&str>> {
-        if !self.reader.buffer().contains(&b'\n') {
+    /// Whether a whole record is already buffered, so that
+    /// [`Self::recv_line`] returns it without reading the stream.
+    pub fn in_hand(&self) -> bool {
+        self.reader.buffer().contains(&b'\n')
+    }
+
+    /// The next record's text, its terminator stripped, framed by the rule
+    /// of [`crate::wire`] (*One record per line*); `None` at a clean EOF.
+    /// The queue is flushed first unless a record is [in hand](Self::in_hand).
+    ///
+    /// # Errors
+    /// The writer's I/O errors from that flush, and the reader's; the
+    /// rule's `InvalidData` (a line over [`MAX_LINE_BYTES`] or not UTF-8)
+    /// and `UnexpectedEof` (bytes after the last `\n` at EOF).
+    pub fn recv_line(&mut self) -> io::Result<Option<&str>> {
+        if !self.in_hand() {
             self.flush()?;
         }
         self.frame_in.clear();
-        if read_frame(&mut self.reader, &mut self.frame_in)? == 0 {
+        let room = MAX_LINE_BYTES as u64 + 1;
+        if (&mut self.reader).take(room).read_until(b'\n', &mut self.frame_in)? == 0 {
             return Ok(None);
         }
-        frame_text(&self.frame_in).map(Some).map_err(torn)
+        let Some(line) = self.frame_in.strip_suffix(b"\n") else {
+            if self.frame_in.len() > MAX_LINE_BYTES {
+                let why = format!("record exceeds the {MAX_LINE_BYTES}-byte line limit");
+                return Err(torn(WireError::new(why)));
+            }
+            let why = "record torn by the end of the stream";
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, why));
+        };
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let text = std::str::from_utf8(line).map_err(|_| WireError::new("record is not UTF-8"));
+        text.map(Some).map_err(torn)
     }
 
     /// Read the next message, skipping `HEARTBEAT`s (liveness chatter is
@@ -303,8 +304,8 @@ pub fn serve_jobs<R: Read, W: Write>(
         // future version may change INIT's layout, and skew must read as
         // skew, not as a framing error. Field 0 is frozen for that.
         if line.starts_with("INIT ") {
-            let record = Record::parse(line).map_err(|e| Lost(torn(e)))?;
-            match record.fields.first().map(|v| v.parse::<u64>()) {
+            let (_, fields) = split(line).map_err(|e| Lost(torn(e)))?;
+            match fields.first().map(|v| v.parse::<u64>()) {
                 Some(Ok(WIRE_VERSION)) => {}
                 Some(Ok(version)) => {
                     return Err(Refused(format!(
@@ -355,11 +356,11 @@ mod tests {
             "{}\r\n{}\n{}",
             Message::Heartbeat { seq: 1 }.encode(),
             Message::Ready { version: WIRE_VERSION }.encode(),
-            Message::Done.encode(), // no trailing newline: still a record
+            Message::Done.encode(), // no trailing newline: torn, so lost
         );
         let mut wire = Framed::new(BufReader::new(input.as_bytes()), Vec::new());
         assert_eq!(wire.recv().expect("reads"), Some(Message::Ready { version: WIRE_VERSION }));
-        assert_eq!(wire.recv().expect("reads"), Some(Message::Done));
+        assert_eq!(wire.recv().expect_err("torn").kind(), io::ErrorKind::UnexpectedEof);
         assert_eq!(wire.recv().expect("reads"), None);
         assert_eq!(wire.expect().expect_err("eof").kind(), io::ErrorKind::UnexpectedEof);
         wire.send(&Message::Done);
@@ -429,7 +430,8 @@ mod tests {
         let pad = "x".repeat(MAX_LINE_BYTES - "GOODBYE 4194290:".len());
         let longest = Message::Goodbye { reason: pad }.encode();
         assert_eq!(longest.len(), MAX_LINE_BYTES);
-        let mut wire = Framed::new(BufReader::new(longest.as_bytes()), Vec::new());
+        let line = format!("{longest}\n");
+        let mut wire = Framed::new(BufReader::new(line.as_bytes()), Vec::new());
         assert!(matches!(wire.recv(), Ok(Some(Message::Goodbye { .. }))));
         // …and a peer that never sends a newline is cut off one byte past
         // it, with the limit named, instead of being buffered forever.
@@ -439,5 +441,32 @@ mod tests {
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("line limit"), "{e}");
         assert_eq!(wire.frame_in.len(), MAX_LINE_BYTES + 1);
+    }
+
+    /// The one framing rule, case by case: a record ends in its `\n`. A
+    /// whole `RESULT` cut off before it by EOF is a loss, not a record; a
+    /// line past the limit is refused by name; EOF after a `\n` is clean.
+    #[test]
+    fn a_record_torn_by_eof_is_lost_and_only_a_newline_ends_a_record() {
+        let outcome =
+            crate::JobOutcome { fitness: Some(1.0), ran: true, makespan: 1.0, compiles: vec![] };
+        let result = Message::Result { index: 3, outcome }.encode();
+        let mut wire = Framed::new(BufReader::new(result.as_bytes()), io::sink());
+        let e = wire.recv_line().expect_err("torn by EOF");
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "{e}");
+
+        let endless = vec![b'x'; MAX_LINE_BYTES + 2];
+        let mut wire = Framed::new(BufReader::new(&endless[..]), io::sink());
+        let e = wire.recv_line().expect_err("over-long");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("line limit"), "{e}");
+
+        let two = format!("{result}\n{result}\n");
+        let mut wire = Framed::new(BufReader::new(two.as_bytes()), io::sink());
+        assert_eq!(wire.recv_line().expect("a record"), Some(&*result));
+        assert!(wire.in_hand(), "the second record came in the same read");
+        assert_eq!(wire.recv_line().expect("a record"), Some(&*result));
+        assert!(!wire.in_hand());
+        assert_eq!(wire.recv_line().expect("a clean EOF"), None);
     }
 }

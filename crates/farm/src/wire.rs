@@ -9,8 +9,16 @@
 //! hand-rolled and deliberately tiny:
 //!
 //! * **One record per line.** A record is a `TAG` followed by zero or more
-//!   fields, terminated by `\n`. Tags are upper-case ASCII plus `_`
-//!   ([`Message::tag`] lists them).
+//!   fields, terminated by `\n` (a `\r` before it is dropped). Tags are
+//!   upper-case ASCII plus `_` ([`Message::tag`] lists them). This is the
+//!   framing rule of every stream, on every peer, and
+//!   [`crate::session::Framed::recv_line`] is the one code that applies
+//!   it: a line is read no further than one byte past
+//!   [`crate::session::MAX_LINE_BYTES`], and a longer line, or one that is
+//!   not UTF-8, is refused by name (`InvalidData`); bytes after the last
+//!   `\n` when the stream ends are a record torn by its end, a loss
+//!   (`UnexpectedEof`), never a record. The journal replays its log by the
+//!   same rule.
 //! * **Length-prefixed fields.** Each field is ` <len>:<bytes>` where
 //!   `len` is the decimal byte length of `<bytes>` *after* escaping. The
 //!   prefix makes spaces inside fields unambiguous without quoting.
@@ -173,51 +181,23 @@ fn unescape(s: &str) -> Result<String, WireError> {
     Ok(out)
 }
 
-/// One parsed line: a tag plus decoded field payloads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
-    /// Record kind ([`Message::tag`]).
-    pub tag: String,
-    /// Decoded (unescaped) field payloads, in order.
-    pub fields: Vec<String>,
-}
-
-impl Record {
-    /// New record from a tag and decoded fields.
-    #[must_use]
-    pub fn new(tag: &str, fields: Vec<String>) -> Self {
-        Record { tag: tag.to_owned(), fields }
+/// Encode one record from its tag and its field payloads, as one line
+/// (no trailing newline): the encoder of the records that are not a
+/// [`Message`] (the dispatcher's journal, the registry's entry text).
+#[must_use]
+pub fn encode_record(tag: &str, fields: impl IntoIterator<Item = impl AsRef<str>>) -> String {
+    let mut out = tag.to_owned();
+    for f in fields {
+        push_field_raw(&mut out, f.as_ref());
     }
-
-    /// Encode as one line (no trailing newline).
-    #[must_use]
-    pub fn encode(&self) -> String {
-        let mut out = self.tag.clone();
-        for f in &self.fields {
-            push_field_raw(&mut out, f);
-        }
-        out
-    }
-
-    /// Parse one line (without its newline) back into a record: [`split`]
-    /// with every field owned.
-    ///
-    /// # Errors
-    /// [`split`]'s.
-    pub fn parse(line: &str) -> Result<Record, WireError> {
-        let (tag, fields) = split(line)?;
-        Ok(Record {
-            tag: tag.to_owned(),
-            fields: fields.into_iter().map(Cow::into_owned).collect(),
-        })
-    }
+    out
 }
 
 /// Frame one line (without its newline): its tag and its decoded field
 /// payloads, each borrowed from `line` unless it held an escape. The one
-/// framing of the format — [`Record::parse`] and [`Message::decode`] both
-/// read lines through it, and so can a reader that needs a few fields of
-/// a record without decoding the rest.
+/// framing of the format — [`Message::decode`] reads lines through it,
+/// and so does a reader that needs a few fields of a record without
+/// decoding the rest.
 ///
 /// # Errors
 /// Any framing violation: empty line, malformed length prefix, short
@@ -808,19 +788,20 @@ mod tests {
 
     #[test]
     fn records_with_hostile_payloads_round_trip() {
-        let r = Record::new(
-            "INIT",
-            vec![
-                String::new(),
-                "plain".to_owned(),
-                "spaces and 7:colons".to_owned(),
-                "line\nbreaks\r\nand \\backslashes\\".to_owned(),
-                "unicode: héllo ∞".to_owned(),
-            ],
-        );
-        let line = r.encode();
+        let fields = [
+            "",
+            "plain",
+            "spaces and 7:colons",
+            "line\nbreaks\r\nand \\backslashes\\",
+            "unicode: héllo ∞",
+        ];
+        let line = encode_record("INIT", fields);
         assert!(!line.contains('\n'), "records must stay line-delimited");
-        assert_eq!(Record::parse(&line).expect("parses"), r);
+        let (tag, framed) = split(&line).expect("frames");
+        assert_eq!(
+            (tag, framed.iter().map(|f| &**f).collect::<Vec<_>>()),
+            ("INIT", fields.to_vec())
+        );
     }
 
     #[test]
@@ -834,7 +815,7 @@ mod tests {
             "INIT 3:abc4:defg extra",
             "INIT 2:a\\q",
         ] {
-            assert!(Record::parse(bad).is_err(), "`{bad}` should be rejected");
+            assert!(split(bad).is_err(), "`{bad}` should be rejected");
         }
     }
 
@@ -932,17 +913,17 @@ mod tests {
         // `_` is part of the tag alphabet; the framing layer must accept
         // it (REG_GET and friends) while still rejecting anything else
         // outside upper-case ASCII.
-        let r = Record::new("REG_MISS", vec!["why".to_owned()]);
-        assert_eq!(Record::parse(&r.encode()).expect("parses"), r);
+        let line = encode_record("REG_MISS", ["why"]);
+        assert_eq!(split(&line).expect("frames").0, "REG_MISS");
         for bad in ["reg_get 1:x", "REG-GET 1:x", "REG GET 1:x", "_ 1:x 1:y", "R3G 1:x"] {
             // `_` alone is a legal tag char, so `_ 1:x 1:y` frames; it
             // must then die as an unknown tag, not a panic.
-            if let Ok(rec) = Record::parse(bad) {
-                assert!(Message::decode(&rec.encode()).is_err(), "`{bad}`");
+            if split(bad).is_ok() {
+                assert!(Message::decode(bad).is_err(), "`{bad}`");
             }
         }
-        assert!(Record::parse("REG-GET 1:x").is_err());
-        assert!(Record::parse("reg_get 1:x").is_err());
+        assert!(split("REG-GET 1:x").is_err());
+        assert!(split("reg_get 1:x").is_err());
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! — `HELLO` both ways, then the record that says what the peer is — is
 //! bounded by a socket read timeout; after it the reader blocks in
 //! `read(2)` until the connection ends, and the dispatcher's stop shuts
-//! the socket down to end it. A reader hands the dispatcher each run of
-//! records already buffered behind the one it read — a client's `JOB`s,
-//! a worker's `RESULT`s — as one event ([`run_of`]); the first record of
-//! another kind ends the run and is handled after it, so order is kept.
-//! Registry clients are served here, from the hosted store.
+//! the socket down to end it. A reader reads through a reader-only
+//! [`Framed`], so its records are framed by the rule every peer frames by
+//! (`petal_farm::wire`, *One record per line*): a record the rule refuses
+//! is answered by name, and one torn by EOF ends the connection as EOF
+//! does. A reader hands the dispatcher each run of records already in
+//! hand behind the one it read — a client's `JOB`s, a worker's `RESULT`s
+//! — as one event; the first record of another kind ends the run and is
+//! handled after it, so order is kept. Registry clients are served here,
+//! from the hosted store.
 //!
 //! Writers live behind per-connection mutexes ([`ConnWriter`]) in the
 //! driver's map; every send happens **outside** the dispatcher's global
@@ -18,9 +22,9 @@
 use crate::dispatcher::{ConnId, Event};
 use crate::Shared;
 use petal_farm::net::FarmStream;
-use petal_farm::session::{frame_text, read_frame, Framed, MAX_LINE_BYTES};
-use petal_farm::wire::{negotiate, Message, WireError, MIN_WIRE_VERSION, WIRE_VERSION};
-use std::io::BufReader;
+use petal_farm::session::Framed;
+use petal_farm::wire::{negotiate, Message, MIN_WIRE_VERSION, WIRE_VERSION};
+use std::io::{self, BufReader};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -75,45 +79,21 @@ pub(crate) fn goodbye(writer: &Mutex<ConnWriter>, reason: impl Into<String>) {
     close(writer);
 }
 
-/// Read one record; `None` when the connection is over: EOF, EOF
-/// mid-line (a truncated frame), a read error, or the handshake's
-/// timeout. A line past the limit is refused by name.
-fn read_msg(
-    reader: &mut BufReader<FarmStream>,
-    buf: &mut Vec<u8>,
-) -> Result<Option<Message>, WireError> {
-    buf.clear();
-    match read_frame(reader, buf) {
-        Ok(_) if buf.ends_with(b"\n") || buf.len() > MAX_LINE_BYTES => {
-            frame_text(buf).and_then(Message::decode).map(Some)
-        }
-        _ => Ok(None),
-    }
-}
+/// The read half of one connection.
+type ConnReader = Framed<BufReader<FarmStream>, io::Sink>;
 
-/// Take a run: hand `first`, then each record already buffered behind
-/// it, to `take` with its text as the peer sent it, until `take` hands
-/// one back (it is not of the run) or no whole record is left in hand;
-/// never blocks. Returns the read that ended the run, to be handled
-/// after it, or `None`.
-fn run_of(
-    reader: &mut BufReader<FarmStream>,
-    buf: &mut Vec<u8>,
-    first: Message,
-    mut take: impl FnMut(Message, &str) -> Option<Message>,
-) -> Option<Result<Option<Message>, WireError>> {
-    let mut next = first;
-    loop {
-        if let Some(other) = take(next, frame_text(buf).unwrap_or_default()) {
-            return Some(Ok(Some(other)));
+/// The next record, decoded, and its text as the peer sent it.
+/// `Err(None)` when the connection is over: a clean EOF, a record torn
+/// by EOF, a read error or the handshake's timeout. `Err(Some(why))` for
+/// a record the wire refuses: over the line limit, not UTF-8, or not a
+/// message.
+fn next(wire: &mut ConnReader) -> Result<(Message, &str), Option<String>> {
+    match wire.recv_line() {
+        Ok(Some(line)) => {
+            Message::decode(line).map(|msg| (msg, line)).map_err(|e| Some(e.to_string()))
         }
-        if !reader.buffer().contains(&b'\n') {
-            return None;
-        }
-        match read_msg(reader, buf) {
-            Ok(Some(msg)) => next = msg,
-            ended => return Some(ended),
-        }
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(Some(e.to_string())),
+        Ok(None) | Err(_) => Err(None),
     }
 }
 
@@ -126,28 +106,22 @@ pub(crate) fn serve_conn(
     writer: &Mutex<ConnWriter>,
 ) {
     if stream.set_read_timeout(Some(HANDSHAKE_PATIENCE)).is_ok() {
-        serve(shared, conn, BufReader::new(stream), writer);
+        serve(shared, conn, Framed::new(BufReader::new(stream), io::sink()), writer);
     }
     shared.step(conn, Event::Closed("connection closed".to_owned()));
 }
 
-fn serve(
-    shared: &Shared,
-    conn: ConnId,
-    mut reader: BufReader<FarmStream>,
-    writer: &Mutex<ConnWriter>,
-) {
-    let mut buf = Vec::new();
+fn serve(shared: &Shared, conn: ConnId, mut wire: ConnReader, writer: &Mutex<ConnWriter>) {
     // Handshake: HELLO in, HELLO out, negotiate. Anything else is
     // answered with a GOODBYE diagnostic — version skew and protocol
     // confusion must never surface as a silent close.
-    let theirs = match read_msg(&mut reader, &mut buf) {
-        Ok(Some(Message::Hello { min_version, max_version })) => (min_version, max_version),
-        Ok(Some(other)) => {
+    let theirs = match next(&mut wire) {
+        Ok((Message::Hello { min_version, max_version }, _)) => (min_version, max_version),
+        Ok((other, _)) => {
             return goodbye(writer, format!("expected HELLO first, got {}", other.tag()));
         }
-        Ok(None) => return,
-        Err(e) => return goodbye(writer, format!("bad HELLO: {e}")),
+        Err(None) => return,
+        Err(Some(e)) => return goodbye(writer, format!("bad HELLO: {e}")),
     };
     if !send(writer, [Message::hello().encode()]) {
         return;
@@ -158,12 +132,12 @@ fn serve(
 
     // Role detection: the first post-HELLO record decides what this
     // connection is.
-    let first = match read_msg(&mut reader, &mut buf) {
-        Ok(Some(first)) => first,
-        Ok(None) => return,
-        Err(e) => return goodbye(writer, format!("bad record after HELLO: {e}")),
+    let first = match next(&mut wire) {
+        Ok((first, _)) => first,
+        Err(None) => return,
+        Err(Some(e)) => return goodbye(writer, format!("bad record after HELLO: {e}")),
     };
-    if reader.get_ref().set_read_timeout(None).is_err() {
+    if wire.reader().get_ref().set_read_timeout(None).is_err() {
         return;
     }
     let event = match first {
@@ -179,7 +153,7 @@ fn serve(
         }
         Message::Resume { token, nonce } => Event::Resume { token, nonce },
         first @ (Message::RegGet { .. } | Message::RegPut { .. }) => {
-            return serve_registry(shared, reader, buf, writer, first);
+            return serve_registry(shared, wire, writer, first);
         }
         other => {
             let tag = other.tag();
@@ -191,43 +165,45 @@ fn serve(
     };
     shared.step(conn, event);
 
-    // The peer's records, until the connection ends. A HEARTBEAT or
+    // The peer's records, until the connection ends, each stepped once
+    // the next is read or none is in hand. A run — a client's JOBs, a
+    // worker's RESULTs, each with the records of its kind in hand behind
+    // it — is stepped as one event; the first record of another kind
+    // ends it and is handled after it, so order is kept. A HEARTBEAT or
     // READY inside a run of RESULTs only says the worker is alive, which
     // the run says too.
-    let mut held = None;
+    let mut run = None;
     loop {
-        let msg = match held.take().unwrap_or_else(|| read_msg(&mut reader, &mut buf)) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => return,
-            Err(e) => return shared.step(conn, Event::Refused(format!("protocol error: {e}"))),
-        };
-        let event = match msg {
-            first @ Message::Job { .. } => {
-                let mut jobs = Vec::new();
-                held = run_of(&mut reader, &mut buf, first, |msg, line| match msg {
-                    Message::Job { index, .. } => {
-                        jobs.push((index, line.to_owned()));
-                        None
-                    }
-                    other => Some(other),
-                });
-                Event::Jobs(jobs)
+        let event = match next(&mut wire) {
+            Ok((Message::Job { index, .. }, line)) => Event::Jobs(vec![(index, line.to_owned())]),
+            Ok((Message::Result { index, outcome }, _)) => Event::Results(vec![(index, outcome)]),
+            Ok((other, _)) => Event::Msg(other),
+            Err(end) => {
+                let refused = end.map(|e| Event::Refused(format!("protocol error: {e}")));
+                return run.into_iter().chain(refused).for_each(|event| shared.step(conn, event));
             }
-            first @ Message::Result { .. } => {
-                let mut results = Vec::new();
-                held = run_of(&mut reader, &mut buf, first, |msg, _| match msg {
-                    Message::Result { index, outcome } => {
-                        results.push((index, outcome));
-                        None
-                    }
-                    Message::Heartbeat { .. } | Message::Ready { .. } => None,
-                    other => Some(other),
-                });
-                Event::Results(results)
-            }
-            other => Event::Msg(other),
         };
-        shared.step(conn, event);
+        run = match (run.take(), event) {
+            (Some(Event::Jobs(mut jobs)), Event::Jobs(more)) => {
+                jobs.extend(more);
+                Some(Event::Jobs(jobs))
+            }
+            (Some(Event::Results(mut results)), Event::Results(more)) => {
+                results.extend(more);
+                Some(Event::Results(results))
+            }
+            (
+                Some(run @ Event::Results(_)),
+                Event::Msg(Message::Heartbeat { .. } | Message::Ready { .. }),
+            ) => Some(run),
+            (ended, event) => {
+                ended.into_iter().for_each(|ended| shared.step(conn, ended));
+                Some(event)
+            }
+        };
+        if !wire.in_hand() {
+            run.take().into_iter().for_each(|run| shared.step(conn, run));
+        }
     }
 }
 
@@ -237,8 +213,7 @@ fn serve(
 /// `serve_registry_request` is what serializes concurrent publishers.
 fn serve_registry(
     shared: &Shared,
-    mut reader: BufReader<FarmStream>,
-    mut buf: Vec<u8>,
+    mut wire: ConnReader,
     writer: &Mutex<ConnWriter>,
     first: Message,
 ) {
@@ -261,10 +236,10 @@ fn serve_registry(
                 return goodbye(writer, format!("unexpected {} from registry client", other.tag()));
             }
         }
-        msg = match read_msg(&mut reader, &mut buf) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => return,
-            Err(e) => return goodbye(writer, format!("protocol error: {e}")),
+        msg = match next(&mut wire) {
+            Ok((msg, _)) => msg,
+            Err(None) => return,
+            Err(Some(e)) => return goodbye(writer, format!("protocol error: {e}")),
         };
     }
 }

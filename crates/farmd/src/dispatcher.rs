@@ -19,7 +19,7 @@
 use crate::journal::{self, Entry, COMPACT_DEAD_THRESHOLD};
 use crate::registry::{Ack, JobKey, Registry};
 use crate::FarmdOptions;
-use petal_farm::wire::{with_index, Message, Record, WIRE_VERSION};
+use petal_farm::wire::{with_index, Message, WIRE_VERSION};
 use petal_farm::JobOutcome;
 use petal_gpu::profile::MachineProfile;
 use std::collections::btree_map::Entry as Slot;
@@ -311,7 +311,7 @@ impl Dispatcher {
     /// over the threshold is followed by the log rewritten from the state
     /// right after it, so the log is the one record-by-record appends
     /// would leave, byte for byte.
-    fn log(&mut self, dead: u64, record: impl FnOnce(&State) -> Record) {
+    fn log(&mut self, dead: u64, record: impl FnOnce(&State) -> String) {
         let Some(count) = self.dead.as_mut() else { return };
         self.out.journal.push(Entry::Record(record(&self.state)));
         *count += dead;
@@ -406,7 +406,7 @@ impl Dispatcher {
                 continue;
             };
             let line = Message::Result { index, outcome }.encode();
-            self.log(u64::from(unanswered), |_| journal::result_record(session, line.clone()));
+            self.log(u64::from(unanswered), |_| journal::result_record(session, &line));
             if let Some(client) = self.state.sessions[&session].conn {
                 self.send(client, line);
             }
@@ -628,7 +628,7 @@ pub(crate) mod tests {
                     for entry in entries {
                         match entry {
                             Entry::Record(record) => {
-                                appended.push_str(&record.encode());
+                                appended.push_str(&record);
                                 appended.push('\n');
                             }
                             Entry::Compacted(text) => {

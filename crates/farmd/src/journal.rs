@@ -14,7 +14,8 @@
 //!
 //! ## Record format
 //!
-//! Journal lines reuse the wire framing ([`Record`]): one record per
+//! Journal lines reuse the wire framing (written by
+//! [`encode_record`], read by [`split`]): one record per
 //! line, length-prefixed escaped fields, so torn tails and hostile
 //! payloads are handled by the same battle-tested codec the sockets
 //! use. Where a record carries a whole protocol message (the session's
@@ -65,7 +66,7 @@
 //! file, never a mix.
 
 use crate::dispatcher::{Session, State};
-use petal_farm::wire::{Message, Record, WIRE_VERSION};
+use petal_farm::wire::{encode_record, split, Message, WIRE_VERSION};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -76,8 +77,8 @@ pub(crate) const COMPACT_DEAD_THRESHOLD: u64 = 2048;
 
 /// The journal's side of a dispatcher step, in order.
 pub(crate) enum Entry {
-    /// The record of one transition, to append.
-    Record(Record),
+    /// The record of one transition, to append (a line, no terminator).
+    Record(String),
     /// The whole log ([`snapshot`]) as the state stood right after the
     /// records before it, which it replaces: a compaction.
     Compacted(String),
@@ -93,43 +94,43 @@ pub(crate) struct Journal {
 }
 
 /// An accepted session (its `INIT` embedded whole).
-pub(crate) fn open_record(id: u64, s: &Session) -> Record {
+pub(crate) fn open_record(id: u64, s: &Session) -> String {
     let init = Message::Init {
         version: WIRE_VERSION,
         bench_spec: s.bench_spec.clone(),
         machine: Box::new(s.machine.clone()),
     };
-    Record::new("J_OPEN", vec![id.to_string(), s.nonce.to_string(), init.encode()])
+    encode_record("J_OPEN", [id.to_string(), s.nonce.to_string(), init.encode()])
 }
 
 /// A queued job (its `JOB` record embedded whole).
-pub(crate) fn job_record(session: u64, job: &str) -> Record {
-    Record::new("J_JOB", vec![session.to_string(), job.to_owned()])
+pub(crate) fn job_record(session: u64, job: &str) -> String {
+    encode_record("J_JOB", [&session.to_string(), job])
 }
 
 /// A result about to be forwarded (its `RESULT` record embedded whole).
-pub(crate) fn result_record(session: u64, result: String) -> Record {
-    Record::new("J_RESULT", vec![session.to_string(), result])
+pub(crate) fn result_record(session: u64, result: &str) -> String {
+    encode_record("J_RESULT", [&session.to_string(), result])
 }
 
 /// A retired session; every record it wrote is now dead.
-pub(crate) fn close_record(session: u64) -> Record {
-    Record::new("J_CLOSE", vec![session.to_string()])
+pub(crate) fn close_record(session: u64) -> String {
+    encode_record("J_CLOSE", [session.to_string()])
 }
 
 /// The minimal log for `state`: `J_NEXT`, each open session's `J_OPEN`
 /// and done `J_RESULT`s, every unanswered `J_JOB`.
 pub(crate) fn snapshot(state: &State) -> String {
     let mut text = String::new();
-    let mut push = |record: Record| {
-        text.push_str(&record.encode());
+    let mut push = |record: String| {
+        text.push_str(&record);
         text.push('\n');
     };
-    push(Record::new("J_NEXT", vec![state.next_session.to_string()]));
+    push(encode_record("J_NEXT", [state.next_session.to_string()]));
     for (&id, s) in &state.sessions {
         push(open_record(id, s));
         for (&index, outcome) in &s.done {
-            push(result_record(id, Message::Result { index, outcome: outcome.clone() }.encode()));
+            push(result_record(id, &Message::Result { index, outcome: outcome.clone() }.encode()));
         }
     }
     for (&(session, _), job) in &state.jobs {
@@ -180,7 +181,7 @@ impl Journal {
         for entry in entries {
             match entry {
                 Entry::Record(record) => {
-                    self.batch.push_str(&record.encode());
+                    self.batch.push_str(&record);
                     self.batch.push('\n');
                 }
                 Entry::Compacted(text) => match self.rewrite(&text) {
@@ -225,15 +226,15 @@ pub(crate) fn replay(state: &mut State, text: &str, now: Instant) -> Result<usiz
 
 /// Replay one journal line: decode it and make the transition it records.
 fn replay_line(state: &mut State, line: &str, now: Instant) -> Result<(), String> {
-    let rec = Record::parse(line).map_err(|e| e.to_string())?;
+    let (tag, fields) = split(line).map_err(|e| e.to_string())?;
     let field = |i: usize| -> Result<&str, String> {
-        rec.fields.get(i).map(String::as_str).ok_or_else(|| format!("{} too short", rec.tag))
+        fields.get(i).map(|f| &**f).ok_or_else(|| format!("{tag} too short"))
     };
     let num = |i: usize| -> Result<u64, String> {
-        field(i)?.parse().map_err(|_| format!("bad integer in {}", rec.tag))
+        field(i)?.parse().map_err(|_| format!("bad integer in {tag}"))
     };
     let embedded = |i: usize| Message::decode(field(i)?).map_err(|e| e.to_string());
-    match rec.tag.as_str() {
+    match tag {
         "J_NEXT" => state.next_session = state.next_session.max(num(0)?),
         "J_OPEN" => {
             let Message::Init { bench_spec, machine, .. } = embedded(2)? else {
@@ -423,12 +424,12 @@ mod tests {
         for line in std::fs::read_to_string(dir.join("journal.log")).expect("read").lines() {
             old_log.push_str(line);
             old_log.push('\n');
-            let rec = Record::parse(line).expect("a record");
-            if rec.tag == "J_JOB" {
-                let Ok(Message::Job { index, .. }) = Message::decode(&rec.fields[1]) else {
+            let (tag, fields) = split(line).expect("a record");
+            if tag == "J_JOB" {
+                let Ok(Message::Job { index, .. }) = Message::decode(&fields[1]) else {
                     panic!("J_JOB embeds a JOB");
                 };
-                old_log.push_str(&format!("J_ASSIGN 1:{} 1:{index} 1:3\n", rec.fields[0]));
+                old_log.push_str(&format!("J_ASSIGN 1:{} 1:{index} 1:3\n", fields[0]));
             }
         }
         assert_eq!(old_log.matches("\nJ_ASSIGN ").count(), 3);
@@ -542,7 +543,7 @@ mod tests {
         let path = dir.join("journal.log");
         let mut text = std::fs::read_to_string(&path).expect("read");
         text.push_str("garbage that is not a record\n");
-        text.push_str(&close_record(1).encode());
+        text.push_str(&close_record(1));
         text.push('\n');
         std::fs::write(&path, text).expect("write");
         let err = match Journal::open(&dir, &mut State::new(), crate::clock()) {
@@ -607,7 +608,7 @@ mod tests {
                     panic!("a JOB");
                 };
                 let embedded = Message::Job { index, job }.encode();
-                format!("{}\n", Record::new("J_JOB", vec!["1".to_owned(), embedded]).encode())
+                format!("{}\n", encode_record("J_JOB", ["1".to_owned(), embedded]))
             })
             .collect();
         assert!(parent.starts_with("J_JOB 1:1 "));

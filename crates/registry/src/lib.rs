@@ -125,7 +125,7 @@ pub use remote::RemoteStore;
 use petal_core::config::{Selector, Tunable};
 use petal_core::Config;
 use petal_farm::net::Endpoint;
-use petal_farm::wire::{self, Message, Record};
+use petal_farm::wire::{self, encode_record, Message};
 use petal_gpu::profile::MachineProfile;
 use petal_gpu::Fnv;
 use std::borrow::Cow;
@@ -173,7 +173,7 @@ impl StoredEntry {
     /// Encode as the on-disk entry text (inverse of [`decode_entry`]).
     #[must_use]
     pub fn encode(&self) -> String {
-        let mut out = Record::new("REGV", vec![FORMAT_VERSION.to_string()]).encode();
+        let mut out = encode_record("REGV", [FORMAT_VERSION.to_string()]);
         out.push('\n');
         // The machine + spec ride the shard wire's INIT encoding so the
         // registry and the farm share one profile codec. The leading
@@ -187,18 +187,15 @@ impl StoredEntry {
             .encode(),
         );
         out.push('\n');
-        out.push_str(
-            &Record::new(
-                "TUNED",
-                vec![
-                    self.size.to_string(),
-                    petal_apps::spec_f64(self.time_secs),
-                    self.config.to_string(),
-                    self.source.clone(),
-                ],
-            )
-            .encode(),
-        );
+        out.push_str(&encode_record(
+            "TUNED",
+            [
+                self.size.to_string(),
+                petal_apps::spec_f64(self.time_secs),
+                self.config.to_string(),
+                self.source.clone(),
+            ],
+        ));
         out.push('\n');
         out
     }

@@ -185,6 +185,27 @@ mod tests {
         assert_eq!(tags, [vec!["READY"], vec!["RESULT"; 5]], "READY, then the five RESULTs");
     }
 
+    /// A `JOB` whole but for its `\n` when the pipe closes is torn, not
+    /// a job: it is not answered, and the session ends in an error.
+    #[test]
+    fn a_job_torn_by_eof_is_not_answered() {
+        let machine = MachineProfile::laptop();
+        let bench = BlackScholes::new(256);
+        let config = bench.program(&machine).default_config(&machine);
+        let init = Message::Init {
+            version: WIRE_VERSION,
+            bench_spec: bench.spec(),
+            machine: Box::new(machine),
+        };
+        let job = EvalJob { config, size: 1, engine_seed: 0 };
+        let session = format!("{}\n{}", init.encode(), Message::Job { index: 0, job }.encode());
+        let mut out = Vec::new();
+        let e = serve(session.as_bytes(), &mut out).expect_err("the last JOB is torn");
+        assert!(e.message.contains("torn"), "{e}");
+        let out = String::from_utf8(out).expect("utf8");
+        assert_eq!(out, format!("{}\n", Message::Ready { version: WIRE_VERSION }.encode()));
+    }
+
     #[test]
     fn bad_handshakes_are_fatal() {
         let mut out = Vec::new();
