@@ -15,6 +15,21 @@ cargo clippy --offline --all-targets -- -D warnings
 echo "== cargo build --release (offline)"
 cargo build --release --offline
 
+echo "== unknown flags (every release binary refuses --no-such-flag: exit 2, its usage on stderr, nothing on stdout)"
+# One command-line grammar (README.md, *Command lines*): a flag a binary
+# does not know is an error before it binds, connects, tunes or writes a
+# table. (`timeout`: a binary that took the flag would serve or tune.)
+FLAG_DIR="$(mktemp -d /tmp/petal-flags-ci.XXXXXX)"
+for bin in fig2_convolution fig7_migration ablation_ircache bench_baseline bench_hotpath \
+           petal-farmd petal-shard petal-verify petal-registry; do
+  status=0
+  timeout 60 "./target/release/$bin" --no-such-flag </dev/null \
+    >"$FLAG_DIR/out" 2>"$FLAG_DIR/err" || status=$?
+  [[ "$status" == 2 && ! -s "$FLAG_DIR/out" ]] && grep -q '^usage:' "$FLAG_DIR/err" \
+    || { echo "$bin --no-such-flag: exit $status, expected 2 with its usage on stderr"; cat "$FLAG_DIR/out" "$FLAG_DIR/err"; exit 1; }
+done
+rm -rf "$FLAG_DIR"
+
 echo "== ablation_ircache (the §5.4 claim: the IR cache cuts tuning time, fewer small-size trials do not raise it)"
 # The end-to-end check of the one IR-cache model (petal_farm::EvalFarm's
 # compile pricing); the binary asserts both claims for its pinned seed.

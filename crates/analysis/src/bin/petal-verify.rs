@@ -8,20 +8,21 @@
 //! ```
 //!
 //! `--deny` exits non-zero on any error or non-allowlisted warning — the
-//! mode CI runs. `PETAL_SMOKE=1` switches to the fast probing budget and
-//! skips the autotuned-config sweep.
+//! mode CI runs. `PETAL_SMOKE` (any value but `0`) switches to the fast
+//! probing budget and skips the autotuned-config sweep.
 
 use petal_analysis::verify::{verify_benchmark, VerifyOptions};
 use petal_analysis::VerifyReport;
 use petal_apps::all_benchmarks;
+use petal_apps::cli::{exit_usage, Flags};
+use petal_apps::workload::smoke_mode;
 use petal_gpu::profile::MachineProfile;
 use std::process::ExitCode;
 
 struct Args {
-    all: bool,
     deny: bool,
     bench: Option<String>,
-    machine: Option<String>,
+    machine: Option<MachineProfile>,
 }
 
 const USAGE: &str = "usage: petal-verify (--all | --bench NAME) [--machine CODENAME] [--deny]
@@ -29,45 +30,29 @@ const USAGE: &str = "usage: petal-verify (--all | --bench NAME) [--machine CODEN
   --bench NAME        verify one benchmark (e.g. Sort, Strassen)
   --machine CODENAME  restrict to one machine profile (default: all extended profiles)
   --deny              exit non-zero on any denied finding (CI mode)
-environment: PETAL_SMOKE=1 selects the fast probing budget";
+environment: PETAL_SMOKE (any value but 0) selects the fast probing budget";
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args { all: false, deny: false, bench: None, machine: None };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--all" => args.all = true,
-            "--deny" => args.deny = true,
-            "--bench" => {
-                args.bench = Some(it.next().ok_or("--bench needs a benchmark name")?);
-            }
-            "--machine" => {
-                args.machine = Some(it.next().ok_or("--machine needs a codename")?);
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if args.all == args.bench.is_some() {
+fn parse(mut flags: Flags) -> Result<Args, String> {
+    let all = flags.flag("--all");
+    let deny = flags.flag("--deny");
+    let bench = flags.value("--bench")?;
+    let machine = match flags.value("--machine")? {
+        None => None,
+        Some(name) => Some(MachineProfile::by_codename(&name).ok_or_else(|| {
+            let have: Vec<_> = MachineProfile::extended().into_iter().map(|m| m.codename).collect();
+            format!("no machine profile `{name}` (have: {})", have.join(", "))
+        })?),
+    };
+    flags.finish(0)?;
+    if all == bench.is_some() {
         return Err("pass exactly one of --all or --bench NAME".into());
     }
-    Ok(args)
+    Ok(Args { deny, bench, machine })
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("petal-verify: {msg}");
-            }
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let smoke = std::env::var("PETAL_SMOKE").is_ok_and(|v| v == "1");
-    let options = if smoke { VerifyOptions::smoke() } else { VerifyOptions::full() };
+    let args = parse(Flags::from_env()).unwrap_or_else(|e| exit_usage("petal-verify", &e, USAGE));
+    let options = if smoke_mode() { VerifyOptions::smoke() } else { VerifyOptions::full() };
 
     let benchmarks: Vec<_> = all_benchmarks()
         .into_iter()
@@ -81,22 +66,10 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    let machines: Vec<_> = MachineProfile::extended()
-        .into_iter()
-        .filter(|m| args.machine.as_deref().map_or(true, |want| m.codename == want))
-        .collect();
-    if machines.is_empty() {
-        eprintln!(
-            "petal-verify: no machine profile `{}` (have: {})",
-            args.machine.as_deref().unwrap_or(""),
-            MachineProfile::extended()
-                .iter()
-                .map(|m| m.codename.clone())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        return ExitCode::from(2);
-    }
+    let machines = match args.machine {
+        Some(machine) => vec![machine],
+        None => MachineProfile::extended(),
+    };
 
     let mut report = VerifyReport::default();
     for benchmark in &benchmarks {

@@ -34,4 +34,4 @@ pub mod report;
 pub mod verify;
 
 pub use report::{Finding, Pass, Severity, VerifyReport};
-pub use verify::{verify_all, verify_benchmark, VerifyOptions};
+pub use verify::{verify_benchmark, VerifyOptions};

@@ -6,7 +6,7 @@ use crate::allowlist;
 use crate::legality::check_plan;
 use crate::lint::{lint_choice_space, lint_config, LintBudget};
 use crate::report::VerifyReport;
-use petal_apps::{all_benchmarks, Benchmark};
+use petal_apps::Benchmark;
 use petal_core::Config;
 use petal_gpu::profile::MachineProfile;
 use petal_tuner::{Autotuner, TunerSettings};
@@ -69,18 +69,5 @@ pub fn verify_benchmark(
         report.merge(verify_config(benchmark, machine, &tuned.config));
     }
     allowlist::apply(&mut report.findings);
-    report
-}
-
-/// The full committed matrix: every benchmark × every extended machine
-/// profile. This is what `petal-verify --all` (and the CI gate) runs.
-#[must_use]
-pub fn verify_all(options: &VerifyOptions) -> VerifyReport {
-    let mut report = VerifyReport::default();
-    for benchmark in all_benchmarks() {
-        for machine in MachineProfile::extended() {
-            report.merge(verify_benchmark(benchmark.as_ref(), &machine, options));
-        }
-    }
     report
 }

@@ -18,6 +18,7 @@
 //! host-side reference implementation used by `Instance::check`.
 
 pub mod blackscholes;
+pub mod cli;
 pub mod convolution;
 pub mod poisson;
 pub mod sort;

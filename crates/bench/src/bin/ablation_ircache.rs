@@ -2,12 +2,13 @@
 //! change total autotuning time.
 
 use petal_apps::convolution::SeparableConvolution;
-use petal_bench::full_flag;
+use petal_bench::HarnessArgs;
 use petal_gpu::profile::MachineProfile;
 use petal_tuner::{Autotuner, TunerSettings};
 
 fn main() {
-    let n = if full_flag() { 1024 } else { 256 };
+    let args = HarnessArgs::from_env("ablation_ircache", &[]);
+    let n = if args.full { 1024 } else { 256 };
     let bench = SeparableConvolution::new(n, 7);
     let machine = MachineProfile::desktop();
     let base = TunerSettings {
@@ -17,7 +18,7 @@ fn main() {
         size_schedule: vec![1.0 / 16.0, 1.0 / 4.0, 1.0],
         small_size_trial_fraction: 0.5,
         model_process_restarts: true,
-        farm: petal_farm::FarmSettings::host_parallel(),
+        farm: args.farm_settings(),
         kick_after: 2,
         kick_strength: 3,
         warm_start: None,

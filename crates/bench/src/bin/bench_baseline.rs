@@ -19,7 +19,7 @@
 
 use petal_apps::convolution::{ConvMapping, SeparableConvolution};
 use petal_apps::{all_benchmarks, Benchmark};
-use petal_bench::str_field;
+use petal_bench::{mode_flag, str_field};
 use petal_gpu::profile::MachineProfile;
 use std::fmt::Write as _;
 
@@ -102,11 +102,13 @@ fn baseline_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json")
 }
 
+const USAGE: &str = "usage: bench_baseline [--write | --check-virtual]";
+
 fn main() {
-    let mode = std::env::args().nth(1);
+    let mode = mode_flag("bench_baseline", USAGE, &["--write", "--check-virtual"]);
     let entries = entries();
     let rendered = render(&entries);
-    match mode.as_deref() {
+    match mode {
         Some("--write") => {
             std::fs::write(baseline_path(), &rendered).expect("write BENCH_baseline.json");
             println!("wrote {} entries to BENCH_baseline.json", entries.len());

@@ -26,7 +26,7 @@
 //!   scheduler to quadratic scanning fails loudly.
 
 use petal_apps::Benchmark;
-use petal_bench::{num_field, str_field};
+use petal_bench::{mode_flag, num_field, str_field};
 use petal_core::executor::Executor;
 use petal_core::{Config, Selector, Tunable};
 use petal_gpu::profile::MachineProfile;
@@ -211,11 +211,14 @@ fn table_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hotpath.json")
 }
 
+const USAGE: &str = "usage: bench_hotpath [--write | --check]\n\
+                     (environment: PETAL_SMOKE measures fewer repetitions)";
+
 fn main() {
-    let mode = std::env::args().nth(1);
+    let mode = mode_flag("bench_hotpath", USAGE, &["--write", "--check"]);
     let entries = entries();
     let rendered = render(&entries);
-    match mode.as_deref() {
+    match mode {
         Some("--write") => {
             std::fs::write(table_path(), &rendered).expect("write BENCH_hotpath.json");
             println!("wrote {} entries to BENCH_hotpath.json", entries.len());

@@ -7,12 +7,13 @@
 
 use petal_apps::convolution::{ConvMapping, SeparableConvolution};
 use petal_apps::Benchmark;
-use petal_bench::{full_flag, harness_farm_settings, row};
+use petal_bench::{row, HarnessArgs};
 use petal_gpu::profile::MachineProfile;
 use petal_tuner::{Autotuner, TunerSettings};
 
 fn main() {
-    let n = if full_flag() { 1024 } else { 256 };
+    let args = HarnessArgs::from_env("fig2_convolution", &[]);
+    let n = if args.full { 1024 } else { 256 };
     // PETAL_SMOKE=1 samples the sweep (one machine, three widths) so the
     // CI farmd loopback smoke finishes in seconds; the paper claim is
     // still asserted at every sampled point.
@@ -26,7 +27,7 @@ fn main() {
         size_schedule: vec![0.25, 1.0],
         small_size_trial_fraction: 0.5,
         model_process_restarts: false,
-        farm: harness_farm_settings(),
+        farm: args.farm_settings(),
         kick_after: 1,
         kick_strength: 3,
         warm_start: None,

@@ -23,16 +23,14 @@
 //! native tune's own best trial. The scratch column prices the same
 //! parity for the cold search, so the saving is the difference.
 //!
-//! Usage: `fig7_migration [benchmark-substring] [--full] [--shards N]
-//! [--registry <endpoint>]`
+//! Usage: `fig7_migration [--full] [--shards N] [--farmd <endpoint>]
+//! [--registry <endpoint>] [benchmark-substring]` (README.md, *Command
+//! lines*); a substring that matches no benchmark's name exits 2.
 
 use petal_apps::workload::smoke_mode;
 use petal_apps::Benchmark;
 use petal_bench::figures::{self, Figure};
-use petal_bench::{
-    full_flag, harness_benchmarks, harness_tuner_settings, positional_args, registry_store, row,
-    store_tuned,
-};
+use petal_bench::{harness_benchmarks, row, store_tuned, HarnessArgs};
 use petal_gpu::profile::MachineProfile;
 use petal_tuner::{describe_config, Autotuner, Tuned, TunerSettings, WarmStart};
 
@@ -46,7 +44,12 @@ fn parity_cell(tuned: &Tuned, target: f64) -> String {
 
 /// The repair-curve table for one benchmark: every src→dst migration,
 /// warm-started from the src config, priced against the scratch tune.
-fn repair_table(bench: &dyn Benchmark, machines: &[MachineProfile], figure: &Figure) {
+fn repair_table(
+    bench: &dyn Benchmark,
+    machines: &[MachineProfile],
+    figure: &Figure,
+    settings: &TunerSettings,
+) {
     let widths = [22, 10, 10, 26, 26];
     println!("--- Repair curves (warm-start re-tuning after migration) ---");
     let header =
@@ -77,7 +80,7 @@ fn repair_table(bench: &dyn Benchmark, machines: &[MachineProfile], figure: &Fig
                         config: tuned[si].config.clone(),
                         source: format!("registry:family:{}", src.codename),
                     }),
-                    ..harness_tuner_settings()
+                    ..settings.clone()
                 },
             )
             .run();
@@ -101,23 +104,30 @@ fn repair_table(bench: &dyn Benchmark, machines: &[MachineProfile], figure: &Fig
 }
 
 fn main() {
-    let filter: Option<String> = positional_args().first().map(|s| s.to_lowercase());
+    let args = HarnessArgs::from_env("fig7_migration", &["benchmark-substring"]);
+    let mut benches = harness_benchmarks(args.full);
+    if let Some(filter) = args.positionals.first() {
+        let names: Vec<String> = benches.iter().map(|b| b.name().to_owned()).collect();
+        benches.retain(|b| b.name().to_lowercase().contains(&filter.to_lowercase()));
+        if benches.is_empty() {
+            eprintln!(
+                "fig7_migration: no benchmark matches `{filter}` (have: {})",
+                names.join(", ")
+            );
+            std::process::exit(2);
+        }
+    }
     // A directory or a served registry — the same store from here on.
-    let registry = registry_store();
+    let registry = args.registry_store();
     // The extended matrix: the paper's three machines plus the iGPU and
     // ManyCore extension profiles (migration penalties are sharpest when
     // the device balance differs most).
     let machines = MachineProfile::extended();
-    let settings = harness_tuner_settings();
+    let settings = args.tuner_settings();
     let widths = [22, 12, 12, 12, 12, 12];
     let mut failed = false;
 
-    for bench in harness_benchmarks(full_flag()) {
-        if let Some(f) = &filter {
-            if !bench.name().to_lowercase().contains(f) {
-                continue;
-            }
-        }
+    for bench in benches {
         let table = figures::table(std::slice::from_ref(&bench), &machines, &settings);
         let figure = &table[0];
         println!("=== Figure 6: {} ===", bench.name());
@@ -149,7 +159,7 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join("  ")
         );
-        if !full_flag() {
+        if !args.full {
             if let Err(errors) = figures::check(&table) {
                 for e in errors {
                     eprintln!("error: {e}");
@@ -161,7 +171,7 @@ fn main() {
             // Each src→dst cell costs a full warm re-tune; the smoke run
             // keeps the matrix to the paper's three machines.
             let n = if smoke_mode() { 3.min(machines.len()) } else { machines.len() };
-            repair_table(&*bench, &machines[..n], figure);
+            repair_table(&*bench, &machines[..n], figure, &settings);
             println!();
         }
     }

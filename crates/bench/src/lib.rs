@@ -13,6 +13,7 @@
 //! host time (the *virtual* times reported are what the paper's axes
 //! correspond to); pass `--full` for the paper's input sizes.
 
+use petal_apps::cli::{exit_usage, Flags};
 use petal_apps::Benchmark;
 use petal_farm::net::Endpoint;
 use petal_gpu::profile::MachineProfile;
@@ -41,241 +42,145 @@ pub fn harness_benchmarks(full: bool) -> Vec<Box<dyn Benchmark>> {
     }
 }
 
-/// The harness command line, parsed once: every flag the `fig*` binaries
-/// understand, plus whatever positional arguments remain. One parser
-/// means a flag added here can never silently leak into another
-/// accessor's positional arguments.
+/// The harness command line (README.md, *Command lines*): every flag the
+/// `fig*` binaries and `ablation_ircache` take, plus their positionals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessArgs {
     /// `--full`: run at the paper's input sizes.
     pub full: bool,
-    /// `--shards N` / `--shards=N` (or `PETAL_SHARDS=N`): evaluate on
-    /// `N` `petal-shard` worker processes; 0 stays in-process.
+    /// `--shards N` (or `PETAL_SHARDS=N`): evaluate on `N` `petal-shard`
+    /// worker processes, found beside the binary or at
+    /// `PETAL_SHARD_BIN`; 0 stays in-process.
     pub shards: usize,
-    /// `--farmd <endpoint>` / `--farmd=<endpoint>` (or
-    /// `PETAL_FARMD=<endpoint>`): evaluate against the `petal-farmd`
-    /// dispatcher at `host:port`, `tcp:host:port` or `unix:<path>`.
-    /// Wins over `--shards`. Both endpoint flags go through the one
-    /// [`Endpoint`] grammar, so a form that works here works everywhere.
+    /// `--farmd <endpoint>` (or `PETAL_FARMD`): evaluate against the
+    /// `petal-farmd` dispatcher at `host:port`, `tcp:host:port` or
+    /// `unix:<path>`, or the first that answers of a comma-separated
+    /// list. Wins over `--shards`; `none` forces local evaluation.
     pub farmd: Option<Endpoint>,
-    /// `--registry <endpoint>` / `--registry=<endpoint>` (or
-    /// `PETAL_REGISTRY=<endpoint>`): the tuned-config registry — a local
-    /// directory (`dir:<path>`, or a bare path) or a
-    /// `petal-farmd --registry` service (`tcp:host:port` / `unix:<path>`).
-    /// Harnesses that support it store their tunes there and warm-start
-    /// re-tuning from it (`fig7_migration`'s repair curves).
+    /// `--registry <endpoint>` (or `PETAL_REGISTRY`): the tuned-config
+    /// registry — a local directory (`dir:<path>`, or a bare path), a
+    /// `petal-farmd --registry` service (`tcp:host:port` /
+    /// `unix:<path>`), or a fallback list of those; `none` forces a cold
+    /// run. Harnesses that support it store their tunes there and
+    /// warm-start re-tuning from it (`fig7_migration`'s repair curves).
     pub registry: Option<Endpoint>,
     /// Everything else, in order (e.g. `fig7_migration`'s name filter).
     pub positionals: Vec<String>,
 }
 
 impl HarnessArgs {
-    /// Parse an argument list (without `argv[0]`). Malformed flag values
-    /// are a loud error, never a silent default.
+    /// Take the harness flags out of `flags`, leaving at most
+    /// `positionals` other arguments. Malformed values are a loud error,
+    /// never a silent default.
     ///
     /// # Errors
     /// A human-readable message for a missing or non-integer `--shards`
-    /// value, or a missing or malformed `--farmd` / `--registry`
-    /// endpoint.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        Self::parse_with_env(
-            args,
-            std::env::var("PETAL_SHARDS").ok().as_deref(),
-            std::env::var("PETAL_FARMD").ok().as_deref(),
-            std::env::var("PETAL_REGISTRY").ok().as_deref(),
-        )
-    }
-
-    /// [`Self::parse`] with the `PETAL_SHARDS` / `PETAL_FARMD` /
-    /// `PETAL_REGISTRY` values passed explicitly — the actual parser, and
-    /// what tests call so they never have to mutate the process
-    /// environment (a data race under libtest's concurrent test threads).
-    fn parse_with_env<I: IntoIterator<Item = String>>(
-        args: I,
-        env_shards: Option<&str>,
-        env_farmd: Option<&str>,
-        env_registry: Option<&str>,
-    ) -> Result<Self, String> {
-        let parse_shards = |raw: &str| {
-            raw.parse().map_err(|_| {
+    /// value, a missing or malformed `--farmd` / `--registry` endpoint,
+    /// an unknown flag or a positional too many.
+    pub fn parse(mut flags: Flags, positionals: usize) -> Result<Self, String> {
+        let shards = match flags.value_or_env("--shards", "PETAL_SHARDS")? {
+            Some(raw) => raw.parse().map_err(|_| {
                 format!("bad shard count `{raw}`; expected `--shards <N>` (or PETAL_SHARDS=<N>)")
-            })
+            })?,
+            None => 0,
         };
         // Both endpoint flags share the one `Endpoint` grammar; `none`
         // (`Endpoint::Disabled`) is the escape hatch back to local
         // operation when PETAL_FARMD / PETAL_REGISTRY are exported.
-        let parse_farmd = |raw: &str| -> Result<Option<Endpoint>, String> {
-            match Endpoint::parse(raw)? {
-                Endpoint::Disabled => Ok(None),
-                Endpoint::Dir(d) => Err(format!(
-                    "--farmd needs a dispatcher socket, not the directory `{}`",
-                    d.display()
-                )),
+        let farmd = match flags.value_or_env("--farmd", "PETAL_FARMD")? {
+            None => None,
+            Some(raw) => match Endpoint::parse(&raw)? {
+                Endpoint::Disabled => None,
+                Endpoint::Dir(d) => {
+                    return Err(format!(
+                        "--farmd needs a dispatcher socket, not the directory `{}`",
+                        d.display()
+                    ))
+                }
                 Endpoint::Fallback(elements)
                     if elements.iter().any(|e| matches!(e, Endpoint::Dir(_))) =>
                 {
-                    Err(format!(
+                    return Err(format!(
                         "--farmd needs dispatcher sockets; the list `{raw}` contains a directory"
                     ))
                 }
-                e => Ok(Some(e)),
-            }
+                e => Some(e),
+            },
         };
-        let parse_registry = |raw: &str| -> Result<Option<Endpoint>, String> {
-            match Endpoint::parse_store(raw)? {
-                Endpoint::Disabled => Ok(None),
-                e => Ok(Some(e)),
-            }
+        let registry = match flags.value_or_env("--registry", "PETAL_REGISTRY")? {
+            None => None,
+            Some(raw) => match Endpoint::parse_store(&raw)? {
+                Endpoint::Disabled => None,
+                e => Some(e),
+            },
         };
-        let mut out = HarnessArgs {
-            full: false,
-            shards: 0,
-            farmd: None,
-            registry: None,
-            positionals: Vec::new(),
-        };
-        // An explicit `--shards 0` must win over PETAL_SHARDS: the flag
-        // is the documented escape hatch back to in-process evaluation.
-        let mut shards_from_cli = false;
-        let mut farmd_from_cli = false;
-        let mut registry_from_cli = false;
-        let mut args = args.into_iter();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--full" => out.full = true,
-                "--shards" => {
-                    let raw = args.next().ok_or("--shards is missing its value")?;
-                    out.shards = parse_shards(&raw)?;
-                    shards_from_cli = true;
-                }
-                a if a.starts_with("--shards=") => {
-                    out.shards = parse_shards(&a["--shards=".len()..])?;
-                    shards_from_cli = true;
-                }
-                "--farmd" => {
-                    let raw = args.next().ok_or("--farmd is missing its value")?;
-                    out.farmd = parse_farmd(&raw)?;
-                    farmd_from_cli = true;
-                }
-                a if a.starts_with("--farmd=") => {
-                    out.farmd = parse_farmd(&a["--farmd=".len()..])?;
-                    farmd_from_cli = true;
-                }
-                "--registry" => {
-                    let raw = args.next().ok_or("--registry is missing its value")?;
-                    out.registry = parse_registry(&raw)?;
-                    registry_from_cli = true;
-                }
-                a if a.starts_with("--registry=") => {
-                    out.registry = parse_registry(&a["--registry=".len()..])?;
-                    registry_from_cli = true;
-                }
-                _ => out.positionals.push(a),
-            }
-        }
-        if !shards_from_cli {
-            if let Some(raw) = env_shards {
-                out.shards = parse_shards(raw)?;
-            }
-        }
-        if !farmd_from_cli {
-            if let Some(raw) = env_farmd {
-                out.farmd = parse_farmd(raw)?;
-            }
-        }
-        if !registry_from_cli {
-            if let Some(raw) = env_registry {
-                out.registry = parse_registry(raw)?;
-            }
-        }
-        Ok(out)
+        let full = flags.flag("--full");
+        let positionals = flags.finish(positionals)?;
+        Ok(HarnessArgs { full, shards, farmd, registry, positionals })
     }
 
-    /// Parse the process's real command line, exiting loudly on a
-    /// malformed flag. Parsed once per process; the free-function
-    /// accessors all read the same cached result.
+    /// The process's command line, whose positionals are named
+    /// `positionals` in the usage `prog` exits 2 with when it is refused.
     #[must_use]
-    pub fn from_env() -> Self {
-        static PARSED: std::sync::OnceLock<HarnessArgs> = std::sync::OnceLock::new();
-        PARSED
-            .get_or_init(|| {
-                Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                })
-            })
-            .clone()
+    pub fn from_env(prog: &str, positionals: &[&str]) -> Self {
+        Self::parse(Flags::from_env(), positionals.len()).unwrap_or_else(|e| {
+            let names: String = positionals.iter().map(|p| format!(" [{p}]")).collect();
+            let usage = format!(
+                "usage: {prog} [--full] [--shards <N>] [--farmd <endpoint>] \
+                 [--registry <endpoint>]{names}\n\
+                 (environment: PETAL_SHARDS, PETAL_FARMD, PETAL_REGISTRY; a flag beats it)"
+            );
+            exit_usage(prog, &e, &usage)
+        })
+    }
+
+    /// The farm these arguments name: a remote dispatcher for `--farmd`,
+    /// `--shards N` worker processes, otherwise one thread per hardware
+    /// thread.
+    #[must_use]
+    pub fn farm_settings(&self) -> petal_farm::FarmSettings {
+        if let Some(endpoint) = &self.farmd {
+            return petal_farm::FarmSettings::remote(endpoint.to_string());
+        }
+        match self.shards {
+            0 => petal_farm::FarmSettings::host_parallel(),
+            n => petal_farm::FarmSettings::sharded(n),
+        }
+    }
+
+    /// The harness search ([`tuner_settings_on`]) on [`Self::farm_settings`].
+    #[must_use]
+    pub fn tuner_settings(&self) -> TunerSettings {
+        tuner_settings_on(self.farm_settings())
+    }
+
+    /// The store `--registry` names, opened, or `None` with a stderr
+    /// warning when it cannot be (the registry is an optimization — an
+    /// unreachable one must not kill a harness run).
+    #[must_use]
+    pub fn registry_store(&self) -> Option<Box<dyn ConfigStore>> {
+        match petal_registry::open(self.registry.as_ref()?) {
+            Ok(store) => Some(store),
+            Err(e) => {
+                eprintln!("warning: {e}");
+                None
+            }
+        }
     }
 }
 
-/// `--full` flag shared by the harness binaries.
+/// The mode flag of a `bench_*` binary: at most one of `modes`, or exit 2
+/// with `prog`'s `usage` before anything is measured.
 #[must_use]
-pub fn full_flag() -> bool {
-    HarnessArgs::from_env().full
-}
-
-/// `--shards N` flag (or `PETAL_SHARDS=N`) shared by the harness
-/// binaries: run candidate evaluation on `N` `petal-shard` worker
-/// processes instead of in-process threads. 0 (the default) stays
-/// in-process. Results are bit-identical either way; build the worker
-/// first (`cargo build --release -p petal_shard`) or point
-/// `PETAL_SHARD_BIN` at it.
-#[must_use]
-pub fn shards_flag() -> usize {
-    HarnessArgs::from_env().shards
-}
-
-/// `--farmd <endpoint>` flag (or `PETAL_FARMD=<endpoint>`) shared by the
-/// harness binaries: evaluate against the `petal-farmd` dispatcher at
-/// `host:port`, `tcp:host:port` or `unix:<path>` instead of local
-/// workers — or a comma-separated fallback list of dispatcher sockets,
-/// walked in order on every connect. Results are bit-identical to every
-/// local mode; `--farmd none` forces local evaluation when the
-/// environment variable is exported.
-#[must_use]
-pub fn farmd_flag() -> Option<Endpoint> {
-    HarnessArgs::from_env().farmd
-}
-
-/// `--registry <endpoint>` flag (or `PETAL_REGISTRY=<endpoint>`) shared
-/// by the harness binaries: the tuned-config registry, either a local
-/// directory (`dir:<path>` or a bare path) or a served registry
-/// (`tcp:host:port` / `unix:<path>`, a `petal-farmd --registry`
-/// dispatcher). A comma-separated list (`tcp:a:1,tcp:b:1,dir:/srv/reg`)
-/// fails over across registry hosts, with a `dir:` element as the
-/// terminal local fallback. `--registry none` forces registry-free
-/// operation when the environment variable is exported.
-#[must_use]
-pub fn registry_flag() -> Option<Endpoint> {
-    HarnessArgs::from_env().registry
-}
-
-/// Positional (non-flag) arguments, for binaries like `fig7_migration`
-/// that take a benchmark-name filter.
-#[must_use]
-pub fn positional_args() -> Vec<String> {
-    HarnessArgs::from_env().positionals
-}
-
-/// The farm settings the harness binaries run with: a remote dispatcher
-/// when `--farmd`/`PETAL_FARMD` names one, `--shards N` worker processes
-/// when sharding was requested, otherwise one thread per hardware thread.
-#[must_use]
-pub fn harness_farm_settings() -> petal_farm::FarmSettings {
-    if let Some(endpoint) = farmd_flag() {
-        return petal_farm::FarmSettings::remote(endpoint.to_string());
-    }
-    match shards_flag() {
-        0 => petal_farm::FarmSettings::host_parallel(),
-        n => petal_farm::FarmSettings::sharded(n),
-    }
-}
-
-/// Tuner settings used by the harnesses (slightly larger than smoke),
-/// evaluating on the farm the command line names.
-#[must_use]
-pub fn harness_tuner_settings() -> TunerSettings {
-    tuner_settings_on(harness_farm_settings())
+pub fn mode_flag(prog: &str, usage: &str, modes: &[&'static str]) -> Option<&'static str> {
+    let mut flags = Flags::from_env();
+    let given: Vec<&'static str> = modes.iter().copied().filter(|m| flags.flag(m)).collect();
+    let checked = flags.finish(0).and_then(|_| match given[..] {
+        [] => Ok(None),
+        [mode] => Ok(Some(mode)),
+        _ => Err(format!("{} exclude each other", given.join(" and "))),
+    });
+    checked.unwrap_or_else(|e| exit_usage(prog, &e, usage))
 }
 
 /// The harness search on `farm`. Results are bit-identical on every
@@ -293,21 +198,6 @@ pub fn tuner_settings_on(farm: petal_farm::FarmSettings) -> TunerSettings {
         kick_after: 2,
         kick_strength: 3,
         warm_start: None,
-    }
-}
-
-/// The store `--registry`/`PETAL_REGISTRY` names, opened, or `None`
-/// with a stderr warning when it cannot be (the registry is an
-/// optimization — an unreachable one must not kill a harness run).
-#[must_use]
-pub fn registry_store() -> Option<Box<dyn ConfigStore>> {
-    let endpoint = registry_flag()?;
-    match petal_registry::open(&endpoint) {
-        Ok(store) => Some(store),
-        Err(e) => {
-            eprintln!("warning: {e}");
-            None
-        }
     }
 }
 
@@ -432,7 +322,7 @@ mod tests {
     }
 
     fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
-        HarnessArgs::parse(args.iter().map(|s| (*s).to_owned()))
+        parse_env(args, None, None, None)
     }
 
     #[test]
@@ -493,7 +383,10 @@ mod tests {
         farmd: Option<&str>,
         registry: Option<&str>,
     ) -> Result<HarnessArgs, String> {
-        HarnessArgs::parse_with_env(args.iter().map(|s| (*s).to_owned()), shards, farmd, registry)
+        let env = [("PETAL_SHARDS", shards), ("PETAL_FARMD", farmd), ("PETAL_REGISTRY", registry)]
+            .map(|(var, value)| (var, value.map(str::to_owned)));
+        let env = move |var: &str| env.iter().find(|(v, _)| *v == var).and_then(|(_, x)| x.clone());
+        HarnessArgs::parse(Flags::new(args.iter().map(|s| (*s).to_owned()), env), 1)
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl FarmSettings {
     /// Evaluate candidates on `n` `petal-shard` worker processes.
     /// `n = 0` follows the repo-wide convention — stay in-process
     /// (identical to [`Self::sequential`]), never a one-worker shard
-    /// pool — so `sharded(shards_flag())` composes safely.
+    /// pool — so `sharded(args.shards)` composes safely.
     #[must_use]
     pub fn sharded(n: usize) -> Self {
         FarmSettings { shards: n, ..Self::sequential() }

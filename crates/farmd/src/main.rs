@@ -1,5 +1,6 @@
 //! The `petal-farmd` binary: bind the dispatcher and serve until killed.
 
+use petal_apps::cli::{exit_usage, Flags};
 use petal_farm::net::Endpoint;
 use petal_farmd::{Farmd, FarmdOptions};
 use std::time::Duration;
@@ -7,47 +8,42 @@ use std::time::Duration;
 const USAGE: &str = "usage: petal-farmd --listen <endpoint> [--listen <endpoint> ...] \
                      [--deadline-ms <ms>] [--registry <dir>] [--journal <dir>]";
 
-fn fail(msg: &str) -> ! {
-    eprintln!("petal-farmd: {msg}\n{USAGE}");
-    std::process::exit(2);
+fn parse(mut flags: Flags) -> Result<(Vec<Endpoint>, FarmdOptions), String> {
+    let endpoints = flags
+        .values("--listen")?
+        .iter()
+        .map(|e| Endpoint::parse(e))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut opts = FarmdOptions::default();
+    if let Some(ms) = flags.parsed("--deadline-ms")? {
+        opts.deadline = Duration::from_millis(ms);
+    }
+    // Host the tuned-config registry: the value goes through the shared
+    // store-endpoint grammar but only the directory form makes sense on
+    // the serving side.
+    opts.registry = match flags.value("--registry")? {
+        None => None,
+        Some(raw) => match Endpoint::parse_store(&raw)? {
+            Endpoint::Dir(dir) => Some(dir),
+            other => {
+                return Err(format!("--registry must name a directory to host, got `{other}`"))
+            }
+        },
+    };
+    // Durable dispatcher state: journal session/job lifecycle to this
+    // directory and replay it on restart, so a SIGKILLed dispatcher
+    // resumes mid-batch instead of losing its queue.
+    opts.journal = flags.value("--journal")?.map(std::path::PathBuf::from);
+    flags.finish(0)?;
+    if endpoints.is_empty() {
+        return Err("at least one --listen endpoint is required".into());
+    }
+    Ok((endpoints, opts))
 }
 
 fn main() {
-    let mut endpoints = Vec::new();
-    let mut opts = FarmdOptions::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value =
-            |what: &str| args.next().unwrap_or_else(|| fail(&format!("{what} needs a value")));
-        match flag.as_str() {
-            "--listen" => match Endpoint::parse(&value("--listen")) {
-                Ok(e) => endpoints.push(e),
-                Err(e) => fail(&e),
-            },
-            "--deadline-ms" => match value("--deadline-ms").parse() {
-                Ok(ms) => opts.deadline = Duration::from_millis(ms),
-                Err(_) => fail("--deadline-ms needs an integer"),
-            },
-            // Host the tuned-config registry: the value goes through the
-            // shared store-endpoint grammar but only the directory form
-            // makes sense on the serving side.
-            "--registry" => match Endpoint::parse_store(&value("--registry")) {
-                Ok(Endpoint::Dir(dir)) => opts.registry = Some(dir),
-                Ok(other) => {
-                    fail(&format!("--registry must name a directory to host, got `{other}`"))
-                }
-                Err(e) => fail(&e),
-            },
-            // Durable dispatcher state: journal session/job lifecycle to
-            // this directory and replay it on restart, so a SIGKILLed
-            // dispatcher resumes mid-batch instead of losing its queue.
-            "--journal" => opts.journal = Some(std::path::PathBuf::from(value("--journal"))),
-            other => fail(&format!("unknown flag `{other}`")),
-        }
-    }
-    if endpoints.is_empty() {
-        fail("at least one --listen endpoint is required");
-    }
+    let (endpoints, opts) =
+        parse(Flags::from_env()).unwrap_or_else(|e| exit_usage("petal-farmd", &e, USAGE));
     match Farmd::bind(&endpoints, opts) {
         Ok(farmd) => {
             for e in farmd.endpoints() {

@@ -10,9 +10,9 @@
 //! petal-registry gc  [--registry <endpoint>]
 //! ```
 //!
-//! The registry endpoint comes from `--registry <endpoint>` (also
-//! `--registry=<endpoint>`) or the `PETAL_REGISTRY` environment
-//! variable; the flag wins. An endpoint is `dir:<path>` (or a bare
+//! The registry endpoint comes from `--registry <endpoint>` or the
+//! `PETAL_REGISTRY` environment variable; the flag wins (README.md,
+//! *Command lines*). An endpoint is `dir:<path>` (or a bare
 //! path) for a local directory store, `tcp:<host>:<port>` /
 //! `unix:<path>` for a registry served by a `petal-farmd` dispatcher,
 //! or a comma-separated fallback list of those
@@ -23,6 +23,7 @@
 //! and the match metadata — tier, distance, donor machine — to stderr,
 //! so scripts can pipe the one without parsing the other.
 
+use petal_apps::cli::{exit_usage, Flags};
 use petal_farm::net::Endpoint;
 use petal_gpu::profile::MachineProfile;
 use petal_registry::{fingerprint_hex, ConfigStore, PutOutcome, StoredEntry, ENTRY_EXT};
@@ -30,15 +31,7 @@ use std::io::Read as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("petal-registry: {msg}");
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
+    run(Flags::from_env()).unwrap_or_else(|msg| exit_usage("petal-registry", &msg, USAGE))
 }
 
 const USAGE: &str = "usage:\n  \
@@ -53,71 +46,15 @@ path | tcp:<host>:<port> | unix:<path>, or a comma-separated fallback list of \
 those, e.g. unix:<sock>,dir:<path>: the first dispatcher that answers, else \
 the directory)";
 
-/// Minimal flag cursor: `--flag value`, `--flag=value`, and boolean
-/// flags, mirroring the `HarnessArgs` conventions without depending on
-/// the bench crate.
-struct Flags {
-    rest: Vec<String>,
-}
-
-impl Flags {
-    fn new(args: &[String]) -> Self {
-        Flags { rest: args.to_vec() }
-    }
-
-    /// Take `--name <v>` / `--name=<v>`, or `None` when absent.
-    fn value(&mut self, name: &str) -> Result<Option<String>, String> {
-        let eq = format!("{name}=");
-        let mut i = 0;
-        while i < self.rest.len() {
-            if self.rest[i] == name {
-                if i + 1 >= self.rest.len() {
-                    return Err(format!("{name} needs a value"));
-                }
-                self.rest.remove(i);
-                return Ok(Some(self.rest.remove(i)));
-            }
-            if let Some(v) = self.rest[i].strip_prefix(&eq) {
-                let v = v.to_owned();
-                self.rest.remove(i);
-                return Ok(Some(v));
-            }
-            i += 1;
-        }
-        Ok(None)
-    }
-
-    /// Take a boolean `--name`.
-    fn flag(&mut self, name: &str) -> bool {
-        match self.rest.iter().position(|a| a == name) {
-            Some(i) => {
-                self.rest.remove(i);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn finish(self) -> Result<(), String> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("unrecognized arguments: {}", self.rest.join(" ")))
-        }
-    }
-}
-
 /// Resolve `--registry`/`$PETAL_REGISTRY` into a live store
-/// ([`petal_registry::open`]). Subcommands only ever see
+/// ([`petal_registry::open`]) once the rest of the command line has been
+/// read (`finish` runs first). Subcommands only ever see
 /// `&dyn ConfigStore`.
-fn open_store(flags: &mut Flags) -> Result<Box<dyn ConfigStore>, String> {
-    let text = match flags.value("--registry")? {
-        Some(e) => e,
-        None => match std::env::var("PETAL_REGISTRY") {
-            Ok(e) if !e.is_empty() => e,
-            _ => return Err("no registry: pass --registry <endpoint> or set PETAL_REGISTRY".into()),
-        },
-    };
+fn open_store(mut flags: Flags) -> Result<Box<dyn ConfigStore>, String> {
+    let text = flags
+        .value_or_env("--registry", "PETAL_REGISTRY")?
+        .ok_or("no registry: pass --registry <endpoint> or set PETAL_REGISTRY")?;
+    flags.finish(0)?;
     petal_registry::open(&Endpoint::parse_store(&text)?)
 }
 
@@ -150,12 +87,13 @@ fn entry_file(e: &StoredEntry) -> String {
     format!("{:016x}.{ENTRY_EXT}", e.key_hash())
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
-    let mut flags = Flags::new(rest);
+fn run(mut flags: Flags) -> Result<ExitCode, String> {
+    let Some(cmd) = flags.subcommand() else {
+        flags.finish(0)?;
+        return Err("missing subcommand".into());
+    };
     match cmd.as_str() {
         "put" => {
-            let store = open_store(&mut flags)?;
             let machine = machine_arg(&mut flags)?;
             let (bench_spec, size) = spec_and_size(&mut flags)?;
             let time_secs: f64 = flags
@@ -163,7 +101,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 .ok_or("--time <secs> is required")?
                 .parse()
                 .map_err(|_| "bad --time (decimal seconds)".to_owned())?;
-            let config_text = match flags.value("--config")?.as_deref() {
+            let config_path = flags.value("--config")?;
+            let source =
+                flags.value("--source")?.unwrap_or_else(|| "petal-registry put".to_owned());
+            let force = flags.flag("--force");
+            let store = open_store(flags)?;
+            let config_text = match config_path.as_deref() {
                 None | Some("-") => {
                     let mut text = String::new();
                     std::io::stdin()
@@ -175,10 +118,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     .map_err(|e| format!("reading config `{path}`: {e}"))?,
             };
             let config = config_text.parse().map_err(|e| format!("bad config text: {e}"))?;
-            let source =
-                flags.value("--source")?.unwrap_or_else(|| "petal-registry put".to_owned());
-            let force = flags.flag("--force");
-            flags.finish()?;
             let entry = StoredEntry { machine, bench_spec, size, config, time_secs, source };
             let file = entry_file(&entry);
             if force {
@@ -196,11 +135,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "get" => {
-            let store = open_store(&mut flags)?;
             let machine = machine_arg(&mut flags)?;
             let (spec, size) = spec_and_size(&mut flags)?;
             let exact = flags.flag("--exact");
-            flags.finish()?;
+            let store = open_store(flags)?;
             match store.lookup(&machine, &spec, size, exact).map_err(|e| e.to_string())? {
                 Some(m) => {
                     let scaled = match m.scaled_from {
@@ -230,8 +168,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         "ls" => {
-            let store = open_store(&mut flags)?;
-            flags.finish()?;
+            let store = open_store(flags)?;
             let listing = store.ls().map_err(|e| e.to_string())?;
             for (_, e) in &listing.entries {
                 println!(
@@ -252,8 +189,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "gc" => {
-            let store = open_store(&mut flags)?;
-            flags.finish()?;
+            let store = open_store(flags)?;
             let removed = store.gc().map_err(|e| e.to_string())?;
             for line in &removed {
                 println!("removed {line}");

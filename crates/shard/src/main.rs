@@ -6,6 +6,7 @@
 //! the endpoint and serves jobs over the socket until the farm goes away.
 //! Fatal errors go to stderr in both modes.
 
+use petal_apps::cli::{exit_usage, Flags};
 use petal_shard::RemoteOptions;
 use std::time::Duration;
 
@@ -13,41 +14,30 @@ const USAGE: &str = "usage: petal-shard [--connect <endpoint> \
                      [--name <name>] [--slots <n>] [--heartbeat-ms <ms>] \
                      [--fail-after <n>]]";
 
-fn fail(msg: &str) -> ! {
-    eprintln!("petal-shard: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn parse_remote(mut args: std::env::Args) -> RemoteOptions {
-    let Some(endpoint) = args.next() else { fail("--connect needs an endpoint") };
-    let mut opts = RemoteOptions::new(endpoint);
-    while let Some(flag) = args.next() {
-        let mut value =
-            |what: &str| args.next().unwrap_or_else(|| fail(&format!("{what} needs a value")));
-        match flag.as_str() {
-            "--name" => opts.name = value("--name"),
-            "--slots" => match value("--slots").parse() {
-                Ok(n) => opts.slots = n,
-                Err(_) => fail("--slots needs an integer"),
-            },
-            "--heartbeat-ms" => match value("--heartbeat-ms").parse() {
-                Ok(ms) => opts.heartbeat = Duration::from_millis(ms),
-                Err(_) => fail("--heartbeat-ms needs an integer"),
-            },
-            "--fail-after" => match value("--fail-after").parse() {
-                Ok(n) => opts.fail_after = Some(n),
-                Err(_) => fail("--fail-after needs an integer"),
-            },
-            other => fail(&format!("unknown flag `{other}`")),
+/// The remote worker's options, or `None` for the pipe worker.
+fn parse(mut flags: Flags) -> Result<Option<RemoteOptions>, String> {
+    let connect = flags.value("--connect")?;
+    let name = flags.value("--name")?;
+    let slots = flags.parsed("--slots")?;
+    let heartbeat_ms = flags.parsed("--heartbeat-ms")?;
+    let fail_after = flags.parsed("--fail-after")?;
+    flags.finish(0)?;
+    let Some(endpoint) = connect else {
+        if name.is_some() || slots.is_some() || heartbeat_ms.is_some() || fail_after.is_some() {
+            return Err("--name, --slots, --heartbeat-ms and --fail-after need --connect".into());
         }
-    }
-    opts
+        return Ok(None);
+    };
+    let mut opts = RemoteOptions::new(endpoint);
+    opts.name = name.unwrap_or(opts.name);
+    opts.slots = slots.unwrap_or(opts.slots);
+    opts.heartbeat = heartbeat_ms.map_or(opts.heartbeat, Duration::from_millis);
+    opts.fail_after = fail_after;
+    Ok(Some(opts))
 }
 
 fn main() {
-    let mut args = std::env::args();
-    let _exe = args.next();
-    match args.next().as_deref() {
+    match parse(Flags::from_env()).unwrap_or_else(|e| exit_usage("petal-shard", &e, USAGE)) {
         None => {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
@@ -56,13 +46,11 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        Some("--connect") => {
-            let opts = parse_remote(args);
+        Some(opts) => {
             if let Err(e) = petal_shard::serve_remote(&opts) {
                 eprintln!("petal-shard[{}]: {e}", opts.name);
                 std::process::exit(1);
             }
         }
-        Some(other) => fail(&format!("unknown argument `{other}`")),
     }
 }
