@@ -7,7 +7,7 @@ use petal_gpu::profile::MachineProfile;
 use petal_tuner::{Autotuner, TunerSettings};
 
 fn main() {
-    let args = HarnessArgs::from_env("ablation_ircache", &[]);
+    let args = HarnessArgs::from_env("ablation_ircache", &[], false);
     let n = if args.full { 1024 } else { 256 };
     let bench = SeparableConvolution::new(n, 7);
     let machine = MachineProfile::desktop();

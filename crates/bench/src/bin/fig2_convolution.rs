@@ -12,7 +12,7 @@ use petal_gpu::profile::MachineProfile;
 use petal_tuner::{Autotuner, TunerSettings};
 
 fn main() {
-    let args = HarnessArgs::from_env("fig2_convolution", &[]);
+    let args = HarnessArgs::from_env("fig2_convolution", &[], false);
     let n = if args.full { 1024 } else { 256 };
     // PETAL_SMOKE=1 samples the sweep (one machine, three widths) so the
     // CI farmd loopback smoke finishes in seconds; the paper claim is

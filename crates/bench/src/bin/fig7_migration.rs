@@ -104,7 +104,7 @@ fn repair_table(
 }
 
 fn main() {
-    let args = HarnessArgs::from_env("fig7_migration", &["benchmark-substring"]);
+    let args = HarnessArgs::from_env("fig7_migration", &["benchmark-substring"], true);
     let mut benches = harness_benchmarks(args.full);
     if let Some(filter) = args.positionals.first() {
         let names: Vec<String> = benches.iter().map(|b| b.name().to_owned()).collect();

@@ -44,6 +44,7 @@ pub fn harness_benchmarks(full: bool) -> Vec<Box<dyn Benchmark>> {
 
 /// The harness command line (README.md, *Command lines*): every flag the
 /// `fig*` binaries and `ablation_ircache` take, plus their positionals.
+/// Only a harness that stores its tunes takes `--registry`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessArgs {
     /// `--full`: run at the paper's input sizes.
@@ -61,23 +62,26 @@ pub struct HarnessArgs {
     /// registry — a local directory (`dir:<path>`, or a bare path), a
     /// `petal-farmd --registry` service (`tcp:host:port` /
     /// `unix:<path>`), or a fallback list of those; `none` forces a cold
-    /// run. Harnesses that support it store their tunes there and
-    /// warm-start re-tuning from it (`fig7_migration`'s repair curves).
+    /// run. `fig7_migration` stores its tunes there and warm-starts
+    /// re-tuning from it (its repair curves); a harness that does not
+    /// store refuses the flag and never reads the variable.
     pub registry: Option<Endpoint>,
     /// Everything else, in order (e.g. `fig7_migration`'s name filter).
     pub positionals: Vec<String>,
 }
 
 impl HarnessArgs {
-    /// Take the harness flags out of `flags`, leaving at most
+    /// Take the harness flags out of `flags` — `--registry` only when
+    /// `registry` says the harness stores its tunes — leaving at most
     /// `positionals` other arguments. Malformed values are a loud error,
     /// never a silent default.
     ///
     /// # Errors
     /// A human-readable message for a missing or non-integer `--shards`
     /// value, a missing or malformed `--farmd` / `--registry` endpoint,
-    /// an unknown flag or a positional too many.
-    pub fn parse(mut flags: Flags, positionals: usize) -> Result<Self, String> {
+    /// an unknown flag (`--registry` included, when not taken) or a
+    /// positional too many.
+    pub fn parse(mut flags: Flags, positionals: usize, registry: bool) -> Result<Self, String> {
         let shards = match flags.value_or_env("--shards", "PETAL_SHARDS")? {
             Some(raw) => raw.parse().map_err(|_| {
                 format!("bad shard count `{raw}`; expected `--shards <N>` (or PETAL_SHARDS=<N>)")
@@ -107,7 +111,8 @@ impl HarnessArgs {
                 e => Some(e),
             },
         };
-        let registry = match flags.value_or_env("--registry", "PETAL_REGISTRY")? {
+        let raw = if registry { flags.value_or_env("--registry", "PETAL_REGISTRY")? } else { None };
+        let registry = match raw {
             None => None,
             Some(raw) => match Endpoint::parse_store(&raw)? {
                 Endpoint::Disabled => None,
@@ -119,16 +124,18 @@ impl HarnessArgs {
         Ok(HarnessArgs { full, shards, farmd, registry, positionals })
     }
 
-    /// The process's command line, whose positionals are named
-    /// `positionals` in the usage `prog` exits 2 with when it is refused.
+    /// The process's command line, [parsed](Self::parse), whose
+    /// positionals are named `positionals` in the usage `prog` exits 2
+    /// with when it is refused.
     #[must_use]
-    pub fn from_env(prog: &str, positionals: &[&str]) -> Self {
-        Self::parse(Flags::from_env(), positionals.len()).unwrap_or_else(|e| {
+    pub fn from_env(prog: &str, positionals: &[&str], registry: bool) -> Self {
+        Self::parse(Flags::from_env(), positionals.len(), registry).unwrap_or_else(|e| {
             let names: String = positionals.iter().map(|p| format!(" [{p}]")).collect();
+            let (flag, var) =
+                if registry { (" [--registry <endpoint>]", ", PETAL_REGISTRY") } else { ("", "") };
             let usage = format!(
-                "usage: {prog} [--full] [--shards <N>] [--farmd <endpoint>] \
-                 [--registry <endpoint>]{names}\n\
-                 (environment: PETAL_SHARDS, PETAL_FARMD, PETAL_REGISTRY; a flag beats it)"
+                "usage: {prog} [--full] [--shards <N>] [--farmd <endpoint>]{flag}{names}\n\
+                 (environment: PETAL_SHARDS, PETAL_FARMD{var}; a flag beats it)"
             );
             exit_usage(prog, &e, &usage)
         })
@@ -386,7 +393,7 @@ mod tests {
         let env = [("PETAL_SHARDS", shards), ("PETAL_FARMD", farmd), ("PETAL_REGISTRY", registry)]
             .map(|(var, value)| (var, value.map(str::to_owned)));
         let env = move |var: &str| env.iter().find(|(v, _)| *v == var).and_then(|(_, x)| x.clone());
-        HarnessArgs::parse(Flags::new(args.iter().map(|s| (*s).to_owned()), env), 1)
+        HarnessArgs::parse(Flags::new(args.iter().map(|s| (*s).to_owned()), env), 1, true)
     }
 
     #[test]
@@ -421,6 +428,20 @@ mod tests {
         // Served endpoints ride the same env-vs-flag path as directories.
         let a = parse_env(&[], None, None, Some("tcp:10.0.0.1:7777")).expect("parses");
         assert_eq!(a.registry, Some(Endpoint::Tcp("10.0.0.1:7777".to_owned())), "env applies");
+    }
+
+    #[test]
+    fn a_harness_that_stores_nothing_refuses_registry_and_never_reads_the_variable() {
+        let env = |var: &str| (var == "PETAL_REGISTRY").then(|| "tcp:nohost".to_owned());
+        let parse = |args: &[&str]| {
+            HarnessArgs::parse(Flags::new(args.iter().map(|s| (*s).to_owned()), env), 0, false)
+        };
+        for args in [&["--registry", "/tmp/reg"][..], &["--registry=none"]] {
+            let e = parse(args).expect_err("--registry is not this harness's flag");
+            assert!(e.contains("unknown flag `--registry"), "{e}");
+        }
+        let a = parse(&["--full"]).expect("a malformed PETAL_REGISTRY is not read");
+        assert_eq!(a.registry, None);
     }
 
     #[test]

@@ -37,6 +37,23 @@ fn every_harness_binary_refuses_an_unknown_flag() {
     assert_refused(&out, "--write and --check exclude each other");
 }
 
+/// Only `fig7_migration` stores its tunes, so only it takes `--registry`:
+/// the other harnesses refuse the flag rather than ignore it.
+#[test]
+fn harnesses_that_store_nothing_refuse_registry() {
+    for bin in [env!("CARGO_BIN_EXE_fig2_convolution"), env!("CARGO_BIN_EXE_ablation_ircache")] {
+        let out = Command::new(bin)
+            .args(["--registry", "/nonexistent/reg"])
+            .env("PETAL_SMOKE", "1")
+            .output()
+            .expect("the binary runs");
+        assert_refused(&out, "unknown flag `--registry`");
+        let usage = String::from_utf8_lossy(&out.stderr);
+        assert!(!usage.contains("[--registry"), "{usage}");
+        assert!(!usage.contains("PETAL_REGISTRY"), "{usage}");
+    }
+}
+
 #[test]
 fn fig7_refuses_a_filter_that_matches_no_benchmark() {
     let out = run(env!("CARGO_BIN_EXE_fig7_migration"), &["scholez"]);

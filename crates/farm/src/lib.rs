@@ -36,13 +36,16 @@
 //!   child memoises is a pure function of its spec: a trial cannot tell a
 //!   memo hit from a fresh build, whichever thread filled it.
 //! * A trial whose engine never read its seed (`RunReport::seed_draws`
-//!   is 0) computed what every seed computes. On a benchmark that is
-//!   [`Benchmark::memoisable`] the table keeps its outcome under its
-//!   [`TrialKey`] and answers a repeat of the key on the same machine
-//!   with it, compile list included, so the merge prices exactly what a
-//!   fresh run would have logged. The memo lives for one tuning run:
-//!   [`EvalFarm::reset`] empties it and closes any out-of-process
-//!   backend, and a worker's `INIT` empties its own.
+//!   is 0: [`JobOutcome::seed_free`]) computed what every seed computes.
+//!   On a benchmark that is [`Benchmark::memoisable`] the farm keeps its
+//!   outcome under its [`TrialKey`] and answers a repeat of the key in
+//!   the same `(benchmark, machine)` session with it, compile list
+//!   included, so the merge prices exactly what a fresh run would have
+//!   logged. The memo is the farm's on every backend: a job is keyed on
+//!   the farm's own children before it runs or is dispatched, so a
+//!   repeat never crosses a pipe or a socket, and a worker runs every job
+//!   it is sent. The memo lives for one tuning run: [`EvalFarm::reset`]
+//!   empties it.
 //!
 //! At `threads = 1` the farm runs jobs inline on the calling thread through
 //! exactly the same code path, so the sequential result is the parallel
@@ -88,7 +91,7 @@ use petal_gpu::profile::MachineProfile;
 use shard::Pool;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// Knobs controlling the evaluation farm.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,8 +197,8 @@ pub struct EvalResult {
 /// Raw per-job outcome produced on a worker (thread *or* shard process),
 /// before the submission-order merge prices its compiles. This is what
 /// travels back over the shard wire: pricing state never leaves the
-/// parent.
-#[derive(Debug, Clone, PartialEq)]
+/// parent. The default is the outcome of a job that never ran.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobOutcome {
     /// Virtual makespan when the trial executed and passed its check.
     pub fitness: Option<f64>,
@@ -208,12 +211,10 @@ pub struct JobOutcome {
     /// what each one actually costs under the shared process/IR-cache
     /// model.
     pub compiles: Vec<(u64, f64, f64)>,
-}
-
-impl JobOutcome {
-    fn invalid() -> Self {
-        JobOutcome { fitness: None, ran: false, makespan: 0.0, compiles: Vec::new() }
-    }
+    /// The run made no seed draw (`RunReport::seed_draws == 0`), so every
+    /// engine seed computes this outcome and the farm may answer a repeat
+    /// of the trial's [`TrialKey`] with it. `false` when it never ran.
+    pub seed_free: bool,
 }
 
 /// Derive the deterministic scheduler seed for one trial from the tuner
@@ -255,8 +256,11 @@ pub struct EvalFarm {
     /// later compiles of a cached source skip the frontend (§5.4).
     ir: HashSet<u64>,
     per_thread_trials: Vec<usize>,
-    /// The benchmarks in-process trials run on, one per input size.
+    /// The benchmarks trials run on in-process, and dispatched jobs are
+    /// keyed on, one per input size.
     sized: SizeTable,
+    /// The seed-free outcomes of this tuning run, shared by every backend.
+    memo: Mutex<Memo>,
 }
 
 impl EvalFarm {
@@ -277,6 +281,7 @@ impl EvalFarm {
             ir: HashSet::new(),
             per_thread_trials: Vec::new(),
             sized: SizeTable::default(),
+            memo: Mutex::default(),
         };
         farm.per_thread_trials = vec![0; farm.workers()];
         farm
@@ -328,13 +333,12 @@ impl EvalFarm {
     /// pure function of their spec, so a second run over them is
     /// indistinguishable from one over fresh children. It goes when a
     /// batch names another spec, and with the farm. An out-of-process
-    /// backend is closed, so the next batch opens a fresh one and every
-    /// worker's memo starts empty there too.
+    /// backend is closed, so the next batch opens a fresh one.
     pub fn reset(&mut self) {
         self.warm.clear();
         self.ir.clear();
         self.per_thread_trials = vec![0; self.workers()];
-        self.sized.forget();
+        self.memo = Mutex::default();
         self.pool = None;
     }
 
@@ -385,19 +389,22 @@ impl EvalFarm {
         jobs: &[EvalJob],
     ) -> Vec<EvalResult> {
         let effective = self.workers().min(jobs.len()).max(1);
+        // Every child is built before a trial starts, so the workers share
+        // the table by reference; what a child memoises on its first
+        // `instantiate` it guards itself.
+        let spec = bench.spec();
+        self.sized.retarget(&spec);
+        for job in jobs {
+            self.sized.ensure(bench, job.size);
+        }
+        self.memo.get_mut().expect(UNPOISONED).retarget(&spec, machine);
         let raw: Vec<JobOutcome> = if self.settings.endpoint.is_some() || self.settings.shards > 0 {
-            self.evaluate_dispatched(bench, machine, jobs, effective)
+            self.evaluate_dispatched(bench, machine, jobs, &spec)
         } else {
-            // Every child is built before a worker starts, so the workers
-            // share the table by reference; what a child memoises on its
-            // first `instantiate` it guards itself.
-            self.sized.retarget(&bench.spec());
-            for job in jobs {
-                self.sized.ensure(bench, job.size);
-            }
-            let sized = &self.sized;
+            let (sized, memo) = (&self.sized, &self.memo);
+            let run = |job| trial(sized, memo, bench, machine, job);
             if effective == 1 {
-                jobs.iter().map(|j| sized.run(bench, machine, j)).collect()
+                jobs.iter().map(run).collect()
             } else {
                 let mut slots: Vec<Option<JobOutcome>> = Vec::new();
                 slots.resize_with(jobs.len(), || None);
@@ -409,7 +416,7 @@ impl EvalFarm {
                                     .enumerate()
                                     .skip(t)
                                     .step_by(effective)
-                                    .map(|(i, j)| (i, sized.run(bench, machine, j)))
+                                    .map(|(i, j)| (i, run(j)))
                                     .collect::<Vec<_>>()
                             })
                         })
@@ -462,9 +469,50 @@ impl EvalFarm {
         }
     }
 
-    /// Dispatch one batch to the out-of-process backend (shard pool or
-    /// farmd session), (re)building it when the `(benchmark, machine)`
-    /// session changed.
+    /// Answer a batch through the out-of-process backend (shard pool or
+    /// farmd session). Each job is instantiated only to key it (the
+    /// instance is dropped unrun) and a remembered key is answered here;
+    /// only the misses are dispatched, duplicates within the batch
+    /// included, and a batch with none makes no pool call. Answers are
+    /// filed in submission order, and the seed-free ones remembered.
+    fn evaluate_dispatched(
+        &mut self,
+        bench: &dyn Benchmark,
+        machine: &MachineProfile,
+        jobs: &[EvalJob],
+        spec: &str,
+    ) -> Vec<JobOutcome> {
+        let sized = &self.sized;
+        let keys: Vec<Option<TrialKey>> = (jobs.iter())
+            .map(|job| {
+                let b = sized.child(bench, job.size).filter(|b| b.memoisable())?;
+                Some(TrialKey::new(b, job, &b.instantiate(machine, &job.config).plan))
+            })
+            .collect();
+        let memo = self.memo.get_mut().expect(UNPOISONED);
+        let mut outcomes: Vec<Option<JobOutcome>> =
+            keys.iter().map(|key| memo.recall(key.as_ref()?)).collect();
+        let misses: Vec<EvalJob> = (jobs.iter().zip(&outcomes))
+            .filter(|(_, o)| o.is_none())
+            .map(|(j, _)| j.clone())
+            .collect();
+        if misses.is_empty() {
+            return outcomes.into_iter().flatten().collect();
+        }
+        let mut answers = self.dispatch(spec, machine, &misses).into_iter();
+        let memo = self.memo.get_mut().expect(UNPOISONED);
+        for (slot, key) in outcomes.iter_mut().zip(keys).filter(|(slot, _)| slot.is_none()) {
+            let answer = answers.next().expect("one answer per miss");
+            if let Some(key) = key {
+                memo.remember(key, &answer);
+            }
+            *slot = Some(answer);
+        }
+        outcomes.into_iter().map(|o| o.expect("every job answered")).collect()
+    }
+
+    /// Dispatch `jobs` to the out-of-process backend, (re)building it when
+    /// the `(benchmark, machine)` session changed.
     ///
     /// The pool recovers from partial link loss internally; an `Err`
     /// here means the whole backend is gone (every shard dead, or the
@@ -473,17 +521,16 @@ impl EvalFarm {
     /// simply: build a fresh backend and re-run the *whole* batch once —
     /// bit-identical to a run that never failed. A second total loss is
     /// a real outage and panics with the structured error.
-    fn evaluate_dispatched(
+    fn dispatch(
         &mut self,
-        bench: &dyn Benchmark,
+        spec: &str,
         machine: &MachineProfile,
         jobs: &[EvalJob],
-        effective: usize,
     ) -> Vec<JobOutcome> {
-        let spec = bench.spec();
-        if !self.pool.as_ref().is_some_and(|p| p.matches(&spec, machine)) {
+        let effective = self.workers().min(jobs.len()).max(1);
+        if !self.pool.as_ref().is_some_and(|p| p.matches(spec, machine)) {
             self.pool = None; // drop (and reap/close) any stale backend first
-            self.pool = Some(self.build_pool(&spec, machine).unwrap_or_else(|e| panic!("{e}")));
+            self.pool = Some(self.build_pool(spec, machine).unwrap_or_else(|e| panic!("{e}")));
         }
         let first = self.pool.as_mut().expect("pool built above").evaluate(jobs, effective);
         match first {
@@ -491,7 +538,7 @@ impl EvalFarm {
             Err(lost) => {
                 eprintln!("petal-farm: evaluation backend lost ({lost}); respawning and retrying the batch");
                 self.pool = None;
-                self.pool = Some(self.build_pool(&spec, machine).unwrap_or_else(|e| panic!("{e}")));
+                self.pool = Some(self.build_pool(spec, machine).unwrap_or_else(|e| panic!("{e}")));
                 self.pool
                     .as_mut()
                     .expect("pool rebuilt above")
@@ -533,18 +580,13 @@ impl EvalFarm {
 /// every later child is resized from the largest one here, so a kind whose
 /// smaller inputs are prefixes of its larger ones (Black-Scholes) prepares
 /// each rung from the last. What the children know dies with the table.
-/// An [`EvalFarm`] owns one for its in-process
-/// trials, a worker's `session::serve_jobs` loop owns one, and
+/// An [`EvalFarm`] owns one, for its in-process trials and to key the jobs
+/// it dispatches; a worker's `session::serve_jobs` loop owns one, and
 /// [`evaluate_job`] builds one per call.
-///
-/// Beside the children the table keeps the outcome of every trial of a
-/// [`Benchmark::memoisable`] child that never read its engine seed
-/// ([`Memo`]), so a repeat of one is not run.
 #[derive(Default)]
 pub(crate) struct SizeTable {
     spec: String,
     by_size: BTreeMap<u64, Option<Box<dyn Benchmark>>>,
-    memo: Mutex<Memo>,
 }
 
 impl std::fmt::Debug for SizeTable {
@@ -558,20 +600,13 @@ impl std::fmt::Debug for SizeTable {
 
 impl SizeTable {
     /// Keep the children when `spec` is the one they were built from,
-    /// drop them and the memo otherwise. Children are machine-independent,
-    /// so a session that only changes machine keeps them.
+    /// drop them otherwise. Children are machine-independent, so a session
+    /// that only changes machine keeps them.
     pub(crate) fn retarget(&mut self, spec: &str) {
         if self.spec != spec {
             self.by_size.clear();
-            self.forget();
             spec.clone_into(&mut self.spec);
         }
-    }
-
-    /// Empty the memo (a new tuning run starts): the next trial of every
-    /// key runs.
-    pub(crate) fn forget(&mut self) {
-        self.memo = Mutex::default();
     }
 
     /// Build the child for `size` unless it is here: through the `resized`
@@ -586,7 +621,27 @@ impl SizeTable {
         }
     }
 
-    /// [`Self::ensure`] the job's size, then [`Self::run`] it.
+    /// The benchmark a trial at `size` runs on; `None` when the size
+    /// cannot run.
+    ///
+    /// # Panics
+    /// When `size` was not [`Self::ensure`]d.
+    pub(crate) fn child<'a>(
+        &'a self,
+        bench: &'a dyn Benchmark,
+        size: u64,
+    ) -> Option<&'a dyn Benchmark> {
+        match self.by_size.get(&size).expect("the size was ensured") {
+            Some(child) => Some(&**child),
+            // A benchmark that cannot be resized at all still runs at its
+            // own size, on the object itself.
+            None if size == bench.input_size() => Some(bench),
+            None => None,
+        }
+    }
+
+    /// [`Self::ensure`] the job's size, instantiate the job and
+    /// [`execute`] it: every job runs.
     pub(crate) fn evaluate(
         &mut self,
         bench: &dyn Benchmark,
@@ -594,58 +649,61 @@ impl SizeTable {
         job: &EvalJob,
     ) -> JobOutcome {
         self.ensure(bench, job.size);
-        self.run(bench, machine, job)
-    }
-
-    /// Run one trial: instantiate, then answer from the memo (a
-    /// memoisable child only) or execute and check. Everything but the
-    /// child's memo and the table's is private to the job, so this is
-    /// freely parallel.
-    ///
-    /// # Panics
-    /// When the job's size was not [`Self::ensure`]d.
-    pub(crate) fn run(
-        &self,
-        bench: &dyn Benchmark,
-        machine: &MachineProfile,
-        job: &EvalJob,
-    ) -> JobOutcome {
-        let b = match self.by_size.get(&job.size).expect("the size was ensured") {
-            Some(child) => &**child,
-            // A benchmark that cannot be resized at all still runs at its
-            // own size, on the object itself.
-            None if job.size == bench.input_size() => bench,
-            None => return JobOutcome::invalid(),
-        };
-        let Instance { mut world, plan, check } = b.instantiate(machine, &job.config);
-        let key = b.memoisable().then(|| TrialKey::new(b, job, &plan));
-        if let Some(outcome) = key.as_ref().and_then(|key| self.memo().recall(machine, key)) {
-            return outcome;
+        match self.child(bench, job.size) {
+            Some(b) => execute(machine, job, b.instantiate(machine, &job.config)),
+            None => JobOutcome::default(),
         }
-        let mut ex = Executor::new(machine);
-        ex.set_seed(job.engine_seed);
-        let Ok(report) = ex.run(plan, &mut world) else {
-            return JobOutcome::invalid();
-        };
-        let fitness = check(&world).ok().map(|()| report.virtual_time_secs());
-        let outcome = JobOutcome {
-            fitness,
-            ran: true,
-            makespan: report.virtual_time_secs(),
-            compiles: report
-                .compile_events
-                .iter()
-                .map(|e| (e.source_hash, e.frontend_secs, e.jit_secs))
-                .collect(),
-        };
-        if let Some(key) = key.filter(|_| report.rt.seed_draws == 0) {
-            self.memo().remember(machine, key, outcome.clone());
-        }
-        outcome
     }
+}
 
-    fn memo(&self) -> MutexGuard<'_, Memo> {
-        self.memo.lock().expect("no trial panicked holding the memo")
+/// Why a lock of the memo cannot fail.
+const UNPOISONED: &str = "no trial panicked holding the memo";
+
+/// One in-process trial: instantiate the job on its size's child, answer
+/// a memoisable child's remembered key with its outcome (the instance is
+/// dropped unrun), or else execute the instance and remember its outcome
+/// when it is seed-free. Everything but the child's and the farm's memos
+/// is private to the job, so this is freely parallel.
+fn trial(
+    sized: &SizeTable,
+    memo: &Mutex<Memo>,
+    bench: &dyn Benchmark,
+    machine: &MachineProfile,
+    job: &EvalJob,
+) -> JobOutcome {
+    let Some(b) = sized.child(bench, job.size) else { return JobOutcome::default() };
+    let instance = b.instantiate(machine, &job.config);
+    let key = b.memoisable().then(|| TrialKey::new(b, job, &instance.plan));
+    let memo = || memo.lock().expect(UNPOISONED);
+    if let Some(outcome) = key.as_ref().and_then(|key| memo().recall(key)) {
+        return outcome;
+    }
+    let outcome = execute(machine, job, instance);
+    if let Some(key) = key {
+        memo().remember(key, &outcome);
+    }
+    outcome
+}
+
+/// Execute and check `instance`, `job` instantiated on `machine`, on an
+/// engine seeded with the job's seed.
+fn execute(machine: &MachineProfile, job: &EvalJob, instance: Instance) -> JobOutcome {
+    let Instance { mut world, plan, check } = instance;
+    let mut ex = Executor::new(machine);
+    ex.set_seed(job.engine_seed);
+    let Ok(report) = ex.run(plan, &mut world) else {
+        return JobOutcome::default();
+    };
+    JobOutcome {
+        fitness: check(&world).ok().map(|()| report.virtual_time_secs()),
+        ran: true,
+        makespan: report.virtual_time_secs(),
+        compiles: report
+            .compile_events
+            .iter()
+            .map(|e| (e.source_hash, e.frontend_secs, e.jit_secs))
+            .collect(),
+        seed_free: report.rt.seed_draws == 0,
     }
 }
 
@@ -654,8 +712,8 @@ impl SizeTable {
 /// lowered plan's structure ([`plan_fingerprint`]), and the values of the
 /// config keys its native closures read at run time
 /// ([`Benchmark::dynamic_config_keys`]), which the structure cannot show.
-/// A farm's or a worker's table answers a repeat of such a trial's key, on
-/// the machine it ran on, with the outcome it stored.
+/// A farm answers a repeat of such a trial's key, in the session it ran in,
+/// with the outcome it stored.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct TrialKey {
     size: u64,
@@ -681,30 +739,36 @@ impl TrialKey {
     }
 }
 
-/// Outcomes of seed-free trials (`RunReport::seed_draws == 0`) on one
-/// machine. Such a run computed what every seed computes, so a repeat of
-/// its key is answered with it and its compile list is priced as a fresh
-/// run's would be. A trial on another machine starts it afresh.
-#[derive(Default)]
+/// Outcomes of seed-free trials ([`JobOutcome::seed_free`]) in one
+/// `(benchmark spec, machine)` session. Such a run computed what every
+/// seed computes, so a repeat of its key is answered with it and its
+/// compile list is priced as a fresh run's would be. A batch in another
+/// session starts it afresh.
+#[derive(Debug, Default)]
 struct Memo {
-    machine: Option<MachineProfile>,
+    session: Option<(String, MachineProfile)>,
     outcomes: HashMap<TrialKey, JobOutcome>,
 }
 
 impl Memo {
-    fn recall(&self, machine: &MachineProfile, key: &TrialKey) -> Option<JobOutcome> {
-        if self.machine.as_ref() != Some(machine) {
-            return None;
+    /// Keep the outcomes when `(spec, machine)` is their session, drop
+    /// them otherwise.
+    fn retarget(&mut self, spec: &str, machine: &MachineProfile) {
+        if !self.session.as_ref().is_some_and(|(s, m)| s == spec && m == machine) {
+            self.outcomes.clear();
+            self.session = Some((spec.to_owned(), machine.clone()));
         }
+    }
+
+    fn recall(&self, key: &TrialKey) -> Option<JobOutcome> {
         self.outcomes.get(key).cloned()
     }
 
-    fn remember(&mut self, machine: &MachineProfile, key: TrialKey, outcome: JobOutcome) {
-        if self.machine.as_ref() != Some(machine) {
-            self.outcomes.clear();
-            self.machine = Some(machine.clone());
+    /// Keep `outcome` under `key` when it is seed-free.
+    fn remember(&mut self, key: TrialKey, outcome: &JobOutcome) {
+        if outcome.seed_free {
+            self.outcomes.insert(key, outcome.clone());
         }
-        self.outcomes.insert(key, outcome);
     }
 }
 
@@ -724,6 +788,7 @@ mod tests {
     use super::*;
     use petal_apps::blackscholes::BlackScholes;
     use petal_apps::convolution::{ConvMapping, SeparableConvolution};
+    use petal_apps::tridiagonal::Tridiagonal;
 
     fn jobs_for(bench: &dyn Benchmark, machine: &MachineProfile, n: usize) -> Vec<EvalJob> {
         let cfg = bench.program(machine).default_config(machine);
@@ -831,6 +896,33 @@ mod tests {
         let r = farm.evaluate(&bench, &machine, &jobs);
         assert!(!r[0].ran);
         assert_eq!(r[0].fitness, None);
+    }
+
+    /// A batch whose every key is remembered is answered without its
+    /// backend: no pool is built (this farm's worker binary does not
+    /// exist, so building one would panic) and no `JOB` is written.
+    #[test]
+    fn a_batch_of_remembered_keys_builds_no_pool() {
+        let bench = Tridiagonal::new(1_024);
+        let machine = MachineProfile::desktop();
+        let mut config = bench.program(&machine).default_config(&machine);
+        config.set_selector("tridiag", Selector::constant(0, 3));
+        let jobs: Vec<EvalJob> = (0..4)
+            .map(|i| EvalJob {
+                config: config.clone(),
+                size: bench.input_size(),
+                engine_seed: job_seed(3, 0, i),
+            })
+            .collect();
+        let mut farm = EvalFarm::new(&FarmSettings::sequential(), true);
+        let ran = farm.evaluate(&bench, &machine, &jobs);
+        assert_eq!(farm.memo.get_mut().expect(UNPOISONED).outcomes.len(), 1, "seed-free");
+        let shard_bin = Some(PathBuf::from("/nonexistent/petal-shard"));
+        farm.settings = FarmSettings { shard_bin, ..FarmSettings::sharded(1) };
+        let answered = farm.evaluate(&bench, &machine, &jobs);
+        assert!(farm.pool.is_none(), "no pool was built");
+        let fitness = |r: &[EvalResult]| -> Vec<_> { r.iter().map(|r| r.fitness).collect() };
+        assert_eq!(fitness(&answered), fitness(&ran));
     }
 
     #[test]

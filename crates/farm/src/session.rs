@@ -283,8 +283,8 @@ pub enum Ended {
 /// say), before the job is evaluated. The loop owns the per-size
 /// benchmark table its jobs run on: an `INIT` that names the benchmark
 /// already being served keeps it, any other drops it, and it dies with
-/// the loop. Every `INIT` empties the table's memo of seed-free trial
-/// outcomes, so its life is one tuning run, as in an in-process farm.
+/// the loop. Every `JOB` runs: answering a repeat without running it is
+/// the farm's memo, on the client's side of the wire.
 ///
 /// # Errors
 /// `Lost` for I/O failures and torn records; `Refused` for version skew,
@@ -320,7 +320,6 @@ pub fn serve_jobs<R: Read, W: Write>(
                 let bench = benchmark_from_spec(&bench_spec)
                     .map_err(|e| Refused(format!("bad benchmark spec `{bench_spec}`: {e}")))?;
                 sized.retarget(&bench.spec());
-                sized.forget();
                 session = Some((bench, *machine));
                 wire.send(&Message::Ready { version: WIRE_VERSION });
             }
@@ -448,8 +447,13 @@ mod tests {
     /// line past the limit is refused by name; EOF after a `\n` is clean.
     #[test]
     fn a_record_torn_by_eof_is_lost_and_only_a_newline_ends_a_record() {
-        let outcome =
-            crate::JobOutcome { fitness: Some(1.0), ran: true, makespan: 1.0, compiles: vec![] };
+        let outcome = crate::JobOutcome {
+            fitness: Some(1.0),
+            ran: true,
+            makespan: 1.0,
+            compiles: vec![],
+            seed_free: true,
+        };
         let result = Message::Result { index: 3, outcome }.encode();
         let mut wire = Framed::new(BufReader::new(result.as_bytes()), io::sink());
         let e = wire.recv_line().expect_err("torn by EOF");

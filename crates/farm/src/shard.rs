@@ -519,7 +519,13 @@ mod tests {
     /// Each answer is its wire index, so a misfiled one shows.
     fn outcome(index: u64) -> JobOutcome {
         let t = index as f64;
-        JobOutcome { fitness: Some(t), ran: true, makespan: t, compiles: Vec::new() }
+        JobOutcome {
+            fitness: Some(t),
+            ran: true,
+            makespan: t,
+            compiles: Vec::new(),
+            seed_free: true,
+        }
     }
 
     /// Scripted worker links: the wire indices each was sent and has not

@@ -43,9 +43,12 @@
 //! **Pipe sessions.** The parent sends `INIT` (version, benchmark spec,
 //! machine profile), the worker answers `READY` (version). Then any
 //! number of `JOB` records (index, size, engine seed, config text), each
-//! answered by one `RESULT` (index, raw outcome incl. the trial's
-//! compile events — pricing happens in the parent's submission-order
-//! merge, never in a worker). `DONE` (or EOF) ends the session.
+//! answered by one `RESULT`: index, ran, has-fitness, fitness, makespan,
+//! seed-free (since version 6: the run made no seed draw, so the farm
+//! may answer a repeat of its key without dispatching it), the number of
+//! compile events, then each event's source hash, frontend and JIT
+//! seconds — pricing happens in the parent's submission-order merge,
+//! never in a worker. `DONE` (or EOF) ends the session.
 //!
 //! **Socket sessions** (see `docs/farmd.md`). Every connection opens
 //! with a `HELLO` exchange. A **worker** then sends `REGISTER` (name,
@@ -87,7 +90,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 /// The protocol version this build speaks (bumped on any wire change).
-pub const WIRE_VERSION: u64 = 5;
+pub const WIRE_VERSION: u64 = 6;
 
 /// Oldest protocol version this build speaks: the same one. `HELLO`
 /// still carries a range so that a future build can overlap with this
@@ -342,6 +345,7 @@ impl WireEncoder {
                 self.field_display(out, u64::from(outcome.fitness.is_some()));
                 self.field_f64(out, outcome.fitness.unwrap_or(0.0));
                 self.field_f64(out, outcome.makespan);
+                self.field_display(out, u64::from(outcome.seed_free));
                 self.field_display(out, outcome.compiles.len());
                 for &(hash, frontend, jit) in &outcome.compiles {
                     self.field_display(out, hash);
@@ -683,6 +687,7 @@ impl Message {
                 let has_fitness = r.bool()?;
                 let fitness_bits = r.f64()?;
                 let makespan = r.f64()?;
+                let seed_free = r.bool()?;
                 let n = r.usize()?;
                 let mut compiles = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
@@ -695,6 +700,7 @@ impl Message {
                         ran,
                         makespan,
                         compiles,
+                        seed_free,
                     },
                 }
             }
@@ -829,6 +835,7 @@ mod tests {
             ran: true,
             makespan: 1.25e-4,
             compiles: vec![(42, 1.2, 0.8), (7, 0.9, 0.5)],
+            seed_free: true,
         };
         let messages = vec![
             Message::Init {
@@ -851,6 +858,7 @@ mod tests {
                     ran: false,
                     makespan: 0.0,
                     compiles: Vec::new(),
+                    seed_free: false,
                 },
             },
             Message::Done,
@@ -931,7 +939,13 @@ mod tests {
         let mut config = Config::new();
         config.set_selector("sort", Selector::new(vec![64, 4096], vec![2, 0, 1], 3));
         let job = EvalJob { config, size: 64, engine_seed: 9 };
-        let outcome = JobOutcome { fitness: None, ran: false, makespan: 1.5, compiles: vec![] };
+        let outcome = JobOutcome {
+            fitness: None,
+            ran: false,
+            makespan: 1.5,
+            compiles: vec![],
+            seed_free: true,
+        };
         for (from, to) in [(0, 7), (7, 0), (9, 10), (12_345, 3), (3, u64::MAX)] {
             let sent = Message::Job { index: from, job: job.clone() }.encode();
             let want = Message::Job { index: to, job: job.clone() }.encode();
@@ -964,6 +978,7 @@ mod tests {
                     ran: true,
                     makespan: 2.0e-3,
                     compiles: vec![(1, 0.25, 0.75)],
+                    seed_free: false,
                 },
             },
             Message::Done,

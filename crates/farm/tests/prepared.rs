@@ -87,6 +87,7 @@ fn assert_same_outcome(got: &JobOutcome, want: &JobOutcome, what: &str) {
     assert_eq!(got.ran, want.ran, "{what}: ran");
     assert_eq!(got.fitness.map(f64::to_bits), want.fitness.map(f64::to_bits), "{what}: fitness");
     assert_eq!(got.makespan.to_bits(), want.makespan.to_bits(), "{what}: makespan");
+    assert_eq!(got.seed_free, want.seed_free, "{what}: seed_free");
     let bits = |o: &JobOutcome| -> Vec<(u64, u64, u64)> {
         o.compiles.iter().map(|&(h, f, j)| (h, f.to_bits(), j.to_bits())).collect()
     };
@@ -145,8 +146,6 @@ impl Benchmark for Poisoning {
 struct Session {
     script: String,
     expected: Vec<(String, JobOutcome)>,
-    /// The last `INIT` sent.
-    init: Option<Message>,
 }
 
 impl Session {
@@ -156,13 +155,11 @@ impl Session {
     }
 
     fn init(&mut self, bench: &dyn Benchmark, machine: &MachineProfile) {
-        let init = Message::Init {
+        self.send(&Message::Init {
             version: WIRE_VERSION,
             bench_spec: bench.spec(),
             machine: Box::new(machine.clone()),
-        };
-        self.send(&init);
-        self.init = Some(init);
+        });
     }
 
     /// `job`, to be answered with `want`.
@@ -172,16 +169,11 @@ impl Session {
     }
 
     /// `job` three times over — a miss, then two hits of the per-size
-    /// table — each to be answered with `want`. Each repeat is a tuning
-    /// run of its own, re-`INIT`ed on the same spec: the table is kept,
-    /// and its memo of seed-free outcomes, which would answer the repeat
-    /// without running it, is emptied.
+    /// table — each to be answered with `want`. A worker runs every `JOB`
+    /// it is sent, repeats included (the memo of seed-free outcomes is
+    /// the client's).
     fn job_thrice(&mut self, job: &EvalJob, want: &JobOutcome, what: &str) {
         for repeat in 1..=3 {
-            if repeat > 1 {
-                let init = self.init.clone().expect("a job follows an INIT");
-                self.send(&init);
-            }
             self.job(job, want, format!("{what}, evaluation {repeat}"));
         }
     }
@@ -209,9 +201,8 @@ impl Session {
 
 /// One worker session serves all seven benchmarks on all five machines:
 /// every job three times over (a miss, then two hits of the per-size
-/// table, each repeat re-`INIT`ed so that it runs), re-`INIT`ed per
-/// machine (same spec: table kept) and per benchmark (new spec: table
-/// dropped). Each answer must equal a fresh one-shot evaluation field for
+/// table, each of which runs), re-`INIT`ed per machine (same spec: table
+/// kept) and per benchmark (new spec: table dropped). Each answer must equal a fresh one-shot evaluation field for
 /// field.
 ///
 /// The same session is held poisoned as well. `serve_jobs` builds its

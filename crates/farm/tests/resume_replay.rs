@@ -22,7 +22,7 @@ fn job(seed: u64) -> EvalJob {
 
 fn outcome(index: u64) -> JobOutcome {
     let t = 1.0 + index as f64;
-    JobOutcome { fitness: Some(t), ran: true, makespan: t, compiles: Vec::new() }
+    JobOutcome { fitness: Some(t), ran: true, makespan: t, compiles: Vec::new(), seed_free: true }
 }
 
 /// Accept a connection through `HELLO`, check the record that opens or

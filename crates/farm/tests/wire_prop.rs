@@ -218,6 +218,7 @@ proptest! {
         fitness_bits in any::<u64>(),
         has_fitness in any::<bool>(),
         makespan_bits in any::<u64>(),
+        seed_free in any::<bool>(),
         compiles in vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..6),
     ) {
         let outcome = JobOutcome {
@@ -228,6 +229,7 @@ proptest! {
                 .iter()
                 .map(|&(h, f, j)| (h, f64::from_bits(f), f64::from_bits(j)))
                 .collect(),
+            seed_free,
         };
         let msg = Message::Result { index, outcome };
         let decoded = Message::decode(&msg.encode()).expect("decodes");
@@ -240,6 +242,7 @@ proptest! {
         prop_assert_eq!(dout.ran, eout.ran);
         prop_assert_eq!(dout.fitness.map(f64::to_bits), eout.fitness.map(f64::to_bits));
         prop_assert_eq!(dout.makespan.to_bits(), eout.makespan.to_bits());
+        prop_assert_eq!(dout.seed_free, eout.seed_free);
         prop_assert_eq!(dout.compiles.len(), eout.compiles.len());
         for (d, e) in dout.compiles.iter().zip(&eout.compiles) {
             prop_assert_eq!(d.0, e.0);
@@ -559,6 +562,7 @@ fn message_corpus() -> Vec<String> {
                 ran: true,
                 makespan: f64::from_bits(0x7ff8_0000_0000_0001),
                 compiles: vec![(42, 1.2, 0.8), (7, 0.9, 0.5)],
+                seed_free: true,
             },
         },
         Message::Done,
@@ -590,7 +594,8 @@ fn message_corpus() -> Vec<String> {
 /// every answer and every error over the corpus, each line's every
 /// truncation and each line with one byte turned into a framing
 /// character, folded into one hash. The value was taken from the decoder
-/// before fields were borrowed; any change to what decode returns — a
+/// before fields were borrowed, and retaken when wire version 6 gave
+/// `RESULT` its `seed_free` field; any change to what decode returns — a
 /// value, an error, an error's text — moves it.
 #[test]
 fn decode_returns_what_the_owned_decoder_returned() {
@@ -612,5 +617,5 @@ fn decode_returns_what_the_owned_decoder_returned() {
             lines += 1;
         }
     }
-    assert_eq!((lines, hash.finish()), (3864, 0x92b3_6ccf_23d7_b62a));
+    assert_eq!((lines, hash.finish()), (3871, 0xc276_d2ac_2660_c9ac));
 }

@@ -731,7 +731,13 @@ pub(crate) mod tests {
     /// A job's answer: a pure function of the job, as evaluation is.
     fn answer(seed: u64) -> JobOutcome {
         let fitness = f64::from_bits(0x3f50_0000_0000_0000 ^ seed);
-        JobOutcome { fitness: Some(fitness), ran: true, makespan: fitness, compiles: Vec::new() }
+        JobOutcome {
+            fitness: Some(fitness),
+            ran: true,
+            makespan: fitness,
+            compiles: Vec::new(),
+            seed_free: true,
+        }
     }
 
     /// A worker process: the jobs it was sent, oldest first, and the

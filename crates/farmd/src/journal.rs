@@ -28,7 +28,7 @@
 //! | Tag        | Fields                                | Replayed through |
 //! |------------|---------------------------------------|------------------|
 //! | `J_NEXT`   | next session id                       | a floor for the session counter (ids never reused across restarts) |
-//! | `J_OPEN`   | session, nonce, embedded `INIT` line  | `State::open`: restores spec/machine/resume-nonce, detached |
+//! | `J_OPEN`   | session, nonce, embedded `INIT` line  | `State::open`: restores spec/machine/resume-nonce, detached; an `INIT` at another wire version refuses the whole log |
 //! | `J_JOB`    | session, embedded `JOB` line          | `State::enqueue`: unanswered unless a `J_RESULT` answers it |
 //! | `J_RESULT` | session, embedded `RESULT` line       | `State::record_result`: the index moves from unanswered to done (the full outcome is stored so recovery re-serves it without re-evaluating) |
 //! | `J_CLOSE`  | session                               | `State::close`: drops everything the session held |
@@ -150,10 +150,11 @@ impl Journal {
         if path.exists() {
             let mut text = String::new();
             File::open(&path)?.read_to_string(&mut text)?;
-            // Corruption before the tail is not a torn append; refuse to
-            // guess at what was lost.
+            // Corruption before the tail is not a torn append, and another
+            // wire version's records need not parse as this one's: refuse
+            // to guess at either.
             let torn = replay(state, &text, now).map_err(|e| {
-                let e = format!("journal {} is corrupt: {e}", path.display());
+                let e = format!("journal {} {e}", path.display());
                 io::Error::new(io::ErrorKind::InvalidData, e)
             })?;
             if torn > 0 {
@@ -212,20 +213,41 @@ impl Journal {
 /// transitions, then queue every unanswered job again, in `(session,
 /// index)` order: assignments died with the old process's worker
 /// connections. Returns the length of a torn last line, which is
-/// dropped; an error names the first whole line that does not replay.
+/// dropped; an error names the first whole line that does not replay, or
+/// the wire version of a log another release wrote.
 pub(crate) fn replay(state: &mut State, text: &str, now: Instant) -> Result<usize, String> {
     let mut rest = text;
     while let Some(nl) = rest.find('\n') {
         let line = &rest[..nl];
         rest = &rest[nl + 1..];
-        replay_line(state, line, now).map_err(|e| format!("{e} in `{line}`"))?;
+        replay_line(state, line, now).map_err(|e| match e {
+            Unreplayable::Corrupt(e) => format!("is corrupt: {e} in `{line}`"),
+            Unreplayable::Version(v) => format!(
+                "was written at wire version {v}, and this dispatcher speaks version \
+                 {WIRE_VERSION}: it does not replay another version's journal"
+            ),
+        })?;
     }
     state.queue = state.jobs.keys().copied().collect();
     Ok(rest.len())
 }
 
+/// Why a whole journal line does not replay.
+enum Unreplayable {
+    /// It does not decode as a record of this wire version.
+    Corrupt(String),
+    /// Its session was opened at this other wire version.
+    Version(u64),
+}
+
+impl From<String> for Unreplayable {
+    fn from(e: String) -> Self {
+        Unreplayable::Corrupt(e)
+    }
+}
+
 /// Replay one journal line: decode it and make the transition it records.
-fn replay_line(state: &mut State, line: &str, now: Instant) -> Result<(), String> {
+fn replay_line(state: &mut State, line: &str, now: Instant) -> Result<(), Unreplayable> {
     let (tag, fields) = split(line).map_err(|e| e.to_string())?;
     let field = |i: usize| -> Result<&str, String> {
         fields.get(i).map(|f| &**f).ok_or_else(|| format!("{tag} too short"))
@@ -237,14 +259,17 @@ fn replay_line(state: &mut State, line: &str, now: Instant) -> Result<(), String
     match tag {
         "J_NEXT" => state.next_session = state.next_session.max(num(0)?),
         "J_OPEN" => {
-            let Message::Init { bench_spec, machine, .. } = embedded(2)? else {
-                return Err("J_OPEN does not embed an INIT".to_owned());
+            let Message::Init { version, bench_spec, machine } = embedded(2)? else {
+                return Err(Unreplayable::Corrupt("J_OPEN does not embed an INIT".to_owned()));
             };
+            if version != WIRE_VERSION {
+                return Err(Unreplayable::Version(version));
+            }
             state.open(num(0)?, num(1)?, bench_spec, *machine, now);
         }
         "J_JOB" => {
             let Message::Job { index, .. } = embedded(1)? else {
-                return Err("J_JOB does not embed a JOB".to_owned());
+                return Err(Unreplayable::Corrupt("J_JOB does not embed a JOB".to_owned()));
             };
             state.enqueue(num(0)?, index, field(1)?.to_owned());
         }
@@ -254,14 +279,14 @@ fn replay_line(state: &mut State, line: &str, now: Instant) -> Result<(), String
         "J_ASSIGN" => {}
         "J_RESULT" => {
             let Message::Result { index, outcome } = embedded(1)? else {
-                return Err("J_RESULT does not embed a RESULT".to_owned());
+                return Err(Unreplayable::Corrupt("J_RESULT does not embed a RESULT".to_owned()));
             };
             state.record_result(num(0)?, index, outcome);
         }
         "J_CLOSE" => {
             state.close(num(0)?);
         }
-        tag => return Err(format!("unknown journal tag `{tag}`")),
+        tag => return Err(Unreplayable::Corrupt(format!("unknown journal tag `{tag}`"))),
     }
     Ok(())
 }
@@ -300,6 +325,7 @@ mod tests {
             ran: true,
             makespan: fitness,
             compiles: vec![(1, 0.5, 0.25)],
+            seed_free: true,
         }
     }
 
@@ -551,6 +577,37 @@ mod tests {
             Err(e) => e,
         };
         assert!(err.to_string().contains("corrupt"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A log another wire version wrote is refused as that, naming both
+    /// versions, before any of it is replayed: its `RESULT`s need not
+    /// parse as this version's, and one that did would be misread.
+    #[test]
+    fn a_journal_of_another_wire_version_is_refused_naming_both_versions() {
+        let dir = tmp_dir("version");
+        two_sessions(&mut Run::start(&dir));
+        let path = dir.join("journal.log");
+        let text = std::fs::read_to_string(&path).expect("read");
+        let ours = format!("INIT {}:{WIRE_VERSION} ", WIRE_VERSION.to_string().len());
+        let old = WIRE_VERSION - 1;
+        let theirs = format!("INIT {}:{old} ", old.to_string().len());
+        let mut skewed = String::new();
+        for line in text.lines() {
+            let (tag, fields) = split(line).expect("a record");
+            let fields: Vec<String> = fields.iter().map(|f| f.replace(&ours, &theirs)).collect();
+            skewed.push_str(&encode_record(tag, &fields));
+            skewed.push('\n');
+        }
+        assert_ne!(skewed, text, "the log opens a session");
+        std::fs::write(&path, skewed).expect("write");
+        let err = match Journal::open(&dir, &mut State::new(), crate::clock()) {
+            Ok(_) => panic!("a journal of wire version {old} must be refused"),
+            Err(e) => e.to_string(),
+        };
+        assert!(err.contains(&format!("wire version {old}")), "{err}");
+        assert!(err.contains(&format!("speaks version {WIRE_VERSION}")), "{err}");
+        assert!(!err.contains("corrupt"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

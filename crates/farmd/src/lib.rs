@@ -626,7 +626,13 @@ mod tests {
         for client in &mut clients {
             client.send(&[Message::Job { index: 0, job: job.clone() }]);
         }
-        let outcome = JobOutcome { fitness: Some(1.0), ran: true, makespan: 1.0, compiles: vec![] };
+        let outcome = JobOutcome {
+            fitness: Some(1.0),
+            ran: true,
+            makespan: 1.0,
+            compiles: vec![],
+            seed_free: true,
+        };
         let mut results = Vec::new();
         while results.len() < 2 {
             if let Message::Job { index, .. } = worker.recv() {

@@ -134,7 +134,13 @@ fn until(farmd: &Farmd, ready: impl Fn(&FarmdStats) -> bool) -> FarmdStats {
 }
 
 fn outcome(makespan: f64) -> JobOutcome {
-    JobOutcome { fitness: Some(makespan), ran: true, makespan, compiles: Vec::new() }
+    JobOutcome {
+        fitness: Some(makespan),
+        ran: true,
+        makespan,
+        compiles: Vec::new(),
+        seed_free: true,
+    }
 }
 
 #[test]
