@@ -318,7 +318,7 @@ rm -f "$REGD_SOCK"
 
 echo "== farmd soak (PETAL_SOAK=1 opt-in: thousands of jobs, worker churn + a dispatcher bounce)"
 if [[ "${PETAL_SOAK:-0}" == "1" ]]; then
-  PETAL_SOAK=1 cargo test -q --offline -p petal_shard --test farmd_soak
+  PETAL_SOAK=1 cargo test -q --release --offline -p petal_shard --test farmd_soak
 else
   echo "   skipped (set PETAL_SOAK=1 to run)"
 fi

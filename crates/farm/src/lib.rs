@@ -190,8 +190,6 @@ pub struct EvalResult {
     pub compile_secs: f64,
     /// Total virtual cost of the trial: makespan plus `compile_secs`.
     pub trial_secs: f64,
-    /// Worker that evaluated the job (`index mod effective threads`).
-    pub thread: usize,
 }
 
 /// Raw per-job outcome produced on a worker (thread *or* shard process),
@@ -255,7 +253,6 @@ pub struct EvalFarm {
     /// The modeled on-disk IR cache (`model_process_restarts == true`):
     /// later compiles of a cached source skip the frontend (§5.4).
     ir: HashSet<u64>,
-    per_thread_trials: Vec<usize>,
     /// The benchmarks trials run on in-process, and dispatched jobs are
     /// keyed on, one per input size.
     sized: SizeTable,
@@ -272,19 +269,16 @@ impl EvalFarm {
     pub fn new(settings: &FarmSettings, model_process_restarts: bool) -> Self {
         let settings =
             FarmSettings { threads: settings.resolved_threads().max(1), ..settings.clone() };
-        let mut farm = EvalFarm {
+        EvalFarm {
             settings,
             pool: None,
             model_process_restarts,
             ir_cache_enabled: true,
             warm: HashSet::new(),
             ir: HashSet::new(),
-            per_thread_trials: Vec::new(),
             sized: SizeTable::default(),
             memo: Mutex::default(),
-        };
-        farm.per_thread_trials = vec![0; farm.workers()];
-        farm
+        }
     }
 
     /// Enable or disable the modeled persistent IR cache (§5.4 ablation).
@@ -306,38 +300,16 @@ impl EvalFarm {
         self.settings.shards
     }
 
-    /// Workers of whichever kind this farm uses (shard processes when
-    /// sharded, threads otherwise). A remote pool counts as **one**
-    /// worker: the dispatcher's fleet size is elastic and invisible, so
-    /// the deterministic accounting treats the whole farm as a single
-    /// submission-ordered backend.
-    fn workers(&self) -> usize {
-        match &self.settings {
-            FarmSettings { endpoint: Some(_), .. } => 1,
-            FarmSettings { shards: 0, threads, .. } => *threads,
-            FarmSettings { shards, .. } => *shards,
-        }
-    }
-
-    /// Trials evaluated by each worker so far (deterministic: jobs are
-    /// round-robin assigned in submission order). One slot per shard
-    /// process when sharded, per thread otherwise.
-    #[must_use]
-    pub fn per_thread_trials(&self) -> &[usize] {
-        &self.per_thread_trials
-    }
-
-    /// Forget all cached compile state, per-thread accounting and
-    /// remembered trial outcomes (start of a fresh tuning run). The
-    /// per-size benchmark table is kept: what its children memoise is a
-    /// pure function of their spec, so a second run over them is
+    /// Forget all cached compile state and remembered trial outcomes
+    /// (start of a fresh tuning run). The per-size benchmark table is
+    /// kept: what its children memoise is a pure function of their spec,
+    /// so a second run over them is
     /// indistinguishable from one over fresh children. It goes when a
     /// batch names another spec, and with the farm. An out-of-process
     /// backend is closed, so the next batch opens a fresh one.
     pub fn reset(&mut self) {
         self.warm.clear();
         self.ir.clear();
-        self.per_thread_trials = vec![0; self.workers()];
         self.memo = Mutex::default();
         self.pool = None;
     }
@@ -345,11 +317,10 @@ impl EvalFarm {
     /// Evaluate a batch of jobs against `bench` on `machine`, returning
     /// results in submission order.
     ///
-    /// Each job runs on its own `Executor` with a fresh simulated device;
-    /// `jobs[i]` runs on worker `i mod workers` (threads in-process, or
-    /// `petal-shard` processes when [`FarmSettings::shards`] is set). The
-    /// batch is a barrier: all jobs complete before any result is
-    /// returned.
+    /// Each job runs on its own `Executor` with a fresh simulated device,
+    /// round-robin over the farm's threads in-process, or over the links
+    /// of a [`shard::Pool`] when sharded or remote. The batch is a
+    /// barrier: all jobs complete before any result is returned.
     ///
     /// ```
     /// use petal_apps::blackscholes::BlackScholes;
@@ -388,7 +359,6 @@ impl EvalFarm {
         machine: &MachineProfile,
         jobs: &[EvalJob],
     ) -> Vec<EvalResult> {
-        let effective = self.workers().min(jobs.len()).max(1);
         // Every child is built before a trial starts, so the workers share
         // the table by reference; what a child memoises on its first
         // `instantiate` it guards itself.
@@ -403,19 +373,20 @@ impl EvalFarm {
         } else {
             let (sized, memo) = (&self.sized, &self.memo);
             let run = |job| trial(sized, memo, bench, machine, job);
-            if effective == 1 {
+            let threads = self.settings.threads.min(jobs.len());
+            if threads <= 1 {
                 jobs.iter().map(run).collect()
             } else {
                 let mut slots: Vec<Option<JobOutcome>> = Vec::new();
                 slots.resize_with(jobs.len(), || None);
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..effective)
+                    let handles: Vec<_> = (0..threads)
                         .map(|t| {
                             scope.spawn(move || {
                                 jobs.iter()
                                     .enumerate()
                                     .skip(t)
-                                    .step_by(effective)
+                                    .step_by(threads)
                                     .map(|(i, j)| (i, run(j)))
                                     .collect::<Vec<_>>()
                             })
@@ -431,15 +402,10 @@ impl EvalFarm {
             }
         };
 
-        // Submission-order merge: deterministic accounting and compile
-        // pricing regardless of which worker finished first.
+        // Submission-order merge: deterministic compile pricing regardless
+        // of which worker finished first.
         raw.into_iter()
-            .enumerate()
-            .map(|(i, out)| {
-                let thread = i % effective;
-                if out.ran {
-                    self.per_thread_trials[thread] += 1;
-                }
+            .map(|out| {
                 let compile_secs: f64 = out
                     .compiles
                     .iter()
@@ -450,7 +416,6 @@ impl EvalFarm {
                     ran: out.ran,
                     compile_secs,
                     trial_secs: out.makespan + compile_secs,
-                    thread,
                 }
             })
             .collect()
@@ -527,12 +492,11 @@ impl EvalFarm {
         machine: &MachineProfile,
         jobs: &[EvalJob],
     ) -> Vec<JobOutcome> {
-        let effective = self.workers().min(jobs.len()).max(1);
         if !self.pool.as_ref().is_some_and(|p| p.matches(spec, machine)) {
             self.pool = None; // drop (and reap/close) any stale backend first
             self.pool = Some(self.build_pool(spec, machine).unwrap_or_else(|e| panic!("{e}")));
         }
-        let first = self.pool.as_mut().expect("pool built above").evaluate(jobs, effective);
+        let first = self.pool.as_mut().expect("pool built above").evaluate(jobs);
         match first {
             Ok(outcomes) => outcomes,
             Err(lost) => {
@@ -542,7 +506,7 @@ impl EvalFarm {
                 self.pool
                     .as_mut()
                     .expect("pool rebuilt above")
-                    .evaluate(jobs, effective)
+                    .evaluate(jobs)
                     .unwrap_or_else(|e| panic!("evaluation backend lost twice (giving up): {e}"))
             }
         }
@@ -820,20 +784,6 @@ mod tests {
                 assert_eq!(a.trial_secs, b.trial_secs, "threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn per_thread_accounting_is_round_robin_and_sums_to_trials() {
-        let bench = BlackScholes::new(10_000);
-        let machine = MachineProfile::laptop();
-        let jobs = jobs_for(&bench, &machine, 6);
-        let mut farm =
-            EvalFarm::new(&FarmSettings { threads: 4, ..FarmSettings::sequential() }, false);
-        let results = farm.evaluate(&bench, &machine, &jobs);
-        assert!(results.iter().all(|r| r.ran));
-        assert_eq!(farm.per_thread_trials(), &[2, 2, 1, 1]);
-        let by_thread: Vec<usize> = results.iter().map(|r| r.thread).collect();
-        assert_eq!(by_thread, vec![0, 1, 2, 3, 0, 1]);
     }
 
     #[test]

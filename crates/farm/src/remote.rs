@@ -6,8 +6,9 @@
 //! `INIT` naming the `(benchmark, machine)` session, answered by `READY`
 //! and the session's `SESSION` credentials. From there the pool's one
 //! batch loop ([`RemotePool::evaluate`]) does the rest; a farmd link differs
-//! from a worker link only in having no window and in being recoverable
-//! (see [`crate::shard`] for what a resumed link's replayed answers mean).
+//! from a worker link only in that its pool holds the session to resume
+//! it with (see [`crate::shard`] for what a resumed link's replayed
+//! answers mean).
 //!
 //! Worker churn is invisible here by design: the dispatcher re-queues a
 //! lost worker's jobs internally and the client just sees the results
@@ -25,7 +26,7 @@
 
 use crate::net::Endpoint;
 use crate::session::{dial, Framed, SessionError, CONNECT_PATIENCE};
-use crate::shard::{LinkKind, Session, ShardError, Wire};
+use crate::shard::{Session, ShardError, Wire};
 use crate::wire::{Message, WIRE_VERSION};
 use petal_gpu::profile::MachineProfile;
 use std::io::BufReader;
@@ -64,7 +65,7 @@ impl RemotePool {
         let (wire, token, nonce) = open(&endpoint, CONNECT_PATIENCE, &pool.init())
             .map_err(|e| ShardError::new(format!("opening a farmd session at {endpoint}: {e}")))?;
         pool.session = Some((endpoint, token, nonce));
-        pool.push(wire, LinkKind::Farmd);
+        pool.push(wire);
         Ok(pool)
     }
 }
@@ -97,13 +98,11 @@ fn open(
     }
 }
 
-/// Re-attach `session` after a transport failure, retrying with
+/// Re-attach a pool's session (at `endpoint`, presenting `token` and
+/// `nonce`) after a transport failure, retrying with
 /// jittered exponential backoff until [`RESUME_DEADLINE`]. A dispatcher
 /// that answers and refuses ends the attempt at once.
-pub(crate) fn resume(session: Option<&Session>) -> Result<Wire, ShardError> {
-    let Some(&(ref endpoint, token, nonce)) = session else {
-        return Err(ShardError::new("a pool of workers has no session to resume"));
-    };
+pub(crate) fn resume(&(ref endpoint, token, nonce): &Session) -> Result<Wire, ShardError> {
     let start = Instant::now();
     let mut backoff = RESUME_BACKOFF_START;
     let mut last = String::from("never attempted");

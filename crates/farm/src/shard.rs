@@ -5,17 +5,17 @@
 //! over a socket ([`crate::FarmSettings::endpoint`], opened and recovered
 //! by [`crate::remote`]).
 //!
-//! The batch loop is an I/O-free [`Machine`]: [`Machine::begin`] and
-//! [`Machine::step`] take what happened on a link and return the
+//! The batch loop is an I/O-free [`Machine`]: [`Machine::begin`]`(jobs)`
+//! and [`Machine::step`] take what happened on a link and return the
 //! [`Effects`] — the jobs to write to each link, a link to part with, and
-//! what comes next: a read, a resume, or the batch's end.
-//! [`Pool::evaluate`] is its one driver, doing the pipe and socket I/O;
-//! the dispatcher's seeded simulator (`petal_farmd`'s tests) drives the
-//! same machine against the real dispatcher in synthetic time.
+//! what comes next: a read, or the batch's end. [`Pool::evaluate`] is its
+//! one driver, doing the pipe and socket I/O; the dispatcher's seeded
+//! simulator (`petal_farmd`'s tests) drives the same machine against the
+//! real dispatcher in synthetic time.
 //!
 //! The machine places each job on a live link with window room (`job i →
-//! link i mod effective` when healthy, the next live link otherwise),
-//! files each `RESULT` by its index after checking that the index is
+//! link i mod links` when healthy, the next live link otherwise), files
+//! each `RESULT` by its index after checking that the index is
 //! outstanding **on the link that answered**, and hands raw outcomes back
 //! to [`crate::EvalFarm`]'s submission-order merge — the same merge the
 //! in-process paths use, so compile re-pricing (and therefore the tuning
@@ -24,24 +24,19 @@
 //! (never reset per batch), so `(session, index)` names a job uniquely —
 //! what lets a dispatcher deduplicate re-submissions.
 //!
-//! What differs per link kind follows from the kind, never from a
-//! setting:
-//!
-//! * a **worker** link is a pipe with a bounded buffer and a peer that
-//!   blocks on its own writes, so at most `PIPE_WINDOW` (8) jobs are
-//!   outstanding on it — a batch of any size can never deadlock on full
-//!   OS pipe buffers — and a lost worker stays lost;
-//! * a **farmd** link has no window (the dispatcher queues in memory;
-//!   flow control toward workers is its job) and a lost transport is
-//!   recovered with `RESUME` and the session token, after which only the
-//!   unanswered jobs are re-submitted. **The replay rule:** from then on,
-//!   for the life of the link, the dispatcher may serve an answer twice
-//!   (as a worker answers it, and re-served for the re-submitted `JOB`),
-//!   so a copy of an answer already filed — the same record in this
-//!   batch, any index of an earlier batch — is dropped.
-//!
-//! Each step's jobs come as one run per link, which the driver queues
-//! ([`Framed::send`]) and flushes once, before the next read.
+//! Every link is the same kind of thing. At most `WINDOW` (8) jobs are
+//! outstanding on one — a pipe's peer blocks on its own writes, so a batch
+//! of any size can never deadlock on full OS pipe buffers — and each
+//! step's jobs come as one run per link, which the driver queues
+//! ([`Framed::send`]) and flushes once, before the next read. A lost link
+//! is resumed when its pool holds a session, and otherwise it is gone:
+//! a farmd pool's driver re-attaches the transport with `RESUME` and the
+//! session token and steps [`Event::Resumed`], after which only the
+//! unanswered jobs are re-submitted. **The replay rule:** from then on,
+//! for the life of the link, the dispatcher may serve an answer twice (as
+//! a worker answers it, and re-served for the re-submitted `JOB`), so a
+//! copy of an answer already filed — the same record in this batch, any
+//! index of an earlier batch — is dropped.
 //!
 //! **Link loss is survivable.** Every job is a pure function of its
 //! [`crate::EvalJob`], so a lost link's unanswered jobs are re-queued, in
@@ -125,30 +120,22 @@ pub fn resolve_shard_bin(explicit: Option<&Path>) -> Result<PathBuf, ShardError>
     ))
 }
 
-/// Cap on unanswered jobs at one worker link. Keeps worst-case bytes in
-/// flight per pipe (jobs out, results back) comfortably under the
-/// smallest common pipe buffer (64 KiB on Linux) even with
-/// multi-kilobyte config texts.
-const PIPE_WINDOW: usize = 8;
-
-/// What answers on a link, as far as the [`Machine`] cares.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkKind {
-    /// A `petal-shard` worker over a pipe: windowed, lost for good.
-    Worker,
-    /// A `petal-farmd` session: unwindowed, resumed after a lost transport.
-    Farmd,
-}
+/// Cap on unanswered jobs at one link. Keeps worst-case bytes in flight
+/// per pipe (jobs out, results back) comfortably under the smallest
+/// common pipe buffer (64 KiB on Linux) even with multi-kilobyte config
+/// texts.
+const WINDOW: usize = 8;
 
 /// What happened on a link, as [`Machine::step`] takes it.
 pub enum Event {
     /// A record decoded from the link.
     Record(Message),
-    /// The link's transport failed (EOF or an I/O error), with why.
+    /// The link is gone for good (its transport failed and was not
+    /// resumed), with why.
     Lost(String),
-    /// How the resume [`Next::Resume`] asked for went: `Err` says why
-    /// the session could not be re-attached.
-    Resumed(Result<(), String>),
+    /// The link's transport failed and its session was re-attached: its
+    /// unanswered jobs go out again, and the replay rule holds from now on.
+    Resumed,
 }
 
 /// What the driver must do after a step, in field order.
@@ -172,9 +159,6 @@ pub enum Next {
     /// The next record from this link (the live link with the most
     /// jobs outstanding).
     Read(usize),
-    /// This farmd link's transport is gone: re-attach its session and
-    /// step [`Event::Resumed`].
-    Resume(usize),
     /// The batch is over: every outcome in submission order, or — every
     /// link gone — the error naming the last loss and the unanswered jobs.
     End(Result<Vec<JobOutcome>, ShardError>),
@@ -182,7 +166,6 @@ pub enum Next {
 
 /// One link as the machine keeps it.
 struct Slot {
-    kind: LinkKind,
     /// Batch-relative indices submitted here and not yet answered, in
     /// submission order.
     outstanding: VecDeque<usize>,
@@ -202,8 +185,6 @@ pub struct Machine {
     /// Absolute wire index of the batch's first job, and of the next's.
     base: u64,
     next_base: u64,
-    /// The worker count placement assumes, clamped to the links.
-    effective: usize,
     /// Jobs not yet placed, in submission order (re-queued jobs return
     /// to the front so they are retried first).
     todo: VecDeque<usize>,
@@ -215,16 +196,14 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Add a link of `kind`, numbered after the links already added.
-    pub fn push(&mut self, kind: LinkKind) {
-        self.links.push(Some(Slot { kind, outstanding: VecDeque::new(), resumed: false }));
+    /// Add a link, numbered after the links already added.
+    pub fn push(&mut self) {
+        self.links.push(Some(Slot { outstanding: VecDeque::new(), resumed: false }));
         self.runs.push(Vec::new());
     }
 
-    /// Start a batch of `jobs` jobs, the `effective` workers placement
-    /// assumes, after the last batch ended.
-    pub fn begin(&mut self, jobs: usize, effective: usize) -> Effects<'_> {
-        self.effective = effective.clamp(1, self.links.len().max(1));
+    /// Start a batch of `jobs` jobs after the last batch ended.
+    pub fn begin(&mut self, jobs: usize) -> Effects<'_> {
         self.base = self.next_base;
         self.next_base += jobs as u64;
         self.outcomes = vec![None; jobs];
@@ -234,23 +213,16 @@ impl Machine {
 
     /// Take `event` on link `w` and say what comes next.
     pub fn step(&mut self, w: usize, event: Event) -> Effects<'_> {
-        let farmd = self.links[w].as_ref().is_some_and(|s| s.kind == LinkKind::Farmd);
         let broken = match event {
             Event::Record(Message::Result { index, outcome }) => self.file(w, index, outcome),
             Event::Record(Message::Goodbye { reason }) => Err(format!("said GOODBYE: {reason}")),
             Event::Record(other) => Err(format!("sent {} mid-batch", other.tag())),
-            Event::Lost(cause) if farmd => {
-                self.requeue(w);
-                eprintln!("petal-farm: link {w} lost ({cause}); resuming its session");
-                self.runs.iter_mut().for_each(Vec::clear);
-                let next = Next::Resume(w);
-                return Effects { base: self.base, runs: &self.runs, part: None, next };
-            }
-            Event::Lost(cause) | Event::Resumed(Err(cause)) => {
+            Event::Lost(cause) => {
                 self.retire(w, &cause);
                 Ok(())
             }
-            Event::Resumed(Ok(())) => {
+            Event::Resumed => {
+                self.requeue(w);
                 self.links[w].iter_mut().for_each(|slot| slot.resumed = true);
                 Ok(())
             }
@@ -304,7 +276,7 @@ impl Machine {
     }
 
     /// Place every job that finds room — the healthy-path placement is
-    /// `i mod effective`; a lost or full target falls through to the next
+    /// `i mod links`; a lost or full target falls through to the next
     /// live link with room, scanning forward — then say what comes next:
     /// a read from the live link with the deepest queue, else the end —
     /// every job answered, or no link left to answer the rest.
@@ -312,10 +284,9 @@ impl Machine {
         self.runs.iter_mut().for_each(Vec::clear);
         let n = self.links.len();
         while let Some(&i) = self.todo.front() {
-            let start = i % self.effective;
+            let Some(start) = i.checked_rem(n) else { break };
             let (before, from) = self.links.split_at_mut(start);
-            let room =
-                |s: &&mut Slot| s.kind == LinkKind::Farmd || s.outstanding.len() < PIPE_WINDOW;
+            let room = |s: &&mut Slot| s.outstanding.len() < WINDOW;
             let target = (from.iter_mut().chain(before).enumerate())
                 .find_map(|(k, slot)| Some(((start + k) % n, slot.as_mut().filter(room)?)));
             let Some((w, slot)) = target else { break };
@@ -394,9 +365,9 @@ impl Pool {
         }
     }
 
-    /// Add `wire`, to a peer of `kind`, as the pool's next link.
-    pub(crate) fn push(&mut self, wire: Wire, kind: LinkKind) {
-        self.machine.push(kind);
+    /// Add `wire` as the pool's next link.
+    pub(crate) fn push(&mut self, wire: Wire) {
+        self.machine.push();
         self.links.push(Some(wire));
     }
 
@@ -425,7 +396,7 @@ impl Pool {
             let mut wire: Wire = Framed::new(BufReader::new(Box::new(stdout)), Box::new(stdin));
             wire.send(&pool.init());
             match wire.expect().map_err(|e| at(format!("answering INIT: {e}")))? {
-                Message::Ready { version: WIRE_VERSION } => pool.push(wire, LinkKind::Worker),
+                Message::Ready { version: WIRE_VERSION } => pool.push(wire),
                 Message::Ready { version } => {
                     let skew =
                         format!("speaks wire version {version}, parent speaks {WIRE_VERSION}");
@@ -443,8 +414,7 @@ impl Pool {
     }
 
     /// Evaluate a batch, returning raw outcomes in submission order
-    /// (`result[i]` answers `jobs[i]`). `effective` is the worker count
-    /// the farm's round-robin accounting assumes.
+    /// (`result[i]` answers `jobs[i]`).
     ///
     /// The one driver of the pool's [`Machine`]: it writes each step's
     /// runs, parts and resumes links, and reads the next record where the
@@ -454,12 +424,8 @@ impl Pool {
     /// Only when the batch cannot be completed at all — every link is
     /// gone. The error names the last lost link and the unanswered
     /// submission indices so the caller can rebuild and retry.
-    pub fn evaluate(
-        &mut self,
-        jobs: &[EvalJob],
-        effective: usize,
-    ) -> Result<Vec<JobOutcome>, ShardError> {
-        let mut effects = self.machine.begin(jobs.len(), effective);
+    pub fn evaluate(&mut self, jobs: &[EvalJob]) -> Result<Vec<JobOutcome>, ShardError> {
+        let mut effects = self.machine.begin(jobs.len());
         loop {
             for (wire, run) in self.links.iter_mut().zip(effects.runs) {
                 let Some(wire) = wire.as_mut().filter(|_| !run.is_empty()) else { continue };
@@ -474,22 +440,31 @@ impl Pool {
                 wire.send(&Message::Done);
                 let _ = wire.flush();
             }
-            let (w, event) = match effects.next {
+            let w = match effects.next {
                 Next::End(end) => return end,
-                Next::Read(w) => {
-                    let none = || Err(ErrorKind::NotConnected.into());
-                    let read = self.links[w].as_mut().map_or_else(none, Wire::expect);
-                    let lost = |e| Event::Lost(format!("reading a RESULT: {e}"));
-                    (w, read.map_or_else(lost, Event::Record))
-                }
-                Next::Resume(w) => {
-                    self.links[w] = None; // the dead connection closes before its successor opens
-                    let fresh = crate::remote::resume(self.session.as_ref());
-                    let resumed = fresh.map(|wire| self.links[w] = Some(wire));
-                    (w, Event::Resumed(resumed.map_err(|e| e.message)))
-                }
+                Next::Read(w) => w,
+            };
+            let none = || Err(ErrorKind::NotConnected.into());
+            let event = match self.links[w].as_mut().map_or_else(none, Wire::expect) {
+                Ok(record) => Event::Record(record),
+                Err(e) => self.resume(w, format!("reading a RESULT: {e}")),
             };
             effects = self.machine.step(w, event);
+        }
+    }
+
+    /// Link `w`'s transport failed with `cause`: re-attach the pool's
+    /// session if it holds one, else the link is gone.
+    fn resume(&mut self, w: usize, cause: String) -> Event {
+        let Some(session) = &self.session else { return Event::Lost(cause) };
+        eprintln!("petal-farm: link {w} lost ({cause}); resuming its session");
+        self.links[w] = None; // the dead connection closes before its successor opens
+        match crate::remote::resume(session) {
+            Ok(wire) => {
+                self.links[w] = Some(wire);
+                Event::Resumed
+            }
+            Err(e) => Event::Lost(e.message),
         }
     }
 }
@@ -528,19 +503,19 @@ mod tests {
         }
     }
 
-    /// Scripted worker links: the wire indices each was sent and has not
+    /// Scripted links: the wire indices each was sent and has not
     /// answered, oldest first, and how many answers each gives before
-    /// its transport fails (`None`: no limit).
+    /// it is lost (`None`: no limit).
     struct Peers {
         held: Vec<VecDeque<u64>>,
         budget: Vec<Option<usize>>,
     }
 
     impl Peers {
-        /// A machine over `budget.len()` worker links.
-        fn workers(budget: &[Option<usize>]) -> (Machine, Peers) {
+        /// A machine over `budget.len()` links.
+        fn new(budget: &[Option<usize>]) -> (Machine, Peers) {
             let mut m = Machine::default();
-            budget.iter().for_each(|_| m.push(LinkKind::Worker));
+            budget.iter().for_each(|_| m.push());
             (m, Peers { held: vec![VecDeque::new(); budget.len()], budget: budget.to_vec() })
         }
 
@@ -562,7 +537,6 @@ mod tests {
                 let w = match next {
                     Next::Read(w) => w,
                     Next::End(end) => return end,
-                    Next::Resume(w) => panic!("worker link {w} asked to be resumed"),
                 };
                 let event = match &mut self.budget[w] {
                     Some(0) => Event::Lost("EOF".into()),
@@ -583,30 +557,30 @@ mod tests {
 
     #[test]
     fn each_link_gets_its_share_in_one_write_before_any_link_is_read() {
-        let (mut m, _) = Peers::workers(&[None, None]);
-        let effects = m.begin(6, 2);
+        let (mut m, _) = Peers::new(&[None, None]);
+        let effects = m.begin(6);
         assert_eq!(effects.runs, [vec![0, 2, 4], vec![1, 3, 5]], "one run a link");
         assert!(matches!(effects.next, Next::Read(_)), "{:?}", effects.next);
     }
 
     #[test]
     fn a_link_lost_mid_batch_has_its_jobs_requeued_to_the_survivor() {
-        let (mut m, mut peers) = Peers::workers(&[Some(3), None]);
-        let next = peers.take(m.begin(12, 2));
+        let (mut m, mut peers) = Peers::new(&[Some(3), None]);
+        let next = peers.take(m.begin(12));
         assert_eq!(peers.run(&mut m, next).expect("the survivor finishes"), answers(0, 12));
         assert!(m.links[0].is_none() && m.links[1].is_some());
         // The next batch runs on the survivor alone, at absolute indices,
         // a window's worth at a time.
-        let effects = m.begin(12, 2);
-        assert_eq!(effects.runs, [vec![], (0..PIPE_WINDOW).collect::<Vec<_>>()]);
+        let effects = m.begin(12);
+        assert_eq!(effects.runs, [vec![], (0..WINDOW).collect::<Vec<_>>()]);
         let next = peers.take(effects);
         assert_eq!(peers.run(&mut m, next).expect("second batch"), answers(12, 12));
     }
 
     #[test]
     fn losing_every_link_reports_exactly_the_unanswered_jobs() {
-        let (mut m, mut peers) = Peers::workers(&[Some(3), Some(2)]);
-        let next = peers.take(m.begin(10, 2));
+        let (mut m, mut peers) = Peers::new(&[Some(3), Some(2)]);
+        let next = peers.take(m.begin(10));
         let e = peers.run(&mut m, next).expect_err("nobody is left");
         // Link 0 answered its first three jobs (0, 2, 4), link 1 its
         // first two (1, 3); link 1 went first, its jobs were re-queued to
@@ -617,8 +591,8 @@ mod tests {
 
     #[test]
     fn a_result_for_a_job_the_link_does_not_hold_retires_the_link() {
-        let (mut m, mut peers) = Peers::workers(&[None, None]);
-        let Next::Read(w) = peers.take(m.begin(6, 2)) else { panic!("a read") };
+        let (mut m, mut peers) = Peers::new(&[None, None]);
+        let Next::Read(w) = peers.take(m.begin(6)) else { panic!("a read") };
         let lie = Message::Result { index: 1000, outcome: outcome(1000) };
         let effects = m.step(w, Event::Record(lie));
         assert_eq!(effects.part, Some(w), "the lying link is parted with");
@@ -628,6 +602,29 @@ mod tests {
         assert!(m.links[w].is_none(), "the lying link is out of service");
     }
 
+    /// Every link is windowed alike: given 20 jobs, a pool's one link is
+    /// sent a window's worth and then one job per answer; when its
+    /// session is resumed it is sent again what it held, in order, and
+    /// lost, it is gone whether or not it was ever resumed.
+    #[test]
+    fn one_link_holds_a_window_is_sent_what_it_held_when_resumed_and_is_gone_when_lost() {
+        let mut m = Machine::default();
+        m.push();
+        let effects = m.begin(20);
+        assert_eq!(effects.runs, [(0..WINDOW).collect::<Vec<_>>()]);
+        assert!(matches!(effects.next, Next::Read(0)));
+        let answer = Event::Record(Message::Result { index: 0, outcome: outcome(0) });
+        assert_eq!(m.step(0, answer).runs, [vec![WINDOW]], "the next job after an answer");
+        let effects = m.step(0, Event::Resumed);
+        assert_eq!(effects.runs, [(1..=WINDOW).collect::<Vec<_>>()], "what it held");
+        assert!(effects.part.is_none() && matches!(effects.next, Next::Read(0)));
+        let effects = m.step(0, Event::Lost("EOF".into()));
+        assert!(effects.part.is_none(), "a lost link has no stream to part");
+        let Next::End(Err(e)) = effects.next else { panic!("the only link is gone") };
+        let left: Vec<u64> = (1..20).collect();
+        assert!(e.message.ends_with(&format!("jobs unanswered: {left:?}")), "{e}");
+    }
+
     /// After a `RESUME` the dispatcher may serve an answer twice, and the
     /// second copy may land in the next batch: a copy of what was filed
     /// is dropped for the rest of the link's life, anything else still
@@ -635,18 +632,17 @@ mod tests {
     #[test]
     fn a_resumed_link_drops_only_copies_of_what_it_filed() {
         let mut m = Machine::default();
-        m.push(LinkKind::Farmd);
+        m.push();
         let result = |index, outcome| Event::Record(Message::Result { index, outcome });
-        let effects = m.begin(2, 1);
+        let effects = m.begin(2);
         assert_eq!(effects.runs, [vec![0, 1]]);
-        assert!(matches!(m.step(0, Event::Lost("EOF".into())).next, Next::Resume(0)));
-        let effects = m.step(0, Event::Resumed(Ok(())));
+        let effects = m.step(0, Event::Resumed);
         assert_eq!(effects.runs, [vec![0, 1]], "the unanswered jobs go out again");
         assert!(matches!(m.step(0, result(0, outcome(0))).next, Next::Read(0)));
         assert!(matches!(m.step(0, result(0, outcome(0))).next, Next::Read(0)), "same bits");
         assert!(matches!(m.step(0, result(1, outcome(1))).next, Next::End(Ok(_))));
         // Batch 2: copies of batch 1's answers are dropped, whatever they say.
-        assert_eq!(m.begin(2, 1).runs, [vec![0, 1]]);
+        assert_eq!(m.begin(2).runs, [vec![0, 1]]);
         assert!(matches!(m.step(0, result(1, outcome(1))).next, Next::Read(0)));
         assert!(matches!(m.step(0, result(0, outcome(7))).next, Next::Read(0)));
         assert!(matches!(m.step(0, result(2, outcome(2))).next, Next::Read(0)));

@@ -65,7 +65,7 @@ fn a_replayed_result_from_an_earlier_batch_does_not_retire_a_resumed_session() {
     });
     let machine = MachineProfile::laptop();
     let mut pool = RemotePool::connect(&ep.to_string(), "sort n=64", &machine).expect("connect");
-    let batch = |pool: &mut RemotePool, i| pool.evaluate(&[job(i)], 1).map_err(|e| e.to_string());
+    let batch = |pool: &mut RemotePool, i| pool.evaluate(&[job(i)]).map_err(|e| e.to_string());
     assert_eq!(batch(&mut pool, 0), Ok(vec![outcome(0)]), "batch 1 across the resume");
     assert_eq!(batch(&mut pool, 1), Ok(vec![outcome(1)]), "batch 2 drops the replayed RESULT 0");
     drop(pool);

@@ -572,7 +572,7 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::journal::Journal;
-    use petal_farm::shard::{self as farm, LinkKind, Machine, Next};
+    use petal_farm::shard::{self as farm, Machine, Next};
     use petal_farm::EvalJob;
     use std::time::Duration;
 
@@ -873,15 +873,15 @@ pub(crate) mod tests {
                     if c.seeds.is_empty() =>
                 {
                     c.credentials = (token, nonce);
-                    c.machine.push(LinkKind::Farmd);
+                    c.machine.push();
                     self.begin(i);
                 }
                 (Some(Wait::Handshake), Message::Session { token, nonce }) => {
                     assert_eq!((token, nonce), c.credentials, "the session it resumes");
-                    self.drive(i, Some(farm::Event::Resumed(Ok(()))));
+                    self.drive(i, Some(farm::Event::Resumed));
                 }
                 (Some(Wait::Handshake), Message::Goodbye { reason }) => {
-                    self.drive(i, Some(farm::Event::Resumed(Err(reason))));
+                    self.drive(i, Some(farm::Event::Lost(reason)));
                 }
                 (wait, msg) => panic!("{msg:?} sent to a client waiting for {wait:?}"),
             }
@@ -897,9 +897,10 @@ pub(crate) mod tests {
             for w in self.workers.iter_mut().filter(|w| w.conn == Some(conn)) {
                 *w = SimWorker::default();
             }
-            let reading = |c: &Tuner| c.conn == conn && c.wait == Some(Wait::Read);
-            if let Some(i) = self.clients.iter().position(reading) {
-                self.drive(i, Some(farm::Event::Lost("connection closed".into())));
+            // A client that was reading will dial again: it holds a session.
+            let reading = |c: &&mut Tuner| c.conn == conn && c.wait == Some(Wait::Read);
+            if let Some(c) = self.clients.iter_mut().find(reading) {
+                c.wait = Some(Wait::Resume);
             }
         }
 
@@ -1125,7 +1126,7 @@ pub(crate) mod tests {
             c.wait = None; // while it acts: its own hang-up is no news to it
             let effects = match event {
                 Some(event) => c.machine.step(0, event),
-                None => c.machine.begin(c.jobs, 1),
+                None => c.machine.begin(c.jobs),
             };
             let (base, run, part, next) =
                 (effects.base, effects.runs.concat(), effects.part, effects.next);
@@ -1145,7 +1146,6 @@ pub(crate) mod tests {
             let c = &mut self.clients[i];
             match next {
                 Next::Read(_) => c.wait = Some(Wait::Read),
-                Next::Resume(_) => c.wait = Some(Wait::Resume),
                 Next::End(Err(_)) => {}
                 Next::End(Ok(outcomes)) => {
                     let seeds = &c.seeds[usize::try_from(base).expect("small")..];

@@ -34,9 +34,7 @@
 //! | `J_CLOSE`  | session                               | `State::close`: drops everything the session held |
 //!
 //! (Assignments are not journaled: they die with the worker connections,
-//! so a restarted dispatcher queues every unanswered job again. Logs
-//! written before PR 20 carry a sixth, diagnostics-only tag for them,
-//! which replay skips.)
+//! so a restarted dispatcher queues every unanswered job again.)
 //!
 //! ## Durability and crash ordering
 //!
@@ -273,10 +271,6 @@ fn replay_line(state: &mut State, line: &str, now: Instant) -> Result<(), Unrepl
             };
             state.enqueue(num(0)?, index, field(1)?.to_owned());
         }
-        // Assignments are no longer written (one dies with its worker
-        // connection and was never replayed); a log the previous release
-        // wrote still opens.
-        "J_ASSIGN" => {}
         "J_RESULT" => {
             let Message::Result { index, outcome } = embedded(1)? else {
                 return Err(Unreplayable::Corrupt("J_RESULT does not embed a RESULT".to_owned()));
@@ -438,37 +432,6 @@ mod tests {
         assert_eq!(st.queue, [(1, 1)]);
         assert!(s.conn.is_none() && s.detached_since.is_some());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_log_with_the_previous_releases_assignment_records_recovers_the_same_state() {
-        let (dir, old_dir) = (tmp_dir("assign-new"), tmp_dir("assign-old"));
-        two_sessions(&mut Run::start(&dir));
-        // The previous release's scheduler appended one `J_ASSIGN
-        // session index worker` line per assignment, after the `J_JOB`.
-        let mut old_log = String::new();
-        for line in std::fs::read_to_string(dir.join("journal.log")).expect("read").lines() {
-            old_log.push_str(line);
-            old_log.push('\n');
-            let (tag, fields) = split(line).expect("a record");
-            if tag == "J_JOB" {
-                let Ok(Message::Job { index, .. }) = Message::decode(&fields[1]) else {
-                    panic!("J_JOB embeds a JOB");
-                };
-                old_log.push_str(&format!("J_ASSIGN 1:{} 1:{index} 1:3\n", fields[0]));
-            }
-        }
-        assert_eq!(old_log.matches("\nJ_ASSIGN ").count(), 3);
-        assert!(old_log.contains("\nJ_ASSIGN 1:1 1:0 1:3\n"));
-        std::fs::create_dir_all(&old_dir).expect("mkdir");
-        std::fs::write(old_dir.join("journal.log"), old_log).expect("write");
-        let (new, old) = (reopen(&dir), reopen(&old_dir));
-        assert_eq!(facts(&old), facts(&new));
-        assert_eq!(old.queue, new.queue);
-        let compacted = std::fs::read_to_string(old_dir.join("journal.log")).expect("read");
-        assert!(!compacted.contains("J_ASSIGN"), "and the tag is gone after the first open");
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&old_dir);
     }
 
     #[test]

@@ -1032,6 +1032,7 @@ mod tests {
         want.sort();
         assert_eq!(want.len(), 13);
         assert_eq!(reg.files(ENTRY_EXT).expect("files"), want);
+        let _ = std::fs::remove_dir_all(reg.dir());
     }
 
     fn entry(machine: MachineProfile, time_secs: f64) -> StoredEntry {

@@ -174,9 +174,6 @@ pub struct TuningStats {
     /// Evaluation-farm worker *processes* used; 0 when evaluation stayed
     /// in-process (see [`FarmSettings::shards`]).
     pub shards: usize,
-    /// Trials evaluated by each farm worker (round-robin assignment, so
-    /// this is deterministic for a given thread count).
-    pub per_thread_trials: Vec<usize>,
     /// Perturbation restarts fired (see [`TunerSettings::kick_after`]).
     pub kicks: usize,
     /// Best fitness after each generation, one inner vector per
@@ -517,7 +514,6 @@ impl<'a> Autotuner<'a> {
                 self.stats.compile_secs += res.compile_secs;
             }
         }
-        self.stats.per_thread_trials = self.farm.per_thread_trials().to_vec();
         results
     }
 
