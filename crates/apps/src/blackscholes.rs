@@ -128,7 +128,10 @@ struct Prepared {
     known: Prefix,
 }
 
-/// The seeded inputs and the price of every option.
+/// The seeded inputs and the price of every option. Its four columns are
+/// large storage for any `n` a tune spends time on, so they are drawn from
+/// a [`Recycler`] — the process's list above its floor — and given back
+/// when it drops: the next tune's ladder prices into the same pages.
 #[derive(Debug)]
 struct Priced {
     /// Spot price, strike and expiry, each shaped `rows × cols`.
@@ -137,6 +140,8 @@ struct Priced {
     /// [`VOLATILITY`], row-major: what `check` compares against, and what
     /// the rule's span copies out for cells it finds to be these inputs.
     prices: Vec<f64>,
+    /// Where the columns came from and go back to.
+    home: Recycler,
 }
 
 /// The first options of every instance, priced, and the three [`STREAMS`]
@@ -159,24 +164,27 @@ impl Priced {
             [s.as_slice(), k.as_slice(), t.as_slice(), &p.priced.prices]
         });
         let have = held[3].len().min(n);
-        let mut columns = held.map(|c| c[..have].to_vec());
-        columns.iter_mut().for_each(|c| c.reserve_exact(n - have));
+        let home = Recycler::default();
+        let mut columns = held.map(|c| {
+            let mut column = home.take(n);
+            column.extend_from_slice(&c[..have]);
+            column
+        });
         let mut streams = from.map_or_else(
             || STREAMS.map(|(_, _, seed)| StdRng::seed_from_u64(seed)),
             |p| p.streams.clone(),
         );
-        // One option at a time, one value from each stream (the fourth
-        // column, the prices, is not drawn).
-        for _ in have..n {
-            for ((column, rng), (lo, hi, _)) in columns.iter_mut().zip(&mut streams).zip(STREAMS) {
-                column.push(rng.gen_range(lo..hi));
-            }
+        // Each input column whole from its own stream (the streams are
+        // independent, so this is the one-option-at-a-time order's values);
+        // the fourth column, the prices, is not drawn.
+        for ((column, rng), (lo, hi, _)) in columns.iter_mut().zip(&mut streams).zip(STREAMS) {
+            column.extend((have..n).map(|_| rng.gen_range(lo..hi)));
         }
         let [s, k, t, mut prices] = columns;
         prices.resize(n, 0.0);
         call_prices(&s[have..], &k[have..], &t[have..], RATE, VOLATILITY, &mut prices[have..]);
         let inputs = [s, k, t].map(|column| Arc::new(Matrix::from_vec(rows, cols, column)));
-        let priced = Arc::new(Priced { inputs, prices });
+        let priced = Arc::new(Priced { inputs, prices, home });
         // `from` is the longer prefix when it holds options past these;
         // otherwise `streams` are just after these.
         let known = match from {
@@ -203,6 +211,19 @@ impl Priced {
                 .zip(&self.inputs)
                 .all(|(g, key)| same_bits(g, &key.as_slice()[at..at + len]));
         hit.then(|| &self.prices[at..at + len])
+    }
+}
+
+impl Drop for Priced {
+    /// The columns go back to the storage they were drawn from; an input
+    /// some other holder still shares is only let go of.
+    fn drop(&mut self) {
+        self.home.give(std::mem::take(&mut self.prices));
+        for input in &mut self.inputs {
+            if let Some(m) = Arc::get_mut(input) {
+                self.home.give(std::mem::replace(m, Matrix::zeros(0, 0)).into_vec());
+            }
+        }
     }
 }
 

@@ -668,7 +668,12 @@ mod tests {
     /// run of identical trials on one object the recycler's `fresh` count
     /// stays where the first trial left it and `reused` grows by exactly
     /// that per trial — on the device configurations above and on the
-    /// (CPU) defaults, exact counts, the same on every repeat.
+    /// (CPU) defaults, exact counts, the same on every repeat. These are
+    /// the session's own counts, of storage below the process list's
+    /// floor of 8 192 elements: Black-Scholes' and Sort's default rows
+    /// (12 544 and 8 192 elements) have none, and their large storage is
+    /// counted by `crates/farm/tests/tier.rs`, whose process no other
+    /// test shares.
     #[test]
     fn identical_trials_allocate_once_and_recycle_exactly_that_from_then_on() {
         let m = MachineProfile::desktop();
@@ -686,7 +691,8 @@ mod tests {
                 recycler.fresh_and_reused()
             };
             let (fresh, reused_within) = trial();
-            assert!(fresh > 0, "`{}`: a trial has outputs", b.spec());
+            let all_large = b.input_size() >= 8_192;
+            assert_eq!(fresh == 0, all_large, "`{}`: a trial's small outputs", b.spec());
             let per_trial = fresh + reused_within;
             for repeat in 1..=3 {
                 let want = (fresh, reused_within + repeat * per_trial);

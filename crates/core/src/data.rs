@@ -10,7 +10,9 @@
 //! ([`World::zeros`]) draw their storage from it and every matrix the
 //! world owns when it is dropped goes back to it, so a session that builds
 //! its worlds on one recycler pays the allocator for a trial's outputs
-//! once, not once per trial.
+//! once, not once per trial. Matrices of 8 192 elements or more the
+//! recycler passes on to the process's list of large storage, so the
+//! next session of the same sizes pays nothing for them either.
 
 use petal_blas::Matrix;
 use petal_gpu::buffer::{Recycler, SharedSlice};
@@ -89,7 +91,9 @@ impl World {
     }
 
     /// Empty world on `recycler`, which outlives it: what this world
-    /// gives back, the next world built on it starts from.
+    /// gives back, the next world built on it starts from (and, for a
+    /// matrix at or above the recycler's floor, the next world built on
+    /// any recycler of the process).
     #[must_use]
     pub fn on(recycler: Arc<Recycler>) -> Self {
         World { mats: Vec::new(), versions: Vec::new(), lazy: Vec::new(), lazy_pulls: 0, recycler }

@@ -33,10 +33,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The seven benchmarks, small enough for a debug-build sweep and large
-/// enough that at least two rungs of the size ladder run.
+/// enough that at least two rungs of the size ladder run; Black-Scholes a
+/// second time at 16 384 options, whose full-size columns, outputs and
+/// device buffers are the process's large storage (`Recycler`'s floor is
+/// 8 192 elements).
 fn benchmarks() -> Vec<Box<dyn Benchmark>> {
     vec![
         Box::new(BlackScholes::new(4_096)),
+        Box::new(BlackScholes::new(16_384)),
         Box::new(Poisson2D::new(32, 3)),
         Box::new(SeparableConvolution::new(64, 5)),
         Box::new(Sort::new(2_048)),
@@ -96,10 +100,13 @@ fn assert_same_outcome(got: &JobOutcome, want: &JobOutcome, what: &str) {
 
 /// A delegating wrapper that poisons the session it is evaluated in: before
 /// every trial a child builds, every buffer the child's recycler retains —
-/// what the trials before gave back — is filled with NaN. Children stay
+/// what the trials before gave back — is filled with NaN, and so is every
+/// buffer the process's list of large storage retains (`Recycler::poison`
+/// does both), whichever session or test gave it back. Children stay
 /// wrapped, so the farm's per-size table holds one of these per size. (The
 /// recycler is the child's own state, reachable only through a `World` it
-/// built: the first trial of a child has nothing retained to poison.)
+/// built: the first trial of a child poisons nothing but the process's
+/// list.)
 struct Poisoning {
     inner: Box<dyn Benchmark>,
     recycler: OnceLock<Arc<Recycler>>,
@@ -125,8 +132,10 @@ impl Benchmark for Poisoning {
         self.inner.program(machine)
     }
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
-        if let Some(retaining) = self.recycler.get() {
-            retaining.poison();
+        match self.recycler.get() {
+            Some(retaining) => retaining.poison(),
+            // The child retains nothing yet; the process's list may.
+            None => Recycler::default().poison(),
         }
         let instance = self.inner.instantiate(machine, cfg);
         self.recycler.get_or_init(|| Arc::clone(instance.world.recycler()));

@@ -4,7 +4,8 @@
 //! functionally: a `Vec` of their own, or — copy-on-write — a reference to
 //! read-only data somebody else holds ([`SharedSlice`]) until the first
 //! device write. A buffer's own `Vec` is drawn from a [`Recycler`] and goes
-//! back to it when the buffer dies, so a session of trials stops asking the
+//! back to it when the buffer dies, so a session of trials — and, for large
+//! buffers, every later session of the process — stops asking the
 //! allocator for the same pages over and over; the recycler lives here, in
 //! the lowest crate both the table and `petal_core`'s `World` can see (it
 //! knows nothing of either, and `petal_gpu` depends on no other crate).
@@ -72,17 +73,49 @@ impl fmt::Debug for SharedSlice {
 /// `Executor::run` lends it to the device for the run), so it lives as
 /// long as the session and is shared by the session's threads.
 ///
+/// **Large storage is the process's.** A request or a buffer of at least
+/// 8 192 elements (64 KiB) does not stay with the session: the recycler
+/// draws it from, and gives it to, one free list the whole process shares
+/// ([`Recycler::large_tier`]). The session dies with its tune; those
+/// pages do not, so the next tune of the same sizes finds them instead of
+/// faulting new ones in. Smaller buffers stay with the session, whose
+/// retention keeps a worker's small heap from being trimmed and faulted
+/// back in on every trial.
+///
 /// **A recycled buffer is a fresh one.** [`Recycler::zeros`] hands out
 /// exactly `len` elements, every one `0.0`, whether the storage is new or
 /// was given back full of somebody's results: nothing that runs on it can
 /// tell the difference, so nothing has to prove it writes every cell.
+/// [`Recycler::take`] hands out no elements at all, for a caller that
+/// fills the storage itself.
 ///
 /// **It holds no more than was once in use.** [`Recycler::give`] keeps a
 /// buffer only while what is retained plus what is lent stays within the
-/// most that was ever lent at once; anything beyond that is freed as it
-/// always was. There is nothing to configure.
+/// most that was ever lent at once — counted over the session for small
+/// storage, over the process for large; anything beyond that is freed as
+/// it always was. There is nothing to configure.
 #[derive(Debug, Default)]
 pub struct Recycler(Mutex<FreeList>);
+
+/// Requests and buffers of at least this many elements (64 KiB) go to
+/// [`LARGE`]. These are the few big buffers of a trial, and the ones whose
+/// pages the allocator hands back to the kernel when they are freed
+/// (glibc maps 128 KiB and more on its own, and trims a heap whose free top
+/// passes that), so a new tune faults them in again. A floor of 2 048
+/// elements sent Strassen's many small intermediates process-wide as well
+/// and raised `tune_execute`'s peak RSS 7 %.
+const FLOOR: usize = 8_192;
+
+/// A retained buffer serves a request only if its capacity is at most this
+/// many times the request. With any capacity that fits, one list shared by
+/// many sizes hands its big buffers to small requests, and the next big
+/// request allocates anew: a deep Strassen plan on such a list held 53 %
+/// more peak RSS.
+const FIT: usize = 2;
+
+/// The process's large storage (see [`Recycler`]), bounded by the most of
+/// it ever lent at once.
+static LARGE: Mutex<FreeList> = Mutex::new(FreeList::EMPTY);
 
 /// Sizes are capacities, in elements.
 #[derive(Debug, Default)]
@@ -97,40 +130,109 @@ struct FreeList {
     reused: u64,
 }
 
+/// What a free list has done and holds: how many draws new storage and
+/// retained buffers served, and how many elements it retains, has lent out
+/// now, and had lent out at most.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tally {
+    /// Draws served by new storage.
+    pub fresh: u64,
+    /// Draws served by a retained buffer.
+    pub reused: u64,
+    /// Elements retained.
+    pub retained: usize,
+    /// Elements lent out and not given back.
+    pub lent: usize,
+    /// The most elements ever lent out at once.
+    pub peak_lent: usize,
+}
+
+impl FreeList {
+    const EMPTY: FreeList =
+        FreeList { free: BTreeMap::new(), retained: 0, lent: 0, peak_lent: 0, fresh: 0, reused: 0 };
+
+    /// The smallest retained buffer that holds `len` within [`FIT`] times
+    /// it, or `None` when new storage of `len` is to be allocated; counted
+    /// as lent either way.
+    fn lend(&mut self, len: usize) -> Option<Vec<f64>> {
+        let fits = len..=len.saturating_mul(FIT);
+        let found = self.free.range_mut(fits).find_map(|(_, same)| same.pop());
+        let capacity = found.as_ref().map_or(len, Vec::capacity);
+        if found.is_some() {
+            self.retained -= capacity;
+            self.reused += 1;
+        } else {
+            self.fresh += 1;
+        }
+        self.lent += capacity;
+        self.peak_lent = self.peak_lent.max(self.lent);
+        // Only new storage can pass the bound, beside buffers that do not
+        // fit it: the smallest go until it holds again.
+        while self.retained + self.lent > self.peak_lent {
+            let smallest = self.free.values_mut().find_map(Vec::pop);
+            self.retained -= smallest.map_or(0, |v| v.capacity());
+        }
+        found
+    }
+
+    /// Keep `v` while `retained + lent` stays within the most ever lent at
+    /// once, free it otherwise.
+    fn keep(&mut self, v: Vec<f64>) {
+        let capacity = v.capacity();
+        self.lent = self.lent.saturating_sub(capacity);
+        if self.retained + capacity + self.lent <= self.peak_lent {
+            self.free.entry(capacity).or_default().push(v);
+            self.retained += capacity;
+        }
+    }
+
+    fn tally(&self) -> Tally {
+        Tally {
+            fresh: self.fresh,
+            reused: self.reused,
+            retained: self.retained,
+            lent: self.lent,
+            peak_lent: self.peak_lent,
+        }
+    }
+
+    fn poison(&mut self) {
+        for v in self.free.values_mut().flatten() {
+            let capacity = v.capacity();
+            v.clear();
+            v.resize(capacity, f64::NAN);
+        }
+    }
+}
+
+/// A free list has no invariant a panic elsewhere can break: a poisoned
+/// lock is taken over.
+fn lock(list: &Mutex<FreeList>) -> MutexGuard<'_, FreeList> {
+    list.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Recycler {
-    /// A free list has no invariant a panic elsewhere can break: a
-    /// poisoned lock is taken over.
+    /// The session's own list.
     fn list(&self) -> MutexGuard<'_, FreeList> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.0)
+    }
+
+    /// The list storage of `size` elements is drawn from and given to.
+    fn list_for(&self, size: usize) -> MutexGuard<'_, FreeList> {
+        if size >= FLOOR {
+            lock(&LARGE)
+        } else {
+            self.list()
+        }
     }
 
     /// `len` zeros, as `vec![0.0; len]` is: in the smallest retained
-    /// buffer that holds them, cleared and zero-filled, or in new storage
-    /// when none does.
+    /// buffer that holds them within twice their size, cleared and
+    /// zero-filled, or in new storage when none does.
     #[must_use]
     pub fn zeros(&self, len: usize) -> Vec<f64> {
-        let found = {
-            let mut list = self.list();
-            let found = list.free.range_mut(len..).find_map(|(_, same)| same.pop());
-            let capacity = found.as_ref().map_or(len, Vec::capacity);
-            if found.is_some() {
-                list.retained -= capacity;
-                list.reused += 1;
-            } else {
-                list.fresh += 1;
-            }
-            list.lent += capacity;
-            list.peak_lent = list.peak_lent.max(list.lent);
-            // Only new storage can pass the bound, beside buffers all too
-            // small for it: the smallest go until it holds again.
-            while list.retained + list.lent > list.peak_lent {
-                let smallest = list.free.values_mut().find_map(Vec::pop);
-                list.retained -= smallest.map_or(0, |v| v.capacity());
-            }
-            found
-        };
         // The fill runs outside the lock.
-        match found {
+        match self.list_for(len).lend(len) {
             Some(mut v) => {
                 v.clear();
                 v.resize(len, 0.0);
@@ -140,40 +242,55 @@ impl Recycler {
         }
     }
 
+    /// Room for `len` elements that the caller fills itself: an empty
+    /// `Vec` whose capacity is at least `len`, drawn and counted as
+    /// [`Recycler::zeros`] draws and counts but not filled, so nothing the
+    /// storage held before can be read.
+    #[must_use]
+    pub fn take(&self, len: usize) -> Vec<f64> {
+        match self.list_for(len).lend(len) {
+            Some(mut v) => {
+                v.clear();
+                v
+            }
+            None => Vec::with_capacity(len),
+        }
+    }
+
     /// Take storage back, whatever it holds and wherever it came from;
     /// keep it while `retained + lent` stays within the most ever lent at
     /// once, free it otherwise.
     pub fn give(&self, v: Vec<f64>) {
         let capacity = v.capacity();
-        if capacity == 0 {
-            return;
-        }
-        let mut list = self.list();
-        list.lent = list.lent.saturating_sub(capacity);
-        if list.retained + capacity + list.lent <= list.peak_lent {
-            list.free.entry(capacity).or_default().push(v);
-            list.retained += capacity;
+        if capacity > 0 {
+            self.list_for(capacity).keep(v);
         }
     }
 
-    /// How many [`Recycler::zeros`] calls were served from new storage and
-    /// how many from a retained buffer, so far.
+    /// How many of this session's draws ([`Recycler::zeros`],
+    /// [`Recycler::take`]) were served from new storage and how many from
+    /// a retained buffer, so far. Draws of large storage are counted by
+    /// the process's list instead ([`Recycler::large_tier`]).
     #[must_use]
     pub fn fresh_and_reused(&self) -> (u64, u64) {
         let list = self.list();
         (list.fresh, list.reused)
     }
 
-    /// Fill every retained buffer with NaN, to its capacity: what a test
-    /// does between two trials to show that no answer depends on what a
-    /// recycled buffer held.
+    /// The process's list of large storage as it is now, every session's
+    /// draws of it counted together.
+    #[must_use]
+    pub fn large_tier() -> Tally {
+        lock(&LARGE).tally()
+    }
+
+    /// Fill every buffer this session and the process's large list retain
+    /// with NaN, to its capacity: what a test does between two trials to
+    /// show that no answer depends on what a recycled buffer held.
     #[doc(hidden)]
     pub fn poison(&self) {
-        for v in self.list().free.values_mut().flatten() {
-            let capacity = v.capacity();
-            v.clear();
-            v.resize(capacity, f64::NAN);
-        }
+        self.list().poison();
+        lock(&LARGE).poison();
     }
 }
 
@@ -490,9 +607,10 @@ mod tests {
         /// The recycler's whole contract over random histories: a hand-out
         /// is `len` zeros by bits whatever was written into the storage
         /// before it came back (NaN, −0.0, a poisoning of the list); it is
-        /// the smallest retained buffer that fits, new storage only when
-        /// none does; and `retained + lent` never passes the most ever
-        /// lent, with buffers the recycler never lent given to it as well.
+        /// the smallest retained buffer that holds `len` within twice
+        /// `len`, new storage only when none does; and `retained + lent`
+        /// never passes the most ever lent, with buffers the recycler
+        /// never lent given to it as well.
         #[test]
         fn a_hand_out_is_zeros_best_fit_and_the_list_stays_within_the_peak(
             ops in proptest::collection::vec((0u8..6, 0usize..96), 1..120),
@@ -507,7 +625,7 @@ mod tests {
                         let mut v = r.zeros(n);
                         prop_assert_eq!(v.len(), n);
                         prop_assert!(v.iter().all(|x| x.to_bits() == 0), "{:?}", v);
-                        match before.iter().copied().filter(|&c| c >= n).min() {
+                        match before.iter().copied().filter(|&c| c >= n && c <= 2 * n).min() {
                             Some(best) => {
                                 prop_assert_eq!(v.capacity(), best);
                                 prop_assert_eq!(r.fresh_and_reused(), (counts.0, counts.1 + 1));

@@ -2,9 +2,11 @@
 # The claim protocol of choosing-metrics § 8 as one command: build two
 # checkouts' benchmark/ once, run <pairs> parent/change pairs of one
 # workload on one seed, alternating which side runs first, and print each
-# side's median and quartiles per end-to-end metric plus pairs won, and the
+# side's median and quartiles per end-to-end metric plus pairs won, the
 # median number of passes each side fitted into the run beside peak_rss_mb
-# (the harness keeps every pass's results, so a faster pass means more kept).
+# (the harness keeps every pass's results, so a faster pass means more kept),
+# and each side's median user and system CPU seconds per run (bash `time`
+# of the whole command), so a gain made in the kernel shows as one.
 #
 #   tools/ab_pairs.sh <parent-dir> <change-dir> <workload|all> <seed> <pairs>
 #
@@ -15,7 +17,7 @@
 # once per seed a claim has to hold on. See docs/benchmarks.md.
 set -euo pipefail
 
-[[ $# == 5 ]] || { sed -n '2,15p' "$0"; exit 2; }
+[[ $# == 5 ]] || { sed -n '2,17p' "$0"; exit 2; }
 PARENT="$(cd "$1" && pwd)"
 CHANGE="$(cd "$2" && pwd)"
 WORKLOAD="$3" SEED="$4" PAIRS="$5"
@@ -29,7 +31,7 @@ if [[ "$WORKLOAD" == all ]]; then
 fi
 
 RUNS="$(mktemp /tmp/ab-pairs.XXXXXX)"
-trap 'rm -f "$RUNS" "$RUNS.out"' EXIT
+trap 'rm -f "$RUNS" "$RUNS.out" "$RUNS.cpu"' EXIT
 
 bench() { # <dir> <cargo subcommand> [benchmark args...]
   local dir="$1" sub="$2"
@@ -39,9 +41,15 @@ bench() { # <dir> <cargo subcommand> [benchmark args...]
 
 # One run of <side>'s tree: its metrics go to $RUNS as `side pair name
 # value`, its operation counts and the `passes` line it prints as the
-# pseudo-metrics attempted/failed/passes.
+# pseudo-metrics attempted/failed/passes, and the CPU seconds the run took
+# in user and in system mode (its children's included) as user_s/sys_s.
 run_side() { # <side> <dir> <pair>
-  bench "$2" run -- run --workload "$WORKLOAD" --seed "$SEED" >"$RUNS.out"
+  local TIMEFORMAT='%U %S' user sys
+  # `time` reports on fd 2, so the run's own stderr goes out through fd 3.
+  { time bench "$2" run -- run --workload "$WORKLOAD" --seed "$SEED" >"$RUNS.out" 2>&3; } \
+    3>&2 2>"$RUNS.cpu"
+  read -r user sys <"$RUNS.cpu"
+  printf '%s %s user_s %s\n%s %s sys_s %s\n' "$1" "$3" "$user" "$1" "$3" "$sys" >>"$RUNS"
   local result
   result="$(grep '^{"correct": ' "$RUNS.out" | tail -n 1)"
   [[ -n "$result" ]] || { echo "ab_pairs: $1 printed no result line"; cat "$RUNS.out"; exit 1; }
@@ -111,6 +119,14 @@ sed -n '/"end_to_end"/,/\]/p' "$CHANGE/BENCHMARK.json" \
         printf '%-12s passes kept in memory per run: parent median %s, change median %s\n' "" "$ppasses" "$cpasses"
       fi
     done
+for side in parent change; do
+  read -r _ user _ <<<"$(quartiles "$side" user_s)"
+  read -r _ sys _ <<<"$(quartiles "$side" sys_s)"
+  awk -v side="$side" -v user="$user" -v sys="$sys" 'BEGIN {
+    printf "cpu         %-6s median per run: user %.2f s, system %.2f s (system %.1f %% of the two)\n",
+      side, user, sys, (user + sys > 0) ? 100 * sys / (user + sys) : 0
+  }'
+done
 echo "operations  parent $(total parent failed) failed of $(total parent attempted), change $(total change failed) failed of $(total change attempted)"
 echo
 echo "== every run (side pair metric value)"
